@@ -3,7 +3,8 @@
 Commands: validate, regions, decide, hm, crosscheck, gen, batch.  Output is
 machine-readable JSON (CSV for batch reports on request) with a stable field
 order.  Exit codes: decide maps its verdict to 0/1/2/3; other commands return
-0 on success, 64 on usage errors and 65 on data errors.
+0 on success; every command returns 64 on usage errors, 65 on data errors and
+70 on internal errors (a failed self-check, which is a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .errors import InputError, ParseError
+from .errors import InputError, InternalConsistencyError, ParseError
 from .flags import validate_flag
 from .higgs import EXIT_CODES, decide_stability, generate_stable_instance
 from .hmgit import INFINITE, build_linearization, consistency_check, destabilizing_oneps, hm_total
@@ -44,6 +45,7 @@ from .weights import (
 
 USAGE_EXIT = 64
 DATA_EXIT = 65
+INTERNAL_EXIT = 70
 
 
 class _UsageError(Exception):
@@ -92,12 +94,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_instance(path: str) -> InstanceFile:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(path, f"cannot read file: {exc}") from None
-    return parse_instance_text(text)
+
+
+def _read_instance(path: str) -> InstanceFile:
+    return parse_instance_text(_read_text(path))
 
 
 def _emit(obj) -> None:
@@ -163,7 +168,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_hm(args) -> int:
     inst = _read_instance(args.file)
-    lam = parse_oneps_text(Path(args.oneps).read_text(encoding="utf-8"))
+    lam = parse_oneps_text(_read_text(args.oneps))
     lin = build_linearization(inst.weight)
     audit: list = []
     mu = hm_total(lam, inst.higgs, inst.flags, lin, inst.weight, audit=audit)
@@ -244,7 +249,11 @@ def _cmd_batch(args) -> int:
     if not directory.is_dir():
         raise ParseError(args.dir, "not a directory")
     files = sorted(str(p) for p in directory.glob("*.instance.json"))
-    jobs = int(os.environ.get("ISOFLAG_JOBS", args.jobs))
+    jobs = os.environ.get("ISOFLAG_JOBS", args.jobs)
+    try:
+        jobs = int(jobs)
+    except ValueError:
+        raise _UsageError(f"ISOFLAG_JOBS must be an integer, got {jobs!r}") from None
     if jobs > 1 and len(files) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_decide_one_path, files))
@@ -273,17 +282,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    try:
-        return _COMMANDS[args.command](args)
-    except ParseError as exc:
+    except (ParseError, InputError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_EXIT
-    except InputError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_EXIT
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

@@ -29,8 +29,11 @@ form live in a conjugate pair with equal pardeg).
 For q <= 3 every nonzero isotropic subspace is a line, so the oracle decides
 condition (2) completely and the verdict is never Undetermined.  For q >= 4
 exact maximization over higher-dimensional isotropic subspaces across several
-flags is not attempted; the verdict carries certified bounds instead (lattice
-witnesses from below, a per-flag greedy relaxation from above).
+flags is not attempted; the verdict carries certified bounds instead: from
+below, the best explicit isotropic witness (the line oracle's line, or the
+radical of T or of some T ^ F_i^j), which is sound because every witness is a
+true isotropic subspace of T; from above, a per-flag greedy relaxation, which
+no witness enters.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InternalConsistencyError
 from .flags import FlagSystem, pardeg_subspace, validate_flag
 from .linalg import (
     BilinearForm,
@@ -48,7 +51,6 @@ from .linalg import (
     is_zero_vector,
     isotropy_classify,
     max_isotropic_dimension,
-    meet_join,
     orthocomplement,
     vadd,
     vscale,
@@ -201,7 +203,7 @@ def _isotropic_line_in(y: Subspace, form: BilinearForm,
                 delta=disc,
             )
             if not line.is_isotropic(form):
-                raise InputError("internal: extension line construction failed")
+                raise InternalConsistencyError("extension line construction failed")
             fallback = line
     return fallback
 
@@ -275,7 +277,6 @@ class PardegBounds:
     witness: LineWitness | None
     upper: Fraction | None
     exact: bool
-    lattice_capped: bool = False
 
 
 def _per_flag_upper(k: int, profile: tuple[int, ...], beta_row: tuple[Fraction, ...]) -> Fraction:
@@ -292,47 +293,29 @@ def _per_flag_upper(k: int, profile: tuple[int, ...], beta_row: tuple[Fraction, 
     return total
 
 
-def _lattice_members(t_sub: Subspace, fs: FlagSystem, cap: int) -> tuple[list[Subspace], bool]:
-    """Meet/join closure of {T ^ F_i^j} inside T, size-capped."""
-    seeds = {t_sub}
+def _seed_members(t_sub: Subspace, fs: FlagSystem) -> list[Subspace]:
+    """T and its nonzero intersections T ^ F_i^j with the flag pieces."""
+    members = {t_sub}
     for flag in fs.flags:
         for i in range(1, fs.q):
-            piece, _ = meet_join(t_sub, flag.piece(i))
+            piece = flag.intersect_piece(t_sub, i)
             if piece.dim > 0:
-                seeds.add(piece)
-    members = set(seeds)
-    frontier = list(seeds)
-    capped = False
-    while frontier and not capped:
-        new_frontier = []
-        for a in frontier:
-            for b in list(members):
-                meet, join = meet_join(a, b)
-                for c in (meet, join):
-                    if c.dim > 0 and c not in members:
-                        members.add(c)
-                        new_frontier.append(c)
-                        if len(members) > cap:
-                            capped = True
-                            break
-                if capped:
-                    break
-            if capped:
-                break
-        frontier = new_frontier
-    ordered = sorted(members, key=lambda m: (m.dim, repr(m.rows)))
-    return ordered, capped
+                members.add(piece)
+    return sorted(members, key=lambda m: (m.dim, repr(m.rows)))
 
 
 def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
-                            seed: int = 0, lattice_cap: int = 128) -> PardegBounds:
+                            seed: int = 0) -> PardegBounds:
     """Bounds on sup{pardeg(W) : 0 != W <= T isotropic}, exact when possible.
 
-    The lower bound comes from explicit witnesses: the line oracle plus
-    radicals of the meet/join lattice generated by the T ^ F_i^j.  The upper
-    bound decouples the flags and maximizes each greedily (sound relaxation).
-    When T admits no isotropic subspace of dimension 2 the line oracle is
-    already the exact supremum.
+    The lower bound is the best of explicit isotropic witnesses: the line
+    oracle's line and, when nu >= 2, the radicals (of dimension >= 2) of T and
+    of each T ^ F_i^j.  Every witness is a true isotropic subspace of T, so
+    the lower bound is sound whichever candidates are tried; more candidates
+    could only raise it.  The upper bound decouples the flags and maximizes
+    each greedily (a sound relaxation that uses no witness).  When T admits
+    no isotropic subspace of dimension 2 the line oracle is already the exact
+    supremum.
     """
     require_valid(w)
     form = BilinearForm(fs.q)
@@ -344,19 +327,16 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
 
     oracle = line_oracle(t_sub, fs, w, seed)
     lower, witness = oracle.value, oracle.witness
-    capped = False
-
-    if nu >= 2:
-        members, capped = _lattice_members(t_sub, fs, lattice_cap)
-        for member in members:
-            _, radical, _ = isotropy_classify(member, form)
-            if radical.dim >= 2:
-                value = pardeg_subspace(radical, fs, w)
-                if lower is None or value > lower:
-                    lower, witness = value, radical
 
     if nu == 1:
         return PardegBounds(lower, witness, lower, True)
+
+    for member in _seed_members(t_sub, fs):
+        _, radical, _ = isotropy_classify(member, form)
+        if radical.dim >= 2:
+            value = pardeg_subspace(radical, fs, w)
+            if lower is None or value > lower:
+                lower, witness = value, radical
 
     profiles = [flag.profile(t_sub) for flag in fs.flags]
     upper = None
@@ -368,9 +348,9 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
         if upper is None or bound > upper:
             upper = bound
     if lower is not None and upper < lower:
-        raise InputError("internal: upper bound fell below a certified witness")
+        raise InternalConsistencyError("upper bound fell below a certified witness")
     exact = lower is not None and lower == upper
-    return PardegBounds(lower, witness, upper, exact, capped)
+    return PardegBounds(lower, witness, upper, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +359,11 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
 
 @dataclass(frozen=True)
 class Certificate:
-    kind: str                      # "isotropic_span" | "positive_coisotropic" | "destabilizing_oneps"
+    kind: str                      # "isotropic_span" | "positive_coisotropic"
     span: Subspace | None = None             # isotropic_span
     witness: LineWitness | None = None       # positive_coisotropic: isotropic W
     coisotropic: Subspace | None = None      # positive_coisotropic: V' = W^perp (rational W only)
     pardeg: Fraction | None = None
-    mu: int | None = None                    # destabilizing_oneps
-    oneps: object = None                     # a OnePS; typed loosely to avoid an import cycle
 
 
 @dataclass(frozen=True)
@@ -395,7 +373,6 @@ class Verdict:
     lower: Fraction | None = None
     upper: Fraction | None = None
     exact: bool = True
-    lattice_capped: bool = False
 
 
 EXIT_CODES = {"Stable": 0, "StrictlySemistable": 1, "Unstable": 2, "Undetermined": 3}
@@ -444,8 +421,7 @@ def decide_stability(a: HiggsTuple, fs: FlagSystem, w: Weight, seed: int = 0) ->
             coiso = orthocomplement(witness, form)
         cert = Certificate("positive_coisotropic", witness=witness,
                            coisotropic=coiso, pardeg=bounds.lower)
-        return Verdict("Unstable", cert, bounds.lower, bounds.upper,
-                       bounds.exact, bounds.lattice_capped)
+        return Verdict("Unstable", cert, bounds.lower, bounds.upper, bounds.exact)
 
     if bounds.exact:
         if bounds.lower > 0:
@@ -462,8 +438,7 @@ def decide_stability(a: HiggsTuple, fs: FlagSystem, w: Weight, seed: int = 0) ->
         return unstable()
     if bounds.upper < 0:
         return Verdict("Stable", None, bounds.lower, bounds.upper, False)
-    return Verdict("Undetermined", None, bounds.lower, bounds.upper, False,
-                   bounds.lattice_capped)
+    return Verdict("Undetermined", None, bounds.lower, bounds.upper, False)
 
 
 def verify_certificate(verdict: Verdict, a: HiggsTuple, fs: FlagSystem, w: Weight) -> bool:
@@ -530,5 +505,5 @@ def generate_stable_instance(q: int, s: int, fs: FlagSystem, w: Weight, seed: in
     a = HiggsTuple(q, s, tuple(rows))
     verdict = decide_stability(a, fs, w)
     if verdict.tag != "Stable":
-        raise InputError("internal: spanning instance did not come out stable")
+        raise InternalConsistencyError("spanning instance did not come out stable")
     return a

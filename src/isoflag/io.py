@@ -245,10 +245,6 @@ def certificate_to_json(cert: Certificate | None) -> dict | None:
         out["coisotropic"] = subspace_to_json(cert.coisotropic)
     if cert.pardeg is not None:
         out["pardeg"] = format_fraction(cert.pardeg)
-    if cert.mu is not None:
-        out["mu"] = cert.mu
-    if cert.oneps is not None:
-        out["oneps"] = oneps_to_json(cert.oneps)
     return out
 
 
@@ -259,8 +255,6 @@ def verdict_to_json(v: Verdict) -> dict:
         out["certificate"] = cert
     if v.lower is not None or v.upper is not None:
         out["bounds"] = {"lower": _bound_to_json(v.lower), "upper": _bound_to_json(v.upper)}
-    if v.lattice_capped:
-        out["lattice_capped"] = True
     return out
 
 

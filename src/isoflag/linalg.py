@@ -108,10 +108,6 @@ def rref(rows: list[Vector]) -> tuple[list[Vector], list[int]]:
     return [tuple(r) for r in work[:row]], pivots
 
 
-def matrix_rank(rows: list[Vector]) -> int:
-    return len(rref(rows)[0])
-
-
 def kernel_basis(rows: list[Vector], ncols: int) -> list[Vector]:
     """Basis of {x : M x^t = 0}, from the reduced echelon form of M."""
     red, pivots = rref(rows) if rows else ([], [])

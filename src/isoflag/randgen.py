@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InternalConsistencyError
 from .flags import FlagSystem, random_flag
 from .higgs import HiggsTuple
 from .linalg import BilinearForm, Subspace, Vector, hyperbolic_basis, orthocomplement
@@ -53,7 +53,7 @@ def random_weight(q: int, s: int, seed: int, region: str = "W") -> Weight:
     require_valid(w)
     membership = region_membership(w)
     if not membership.in_w or (region == "Wprime" and not membership.in_w_prime):
-        raise InputError("internal: sampled weight missed the target region")
+        raise InternalConsistencyError("sampled weight missed the target region")
     return w
 
 
@@ -63,11 +63,6 @@ def random_isotropic_subspace(q: int, dim: int, seed: int) -> Subspace:
         raise InputError("isotropic dimension cannot exceed q/2")
     basis = hyperbolic_basis(BilinearForm(q), seed)
     return Subspace.from_vectors(list(basis[:dim]), q)
-
-
-def random_coisotropic_subspace(q: int, codim: int, seed: int) -> Subspace:
-    iso = random_isotropic_subspace(q, codim, seed)
-    return orthocomplement(iso, BilinearForm(q))
 
 
 def random_flag_system(q: int, s: int, seed: int, shared: bool = False) -> FlagSystem:

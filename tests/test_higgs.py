@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from isoflag.errors import InputError
-from isoflag.flags import FlagSystem
+from isoflag.flags import FlagSystem, pardeg_subspace
 from isoflag.higgs import (
     ExtensionLine,
     HiggsTuple,
@@ -15,7 +15,16 @@ from isoflag.higgs import (
     max_pardeg_isotropic_in,
     verify_certificate,
 )
-from isoflag.linalg import BilinearForm, Subspace, apply_matrix, random_special_isometry
+from isoflag.linalg import (
+    BilinearForm,
+    Subspace,
+    apply_matrix,
+    isotropy_classify,
+    max_isotropic_dimension,
+    meet_join,
+    orthocomplement,
+    random_special_isometry,
+)
 from isoflag.randgen import (
     mixed_mode,
     random_flag_system,
@@ -146,6 +155,70 @@ class TestMaxPardeg:
                 assert res.upper >= res.lower
                 if res.exact:
                     assert res.upper == res.lower
+
+
+def _closure_members(t_sub, fs, cap=128):
+    """The meet/join closure of {T} and the T ^ F_i^j inside T, size-capped:
+    the candidate set the bound stage once drew its radicals from.  Kept here
+    as the reference the seeds-only stage is compared against."""
+    seeds = {t_sub}
+    for flag in fs.flags:
+        for i in range(1, fs.q):
+            piece, _ = meet_join(t_sub, flag.piece(i))
+            if piece.dim > 0:
+                seeds.add(piece)
+    members = set(seeds)
+    frontier = list(seeds)
+    capped = False
+    while frontier and not capped:
+        new_frontier = []
+        for a in frontier:
+            for b in list(members):
+                meet, join = meet_join(a, b)
+                for c in (meet, join):
+                    if c.dim > 0 and c not in members:
+                        members.add(c)
+                        new_frontier.append(c)
+                        if len(members) > cap:
+                            capped = True
+                            break
+                if capped:
+                    break
+            if capped:
+                break
+        frontier = new_frontier
+    return members
+
+
+class TestSeedsOnlyBoundStage:
+    # Generic rows leave nu(T) <= 1 for q <= 5 and s = 4, where the bound
+    # stage never runs; rows confined to one line leave dim T = q - 1.
+    @pytest.mark.parametrize("q, mode, seed", [
+        (4, "isotropic_span", 0), (4, "isotropic_span", 1), (4, "isotropic_span", 2),
+        (5, "low_rank", 1), (5, "low_rank", 2), (5, "isotropic_span", 1),
+    ])
+    def test_closure_radicals_never_beat_seeds(self, q, mode, seed):
+        a, fs, w = random_instance(q, 4, seed, mode=mode)
+        form = BilinearForm(q)
+        t_sub = orthocomplement(a.span(), form)
+        assert max_isotropic_dimension(t_sub, form) >= 2
+        res = max_pardeg_isotropic_in(t_sub, fs, w)
+        for member in _closure_members(t_sub, fs):
+            radical = isotropy_classify(member, form)[1]
+            if radical.dim >= 2:
+                assert pardeg_subspace(radical, fs, w) <= res.lower
+
+    @pytest.mark.parametrize("q, seed, lower, upper", [
+        (6, 0, F(-1, 22), F(1, 88)),
+        (6, 1, F(-3, 136), F(1, 34)),
+        (6, 2, F(-2, 29), F(6, 145)),
+        (8, 0, F(-6, 155), F(4, 155)),
+    ])
+    def test_wide_bounds_pinned(self, q, seed, lower, upper):
+        a, fs, w = random_instance(q, 4, seed)
+        verdict = decide_stability(a, fs, w, seed=seed)
+        assert verdict.tag == "Undetermined"
+        assert (verdict.lower, verdict.upper) == (lower, upper)
 
 
 class TestDecide:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from isoflag.cli import main
-from isoflag.errors import ParseError
+from isoflag.errors import InternalConsistencyError, ParseError
 from isoflag.flags import FlagSystem
 from isoflag.higgs import HiggsTuple, decide_stability
 from isoflag.hmgit import OnePS
@@ -166,6 +166,20 @@ class TestCli:
         assert out["mu"] == -48
         assert out["summands"]
 
+    def test_hm_missing_oneps_is_data_error(self, tmp_path, unstable_file, capsys):
+        missing = tmp_path / "missing.oneps.json"
+        assert main(["hm", str(unstable_file), "--oneps", str(missing)]) == 65
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_internal_error_exit_code(self, stable_file, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InternalConsistencyError("simulated self-check failure")
+
+        monkeypatch.setattr("isoflag.cli.decide_stability", broken)
+        assert main(["decide", str(stable_file)]) == 70
+        err = capsys.readouterr().err
+        assert err == "internal error: simulated self-check failure\n"
+
     def test_crosscheck(self, tmp_path, stable_file, unstable_file, capsys):
         assert main(["crosscheck", str(tmp_path), "--bound", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -204,6 +218,11 @@ class TestCli:
         assert main(["batch", str(tmp_path), "--jobs", "1"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["instances"] == 3
+
+    def test_jobs_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ISOFLAG_JOBS", "two")
+        assert main(["batch", str(tmp_path)]) == 64
+        assert capsys.readouterr().err.startswith("usage error:")
 
     def test_console_script_entry(self, stable_file):
         proc = subprocess.run(
