@@ -101,8 +101,18 @@ def _read_text(path: str) -> str:
         raise ParseError(path, f"cannot read file: {exc}") from None
 
 
+def _parse_file(path: str, parse):
+    """parse(text of the file); a parse error names the file before the
+    field's JSON pointer."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}:{exc.path}", exc.message) from None
+
+
 def _read_instance(path: str) -> InstanceFile:
-    return parse_instance_text(_read_text(path))
+    return _parse_file(path, parse_instance_text)
 
 
 def _emit(obj) -> None:
@@ -168,7 +178,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_hm(args) -> int:
     inst = _read_instance(args.file)
-    lam = parse_oneps_text(_read_text(args.oneps))
+    lam = _parse_file(args.oneps, parse_oneps_text)
     lin = build_linearization(inst.weight)
     audit: list = []
     mu = hm_total(lam, inst.higgs, inst.flags, lin, inst.weight, audit=audit)

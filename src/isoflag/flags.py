@@ -29,10 +29,9 @@ from .linalg import (
     Vector,
     hyperbolic_basis,
     invert_matrix,
-    kernel_basis,
     mat_mul,
+    rref,
 )
-from .scalars import ZERO
 from .weights import Weight, require_valid, weight_stats
 
 
@@ -67,66 +66,40 @@ class IsotropicFlag:
             self._inverse = invert_matrix(list(self.basis))
         return self._inverse
 
+    def _echelon(self, sub: Subspace) -> tuple[list[Vector], list[int]]:
+        """sub's basis in flag coordinates, reduced so that each row ends at
+        its own flag position.  This is the rref of the coordinates with the
+        columns reversed, reversed back.  Returns (rows, ends), where a row's
+        end is the index of its last nonzero coordinate: the row lies in
+        F_{end+1} and not in F_end."""
+        coords = mat_mul(list(sub.rows), self._inv())
+        red, pivots = rref([tuple(reversed(row)) for row in coords])
+        return [tuple(reversed(row)) for row in red], [self.q - 1 - c for c in pivots]
+
     def profile(self, sub: Subspace) -> tuple[int, ...]:
         """(dim(sub ^ F_i))_{i=0..q}.
 
-        Writing the subspace basis in flag coordinates X, the intersection
-        with F_i is cut out by vanishing of the trailing q - i coordinates, so
-        dim(sub ^ F_i) = dim(sub) - rank(X[:, i:]).  All the trailing ranks
-        come from one right-to-left elimination pass: after eliminating, the
-        number of pivots in columns >= i is exactly rank(X[:, i:]).
+        F_i is cut out by the vanishing of the flag coordinates i..q-1.  In
+        the echelon form each end position is the pivot of exactly one row,
+        and every other row is zero there, so a combination of the rows lies
+        in F_i exactly when it uses only rows ending below i.  Those rows are
+        a basis of sub ^ F_i, and dim(sub ^ F_i) is their count.
         """
         if sub.ambient != self.q:
             raise InputError("subspace ambient dimension does not match flag")
-        r = sub.dim
-        if r == 0:
-            return tuple(0 for _ in range(self.q + 1))
-        work = [list(row) for row in mat_mul(list(sub.rows), self._inv())]
-        pivot_cols: list[int] = []
-        used = [False] * r
-        for col in range(self.q - 1, -1, -1):
-            pivot_row = None
-            for k in range(r):
-                if not used[k] and not work[k][col].is_zero():
-                    pivot_row = k
-                    break
-            if pivot_row is None:
-                continue
-            used[pivot_row] = True
-            pivot_cols.append(col)
-            inv = work[pivot_row][col]
-            for k in range(r):
-                if k != pivot_row and not work[k][col].is_zero():
-                    c = work[k][col] / inv
-                    rowk, rowp = work[k], work[pivot_row]
-                    for t in range(col + 1):
-                        if not rowp[t].is_zero():
-                            rowk[t] = rowk[t] - c * rowp[t]
-        dims = []
-        for i in range(self.q + 1):
-            trailing_rank = sum(1 for c in pivot_cols if c >= i)
-            dims.append(r - trailing_rank)
-        return tuple(dims)
+        _, ends = self._echelon(sub)
+        return tuple(sum(1 for e in ends if e < i) for i in range(self.q + 1))
 
     def intersect_piece(self, sub: Subspace, i: int) -> Subspace:
-        """sub ^ F_i, computed in flag coordinates (cheaper than a generic
-        meet: one kernel of the trailing coordinate block)."""
+        """sub ^ F_i: the echelon rows ending below i (see profile), mapped
+        back from flag coordinates."""
         if i <= 0:
             return Subspace.zero(self.q)
         if i >= self.q or sub.dim == 0:
             return sub
-        coords = mat_mul(list(sub.rows), self._inv())
-        # coefficient vectors c with sum_k c_k (trailing coords of row k) = 0,
-        # i.e. the left kernel of the trailing block
-        transposed = [tuple(coords[k][col] for k in range(sub.dim))
-                      for col in range(i, self.q)]
-        combos = kernel_basis(transposed, sub.dim)
-        vectors = [
-            tuple(sum((c * row[t] for c, row in zip(combo, sub.rows)), ZERO)
-                  for t in range(self.q))
-            for combo in combos
-        ]
-        return Subspace.from_vectors(vectors, self.q)
+        rows, ends = self._echelon(sub)
+        inside = [row for row, e in zip(rows, ends) if e < i]
+        return Subspace.from_vectors(mat_mul(inside, list(self.basis)), self.q)
 
     def vector_jump(self, vectors: list[Vector]) -> int:
         """Smallest i with all given vectors in F_i (vectors assumed nonzero)."""
@@ -182,10 +155,6 @@ class FlagSystem:
     @classmethod
     def standard(cls, q: int, s: int) -> "FlagSystem":
         return cls(tuple(IsotropicFlag.standard(q) for _ in range(s)))
-
-    @classmethod
-    def random(cls, q: int, s: int, seed: int) -> "FlagSystem":
-        return cls(tuple(random_flag(q, seed * 1000 + j + 1) for j in range(s)))
 
     def transform(self, m: list[Vector]) -> "FlagSystem":
         return FlagSystem(tuple(f.transform(m) for f in self.flags))

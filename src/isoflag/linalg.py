@@ -263,24 +263,24 @@ def rank_kernel(rows: list[Vector]) -> tuple[int, Subspace]:
     return len(red), kernel
 
 
-def annihilator(s: Subspace) -> Subspace:
-    """{x : standard-dot(y, x) = 0 for all y in s}."""
-    if s.dim == 0:
-        return Subspace.full(s.ambient)
-    return Subspace.from_vectors(kernel_basis(list(s.rows), s.ambient), s.ambient)
-
-
 def meet_join(u: Subspace, v: Subspace) -> tuple[Subspace, Subspace]:
-    """Intersection and sum of two subspaces of the same ambient space."""
+    """Intersection and sum of two subspaces of the same ambient space, from
+    one Zassenhaus elimination.
+
+    The block matrix [[u, u], [v, 0]] (the rows of u repeated beside
+    themselves, the rows of v beside zeros) has 2p columns.  In its reduced
+    echelon form, the rows whose pivot lies in the left half have left halves
+    that are the canonical basis of the join; the other rows have zero left
+    halves, and their right halves are the canonical basis of the meet.
+    """
     if u.ambient != v.ambient:
         raise InputError("ambient dimensions differ")
-    join = Subspace.from_vectors(list(u.rows) + list(v.rows), u.ambient)
-    ann_rows = list(annihilator(u).rows) + list(annihilator(v).rows)
-    if not ann_rows:
-        meet = Subspace.full(u.ambient)
-    else:
-        meet = Subspace.from_vectors(kernel_basis(ann_rows, u.ambient), u.ambient)
-    return meet, join
+    p = u.ambient
+    zeros = vzero(p)
+    red, pivots = rref([r + r for r in u.rows] + [r + zeros for r in v.rows])
+    join = tuple(r[:p] for r, c in zip(red, pivots) if c < p)
+    meet = tuple(r[p:] for r, c in zip(red, pivots) if c >= p)
+    return Subspace(p, meet), Subspace(p, join)
 
 
 def orthocomplement(y: Subspace, form: BilinearForm) -> Subspace:
@@ -379,11 +379,11 @@ def _double_flip(p: int, a: int, b: int) -> list[Vector]:
     return [basis[perm[i]] for i in range(p)]
 
 
-def _random_scalar(rng: random.Random, span: int = 3) -> Scalar:
-    return sc(
-        Fraction(rng.randint(-span, span), rng.randint(1, span)),
-        Fraction(rng.randint(-span, span), rng.randint(1, span)),
-    )
+def random_scalar(rng: random.Random, span: int = 4) -> Scalar:
+    """re + im*i with re and im drawn as a/b, |a| <= span, 1 <= b <= span."""
+    re = Fraction(rng.randint(-span, span), rng.randint(1, span))
+    im = Fraction(rng.randint(-span, span), rng.randint(1, span))
+    return Scalar(re, im)
 
 
 def random_special_isometry(p: int, seed: int, moves: int = 8) -> list[Vector]:
@@ -404,13 +404,13 @@ def random_special_isometry(p: int, seed: int, moves: int = 8) -> list[Vector]:
         if kind == 0 and npairs >= 1:
             a = rng.randrange(npairs)
             e = standard_basis(p)[a]
-            z = [_random_scalar(rng) for _ in range(p)]
+            z = [random_scalar(rng, 3) for _ in range(p)]
             z[p - 1 - a] = ZERO  # keeps z orthogonal to e
             g = eichler_matrix(e, tuple(z), form)
         elif kind == 1 and npairs >= 1:
-            t = _random_scalar(rng)
+            t = random_scalar(rng, 3)
             while t.is_zero():
-                t = _random_scalar(rng)
+                t = random_scalar(rng, 3)
             g = _pair_scaling(p, rng.randrange(npairs), t)
         elif kind == 2 and npairs >= 2:
             a, b = rng.sample(range(npairs), 2)

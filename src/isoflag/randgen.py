@@ -12,15 +12,16 @@ from fractions import Fraction
 from .errors import InputError, InternalConsistencyError
 from .flags import FlagSystem, random_flag
 from .higgs import HiggsTuple
-from .linalg import BilinearForm, Subspace, Vector, hyperbolic_basis, orthocomplement
+from .linalg import (
+    BilinearForm,
+    Subspace,
+    Vector,
+    hyperbolic_basis,
+    orthocomplement,
+    random_scalar,
+)
 from .scalars import Scalar
 from .weights import Weight, region_membership, require_valid
-
-
-def random_scalar(rng: random.Random, span: int = 4, complex_parts: bool = True) -> Scalar:
-    re = Fraction(rng.randint(-span, span), rng.randint(1, span))
-    im = Fraction(rng.randint(-span, span), rng.randint(1, span)) if complex_parts else Fraction(0)
-    return Scalar(re, im)
 
 
 def random_vector(rng: random.Random, q: int, span: int = 4) -> Vector:

@@ -199,15 +199,29 @@ class TestSo2Score:
 
 class TestProfiles:
     def test_profile_matches_meets(self):
-        from isoflag.randgen import random_vector
+        """Profiles and flag intersections against generic meets, and against
+        the dimension formula dim(sub ^ F_i) = dim sub + i - dim(sub + F_i),
+        which needs no meet at all."""
+        from isoflag.randgen import random_scalar, random_vector
         rng = random.Random(31)
         for trial in range(40):
             q = rng.randint(2, 7)
             flag = random_flag(q, trial)
-            sub = Subspace.from_vectors(
-                [random_vector(rng, q) for _ in range(rng.randint(0, q))], q)
+            vectors = [random_vector(rng, q) for _ in range(rng.randint(0, q))]
+            if trial % 2:
+                # combinations of a few flag basis vectors meet the flag in
+                # more than the generic dimension
+                picks = rng.sample(flag.basis, rng.randint(1, q))
+                vectors = [tuple(sum((random_scalar(rng, 3) * w[t] for w in picks), sc(0))
+                                 for t in range(q))
+                           for _ in range(rng.randint(1, len(picks)))]
+            sub = Subspace.from_vectors(vectors, q)
             profile = flag.profile(sub)
             for i in range(q + 1):
                 meet, _ = meet_join(sub, flag.piece(i))
-                assert profile[i] == meet.dim
-                assert flag.intersect_piece(sub, i) == meet
+                joined = Subspace.from_vectors(list(sub.rows) + list(flag.basis[:i]), q)
+                assert profile[i] == meet.dim == sub.dim + i - joined.dim
+                inter = flag.intersect_piece(sub, i)
+                assert inter == meet and inter.dim == profile[i]
+                assert sub.contains_subspace(inter)
+                assert flag.piece(i).contains_subspace(inter)

@@ -150,6 +150,19 @@ class TestCli:
         bad.write_text("{", encoding="utf-8")
         assert main(["decide", str(bad)]) == 65
 
+    def test_batch_data_error_names_the_file(self, tmp_path, stable_file, capsys):
+        bad = tmp_path / "broken.instance.json"
+        bad.write_text("{", encoding="utf-8")
+        assert main(["batch", str(tmp_path)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}:/: not valid JSON")
+
+    def test_oneps_data_error_names_the_file(self, tmp_path, unstable_file, capsys):
+        bad = tmp_path / "bad.oneps.json"
+        bad.write_text(json.dumps({"l": 1}), encoding="utf-8")
+        assert main(["hm", str(unstable_file), "--oneps", str(bad)]) == 65
+        assert capsys.readouterr().err.startswith(f"data error: {bad}:/: missing field")
+
     def test_gen_then_decide(self, tmp_path, capsys):
         assert main(["gen", "--q", "3", "--s", "5", "--seed", "9"]) == 0
         text = capsys.readouterr().out

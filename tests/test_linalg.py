@@ -10,14 +10,16 @@ from isoflag.linalg import (
     complete_to_hyperbolic,
     hyperbolic_basis,
     isotropy_classify,
+    kernel_basis,
     max_isotropic_dimension,
     meet_join,
     orthocomplement,
     random_special_isometry,
     rank_kernel,
     standard_basis,
+    vscale,
 )
-from isoflag.randgen import random_isotropic_subspace, random_vector
+from isoflag.randgen import random_isotropic_subspace, random_scalar, random_vector
 from isoflag.scalars import I, ONE, Scalar, ZERO, sc
 
 
@@ -78,6 +80,30 @@ class TestRankKernel:
             rank_kernel([vec(1, 0), vec(1, 0, 0)])
 
 
+def _annihilator_meet_join(u, v):
+    """Meet and join as meet_join once computed them: the join by stacking
+    the bases, the meet as the kernel of the stacked annihilators.  Kept here
+    as the reference the Zassenhaus elimination is compared against."""
+    p = u.ambient
+
+    def annihilator(s):
+        if s.dim == 0:
+            return Subspace.full(p)
+        return Subspace.from_vectors(kernel_basis(list(s.rows), p), p)
+
+    join = Subspace.from_vectors(list(u.rows) + list(v.rows), p)
+    ann_rows = list(annihilator(u).rows) + list(annihilator(v).rows)
+    if not ann_rows:
+        return Subspace.full(p), join
+    return Subspace.from_vectors(kernel_basis(ann_rows, p), p), join
+
+
+def _sparse_vector(rng, p):
+    """Entries in {0, 1, -1, i}, so that meets of small spans are often
+    nonzero."""
+    return tuple(rng.choice([ZERO, ZERO, ONE, -ONE, I]) for _ in range(p))
+
+
 class TestMeetJoin:
     def test_idempotent(self):
         u = Subspace.from_vectors([vec(1, 2, 0)], 3)
@@ -112,6 +138,28 @@ class TestMeetJoin:
             assert meet.dim + join.dim == u.dim + v.dim
             assert u.contains_subspace(meet) and v.contains_subspace(meet)
             assert join.contains_subspace(u) and join.contains_subspace(v)
+
+    def test_matches_annihilator_reference(self):
+        rng = random.Random(17)
+        for trial in range(120):
+            p = rng.randint(1, 6)
+            draw = random_vector if trial % 2 else _sparse_vector
+            u = Subspace.from_vectors(
+                [draw(rng, p) for _ in range(rng.randint(0, p))], p)
+            inside_u = Subspace.from_vectors(
+                [vscale(random_scalar(rng, 3), row) for row in u.rows if rng.random() < 0.5], p)
+            around_u = Subspace.from_vectors(
+                list(u.rows) + [draw(rng, p) for _ in range(rng.randint(0, 2))], p)
+            others = [
+                Subspace.from_vectors([draw(rng, p) for _ in range(rng.randint(0, p))], p),
+                Subspace.zero(p), Subspace.full(p), u, inside_u, around_u,
+            ]
+            for v in others:
+                for a, b in ((u, v), (v, u)):
+                    meet, join = meet_join(a, b)
+                    assert (meet, join) == _annihilator_meet_join(a, b)
+                    for x in (meet, join):
+                        assert x == Subspace.from_vectors(list(x.rows), p)
 
 
 class TestOrthocomplement:
