@@ -30,14 +30,12 @@ from .higgs import (
 )
 from .hmgit import (
     INFINITE,
-    Filtration,
     Linearization,
     OnePS,
     bounded_destabilizer_search,
     build_linearization,
     consistency_check,
     destabilizing_oneps,
-    filtration_of,
     hm_base,
     hm_flag_total,
     hm_grassmannian,

@@ -38,7 +38,7 @@ from .weights import Weight, require_valid, weight_stats
 class IsotropicFlag:
     """A complete isotropic flag, held as its adapted hyperbolic basis."""
 
-    __slots__ = ("q", "basis", "_pieces", "_inverse")
+    __slots__ = ("q", "basis", "_pieces", "_inverse", "_last_echelon")
 
     def __init__(self, basis: tuple[Vector, ...]):
         self.q = len(basis)
@@ -48,6 +48,10 @@ class IsotropicFlag:
         self.basis = tuple(basis)
         self._pieces: list[Subspace] | None = None
         self._inverse: list[Vector] | None = None
+        # (sub, _echelon(sub)) for the last subspace asked about: callers
+        # take the profile of a subspace and then several of its
+        # intersections with the pieces, all from one echelon form.
+        self._last_echelon: tuple[Subspace, tuple[list[Vector], list[int]]] | None = None
 
     @classmethod
     def standard(cls, q: int) -> "IsotropicFlag":
@@ -72,9 +76,13 @@ class IsotropicFlag:
         columns reversed, reversed back.  Returns (rows, ends), where a row's
         end is the index of its last nonzero coordinate: the row lies in
         F_{end+1} and not in F_end."""
+        if self._last_echelon is not None and self._last_echelon[0] == sub:
+            return self._last_echelon[1]
         coords = mat_mul(list(sub.rows), self._inv())
         red, pivots = rref([tuple(reversed(row)) for row in coords])
-        return [tuple(reversed(row)) for row in red], [self.q - 1 - c for c in pivots]
+        echelon = [tuple(reversed(row)) for row in red], [self.q - 1 - c for c in pivots]
+        self._last_echelon = (sub, echelon)
+        return echelon
 
     def profile(self, sub: Subspace) -> tuple[int, ...]:
         """(dim(sub ^ F_i))_{i=0..q}.

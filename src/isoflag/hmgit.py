@@ -105,52 +105,6 @@ class OnePS:
         return cls(0, tuple(0 for _ in range(q)), tuple(standard_basis(q)))
 
 
-@dataclass(frozen=True)
-class Filtration:
-    """The map n -> (U_n, V_n) of a one-parameter subgroup, with its finitely
-    many jumps listed explicitly."""
-
-    u_pieces: tuple[tuple[int, Subspace], ...]  # (n, U_n) at each jump and between
-    v_pieces: tuple[tuple[int, Subspace], ...]
-    lo: int
-    hi: int
-
-    def u_at(self, n: int) -> Subspace:
-        return _piece_at(self.u_pieces, n, 2)
-
-    def v_at(self, n: int) -> Subspace:
-        q = self.v_pieces[0][1].ambient if self.v_pieces else 0
-        return _piece_at(self.v_pieces, n, q)
-
-
-def _piece_at(pieces: tuple[tuple[int, Subspace], ...], n: int, ambient: int) -> Subspace:
-    if not pieces:
-        return Subspace.full(ambient)
-    if n < pieces[0][0]:
-        return Subspace.full(ambient)
-    last = Subspace.zero(ambient)
-    for thr, piece in pieces:
-        if n >= thr:
-            last = piece
-        else:
-            break
-    return last
-
-
-def filtration_of(lam: OnePS) -> Filtration:
-    """Materialize U_n and V_n at every integer in the active range."""
-    lo = min(-abs(lam.l), lam.m[-1], 0)
-    hi = max(abs(lam.l), lam.m[0], 0) + 1
-    u_pieces = tuple((n, lam.u_piece(n)) for n in range(lo, hi + 1))
-    v_pieces = tuple((n, lam.v_piece(n)) for n in range(lo, hi + 1))
-    filt = Filtration(u_pieces, v_pieces, lo, hi)
-    form = BilinearForm(lam.q)
-    for n in range(lo, hi + 1):
-        if filt.v_at(n) != orthocomplement(filt.v_at(1 - n), form):
-            raise InternalConsistencyError("filtration violates perp-duality")
-    return filt
-
-
 # ---------------------------------------------------------------------------
 # linearization data
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError, InternalConsistencyError
 from .scalars import HALF, ONE, ZERO, Scalar, sc
@@ -56,18 +57,47 @@ def standard_basis(n: int) -> list[Vector]:
     return [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
 
 
+def _gaussian_row(row: Vector) -> tuple[list[int], list[int], int]:
+    """(re, im, den) with row = (re + i im) / den, re and im integer lists and
+    den the lcm of the row's denominators."""
+    den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
+    return ([x.re.numerator * (den // x.re.denominator) for x in row],
+            [x.im.numerator * (den // x.im.denominator) for x in row], den)
+
+
+def _scalar(re: int, im: int, den: int) -> Scalar:
+    """(re + i im) / den."""
+    if not (re or im):
+        return ZERO
+    return Scalar(Fraction(re, den), Fraction(im, den))
+
+
 def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
-    """Rows of a times matrix b (rows of b)."""
+    """Rows of a times matrix b (rows of b).
+
+    Each row of a is put over its own denominator and all of b over one
+    shared denominator, so the products accumulate in Gaussian integers and
+    one Fraction is built per output component.
+    """
     ncols = len(b[0])
+    b_den = lcm(*(x.re.denominator for row in b for x in row),
+                *(x.im.denominator for row in b for x in row))
+    b_re = [[x.re.numerator * (b_den // x.re.denominator) for x in row] for row in b]
+    b_im = [[x.im.numerator * (b_den // x.im.denominator) for x in row] for row in b]
     out = []
     for row in a:
-        acc = [ZERO] * ncols
-        for coef, brow in zip(row, b):
-            if coef.is_zero():
+        a_re, a_im, den = _gaussian_row(row)
+        den *= b_den
+        acc_re = [0] * ncols
+        acc_im = [0] * ncols
+        for c, d, x_re, x_im in zip(a_re, a_im, b_re, b_im):
+            if not (c or d):
                 continue
-            for j, entry in enumerate(brow):
-                acc[j] = acc[j] + coef * entry
-        out.append(tuple(acc))
+            for j in range(ncols):
+                x, y = x_re[j], x_im[j]
+                acc_re[j] += c * x - d * y
+                acc_im[j] += c * y + d * x
+        out.append(tuple(_scalar(x, y, den) for x, y in zip(acc_re, acc_im)))
     return out
 
 
@@ -76,36 +106,70 @@ def apply_matrix(v: Vector, m: list[Vector]) -> Vector:
 
 
 def rref(rows: list[Vector]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+
+    The elimination runs over the Gaussian integers Z[i]: each row is first
+    scaled to clear its denominators, then fraction-free Gauss-Jordan
+    elimination (Bareiss 1968) replaces every other row by
+    (p row - c pivot_row) / p_prev, where p is the new pivot, c the row's entry
+    in the pivot column and p_prev the previous pivot (1 at the start).  By
+    Sylvester's identity each entry is then a minor of the scaled matrix, so
+    the division is exact.  Rows are divided by their own pivots only at the
+    end.  The reduced echelon form is unique, so it is the one that
+    elimination over Q(i) gives.
+    """
     if not rows:
         return [], []
     ncols = len(rows[0])
     for r in rows:
         if len(r) != ncols:
             raise InputError("ragged matrix")
-    work = [list(r) for r in rows]
+    work = [_gaussian_row(r)[:2] for r in rows]
+    nrows = len(work)
     pivots: list[int] = []
+    prev_re, prev_im, prev_norm = 1, 0, 1
     row = 0
     for col in range(ncols):
-        pivot_row = None
-        for r in range(row, len(work)):
-            if not work[r][col].is_zero():
-                pivot_row = r
+        for pivot_row in range(row, nrows):
+            if work[pivot_row][0][col] or work[pivot_row][1][col]:
                 break
-        if pivot_row is None:
+        else:
             continue
         work[row], work[pivot_row] = work[pivot_row], work[row]
-        inv = ONE / work[row][col]
-        work[row] = [inv * x for x in work[row]]
-        for r in range(len(work)):
-            if r != row and not work[r][col].is_zero():
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[row])]
+        p_re, p_im = work[row]
+        a, b = p_re[col], p_im[col]
+        for r in range(nrows):
+            if r == row:
+                continue
+            x_re, x_im = work[r]
+            c, d = x_re[col], x_im[col]
+            new_re = []
+            new_im = []
+            for x, y, u, v in zip(x_re, x_im, p_re, p_im):
+                # t = (a + bi)(x + yi) - (c + di)(u + vi); t / p_prev is
+                # t conj(p_prev) / |p_prev|^2
+                t_re = a * x - b * y - c * u + d * v
+                t_im = a * y + b * x - c * v - d * u
+                q_re, rem_re = divmod(t_re * prev_re + t_im * prev_im, prev_norm)
+                q_im, rem_im = divmod(t_im * prev_re - t_re * prev_im, prev_norm)
+                if rem_re or rem_im:
+                    raise InternalConsistencyError("inexact fraction-free division in rref")
+                new_re.append(q_re)
+                new_im.append(q_im)
+            work[r] = (new_re, new_im)
         pivots.append(col)
+        prev_re, prev_im, prev_norm = a, b, a * a + b * b
         row += 1
-        if row == len(work):
+        if row == nrows:
             break
-    return [tuple(r) for r in work[:row]], pivots
+    red = []
+    for (x_re, x_im), col in zip(work, pivots):
+        a, b = x_re[col], x_im[col]
+        norm = a * a + b * b
+        # x / (a + bi) = x (a - bi) / norm
+        red.append(tuple(_scalar(x * a + y * b, y * a - x * b, norm)
+                         for x, y in zip(x_re, x_im)))
+    return red, pivots
 
 
 def kernel_basis(rows: list[Vector], ncols: int) -> list[Vector]:
@@ -170,8 +234,13 @@ class BilinearForm:
             acc = acc + x[i] * y[self.p - 1 - i]
         return acc
 
-    def gram(self, vectors: list[Vector]) -> list[list[Scalar]]:
-        return [[self.pair(v, w) for w in vectors] for v in vectors]
+    def gram(self, vectors: list[Vector]) -> list[Vector]:
+        """Q(v, w) for every pair: since J reverses coordinates, one product
+        of the vectors with the transpose of their reversals."""
+        if any(len(v) != self.p for v in vectors):
+            raise InputError("vector length does not match form dimension")
+        return mat_mul(vectors, [tuple(w[self.p - 1 - i] for w in vectors)
+                                 for i in range(self.p)])
 
     def is_standard_gram(self, vectors: list[Vector]) -> bool:
         """True iff the Gram matrix of the vectors equals J_p itself."""
@@ -258,9 +327,8 @@ def rank_kernel(rows: list[Vector]) -> tuple[int, Subspace]:
     if not rows:
         raise InputError("empty matrix has no well-defined column count")
     ncols = len(rows[0])
-    red, pivots = rref(list(rows))
-    kernel = Subspace.from_vectors(kernel_basis(list(rows), ncols), ncols)
-    return len(red), kernel
+    basis = kernel_basis(list(rows), ncols)
+    return ncols - len(basis), Subspace.from_vectors(basis, ncols)
 
 
 def meet_join(u: Subspace, v: Subspace) -> tuple[Subspace, Subspace]:

@@ -1,9 +1,10 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 
-from isoflag.errors import InputError
+from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.flags import FlagSystem
 from isoflag.higgs import HiggsTuple
 from isoflag.hmgit import (
@@ -13,7 +14,6 @@ from isoflag.hmgit import (
     build_linearization,
     consistency_check,
     destabilizing_oneps,
-    filtration_of,
     hm_base,
     hm_flag_total,
     hm_grassmannian,
@@ -48,6 +48,55 @@ def random_oneps(q: int, seed: int, bound: int = 3) -> OnePS:
     from isoflag.linalg import hyperbolic_basis
     basis = hyperbolic_basis(BilinearForm(q), rng.randint(0, 10 ** 6))
     return OnePS(rng.randint(-bound, bound), m, basis)
+
+
+@dataclass(frozen=True)
+class Filtration:
+    """The map n -> (U_n, V_n) of a one-parameter subgroup, with its finitely
+    many jumps listed explicitly.  Nothing in the package needs the whole
+    filtration at once; the tests use it to check the pieces OnePS gives."""
+
+    u_pieces: tuple[tuple[int, Subspace], ...]  # (n, U_n) at each jump and between
+    v_pieces: tuple[tuple[int, Subspace], ...]
+    lo: int
+    hi: int
+
+    def u_at(self, n: int) -> Subspace:
+        return _piece_at(self.u_pieces, n, 2)
+
+    def v_at(self, n: int) -> Subspace:
+        q = self.v_pieces[0][1].ambient if self.v_pieces else 0
+        return _piece_at(self.v_pieces, n, q)
+
+
+def _piece_at(pieces: tuple[tuple[int, Subspace], ...], n: int, ambient: int) -> Subspace:
+    if not pieces:
+        return Subspace.full(ambient)
+    if n < pieces[0][0]:
+        return Subspace.full(ambient)
+    last = Subspace.zero(ambient)
+    for thr, piece in pieces:
+        if n >= thr:
+            last = piece
+        else:
+            break
+    return last
+
+
+def filtration_of(lam: OnePS) -> Filtration:
+    """Materialize U_n and V_n at every integer in the active range."""
+    lo = min(-abs(lam.l), lam.m[-1], 0)
+    hi = max(abs(lam.l), lam.m[0], 0) + 1
+    u_pieces = tuple((n, lam.u_piece(n)) for n in range(lo, hi + 1))
+    v_pieces = tuple((n, lam.v_piece(n)) for n in range(lo, hi + 1))
+    filt = Filtration(u_pieces, v_pieces, lo, hi)
+    form = BilinearForm(lam.q)
+    for n in range(lo, hi + 1):
+        if filt.v_at(n) != orthocomplement(filt.v_at(1 - n), form):
+            raise InternalConsistencyError("filtration violates perp-duality")
+    return filt
+
+
 
 
 class TestLinearization:

@@ -11,11 +11,13 @@ from isoflag.linalg import (
     hyperbolic_basis,
     isotropy_classify,
     kernel_basis,
+    mat_mul,
     max_isotropic_dimension,
     meet_join,
     orthocomplement,
     random_special_isometry,
     rank_kernel,
+    rref,
     standard_basis,
     vscale,
 )
@@ -78,6 +80,133 @@ class TestRankKernel:
     def test_ragged(self):
         with pytest.raises(InputError):
             rank_kernel([vec(1, 0), vec(1, 0, 0)])
+
+
+def _fraction_rref(rows):
+    """Gauss-Jordan elimination in Scalar (Fraction pair) arithmetic, as rref
+    once did it.  Kept here as the reference the Z[i] kernel is compared
+    against."""
+    work = [list(r) for r in rows]
+    pivots = []
+    row = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot_row = next((r for r in range(row, len(work)) if not work[r][col].is_zero()), None)
+        if pivot_row is None:
+            continue
+        work[row], work[pivot_row] = work[pivot_row], work[row]
+        inv = ONE / work[row][col]
+        work[row] = [inv * x for x in work[row]]
+        for r in range(len(work)):
+            if r != row and not work[r][col].is_zero():
+                c = work[r][col]
+                work[r] = [x - c * y for x, y in zip(work[r], work[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(work):
+            break
+    return [tuple(r) for r in work[:row]], pivots
+
+
+def _scalar_mat_mul(a, b):
+    """Rows of a times b with one Scalar product per term: the reference for
+    mat_mul."""
+    out = []
+    for row in a:
+        acc = [ZERO] * len(b[0])
+        for coef, brow in zip(row, b):
+            for j, entry in enumerate(brow):
+                acc[j] = acc[j] + coef * entry
+        out.append(tuple(acc))
+    return out
+
+
+def _gaussian_integer(rng):
+    """A small Gaussian integer, often of non-unit norm (1+2i, 2-i, 3, ...)."""
+    return sc(rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+def _large_fraction(rng):
+    return F(rng.randint(-10 ** 18, 10 ** 18), rng.randint(1, 10 ** 18))
+
+
+def _random_entry(rng, kind):
+    if kind == "gaussian_integer":
+        return _gaussian_integer(rng)
+    if kind == "large":
+        return Scalar(_large_fraction(rng), _large_fraction(rng))
+    if kind == "sparse":
+        return rng.choice([ZERO, ZERO, ZERO, ONE, -ONE, I, sc(1, 2)])
+    return random_scalar(rng, 5)
+
+
+def _random_matrix(rng, nrows, ncols, kind):
+    """A seeded random matrix of one kind, with zero rows, repeated rows,
+    purely imaginary columns and low rank mixed in."""
+    if kind == "low_rank":
+        k = rng.randint(0, min(nrows, ncols) - 1)
+        if k == 0:
+            return [tuple(ZERO for _ in range(ncols)) for _ in range(nrows)]
+        left = [tuple(random_scalar(rng, 3) for _ in range(k)) for _ in range(nrows)]
+        right = [tuple(_gaussian_integer(rng) for _ in range(ncols)) for _ in range(k)]
+        return _scalar_mat_mul(left, right)
+    rows = [[_random_entry(rng, kind) for _ in range(ncols)] for _ in range(nrows)]
+    for col in range(ncols):
+        if rng.random() < 0.2:
+            for row in rows:
+                row[col] = Scalar(0, row[col].im)
+    if nrows > 1 and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [ZERO] * ncols
+    if nrows > 1 and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+    return [tuple(row) for row in rows]
+
+
+KINDS = ("rational", "gaussian_integer", "large", "sparse", "low_rank")
+
+
+class TestKernelReference:
+    def test_rref_matches_fraction_reference(self):
+        rng = random.Random(23)
+        for nrows in range(1, 8):
+            for ncols in range(1, 10):
+                for kind in KINDS:
+                    m = _random_matrix(rng, nrows, ncols, kind)
+                    assert rref(m) == _fraction_rref(m), (nrows, ncols, kind)
+
+    def test_non_unit_pivots(self):
+        # Every pivot after the first is divided by the previous one, here
+        # 1+2i, 2-i and 3: exact divisions by non-units of Z[i].
+        m = [vec(sc(1, 2), 1, I, 0), vec(2, sc(2, -1), 0, sc(0, 3)),
+             vec(sc(0, 1), 3, sc(1, 1), 1), vec(1, 0, 0, sc(5, 5))]
+        assert rref(m) == _fraction_rref(m)
+        red, pivots = rref(m)
+        assert pivots == [0, 1, 2, 3] and red == standard_basis(4)
+
+    def test_purely_imaginary(self):
+        m = [vec(I, sc(0, 2), 0), vec(sc(0, F(1, 3)), sc(0, -1), sc(0, 5))]
+        assert rref(m) == _fraction_rref(m)
+
+    def test_mat_mul_matches_scalar_reference(self):
+        rng = random.Random(29)
+        for n in range(1, 8):
+            for k in range(1, 10):
+                for kind in KINDS:
+                    a = _random_matrix(rng, n, k, kind)
+                    b = _random_matrix(rng, k, rng.randint(1, 9), rng.choice(KINDS))
+                    assert mat_mul(a, b) == _scalar_mat_mul(a, b), (n, k, kind)
+
+    def test_gram_matches_pair(self):
+        rng = random.Random(31)
+        for trial in range(40):
+            p = rng.randint(1, 8)
+            form = BilinearForm(p)
+            vectors = _random_matrix(rng, rng.randint(1, p + 1), p, KINDS[trial % len(KINDS)])
+            g = form.gram(vectors)
+            assert [list(r) for r in g] == [[form.pair(v, w) for w in vectors] for v in vectors]
+
+    def test_gram_rejects_wrong_length(self):
+        with pytest.raises(InputError):
+            BilinearForm(3).gram([vec(1, 0)])
 
 
 def _annihilator_meet_join(u, v):
