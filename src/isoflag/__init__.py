@@ -48,7 +48,6 @@ from .linalg import (
     isotropy_classify,
     meet_join,
     orthocomplement,
-    rank_kernel,
 )
 from .scalars import Scalar
 from .weights import (

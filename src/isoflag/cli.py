@@ -232,6 +232,9 @@ def _decide_one_path(path_str: str) -> dict:
     if verdict.tag == "Unstable" and verdict.certificate is not None:
         cert = verdict.certificate
         lin = build_linearization(inst.weight)
+        # A fresh certificate's span is isotropic and its coisotropic
+        # subspace is W^perp with W isotropic, so both shapes accept them:
+        # an InputError here is a bug, not bad data.
         try:
             if cert.kind == "isotropic_span":
                 _, mu_val = destabilizing_oneps("shape1", cert.span, inst.flags, lin, inst.weight)
@@ -239,8 +242,9 @@ def _decide_one_path(path_str: str) -> dict:
             elif cert.coisotropic is not None:
                 _, mu_val = destabilizing_oneps("shape2", cert.coisotropic, inst.flags, lin, inst.weight)
                 mu = str(mu_val)
-        except InputError:
-            mu = ""
+        except InputError as exc:
+            raise InternalConsistencyError(
+                f"{path_str}: certificate rejected by its destabilizer: {exc}") from exc
     return {
         "instance_id": Path(path_str).stem,
         "q": inst.weight.q,

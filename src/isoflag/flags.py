@@ -28,15 +28,19 @@ from .linalg import (
     Subspace,
     Vector,
     hyperbolic_basis,
-    invert_matrix,
     mat_mul,
     rref,
+    standard_basis,
 )
 from .weights import Weight, require_valid, weight_stats
 
 
 class IsotropicFlag:
-    """A complete isotropic flag, held as its adapted hyperbolic basis."""
+    """A complete isotropic flag, held as its adapted hyperbolic basis.
+
+    Anything that needs flag coordinates (profile, intersect_piece,
+    vector_jump) raises InputError when the basis is not hyperbolic.
+    """
 
     __slots__ = ("q", "basis", "_pieces", "_inverse", "_last_echelon")
 
@@ -47,7 +51,8 @@ class IsotropicFlag:
                 raise InputError("flag basis must be square")
         self.basis = tuple(basis)
         self._pieces: list[Subspace] | None = None
-        self._inverse: list[Vector] | None = None
+        # (B^-1,) or (None,) once _hyperbolic_inverse has run
+        self._inverse: tuple[list[Vector] | None] | None = None
         # (sub, _echelon(sub)) for the last subspace asked about: callers
         # take the profile of a subspace and then several of its
         # intersections with the pieces, all from one echelon form.
@@ -65,10 +70,26 @@ class IsotropicFlag:
                 self._pieces.append(Subspace.from_vectors(list(self.basis[:i_]), self.q))
         return self._pieces[i]
 
-    def _inv(self) -> list[Vector]:
+    def _hyperbolic_inverse(self) -> list[Vector] | None:
+        """B^-1 for the basis B, or None when Gram(B) != J.  Computed once.
+
+        A hyperbolic basis has B J B^T = J, so B^-1 = J B^T J: B^T with its
+        rows and columns reversed.  B J B^T J = Gram(B) J, so the one product
+        B (J B^T J) is the identity exactly when Gram(B) = J.
+        """
         if self._inverse is None:
-            self._inverse = invert_matrix(list(self.basis))
-        return self._inverse
+            q = self.q
+            inv = [tuple(self.basis[q - 1 - j][q - 1 - i] for j in range(q))
+                   for i in range(q)]
+            hyperbolic = mat_mul(list(self.basis), inv) == standard_basis(q)
+            self._inverse = (inv if hyperbolic else None,)
+        return self._inverse[0]
+
+    def _inv(self) -> list[Vector]:
+        inv = self._hyperbolic_inverse()
+        if inv is None:
+            raise InputError("invalid flag: adapted basis Gram matrix is not the split form")
+        return inv
 
     def _echelon(self, sub: Subspace) -> tuple[list[Vector], list[int]]:
         """sub's basis in flag coordinates, reduced so that each row ends at
@@ -127,9 +148,10 @@ class IsotropicFlag:
 
 def validate_flag(flag: IsotropicFlag) -> list[str]:
     """A flag is valid iff the Gram matrix of its adapted basis is exactly J_q
-    (this already forces F_i^perp = F_{q-i})."""
-    form = BilinearForm(flag.q)
-    if form.is_standard_gram(list(flag.basis)):
+    (this already forces F_i^perp = F_{q-i}).  The check is the product
+    B (J B^T J) == I that also gives the flag its inverse basis, so a flag
+    is checked once however often it is validated or used."""
+    if flag._hyperbolic_inverse() is not None:
         return []
     return ["adapted basis Gram matrix is not the split form"]
 

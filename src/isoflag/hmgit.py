@@ -332,24 +332,29 @@ def _candidate_isotropics(a: HiggsTuple, fs: FlagSystem, cap: int = 64) -> list[
     """Isotropic subspaces harvested from the lattice generated by the span of
     the rows, its orthocomplement and the flag pieces: the members themselves
     when isotropic, radicals otherwise, plus radicals of one round of meets
-    of the row span's orthocomplement with flag pieces."""
+    of the row span's orthocomplement with flag pieces.
+
+    The flags must be valid: a flag piece's radical is read off the flag
+    (F_i is isotropic for i <= q/2, and otherwise F_i ^ F_i^perp = F_{q-i}),
+    not computed."""
     form = BilinearForm(a.q)
+    q = fs.q
     span = a.span()
     span_perp = orthocomplement(span, form)
-    pool: list[Subspace] = [span, span_perp]
-    for flag in fs.flags:
-        for i in range(1, fs.q):
-            pool.append(flag.piece(i))
-    extra: list[Subspace] = []
-    for flag in fs.flags:
-        for i in range(1, fs.q):
-            extra.append(flag.intersect_piece(span_perp, i))
+    piece_radicals = [flag.piece(min(i, q - i)) for flag in fs.flags for i in range(1, q)]
+    extra = [flag.intersect_piece(span_perp, i) for flag in fs.flags for i in range(1, q)]
+    members = ([(span, False), (span_perp, False)]
+               + [(r, True) for r in piece_radicals]
+               + [(x, False) for x in extra])
     isotropics: set[Subspace] = set()
-    for member in pool + extra:
+    for member, known_isotropic in members:
         if not member.dim or len(isotropics) >= cap:
             continue
-        iso, radical, _ = isotropy_classify(member, form)
-        target = member if iso else radical
+        if known_isotropic:
+            target = member
+        else:
+            iso, radical, _ = isotropy_classify(member, form)
+            target = member if iso else radical
         if target.dim:
             isotropics.add(target)
     return sorted(isotropics, key=lambda s_: (s_.dim, repr(s_.rows)))

@@ -41,14 +41,6 @@ def vscale(c: Scalar, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
-def vdot(x: Vector, y: Vector) -> Scalar:
-    """Standard (non-conjugated) dot product."""
-    acc = ZERO
-    for a, b in zip(x, y):
-        acc = acc + a * b
-    return acc
-
-
 def is_zero_vector(x: Vector) -> bool:
     return all(a.is_zero() for a in x)
 
@@ -261,14 +253,18 @@ class BilinearForm:
 class Subspace:
     """A subspace of Q(i)^p with a canonical reduced-row-echelon basis.
 
-    Equal subspaces have identical stored bases, so == and hash are cheap.
+    Equal subspaces have identical stored bases, so == is syntactic.  A
+    Subspace is immutable: its hash is computed on first use and kept.
+    Because the basis is reduced, membership needs no elimination (see
+    _spans).
     """
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "rows", "_hash")
 
     def __init__(self, ambient: int, rows: tuple[Vector, ...]):
         self.ambient = ambient
         self.rows = rows
+        self._hash: int | None = None
 
     @classmethod
     def from_vectors(cls, vectors: list[Vector], ambient: int) -> "Subspace":
@@ -293,16 +289,23 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         if len(v) != self.ambient:
             raise InputError("vector length does not match ambient dimension")
-        work = list(v)
-        for row in self.rows:
-            lead = next(i for i, x in enumerate(row) if not x.is_zero())
-            if not work[lead].is_zero():
-                c = work[lead]
-                work = [x - c * y for x, y in zip(work, row)]
-        return all(x.is_zero() for x in work)
+        return self._spans([v])
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        if other.ambient != self.ambient:
+            raise InputError("ambient dimensions differ")
+        return self._spans(list(other.rows))
+
+    def _spans(self, vectors: list[Vector]) -> bool:
+        """Whether every vector lies in the subspace.  Each basis row is 1 at
+        its pivot column and every other row is 0 there, so v lies in the
+        span exactly when v = sum_k v[pivot_k] row_k: one product checks all
+        the vectors."""
+        if not self.rows:
+            return all(is_zero_vector(v) for v in vectors)
+        pivots = [next(i for i, x in enumerate(row) if x) for row in self.rows]
+        coeffs = [tuple(v[c] for c in pivots) for v in vectors]
+        return mat_mul(coeffs, list(self.rows)) == [tuple(v) for v in vectors]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -310,7 +313,9 @@ class Subspace:
         return self.ambient == other.ambient and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.rows))
+        if self._hash is None:
+            self._hash = hash((self.ambient, self.rows))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -320,15 +325,6 @@ class Subspace:
         if not self.rows:
             return Subspace.zero(len(m[0]))
         return Subspace.from_vectors(mat_mul(list(self.rows), m), len(m[0]))
-
-
-def rank_kernel(rows: list[Vector]) -> tuple[int, Subspace]:
-    """Rank of the matrix and its right kernel {x : M x^t = 0}."""
-    if not rows:
-        raise InputError("empty matrix has no well-defined column count")
-    ncols = len(rows[0])
-    basis = kernel_basis(list(rows), ncols)
-    return ncols - len(basis), Subspace.from_vectors(basis, ncols)
 
 
 def meet_join(u: Subspace, v: Subspace) -> tuple[Subspace, Subspace]:

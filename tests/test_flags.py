@@ -16,6 +16,7 @@ from isoflag.flags import (
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
+    invert_matrix,
     meet_join,
     orthocomplement,
     random_special_isometry,
@@ -46,6 +47,25 @@ class TestValidateFlag:
     def test_bad_gram(self):
         flag = IsotropicFlag((vec(1, F(1, 2)), vec(0, 1)))
         assert validate_flag(flag) != []
+
+    def test_bad_gram_has_no_flag_coordinates(self):
+        # invertible, but not hyperbolic: J B^T J is not its inverse, so
+        # anything read in flag coordinates must refuse instead of guessing
+        flag = IsotropicFlag((vec(1, F(1, 2)), vec(0, 1)))
+        line = Subspace.from_vectors([vec(1, 1)], 2)
+        with pytest.raises(InputError):
+            flag.profile(line)
+        with pytest.raises(InputError):
+            flag.intersect_piece(line, 1)
+        with pytest.raises(InputError):
+            flag.vector_jump([vec(1, 1)])
+        assert validate_flag(flag) != []
+
+    def test_inverse_matches_elimination(self):
+        for q in range(2, 9):
+            for seed in range(6):
+                flag = random_flag(q, seed)
+                assert flag._inv() == invert_matrix(list(flag.basis)), (q, seed)
 
     def test_perp_duality_of_pieces(self):
         form = BilinearForm(5)

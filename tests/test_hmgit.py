@@ -5,11 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from isoflag.errors import InputError, InternalConsistencyError
-from isoflag.flags import FlagSystem
+from isoflag.flags import FlagSystem, IsotropicFlag, random_flag
 from isoflag.higgs import HiggsTuple
 from isoflag.hmgit import (
     INFINITE,
     OnePS,
+    _candidate_isotropics,
     bounded_destabilizer_search,
     build_linearization,
     consistency_check,
@@ -19,7 +20,13 @@ from isoflag.hmgit import (
     hm_grassmannian,
     hm_total,
 )
-from isoflag.linalg import BilinearForm, Subspace, orthocomplement, standard_basis
+from isoflag.linalg import (
+    BilinearForm,
+    Subspace,
+    isotropy_classify,
+    orthocomplement,
+    standard_basis,
+)
 from isoflag.randgen import (
     mixed_mode,
     random_flag_system,
@@ -305,7 +312,64 @@ class TestDestabilizingShapes:
             assert hm_total(lam2, a, fs, lin, w) == p2
 
 
+def _classified_candidate_isotropics(a, fs, cap=64):
+    """_candidate_isotropics as it once was, with every flag piece sent
+    through isotropy_classify.  Kept here as the reference for reading the
+    pieces' radicals off the flag."""
+    form = BilinearForm(a.q)
+    span = a.span()
+    span_perp = orthocomplement(span, form)
+    pool = [span, span_perp]
+    for flag in fs.flags:
+        for i in range(1, fs.q):
+            pool.append(flag.piece(i))
+    extra = []
+    for flag in fs.flags:
+        for i in range(1, fs.q):
+            extra.append(flag.intersect_piece(span_perp, i))
+    isotropics = set()
+    for member in pool + extra:
+        if not member.dim or len(isotropics) >= cap:
+            continue
+        iso, radical, _ = isotropy_classify(member, form)
+        target = member if iso else radical
+        if target.dim:
+            isotropics.add(target)
+    return sorted(isotropics, key=lambda s_: (s_.dim, repr(s_.rows)))
+
+
+class TestFlagPieceRadicals:
+    def test_closed_form(self):
+        for q in range(3, 9):
+            form = BilinearForm(q)
+            for seed in range(4):
+                flag = random_flag(q, seed)
+                for i in range(1, q):
+                    iso, radical, _ = isotropy_classify(flag.piece(i), form)
+                    assert iso == (2 * i <= q)
+                    assert radical == flag.piece(min(i, q - i)), (q, seed, i)
+
+    def test_candidates_match_classified_reference(self):
+        # the crosscheck workload's shapes, in every mixed_mode mode, and
+        # with caps that cut the candidate list short
+        modes = ("generic", "low_rank", "isotropic_span", "shared_flag")
+        for q, s in ((3, 4), (3, 5), (4, 4), (4, 5), (4, 6)):
+            for mode in modes:
+                for seed in range(2):
+                    a, fs, _ = random_instance(q, s, seed, mode=mode)
+                    for cap in (64, 7, 2):
+                        assert _candidate_isotropics(a, fs, cap) == \
+                            _classified_candidate_isotropics(a, fs, cap), (q, s, mode, seed, cap)
+
+
 class TestBoundedSearch:
+    def test_invalid_flag_rejected(self):
+        bad = IsotropicFlag((vec(1, F(1, 2)), vec(0, 1)))
+        fs = FlagSystem((bad,) + FlagSystem.standard(2, 3).flags)
+        a = HiggsTuple(2, 4, (vec(1, 0), vec(0, 1)))
+        with pytest.raises(InputError):
+            bounded_destabilizer_search(a, fs, W_Q2, 3)
+
     def test_stable_instance_finds_nothing(self):
         a = HiggsTuple(2, 4, (vec(1, 0), vec(0, 1)))
         assert bounded_destabilizer_search(a, FlagSystem.standard(2, 4), W_Q2, 3) is None

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from isoflag.cli import main
-from isoflag.errors import InternalConsistencyError, ParseError
+from isoflag.errors import InputError, InternalConsistencyError, ParseError
 from isoflag.flags import FlagSystem
 from isoflag.higgs import HiggsTuple, decide_stability
 from isoflag.hmgit import OnePS
@@ -192,6 +192,18 @@ class TestCli:
         assert main(["decide", str(stable_file)]) == 70
         err = capsys.readouterr().err
         assert err == "internal error: simulated self-check failure\n"
+
+    def test_batch_destabilizer_rejection_is_internal(self, unstable_file, capsys,
+                                                      monkeypatch):
+        # a certificate decide_stability has just produced fits its shape,
+        # so a rejection is a bug and must not become an empty mu column
+        def rejecting(*args, **kwargs):
+            raise InputError("simulated rejection")
+
+        monkeypatch.setattr("isoflag.cli.destabilizing_oneps", rejecting)
+        monkeypatch.delenv("ISOFLAG_JOBS", raising=False)
+        assert main(["batch", str(unstable_file.parent), "--jobs", "1"]) == 70
+        assert capsys.readouterr().err.startswith("internal error:")
 
     def test_crosscheck(self, tmp_path, stable_file, unstable_file, capsys):
         assert main(["crosscheck", str(tmp_path), "--bound", "3"]) == 0

@@ -16,7 +16,6 @@ from isoflag.linalg import (
     meet_join,
     orthocomplement,
     random_special_isometry,
-    rank_kernel,
     rref,
     standard_basis,
     vscale,
@@ -53,6 +52,15 @@ class TestScalar:
         sq = z * z
         root = sq.sqrt()
         assert root is not None and root * root == sq
+
+
+def rank_kernel(rows):
+    """Rank of the matrix and its right kernel {x : M x^t = 0}."""
+    if not rows:
+        raise InputError("empty matrix has no well-defined column count")
+    ncols = len(rows[0])
+    basis = kernel_basis(list(rows), ncols)
+    return ncols - len(basis), Subspace.from_vectors(basis, ncols)
 
 
 class TestRankKernel:
@@ -289,6 +297,66 @@ class TestMeetJoin:
                     assert (meet, join) == _annihilator_meet_join(a, b)
                     for x in (meet, join):
                         assert x == Subspace.from_vectors(list(x.rows), p)
+
+
+def _back_substitution_contains(sub, v):
+    """Membership by back-substitution against the reduced basis in Scalar
+    arithmetic, as Subspace.contains once did it.  Kept here as the
+    reference the one-product check is compared against."""
+    work = list(v)
+    for row in sub.rows:
+        lead = next(i for i, x in enumerate(row) if not x.is_zero())
+        if not work[lead].is_zero():
+            c = work[lead]
+            work = [x - c * y for x, y in zip(work, row)]
+    return all(x.is_zero() for x in work)
+
+
+def _combination(rng, rows, p, kind):
+    """A random combination of rows (the zero vector when there are none),
+    with 18-digit coefficients for the "large" kind."""
+    out = [ZERO] * p
+    for row in rows:
+        c = _random_entry(rng, "large" if kind == "large" else "rational")
+        out = [x + c * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
+class TestContains:
+    def test_matches_back_substitution_reference(self):
+        rng = random.Random(37)
+        outsiders = 0
+        for trial in range(100):
+            p = rng.randint(1, 7)
+            kind = KINDS[trial % len(KINDS)]
+            sub = Subspace.from_vectors(_random_matrix(rng, rng.randint(1, p), p, kind), p)
+            for s in (sub, Subspace.zero(p), Subspace.full(p)):
+                members = [_combination(rng, s.rows, p, kind) for _ in range(3)]
+                others = [_random_matrix(rng, 1, p, kind)[0] for _ in range(3)]
+                others.append(tuple(ZERO for _ in range(p)))
+                for v in members:
+                    assert s.contains(v) and _back_substitution_contains(s, v)
+                for v in others:
+                    want = _back_substitution_contains(s, v)
+                    outsiders += not want
+                    assert s.contains(v) == want
+                for other in (Subspace.from_vectors(members, p),
+                              Subspace.from_vectors(others, p),
+                              Subspace.from_vectors(members + others[:1], p),
+                              Subspace.zero(p), Subspace.full(p), sub, s):
+                    want = all(_back_substitution_contains(s, r) for r in other.rows)
+                    assert s.contains_subspace(other) == want
+        # the comparison is not only over members
+        assert outsiders > 100
+
+    def test_wrong_ambient_rejected(self):
+        sub = Subspace.from_vectors([vec(1, 0, I)], 3)
+        with pytest.raises(InputError):
+            sub.contains(vec(1, 0))
+        with pytest.raises(InputError):
+            sub.contains_subspace(Subspace.full(2))
+        with pytest.raises(InputError):
+            Subspace.zero(3).contains_subspace(Subspace.from_vectors([vec(1, 0)], 2))
 
 
 class TestOrthocomplement:
