@@ -4,7 +4,8 @@ Commands: validate, regions, decide, hm, crosscheck, gen, batch.  Output is
 machine-readable JSON (CSV for batch reports on request) with a stable field
 order.  Exit codes: decide maps its verdict to 0/1/2/3; other commands return
 0 on success; every command returns 64 on usage errors, 65 on data errors and
-70 on internal errors (a failed self-check, which is a bug, not bad input).
+70 on internal errors (a failed self-check or any other uncaught exception,
+which is a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import InputError, InternalConsistencyError, ParseError
 from .flags import validate_flag
 from .higgs import EXIT_CODES, decide_stability, generate_stable_instance
-from .hmgit import INFINITE, build_linearization, consistency_check, destabilizing_oneps, hm_total
+from .hmgit import INFINITE, build_linearization, certificate_oneps, consistency_check, hm_total
 from .io import (
     InstanceFile,
     Report,
@@ -230,21 +232,17 @@ def _decide_one_path(path_str: str) -> dict:
     elapsed = time.perf_counter() - start
     mu = ""
     if verdict.tag == "Unstable" and verdict.certificate is not None:
-        cert = verdict.certificate
         lin = build_linearization(inst.weight)
         # A fresh certificate's span is isotropic and its coisotropic
         # subspace is W^perp with W isotropic, so both shapes accept them:
         # an InputError here is a bug, not bad data.
         try:
-            if cert.kind == "isotropic_span":
-                _, mu_val = destabilizing_oneps("shape1", cert.span, inst.flags, lin, inst.weight)
-                mu = str(mu_val)
-            elif cert.coisotropic is not None:
-                _, mu_val = destabilizing_oneps("shape2", cert.coisotropic, inst.flags, lin, inst.weight)
-                mu = str(mu_val)
+            packaged = certificate_oneps(verdict.certificate, inst.flags, lin, inst.weight)
         except InputError as exc:
             raise InternalConsistencyError(
                 f"{path_str}: certificate rejected by its destabilizer: {exc}") from exc
+        if packaged is not None:
+            mu = str(packaged[1])
     return {
         "instance_id": Path(path_str).stem,
         "q": inst.weight.q,
@@ -269,7 +267,8 @@ def _cmd_batch(args) -> int:
     except ValueError:
         raise _UsageError(f"ISOFLAG_JOBS must be an integer, got {jobs!r}") from None
     if jobs > 1 and len(files) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork start method forks every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(files))) as pool:
             raw = list(pool.map(_decide_one_path, files))
     else:
         raw = [_decide_one_path(f) for f in files]
@@ -305,6 +304,10 @@ def main(argv=None) -> int:
         return DATA_EXIT
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
+    except Exception as exc:  # a crash must not exit with a verdict's code
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
 
 

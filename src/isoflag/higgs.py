@@ -414,30 +414,16 @@ def decide_stability(a: HiggsTuple, fs: FlagSystem, w: Weight, seed: int = 0) ->
     if bounds.lower is None:
         return Verdict("Stable", exact=True)
 
-    def unstable() -> Verdict:
+    # exact bounds have lower == upper
+    if bounds.lower > 0 or (bounds.exact and bounds.lower == 0):
         witness = bounds.witness
-        coiso = None
-        if isinstance(witness, Subspace):
-            coiso = orthocomplement(witness, form)
+        coiso = orthocomplement(witness, form) if isinstance(witness, Subspace) else None
         cert = Certificate("positive_coisotropic", witness=witness,
                            coisotropic=coiso, pardeg=bounds.lower)
-        return Verdict("Unstable", cert, bounds.lower, bounds.upper, bounds.exact)
-
-    if bounds.exact:
-        if bounds.lower > 0:
-            return unstable()
-        if bounds.lower < 0:
-            return Verdict("Stable", None, bounds.lower, bounds.upper, True)
-        cert = Certificate("positive_coisotropic", witness=bounds.witness,
-                           coisotropic=orthocomplement(bounds.witness, form)
-                           if isinstance(bounds.witness, Subspace) else None,
-                           pardeg=bounds.lower)
-        return Verdict("StrictlySemistable", cert, bounds.lower, bounds.upper, True)
-
-    if bounds.lower > 0:
-        return unstable()
+        tag = "Unstable" if bounds.lower > 0 else "StrictlySemistable"
+        return Verdict(tag, cert, bounds.lower, bounds.upper, bounds.exact)
     if bounds.upper < 0:
-        return Verdict("Stable", None, bounds.lower, bounds.upper, False)
+        return Verdict("Stable", None, bounds.lower, bounds.upper, bounds.exact)
     return Verdict("Undetermined", None, bounds.lower, bounds.upper, False)
 
 

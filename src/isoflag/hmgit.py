@@ -13,20 +13,31 @@ wherever a second formula is available, and any disagreement raises
 InternalConsistencyError: these identities are the package's cross-check of
 the whole degree bookkeeping.
 
-The sign convention for the rank-one factor (u carries weight +l) is pinned
-by the destabilizer identities: the two standard destabilizing filtration
-shapes must produce total weights -4N(|alpha| + pardeg V') and
--4N pardeg V' exactly, and the test suite enforces this.
+A filtration with rank-one weight l and an isotropic chain I_1 < ... < I_r
+with thresholds t_1 > ... > t_r > 0 has the closed-form total weight
+(_chain_weight)
+
+    mu = -4 l N|alpha| - 4 sum_j (N pardeg I_j)(t_j - t_{j+1}),  t_{r+1} = 0,
+
+and one function (_package_oneps) turns such a chain into an explicit
+one-parameter subgroup.  The two standard destabilizing shapes are its
+one-link case: shape 1 is l = 1 with chain [(1, W)] and weight
+-4N(|alpha| + pardeg W), shape 2 is l = 0 with chain [(1, V'^perp)] and
+weight -4N pardeg V' (pardeg V'^perp = pardeg V').  The sign convention for
+the rank-one factor (u carries weight +l) is pinned by these identities, and
+the test suite enforces them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalConsistencyError
-from .flags import FlagSystem, pardeg_from_profile, so2_score
-from .higgs import HiggsTuple
+from .flags import FlagSystem, so2_score
+from .higgs import Certificate, HiggsTuple, decide_stability, verify_certificate
 from .linalg import (
     BilinearForm,
     Subspace,
@@ -125,25 +136,20 @@ class Linearization:
     def n_abs_alpha(self) -> int:
         return sum(x[1] for x in self.xi)
 
-    def n_pardeg_from_profile(self, j: int, profile: tuple[int, ...]) -> int:
-        """N * pardeg contribution of puncture j, in exact integers."""
+    def n_pardeg(self, sub: Subspace, fs: FlagSystem) -> int:
+        """N * pardeg(sub) relative to the flags, in exact integers."""
         total = 0
-        for i in range(1, len(profile)):
-            jump = profile[i] - profile[i - 1]
-            if jump:
-                total -= self.zeta[j][i - 1] * jump
+        for zeta, flag in zip(self.zeta, fs.flags):
+            profile = flag.profile(sub)
+            for i in range(1, len(profile)):
+                total -= zeta[i - 1] * (profile[i] - profile[i - 1])
         return total
 
 
 def build_linearization(w: Weight) -> Linearization:
     require_valid(w)
-    denoms = [a.denominator for a in w.alpha]
-    for row in w.beta:
-        denoms.extend(b.denominator for b in row)
-    n = 1
-    for d in denoms:
-        g = _gcd(n, d)
-        n = n // g * d
+    n = math.lcm(*(a.denominator for a in w.alpha),
+                 *(b.denominator for row in w.beta for b in row))
     a = tuple(int(2 * n * w.alpha[j]) for j in range(w.s))
     b = tuple(
         tuple(int(n * (w.beta[j][i] - w.beta[j][i + 1])) for i in range(w.q - 1))
@@ -154,12 +160,6 @@ def build_linearization(w: Weight) -> Linearization:
     if sum(x[0] + x[1] for x in xi) != 0 or any(sum(z) != 0 for z in zeta):
         raise InternalConsistencyError("linearization data does not sum to zero")
     return Linearization(n, a, b, xi, zeta)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +184,7 @@ def hm_grassmannian(lam: OnePS, f: Subspace, i: int, m: int) -> int:
         piece = lam.v_piece
     elif p == 2:
         weights = (abs(lam.l), -abs(lam.l))
-        e1, e2 = standard_basis(2)
-        ordered = (e1, e2) if lam.l >= 0 else (e2, e1)
-
-        def piece(n: int, _ordered=ordered, _w=weights) -> Subspace:
-            vecs = [v for mi, v in zip(_w, _ordered) if mi >= n]
-            return Subspace.from_vectors(vecs, 2)
+        piece = lam.u_piece
     else:
         raise InputError("subspace ambient matches neither factor")
 
@@ -234,10 +229,7 @@ def hm_flag_total(lam: OnePS, fs: FlagSystem, lin: Linearization, w: Weight,
         un = lam.u_piece(n)
         vn = lam.v_piece(n)
         xi_term = so2_score(un, w, lin.n)
-        zeta_term = sum(
-            lin.n_pardeg_from_profile(j, fs.flags[j].profile(vn))
-            for j in range(fs.s)
-        )
+        zeta_term = lin.n_pardeg(vn, fs)
         term = -2 * xi_term - 2 * zeta_term
         if audit is not None and (xi_term or zeta_term):
             audit.append({"n": n, "u_dim": un.dim, "v_dim": vn.dim,
@@ -276,52 +268,62 @@ def hm_total(lam: OnePS, a: HiggsTuple, fs: FlagSystem, lin: Linearization,
 # destabilizing constructions
 
 
+def _chain_weight(l: int, n_abs_alpha: int, links: list[tuple[int, int]]) -> int:
+    """Closed-form total weight -4 (l N|alpha| + sum_j n_j (t_j - t_{j+1})) of
+    the filtration with rank-one weight l whose links (t_j, n_j) pair the
+    descending thresholds with N pardeg I_j of an isotropic chain; t_{r+1} = 0."""
+    total = l * n_abs_alpha
+    for j, (t, n_pardeg) in enumerate(links):
+        t_next = links[j + 1][0] if j + 1 < len(links) else 0
+        total += n_pardeg * (t - t_next)
+    return -4 * total
+
+
 def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
                         lin: Linearization, w: Weight) -> tuple[OnePS, int]:
-    """The two standard destabilizing shapes built from a subspace V'.
+    """The two standard destabilizing shapes built from a subspace V', each
+    the one-link chain [(1, W)] of an isotropic W.
 
-    shape1 (V' isotropic, meant to contain every row):
+    shape1 (V' isotropic, meant to contain every row): l = 1, W = V';
         U_n = C^2 (n<=-1), U (n=0,1), 0 (n>=2);
         V_n = C^q (n<=-1), V'^perp (n=0), V' (n=1), 0 (n>=2);
         predicted weight -4N(|alpha| + pardeg V').
 
-    shape2 (V' coisotropic, meant to contain every row):
+    shape2 (V' coisotropic, meant to contain every row): l = 0, W = V'^perp;
         U_n = C^2 (n<=0), 0 (n>=1);
         V_n = C^q (n<=-1), V' (n=0), V'^perp (n=1), 0 (n>=2);
-        predicted weight -4N pardeg V'.
+        predicted weight -4N pardeg V' (= -4N pardeg W by perp-duality).
     """
     form = BilinearForm(fs.q)
     if kind == "shape1":
-        iso, _, _ = isotropy_classify(vprime, form)
-        if not iso:
-            raise InputError("shape1 needs an isotropic subspace")
-        w_iso = vprime
-        l = 1
+        w_iso, l, needs = vprime, 1, "an isotropic"
     elif kind == "shape2":
-        w_iso = orthocomplement(vprime, form)
-        iso, _, _ = isotropy_classify(w_iso, form)
-        if not iso:
-            raise InputError("shape2 needs a coisotropic subspace")
-        l = 0
+        w_iso, l, needs = orthocomplement(vprime, form), 0, "a coisotropic"
     else:
         raise InputError(f"unknown shape {kind!r}")
+    iso, _, _ = isotropy_classify(w_iso, form)
+    if not iso:
+        raise InputError(f"{kind} needs {needs} subspace")
 
-    basis = complete_to_hyperbolic([w_iso] if w_iso.dim else [], form)
-    k = w_iso.dim
-    m = (1,) * k + (0,) * (fs.q - 2 * k) + (-1,) * k
-    lam = OnePS(l, m, basis)
+    chain = [(1, w_iso)] if w_iso.dim else []
+    lam = _package_oneps(l, chain, fs.q, form)
     if lam.v_piece(1) != w_iso:
         raise InternalConsistencyError("constructed filtration misses its subspace")
+    return lam, _chain_weight(l, lin.n_abs_alpha,
+                              [(t, lin.n_pardeg(piece, fs)) for t, piece in chain])
 
-    n_pardeg = sum(
-        lin.n_pardeg_from_profile(j, fs.flags[j].profile(vprime))
-        for j in range(fs.s)
-    )
-    if kind == "shape1":
-        predicted = -4 * (lin.n_abs_alpha + n_pardeg)
-    else:
-        predicted = -4 * n_pardeg
-    return lam, predicted
+
+def certificate_oneps(cert: Certificate, fs: FlagSystem, lin: Linearization,
+                      w: Weight) -> tuple[OnePS, int] | None:
+    """The destabilizing one-parameter subgroup of a certificate and its
+    predicted weight: shape 1 on an isotropic span, shape 2 on a rational
+    coisotropic subspace.  None for a witness line over an extension field,
+    which spans no rational filtration."""
+    if cert.kind == "isotropic_span":
+        return destabilizing_oneps("shape1", cert.span, fs, lin, w)
+    if cert.coisotropic is not None:
+        return destabilizing_oneps("shape2", cert.coisotropic, fs, lin, w)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -330,31 +332,29 @@ def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
 
 def _candidate_isotropics(a: HiggsTuple, fs: FlagSystem, cap: int = 64) -> list[Subspace]:
     """Isotropic subspaces harvested from the lattice generated by the span of
-    the rows, its orthocomplement and the flag pieces: the members themselves
-    when isotropic, radicals otherwise, plus radicals of one round of meets
-    of the row span's orthocomplement with flag pieces.
+    the rows, its orthocomplement and the flag pieces: the radicals of the
+    members (a member's own radical when it is isotropic), plus radicals of
+    one round of meets of the row span's orthocomplement with flag pieces.
 
     The flags must be valid: a flag piece's radical is read off the flag
     (F_i is isotropic for i <= q/2, and otherwise F_i ^ F_i^perp = F_{q-i}),
-    not computed."""
+    not computed, and a meet with F_i for i <= q/2 lies in the isotropic F_i,
+    so it is its own radical."""
     form = BilinearForm(a.q)
     q = fs.q
     span = a.span()
     span_perp = orthocomplement(span, form)
     piece_radicals = [flag.piece(min(i, q - i)) for flag in fs.flags for i in range(1, q)]
-    extra = [flag.intersect_piece(span_perp, i) for flag in fs.flags for i in range(1, q)]
+    extra = [(flag.intersect_piece(span_perp, i), 2 * i <= q)
+             for flag in fs.flags for i in range(1, q)]
     members = ([(span, False), (span_perp, False)]
                + [(r, True) for r in piece_radicals]
-               + [(x, False) for x in extra])
+               + extra)
     isotropics: set[Subspace] = set()
     for member, known_isotropic in members:
         if not member.dim or len(isotropics) >= cap:
             continue
-        if known_isotropic:
-            target = member
-        else:
-            iso, radical, _ = isotropy_classify(member, form)
-            target = member if iso else radical
+        target = member if known_isotropic else isotropy_classify(member, form)[1]
         if target.dim:
             isotropics.add(target)
     return sorted(isotropics, key=lambda s_: (s_.dim, repr(s_.rows)))
@@ -366,13 +366,9 @@ def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem, w: Weight,
     candidate filtrations built from the instance's subspace lattice and
     integer weight patterns up to the bound, or None.
 
-    For a filtration with rank-one weight l and isotropic chain pieces I_j
-    carrying thresholds t_1 > ... > t_r > t_{r+1} := 0, the total weight has
-    the closed form
-
-        mu = -4 l N|alpha| - 4 sum_j (N pardeg I_j)(t_j - t_{j+1}),
-
-    by perp-duality of the filtration and pardeg(I^perp) = pardeg(I); any
+    A candidate is a rank-one weight l and a chain of at most two candidate
+    isotropics with descending thresholds; its weight is _chain_weight, by
+    perp-duality of the filtration and pardeg(I^perp) = pardeg(I).  Any
     candidate found this way is re-packaged as an explicit one-parameter
     subgroup and re-evaluated summand by summand, and the two routes must
     agree.  Patterns with entries in {-1, 0, 1} are enumerated first, then
@@ -382,23 +378,15 @@ def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem, w: Weight,
     require_valid(w)
     lin = build_linearization(w)
     form = BilinearForm(fs.q)
-    q = fs.q
-    n_abs_alpha = lin.n_abs_alpha
+    span = a.span()
 
     isotropics = _candidate_isotropics(a, fs)
-    rows_zero = all(all(x.is_zero() for x in r) for r in a.rows)
-    info: dict[Subspace, tuple[int, bool, bool]] = {}
+    # I -> (N pardeg I, (rows lie in I^perp, rows lie in I))
+    info: dict[Subspace, tuple[int, tuple[bool, bool]]] = {}
     for iso in isotropics:
-        np_val = sum(
-            lin.n_pardeg_from_profile(j, fs.flags[j].profile(iso))
-            for j in range(fs.s)
-        )
         perp = orthocomplement(iso, form)
-        info[iso] = (
-            np_val,
-            all(iso.contains(r) for r in a.rows),
-            all(perp.contains(r) for r in a.rows),
-        )
+        info[iso] = (lin.n_pardeg(iso, fs),
+                     (perp.contains_subspace(span), iso.contains_subspace(span)))
 
     chains: list[list[Subspace]] = [[]]
     chains.extend([iso] for iso in isotropics)
@@ -408,41 +396,26 @@ def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem, w: Weight,
                 chains.append([i1, i2])
 
     def evaluate(l: int, chain: list[Subspace], thresholds: tuple[int, ...]):
-        # hm_base containment: every row must lie in V_l
-        if l >= 1:
-            piece_idx = None
-            for j in range(len(chain)):
-                if thresholds[j] >= l:
-                    piece_idx = j
-            if piece_idx is None:
-                if not rows_zero:
-                    return None
-            elif not info[chain[piece_idx]][1]:
-                return None
-        else:
-            m = 1 - l
-            piece_idx = None
-            for j in range(len(chain)):
-                if thresholds[j] >= m:
-                    piece_idx = j
-            if piece_idx is not None and not info[chain[piece_idx]][2]:
-                return None
-        total = l * n_abs_alpha
-        for j in range(len(chain)):
-            t_next = thresholds[j + 1] if j + 1 < len(chain) else 0
-            total += info[chain[j]][0] * (thresholds[j] - t_next)
-        return -4 * total
+        # hm_base: every row must lie in V_l.  V_l is the largest member I
+        # with threshold >= l when l >= 1 (0 if there is none), and I^perp
+        # for the largest with threshold >= 1 - l when l <= 0 (C^q if none).
+        reached = [c for c, t in zip(chain, thresholds) if t >= max(l, 1 - l)]
+        holds = info[reached[-1]][1] if reached else (True, span.dim == 0)
+        if not holds[l >= 1]:
+            return None
+        return _chain_weight(l, lin.n_abs_alpha,
+                             [(t, info[c][0]) for t, c in zip(thresholds, chain)])
 
     for cap in range(1, weight_bound + 1):
         for chain in chains:
-            for thresholds in _descending_tuples(len(chain), cap):
-                # deepest (smallest) chain member carries the largest threshold
+            # the deepest (smallest) chain member carries the largest threshold
+            for thresholds in itertools.combinations(range(cap, 0, -1), len(chain)):
                 for l in _l_values(cap):
-                    if max([abs(l)] + list(thresholds), default=0) != cap:
+                    if max((abs(l),) + thresholds) != cap:
                         continue  # already scanned at a smaller cap
                     mu = evaluate(l, chain, thresholds)
                     if mu is not None and mu < 0:
-                        lam = _package_oneps(l, list(zip(thresholds, chain)), q, form)
+                        lam = _package_oneps(l, list(zip(thresholds, chain)), fs.q, form)
                         if hm_total(lam, a, fs, lin, w) != mu:
                             raise InternalConsistencyError(
                                 "filtration weight and packaged weight disagree")
@@ -461,8 +434,6 @@ def consistency_check(a: HiggsTuple, fs: FlagSystem, w: Weight,
     and admit nothing negative.  Undetermined verdicts are not claims; a
     search hit is recorded as extra information, never an inconsistency.
     """
-    from .higgs import decide_stability, verify_certificate
-
     verdict = decide_stability(a, fs, w, seed=seed)
     lin = build_linearization(w)
     out: dict = {"verdict": verdict.tag, "consistent": True, "mu": None,
@@ -473,72 +444,37 @@ def consistency_check(a: HiggsTuple, fs: FlagSystem, w: Weight,
             out["consistent"] = False
             out["reason"] = "certificate failed re-verification"
             return out
-        cert = verdict.certificate
-        if cert.kind == "isotropic_span":
-            lam, predicted = destabilizing_oneps("shape1", cert.span, fs, lin, w)
-        elif cert.coisotropic is not None:
-            lam, predicted = destabilizing_oneps("shape2", cert.coisotropic, fs, lin, w)
-        else:
-            out["witness_field"] = "extension"
+    else:
+        found = bounded_destabilizer_search(a, fs, w, weight_bound=bound)
+        if found is not None:
+            out["mu"] = found[1]
+            if verdict.tag == "Undetermined":
+                out["resolved"] = "unstable_by_search"
+            else:
+                claim = "Stable" if verdict.tag == "Stable" else "semistable"
+                out["consistent"] = False
+                out["reason"] = f"search found a negative weight for a {claim} verdict"
             return out
-        mu = hm_total(lam, a, fs, lin, w)
+        if verdict.tag != "StrictlySemistable":
+            return out
+
+    packaged = certificate_oneps(verdict.certificate, fs, lin, w)
+    if packaged is None:
+        out["witness_field"] = "extension"
+        return out
+    lam, predicted = packaged
+    mu = hm_total(lam, a, fs, lin, w)
+    if verdict.tag == "Unstable":
         out["mu"] = predicted
         if mu is INFINITE or mu != predicted or mu >= 0:
             out["consistent"] = False
             out["reason"] = f"destabilizer weight {mu!r} != predicted {predicted}"
-        return out
-
-    if verdict.tag == "Stable":
-        found = bounded_destabilizer_search(a, fs, w, weight_bound=bound)
-        if found is not None:
+    else:
+        out["mu"] = mu if mu is not INFINITE else None
+        if mu is INFINITE or mu != 0 or predicted != 0:
             out["consistent"] = False
-            out["mu"] = found[1]
-            out["reason"] = "search found a negative weight for a Stable verdict"
-        return out
-
-    if verdict.tag == "StrictlySemistable":
-        found = bounded_destabilizer_search(a, fs, w, weight_bound=bound)
-        if found is not None:
-            out["consistent"] = False
-            out["mu"] = found[1]
-            out["reason"] = "search found a negative weight for a semistable verdict"
-            return out
-        witness = verdict.certificate.witness if verdict.certificate else None
-        if isinstance(witness, Subspace):
-            vprime = orthocomplement(witness, BilinearForm(fs.q))
-            lam, predicted = destabilizing_oneps("shape2", vprime, fs, lin, w)
-            mu = hm_total(lam, a, fs, lin, w)
-            out["mu"] = mu if mu is not INFINITE else None
-            if mu is INFINITE or mu != 0 or predicted != 0:
-                out["consistent"] = False
-                out["reason"] = "zero-pardeg witness did not attain weight zero"
-        else:
-            out["witness_field"] = "extension"
-        return out
-
-    # Undetermined
-    found = bounded_destabilizer_search(a, fs, w, weight_bound=bound)
-    if found is not None:
-        out["mu"] = found[1]
-        out["resolved"] = "unstable_by_search"
+            out["reason"] = "zero-pardeg witness did not attain weight zero"
     return out
-
-
-def _descending_tuples(r: int, cap: int) -> list[tuple[int, ...]]:
-    """Strictly decreasing r-tuples of thresholds in [1, cap]."""
-    if r == 0:
-        return [()]
-    out = []
-
-    def rec(prefix: list[int], lo: int):
-        if len(prefix) == r:
-            out.append(tuple(prefix))
-            return
-        for v in range(lo, 0, -1):
-            rec(prefix + [v], v - 1)
-
-    rec([], cap)
-    return [t for t in out if len(t) == r]
 
 
 def _l_values(cap: int) -> list[int]:

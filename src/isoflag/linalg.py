@@ -348,14 +348,15 @@ def meet_join(u: Subspace, v: Subspace) -> tuple[Subspace, Subspace]:
 
 
 def orthocomplement(y: Subspace, form: BilinearForm) -> Subspace:
-    """Q-orthocomplement.  Since J is coordinate reversal, Y^perp is the
-    standard annihilator of the reversed basis rows."""
+    """Q-orthocomplement.  Since J is coordinate reversal, x lies in Y^perp
+    exactly when reversed(x) is in the kernel of Y's reduced rows.  Each
+    kernel vector is 1 at its free column and nonzero elsewhere only at pivot
+    columns to its left, so the kernel basis reversed, vector by vector and
+    in order, is already Y^perp's reduced echelon basis."""
     if y.ambient != form.p:
         raise InputError("ambient dimension does not match form")
-    if y.dim == 0:
-        return Subspace.full(form.p)
-    reversed_rows = [tuple(reversed(r)) for r in y.rows]
-    return Subspace.from_vectors(kernel_basis(reversed_rows, form.p), form.p)
+    kernel = kernel_basis(list(y.rows), form.p)
+    return Subspace(form.p, tuple(tuple(reversed(v)) for v in reversed(kernel)))
 
 
 def isotropy_classify(y: Subspace, form: BilinearForm) -> tuple[bool, Subspace, int]:

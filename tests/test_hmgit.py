@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -6,13 +7,16 @@ import pytest
 
 from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.flags import FlagSystem, IsotropicFlag, random_flag
-from isoflag.higgs import HiggsTuple
+from isoflag.higgs import Certificate, ExtensionLine, HiggsTuple
 from isoflag.hmgit import (
     INFINITE,
     OnePS,
     _candidate_isotropics,
+    _l_values,
+    _package_oneps,
     bounded_destabilizer_search,
     build_linearization,
+    certificate_oneps,
     consistency_check,
     destabilizing_oneps,
     hm_base,
@@ -23,6 +27,7 @@ from isoflag.hmgit import (
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
+    complete_to_hyperbolic,
     isotropy_classify,
     orthocomplement,
     standard_basis,
@@ -418,3 +423,226 @@ class TestConsistency:
             a, fs, w = random_instance(q, 4 + trial % 3, trial, mode=mixed_mode(trial))
             res = consistency_check(a, fs, w, bound=3)
             assert res["consistent"], res
+
+
+# ---------------------------------------------------------------------------
+# the destabilizing shapes and the search as they were before the shapes
+# became one-link chains, kept as references
+
+
+def _profile_n_pardeg(lin, sub, fs):
+    """N pardeg(sub), summed puncture by puncture from the profiles."""
+    total = 0
+    for j, flag in enumerate(fs.flags):
+        profile = flag.profile(sub)
+        for i in range(1, len(profile)):
+            jump = profile[i] - profile[i - 1]
+            if jump:
+                total -= lin.zeta[j][i - 1] * jump
+    return total
+
+
+def _shape_formula_oneps(kind, vprime, fs, lin, w):
+    """destabilizing_oneps with its hand-built weight vector and its two
+    per-shape weight formulas on V'."""
+    form = BilinearForm(fs.q)
+    if kind == "shape1":
+        iso, _, _ = isotropy_classify(vprime, form)
+        if not iso:
+            raise InputError("shape1 needs an isotropic subspace")
+        w_iso, l = vprime, 1
+    else:
+        w_iso = orthocomplement(vprime, form)
+        iso, _, _ = isotropy_classify(w_iso, form)
+        if not iso:
+            raise InputError("shape2 needs a coisotropic subspace")
+        l = 0
+    basis = complete_to_hyperbolic([w_iso] if w_iso.dim else [], form)
+    k = w_iso.dim
+    m = (1,) * k + (0,) * (fs.q - 2 * k) + (-1,) * k
+    n_pardeg = _profile_n_pardeg(lin, vprime, fs)
+    if kind == "shape1":
+        return OnePS(l, m, basis), -4 * (lin.n_abs_alpha + n_pardeg)
+    return OnePS(l, m, basis), -4 * n_pardeg
+
+
+def _recursive_descending_tuples(r, cap):
+    """Strictly decreasing r-tuples of thresholds in [1, cap]."""
+    if r == 0:
+        return [()]
+    out = []
+
+    def rec(prefix, lo):
+        if len(prefix) == r:
+            out.append(tuple(prefix))
+            return
+        for v in range(lo, 0, -1):
+            rec(prefix + [v], v - 1)
+
+    rec([], cap)
+    return [t for t in out if len(t) == r]
+
+
+def _two_branch_search(a, fs, w, weight_bound=3, scanned=None):
+    """bounded_destabilizer_search with the containment rule in two branches,
+    rows checked one at a time and the closed form written inline.  With a
+    list for scanned, every candidate that passes the containment rule is
+    appended as (l, ((t_j, N pardeg I_j), ...)) and none counts as a hit."""
+    lin = build_linearization(w)
+    form = BilinearForm(fs.q)
+    isotropics = _candidate_isotropics(a, fs)
+    rows_zero = all(all(x.is_zero() for x in r) for r in a.rows)
+    info = {}
+    for iso in isotropics:
+        perp = orthocomplement(iso, form)
+        info[iso] = (_profile_n_pardeg(lin, iso, fs),
+                     all(iso.contains(r) for r in a.rows),
+                     all(perp.contains(r) for r in a.rows))
+    chains = [[]] + [[iso] for iso in isotropics]
+    for i1 in isotropics:
+        for i2 in isotropics:
+            if i1.dim < i2.dim and i2.contains_subspace(i1):
+                chains.append([i1, i2])
+
+    def evaluate(l, chain, thresholds):
+        if l >= 1:
+            piece_idx = None
+            for j in range(len(chain)):
+                if thresholds[j] >= l:
+                    piece_idx = j
+            if piece_idx is None:
+                if not rows_zero:
+                    return None
+            elif not info[chain[piece_idx]][1]:
+                return None
+        else:
+            piece_idx = None
+            for j in range(len(chain)):
+                if thresholds[j] >= 1 - l:
+                    piece_idx = j
+            if piece_idx is not None and not info[chain[piece_idx]][2]:
+                return None
+        if scanned is not None:
+            scanned.append((l, tuple((t, info[c][0]) for t, c in zip(thresholds, chain))))
+            return 0
+        total = l * lin.n_abs_alpha
+        for j in range(len(chain)):
+            t_next = thresholds[j + 1] if j + 1 < len(chain) else 0
+            total += info[chain[j]][0] * (thresholds[j] - t_next)
+        return -4 * total
+
+    for cap in range(1, weight_bound + 1):
+        for chain in chains:
+            for thresholds in _recursive_descending_tuples(len(chain), cap):
+                for l in _l_values(cap):
+                    if max([abs(l)] + list(thresholds)) != cap:
+                        continue
+                    mu = evaluate(l, chain, thresholds)
+                    if mu is not None and mu < 0:
+                        return _package_oneps(l, list(zip(thresholds, chain)), fs.q, form), mu
+    return None
+
+
+def _rank_one_piece(lam, n):
+    """hm_grassmannian's own rank-one filtration piece, before it used
+    OnePS.u_piece."""
+    weights = (abs(lam.l), -abs(lam.l))
+    e1, e2 = standard_basis(2)
+    ordered = (e1, e2) if lam.l >= 0 else (e2, e1)
+    return Subspace.from_vectors([v for mi, v in zip(weights, ordered) if mi >= n], 2)
+
+
+class TestChainReferences:
+    def test_shapes_match_shape_formulas(self):
+        done = {"shape1": 0, "shape2": 0}
+        for trial in range(60):
+            rng = random.Random(700 + trial)
+            q, s = rng.choice([2, 3, 4, 5, 6]), rng.choice([3, 4, 5])
+            w = random_weight(q, s, trial + 11)
+            fs = random_flag_system(q, s, trial + 13)
+            lin = build_linearization(w)
+            form = BilinearForm(q)
+            iso = random_isotropic_subspace(q, rng.randint(1, q // 2), trial + 17)
+            for kind, vprime in (("shape1", iso), ("shape2", orthocomplement(iso, form)),
+                                 ("shape1", Subspace.zero(q)), ("shape2", Subspace.full(q))):
+                lam, predicted = destabilizing_oneps(kind, vprime, fs, lin, w)
+                ref, ref_predicted = _shape_formula_oneps(kind, vprime, fs, lin, w)
+                assert (lam.l, lam.m, lam.basis, predicted) == \
+                    (ref.l, ref.m, ref.basis, ref_predicted), (trial, kind)
+                done[kind] += 1
+        assert done == {"shape1": 120, "shape2": 120}
+
+    def test_combinations_order(self):
+        for r in range(5):
+            for cap in range(1, 6):
+                assert list(itertools.combinations(range(cap, 0, -1), r)) == \
+                    _recursive_descending_tuples(r, cap), (r, cap)
+
+    def test_search_first_hit_matches_reference(self):
+        hits = 0
+        for q in (2, 3, 4):
+            for s in (3, 4, 5):
+                for seed in range(10):
+                    a, fs, w = random_instance(q, s, seed, mode=mixed_mode(seed))
+                    found = bounded_destabilizer_search(a, fs, w, 3)
+                    ref = _two_branch_search(a, fs, w, 3)
+                    if ref is None:
+                        assert found is None, (q, s, seed)
+                        continue
+                    hits += 1
+                    (lam, mu), (ref_lam, ref_mu) = found, ref
+                    assert (lam.l, lam.m, lam.basis, mu) == \
+                        (ref_lam.l, ref_lam.m, ref_lam.basis, ref_mu), (q, s, seed)
+        # the comparison covers hits, not only instances with nothing to find
+        assert hits >= 10
+
+    def test_search_scan_order_matches_reference(self, monkeypatch):
+        # every candidate that passes the containment rule reaches the closed
+        # form; recording them with no hit compares the whole scan, in order
+        scanned = []
+
+        def recording_chain_weight(l, n_abs_alpha, links):
+            scanned.append((l, tuple(links)))
+            return 0
+
+        monkeypatch.setattr("isoflag.hmgit._chain_weight", recording_chain_weight)
+        two_links = 0
+        for q in (2, 3, 4):
+            for s in (3, 4, 5):
+                for seed in range(10):
+                    a, fs, w = random_instance(q, s, seed, mode=mixed_mode(seed))
+                    scanned.clear()
+                    assert bounded_destabilizer_search(a, fs, w, 4) is None
+                    ref = []
+                    _two_branch_search(a, fs, w, 4, scanned=ref)
+                    assert scanned == ref, (q, s, seed)
+                    two_links += sum(1 for _, links in ref if len(links) == 2)
+        assert two_links > 100
+
+    def test_rank_one_pieces(self):
+        for l in range(-4, 5):
+            lam = OnePS(l, (1, -1), tuple(standard_basis(2)))
+            for n in range(-6, 7):
+                assert lam.u_piece(n) == _rank_one_piece(lam, n), (l, n)
+
+
+class TestCertificateOneps:
+    def test_extension_line_has_none(self):
+        # a witness line over an extension field is never a rational
+        # subspace, so the certificate carries no coisotropic V'
+        line = ExtensionLine(2, base=vec(1, 0), twist=vec(0, 1), delta=sc(3))
+        cert = Certificate("positive_coisotropic", witness=line, pardeg=F(1, 8))
+        fs = FlagSystem.standard(2, 4)
+        assert certificate_oneps(cert, fs, build_linearization(W_Q2), W_Q2) is None
+
+    def test_shapes_by_certificate_kind(self):
+        fs = FlagSystem.standard(4, 4)
+        lin = build_linearization(W_Q4)
+        e1 = Subspace.from_vectors([vec(1, 0, 0, 0)], 4)
+        co = orthocomplement(e1, BilinearForm(4))
+        span_cert = Certificate("isotropic_span", span=e1)
+        co_cert = Certificate("positive_coisotropic", witness=e1, coisotropic=co)
+        assert certificate_oneps(span_cert, fs, lin, W_Q4) == \
+            destabilizing_oneps("shape1", e1, fs, lin, W_Q4)
+        assert certificate_oneps(co_cert, fs, lin, W_Q4) == \
+            destabilizing_oneps("shape2", co, fs, lin, W_Q4)

@@ -193,6 +193,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "internal error: simulated self-check failure\n"
 
+    def test_crash_is_internal_error(self, stable_file, capsys, monkeypatch):
+        # an uncaught exception would exit 1, which is decide's
+        # StrictlySemistable code
+        def crashing(*args, **kwargs):
+            return 1 // 0
+
+        monkeypatch.setattr("isoflag.cli.decide_stability", crashing)
+        assert main(["decide", str(stable_file)]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last):")
+        assert captured.err.splitlines()[-1] == \
+            "internal error: ZeroDivisionError: integer division or modulo by zero"
+
+    def test_batch_workers_capped_by_files(self, tmp_path, capsys, monkeypatch):
+        # the fork start method forks every worker at the first submit, so
+        # the pool must not be asked for more workers than there are files;
+        # a recording stand-in keeps this test from starting any process
+        for trial in range(2):
+            a, fs, w = random_instance(2, 4, trial)
+            (tmp_path / f"c{trial}.instance.json").write_text(
+                serialize_instance(InstanceFile(w, fs, a)), encoding="utf-8")
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("isoflag.cli.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.delenv("ISOFLAG_JOBS", raising=False)
+        assert main(["batch", str(tmp_path), "--jobs", "500"]) == 0
+        assert requested == [2]
+        assert json.loads(capsys.readouterr().out)["instances"] == 2
+
     def test_batch_destabilizer_rejection_is_internal(self, unstable_file, capsys,
                                                       monkeypatch):
         # a certificate decide_stability has just produced fits its shape,
@@ -200,7 +243,7 @@ class TestCli:
         def rejecting(*args, **kwargs):
             raise InputError("simulated rejection")
 
-        monkeypatch.setattr("isoflag.cli.destabilizing_oneps", rejecting)
+        monkeypatch.setattr("isoflag.hmgit.destabilizing_oneps", rejecting)
         monkeypatch.delenv("ISOFLAG_JOBS", raising=False)
         assert main(["batch", str(unstable_file.parent), "--jobs", "1"]) == 70
         assert capsys.readouterr().err.startswith("internal error:")

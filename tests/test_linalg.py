@@ -359,7 +359,30 @@ class TestContains:
             Subspace.zero(3).contains_subspace(Subspace.from_vectors([vec(1, 0)], 2))
 
 
+def _from_vectors_orthocomplement(y, form):
+    """orthocomplement as it once was: the kernel of the reversed rows, put
+    into canonical form by a second elimination.  Kept here as the reference
+    for reading the canonical basis straight off the kernel."""
+    if y.dim == 0:
+        return Subspace.full(form.p)
+    reversed_rows = [tuple(reversed(r)) for r in y.rows]
+    return Subspace.from_vectors(kernel_basis(reversed_rows, form.p), form.p)
+
+
 class TestOrthocomplement:
+    def test_matches_from_vectors_reference(self):
+        rng = random.Random(53)
+        for trial in range(250):
+            p = rng.randint(1, 7)
+            form = BilinearForm(p)
+            kind = KINDS[trial % len(KINDS)]
+            sub = Subspace.from_vectors(_random_matrix(rng, rng.randint(1, p), p, kind), p)
+            for y in (sub, Subspace.zero(p), Subspace.full(p)):
+                perp = orthocomplement(y, form)
+                # == compares the stored bases, so this also checks that the
+                # basis read off the kernel is the canonical one
+                assert perp == _from_vectors_orthocomplement(y, form), (trial, p, kind)
+
     def test_full_space(self):
         form = BilinearForm(5)
         assert orthocomplement(Subspace.full(5), form).dim == 0
