@@ -41,6 +41,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError, InternalConsistencyError
 from .flags import FlagSystem, pardeg_subspace, validate_flag
@@ -80,7 +81,13 @@ class HiggsTuple:
                 raise InputError("row length does not match q")
 
     def span(self) -> Subspace:
-        return Subspace.from_vectors([r for r in self.rows], self.q)
+        """The span of the rows.  The rows are immutable, so it is eliminated
+        once per instance and kept."""
+        return self._span
+
+    @cached_property
+    def _span(self) -> Subspace:
+        return Subspace.from_vectors(list(self.rows), self.q)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +443,7 @@ def verify_certificate(verdict: Verdict, a: HiggsTuple, fs: FlagSystem, w: Weigh
     if cert.kind == "isotropic_span":
         span = cert.span
         iso, _, _ = isotropy_classify(span, form)
-        return iso and all(span.contains(r) for r in a.rows)
+        return iso and span.contains_subspace(a.span())
     if cert.kind == "positive_coisotropic":
         witness = cert.witness
         span = a.span()
@@ -452,7 +459,7 @@ def verify_certificate(verdict: Verdict, a: HiggsTuple, fs: FlagSystem, w: Weigh
             # V' must be the orthocomplement, contain the rows, and share pardeg
             if cert.coisotropic != orthocomplement(witness, form):
                 return False
-            if not all(cert.coisotropic.contains(r) for r in a.rows):
+            if not cert.coisotropic.contains_subspace(a.span()):
                 return False
             if pardeg_subspace(cert.coisotropic, fs, w) != value:
                 return False

@@ -244,12 +244,12 @@ def hm_base(lam: OnePS, a: HiggsTuple):
     The base factor's weight is finite iff the limit of the row tuple exists,
     i.e. iff the dual maps send U_n into V_n for all n.  Since the dual map
     of a row sends the distinguished line U = <u> (weight l) to the span of
-    the row, the condition collapses to: every row lies in V_l.
+    the row, the condition collapses to: every row lies in V_l, that is, the
+    span of the rows lies in V_l (one containment check).
     """
     if lam.q != a.q:
         raise InputError("one-parameter subgroup and row tuple have different q")
-    vl = lam.v_piece(lam.l)
-    if all(vl.contains(r) for r in a.rows):
+    if lam.v_piece(lam.l).contains_subspace(a.span()):
         return 0
     return INFINITE
 

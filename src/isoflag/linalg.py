@@ -166,7 +166,19 @@ def rref(rows: list[Vector]) -> tuple[list[Vector], list[int]]:
 
 def kernel_basis(rows: list[Vector], ncols: int) -> list[Vector]:
     """Basis of {x : M x^t = 0}, from the reduced echelon form of M."""
-    red, pivots = rref(rows) if rows else ([], [])
+    return _reduced_kernel(rref(rows)[0], ncols)
+
+
+def _pivot_columns(red: tuple[Vector, ...] | list[Vector]) -> list[int]:
+    """The pivot column of each row of a reduced echelon basis."""
+    return [next(i for i, x in enumerate(row) if x) for row in red]
+
+
+def _reduced_kernel(red: tuple[Vector, ...] | list[Vector], ncols: int) -> list[Vector]:
+    """Basis of {x : M x^t = 0} for M in reduced echelon form, read off the
+    rows with no elimination: one vector per free column f, 1 at f and
+    -row[f] at each row's pivot column."""
+    pivots = _pivot_columns(red)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -303,7 +315,7 @@ class Subspace:
         the vectors."""
         if not self.rows:
             return all(is_zero_vector(v) for v in vectors)
-        pivots = [next(i for i, x in enumerate(row) if x) for row in self.rows]
+        pivots = _pivot_columns(self.rows)
         coeffs = [tuple(v[c] for c in pivots) for v in vectors]
         return mat_mul(coeffs, list(self.rows)) == [tuple(v) for v in vectors]
 
@@ -328,34 +340,54 @@ class Subspace:
 
 
 def meet_join(u: Subspace, v: Subspace) -> tuple[Subspace, Subspace]:
-    """Intersection and sum of two subspaces of the same ambient space, from
-    one Zassenhaus elimination.
+    """Intersection and sum of two subspaces of the same ambient space, with
+    the meet taken from the annihilator of v.
 
-    The block matrix [[u, u], [v, 0]] (the rows of u repeated beside
-    themselves, the rows of v beside zeros) has 2p columns.  In its reduced
-    echelon form, the rows whose pivot lies in the left half have left halves
-    that are the canonical basis of the join; the other rows have zero left
-    halves, and their right halves are the canonical basis of the meet.
+    Lemma.  Let v have reduced rows.  Its kernel vectors N (one per free
+    column f: 1 at f, -row[f] at each row's pivot column) are read off the
+    rows with no elimination, and x lies in v exactly when x.n = 0 for every
+    n in N.  So with U the rows of u,
+
+        u meet v = {a U : a (U N^t) = 0},
+
+    one kernel_basis of the dim u x (p - dim v) matrix U N^t (of its
+    transpose N U^t, whose kernel is that left kernel), then one
+    from_vectors for the meet's canonical basis.
+
+    The join follows from dim(u join v) = dim u + dim v - dim(u meet v): it
+    is v when the meet is u, u when the meet is v, the full space when the
+    count reaches p, and otherwise one elimination of the stacked rows.
     """
     if u.ambient != v.ambient:
         raise InputError("ambient dimensions differ")
     p = u.ambient
-    zeros = vzero(p)
-    red, pivots = rref([r + r for r in u.rows] + [r + zeros for r in v.rows])
-    join = tuple(r[:p] for r, c in zip(red, pivots) if c < p)
-    meet = tuple(r[p:] for r, c in zip(red, pivots) if c >= p)
-    return Subspace(p, meet), Subspace(p, join)
+    if not u.rows or not v.rows:
+        return Subspace.zero(p), (u if u.rows else v)
+    if v.dim == p:
+        return u, v
+    normals = _reduced_kernel(v.rows, p)
+    columns = [tuple(r[j] for r in u.rows) for j in range(p)]
+    coeffs = kernel_basis(mat_mul(normals, columns), u.dim)
+    if len(coeffs) == u.dim:
+        return u, v
+    if len(coeffs) == v.dim:
+        return v, u
+    meet = Subspace.from_vectors(mat_mul(coeffs, list(u.rows)), p) if coeffs else Subspace.zero(p)
+    if u.dim + v.dim - meet.dim == p:
+        return meet, Subspace.full(p)
+    return meet, Subspace.from_vectors(list(u.rows) + list(v.rows), p)
 
 
 def orthocomplement(y: Subspace, form: BilinearForm) -> Subspace:
     """Q-orthocomplement.  Since J is coordinate reversal, x lies in Y^perp
-    exactly when reversed(x) is in the kernel of Y's reduced rows.  Each
-    kernel vector is 1 at its free column and nonzero elsewhere only at pivot
-    columns to its left, so the kernel basis reversed, vector by vector and
-    in order, is already Y^perp's reduced echelon basis."""
+    exactly when reversed(x) is in the kernel of Y's reduced rows, which is
+    read off those rows with no elimination.  Each kernel vector is 1 at its
+    free column and nonzero elsewhere only at pivot columns to its left, so
+    the kernel basis reversed, vector by vector and in order, is already
+    Y^perp's reduced echelon basis."""
     if y.ambient != form.p:
         raise InputError("ambient dimension does not match form")
-    kernel = kernel_basis(list(y.rows), form.p)
+    kernel = _reduced_kernel(y.rows, form.p)
     return Subspace(form.p, tuple(tuple(reversed(v)) for v in reversed(kernel)))
 
 
@@ -363,7 +395,10 @@ def isotropy_classify(y: Subspace, form: BilinearForm) -> tuple[bool, Subspace, 
     """(is_isotropic, radical, rank of the restricted form).
 
     radical = Y meet Y^perp; the restricted rank is dim Y - dim radical, and
-    Y is isotropic exactly when that rank is zero.
+    Y is isotropic exactly when that rank is zero.  In meet_join(Y, Y^perp)
+    the annihilator vectors of Y^perp span Y J (the reversed rows of Y), so
+    the matrix whose kernel gives the radical is Y's Gram matrix up to an
+    invertible change of basis: a dim Y x dim Y kernel.
     """
     perp = orthocomplement(y, form)
     radical, _ = meet_join(y, perp)

@@ -6,11 +6,13 @@ import pytest
 from isoflag.errors import InputError
 from isoflag.flags import FlagSystem, pardeg_subspace
 from isoflag.higgs import (
+    Certificate,
     ExtensionLine,
     HiggsTuple,
     condition1_isotropic_span,
     decide_stability,
     generate_stable_instance,
+    Verdict,
     line_oracle,
     max_pardeg_isotropic_in,
     verify_certificate,
@@ -75,6 +77,45 @@ class TestCondition1:
             if condition1_isotropic_span(a)[0]:
                 extended = HiggsTuple(q, 5, tuple(rows + [random_vector(rng, q)]))
                 assert condition1_isotropic_span(extended)[0]
+
+
+class TestRowSpan:
+    @staticmethod
+    def _count_row_eliminations(monkeypatch, a):
+        """Record every rref of exactly the instance's rows."""
+        from isoflag import linalg
+        real = linalg.rref
+        calls = []
+
+        def counting(rows):
+            if list(rows) == list(a.rows):
+                calls.append(1)
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "rref", counting)
+        return calls
+
+    def test_span_eliminated_once(self, monkeypatch):
+        a = higgs(3, vec(1, 2, 0), vec(0, 1, 1), vec(1, 3, 1))
+        calls = self._count_row_eliminations(monkeypatch, a)
+        spans = [a.span() for _ in range(3)]
+        assert len(calls) == 1
+        assert spans[0] is spans[1] is spans[2]
+        assert spans[0] == Subspace.from_vectors(list(a.rows), 3)
+
+    def test_one_elimination_per_crosscheck(self, monkeypatch):
+        # decide, certificate check and destabilizer search all ask for the
+        # row span; one crosscheck of an instance eliminates its rows once
+        from isoflag.hmgit import consistency_check
+        kinds = set()
+        for seed in (0, 1, 7, 8, 9):
+            a, fs, w = random_instance(3, 5, seed, mode=mixed_mode(seed))
+            calls = self._count_row_eliminations(monkeypatch, a)
+            res = consistency_check(a, fs, w)
+            assert res["consistent"] and len(calls) == 1, (seed, len(calls))
+            kinds.add(res["verdict"])
+            monkeypatch.undo()
+        assert "Unstable" in kinds and len(kinds) >= 2
 
 
 class TestLineOracle:
@@ -233,6 +274,18 @@ class TestDecide:
         assert verdict.tag == "Unstable"
         assert verdict.certificate.kind == "isotropic_span"
         assert verify_certificate(verdict, a, FlagSystem.standard(2, 4), W_Q2)
+
+    def test_isotropic_span_must_hold_every_row(self):
+        a = higgs(2, vec(1, 0), vec(1, 0))
+        fs = FlagSystem.standard(2, 4)
+        for rows in ([vec(0, 1)], [vec(1, 0)]):
+            forged = Verdict("Unstable", Certificate("isotropic_span",
+                                                     span=Subspace.from_vectors(rows, 2)))
+            assert verify_certificate(forged, a, fs, W_Q2) == (rows == [vec(1, 0)])
+        b = higgs(2, vec(1, 0), vec(0, 1))
+        forged = Verdict("Unstable", Certificate("isotropic_span",
+                                                 span=Subspace.from_vectors([vec(1, 0)], 2)))
+        assert not verify_certificate(forged, b, fs, W_Q2)
 
     def test_positive_coisotropic_example(self):
         fs = FlagSystem.standard(4, 4)

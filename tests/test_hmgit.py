@@ -228,6 +228,12 @@ class TestBaseWeight:
         assert hm_base(lam, a) is INFINITE
 
 
+    def test_every_row_counts(self):
+        lam = OnePS(1, (1, -1), tuple(standard_basis(2)))
+        assert hm_base(lam, HiggsTuple(2, 4, (vec(5, 0), vec(2, 0)))) == 0
+        assert hm_base(lam, HiggsTuple(2, 4, (vec(5, 0), vec(0, 1)))) is INFINITE
+
+
 class TestFlagTotal:
     def test_trivial(self):
         lam = OnePS.trivial(4)

@@ -7,6 +7,8 @@ from isoflag.errors import InputError
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
+    _pivot_columns,
+    _reduced_kernel,
     complete_to_hyperbolic,
     hyperbolic_basis,
     isotropy_classify,
@@ -19,6 +21,7 @@ from isoflag.linalg import (
     rref,
     standard_basis,
     vscale,
+    vzero,
 )
 from isoflag.randgen import random_isotropic_subspace, random_scalar, random_vector
 from isoflag.scalars import I, ONE, Scalar, ZERO, sc
@@ -220,7 +223,7 @@ class TestKernelReference:
 def _annihilator_meet_join(u, v):
     """Meet and join as meet_join once computed them: the join by stacking
     the bases, the meet as the kernel of the stacked annihilators.  Kept here
-    as the reference the Zassenhaus elimination is compared against."""
+    as a reference meet_join is compared against."""
     p = u.ambient
 
     def annihilator(s):
@@ -233,6 +236,23 @@ def _annihilator_meet_join(u, v):
     if not ann_rows:
         return Subspace.full(p), join
     return Subspace.from_vectors(kernel_basis(ann_rows, p), p), join
+
+
+def _zassenhaus_meet_join(u, v):
+    """Meet and join from one Zassenhaus elimination, as meet_join once
+    computed them.  Kept here as a reference meet_join is compared against.
+
+    The block matrix [[u, u], [v, 0]] (the rows of u repeated beside
+    themselves, the rows of v beside zeros) has 2p columns.  In its reduced
+    echelon form, the rows whose pivot lies in the left half have left halves
+    that are the canonical basis of the join; the other rows have zero left
+    halves, and their right halves are the canonical basis of the meet."""
+    p = u.ambient
+    zeros = vzero(p)
+    red, pivots = rref([r + r for r in u.rows] + [r + zeros for r in v.rows])
+    join = tuple(r[:p] for r, c in zip(red, pivots) if c < p)
+    meet = tuple(r[p:] for r, c in zip(red, pivots) if c >= p)
+    return Subspace(p, meet), Subspace(p, join)
 
 
 def _sparse_vector(rng, p):
@@ -276,8 +296,20 @@ class TestMeetJoin:
             assert u.contains_subspace(meet) and v.contains_subspace(meet)
             assert join.contains_subspace(u) and join.contains_subspace(v)
 
+    def _check_against_references(self, u, v, seen):
+        meet, join = meet_join(u, v)
+        assert (meet, join) == _annihilator_meet_join(u, v)
+        assert (meet, join) == _zassenhaus_meet_join(u, v)
+        p = u.ambient
+        for x in (meet, join):
+            assert x == Subspace.from_vectors(list(x.rows), p)
+        if u.dim and v.dim:
+            seen.add(("join full" if join.dim == p else "join not full",
+                      "meet nonzero" if meet.dim else "meet zero"))
+
     def test_matches_annihilator_reference(self):
         rng = random.Random(17)
+        seen = set()
         for trial in range(120):
             p = rng.randint(1, 6)
             draw = random_vector if trial % 2 else _sparse_vector
@@ -293,10 +325,95 @@ class TestMeetJoin:
             ]
             for v in others:
                 for a, b in ((u, v), (v, u)):
-                    meet, join = meet_join(a, b)
-                    assert (meet, join) == _annihilator_meet_join(a, b)
-                    for x in (meet, join):
-                        assert x == Subspace.from_vectors(list(x.rows), p)
+                    self._check_against_references(a, b, seen)
+        assert len(seen) == 4
+
+    def test_shared_vectors_join_full_and_not(self):
+        # u and v share k random vectors beside their own: the meet is
+        # nonzero, and the join is full exactly when the count reaches p
+        rng = random.Random(19)
+        seen = set()
+        for trial in range(150):
+            p = rng.randint(2, 8)
+            k = rng.randint(1, p - 1)
+            common = [random_vector(rng, p) for _ in range(k)]
+            u = Subspace.from_vectors(
+                common + [random_vector(rng, p) for _ in range(rng.randint(0, p - k))], p)
+            v = Subspace.from_vectors(
+                common + [random_vector(rng, p) for _ in range(rng.randint(0, p - k))], p)
+            for a, b in ((u, v), (v, u)):
+                self._check_against_references(a, b, seen)
+        assert seen == {("join full", "meet nonzero"), ("join not full", "meet nonzero")}
+
+    def test_isotropy_pairs(self):
+        # (Y, Y^perp) as isotropy_classify passes them: Y isotropic,
+        # nondegenerate, or an isotropic part plus random vectors
+        rng = random.Random(43)
+        kinds = set()
+        seen = set()
+        for trial in range(120):
+            p = rng.randint(2, 8)
+            form = BilinearForm(p)
+            k = rng.randint(1, p // 2)
+            iso = random_isotropic_subspace(p, k, trial + 3000)
+            extra = [random_vector(rng, p) for _ in range(rng.randint(0, p - k))]
+            y = Subspace.from_vectors(list(iso.rows) + extra, p)
+            perp = orthocomplement(y, form)
+            self._check_against_references(y, perp, seen)
+            radical = isotropy_classify(y, form)[1]
+            assert radical == _zassenhaus_meet_join(y, perp)[0]
+            kinds.add((radical.dim == y.dim, radical.dim == 0))
+        # isotropic, nondegenerate and partly degenerate Y all occur
+        assert kinds == {(True, False), (False, True), (False, False)}
+
+    def test_hm_grassmannian_unchanged(self, monkeypatch):
+        from isoflag import hmgit
+        from isoflag.hmgit import OnePS, hm_grassmannian
+
+        rng = random.Random(61)
+        cases = []
+        while len(cases) < 80:
+            q = rng.choice([2, 3, 4, 5, 6])
+            top = sorted((rng.randint(0, 3) for _ in range(q // 2)), reverse=True)
+            m = tuple(top) + ((0,) if q % 2 else ()) + tuple(-x for x in reversed(top))
+            basis = hyperbolic_basis(BilinearForm(q), rng.randint(0, 10 ** 6))
+            lam = OnePS(rng.randint(-3, 3), m, basis)
+            i = rng.randint(1, q)
+            sub = Subspace.from_vectors([random_vector(rng, q) for _ in range(i)], q)
+            if sub.dim == i:
+                cases.append((lam, sub, i, rng.randint(1, 3)))
+        values = [hm_grassmannian(*case) for case in cases]
+        monkeypatch.setattr(hmgit, "meet_join", _zassenhaus_meet_join)
+        assert values == [hm_grassmannian(*case) for case in cases]
+        assert any(values)
+
+
+def _transpose(rows):
+    return [tuple(r[j] for r in rows) for j in range(len(rows[0]))]
+
+
+class TestReducedKernel:
+    def test_matches_kernel_basis(self):
+        rng = random.Random(47)
+        for nrows in range(1, 7):
+            for ncols in range(1, 9):
+                for kind in KINDS:
+                    m = _random_matrix(rng, nrows, ncols, kind)
+                    red, pivots = rref(m)
+                    assert _pivot_columns(red) == pivots
+                    got = _reduced_kernel(red, ncols)
+                    assert got == kernel_basis(red, ncols) == kernel_basis(m, ncols)
+                    # an independent check: the vectors annihilate M, and
+                    # there is one per free column, 1 there and 0 at the others
+                    assert len(got) == ncols - len(pivots)
+                    if got:
+                        assert all(x.is_zero() for row in mat_mul(m, _transpose(got)) for x in row)
+                    free = [c for c in range(ncols) if c not in pivots]
+                    assert [[x[c] for c in free] for x in got] == \
+                        [[ONE if c == f else ZERO for c in free] for f in free]
+
+    def test_no_rows(self):
+        assert _reduced_kernel((), 3) == standard_basis(3)
 
 
 def _back_substitution_contains(sub, v):
