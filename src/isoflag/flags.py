@@ -38,8 +38,10 @@ from .weights import Weight, require_valid, weight_stats
 class IsotropicFlag:
     """A complete isotropic flag, held as its adapted hyperbolic basis.
 
-    Anything that needs flag coordinates (profile, intersect_piece,
-    vector_jump) raises InputError when the basis is not hyperbolic.
+    Everything a subspace's position against the flag decides is read off
+    one echelon form in flag coordinates: its profile (dim(sub ^ F_i))_i and
+    its intersections with the pieces.  Both raise InputError when the basis
+    is not hyperbolic.
     """
 
     __slots__ = ("q", "basis", "_pieces", "_inverse", "_last_echelon")
@@ -130,17 +132,6 @@ class IsotropicFlag:
         inside = [row for row, e in zip(rows, ends) if e < i]
         return Subspace.from_vectors(mat_mul(inside, list(self.basis)), self.q)
 
-    def vector_jump(self, vectors: list[Vector]) -> int:
-        """Smallest i with all given vectors in F_i (vectors assumed nonzero)."""
-        coords = mat_mul(vectors, self._inv())
-        jump = 0
-        for row in coords:
-            for i in range(self.q - 1, -1, -1):
-                if not row[i].is_zero():
-                    jump = max(jump, i + 1)
-                    break
-        return jump
-
     def transform(self, m: list[Vector]) -> "IsotropicFlag":
         """The flag with basis w_i @ m (m must be a J-isometry)."""
         return IsotropicFlag(tuple(mat_mul(list(self.basis), m)))
@@ -201,7 +192,9 @@ def pardeg_from_profile(profile: tuple[int, ...], beta_row: tuple[Fraction, ...]
 
 
 def pardeg_subspace(sub: Subspace, fs: FlagSystem, w: Weight) -> Fraction:
-    """Parabolic degree of a subspace of Q(i)^q relative to s flags and a weight."""
+    """Parabolic degree of a subspace of Q(i)^q relative to s flags and a
+    weight, from the flag profiles.  The one degree computation: N pardeg on
+    the Hilbert-Mumford side (Linearization.n_pardeg) is taken from it."""
     require_valid(w)
     if w.q != fs.q or w.s != fs.s:
         raise InputError("weight and flag system shapes disagree")

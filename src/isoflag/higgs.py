@@ -51,12 +51,13 @@ from .linalg import (
     Vector,
     is_zero_vector,
     isotropy_classify,
+    mat_mul,
     max_isotropic_dimension,
     orthocomplement,
     vadd,
     vscale,
 )
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .weights import Weight, region_membership, require_valid
 
 
@@ -98,22 +99,22 @@ class HiggsTuple:
 class ExtensionLine:
     """The line spanned by base + sqrt(delta) * twist over Q(i)(sqrt(delta)),
     delta a non-square.  Its intersection pattern with rational subspaces is
-    computed componentwise: the line lies in a rational subspace iff both
-    base and twist do."""
+    computed componentwise: since 1 and sqrt(delta) are linearly independent
+    over Q(i), the line lies in a rational subspace iff both base and twist
+    do, i.e. iff the rational hull span(base, twist) does."""
 
     ambient: int
     base: Vector
     twist: Vector
     delta: Scalar
 
-    def jump_positions(self, fs: FlagSystem) -> tuple[int, ...]:
-        return tuple(f.vector_jump([self.base, self.twist]) for f in fs.flags)
-
     def pardeg(self, fs: FlagSystem, w: Weight) -> Fraction:
-        return sum(
-            (w.beta[j][i - 1] for j, i in enumerate(self.jump_positions(fs))),
-            Fraction(0),
-        )
+        """A line has one jump per flag: the first i with the line in F_i^j,
+        which by the lemma above is the first i with dim(hull ^ F_i^j) =
+        dim hull.  Both are read off the flag profiles of the hull."""
+        hull = Subspace.from_vectors([self.base, self.twist], self.ambient)
+        return sum((row[flag.profile(hull).index(hull.dim) - 1]
+                    for row, flag in zip(w.beta, fs.flags)), Fraction(0))
 
     def contained_in(self, sub: Subspace) -> bool:
         return sub.contains(self.base) and sub.contains(self.twist)
@@ -161,6 +162,8 @@ def _isotropic_line_in(y: Subspace, form: BilinearForm,
     Over C a nonzero isotropic vector exists iff dim y >= 2 or the restricted
     form vanishes; in the nondegenerate rank-two case the two isotropic lines
     may only exist over a quadratic extension, which is returned explicitly.
+    The candidate planes are the pairs of basis rows, then four random mixed
+    planes; their pairings are read off two Gram products.
     """
     if y.dim == 0:
         return None
@@ -169,24 +172,24 @@ def _isotropic_line_in(y: Subspace, form: BilinearForm,
         return _line(radical.rows[0], y.ambient)
     if y.dim == 1:
         return None  # nondegenerate line: Q(t, t) != 0
-    for row in y.rows:
-        if form.pair(row, row).is_zero():
-            return _line(row, y.ambient)
-    fallback: ExtensionLine | None = None
     basis = list(y.rows)
-    planes = [(basis[k], basis[l]) for k in range(len(basis)) for l in range(k + 1, len(basis))]
-    for _ in range(4):  # a few extra planes improve the odds of a rational hit
-        if len(basis) < 2:
-            break
-        coeffs = [Scalar(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in basis[1:]]
-        mixed = basis[0]
-        for c, b in zip(coeffs, basis[1:]):
-            mixed = vadd(mixed, vscale(c, b))
-        planes.append((mixed, basis[-1]))
-    for b1, b2 in planes:
-        g11 = form.pair(b1, b1)
-        g12 = form.pair(b1, b2)
-        g22 = form.pair(b2, b2)
+    gram = form.gram(basis)
+    for k, row in enumerate(basis):
+        if gram[k][k].is_zero():
+            return _line(row, y.ambient)
+    # (b1, b2, Q(b1, b1), Q(b1, b2), Q(b2, b2)) for each pair of basis rows
+    planes = [(basis[k], basis[l], gram[k][k], gram[k][l], gram[l][l])
+              for k in range(len(basis)) for l in range(k + 1, len(basis))]
+    # a few extra planes (basis[0] + sum_k c_k basis[k], basis[-1]) improve the
+    # odds of a rational hit
+    mixes = [(ONE,) + tuple(Scalar(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in basis[1:])
+             for _ in range(4)]
+    rows = mat_mul(mixes, basis) + [basis[-1]]
+    gram = form.gram(rows)
+    planes += [(rows[k], rows[-1], gram[k][k], gram[k][-1], gram[-1][-1])
+               for k in range(len(mixes))]
+    fallback: ExtensionLine | None = None
+    for b1, b2, g11, g12, g22 in planes:
         if g11.is_zero():
             if not is_zero_vector(b1):
                 return _line(b1, y.ambient)

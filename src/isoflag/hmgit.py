@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalConsistencyError
-from .flags import FlagSystem, so2_score
+from .flags import FlagSystem, pardeg_subspace, so2_score
 from .higgs import Certificate, HiggsTuple, decide_stability, verify_certificate
 from .linalg import (
     BilinearForm,
@@ -122,44 +122,28 @@ class OnePS:
 
 @dataclass(frozen=True)
 class Linearization:
-    """Integer twisting data cleared by N = lcm of the weight denominators:
-    a^j = 2 N alpha^j, b_i^j = N(beta_i^j - beta_{i+1}^j), xi^j = (-N alpha^j,
-    N alpha^j), zeta_i^j = -N beta_i^j.  Both xi and zeta sum to zero."""
+    """The weight scaled to integers by N = lcm of its denominators: N|alpha|
+    and N pardeg of every subspace are integers, and the Hilbert-Mumford
+    weights are integer combinations of them."""
 
     n: int
-    a: tuple[int, ...]
-    b: tuple[tuple[int, ...], ...]
-    xi: tuple[tuple[int, int], ...]
-    zeta: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_abs_alpha(self) -> int:
-        return sum(x[1] for x in self.xi)
+    n_abs_alpha: int
+    weight: Weight
 
     def n_pardeg(self, sub: Subspace, fs: FlagSystem) -> int:
-        """N * pardeg(sub) relative to the flags, in exact integers."""
-        total = 0
-        for zeta, flag in zip(self.zeta, fs.flags):
-            profile = flag.profile(sub)
-            for i in range(1, len(profile)):
-                total -= zeta[i - 1] * (profile[i] - profile[i - 1])
-        return total
+        """N * pardeg(sub) relative to the flags, from pardeg_subspace.  N
+        clears every beta denominator, so a fraction here is a bug."""
+        value = self.n * pardeg_subspace(sub, fs, self.weight)
+        if value.denominator != 1:
+            raise InternalConsistencyError("N does not clear the parabolic degree")
+        return value.numerator
 
 
 def build_linearization(w: Weight) -> Linearization:
     require_valid(w)
     n = math.lcm(*(a.denominator for a in w.alpha),
                  *(b.denominator for row in w.beta for b in row))
-    a = tuple(int(2 * n * w.alpha[j]) for j in range(w.s))
-    b = tuple(
-        tuple(int(n * (w.beta[j][i] - w.beta[j][i + 1])) for i in range(w.q - 1))
-        for j in range(w.s)
-    )
-    xi = tuple((int(-n * w.alpha[j]), int(n * w.alpha[j])) for j in range(w.s))
-    zeta = tuple(tuple(int(-n * bb) for bb in w.beta[j]) for j in range(w.s))
-    if sum(x[0] + x[1] for x in xi) != 0 or any(sum(z) != 0 for z in zeta):
-        raise InternalConsistencyError("linearization data does not sum to zero")
-    return Linearization(n, a, b, xi, zeta)
+    return Linearization(n, int(n * sum(w.alpha)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +199,11 @@ def hm_flag_total(lam: OnePS, fs: FlagSystem, lin: Linearization, w: Weight,
                   audit: list | None = None) -> int:
     """Total weight of the flag-system factor:
 
-        sum_n ( -2 |xi(U_n ^ point)| - 2 |zeta(V_n ^ F)| )
+        sum_n ( -2 so2_score(U_n) - 2 N pardeg(V_n) )
 
-    where |xi(U_n ^ point)| is the rank-one score (N|alpha|, -N|alpha| or 0)
-    and |zeta(V_n ^ F)| equals N times the parabolic degree of V_n.
+    where so2_score(U_n) is the rank-one score (N|alpha|, -N|alpha| or 0).
+    The audit records the two scores of each nonzero summand under "xi" and
+    "n_pardeg".
     """
     if lam.q != fs.q:
         raise InputError("one-parameter subgroup and flags have different q")
@@ -228,12 +213,12 @@ def hm_flag_total(lam: OnePS, fs: FlagSystem, lin: Linearization, w: Weight,
     for n in range(lo, hi + 1):
         un = lam.u_piece(n)
         vn = lam.v_piece(n)
-        xi_term = so2_score(un, w, lin.n)
-        zeta_term = lin.n_pardeg(vn, fs)
-        term = -2 * xi_term - 2 * zeta_term
-        if audit is not None and (xi_term or zeta_term):
+        u_score = so2_score(un, w, lin.n)
+        n_pardeg = lin.n_pardeg(vn, fs)
+        term = -2 * u_score - 2 * n_pardeg
+        if audit is not None and (u_score or n_pardeg):
             audit.append({"n": n, "u_dim": un.dim, "v_dim": vn.dim,
-                          "xi": xi_term, "n_pardeg": zeta_term, "term": term})
+                          "xi": u_score, "n_pardeg": n_pardeg, "term": term})
         total += term
     return total
 

@@ -79,7 +79,9 @@ def weight_from_json(obj: Any, path: str = "/weight") -> Weight:
         if key not in obj:
             raise ParseError(path, f"missing field {key!r}")
     q, s = obj["q"], obj["s"]
-    if not isinstance(q, int) or not isinstance(s, int):
+    # JSON true/false parse as bool, an int subclass, so integers are checked
+    # by exact type here and below
+    if type(q) is not int or type(s) is not int:
         raise ParseError(path, "q and s must be integers")
     alpha = obj["alpha"]
     beta = obj["beta"]
@@ -119,6 +121,8 @@ def subspace_to_json(s: Subspace) -> dict:
 def subspace_from_json(obj: Any, path: str) -> Subspace:
     if not isinstance(obj, dict) or "ambient" not in obj or "rows" not in obj:
         raise ParseError(path, "expected an object with 'ambient' and 'rows'")
+    if type(obj["ambient"]) is not int:
+        raise ParseError(path + "/ambient", "ambient must be an integer")
     rows = matrix_from_json(obj["rows"], path + "/rows")
     return Subspace.from_vectors(list(rows), obj["ambient"])
 
@@ -166,7 +170,7 @@ def instance_from_json(obj: Any, path: str = "") -> InstanceFile:
         raise ParseError(path + "/A", f"rows must have length {weight.q}")
     higgs = HiggsTuple(weight.q, weight.s, rows)
     seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and type(seed) is not int:
         raise ParseError(path + "/seed", "seed must be an integer")
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -202,9 +206,9 @@ def oneps_from_json(obj: Any, path: str = ""):
     for key in ("l", "m", "basis"):
         if key not in obj:
             raise ParseError(path or "/", f"missing field {key!r}")
-    if not isinstance(obj["l"], int):
+    if type(obj["l"]) is not int:
         raise ParseError(path + "/l", "l must be an integer")
-    if not isinstance(obj["m"], list) or not all(isinstance(x, int) for x in obj["m"]):
+    if not isinstance(obj["m"], list) or any(type(x) is not int for x in obj["m"]):
         raise ParseError(path + "/m", "m must be an array of integers")
     basis = matrix_from_json(obj["basis"], path + "/basis")
     return OnePS(obj["l"], tuple(obj["m"]), basis)

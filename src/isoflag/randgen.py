@@ -73,9 +73,6 @@ def random_flag_system(q: int, s: int, seed: int, shared: bool = False) -> FlagS
     return FlagSystem(tuple(random_flag(q, seed * 1009 + j + 1) for j in range(s)))
 
 
-INSTANCE_MODES = ("generic", "low_rank", "isotropic_span", "shared_flag")
-
-
 def random_instance(q: int, s: int, seed: int, mode: str = "generic",
                     region: str = "W") -> tuple[HiggsTuple, FlagSystem, Weight]:
     """An instance with its flags and weight.  Modes:

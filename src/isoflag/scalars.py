@@ -8,10 +8,11 @@ equality is equality.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 
-from .errors import InputError
+from .errors import InputError, ParseError
 
 
 def _coerce(x) -> Fraction:
@@ -65,9 +66,6 @@ class Scalar:
         re = (self.re * other.re + self.im * other.im) / n
         im = (self.im * other.re - self.re * other.im) / n
         return Scalar(re, im)
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
 
     def norm(self) -> Fraction:
         """re^2 + im^2, a nonnegative rational."""
@@ -132,24 +130,22 @@ def sc(re=0, im=0) -> Scalar:
     return Scalar(re, im)
 
 
-def parse_fraction(text: str, path: str = "") -> Fraction:
-    """Parse a rational written as 'p/q' or 'p' with decimal integer parts."""
-    from .errors import ParseError
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
+
+def parse_fraction(text: str, path: str = "") -> Fraction:
+    """Parse a rational written as 'p/q' or 'p': ASCII decimal digits with an
+    optional sign on each side, and nothing else (no spaces, no '_', no
+    other digit scripts)."""
     if not isinstance(text, str):
         raise ParseError(path, f"expected a rational string, got {type(text).__name__}")
-    parts = text.strip().split("/")
-    try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-            if den == 0:
-                raise ParseError(path, "zero denominator")
-            return Fraction(num, den)
-    except ValueError:
-        pass
-    raise ParseError(path, f"malformed rational {text!r}")
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ParseError(path, f"malformed rational {text!r}")
+    num, den = match.groups()
+    if den is not None and int(den) == 0:
+        raise ParseError(path, "zero denominator")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_fraction(x: Fraction) -> str:

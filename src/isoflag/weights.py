@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError
 
@@ -19,6 +20,9 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class Weight:
+    """Immutable (tuples throughout): its violations and stats are computed
+    once, on first use, and kept."""
+
     q: int
     s: int
     alpha: tuple[Fraction, ...]               # one per puncture
@@ -29,6 +33,20 @@ class Weight:
         return cls(q, s,
                    tuple(Fraction(a) for a in alpha),
                    tuple(tuple(Fraction(b) for b in row) for row in beta))
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        return tuple(_check_weight(self))
+
+    @cached_property
+    def _stats(self) -> "WeightStats":
+        per = tuple(sum((b for b in row if b >= 0), Fraction(0)) for row in self.beta)
+        return WeightStats(
+            abs_alpha=sum(self.alpha, Fraction(0)),
+            abs_beta=sum(per, Fraction(0)),
+            abs_beta1=sum((row[0] for row in self.beta), Fraction(0)),
+            per_puncture_abs_beta=per,
+        )
 
 
 @dataclass(frozen=True)
@@ -43,8 +61,13 @@ def validate_weight(w: Weight) -> list[str]:
     """Check the defining constraints; an empty list means the weight is valid.
 
     Violations are data, not exceptions: each entry names the failing
-    constraint and the indices where it fails.
+    constraint and the indices where it fails.  The list is fresh on every
+    call; the check itself runs once per weight.
     """
+    return list(w._violations)
+
+
+def _check_weight(w: Weight) -> list[str]:
     violations = []
     if w.q < 2:
         violations.append("q must be at least 2")
@@ -73,21 +96,14 @@ def validate_weight(w: Weight) -> list[str]:
 
 
 def require_valid(w: Weight) -> None:
-    violations = validate_weight(w)
-    if violations:
-        raise InputError("invalid weight: " + "; ".join(violations))
+    if w._violations:
+        raise InputError("invalid weight: " + "; ".join(w._violations))
 
 
 def weight_stats(w: Weight) -> WeightStats:
     """|alpha|, |beta|, |beta_1| and the per-puncture positive-part sums."""
     require_valid(w)
-    per = tuple(sum((b for b in row if b >= 0), Fraction(0)) for row in w.beta)
-    return WeightStats(
-        abs_alpha=sum(w.alpha, Fraction(0)),
-        abs_beta=sum(per, Fraction(0)),
-        abs_beta1=sum((row[0] for row in w.beta), Fraction(0)),
-        per_puncture_abs_beta=per,
-    )
+    return w._stats
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,6 @@ class TestValidateFlag:
             flag.profile(line)
         with pytest.raises(InputError):
             flag.intersect_piece(line, 1)
-        with pytest.raises(InputError):
-            flag.vector_jump([vec(1, 1)])
         assert validate_flag(flag) != []
 
     def test_inverse_matches_elimination(self):

@@ -22,6 +22,7 @@ from isoflag.linalg import (
     Subspace,
     apply_matrix,
     isotropy_classify,
+    mat_mul,
     max_isotropic_dimension,
     meet_join,
     orthocomplement,
@@ -31,6 +32,7 @@ from isoflag.randgen import (
     mixed_mode,
     random_flag_system,
     random_instance,
+    random_isotropic_subspace,
     random_scalar,
     random_weight,
 )
@@ -162,6 +164,165 @@ class TestLineOracle:
                     assert t_sub.contains_subspace(res.witness)
                 else:
                     assert res.witness.contained_in(t_sub)
+
+
+def _vector_jump(flag, vectors):
+    """Smallest i with all the (nonzero) vectors in F_i, from the last
+    nonzero flag coordinate of each: the jump rule ExtensionLine.pardeg used
+    before it read the jumps off the profiles."""
+    jump = 0
+    for row in mat_mul(vectors, flag._inv()):
+        for i in range(flag.q - 1, -1, -1):
+            if not row[i].is_zero():
+                jump = max(jump, i + 1)
+                break
+    return jump
+
+
+def _vector_jump_pardeg(line, fs, w):
+    return sum((w.beta[j][_vector_jump(flag, [line.base, line.twist]) - 1]
+                for j, flag in enumerate(fs.flags)), F(0))
+
+
+class TestExtensionLinePardeg:
+    def test_matches_vector_jumps_on_oracle_witnesses(self, monkeypatch):
+        # every extension line the line oracle evaluates while deciding the
+        # generic q = s in 5..8 instances
+        from isoflag import higgs as higgs_mod
+        real = higgs_mod.witness_pardeg
+        seen = []
+
+        def recording(witness, fs, w):
+            if isinstance(witness, ExtensionLine):
+                seen.append((witness, fs, w))
+            return real(witness, fs, w)
+
+        monkeypatch.setattr(higgs_mod, "witness_pardeg", recording)
+        for q in range(5, 9):
+            for seed in range(4):
+                decide_stability(*random_instance(q, q, seed), seed=seed)
+        assert len(seen) >= 10
+        for line, fs, w in seen:
+            assert line.pardeg(fs, w) == _vector_jump_pardeg(line, fs, w)
+
+    def test_matches_vector_jumps_on_hand_built_lines(self):
+        # base and twist drawn from the first few vectors of each flag's
+        # adapted basis, so the jumps land at every position
+        rng = random.Random(5)
+        checked = 0
+        for trial in range(40):
+            q, s = rng.randint(2, 6), rng.randint(3, 5)
+            fs = random_flag_system(q, s, trial)
+            w = random_weight(q, s, trial)
+            basis = fs.flags[trial % s].basis
+            kb, kt = rng.randint(1, q), rng.randint(1, q)
+            base = tuple(sum((random_scalar(rng) * b[c] for b in basis[:kb]), sc(0))
+                         for c in range(q))
+            twist = tuple(sum((random_scalar(rng) * b[c] for b in basis[:kt]), sc(0))
+                          for c in range(q))
+            if all(x.is_zero() for x in base) or all(x.is_zero() for x in twist):
+                continue
+            line = ExtensionLine(q, base, twist, sc(2))
+            assert line.pardeg(fs, w) == _vector_jump_pardeg(line, fs, w), trial
+            checked += 1
+        assert checked >= 30
+
+    def test_jump_is_where_both_parts_enter(self):
+        # standard flags of C^3: e1 + sqrt(2) e2 enters at position 2
+        w3 = Weight.make(3, 4, [F(1, 8)] * 4, [(F(1, 16), F(0), F(-1, 16))] * 4)
+        fs = FlagSystem.standard(3, 4)
+        line = ExtensionLine(3, vec(1, 0, 0), vec(0, 1, 0), sc(2))
+        assert line.pardeg(fs, w3) == 0
+        line = ExtensionLine(3, vec(0, 1, 0), vec(1, 0, 0), sc(2))
+        assert line.pardeg(fs, w3) == 0
+        line = ExtensionLine(3, vec(1, 0, 0), vec(1, 0, 0), sc(2))
+        assert line.pardeg(fs, w3) == 4 * F(1, 16)
+
+
+def _pairwise_isotropic_line_in(y, form, rng):
+    """_isotropic_line_in as it was with every pairing a BilinearForm.pair
+    Scalar loop and the mixed planes built with vadd/vscale: the reference
+    for its witnesses and its rng draws."""
+    from isoflag.linalg import is_zero_vector, vadd, vscale
+    if y.dim == 0:
+        return None
+    _, radical, _ = isotropy_classify(y, form)
+    if radical.dim > 0:
+        return Subspace.from_vectors([radical.rows[0]], y.ambient)
+    if y.dim == 1:
+        return None
+    for row in y.rows:
+        if form.pair(row, row).is_zero():
+            return Subspace.from_vectors([row], y.ambient)
+    fallback = None
+    basis = list(y.rows)
+    planes = [(basis[k], basis[l]) for k in range(len(basis)) for l in range(k + 1, len(basis))]
+    for _ in range(4):
+        coeffs = [sc(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in basis[1:]]
+        mixed = basis[0]
+        for c, b in zip(coeffs, basis[1:]):
+            mixed = vadd(mixed, vscale(c, b))
+        planes.append((mixed, basis[-1]))
+    for b1, b2 in planes:
+        g11, g12, g22 = form.pair(b1, b1), form.pair(b1, b2), form.pair(b2, b2)
+        if g11.is_zero():
+            if not is_zero_vector(b1):
+                return Subspace.from_vectors([b1], y.ambient)
+            continue
+        disc = g12 * g12 - g11 * g22
+        if disc.is_zero():
+            v = vadd(vscale(-g12, b1), vscale(g11, b2))
+            if not is_zero_vector(v):
+                return Subspace.from_vectors([v], y.ambient)
+            continue
+        root = disc.sqrt()
+        if root is not None:
+            return Subspace.from_vectors([vadd(vscale(-g12 + root, b1), vscale(g11, b2))],
+                                         y.ambient)
+        if fallback is None:
+            fallback = ExtensionLine(y.ambient, vadd(vscale(-g12, b1), vscale(g11, b2)),
+                                     b1, disc)
+    return fallback
+
+
+class TestIsotropicLineIn:
+    def test_matches_pairwise_reference(self):
+        # same witness and same rng state afterwards, on subspaces of every
+        # dimension, with rational isotropic rows planted in some of them
+        from isoflag.higgs import _isotropic_line_in
+        from isoflag.randgen import random_vector
+        rng = random.Random(11)
+        kinds = set()
+        for trial in range(150):
+            q = rng.randint(2, 7)
+            form = BilinearForm(q)
+            vectors = [random_vector(rng, q, span=2) for _ in range(rng.randint(1, q))]
+            if trial % 3 == 0:
+                vectors[0] = random_isotropic_subspace(q, 1, trial).rows[0]
+            y = Subspace.from_vectors(vectors, q)
+            ours, ref = random.Random(trial), random.Random(trial)
+            got = _isotropic_line_in(y, form, ours)
+            assert got == _pairwise_isotropic_line_in(y, form, ref), trial
+            assert ours.getstate() == ref.getstate(), trial
+            kinds.add(type(got).__name__)
+        assert kinds == {"NoneType", "Subspace", "ExtensionLine"}
+
+    @pytest.mark.parametrize("rows,seed", [
+        (((-1, -1, 1, -1, 1), (0, 1, -1, -1, 1), (1, 1, 0, 1, 0)), 683),
+        (((-1, 1, 1, 1, -1), (0, 1, -1, 1, 0), (1, 0, 1, 1, 1)), 924),
+        (((0, 1, 1, -1, 0, -1), (1, 0, 1, -1, 1, -1), (1, 1, 1, -1, 0, 1)), 1236),
+    ])
+    def test_mixed_plane_hit_matches_reference(self, rows, seed):
+        # no basis row is isotropic and no pair of basis rows splits over
+        # Q(i), so the rational line comes from one of the mixed planes
+        from isoflag.higgs import _isotropic_line_in
+        q = len(rows[0])
+        form = BilinearForm(q)
+        y = Subspace.from_vectors([vec(*r) for r in rows], q)
+        got = _isotropic_line_in(y, form, random.Random(seed))
+        assert isinstance(got, Subspace)
+        assert got == _pairwise_isotropic_line_in(y, form, random.Random(seed))
+        assert isotropy_classify(got, form)[0] and y.contains_subspace(got)
 
 
 class TestMaxPardeg:

@@ -111,32 +111,64 @@ def filtration_of(lam: OnePS) -> Filtration:
 
 
 
+def _xi_table(w, n):
+    """(-N alpha^j, N alpha^j) per puncture, the rank-one twisting data."""
+    return [(int(-n * a), int(n * a)) for a in w.alpha]
+
+
+def _zeta_table(w, n):
+    """zeta_i^j = -N beta_i^j, the flag twisting data."""
+    return [[int(-n * b) for b in row] for row in w.beta]
+
+
 class TestLinearization:
     def test_q2_example(self):
         lin = build_linearization(W_Q2)
         assert lin.n == 16
-        assert lin.a == (4, 4, 4, 4)
-        assert lin.b[0] == (2,)
+        assert lin.n_abs_alpha == 8
 
     def test_q4_example(self):
         lin = build_linearization(W_Q4)
         assert lin.n == 32
-        assert lin.a[0] == 8
-        assert lin.b[0] == (1, 2, 1)
+        assert lin.n_abs_alpha == 16
 
     def test_zero_weight(self):
         w = Weight.make(2, 3, [F(0)] * 3, [(F(0), F(0))] * 3)
         lin = build_linearization(w)
         assert lin.n == 1
-        assert all(x == 0 for x in lin.a)
-        assert all(x == 0 for row in lin.zeta for x in row)
+        assert lin.n_abs_alpha == 0
+        assert lin.n_pardeg(Subspace.from_vectors([vec(1, 0)], 2),
+                            FlagSystem.standard(2, 3)) == 0
 
     def test_xi_zeta_sums_vanish(self):
+        # the twisting tables N clears sum to zero, and N|alpha| is the
+        # positive half of the rank-one table
         for seed in range(20):
             w = random_weight(seed % 4 + 2, seed % 3 + 3, seed)
             lin = build_linearization(w)
-            assert sum(x[0] + x[1] for x in lin.xi) == 0
-            assert all(sum(row) == 0 for row in lin.zeta)
+            xi = _xi_table(w, lin.n)
+            assert sum(x[0] + x[1] for x in xi) == 0
+            assert all(sum(row) == 0 for row in _zeta_table(w, lin.n))
+            assert lin.n_abs_alpha == sum(x[1] for x in xi)
+            assert isinstance(lin.n_abs_alpha, int)
+
+    def test_n_pardeg_matches_profile_reference(self):
+        # N pardeg through pardeg_subspace against the integer sums over the
+        # -N beta table, on isotropic and on arbitrary subspaces
+        for seed in range(24):
+            q, s = seed % 5 + 2, seed % 3 + 3
+            w = random_weight(q, s, seed)
+            fs = random_flag_system(q, s, seed)
+            lin = build_linearization(w)
+            rng = random.Random(seed)
+            subs = [random_isotropic_subspace(q, k, seed) for k in range(q // 2 + 1)]
+            subs += [Subspace.from_vectors(
+                [tuple(random_scalar(rng) for _ in range(q)) for _ in range(k)], q)
+                for k in range(q + 1)]
+            for sub in subs:
+                value = lin.n_pardeg(sub, fs)
+                assert isinstance(value, int)
+                assert value == _profile_n_pardeg(lin, sub, fs), (seed, sub.dim)
 
 
 class TestFiltration:
@@ -437,14 +469,16 @@ class TestConsistency:
 
 
 def _profile_n_pardeg(lin, sub, fs):
-    """N pardeg(sub), summed puncture by puncture from the profiles."""
+    """N pardeg(sub) in integers, summed puncture by puncture from the
+    profiles against the -N beta table."""
+    zeta = _zeta_table(lin.weight, lin.n)
     total = 0
     for j, flag in enumerate(fs.flags):
         profile = flag.profile(sub)
         for i in range(1, len(profile)):
             jump = profile[i] - profile[i - 1]
             if jump:
-                total -= lin.zeta[j][i - 1] * jump
+                total -= zeta[j][i - 1] * jump
     return total
 
 

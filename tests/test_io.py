@@ -24,7 +24,7 @@ from isoflag.io import (
 )
 from isoflag.linalg import standard_basis
 from isoflag.randgen import mixed_mode, random_instance
-from isoflag.scalars import sc
+from isoflag.scalars import parse_fraction, sc
 from isoflag.weights import Weight
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
@@ -90,6 +90,64 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             instance_from_json(obj)
         assert "beta/2/1" in str(err.value)
+
+
+class TestStrictNumbers:
+    MALFORMED = ["1_000", "\u0663", "\uff11\uff12", " 1 / 2 ", " 1", "1 ", "1\n", "",
+                 "+", "1/", "/2", "1//2", "1.5", "1e3", "0x10", "--1", "1/2/3"]
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_rational_rejected(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_fraction(text, "/x")
+        assert err.value.path == "/x"
+
+    @pytest.mark.parametrize("text,value", [("0", F(0)), ("-3/4", F(-3, 4)),
+                                            ("+3/-4", F(-3, 4)), ("007", F(7)),
+                                            ("6/4", F(3, 2))])
+    def test_rational_accepted(self, text, value):
+        assert parse_fraction(text) == value
+
+    @pytest.mark.parametrize("text", ["1_000", "\u0663", "\uff11\uff12", " 1 / 2 "])
+    def test_rational_rejected_by_cli(self, tmp_path, capsys, text):
+        obj = instance_to_json(make_instance((vec(1, 0), vec(0, 1))))
+        obj["weight"]["alpha"][1] = text
+        path = tmp_path / "x.instance.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["decide", str(path)]) == 65
+        assert "/weight/alpha/1: malformed rational" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["q", "s"])
+    def test_bool_shape_rejected(self, tmp_path, capsys, field):
+        obj = instance_to_json(make_instance((vec(1, 0), vec(0, 1))))
+        obj["weight"][field] = True
+        with pytest.raises(ParseError, match="q and s must be integers"):
+            instance_from_json(obj)
+        path = tmp_path / "x.instance.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["decide", str(path)]) == 65
+
+    def test_bool_seed_rejected(self, tmp_path, capsys):
+        obj = instance_to_json(make_instance((vec(1, 0), vec(0, 1))))
+        obj["seed"] = True
+        with pytest.raises(ParseError, match="seed must be an integer"):
+            instance_from_json(obj)
+        path = tmp_path / "x.instance.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["decide", str(path)]) == 65
+
+    @pytest.mark.parametrize("field", ["l", "m"])
+    def test_bool_oneps_rejected(self, tmp_path, unstable_file, capsys, field):
+        obj = oneps_to_json(OnePS(1, (1, -1), tuple(standard_basis(2))))
+        if field == "l":
+            obj["l"] = True
+        else:
+            obj["m"][0] = True
+        with pytest.raises(ParseError, match=f"{field} must be"):
+            oneps_from_json(obj)
+        path = tmp_path / "lam.oneps.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["hm", str(unstable_file), "--oneps", str(path)]) == 65
 
 
 class TestVerdictJson:

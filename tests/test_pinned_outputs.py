@@ -1,0 +1,86 @@
+"""CLI outputs pinned by digest on the benchmark's instance pools.
+
+Each entry of ``pinned_outputs.json`` is the sha256 of one CLI call's exit
+code and stdout, keyed by command and instance.  ``decide FILE --seed n``
+runs on the generic q = s in 5..8 and s = 4, q in {6, 8} pools, and
+``crosscheck FILE`` on the s = 4 pool and the mixed-mode q in {3, 4} pools.
+A refactor that claims to leave outputs alone must leave every digest alone.
+
+The instances come from ``random_instance`` with the shapes, pool sizes and
+modes listed below.  To record the digests of the current tree:
+
+    PYTHONPATH=src python tests/test_pinned_outputs.py > tests/pinned_outputs.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from isoflag.cli import main
+from isoflag.io import InstanceFile, serialize_instance
+from isoflag.randgen import mixed_mode, random_instance
+
+FIXTURE = Path(__file__).resolve().parent / "pinned_outputs.json"
+
+# (q, s, mixed-mode schedule, pool size) per shape
+DECIDE_POOLS = ((5, 5, False, 8), (6, 6, False, 8), (7, 7, False, 8), (8, 8, False, 8),
+                (6, 4, False, 3), (8, 4, False, 1))
+CROSSCHECK_POOLS = ((6, 4, False, 3), (8, 4, False, 1)) + tuple(
+    (q, s, True, 10) for q, s in ((3, 4), (3, 5), (4, 4), (4, 5), (4, 6)))
+
+
+def _calls() -> list[tuple[str, int, int, int, str]]:
+    """(command, q, s, seed, mode) for every pinned call."""
+    out = []
+    for command, pools in (("decide", DECIDE_POOLS), ("crosscheck", CROSSCHECK_POOLS)):
+        for q, s, mixed, pool in pools:
+            for seed in range(pool):
+                out.append((command, q, s, seed, mixed_mode(seed) if mixed else "generic"))
+    return out
+
+
+def _key(command: str, q: int, s: int, seed: int, mode: str) -> str:
+    return f"{command} q{q}s{s}-{mode}-{seed}"
+
+
+def _digest(directory: Path, command: str, q: int, s: int, seed: int, mode: str) -> str:
+    """sha256 of '<exit code>\\n<stdout>' for one call on a freshly written
+    instance file (crosscheck prints the file's stem, so the name is fixed)."""
+    a, fs, w = random_instance(q, s, seed, mode)
+    path = directory / f"q{q}s{s}-{mode}-{seed}.instance.json"
+    path.write_text(serialize_instance(InstanceFile(w, fs, a, seed=seed,
+                                                    metadata={"mode": mode})),
+                    encoding="utf-8")
+    argv = [command, str(path)] + (["--seed", str(seed)] if command == "decide" else [])
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return hashlib.sha256(f"{rc}\n{out.getvalue()}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("call", _calls(), ids=lambda c: _key(*c).replace(" ", "-"))
+def test_output_pinned(call, tmp_path):
+    pinned = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    assert _digest(tmp_path, *call) == pinned[_key(*call)]
+
+
+def test_fixture_covers_every_call():
+    pinned = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    assert sorted(pinned) == sorted(_key(*c) for c in _calls())
+    assert len(pinned) == 36 + 54
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {_key(*c): _digest(Path(tmp), *c) for c in _calls()}
+    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
+    print()

@@ -47,6 +47,52 @@ class TestValidate:
         assert any("alpha" in v for v in validate_weight(w))
 
 
+class TestValidatedOnce:
+    def test_fresh_list_each_call(self):
+        w = w_q2(alpha=F(3, 4))
+        first = validate_weight(w)
+        first.clear()
+        assert validate_weight(w) != [] and validate_weight(w) is not validate_weight(w)
+
+    def test_invalid_weight_still_refused_every_time(self):
+        w = w_q2(alpha=F(3, 4))
+        for _ in range(2):
+            with pytest.raises(InputError):
+                weight_stats(w)
+
+    @pytest.mark.parametrize("command,q,s,seed", [("decide", 6, 6, 0),
+                                                  ("crosscheck", 4, 5, 0)])
+    def test_check_runs_once_per_weight_in_a_cli_call(self, monkeypatch, tmp_path,
+                                                      command, q, s, seed):
+        # every pardeg, N pardeg and stats lookup of the call asks for the
+        # weight's validity; the constraint loop runs for the one parsed weight
+        from isoflag import weights
+        from isoflag.cli import main
+        from isoflag.io import InstanceFile, serialize_instance
+        from isoflag.randgen import mixed_mode, random_instance
+
+        a, fs, w = random_instance(q, s, seed, mixed_mode(seed))
+        path = tmp_path / "x.instance.json"
+        path.write_text(serialize_instance(InstanceFile(w, fs, a, seed=seed)))
+        real_check, real_require = weights._check_weight, weights.require_valid
+        checked, required = [], []
+
+        def counting_check(w_):
+            checked.append(id(w_))
+            return real_check(w_)
+
+        def counting_require(w_):
+            required.append(id(w_))
+            return real_require(w_)
+
+        monkeypatch.setattr(weights, "_check_weight", counting_check)
+        for module in ("flags", "higgs", "hmgit", "weights"):
+            monkeypatch.setattr(f"isoflag.{module}.require_valid", counting_require)
+        assert main([command, str(path)]) in (0, 1, 2, 3)
+        assert len(checked) == len(set(checked)) == 1
+        assert len(required) > 1 and set(required) == set(checked)
+
+
 class TestStats:
     def test_alpha_sum(self):
         assert weight_stats(w_q2()).abs_alpha == F(1, 2)
