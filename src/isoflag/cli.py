@@ -3,9 +3,10 @@
 Commands: validate, regions, decide, hm, crosscheck, gen, batch.  Output is
 machine-readable JSON (CSV for batch reports on request) with a stable field
 order.  Exit codes: decide maps its verdict to 0/1/2/3; other commands return
-0 on success; every command returns 64 on usage errors, 65 on data errors and
+0 on success; every command returns 64 on usage errors, 65 on data errors,
 70 on internal errors (a failed self-check or any other uncaught exception,
-which is a bug, not bad input).
+which is a bug, not bad input) and 74 when standard output is closed before
+the output is written (as in `isoflag crosscheck FILE | head -3`).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .weights import (
 USAGE_EXIT = 64
 DATA_EXIT = 65
 INTERNAL_EXIT = 70
+IO_EXIT = 74  # sysexits EX_IOERR; 1 is a verdict code
 
 
 class _UsageError(Exception):
@@ -183,7 +185,7 @@ def _cmd_hm(args) -> int:
     lam = _parse_file(args.oneps, parse_oneps_text)
     lin = build_linearization(inst.weight)
     audit: list = []
-    mu = hm_total(lam, inst.higgs, inst.flags, lin, inst.weight, audit=audit)
+    mu = hm_total(lam, inst.higgs, inst.flags, lin, audit=audit)
     _emit({
         "mu": "+inf" if mu is INFINITE else mu,
         "N": lin.n,
@@ -237,7 +239,7 @@ def _decide_one_path(path_str: str) -> dict:
         # subspace is W^perp with W isotropic, so both shapes accept them:
         # an InputError here is a bug, not bad data.
         try:
-            packaged = certificate_oneps(verdict.certificate, inst.flags, lin, inst.weight)
+            packaged = certificate_oneps(verdict.certificate, inst.flags, lin)
         except InputError as exc:
             raise InternalConsistencyError(
                 f"{path_str}: certificate rejected by its destabilizer: {exc}") from exc
@@ -291,11 +293,29 @@ _COMMANDS = {
 }
 
 
+def _quiet_stdout() -> None:
+    """Point stdout's file descriptor at devnull, so that the interpreter's
+    flush of stdout at exit does not fail a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # not backed by a file descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        _quiet_stdout()
+        print("io error: standard output was closed", file=sys.stderr)
+        return IO_EXIT
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -32,7 +32,7 @@ from .linalg import (
     rref,
     standard_basis,
 )
-from .weights import Weight, require_valid, weight_stats
+from .weights import Weight, require_valid
 
 
 class IsotropicFlag:
@@ -206,27 +206,21 @@ def pardeg_subspace(sub: Subspace, fs: FlagSystem, w: Weight) -> Fraction:
     return total
 
 
-def so2_score(t: Subspace, w: Weight, n_scale: int) -> int:
+def so2_score(t: Subspace, n_abs_alpha: int) -> int:
     """The rank-one factor's contribution N |alpha| (2 dim(T ^ U) - dim T) for
     T among the four subspaces 0, U, U', C^2 cut out by the distinguished
-    point of the two-dimensional factor (U = <e_1>).
+    point of the two-dimensional factor (U = <e_1>), given N |alpha|.
 
     Only these four arise as filtration pieces of a one-parameter subgroup of
     the rank-one factor, so anything else is an input error.
     """
     if t.ambient != 2:
         raise InputError("so2_score expects a subspace of C^2")
-    stats = weight_stats(w)
     if t.dim in (0, 2):
         return 0  # 2 dim(T ^ U) - dim T vanishes for both
     row = t.rows[0]
     if row[1].is_zero():
-        sign = 1        # T = U
-    elif row[0].is_zero():
-        sign = -1       # T = U'
-    else:
-        raise InputError("so2_score: line is not a coordinate isotropic line")
-    value = n_scale * stats.abs_alpha * sign
-    if value.denominator != 1:
-        raise InputError("so2_score: N does not clear the weight denominators")
-    return value.numerator
+        return n_abs_alpha       # T = U
+    if row[0].is_zero():
+        return -n_abs_alpha      # T = U'
+    raise InputError("so2_score: line is not a coordinate isotropic line")

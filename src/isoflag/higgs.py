@@ -52,7 +52,6 @@ from .linalg import (
     is_zero_vector,
     isotropy_classify,
     mat_mul,
-    max_isotropic_dimension,
     orthocomplement,
     vadd,
     vscale,
@@ -303,35 +302,42 @@ def _per_flag_upper(k: int, profile: tuple[int, ...], beta_row: tuple[Fraction, 
     return total
 
 
-def _seed_members(t_sub: Subspace, fs: FlagSystem) -> list[Subspace]:
-    """T and its nonzero intersections T ^ F_i^j with the flag pieces."""
-    members = {t_sub}
+def isotropic_radicals(t_sub: Subspace, t_radical: Subspace, fs: FlagSystem) -> list[Subspace]:
+    """The distinct nonzero radicals of T (t_radical, already classified) and
+    of each T ^ F_i^j, in the order of their members by (dim, rows).  For
+    2i <= q, T ^ F_i^j lies in the isotropic F_i^j (intersect_piece rejects
+    non-hyperbolic flags), so it is its own radical and is not classified."""
+    form = BilinearForm(fs.q)
+    known = {t_sub: t_radical}  # member -> its radical, None until classified
     for flag in fs.flags:
         for i in range(1, fs.q):
             piece = flag.intersect_piece(t_sub, i)
-            if piece.dim > 0:
-                members.add(piece)
-    return sorted(members, key=lambda m: (m.dim, repr(m.rows)))
+            known[piece] = piece if 2 * i <= fs.q else known.get(piece)
+    members = sorted(known, key=lambda m: (m.dim, repr(m.rows)))
+    radicals = (known[m] or isotropy_classify(m, form)[1] for m in members)
+    return list(dict.fromkeys(r for r in radicals if r.dim))
 
 
 def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
                             seed: int = 0) -> PardegBounds:
     """Bounds on sup{pardeg(W) : 0 != W <= T isotropic}, exact when possible.
 
-    The lower bound is the best of explicit isotropic witnesses: the line
-    oracle's line and, when nu >= 2, the radicals (of dimension >= 2) of T and
-    of each T ^ F_i^j.  Every witness is a true isotropic subspace of T, so
-    the lower bound is sound whichever candidates are tried; more candidates
-    could only raise it.  The upper bound decouples the flags and maximizes
-    each greedily (a sound relaxation that uses no witness).  When T admits
-    no isotropic subspace of dimension 2 the line oracle is already the exact
-    supremum.
+    T is classified once: its radical gives nu = dim rad + floor(rank / 2)
+    and seeds the harvest.  The lower bound is the best of explicit isotropic
+    witnesses: the line oracle's line and, when nu >= 2, the isotropic_radicals
+    of dimension >= 2 (the first wins a tie).  Every witness is a true
+    isotropic subspace of T, so the lower bound is sound whichever candidates
+    are tried; more candidates could only raise it.  The upper bound
+    decouples the flags and maximizes each greedily (a sound relaxation that
+    uses no witness).  When nu <= 1 the line oracle is already the exact
+    supremum and no harvest is built.
     """
     require_valid(w)
     form = BilinearForm(fs.q)
     if t_sub.dim == 0:
         return PardegBounds(None, None, None, True)
-    nu = max_isotropic_dimension(t_sub, form)
+    _, t_radical, rank = isotropy_classify(t_sub, form)
+    nu = t_radical.dim + rank // 2
     if nu == 0:
         return PardegBounds(None, None, None, True)
 
@@ -341,8 +347,7 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
     if nu == 1:
         return PardegBounds(lower, witness, lower, True)
 
-    for member in _seed_members(t_sub, fs):
-        _, radical, _ = isotropy_classify(member, form)
+    for radical in isotropic_radicals(t_sub, t_radical, fs):
         if radical.dim >= 2:
             value = pardeg_subspace(radical, fs, w)
             if lower is None or value > lower:
@@ -438,7 +443,8 @@ def decide_stability(a: HiggsTuple, fs: FlagSystem, w: Weight, seed: int = 0) ->
 
 
 def verify_certificate(verdict: Verdict, a: HiggsTuple, fs: FlagSystem, w: Weight) -> bool:
-    """Independent recomputation of an Unstable certificate."""
+    """Independent recomputation of an Unstable certificate, its stated
+    pardeg included."""
     cert = verdict.certificate
     if verdict.tag != "Unstable" or cert is None:
         return False
@@ -453,11 +459,13 @@ def verify_certificate(verdict: Verdict, a: HiggsTuple, fs: FlagSystem, w: Weigh
         perp = orthocomplement(span, form)
         if isinstance(witness, ExtensionLine):
             ok = witness.is_isotropic(form) and witness.contained_in(perp)
-            return ok and witness.pardeg(fs, w) > 0
+            return ok and witness.pardeg(fs, w) == cert.pardeg > 0
         iso, _, _ = isotropy_classify(witness, form)
         if not (iso and perp.contains_subspace(witness)):
             return False
         value = pardeg_subspace(witness, fs, w)
+        if value != cert.pardeg:
+            return False
         if cert.coisotropic is not None:
             # V' must be the orthocomplement, contain the rows, and share pardeg
             if cert.coisotropic != orthocomplement(witness, form):

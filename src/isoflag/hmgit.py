@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .errors import InputError, InternalConsistencyError
 from .flags import FlagSystem, pardeg_subspace, so2_score
-from .higgs import Certificate, HiggsTuple, decide_stability, verify_certificate
+from .higgs import Certificate, HiggsTuple, decide_stability, isotropic_radicals, verify_certificate
 from .linalg import (
     BilinearForm,
     Subspace,
@@ -195,7 +195,7 @@ def hm_grassmannian(lam: OnePS, f: Subspace, i: int, m: int) -> int:
     return int(mu1)
 
 
-def hm_flag_total(lam: OnePS, fs: FlagSystem, lin: Linearization, w: Weight,
+def hm_flag_total(lam: OnePS, fs: FlagSystem, lin: Linearization,
                   audit: list | None = None) -> int:
     """Total weight of the flag-system factor:
 
@@ -213,7 +213,7 @@ def hm_flag_total(lam: OnePS, fs: FlagSystem, lin: Linearization, w: Weight,
     for n in range(lo, hi + 1):
         un = lam.u_piece(n)
         vn = lam.v_piece(n)
-        u_score = so2_score(un, w, lin.n)
+        u_score = so2_score(un, lin.n_abs_alpha)
         n_pardeg = lin.n_pardeg(vn, fs)
         term = -2 * u_score - 2 * n_pardeg
         if audit is not None and (u_score or n_pardeg):
@@ -240,13 +240,13 @@ def hm_base(lam: OnePS, a: HiggsTuple):
 
 
 def hm_total(lam: OnePS, a: HiggsTuple, fs: FlagSystem, lin: Linearization,
-             w: Weight, audit: list | None = None):
+             audit: list | None = None):
     """Additivity over the factors: base weight plus flag-system weight, with
     +inf absorbing."""
     base = hm_base(lam, a)
     if base is INFINITE:
         return INFINITE
-    return base + hm_flag_total(lam, fs, lin, w, audit=audit)
+    return base + hm_flag_total(lam, fs, lin, audit=audit)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def _chain_weight(l: int, n_abs_alpha: int, links: list[tuple[int, int]]) -> int
 
 
 def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
-                        lin: Linearization, w: Weight) -> tuple[OnePS, int]:
+                        lin: Linearization) -> tuple[OnePS, int]:
     """The two standard destabilizing shapes built from a subspace V', each
     the one-link chain [(1, W)] of an isotropic W.
 
@@ -298,16 +298,16 @@ def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
                               [(t, lin.n_pardeg(piece, fs)) for t, piece in chain])
 
 
-def certificate_oneps(cert: Certificate, fs: FlagSystem, lin: Linearization,
-                      w: Weight) -> tuple[OnePS, int] | None:
+def certificate_oneps(cert: Certificate, fs: FlagSystem,
+                      lin: Linearization) -> tuple[OnePS, int] | None:
     """The destabilizing one-parameter subgroup of a certificate and its
     predicted weight: shape 1 on an isotropic span, shape 2 on a rational
     coisotropic subspace.  None for a witness line over an extension field,
     which spans no rational filtration."""
     if cert.kind == "isotropic_span":
-        return destabilizing_oneps("shape1", cert.span, fs, lin, w)
+        return destabilizing_oneps("shape1", cert.span, fs, lin)
     if cert.coisotropic is not None:
-        return destabilizing_oneps("shape2", cert.coisotropic, fs, lin, w)
+        return destabilizing_oneps("shape2", cert.coisotropic, fs, lin)
     return None
 
 
@@ -315,34 +315,16 @@ def certificate_oneps(cert: Certificate, fs: FlagSystem, lin: Linearization,
 # bounded destabilizer search
 
 
-def _candidate_isotropics(a: HiggsTuple, fs: FlagSystem, cap: int = 64) -> list[Subspace]:
-    """Isotropic subspaces harvested from the lattice generated by the span of
-    the rows, its orthocomplement and the flag pieces: the radicals of the
-    members (a member's own radical when it is isotropic), plus radicals of
-    one round of meets of the row span's orthocomplement with flag pieces.
-
-    The flags must be valid: a flag piece's radical is read off the flag
-    (F_i is isotropic for i <= q/2, and otherwise F_i ^ F_i^perp = F_{q-i}),
-    not computed, and a meet with F_i for i <= q/2 lies in the isotropic F_i,
-    so it is its own radical."""
+def _candidate_isotropics(a: HiggsTuple, fs: FlagSystem) -> list[Subspace]:
+    """The isotropic radicals that isotropic_radicals harvests from the row
+    span's orthocomplement T and the T ^ F_i^j, plus the isotropic flag
+    pieces F_k^j (1 <= k <= q/2), sorted.  The row span needs no classifying
+    of its own: rad(span) = span ^ span^perp = rad(span^perp)."""
     form = BilinearForm(a.q)
-    q = fs.q
-    span = a.span()
-    span_perp = orthocomplement(span, form)
-    piece_radicals = [flag.piece(min(i, q - i)) for flag in fs.flags for i in range(1, q)]
-    extra = [(flag.intersect_piece(span_perp, i), 2 * i <= q)
-             for flag in fs.flags for i in range(1, q)]
-    members = ([(span, False), (span_perp, False)]
-               + [(r, True) for r in piece_radicals]
-               + extra)
-    isotropics: set[Subspace] = set()
-    for member, known_isotropic in members:
-        if not member.dim or len(isotropics) >= cap:
-            continue
-        target = member if known_isotropic else isotropy_classify(member, form)[1]
-        if target.dim:
-            isotropics.add(target)
-    return sorted(isotropics, key=lambda s_: (s_.dim, repr(s_.rows)))
+    span_perp = orthocomplement(a.span(), form)
+    harvest = isotropic_radicals(span_perp, isotropy_classify(span_perp, form)[1], fs)
+    pieces = {flag.piece(k) for flag in fs.flags for k in range(1, fs.q // 2 + 1)}
+    return sorted(pieces.union(harvest), key=lambda s_: (s_.dim, repr(s_.rows)))
 
 
 def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem, w: Weight,
@@ -364,14 +346,14 @@ def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem, w: Weight,
     lin = build_linearization(w)
     form = BilinearForm(fs.q)
     span = a.span()
+    span_perp = orthocomplement(span, form)
 
     isotropics = _candidate_isotropics(a, fs)
-    # I -> (N pardeg I, (rows lie in I^perp, rows lie in I))
-    info: dict[Subspace, tuple[int, tuple[bool, bool]]] = {}
-    for iso in isotropics:
-        perp = orthocomplement(iso, form)
-        info[iso] = (lin.n_pardeg(iso, fs),
-                     (perp.contains_subspace(span), iso.contains_subspace(span)))
+    # I -> (N pardeg I, (rows lie in I^perp, rows lie in I)); the rows lie in
+    # I^perp exactly when I lies in span^perp
+    info = {iso: (lin.n_pardeg(iso, fs),
+                  (span_perp.contains_subspace(iso), iso.contains_subspace(span)))
+            for iso in isotropics}
 
     chains: list[list[Subspace]] = [[]]
     chains.extend([iso] for iso in isotropics)
@@ -391,17 +373,17 @@ def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem, w: Weight,
         return _chain_weight(l, lin.n_abs_alpha,
                              [(t, info[c][0]) for t, c in zip(thresholds, chain)])
 
-    for cap in range(1, weight_bound + 1):
+    for top in range(1, weight_bound + 1):  # the largest |weight| in the pattern
         for chain in chains:
             # the deepest (smallest) chain member carries the largest threshold
-            for thresholds in itertools.combinations(range(cap, 0, -1), len(chain)):
-                for l in _l_values(cap):
-                    if max((abs(l),) + thresholds) != cap:
-                        continue  # already scanned at a smaller cap
+            for thresholds in itertools.combinations(range(top, 0, -1), len(chain)):
+                for l in _l_values(top):
+                    if max((abs(l),) + thresholds) != top:
+                        continue  # already scanned at a smaller top
                     mu = evaluate(l, chain, thresholds)
                     if mu is not None and mu < 0:
                         lam = _package_oneps(l, list(zip(thresholds, chain)), fs.q, form)
-                        if hm_total(lam, a, fs, lin, w) != mu:
+                        if hm_total(lam, a, fs, lin) != mu:
                             raise InternalConsistencyError(
                                 "filtration weight and packaged weight disagree")
                         return lam, mu
@@ -443,12 +425,12 @@ def consistency_check(a: HiggsTuple, fs: FlagSystem, w: Weight,
         if verdict.tag != "StrictlySemistable":
             return out
 
-    packaged = certificate_oneps(verdict.certificate, fs, lin, w)
+    packaged = certificate_oneps(verdict.certificate, fs, lin)
     if packaged is None:
         out["witness_field"] = "extension"
         return out
     lam, predicted = packaged
-    mu = hm_total(lam, a, fs, lin, w)
+    mu = hm_total(lam, a, fs, lin)
     if verdict.tag == "Unstable":
         out["mu"] = predicted
         if mu is INFINITE or mu != predicted or mu >= 0:
@@ -462,9 +444,9 @@ def consistency_check(a: HiggsTuple, fs: FlagSystem, w: Weight,
     return out
 
 
-def _l_values(cap: int) -> list[int]:
+def _l_values(top: int) -> list[int]:
     vals = [0]
-    for v in range(1, cap + 1):
+    for v in range(1, top + 1):
         vals.extend([v, -v])
     return vals
 

@@ -103,12 +103,12 @@ def test_criterion_3_additivity():
         a, fs, w = random_instance(q, s, trial, mode=mixed_mode(trial))
         lin = build_linearization(w)
         lam = _random_oneps(q, trial + 9, bound=2)
-        total = hm_total(lam, a, fs, lin, w)
+        total = hm_total(lam, a, fs, lin)
         base = hm_base(lam, a)
         if base is INFINITE:
             assert total is INFINITE
         else:
-            assert total == base + hm_flag_total(lam, fs, lin, w)
+            assert total == base + hm_flag_total(lam, fs, lin)
         checked += 1
     assert checked == 120
     _report(3, "total weight = base weight + flag weight on every evaluation",
@@ -135,15 +135,15 @@ def test_criterion_4_destabilizer_identities():
             rows.append(v)
         a = HiggsTuple(q, s, tuple(rows))
 
-        lam1, predicted1 = destabilizing_oneps("shape1", iso, fs, lin, w)
+        lam1, predicted1 = destabilizing_oneps("shape1", iso, fs, lin)
         n_pardeg = lin.n * pardeg_subspace(iso, fs, w)
         assert predicted1 == -4 * (lin.n_abs_alpha + n_pardeg)
-        assert hm_total(lam1, a, fs, lin, w) == predicted1
+        assert hm_total(lam1, a, fs, lin) == predicted1
 
         co = orthocomplement(iso, BilinearForm(q))
-        lam2, predicted2 = destabilizing_oneps("shape2", co, fs, lin, w)
+        lam2, predicted2 = destabilizing_oneps("shape2", co, fs, lin)
         assert predicted2 == -4 * lin.n * pardeg_subspace(co, fs, w)
-        assert hm_total(lam2, a, fs, lin, w) == predicted2
+        assert hm_total(lam2, a, fs, lin) == predicted2
     _report(4, "shape1/shape2 weights match -4N(|alpha|+pardeg) and -4N pardeg, 200 per shape",
             time.time() - start)
 

@@ -13,6 +13,7 @@ from isoflag.flags import (
     so2_score,
     validate_flag,
 )
+from isoflag.hmgit import build_linearization
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
@@ -24,7 +25,7 @@ from isoflag.linalg import (
 )
 from isoflag.randgen import random_flag_system, random_isotropic_subspace, random_weight
 from isoflag.scalars import sc
-from isoflag.weights import Weight
+from isoflag.weights import Weight, weight_stats
 
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
                    [(F(1, 16), F(1, 32), F(-1, 32), F(-1, 16))] * 4)
@@ -193,26 +194,27 @@ class TestConventionOracle:
 class TestSo2Score:
     def test_four_legal_inputs(self):
         w = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
-        n = 16  # clears all denominators; N|alpha| = 8
-        assert so2_score(Subspace.full(2), w, n) == 0
-        assert so2_score(Subspace.zero(2), w, n) == 0
+        n_abs_alpha = build_linearization(w).n_abs_alpha  # N = 16, |alpha| = 1/2
+        assert n_abs_alpha == 8
+        assert so2_score(Subspace.full(2), n_abs_alpha) == 0
+        assert so2_score(Subspace.zero(2), n_abs_alpha) == 0
         u = Subspace.from_vectors([vec(1, 0)], 2)
         uprime = Subspace.from_vectors([vec(0, 1)], 2)
-        assert so2_score(u, w, n) == 8
-        assert so2_score(uprime, w, n) == -8
+        assert so2_score(u, n_abs_alpha) == 8
+        assert so2_score(uprime, n_abs_alpha) == -8
 
     def test_spec_values_n32(self):
         w = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
+        n_abs_alpha = int(32 * weight_stats(w).abs_alpha)
         u = Subspace.from_vectors([vec(1, 0)], 2)
-        assert so2_score(u, w, 32) == 16
+        assert so2_score(u, n_abs_alpha) == 16
         uprime = Subspace.from_vectors([vec(0, 1)], 2)
-        assert so2_score(uprime, w, 32) == -16
+        assert so2_score(uprime, n_abs_alpha) == -16
 
     def test_generic_line_rejected(self):
-        w = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
         diag = Subspace.from_vectors([vec(1, 1)], 2)
         with pytest.raises(InputError):
-            so2_score(diag, w, 16)
+            so2_score(diag, 8)
 
 
 class TestProfiles:

@@ -1,18 +1,23 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import isoflag.higgs as higgs_mod
 from isoflag.errors import InputError
 from isoflag.flags import FlagSystem, pardeg_subspace
 from isoflag.higgs import (
     Certificate,
     ExtensionLine,
     HiggsTuple,
+    PardegBounds,
+    _per_flag_upper,
     condition1_isotropic_span,
     decide_stability,
     generate_stable_instance,
     Verdict,
+    isotropic_radicals,
     line_oracle,
     max_pardeg_isotropic_in,
     verify_certificate,
@@ -423,6 +428,118 @@ class TestSeedsOnlyBoundStage:
         assert (verdict.lower, verdict.upper) == (lower, upper)
 
 
+def _seed_members(t_sub, fs):
+    """T and its nonzero intersections T ^ F_i^j with the flag pieces, sorted
+    as the bound stage once classified them all."""
+    members = {t_sub}
+    for flag in fs.flags:
+        for i in range(1, fs.q):
+            piece = flag.intersect_piece(t_sub, i)
+            if piece.dim > 0:
+                members.add(piece)
+    return sorted(members, key=lambda m: (m.dim, repr(m.rows)))
+
+
+def _classified_radicals(t_sub, fs):
+    """The distinct nonzero radicals of the seed members, each member sent
+    through isotropy_classify: the reference for isotropic_radicals."""
+    form = BilinearForm(fs.q)
+    radicals = []
+    for member in _seed_members(t_sub, fs):
+        radical = isotropy_classify(member, form)[1]
+        if radical.dim and radical not in radicals:
+            radicals.append(radical)
+    return radicals
+
+
+def _classified_bounds(t_sub, fs, w, oracle):
+    """max_pardeg_isotropic_in as it was before isotropic_radicals: nu from
+    max_isotropic_dimension and a classify-every-member loop, given the line
+    oracle's result."""
+    form = BilinearForm(fs.q)
+    nu = max_isotropic_dimension(t_sub, form) if t_sub.dim else 0
+    if nu == 0:
+        return PardegBounds(None, None, None, True)
+    lower, witness = oracle.value, oracle.witness
+    if nu == 1:
+        return PardegBounds(lower, witness, lower, True)
+    for member in _seed_members(t_sub, fs):
+        _, radical, _ = isotropy_classify(member, form)
+        if radical.dim >= 2:
+            value = pardeg_subspace(radical, fs, w)
+            if lower is None or value > lower:
+                lower, witness = value, radical
+    profiles = [flag.profile(t_sub) for flag in fs.flags]
+    upper = max(sum((_per_flag_upper(k, profiles[j], w.beta[j]) for j in range(fs.s)), F(0))
+                for k in range(1, nu + 1))
+    return PardegBounds(lower, witness, upper, lower is not None and lower == upper)
+
+
+class TestIsotropicRadicals:
+    @pytest.mark.parametrize("q", range(4, 9))
+    def test_matches_classify_every_member(self, q, monkeypatch):
+        # seeded instances of every mixed_mode mode, plus T = C^q, T = 0 and
+        # an isotropic T; the line oracle is run once and shared
+        oracles = []
+
+        def recording(*args, **kwargs):
+            oracles.append(line_oracle(*args, **kwargs))
+            return oracles[-1]
+
+        monkeypatch.setattr(higgs_mod, "line_oracle", recording)
+        form = BilinearForm(q)
+        modes = ("generic", "low_rank", "isotropic_span", "shared_flag")
+        for s in (4, 5, 6):
+            for mode in modes:
+                a, fs, w = random_instance(q, s, q + s, mode=mode)
+                t_subs = [orthocomplement(a.span(), form)]
+                if mode == "generic":
+                    t_subs += [Subspace.full(q), Subspace.zero(q),
+                               random_isotropic_subspace(q, q // 2, q + s)]
+                for t_sub in t_subs:
+                    oracles.clear()
+                    bounds = max_pardeg_isotropic_in(t_sub, fs, w)
+                    oracle = oracles[0] if oracles else None
+                    assert bounds == _classified_bounds(t_sub, fs, w, oracle), (s, mode)
+                    t_radical = isotropy_classify(t_sub, form)[1]
+                    assert isotropic_radicals(t_sub, t_radical, fs) == \
+                        _classified_radicals(t_sub, fs), (s, mode)
+
+    def test_wide_classifies_t_once(self, monkeypatch):
+        q = 6
+        a, fs, w = random_instance(q, 4, 0)
+        t_sub = orthocomplement(a.span(), BilinearForm(q))
+        oracle = line_oracle(t_sub, fs, w)
+        monkeypatch.setattr(higgs_mod, "line_oracle", lambda *args, **kwargs: oracle)
+        classified = []
+
+        def counting(y, form):
+            classified.append(y)
+            return isotropy_classify(y, form)
+
+        monkeypatch.setattr(higgs_mod, "isotropy_classify", counting)
+        bounds = max_pardeg_isotropic_in(t_sub, fs, w)
+        assert not bounds.exact  # nu >= 2: the harvest ran
+        assert classified.count(t_sub) == 1
+        low = {flag.intersect_piece(t_sub, i) for flag in fs.flags for i in range(1, q // 2 + 1)}
+        high = {flag.intersect_piece(t_sub, i) for flag in fs.flags for i in range(q // 2 + 1, q)}
+        assert not low.intersection(classified)
+        # each remaining member is classified exactly once
+        rest = {p for p in high - low - {t_sub} if p.dim}
+        assert len(classified) == 1 + len(rest) and set(classified[1:]) == rest
+
+    def test_narrow_builds_no_harvest(self, monkeypatch):
+        a, fs, w = random_instance(5, 5, 0)
+        t_sub = orthocomplement(a.span(), BilinearForm(5))
+
+        def refuse(*args):
+            raise AssertionError("harvest built with nu <= 1")
+
+        monkeypatch.setattr(higgs_mod, "isotropic_radicals", refuse)
+        bounds = max_pardeg_isotropic_in(t_sub, fs, w)
+        assert bounds.exact and bounds.lower == bounds.upper
+
+
 class TestDecide:
     def test_stable_example(self):
         a = higgs(2, vec(1, 0), vec(0, 1))
@@ -459,6 +576,20 @@ class TestDecide:
         assert cert.coisotropic == Subspace.from_vectors(
             [vec(1, 0, 0, 0), vec(0, 1, 0, 0), vec(0, 0, 1, 0)], 4)
         assert verify_certificate(verdict, a, fs, W_Q4)
+
+    def test_forged_pardeg_rejected(self):
+        fs = FlagSystem.standard(4, 4)
+        a = higgs(4, vec(0, 1, 0, 0), vec(0, 0, 1, 0))
+        verdict = decide_stability(a, fs, W_Q4)
+        # with and without the coisotropic V' alongside the witness
+        for cert in (verdict.certificate,
+                     dataclasses.replace(verdict.certificate, coisotropic=None)):
+            assert verify_certificate(dataclasses.replace(verdict, certificate=cert),
+                                      a, fs, W_Q4)
+            for stated in (F(1, 2), F(1, 8), None):
+                forged = dataclasses.replace(cert, pardeg=stated)
+                assert not verify_certificate(
+                    dataclasses.replace(verdict, certificate=forged), a, fs, W_Q4), stated
 
     def test_strictly_semistable(self):
         w3 = Weight.make(3, 4, [F(1, 8)] * 4, [(F(0), F(0), F(0))] * 4)

@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -264,6 +266,32 @@ class TestCli:
         assert captured.err.startswith("Traceback (most recent call last):")
         assert captured.err.splitlines()[-1] == \
             "internal error: ZeroDivisionError: integer division or modulo by zero"
+
+    def test_closed_stdout_is_io_error(self, stable_file, capsys, monkeypatch):
+        # a reader that went away is neither a verdict (1) nor a bug (70)
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["crosscheck", str(stable_file)]) == 74
+        assert capsys.readouterr().err == "io error: standard output was closed\n"
+
+    def test_closed_stdout_pipe_exits_quietly(self, stable_file):
+        # the pipe's read end is closed before the process starts, so every
+        # write fails; the interpreter's own flush at exit must stay quiet
+        # (stdout block-buffered, as it is by default for a pipe)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "isoflag.cli", "crosscheck", str(stable_file)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 74
+        assert proc.stderr == "io error: standard output was closed\n"
 
     def test_batch_workers_capped_by_files(self, tmp_path, capsys, monkeypatch):
         # the fork start method forks every worker at the first submit, so
