@@ -195,6 +195,9 @@ def _cmd_hm(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    if args.bound < 1:
+        # a bound below 1 scans no weight pattern, so every verdict would pass
+        raise _UsageError(f"--bound must be at least 1, got {args.bound}")
     target = Path(args.path)
     files = sorted(target.glob("*.instance.json")) if target.is_dir() else [target]
     results = []

@@ -15,16 +15,15 @@ isotropic).  Condition (2) reduces, via pardeg(V') = pardeg(V'^perp) and
 double orthocomplements, to maximizing pardeg over isotropic subspaces W of
 span(A)^perp, with V' = W^perp.
 
-The line oracle below computes the exact maximum over isotropic *lines*.  It
-enumerates flag-position tuples (i_1, ..., i_s) and, per tuple, looks for an
-isotropic line inside Y = T ^ F_{i_1}^1 ^ ... ^ F_{i_s}^s.  Exactness rests
-on a one-line lemma: every line in Y has jump positions <= i_j, hence pardeg
->= the tuple's score sum_j beta_{i_j}^j (beta is non-increasing); since the
-optimal line's own tuple is enumerated and any found witness is a true line,
-the best witness value equals the true maximum.  Witnesses are produced over
-Q(i), or over a single quadratic extension Q(i)(sqrt(delta)) when a rank-two
-restriction of the form does not split (the two isotropic lines of a binary
-form live in a conjugate pair with equal pardeg).
+The line oracle below computes the exact maximum over isotropic *lines* by a
+one-line lemma: every line in Y_b = T ^ F_{b_1}^1 ^ ... ^ F_{b_s}^s has jump
+positions <= b_j, hence pardeg >= score(b) = sum_j beta_{b_j}^j (beta is
+non-increasing), and a line's own tuple b scores exactly its pardeg.  So the
+maximum is the best score among the leaves Y_b that hold an isotropic line
+over C.  Witnesses are produced over Q(i), or over a single quadratic
+extension Q(i)(sqrt(delta)) when a rank-two restriction of the form does not
+split (the two isotropic lines of a binary form live in a conjugate pair
+with equal pardeg).
 
 For q <= 3 every nonzero isotropic subspace is a line, so the oracle decides
 condition (2) completely and the verdict is never Undetermined.  For q >= 4
@@ -89,6 +88,14 @@ class HiggsTuple:
     def _span(self) -> Subspace:
         return Subspace.from_vectors(list(self.rows), self.q)
 
+    def span_perp(self) -> Subspace:
+        """T = span^perp (module docstring), kept the same way as the span."""
+        return self._span_perp
+
+    @cached_property
+    def _span_perp(self) -> Subspace:
+        return orthocomplement(self._span, BilinearForm(self.q))
+
 
 # ---------------------------------------------------------------------------
 # witnesses
@@ -100,7 +107,10 @@ class ExtensionLine:
     delta a non-square.  Its intersection pattern with rational subspaces is
     computed componentwise: since 1 and sqrt(delta) are linearly independent
     over Q(i), the line lies in a rational subspace iff both base and twist
-    do, i.e. iff the rational hull span(base, twist) does."""
+    do, i.e. iff the rational hull span(base, twist) does.  Lemma: a line
+    whose hull is a nondegenerate plane (every line _isotropic_line_in
+    builds) lies in no isotropic F_i^j, so its jumps are above q/2, where
+    beta_i <= 0 by antisymmetry: pardeg <= 0 under any valid weight."""
 
     ambient: int
     base: Vector
@@ -109,8 +119,8 @@ class ExtensionLine:
 
     def pardeg(self, fs: FlagSystem, w: Weight) -> Fraction:
         """A line has one jump per flag: the first i with the line in F_i^j,
-        which by the lemma above is the first i with dim(hull ^ F_i^j) =
-        dim hull.  Both are read off the flag profiles of the hull."""
+        that is, with the hull in F_i^j: dim(hull ^ F_i^j) = dim hull.  Both
+        are read off the flag profiles of the hull."""
         hull = Subspace.from_vectors([self.base, self.twist], self.ambient)
         return sum((row[flag.profile(hull).index(hull.dim) - 1]
                     for row, flag in zip(w.beta, fs.flags)), Fraction(0))
@@ -127,23 +137,14 @@ class ExtensionLine:
 LineWitness = Subspace | ExtensionLine
 
 
-def witness_pardeg(witness: LineWitness, fs: FlagSystem, w: Weight) -> Fraction:
-    if isinstance(witness, ExtensionLine):
-        return witness.pardeg(fs, w)
-    return pardeg_subspace(witness, fs, w)
-
-
 # ---------------------------------------------------------------------------
 # condition (1)
 
 
 def condition1_isotropic_span(a: HiggsTuple) -> tuple[bool, Subspace]:
-    """True iff no isotropic subspace contains every row (see module docstring
-    for the reduction to 'the form does not vanish on the span')."""
-    span = a.span()
-    form = BilinearForm(a.q)
-    isotropic, _, _ = isotropy_classify(span, form)
-    return not isotropic, span
+    """True iff no isotropic subspace contains every row, i.e. the span does
+    not lie in span^perp (see module docstring for the reduction)."""
+    return not a.span_perp().contains_subspace(a.span()), a.span()
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +162,13 @@ def _isotropic_line_in(y: Subspace, form: BilinearForm,
     Over C a nonzero isotropic vector exists iff dim y >= 2 or the restricted
     form vanishes; in the nondegenerate rank-two case the two isotropic lines
     may only exist over a quadratic extension, which is returned explicitly.
-    The candidate planes are the pairs of basis rows, then four random mixed
-    planes; their pairings are read off two Gram products.
+    The candidate planes are the pairs of basis rows, then, when dim y > 2,
+    four random mixed planes (a plane's own share its discriminant); their
+    pairings are read off two Gram products.
     """
-    if y.dim == 0:
-        return None
     _, radical, rank = isotropy_classify(y, form)
     if radical.dim > 0:
         return _line(radical.rows[0], y.ambient)
-    if y.dim == 1:
-        return None  # nondegenerate line: Q(t, t) != 0
     basis = list(y.rows)
     gram = form.gram(basis)
     for k, row in enumerate(basis):
@@ -179,14 +177,15 @@ def _isotropic_line_in(y: Subspace, form: BilinearForm,
     # (b1, b2, Q(b1, b1), Q(b1, b2), Q(b2, b2)) for each pair of basis rows
     planes = [(basis[k], basis[l], gram[k][k], gram[k][l], gram[l][l])
               for k in range(len(basis)) for l in range(k + 1, len(basis))]
-    # a few extra planes (basis[0] + sum_k c_k basis[k], basis[-1]) improve the
-    # odds of a rational hit
-    mixes = [(ONE,) + tuple(Scalar(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in basis[1:])
-             for _ in range(4)]
-    rows = mat_mul(mixes, basis) + [basis[-1]]
-    gram = form.gram(rows)
-    planes += [(rows[k], rows[-1], gram[k][k], gram[k][-1], gram[-1][-1])
-               for k in range(len(mixes))]
+    if len(basis) > 2:
+        # a few extra planes (basis[0] + sum_k c_k basis[k], basis[-1]) improve
+        # the odds of a rational hit
+        mixes = [(ONE,) + tuple(Scalar(rng.randint(-2, 2), rng.randint(-2, 2))
+                                for _ in basis[1:]) for _ in range(4)]
+        rows = mat_mul(mixes, basis) + [basis[-1]]
+        gram = form.gram(rows)
+        planes += [(rows[k], rows[-1], gram[k][k], gram[k][-1], gram[-1][-1])
+                   for k in range(len(mixes))]
     fallback: ExtensionLine | None = None
     for b1, b2, g11, g12, g22 in planes:
         if g11.is_zero():
@@ -224,37 +223,29 @@ class LineOracleResult:
 
 
 def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> LineOracleResult:
-    """Exact maximum of pardeg over isotropic lines of C^q contained in T."""
+    """Exact maximum of pardeg over isotropic lines of C^q contained in T.
+
+    The value is the best score of a leaf that holds an isotropic line over
+    C (module docstring).  The witness is the first rational line that
+    _isotropic_line_in, with one rng seeded by seed, finds in the distinct
+    best-score leaves in visit order, else the first one's extension line.
+    A witness per leaf would give the same line: a line's own tuple is <=
+    (componentwise) any tuple whose leaf holds it, so the lexicographic
+    search visits that tuple first and never prunes it while the best is
+    <= its pardeg.  So the first leaf whose witness reaches the maximum is
+    the first best-score leaf.
+    """
     require_valid(w)
     if t_sub.ambient != fs.q:
         raise InputError("subspace ambient dimension does not match flags")
     form = BilinearForm(fs.q)
-    rng = random.Random(seed)
     q, s = fs.q, fs.s
 
     suffix_best = [Fraction(0)] * (s + 1)
     for j in range(s - 1, -1, -1):
         suffix_best[j] = suffix_best[j + 1] + w.beta[j][0]
 
-    best: list = [None, None]  # value, witness
-    handled: dict[Subspace, Fraction | None] = {}
-
-    def handle_leaf(y: Subspace) -> None:
-        if y in handled:
-            return
-        witness = _isotropic_line_in(y, form, rng)
-        if witness is None:
-            handled[y] = None
-            return
-        value = witness_pardeg(witness, fs, w)
-        handled[y] = value
-        better = best[0] is None or value > best[0]
-        tie_upgrade = (
-            best[0] is not None and value == best[0]
-            and isinstance(best[1], ExtensionLine) and isinstance(witness, Subspace)
-        )
-        if better or tie_upgrade:
-            best[0], best[1] = value, witness
+    best: list = [None, []]  # score, the leaves with that score in visit order
 
     def visit(j: int, y: Subspace, partial: Fraction) -> None:
         if y.dim == 0:
@@ -262,7 +253,10 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
         if best[0] is not None and partial + suffix_best[j] < best[0]:
             return
         if j == s:
-            handle_leaf(y)
+            if y.dim > 1 or form.gram([y.rows[0]])[0][0].is_zero():
+                if best[0] is None or partial > best[0]:
+                    best[0], best[1] = partial, []
+                best[1].append(y)
             return
         flag = fs.flags[j]
         profile = flag.profile(y)
@@ -273,7 +267,14 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
             visit(j + 1, child, partial + w.beta[j][i - 1])
 
     visit(0, t_sub, Fraction(0))
-    return LineOracleResult(value=best[0], witness=best[1])
+    rng = random.Random(seed)
+    extension = None
+    for y in dict.fromkeys(best[1]):
+        found = _isotropic_line_in(y, form, rng)
+        if isinstance(found, Subspace):
+            return LineOracleResult(value=best[0], witness=found)
+        extension = extension or found
+    return LineOracleResult(value=best[0], witness=extension)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +422,7 @@ def decide_stability(a: HiggsTuple, fs: FlagSystem, w: Weight, seed: int = 0) ->
     if not holds:
         return Verdict("Unstable", Certificate("isotropic_span", span=span))
 
-    t_sub = orthocomplement(span, form)
+    t_sub = a.span_perp()
     if t_sub.dim == 0:
         return Verdict("Stable")
 
@@ -455,13 +456,11 @@ def verify_certificate(verdict: Verdict, a: HiggsTuple, fs: FlagSystem, w: Weigh
         return iso and span.contains_subspace(a.span())
     if cert.kind == "positive_coisotropic":
         witness = cert.witness
-        span = a.span()
-        perp = orthocomplement(span, form)
         if isinstance(witness, ExtensionLine):
-            ok = witness.is_isotropic(form) and witness.contained_in(perp)
+            ok = witness.is_isotropic(form) and witness.contained_in(a.span_perp())
             return ok and witness.pardeg(fs, w) == cert.pardeg > 0
         iso, _, _ = isotropy_classify(witness, form)
-        if not (iso and perp.contains_subspace(witness)):
+        if not (iso and a.span_perp().contains_subspace(witness)):
             return False
         value = pardeg_subspace(witness, fs, w)
         if value != cert.pardeg:

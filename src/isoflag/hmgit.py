@@ -320,9 +320,8 @@ def _candidate_isotropics(a: HiggsTuple, fs: FlagSystem) -> list[Subspace]:
     span's orthocomplement T and the T ^ F_i^j, plus the isotropic flag
     pieces F_k^j (1 <= k <= q/2), sorted.  The row span needs no classifying
     of its own: rad(span) = span ^ span^perp = rad(span^perp)."""
-    form = BilinearForm(a.q)
-    span_perp = orthocomplement(a.span(), form)
-    harvest = isotropic_radicals(span_perp, isotropy_classify(span_perp, form)[1], fs)
+    span_perp = a.span_perp()
+    harvest = isotropic_radicals(span_perp, isotropy_classify(span_perp, BilinearForm(a.q))[1], fs)
     pieces = {flag.piece(k) for flag in fs.flags for k in range(1, fs.q // 2 + 1)}
     return sorted(pieces.union(harvest), key=lambda s_: (s_.dim, repr(s_.rows)))
 
@@ -343,16 +342,17 @@ def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem, w: Weight,
     reproducible.
     """
     require_valid(w)
+    if weight_bound < 1:
+        raise InputError(f"weight bound must be at least 1, got {weight_bound}")
     lin = build_linearization(w)
     form = BilinearForm(fs.q)
     span = a.span()
-    span_perp = orthocomplement(span, form)
 
     isotropics = _candidate_isotropics(a, fs)
     # I -> (N pardeg I, (rows lie in I^perp, rows lie in I)); the rows lie in
     # I^perp exactly when I lies in span^perp
     info = {iso: (lin.n_pardeg(iso, fs),
-                  (span_perp.contains_subspace(iso), iso.contains_subspace(span)))
+                  (a.span_perp().contains_subspace(iso), iso.contains_subspace(span)))
             for iso in isotropics}
 
     chains: list[list[Subspace]] = [[]]

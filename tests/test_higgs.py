@@ -124,6 +124,40 @@ class TestRowSpan:
             monkeypatch.undo()
         assert "Unstable" in kinds and len(kinds) >= 2
 
+    def test_one_span_perp_per_crosscheck(self, monkeypatch):
+        # decide, condition (1), certificate check and destabilizer search all
+        # read span^perp; one crosscheck takes the row span's orthocomplement
+        # once.  An isotropic span is left out: its certificate is the span
+        # itself, which verify_certificate and the shape-1 destabilizer
+        # classify again as independent re-checks.
+        from isoflag import hmgit, linalg
+        from isoflag.hmgit import consistency_check
+        real = linalg.orthocomplement
+        kinds = set()
+        for q, s in ((3, 4), (4, 5)):
+            for seed in range(10):
+                a, fs, w = random_instance(q, s, seed, mode=mixed_mode(seed))
+                span, calls = a.span(), []
+
+                def counting(y, form, span=span, calls=calls):
+                    if y is span:
+                        calls.append(1)
+                    return real(y, form)
+
+                for module in (linalg, higgs_mod, hmgit):
+                    monkeypatch.setattr(module, "orthocomplement", counting)
+                res = consistency_check(a, fs, w)
+                monkeypatch.undo()
+                if not a.span_perp().contains_subspace(span):
+                    assert res["consistent"] and len(calls) == 1, (q, s, seed, len(calls))
+                    kinds.add(res["verdict"])
+        assert kinds == {"Stable", "Unstable"}
+
+    def test_span_perp_kept(self):
+        a = higgs(3, vec(1, 2, 0), vec(0, 1, 1))
+        assert a.span_perp() is a.span_perp()
+        assert a.span_perp() == orthocomplement(a.span(), BilinearForm(3))
+
 
 class TestLineOracle:
     def test_q4_hyperbolic_pair(self):
@@ -154,7 +188,6 @@ class TestLineOracle:
 
     def test_witness_value_is_its_pardeg(self):
         rng = random.Random(8)
-        from isoflag.higgs import witness_pardeg
         from isoflag.randgen import random_vector
         for trial in range(40):
             q, s = rng.randint(2, 5), rng.randint(3, 5)
@@ -164,10 +197,11 @@ class TestLineOracle:
                 [random_vector(rng, q) for _ in range(rng.randint(1, q))], q)
             res = line_oracle(t_sub, fs, w)
             if res.value is not None:
-                assert witness_pardeg(res.witness, fs, w) == res.value
                 if isinstance(res.witness, Subspace):
+                    assert pardeg_subspace(res.witness, fs, w) == res.value
                     assert t_sub.contains_subspace(res.witness)
                 else:
+                    assert res.witness.pardeg(fs, w) == res.value
                     assert res.witness.contained_in(t_sub)
 
 
@@ -191,21 +225,22 @@ def _vector_jump_pardeg(line, fs, w):
 
 class TestExtensionLinePardeg:
     def test_matches_vector_jumps_on_oracle_witnesses(self, monkeypatch):
-        # every extension line the line oracle evaluates while deciding the
-        # generic q = s in 5..8 instances
-        from isoflag import higgs as higgs_mod
-        real = higgs_mod.witness_pardeg
+        # every extension line _isotropic_line_in returns while the line
+        # oracle decides the generic q = s in 5..8 instances
+        real = higgs_mod._isotropic_line_in
         seen = []
-
-        def recording(witness, fs, w):
-            if isinstance(witness, ExtensionLine):
-                seen.append((witness, fs, w))
-            return real(witness, fs, w)
-
-        monkeypatch.setattr(higgs_mod, "witness_pardeg", recording)
         for q in range(5, 9):
             for seed in range(4):
-                decide_stability(*random_instance(q, q, seed), seed=seed)
+                a, fs, w = random_instance(q, q, seed)
+
+                def recording(y, form, rng, fs=fs, w=w):
+                    found = real(y, form, rng)
+                    if isinstance(found, ExtensionLine):
+                        seen.append((found, fs, w))
+                    return found
+
+                monkeypatch.setattr(higgs_mod, "_isotropic_line_in", recording)
+                decide_stability(a, fs, w, seed=seed)
         assert len(seen) >= 10
         for line, fs, w in seen:
             assert line.pardeg(fs, w) == _vector_jump_pardeg(line, fs, w)
@@ -243,11 +278,38 @@ class TestExtensionLinePardeg:
         line = ExtensionLine(3, vec(1, 0, 0), vec(1, 0, 0), sc(2))
         assert line.pardeg(fs, w3) == 4 * F(1, 16)
 
+    def test_nondegenerate_hull_never_positive(self):
+        # the ExtensionLine lemma: lines _isotropic_line_in builds on planes
+        # inside F_k of a shared flag system, with k = (q + 3) // 2 the first
+        # piece whose form has rank 2, so the jump is k at every flag, the
+        # lowest a nondegenerate hull allows; pardeg <= 0 under every weight
+        from isoflag.higgs import _isotropic_line_in
+        rng = random.Random(17)
+        lines = 0
+        for trial in range(80):
+            q, s = rng.randint(2, 7), rng.randint(3, 5)
+            k = (q + 3) // 2
+            form = BilinearForm(q)
+            fs = random_flag_system(q, s, trial, shared=True)
+            coeffs = [[random_scalar(rng, 2) for _ in range(k)] for _ in range(2)]
+            y = Subspace.from_vectors(mat_mul(coeffs, list(fs.flags[0].basis[:k])), q)
+            line = _isotropic_line_in(y, form, rng)
+            if not isinstance(line, ExtensionLine):
+                continue
+            hull = Subspace.from_vectors([line.base, line.twist], q)
+            assert isotropy_classify(hull, form)[2] == 2
+            assert all(flag.profile(hull).index(2) == k for flag in fs.flags)
+            lines += 1
+            for seed in range(5):
+                assert line.pardeg(fs, random_weight(q, s, 5 * trial + seed)) <= 0, trial
+        assert lines >= 20
 
-def _pairwise_isotropic_line_in(y, form, rng):
+
+def _pairwise_isotropic_line_in(y, form, rng, guard=True):
     """_isotropic_line_in as it was with every pairing a BilinearForm.pair
     Scalar loop and the mixed planes built with vadd/vscale: the reference
-    for its witnesses and its rng draws."""
+    for its witnesses and its rng draws.  guard=False builds the mixed planes
+    of a plane too, as _isotropic_line_in once did."""
     from isoflag.linalg import is_zero_vector, vadd, vscale
     if y.dim == 0:
         return None
@@ -262,7 +324,7 @@ def _pairwise_isotropic_line_in(y, form, rng):
     fallback = None
     basis = list(y.rows)
     planes = [(basis[k], basis[l]) for k in range(len(basis)) for l in range(k + 1, len(basis))]
-    for _ in range(4):
+    for _ in range(4 if len(basis) > 2 or not guard else 0):
         coeffs = [sc(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in basis[1:]]
         mixed = basis[0]
         for c, b in zip(coeffs, basis[1:]):
@@ -312,6 +374,27 @@ class TestIsotropicLineIn:
             kinds.add(type(got).__name__)
         assert kinds == {"NoneType", "Subspace", "ExtensionLine"}
 
+    def test_planes_skip_the_mixed_planes(self):
+        # a mixed plane of a plane has the plane's discriminant: skipping it
+        # leaves every witness as the unguarded reference gives it and draws
+        # nothing from the rng
+        from isoflag.higgs import _isotropic_line_in
+        from isoflag.randgen import random_vector
+        rng = random.Random(13)
+        kinds = set()
+        for trial in range(120):
+            q = rng.randint(2, 7)
+            form = BilinearForm(q)
+            y = Subspace.from_vectors([random_vector(rng, q, span=2) for _ in range(2)], q)
+            ours = random.Random(trial)
+            before = ours.getstate()
+            got = _isotropic_line_in(y, form, ours)
+            assert ours.getstate() == before, trial
+            assert got == _pairwise_isotropic_line_in(y, form, random.Random(trial),
+                                                      guard=False), trial
+            kinds.add(type(got).__name__)
+        assert kinds == {"Subspace", "ExtensionLine"}
+
     @pytest.mark.parametrize("rows,seed", [
         (((-1, -1, 1, -1, 1), (0, 1, -1, -1, 1), (1, 1, 0, 1, 0)), 683),
         (((-1, 1, 1, 1, -1), (0, 1, -1, 1, 0), (1, 0, 1, 1, 1)), 924),
@@ -328,6 +411,129 @@ class TestIsotropicLineIn:
         assert isinstance(got, Subspace)
         assert got == _pairwise_isotropic_line_in(y, form, random.Random(seed))
         assert isotropy_classify(got, form)[0] and y.contains_subspace(got)
+
+
+def _per_leaf_line_oracle(t_sub, fs, w, seed=0):
+    """line_oracle as it was before it scored its leaves: one rng for the
+    whole search, a witness built (with the unguarded mixed planes) and
+    scored at every distinct leaf, the first best kept and replaced only by
+    a rational line of equal value when it is an extension line.  The
+    reference for line_oracle's (value, witness)."""
+    form = BilinearForm(fs.q)
+    rng = random.Random(seed)
+    q, s = fs.q, fs.s
+    suffix_best = [F(0)] * (s + 1)
+    for j in range(s - 1, -1, -1):
+        suffix_best[j] = suffix_best[j + 1] + w.beta[j][0]
+    best = [None, None]
+    handled = set()
+
+    def handle_leaf(y):
+        if y in handled:
+            return
+        handled.add(y)
+        witness = _pairwise_isotropic_line_in(y, form, rng, guard=False)
+        if witness is None:
+            return
+        if isinstance(witness, ExtensionLine):
+            value = witness.pardeg(fs, w)
+        else:
+            value = pardeg_subspace(witness, fs, w)
+        tie_upgrade = (value == best[0] and isinstance(best[1], ExtensionLine)
+                       and isinstance(witness, Subspace))
+        if best[0] is None or value > best[0] or tie_upgrade:
+            best[0], best[1] = value, witness
+
+    def visit(j, y, partial):
+        if y.dim == 0:
+            return
+        if best[0] is not None and partial + suffix_best[j] < best[0]:
+            return
+        if j == s:
+            handle_leaf(y)
+            return
+        flag = fs.flags[j]
+        profile = flag.profile(y)
+        for i in range(1, q + 1):
+            if profile[i] == profile[i - 1]:
+                continue
+            child = y if profile[i] == y.dim else flag.intersect_piece(y, i)
+            visit(j + 1, child, partial + w.beta[j][i - 1])
+
+    visit(0, t_sub, F(0))
+    return best[0], best[1]
+
+
+def _seeded_subspaces(count, seed):
+    """(T, flags, weight) of every dimension: random rows with small entries,
+    an isotropic row planted in every third T, and in every fourth a shared
+    flag system with T holding that flag's first piece."""
+    from isoflag.randgen import random_vector
+    rng = random.Random(seed)
+    for trial in range(count):
+        q, s = rng.randint(2, 6), rng.randint(3, 5)
+        fs = random_flag_system(q, s, trial, shared=(trial % 4 == 0))
+        w = random_weight(q, s, trial + 1)
+        vectors = [random_vector(rng, q, span=2) for _ in range(rng.randint(1, q))]
+        if trial % 3 == 0:
+            vectors[0] = random_isotropic_subspace(q, 1, trial).rows[0]
+        if trial % 4 == 0:
+            vectors[0] = fs.flags[0].piece(1).rows[0]
+        yield trial, Subspace.from_vectors(vectors, q), fs, w
+
+
+def _top_score(y, fs, w):
+    """The score of the tuple of positions where y first lies in each flag:
+    the score of a best-score leaf y, since y's isotropic lines have pardeg
+    at least this and at most the maximum."""
+    return sum((row[flag.profile(y).index(y.dim) - 1]
+                for row, flag in zip(w.beta, fs.flags)), F(0))
+
+
+class TestScoredLeaves:
+    def test_matches_per_leaf_reference(self):
+        kinds, dims = set(), set()
+        for trial, t_sub, fs, w in _seeded_subspaces(160, 21):
+            res = line_oracle(t_sub, fs, w, seed=trial)
+            assert (res.value, res.witness) == _per_leaf_line_oracle(t_sub, fs, w, trial), trial
+            dims.add(t_sub.dim)
+            if res.witness is None or isinstance(res.witness, ExtensionLine):
+                kinds.add(type(res.witness).__name__)
+            else:
+                kinds.add(("negative", "zero", "positive")[(res.value > 0) - (res.value < 0) + 1])
+        assert kinds == {"NoneType", "ExtensionLine", "negative", "zero", "positive"}
+        assert dims == set(range(1, 7))
+
+    def test_witness_built_on_best_leaves_only(self, monkeypatch):
+        # every leaf handed to _isotropic_line_in is distinct and scores the
+        # value, and a positive value takes one call: no extension line has
+        # positive pardeg, so the first best leaf gives a rational line
+        real = higgs_mod._isotropic_line_in
+        positives = 0
+        for trial, t_sub, fs, w in _seeded_subspaces(80, 4):
+            leaves = []
+
+            def recording(y, form, rng, leaves=leaves):
+                found = real(y, form, rng)
+                leaves.append((y, found))
+                return found
+
+            monkeypatch.setattr(higgs_mod, "_isotropic_line_in", recording)
+            res = line_oracle(t_sub, fs, w, seed=trial)
+            monkeypatch.undo()
+            if res.value is None:
+                assert not leaves, trial
+                continue
+            assert len({y for y, _ in leaves}) == len(leaves), trial
+            for y, found in leaves:
+                assert _top_score(y, fs, w) == res.value, trial
+                value = (found.pardeg(fs, w) if isinstance(found, ExtensionLine)
+                         else pardeg_subspace(found, fs, w))
+                assert value == res.value, trial
+            if res.value > 0:
+                positives += 1
+                assert len(leaves) == 1, trial
+        assert positives >= 10
 
 
 class TestMaxPardeg:

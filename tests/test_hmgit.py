@@ -430,6 +430,14 @@ class TestBoundedSearch:
         lin = build_linearization(W_Q4)
         assert hm_total(lam, a, fs, lin) == mu
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_bound_below_one_rejected(self, bound):
+        # the condition (1) failure that bound 3 finds; a bound below 1 would
+        # scan no pattern and report nothing
+        a = HiggsTuple(2, 4, (vec(1, 0), vec(1, 0)))
+        with pytest.raises(InputError, match="at least 1"):
+            bounded_destabilizer_search(a, FlagSystem.standard(2, 4), W_Q2, bound)
+
     def test_deterministic_first_hit(self):
         fs = FlagSystem.standard(4, 4)
         a = HiggsTuple(4, 4, (vec(0, 1, 0, 0), vec(0, 0, 1, 0)))
