@@ -21,18 +21,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError
 from .linalg import (
     BilinearForm,
     Subspace,
     Vector,
+    ZiRow,
+    _gaussian_matrix,
+    _gaussian_row,
+    _scalar,
+    _zi_eliminate,
+    _zi_row_times,
     hyperbolic_basis,
     mat_mul,
-    rref,
-    standard_basis,
 )
 from .weights import Weight, require_valid
+
+# (rows in reversed flag coordinates, the flag position each row ends at)
+Echelon = tuple[list[ZiRow], list[int]]
+
+
+class IntegerBasis(NamedTuple):
+    """An adapted basis B = B' / den over Z[i], and J B'^T J, so that
+    B^-1 = J B'^T J / den when the basis is hyperbolic."""
+
+    basis_re: list[list[int]]
+    basis_im: list[list[int]]
+    inv_re: list[list[int]]
+    inv_im: list[list[int]]
+    den: int
+    hyperbolic: bool
 
 
 class IsotropicFlag:
@@ -40,11 +60,28 @@ class IsotropicFlag:
 
     Everything a subspace's position against the flag decides is read off
     one echelon form in flag coordinates: its profile (dim(sub ^ F_i))_i and
-    its intersections with the pieces.  Both raise InputError when the basis
-    is not hyperbolic.
+    its intersections with the pieces.  That echelon is computed over the
+    Gaussian integers Z[i], and no Fraction is built for it:
+
+    1. Write the basis as B = B' / d, with B' a Gaussian-integer matrix and d
+       one shared integer denominator.  A hyperbolic basis has B J B^T = J,
+       so B^-1 = J B^T J = (J B'^T J) / d: B'^T with its rows and columns
+       reversed, a re-indexing of B's own integers over the same d.  The
+       basis is hyperbolic exactly when B' (J B'^T J) = d^2 I.
+    2. Scaling a row by a nonzero element of Z[i] keeps the row span and the
+       position of its last nonzero coordinate.  So sub's rows, each cleared
+       of denominators and multiplied by J B'^T J, have the row span of sub's
+       flag coordinates, and an echelon form of those unnormalised integer
+       rows has the same ends as the reduced one: the profile.
+    3. The rows ending below i, mapped back through B', span sub ^ F_i up to
+       those scalings.  The reduced echelon basis of a span is unique, so one
+       Subspace.from_vectors returns the same Subspace as elimination over
+       Q(i).
+
+    Both raise InputError when the basis is not hyperbolic.
     """
 
-    __slots__ = ("q", "basis", "_pieces", "_inverse", "_last_echelon")
+    __slots__ = ("q", "basis", "_pieces", "_integer", "_last_echelon")
 
     def __init__(self, basis: tuple[Vector, ...]):
         self.q = len(basis)
@@ -53,12 +90,11 @@ class IsotropicFlag:
                 raise InputError("flag basis must be square")
         self.basis = tuple(basis)
         self._pieces: list[Subspace] | None = None
-        # (B^-1,) or (None,) once _hyperbolic_inverse has run
-        self._inverse: tuple[list[Vector] | None] | None = None
+        self._integer: IntegerBasis | None = None
         # (sub, _echelon(sub)) for the last subspace asked about: callers
         # take the profile of a subspace and then several of its
         # intersections with the pieces, all from one echelon form.
-        self._last_echelon: tuple[Subspace, tuple[list[Vector], list[int]]] | None = None
+        self._last_echelon: tuple[Subspace, Echelon] | None = None
 
     @classmethod
     def standard(cls, q: int) -> "IsotropicFlag":
@@ -72,38 +108,41 @@ class IsotropicFlag:
                 self._pieces.append(Subspace.from_vectors(list(self.basis[:i_]), self.q))
         return self._pieces[i]
 
-    def _hyperbolic_inverse(self) -> list[Vector] | None:
-        """B^-1 for the basis B, or None when Gram(B) != J.  Computed once.
-
-        A hyperbolic basis has B J B^T = J, so B^-1 = J B^T J: B^T with its
-        rows and columns reversed.  B J B^T J = Gram(B) J, so the one product
-        B (J B^T J) is the identity exactly when Gram(B) = J.
-        """
-        if self._inverse is None:
+    def _integer_basis(self) -> IntegerBasis:
+        """B', J B'^T J and d of the class docstring (item 1), and whether
+        B' (J B'^T J) = d^2 I.  Computed once."""
+        if self._integer is None:
             q = self.q
-            inv = [tuple(self.basis[q - 1 - j][q - 1 - i] for j in range(q))
-                   for i in range(q)]
-            hyperbolic = mat_mul(list(self.basis), inv) == standard_basis(q)
-            self._inverse = (inv if hyperbolic else None,)
-        return self._inverse[0]
+            b_re, b_im, den = _gaussian_matrix(list(self.basis))
+            inv_re = [[b_re[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
+            inv_im = [[b_im[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
+            scaled = den * den
+            zeros = [0] * q
+            hyperbolic = all(
+                _zi_row_times(x_re, x_im, inv_re, inv_im)
+                == ([scaled if j == i else 0 for j in range(q)], zeros)
+                for i, (x_re, x_im) in enumerate(zip(b_re, b_im)))
+            self._integer = IntegerBasis(b_re, b_im, inv_re, inv_im, den, hyperbolic)
+        return self._integer
 
-    def _inv(self) -> list[Vector]:
-        inv = self._hyperbolic_inverse()
-        if inv is None:
-            raise InputError("invalid flag: adapted basis Gram matrix is not the split form")
-        return inv
-
-    def _echelon(self, sub: Subspace) -> tuple[list[Vector], list[int]]:
-        """sub's basis in flag coordinates, reduced so that each row ends at
-        its own flag position.  This is the rref of the coordinates with the
-        columns reversed, reversed back.  Returns (rows, ends), where a row's
-        end is the index of its last nonzero coordinate: the row lies in
-        F_{end+1} and not in F_end."""
+    def _echelon(self, sub: Subspace) -> Echelon:
+        """sub's rows in flag coordinates, as Gaussian-integer rows with the
+        coordinates reversed, eliminated so that each row ends at its own flag
+        position.  Returns (rows, ends), where a row's end is the index of its
+        last nonzero flag coordinate: the row lies in F_{end+1} and not in
+        F_end."""
         if self._last_echelon is not None and self._last_echelon[0] == sub:
             return self._last_echelon[1]
-        coords = mat_mul(list(sub.rows), self._inv())
-        red, pivots = rref([tuple(reversed(row)) for row in coords])
-        echelon = [tuple(reversed(row)) for row in red], [self.q - 1 - c for c in pivots]
+        ib = self._integer_basis()
+        if not ib.hyperbolic:
+            raise InputError("invalid flag: adapted basis Gram matrix is not the split form")
+        coords = []
+        for row in sub.rows:
+            x_re, x_im, _ = _gaussian_row(row)
+            c_re, c_im = _zi_row_times(x_re, x_im, ib.inv_re, ib.inv_im)
+            coords.append((c_re[::-1], c_im[::-1]))
+        rows, pivots = _zi_eliminate(coords)
+        echelon = rows, [self.q - 1 - c for c in pivots]
         self._last_echelon = (sub, echelon)
         return echelon
 
@@ -123,14 +162,19 @@ class IsotropicFlag:
 
     def intersect_piece(self, sub: Subspace, i: int) -> Subspace:
         """sub ^ F_i: the echelon rows ending below i (see profile), mapped
-        back from flag coordinates."""
+        back from flag coordinates through B' and canonicalised."""
         if i <= 0:
             return Subspace.zero(self.q)
         if i >= self.q or sub.dim == 0:
             return sub
         rows, ends = self._echelon(sub)
-        inside = [row for row, e in zip(rows, ends) if e < i]
-        return Subspace.from_vectors(mat_mul(inside, list(self.basis)), self.q)
+        ib = self._integer_basis()
+        inside = []
+        for (c_re, c_im), e in zip(rows, ends):
+            if e < i:
+                x_re, x_im = _zi_row_times(c_re[::-1], c_im[::-1], ib.basis_re, ib.basis_im)
+                inside.append(tuple(_scalar(x, y, 1) for x, y in zip(x_re, x_im)))
+        return Subspace.from_vectors(inside, self.q)
 
     def transform(self, m: list[Vector]) -> "IsotropicFlag":
         """The flag with basis w_i @ m (m must be a J-isometry)."""
@@ -139,10 +183,11 @@ class IsotropicFlag:
 
 def validate_flag(flag: IsotropicFlag) -> list[str]:
     """A flag is valid iff the Gram matrix of its adapted basis is exactly J_q
-    (this already forces F_i^perp = F_{q-i}).  The check is the product
-    B (J B^T J) == I that also gives the flag its inverse basis, so a flag
-    is checked once however often it is validated or used."""
-    if flag._hyperbolic_inverse() is not None:
+    (this already forces F_i^perp = F_{q-i}).  The check is the integer
+    product B' (J B'^T J) == d^2 I that also gives the flag its coordinates
+    (see IsotropicFlag), so a flag is checked once however often it is
+    validated or used."""
+    if flag._integer_basis().hyperbolic:
         return []
     return ["adapted basis Gram matrix is not the split form"]
 

@@ -125,9 +125,6 @@ class ExtensionLine:
         return sum((row[flag.profile(hull).index(hull.dim) - 1]
                     for row, flag in zip(w.beta, fs.flags)), Fraction(0))
 
-    def contained_in(self, sub: Subspace) -> bool:
-        return sub.contains(self.base) and sub.contains(self.twist)
-
     def is_isotropic(self, form: BilinearForm) -> bool:
         rational = form.pair(self.base, self.base) + self.delta * form.pair(self.twist, self.twist)
         cross = form.pair(self.base, self.twist)
@@ -445,7 +442,9 @@ def decide_stability(a: HiggsTuple, fs: FlagSystem, w: Weight, seed: int = 0) ->
 
 def verify_certificate(verdict: Verdict, a: HiggsTuple, fs: FlagSystem, w: Weight) -> bool:
     """Independent recomputation of an Unstable certificate, its stated
-    pardeg included."""
+    pardeg included.  An ExtensionLine witness is rejected outright: by the
+    lemma in its docstring its pardeg is <= 0 under every valid weight, so
+    it never destabilizes."""
     cert = verdict.certificate
     if verdict.tag != "Unstable" or cert is None:
         return False
@@ -457,8 +456,7 @@ def verify_certificate(verdict: Verdict, a: HiggsTuple, fs: FlagSystem, w: Weigh
     if cert.kind == "positive_coisotropic":
         witness = cert.witness
         if isinstance(witness, ExtensionLine):
-            ok = witness.is_isotropic(form) and witness.contained_in(a.span_perp())
-            return ok and witness.pardeg(fs, w) == cert.pardeg > 0
+            return False
         iso, _, _ = isotropy_classify(witness, form)
         if not (iso and a.span_perp().contains_subspace(witness)):
             return False

@@ -20,6 +20,8 @@ from .errors import InputError, InternalConsistencyError
 from .scalars import HALF, ONE, ZERO, Scalar, sc
 
 Vector = tuple[Scalar, ...]
+# A Gaussian-integer row as (real parts, imaginary parts).
+ZiRow = tuple[list[int], list[int]]
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +66,32 @@ def _scalar(re: int, im: int, den: int) -> Scalar:
     return Scalar(Fraction(re, den), Fraction(im, den))
 
 
+def _gaussian_matrix(rows: list[Vector]) -> tuple[list[list[int]], list[list[int]], int]:
+    """(re, im, den) with rows = (re + i im) / den over one shared
+    denominator, den the lcm of every entry's denominators."""
+    den = lcm(*(x.re.denominator for row in rows for x in row),
+              *(x.im.denominator for row in rows for x in row))
+    return ([[x.re.numerator * (den // x.re.denominator) for x in row] for row in rows],
+            [[x.im.numerator * (den // x.im.denominator) for x in row] for row in rows], den)
+
+
+def _zi_row_times(a_re: list[int], a_im: list[int], b_re: list[list[int]],
+                  b_im: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The Gaussian-integer row a = a_re + i a_im times the Gaussian-integer
+    matrix b = b_re + i b_im (rows of b), as (re, im) integer lists."""
+    ncols = len(b_re[0])
+    acc_re = [0] * ncols
+    acc_im = [0] * ncols
+    for c, d, x_re, x_im in zip(a_re, a_im, b_re, b_im):
+        if not (c or d):
+            continue
+        for j in range(ncols):
+            x, y = x_re[j], x_im[j]
+            acc_re[j] += c * x - d * y
+            acc_im[j] += c * y + d * x
+    return acc_re, acc_im
+
+
 def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
     """Rows of a times matrix b (rows of b).
 
@@ -71,24 +99,12 @@ def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
     shared denominator, so the products accumulate in Gaussian integers and
     one Fraction is built per output component.
     """
-    ncols = len(b[0])
-    b_den = lcm(*(x.re.denominator for row in b for x in row),
-                *(x.im.denominator for row in b for x in row))
-    b_re = [[x.re.numerator * (b_den // x.re.denominator) for x in row] for row in b]
-    b_im = [[x.im.numerator * (b_den // x.im.denominator) for x in row] for row in b]
+    b_re, b_im, b_den = _gaussian_matrix(b)
     out = []
     for row in a:
         a_re, a_im, den = _gaussian_row(row)
+        acc_re, acc_im = _zi_row_times(a_re, a_im, b_re, b_im)
         den *= b_den
-        acc_re = [0] * ncols
-        acc_im = [0] * ncols
-        for c, d, x_re, x_im in zip(a_re, a_im, b_re, b_im):
-            if not (c or d):
-                continue
-            for j in range(ncols):
-                x, y = x_re[j], x_im[j]
-                acc_re[j] += c * x - d * y
-                acc_im[j] += c * y + d * x
         out.append(tuple(_scalar(x, y, den) for x, y in zip(acc_re, acc_im)))
     return out
 
@@ -97,26 +113,23 @@ def apply_matrix(v: Vector, m: list[Vector]) -> Vector:
     return mat_mul([v], m)[0]
 
 
-def rref(rows: list[Vector]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+def _zi_eliminate(work: list[ZiRow]) -> tuple[list[ZiRow], list[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of Gaussian-
+    integer rows (re, im), in place.  Returns (the nonzero rows, their pivot
+    columns); the rows are in echelon order, each is zero in every other
+    row's pivot column, and none is divided by its pivot.
 
-    The elimination runs over the Gaussian integers Z[i]: each row is first
-    scaled to clear its denominators, then fraction-free Gauss-Jordan
-    elimination (Bareiss 1968) replaces every other row by
-    (p row - c pivot_row) / p_prev, where p is the new pivot, c the row's entry
-    in the pivot column and p_prev the previous pivot (1 at the start).  By
-    Sylvester's identity each entry is then a minor of the scaled matrix, so
-    the division is exact.  Rows are divided by their own pivots only at the
-    end.  The reduced echelon form is unique, so it is the one that
-    elimination over Q(i) gives.
+    Every other row is replaced by (p row - c pivot_row) / p_prev, where p is
+    the new pivot, c the row's entry in the pivot column and p_prev the
+    previous pivot (1 at the start).  By Sylvester's identity each entry is
+    then a minor of the input matrix, so the division is exact.  Each step
+    scales rows by nonzero elements of Z[i] and adds multiples of one row to
+    another, so the row span and the pivot columns are those of elimination
+    over Q(i).
     """
-    if not rows:
+    if not work:
         return [], []
-    ncols = len(rows[0])
-    for r in rows:
-        if len(r) != ncols:
-            raise InputError("ragged matrix")
-    work = [_gaussian_row(r)[:2] for r in rows]
+    ncols = len(work[0][0])
     nrows = len(work)
     pivots: list[int] = []
     prev_re, prev_im, prev_norm = 1, 0, 1
@@ -145,7 +158,7 @@ def rref(rows: list[Vector]) -> tuple[list[Vector], list[int]]:
                 q_re, rem_re = divmod(t_re * prev_re + t_im * prev_im, prev_norm)
                 q_im, rem_im = divmod(t_im * prev_re - t_re * prev_im, prev_norm)
                 if rem_re or rem_im:
-                    raise InternalConsistencyError("inexact fraction-free division in rref")
+                    raise InternalConsistencyError("inexact fraction-free division")
                 new_re.append(q_re)
                 new_im.append(q_im)
             work[r] = (new_re, new_im)
@@ -154,6 +167,24 @@ def rref(rows: list[Vector]) -> tuple[list[Vector], list[int]]:
         row += 1
         if row == nrows:
             break
+    return work[:row], pivots
+
+
+def rref(rows: list[Vector]) -> tuple[list[Vector], list[int]]:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+
+    Each row is scaled to clear its denominators and the Gaussian-integer
+    rows are eliminated by _zi_eliminate; rows are divided by their own
+    pivots only at the end.  The reduced echelon form is unique, so it is the
+    one that elimination over Q(i) gives.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    for r in rows:
+        if len(r) != ncols:
+            raise InputError("ragged matrix")
+    work, pivots = _zi_eliminate([_gaussian_row(r)[:2] for r in rows])
     red = []
     for (x_re, x_im), col in zip(work, pivots):
         a, b = x_re[col], x_im[col]

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from isoflag.cli import main
 from isoflag.errors import InputError
 from isoflag.flags import (
     FlagSystem,
@@ -14,17 +15,27 @@ from isoflag.flags import (
     validate_flag,
 )
 from isoflag.hmgit import build_linearization
+import isoflag.linalg as linalg_mod
+from isoflag.io import InstanceFile, serialize_instance
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
     invert_matrix,
+    mat_mul,
     meet_join,
     orthocomplement,
     random_special_isometry,
+    rref,
     standard_basis,
 )
-from isoflag.randgen import random_flag_system, random_isotropic_subspace, random_weight
-from isoflag.scalars import sc
+from isoflag.randgen import (
+    random_flag_system,
+    random_instance,
+    random_isotropic_subspace,
+    random_vector,
+    random_weight,
+)
+from isoflag.scalars import Scalar, sc
 from isoflag.weights import Weight, weight_stats
 
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -33,6 +44,13 @@ W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
 
 def vec(*entries):
     return tuple(sc(x) for x in entries)
+
+
+def _integer_inverse(flag):
+    """J B'^T J / den: the flag's integer inverse as Scalars."""
+    ib = flag._integer_basis()
+    return [tuple(Scalar(F(x, ib.den), F(y, ib.den)) for x, y in zip(re, im))
+            for re, im in zip(ib.inv_re, ib.inv_im)]
 
 
 class TestValidateFlag:
@@ -64,7 +82,7 @@ class TestValidateFlag:
         for q in range(2, 9):
             for seed in range(6):
                 flag = random_flag(q, seed)
-                assert flag._inv() == invert_matrix(list(flag.basis)), (q, seed)
+                assert _integer_inverse(flag) == invert_matrix(list(flag.basis)), (q, seed)
 
     def test_perp_duality_of_pieces(self):
         form = BilinearForm(5)
@@ -245,3 +263,143 @@ class TestProfiles:
                 assert inter == meet and inter.dim == profile[i]
                 assert sub.contains_subspace(inter)
                 assert flag.piece(i).contains_subspace(inter)
+
+
+class FractionEchelon:
+    """The flag echelon as it was computed over Q(i): flag coordinates by a
+    Fraction product with J B^T J, then the rref of the coordinates with the
+    columns reversed.  The reference for the Gaussian-integer echelon."""
+
+    def __init__(self, flag):
+        q = flag.q
+        self.flag = flag
+        inv = [tuple(flag.basis[q - 1 - j][q - 1 - i] for j in range(q)) for i in range(q)]
+        assert mat_mul(list(flag.basis), inv) == standard_basis(q)
+        self.inv = inv
+
+    def echelon(self, sub):
+        q = self.flag.q
+        coords = mat_mul(list(sub.rows), self.inv)
+        red, pivots = rref([tuple(reversed(row)) for row in coords])
+        return [tuple(reversed(row)) for row in red], [q - 1 - c for c in pivots]
+
+    def profile(self, sub):
+        _, ends = self.echelon(sub)
+        return tuple(sum(1 for e in ends if e < i) for i in range(self.flag.q + 1))
+
+    def intersect_piece(self, sub, i):
+        q = self.flag.q
+        if i <= 0:
+            return Subspace.zero(q)
+        if i >= q or sub.dim == 0:
+            return sub
+        rows, ends = self.echelon(sub)
+        inside = [row for row, e in zip(rows, ends) if e < i]
+        return Subspace.from_vectors(mat_mul(inside, list(self.flag.basis)), q)
+
+
+def _echelon_subspaces(flag, other, rng):
+    """Zero, full, the pieces of the flag and of another flag, random
+    subspaces of every dimension, and their intersections with each other
+    and with the other flag's pieces."""
+    q = flag.q
+    subs = [Subspace.zero(q), Subspace.full(q)]
+    subs += [flag.piece(i) for i in range(1, q)] + [other.piece(i) for i in range(1, q)]
+    randoms = [Subspace.from_vectors([random_vector(rng, q) for _ in range(k)], q)
+               for k in range(1, q + 1)]
+    subs += randoms
+    for k, sub in enumerate(randoms[:-1]):
+        subs.append(meet_join(sub, randoms[-2 - k])[0])
+        subs.append(meet_join(sub, other.piece(rng.randint(1, q - 1)))[0])
+    return subs
+
+
+class TestIntegerEchelon:
+    def test_matches_fraction_echelon(self):
+        # seeded flags, and flags moved by an isometry, whose integer bases
+        # carry larger denominators
+        rng = random.Random(77)
+        compared = dens = 0
+        for q in range(2, 10):
+            flags = [random_flag(q, 3 * q + seed) for seed in range(3)]
+            flags.append(random_flag(q, q + 1).transform(random_special_isometry(q, q + 40)))
+            for k, flag in enumerate(flags):
+                other = random_flag(q, 5 * q + k + 1)
+                dens += flag._integer_basis().den > 1
+                ref = FractionEchelon(flag)
+                for sub in _echelon_subspaces(flag, other, rng):
+                    assert flag.profile(sub) == ref.profile(sub), (q, k)
+                    for i in range(q + 1):
+                        assert flag.intersect_piece(sub, i) == ref.intersect_piece(sub, i), \
+                            (q, k, i)
+                    compared += 1
+        assert dens >= 16
+        assert compared >= 700
+
+    def test_rref_calls(self, monkeypatch):
+        # a profile eliminates with no rref; an intersection canonicalises
+        # its rows with exactly one
+        calls = []
+        real = linalg_mod.rref
+
+        def counting(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        rng = random.Random(3)
+        flag = random_flag(6, 4)
+        flag.piece(1)
+        subs = [Subspace.from_vectors([random_vector(rng, 6) for _ in range(k)], 6)
+                for k in range(1, 6)]
+        monkeypatch.setattr(linalg_mod, "rref", counting)
+        for sub in subs:
+            calls.clear()
+            flag.profile(sub)
+            assert calls == []
+            flag.intersect_piece(sub, 3)
+            assert len(calls) == 1
+
+
+def _perturbed(flag):
+    basis = [list(row) for row in flag.basis]
+    basis[0][-1] = basis[0][-1] + sc(1)
+    return IsotropicFlag(tuple(tuple(row) for row in basis))
+
+
+def _doubled(flag):
+    return IsotropicFlag(tuple(tuple(sc(2) * x for x in row) for row in flag.basis))
+
+
+class TestInvalidFlags:
+    """An adapted basis that is not hyperbolic is a data error everywhere."""
+
+    @pytest.mark.parametrize("spoil", [_perturbed, _doubled])
+    def test_library(self, spoil):
+        for q in range(2, 7):
+            flag = spoil(random_flag(q, q + 1))
+            assert validate_flag(flag) == ["adapted basis Gram matrix is not the split form"]
+            line = Subspace.from_vectors([random_vector(random.Random(q), q)], q)
+            with pytest.raises(InputError):
+                flag.profile(line)
+            with pytest.raises(InputError):
+                flag.intersect_piece(line, 1)
+
+    def test_doubled_gram_is_4j(self):
+        flag = _doubled(random_flag(4, 2))
+        gram = BilinearForm(4).gram(list(flag.basis))
+        assert gram == [tuple(sc(4) if i + j == 3 else sc(0) for j in range(4))
+                        for i in range(4)]
+
+    @pytest.mark.parametrize("spoil", [_perturbed, _doubled])
+    def test_cli(self, spoil, tmp_path, capsys):
+        a, fs, w = random_instance(4, 4, 3)
+        flags = list(fs.flags)
+        flags[1] = spoil(flags[1])
+        path = tmp_path / "bad.instance.json"
+        path.write_text(serialize_instance(InstanceFile(w, FlagSystem(tuple(flags)), a)),
+                        encoding="utf-8")
+        assert main(["validate", str(path)]) == 65
+        out = capsys.readouterr().out
+        assert "flag 2: adapted basis Gram matrix is not the split form" in out
+        assert main(["decide", str(path)]) == 65
+        assert "invalid flag" in capsys.readouterr().err

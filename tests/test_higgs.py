@@ -26,6 +26,7 @@ from isoflag.linalg import (
     BilinearForm,
     Subspace,
     apply_matrix,
+    invert_matrix,
     isotropy_classify,
     mat_mul,
     max_isotropic_dimension,
@@ -41,7 +42,7 @@ from isoflag.randgen import (
     random_scalar,
     random_weight,
 )
-from isoflag.scalars import sc
+from isoflag.scalars import Scalar, sc
 from isoflag.weights import Weight
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
@@ -202,15 +203,19 @@ class TestLineOracle:
                     assert t_sub.contains_subspace(res.witness)
                 else:
                     assert res.witness.pardeg(fs, w) == res.value
-                    assert res.witness.contained_in(t_sub)
+                    assert t_sub.contains(res.witness.base) and t_sub.contains(res.witness.twist)
 
 
 def _vector_jump(flag, vectors):
     """Smallest i with all the (nonzero) vectors in F_i, from the last
     nonzero flag coordinate of each: the jump rule ExtensionLine.pardeg used
     before it read the jumps off the profiles."""
+    ib = flag._integer_basis()
+    inverse = [tuple(Scalar(F(x, ib.den), F(y, ib.den)) for x, y in zip(re, im))
+               for re, im in zip(ib.inv_re, ib.inv_im)]
+    assert inverse == invert_matrix(list(flag.basis))
     jump = 0
-    for row in mat_mul(vectors, flag._inv()):
+    for row in mat_mul(vectors, inverse):
         for i in range(flag.q - 1, -1, -1):
             if not row[i].is_zero():
                 jump = max(jump, i + 1)
@@ -246,26 +251,35 @@ class TestExtensionLinePardeg:
             assert line.pardeg(fs, w) == _vector_jump_pardeg(line, fs, w)
 
     def test_matches_vector_jumps_on_hand_built_lines(self):
-        # base and twist drawn from the first few vectors of each flag's
-        # adapted basis, so the jumps land at every position
+        # base and twist are combinations of the first kb and kt vectors of
+        # one flag's adapted basis (one coefficient per basis vector, the
+        # last one nonzero), so at that flag the jump is max(kb, kt); the
+        # trials put it at every position 1..q
         rng = random.Random(5)
-        checked = 0
-        for trial in range(40):
-            q, s = rng.randint(2, 6), rng.randint(3, 5)
-            fs = random_flag_system(q, s, trial)
-            w = random_weight(q, s, trial)
-            basis = fs.flags[trial % s].basis
-            kb, kt = rng.randint(1, q), rng.randint(1, q)
-            base = tuple(sum((random_scalar(rng) * b[c] for b in basis[:kb]), sc(0))
-                         for c in range(q))
-            twist = tuple(sum((random_scalar(rng) * b[c] for b in basis[:kt]), sc(0))
-                          for c in range(q))
-            if all(x.is_zero() for x in base) or all(x.is_zero() for x in twist):
-                continue
-            line = ExtensionLine(q, base, twist, sc(2))
-            assert line.pardeg(fs, w) == _vector_jump_pardeg(line, fs, w), trial
-            checked += 1
-        assert checked >= 30
+        trial = 0
+        for q in range(2, 7):
+            jumps = set()
+            for top in range(1, q + 1):
+                for _ in range(2):
+                    s = rng.randint(3, 5)
+                    fs = random_flag_system(q, s, trial)
+                    w = random_weight(q, s, trial)
+                    flag = fs.flags[trial % s]
+                    ks = [top, rng.randint(1, top)]
+                    rng.shuffle(ks)
+                    parts = []
+                    for k in ks:
+                        coeffs = [random_scalar(rng) for _ in range(k)]
+                        while coeffs[-1].is_zero():
+                            coeffs[-1] = random_scalar(rng)
+                        parts.append(mat_mul([tuple(coeffs)], list(flag.basis[:k]))[0])
+                    line = ExtensionLine(q, parts[0], parts[1], sc(2))
+                    jump = _vector_jump(flag, parts)
+                    assert jump == top, (q, trial)
+                    jumps.add(jump)
+                    assert line.pardeg(fs, w) == _vector_jump_pardeg(line, fs, w), trial
+                    trial += 1
+            assert jumps == set(range(1, q + 1)), q
 
     def test_jump_is_where_both_parts_enter(self):
         # standard flags of C^3: e1 + sqrt(2) e2 enters at position 2
@@ -796,6 +810,24 @@ class TestDecide:
                 forged = dataclasses.replace(cert, pardeg=stated)
                 assert not verify_certificate(
                     dataclasses.replace(verdict, certificate=forged), a, fs, W_Q4), stated
+
+    def test_extension_line_certificate_rejected(self):
+        # an isotropic extension line inside span(A)^perp, stated with its
+        # true pardeg or with a forged positive one: never a destabilizer
+        form = BilinearForm(5)
+        forged_count = 0
+        for seed in range(4):
+            a, fs, w = random_instance(5, 5, seed)
+            line = line_oracle(a.span_perp(), fs, w).witness
+            assert isinstance(line, ExtensionLine)
+            assert line.is_isotropic(form)
+            assert all(a.span_perp().contains(v) for v in (line.base, line.twist))
+            for stated in (line.pardeg(fs, w), F(1, 4), None):
+                forged = Verdict("Unstable", Certificate("positive_coisotropic",
+                                                         witness=line, pardeg=stated))
+                assert not verify_certificate(forged, a, fs, w), (seed, stated)
+                forged_count += 1
+        assert forged_count == 12
 
     def test_strictly_semistable(self):
         w3 = Weight.make(3, 4, [F(1, 8)] * 4, [(F(0), F(0), F(0))] * 4)
