@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .errors import InputError
@@ -31,9 +32,9 @@ from .linalg import (
     ZiRow,
     _gaussian_matrix,
     _gaussian_row,
-    _scalar,
     _zi_eliminate,
     _zi_row_times,
+    _zi_vector,
     hyperbolic_basis,
     mat_mul,
 )
@@ -73,12 +74,15 @@ class IsotropicFlag:
        of denominators and multiplied by J B'^T J, have the row span of sub's
        flag coordinates, and an echelon form of those unnormalised integer
        rows has the same ends as the reduced one: the profile.
-    3. The rows ending below i, mapped back through B', span sub ^ F_i up to
-       those scalings.  The reduced echelon basis of a span is unique, so one
-       Subspace.from_vectors returns the same Subspace as elimination over
-       Q(i).
+    3. The rows ending below i, mapped back through B' (zi_lift), span
+       sub ^ F_i up to those scalings.  The reduced echelon basis of a span
+       is unique, so one Subspace.from_vectors of them (intersect_piece)
+       returns the same Subspace as elimination over Q(i).  The lifted rows
+       are Gaussian-integer rows again, so the next flag can take them
+       without a canonical form in between (higgs.line_oracle does).
 
-    Both raise InputError when the basis is not hyperbolic.
+    zi_echelon, and with it profile and intersect_piece, raises InputError
+    when the basis is not hyperbolic.
     """
 
     __slots__ = ("q", "basis", "_pieces", "_integer", "_last_echelon")
@@ -125,24 +129,44 @@ class IsotropicFlag:
             self._integer = IntegerBasis(b_re, b_im, inv_re, inv_im, den, hyperbolic)
         return self._integer
 
-    def _echelon(self, sub: Subspace) -> Echelon:
-        """sub's rows in flag coordinates, as Gaussian-integer rows with the
-        coordinates reversed, eliminated so that each row ends at its own flag
-        position.  Returns (rows, ends), where a row's end is the index of its
-        last nonzero flag coordinate: the row lies in F_{end+1} and not in
-        F_end."""
-        if self._last_echelon is not None and self._last_echelon[0] == sub:
-            return self._last_echelon[1]
+    def zi_echelon(self, rows: list[ZiRow]) -> Echelon:
+        """Gaussian-integer rows in standard coordinates, taken to flag
+        coordinates by J B'^T J, with the coordinates reversed and eliminated
+        so that each row ends at its own flag position.  Returns (rows, ends),
+        where a row's end is the index of its last nonzero flag coordinate:
+        the row lies in F_{end+1} and not in F_end.  The ends are decreasing
+        and depend only on the span of the given rows (class docstring, item
+        2)."""
         ib = self._integer_basis()
         if not ib.hyperbolic:
             raise InputError("invalid flag: adapted basis Gram matrix is not the split form")
         coords = []
-        for row in sub.rows:
-            x_re, x_im, _ = _gaussian_row(row)
+        for x_re, x_im in rows:
             c_re, c_im = _zi_row_times(x_re, x_im, ib.inv_re, ib.inv_im)
             coords.append((c_re[::-1], c_im[::-1]))
-        rows, pivots = _zi_eliminate(coords)
-        echelon = rows, [self.q - 1 - c for c in pivots]
+        echelon_rows, pivots = _zi_eliminate(coords)
+        return echelon_rows, [self.q - 1 - c for c in pivots]
+
+    def zi_lift(self, echelon: Echelon, i: int) -> list[ZiRow]:
+        """The echelon rows ending below i, mapped back to standard
+        coordinates through B' and each divided by the gcd of its integer
+        parts: nonzero primitive Gaussian-integer rows spanning sub ^ F_i
+        (class docstring, item 3).  Dividing out the gcd keeps the entries
+        from growing with every flag they pass through."""
+        ib = self._integer_basis()
+        lifted = []
+        for (c_re, c_im), e in zip(*echelon):
+            if e < i:
+                x_re, x_im = _zi_row_times(c_re[::-1], c_im[::-1], ib.basis_re, ib.basis_im)
+                g = gcd(*x_re, *x_im)
+                lifted.append(([x // g for x in x_re], [x // g for x in x_im]))
+        return lifted
+
+    def _echelon(self, sub: Subspace) -> Echelon:
+        """zi_echelon of sub's rows, each cleared of denominators."""
+        if self._last_echelon is not None and self._last_echelon[0] == sub:
+            return self._last_echelon[1]
+        echelon = self.zi_echelon([_gaussian_row(row)[:2] for row in sub.rows])
         self._last_echelon = (sub, echelon)
         return echelon
 
@@ -161,20 +185,13 @@ class IsotropicFlag:
         return tuple(sum(1 for e in ends if e < i) for i in range(self.q + 1))
 
     def intersect_piece(self, sub: Subspace, i: int) -> Subspace:
-        """sub ^ F_i: the echelon rows ending below i (see profile), mapped
-        back from flag coordinates through B' and canonicalised."""
+        """sub ^ F_i: the zi_lift of sub's echelon, canonicalised."""
         if i <= 0:
             return Subspace.zero(self.q)
         if i >= self.q or sub.dim == 0:
             return sub
-        rows, ends = self._echelon(sub)
-        ib = self._integer_basis()
-        inside = []
-        for (c_re, c_im), e in zip(rows, ends):
-            if e < i:
-                x_re, x_im = _zi_row_times(c_re[::-1], c_im[::-1], ib.basis_re, ib.basis_im)
-                inside.append(tuple(_scalar(x, y, 1) for x, y in zip(x_re, x_im)))
-        return Subspace.from_vectors(inside, self.q)
+        return Subspace.from_vectors(
+            [_zi_vector(row) for row in self.zi_lift(self._echelon(sub), i)], self.q)
 
     def transform(self, m: list[Vector]) -> "IsotropicFlag":
         """The flag with basis w_i @ m (m must be a J-isometry)."""
@@ -226,6 +243,13 @@ class FlagSystem:
         return FlagSystem(tuple(f.transform(m) for f in self.flags))
 
 
+def require_weight_for(fs: FlagSystem, w: Weight) -> None:
+    """Raise InputError unless w is a valid weight of fs's shape (q, s)."""
+    require_valid(w)
+    if w.q != fs.q or w.s != fs.s:
+        raise InputError("weight and flag system shapes disagree")
+
+
 def pardeg_from_profile(profile: tuple[int, ...], beta_row: tuple[Fraction, ...]) -> Fraction:
     """sum_i beta_i (profile[i] - profile[i-1]) for one puncture."""
     total = Fraction(0)
@@ -240,9 +264,7 @@ def pardeg_subspace(sub: Subspace, fs: FlagSystem, w: Weight) -> Fraction:
     """Parabolic degree of a subspace of Q(i)^q relative to s flags and a
     weight, from the flag profiles.  The one degree computation: N pardeg on
     the Hilbert-Mumford side (Linearization.n_pardeg) is taken from it."""
-    require_valid(w)
-    if w.q != fs.q or w.s != fs.s:
-        raise InputError("weight and flag system shapes disagree")
+    require_weight_for(fs, w)
     if sub.ambient != fs.q:
         raise InputError("subspace ambient dimension does not match flags")
     total = Fraction(0)

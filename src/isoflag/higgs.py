@@ -43,11 +43,14 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, InternalConsistencyError
-from .flags import FlagSystem, pardeg_subspace, validate_flag
+from .flags import FlagSystem, pardeg_subspace, require_weight_for, validate_flag
 from .linalg import (
     BilinearForm,
     Subspace,
     Vector,
+    ZiRow,
+    _gaussian_row,
+    _zi_vector,
     is_zero_vector,
     isotropy_classify,
     mat_mul,
@@ -219,6 +222,16 @@ class LineOracleResult:
     witness: LineWitness | None
 
 
+def _zi_isotropic(row: ZiRow) -> bool:
+    """Q(v, v) = 0 for the Gaussian-integer row v = re + i im.  J reverses
+    coordinates, so Q(v, v) = sum_k v_k v_{p-1-k}, whose imaginary part is
+    2 sum_k re_k im_{p-1-k}."""
+    re, im = row
+    return (sum(x * y for x, y in zip(re, reversed(re)))
+            == sum(x * y for x, y in zip(im, reversed(im)))
+            and sum(x * y for x, y in zip(re, reversed(im))) == 0)
+
+
 def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> LineOracleResult:
     """Exact maximum of pardeg over isotropic lines of C^q contained in T.
 
@@ -231,8 +244,30 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     search visits that tuple first and never prunes it while the best is
     <= its pardeg.  So the first leaf whose witness reaches the maximum is
     the first best-score leaf.
+
+    The search holds each node Y_b as Gaussian-integer rows spanning it,
+    not as a canonical Subspace; only best-score leaves are canonicalised,
+    one at a time, after the search.  This gives the search over canonical
+    subspaces exactly:
+
+    1. At flag j, IsotropicFlag.zi_echelon eliminates the rows in flag
+       coordinates, and zi_lift of the rows ending below e + 1 spans
+       Y_b ^ F_{e+1}^j up to Z[i] scalings of its rows (IsotropicFlag,
+       items 2 and 3).
+    2. The ends depend only on the span of the rows, so the children (one
+       per end e, at position e + 1; the other positions give the same
+       intersection as the end below them), their scores and their
+       dimensions are those of the canonical search.  At the largest end
+       the intersection is Y_b itself, and the rows are passed on unchanged.
+       Pruning reads only scores, so the same nodes are cut.
+    3. Whether the one row of a line leaf is isotropic does not change when
+       the row is scaled, so the leaf test reads the integer row.
+    4. The leaves, and so the best-score leaves, come in the same visit
+       order.  Canonicalising them in that order, skipping repeats and
+       stopping at the first rational line draws from the rng exactly as
+       handing _isotropic_line_in the distinct canonical leaves does.
     """
-    require_valid(w)
+    require_weight_for(fs, w)
     if t_sub.ambient != fs.q:
         raise InputError("subspace ambient dimension does not match flags")
     form = BilinearForm(fs.q)
@@ -242,31 +277,34 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     for j in range(s - 1, -1, -1):
         suffix_best[j] = suffix_best[j + 1] + w.beta[j][0]
 
-    best: list = [None, []]  # score, the leaves with that score in visit order
+    best: list = [None, []]  # score, the rows of the leaves with that score in visit order
 
-    def visit(j: int, y: Subspace, partial: Fraction) -> None:
-        if y.dim == 0:
-            return
+    def visit(j: int, rows: list[ZiRow], partial: Fraction) -> None:
         if best[0] is not None and partial + suffix_best[j] < best[0]:
             return
         if j == s:
-            if y.dim > 1 or form.gram([y.rows[0]])[0][0].is_zero():
+            if len(rows) > 1 or _zi_isotropic(rows[0]):
                 if best[0] is None or partial > best[0]:
                     best[0], best[1] = partial, []
-                best[1].append(y)
+                best[1].append(rows)
             return
         flag = fs.flags[j]
-        profile = flag.profile(y)
-        for i in range(1, q + 1):
-            if profile[i] == profile[i - 1]:
-                continue  # same intersection as position i-1, dominated
-            child = y if profile[i] == y.dim else flag.intersect_piece(y, i)
-            visit(j + 1, child, partial + w.beta[j][i - 1])
+        echelon = flag.zi_echelon(rows)
+        ends = echelon[1]
+        for e in reversed(ends):
+            child = flag.zi_lift(echelon, e + 1) if e < ends[0] else rows
+            visit(j + 1, child, partial + w.beta[j][e])
 
-    visit(0, t_sub, Fraction(0))
+    if t_sub.dim:
+        visit(0, [_gaussian_row(row)[:2] for row in t_sub.rows], Fraction(0))
     rng = random.Random(seed)
     extension = None
-    for y in dict.fromkeys(best[1]):
+    seen: set[Subspace] = set()
+    for rows in best[1]:
+        y = Subspace.from_vectors([_zi_vector(row) for row in rows], q)
+        if y in seen:
+            continue
+        seen.add(y)
         found = _isotropic_line_in(y, form, rng)
         if isinstance(found, Subspace):
             return LineOracleResult(value=best[0], witness=found)
@@ -330,7 +368,7 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
     uses no witness).  When nu <= 1 the line oracle is already the exact
     supremum and no harvest is built.
     """
-    require_valid(w)
+    require_weight_for(fs, w)
     form = BilinearForm(fs.q)
     if t_sub.dim == 0:
         return PardegBounds(None, None, None, True)

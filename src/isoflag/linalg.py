@@ -66,6 +66,11 @@ def _scalar(re: int, im: int, den: int) -> Scalar:
     return Scalar(Fraction(re, den), Fraction(im, den))
 
 
+def _zi_vector(row: ZiRow) -> Vector:
+    """The Gaussian-integer row (re, im) as a Vector."""
+    return tuple(_scalar(x, y, 1) for x, y in zip(*row))
+
+
 def _gaussian_matrix(rows: list[Vector]) -> tuple[list[list[int]], list[list[int]], int]:
     """(re, im, den) with rows = (re + i im) / den over one shared
     denominator, den the lcm of every entry's denominators."""

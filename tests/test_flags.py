@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -328,10 +329,16 @@ class TestIntegerEchelon:
                 dens += flag._integer_basis().den > 1
                 ref = FractionEchelon(flag)
                 for sub in _echelon_subspaces(flag, other, rng):
-                    assert flag.profile(sub) == ref.profile(sub), (q, k)
+                    profile = flag.profile(sub)
+                    assert profile == ref.profile(sub), (q, k)
                     for i in range(q + 1):
                         assert flag.intersect_piece(sub, i) == ref.intersect_piece(sub, i), \
                             (q, k, i)
+                        # the integer rows behind it: profile[i] of them, each
+                        # nonzero and primitive (gcd 0 would mean a zero row)
+                        lifted = flag.zi_lift(flag._echelon(sub), i)
+                        assert len(lifted) == profile[i], (q, k, i)
+                        assert all(gcd(*re, *im) == 1 for re, im in lifted), (q, k, i)
                     compared += 1
         assert dens >= 16
         assert compared >= 700

@@ -6,7 +6,7 @@ import pytest
 
 import isoflag.higgs as higgs_mod
 from isoflag.errors import InputError
-from isoflag.flags import FlagSystem, pardeg_subspace
+from isoflag.flags import FlagSystem, IsotropicFlag, pardeg_subspace
 from isoflag.higgs import (
     Certificate,
     ExtensionLine,
@@ -548,6 +548,110 @@ class TestScoredLeaves:
                 positives += 1
                 assert len(leaves) == 1, trial
         assert positives >= 10
+
+
+def _subspace_line_oracle(t_sub, fs, w, seed=0):
+    """line_oracle as it was when its search held every node as a canonical
+    Subspace, taking the children from profile and intersect_piece.  The
+    reference for the search on Gaussian-integer rows."""
+    form = BilinearForm(fs.q)
+    q, s = fs.q, fs.s
+    suffix_best = [F(0)] * (s + 1)
+    for j in range(s - 1, -1, -1):
+        suffix_best[j] = suffix_best[j + 1] + w.beta[j][0]
+    best = [None, []]
+
+    def visit(j, y, partial):
+        if y.dim == 0:
+            return
+        if best[0] is not None and partial + suffix_best[j] < best[0]:
+            return
+        if j == s:
+            if y.dim > 1 or form.gram([y.rows[0]])[0][0].is_zero():
+                if best[0] is None or partial > best[0]:
+                    best[0], best[1] = partial, []
+                best[1].append(y)
+            return
+        flag = fs.flags[j]
+        profile = flag.profile(y)
+        for i in range(1, q + 1):
+            if profile[i] == profile[i - 1]:
+                continue
+            child = y if profile[i] == y.dim else flag.intersect_piece(y, i)
+            visit(j + 1, child, partial + w.beta[j][i - 1])
+
+    visit(0, t_sub, F(0))
+    rng = random.Random(seed)
+    extension = None
+    for y in dict.fromkeys(best[1]):
+        found = higgs_mod._isotropic_line_in(y, form, rng)
+        if isinstance(found, Subspace):
+            return best[0], found
+        extension = extension or found
+    return best[0], extension
+
+
+def _oracle_pairs(q):
+    """(T, flags, weight, seed) for s in 4..8, the generic, low_rank and
+    shared_flag modes and seeds 0..3, T = span(A)^perp != 0, each instance
+    at its own weight and at two random admissible weights.  low_rank leaves
+    dim T = q - 1, where the search is deepest and its integer rows are
+    widest."""
+    for s in range(4, 9):
+        for mode in ("generic", "low_rank", "shared_flag"):
+            for seed in range(4):
+                a, fs, w = random_instance(q, s, seed, mode)
+                t_sub = a.span_perp()
+                if t_sub.dim == 0:
+                    continue
+                for other in (w, random_weight(q, s, 1000 + 7 * seed + q),
+                              random_weight(q, s, 2000 + 11 * seed + s)):
+                    yield t_sub, fs, other, seed
+
+
+class TestIntegerRowSearch:
+    # 228 instances with T != 0 (generic rows span C^q at q = 5, s >= 7
+    # and at q = 6, s = 8), 684 (instance, weight) pairs in all
+    @pytest.mark.parametrize("q, pairs", [(5, 156), (6, 168), (7, 180), (8, 180)])
+    def test_matches_subspace_search(self, q, pairs, monkeypatch):
+        # the reference first, then line_oracle with the Subspace steps of
+        # the flags made to raise: the search must not need them
+        cases = list(_oracle_pairs(q))
+        expected = [_subspace_line_oracle(*case) for case in cases]
+
+        def refuse(*args):
+            raise AssertionError("line_oracle built a canonical subspace per node")
+
+        monkeypatch.setattr(IsotropicFlag, "profile", refuse)
+        monkeypatch.setattr(IsotropicFlag, "intersect_piece", refuse)
+        kinds = set()
+        for case, want in zip(cases, expected):
+            res = line_oracle(*case[:3], seed=case[3])
+            assert (res.value, res.witness) == want, case[1:]
+            kinds.add(type(res.witness).__name__)
+        assert len(cases) == pairs
+        assert max(t_sub.dim for t_sub, *_ in cases) == q - 1
+        assert {"Subspace", "ExtensionLine"} <= kinds
+
+    @pytest.mark.parametrize("q, s", [(5, 6), (5, 4), (6, 5)])
+    def test_weight_shape_mismatch_rejected(self, q, s):
+        # a weight for more punctures used to be cut to the first s, one for
+        # fewer raised IndexError
+        a, fs, _ = random_instance(5, 5, 0)
+        w = random_weight(q, s, 3)
+        for call in (line_oracle, max_pardeg_isotropic_in):
+            with pytest.raises(InputError, match="weight and flag system shapes disagree"):
+                call(a.span_perp(), fs, w)
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_non_hyperbolic_flag_rejected(self, j):
+        # every flag meets the first path of the search, which is never pruned
+        a, fs, w = random_instance(5, 5, 0)
+        flags = list(fs.flags)
+        flags[j] = IsotropicFlag(tuple(tuple(sc(2) * x for x in row)
+                                       for row in flags[j].basis))
+        with pytest.raises(InputError, match="invalid flag"):
+            line_oracle(a.span_perp(), FlagSystem(tuple(flags)), w)
 
 
 class TestMaxPardeg:
