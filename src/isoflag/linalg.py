@@ -114,10 +114,6 @@ def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
     return out
 
 
-def apply_matrix(v: Vector, m: list[Vector]) -> Vector:
-    return mat_mul([v], m)[0]
-
-
 def _zi_eliminate(work: list[ZiRow]) -> tuple[list[ZiRow], list[int]]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of Gaussian-
     integer rows (re, im), in place.  Returns (the nonzero rows, their pivot
@@ -450,69 +446,44 @@ def max_isotropic_dimension(y: Subspace, form: BilinearForm) -> int:
 
 
 # ---------------------------------------------------------------------------
-# isometries: reflections, Eichler transvections, random elements
+# isometries act on rows: reflections, Eichler transvections, random elements
 
 
-def reflection_matrix(v: Vector, form: BilinearForm) -> list[Vector]:
-    """The reflection x -> x - (2 Q(x,v)/Q(v,v)) v.  Determinant -1."""
+def reflect_rows(rows: list[Vector], v: Vector, form: BilinearForm) -> list[Vector]:
+    """Each row under the reflection x -> x - (2 Q(x,v)/Q(v,v)) v in a
+    non-isotropic v.  Determinant -1."""
     qvv = form.pair(v, v)
     if qvv.is_zero():
-        raise InputError("cannot reflect in an isotropic vector")
-    rows = []
-    for e in standard_basis(form.p):
-        c = (sc(2) * form.pair(e, v)) / qvv
-        rows.append(vsub(e, vscale(c, v)))
-    return rows
+        raise InternalConsistencyError("cannot reflect in an isotropic vector")
+    two_over_qvv = sc(2) / qvv
+    return [vsub(x, vscale(form.pair(x, v) * two_over_qvv, v)) for x in rows]
 
 
-def eichler_matrix(e: Vector, z: Vector, form: BilinearForm) -> list[Vector]:
-    """The Eichler transvection for an isotropic e and z orthogonal to e:
+def eichler_rows(rows: list[Vector], a: int, z: Vector) -> list[Vector]:
+    """Each row under the Eichler transvection for the isotropic e = e_a and
+    z orthogonal to e:
 
         x -> x + Q(x,e) z - Q(x,z) e - (1/2) Q(z,z) Q(x,e) e
 
     It is an isometry of determinant 1 fixing e and everything orthogonal to
-    both e and z.
+    both e and z.  Since Q(x, e_a) = x[p-1-a], each row gains x[p-1-a] z'
+    with z' = z - (1/2) Q(z,z) e_a, and loses Q(x,z) at coordinate a.
     """
-    if not form.pair(e, e).is_zero():
-        raise InputError("Eichler vector e must be isotropic")
-    if not form.pair(e, z).is_zero():
-        raise InputError("Eichler vector z must be orthogonal to e")
-    half_qzz = HALF * form.pair(z, z)
-    rows = []
-    for x in standard_basis(form.p):
-        qxe = form.pair(x, e)
-        qxz = form.pair(x, z)
-        out = vadd(x, vscale(qxe, z))
-        out = vsub(out, vscale(qxz + half_qzz * qxe, e))
-        rows.append(out)
-    return rows
-
-
-def _pair_scaling(p: int, a: int, t: Scalar) -> list[Vector]:
-    """e_a -> t e_a, partner -> t^{-1} partner (0-indexed pair a, p-1-a)."""
-    rows = standard_basis(p)
-    rows[a] = vscale(t, rows[a])
-    rows[p - 1 - a] = vscale(ONE / t, rows[p - 1 - a])
-    return rows
-
-
-def _pair_permutation(p: int, a: int, b: int) -> list[Vector]:
-    """Swap hyperbolic pairs a and b (two transpositions, determinant +1)."""
-    perm = list(range(p))
-    perm[a], perm[b] = perm[b], perm[a]
-    perm[p - 1 - a], perm[p - 1 - b] = perm[p - 1 - b], perm[p - 1 - a]
-    basis = standard_basis(p)
-    return [basis[perm[i]] for i in range(p)]
-
-
-def _double_flip(p: int, a: int, b: int) -> list[Vector]:
-    """Swap e_a with its partner and e_b with its partner (determinant +1)."""
-    perm = list(range(p))
-    perm[a], perm[p - 1 - a] = perm[p - 1 - a], perm[a]
-    if b != a:
-        perm[b], perm[p - 1 - b] = perm[p - 1 - b], perm[b]
-    basis = standard_basis(p)
-    return [basis[perm[i]] for i in range(p)]
+    p = len(z)
+    form = BilinearForm(p)
+    if 2 * a == p - 1:
+        raise InternalConsistencyError("Eichler vector e_a must be isotropic")
+    if not z[p - 1 - a].is_zero():
+        raise InternalConsistencyError("Eichler vector z must be orthogonal to e_a")
+    shifted = list(z)
+    shifted[a] = z[a] - HALF * form.pair(z, z)
+    out = []
+    for x in rows:
+        c = x[p - 1 - a]
+        y = list(vadd(x, vscale(c, shifted))) if c else list(x)
+        y[a] = y[a] - form.pair(x, z)
+        out.append(tuple(y))
+    return out
 
 
 def random_scalar(rng: random.Random, span: int = 4) -> Scalar:
@@ -522,53 +493,63 @@ def random_scalar(rng: random.Random, span: int = 4) -> Scalar:
     return Scalar(re, im)
 
 
-def random_special_isometry(p: int, seed: int, moves: int = 8) -> list[Vector]:
-    """A pseudo-random element of SO(J_p) over Q(i), determinant 1.
+def random_special_isometry(p: int, seed: int) -> list[Vector]:
+    """A pseudo-random isometry of J_p over Q(i), as the rows of its matrix
+    (the images of the standard basis vectors).  seed 0 gives the identity
+    by convention.
 
-    Built from Eichler transvections, hyperbolic pair scalings, pair
-    permutations and double pair flips, all of determinant 1.  seed 0 gives
-    the identity by convention.
+    Eight moves drawn from Random(seed) act in turn on the rows of the
+    identity: Eichler transvections; hyperbolic pair scalings (coordinate a
+    times t, its partner p-1-a times t^{-1}); swaps of two hyperbolic pairs
+    (coordinates a <-> b and p-1-a <-> p-1-b); and flips of coordinates
+    a <-> p-1-a and b <-> p-1-b.  A flip with a = b swaps one pair only and
+    has determinant -1, so the result lies in O(J_p) but not always in
+    SO(J_p).
     """
-    form = BilinearForm(p)
-    m = standard_basis(p)
+    rows = standard_basis(p)
     if seed == 0 or p == 1:
-        return m
+        return rows
     rng = random.Random(seed)
     npairs = p // 2
-    for _ in range(moves):
+    for _ in range(8):
         kind = rng.randrange(4)
-        if kind == 0 and npairs >= 1:
+        if kind == 0:
             a = rng.randrange(npairs)
-            e = standard_basis(p)[a]
             z = [random_scalar(rng, 3) for _ in range(p)]
-            z[p - 1 - a] = ZERO  # keeps z orthogonal to e
-            g = eichler_matrix(e, tuple(z), form)
-        elif kind == 1 and npairs >= 1:
+            z[p - 1 - a] = ZERO  # keeps z orthogonal to e_a
+            rows = eichler_rows(rows, a, tuple(z))
+        elif kind == 1:
             t = random_scalar(rng, 3)
             while t.is_zero():
                 t = random_scalar(rng, 3)
-            g = _pair_scaling(p, rng.randrange(npairs), t)
-        elif kind == 2 and npairs >= 2:
-            a, b = rng.sample(range(npairs), 2)
-            g = _pair_permutation(p, a, b)
-        elif npairs >= 1:
             a = rng.randrange(npairs)
-            b = rng.randrange(npairs)
-            g = _double_flip(p, a, b)
+            factor = {a: t, p - 1 - a: ONE / t}
+            rows = [tuple(factor[j] * x if j in factor else x for j, x in enumerate(row))
+                    for row in rows]
         else:
-            continue
-        m = mat_mul(m, g)
-    return m
+            # coordinate swaps: perm is an involution, so row @ P = row[perm]
+            perm = list(range(p))
+            if kind == 2 and npairs >= 2:
+                a, b = rng.sample(range(npairs), 2)
+                perm[a], perm[b] = b, a
+                perm[p - 1 - a], perm[p - 1 - b] = p - 1 - b, p - 1 - a
+            else:
+                a = rng.randrange(npairs)
+                b = rng.randrange(npairs)
+                for c in {a, b}:
+                    perm[c], perm[p - 1 - c] = p - 1 - c, c
+            rows = [tuple(row[j] for j in perm) for row in rows]
+    return rows
 
 
 def hyperbolic_basis(form: BilinearForm, seed: int) -> tuple[Vector, ...]:
     """An ordered basis (w_1, ..., w_p) with Gram matrix exactly J_p.
 
-    Seed 0 returns the standard basis; other seeds apply a random special
-    isometry to it.  Deterministic for a fixed seed.
+    The rows of random_special_isometry(p, seed), i.e. the images of the
+    standard basis under a random isometry; seed 0 gives the standard basis.
+    Deterministic for a fixed seed.
     """
-    m = random_special_isometry(form.p, seed)
-    basis = tuple(m[i] for i in range(form.p))
+    basis = tuple(random_special_isometry(form.p, seed))
     if not form.is_standard_gram(list(basis)):
         raise InternalConsistencyError("generated basis is not hyperbolic")
     return basis
@@ -607,15 +588,16 @@ def _partner_for(x: Vector, orthogonal_to: list[Vector], form: BilinearForm,
     return y
 
 
-def _map_isotropic_exact(x: Vector, target: Vector, form: BilinearForm,
-                         within: Subspace) -> list[Vector]:
-    """An isometry (product of <= 2 reflections, vectors inside `within`)
-    sending the isotropic vector x exactly to the isotropic vector target."""
+def _map_isotropic_exact(rows: list[Vector], x: Vector, target: Vector,
+                         form: BilinearForm, within: Subspace) -> list[Vector]:
+    """The rows under an isometry (a product of <= 2 reflections in vectors
+    inside `within`) sending the isotropic vector x exactly to the isotropic
+    vector target."""
     if x == target:
-        return standard_basis(form.p)
+        return rows
     if not form.pair(x, target).is_zero():
         # Q(x-t, x-t) = -2 Q(x,t) != 0 and the reflection swaps x and t.
-        return reflection_matrix(vsub(x, target), form)
+        return reflect_rows(rows, vsub(x, target), form)
     # Q(x, target) = 0: route through an auxiliary isotropic z with
     # Q(x, z) != 0 != Q(target, z).
     px = _partner_for(x, [], form, within)
@@ -631,11 +613,10 @@ def _map_isotropic_exact(x: Vector, target: Vector, form: BilinearForm,
         if not form.pair(z, z).is_zero() or form.pair(x, z).is_zero() \
                 or form.pair(target, z).is_zero():
             raise InternalConsistencyError("failed to build auxiliary isotropic vector")
-    m1 = reflection_matrix(vsub(x, z), form)
-    if apply_matrix(x, m1) != z:
+    *rows, image = reflect_rows(rows + [x], vsub(x, z), form)
+    if image != z:
         raise InternalConsistencyError("first reflection missed its target")
-    m2 = reflection_matrix(vsub(z, target), form)
-    return mat_mul(m1, m2)
+    return reflect_rows(rows, vsub(z, target), form)
 
 
 def complete_to_hyperbolic(chain: list[Subspace], form: BilinearForm) -> tuple[Vector, ...]:
@@ -677,25 +658,20 @@ def complete_to_hyperbolic(chain: list[Subspace], form: BilinearForm) -> tuple[V
 
     middles: list[Vector] = []
     if 2 * k < p:
-        # accumulate an isometry moving (x_a, y_a) onto (e_a, e_{p+1-a})
+        # acc holds the rows of an isometry moving each (x_a, y_a) onto
+        # (e_a, e_{p-1-a}); every map acts on acc's rows and on cy together.
         acc = standard_basis(p)
         std = standard_basis(p)
         for a in range(k):
-            cx = apply_matrix(xs[a], acc)
-            cy = apply_matrix(ys[a], acc)
+            cx, cy = mat_mul([xs[a], ys[a]], acc)
             block = Subspace.from_vectors(std[a:p - a], p)
-            g = _map_isotropic_exact(cx, std[a], form, block)
-            acc = mat_mul(acc, g)
-            cy = apply_matrix(cy, g)
+            *acc, cy = _map_isotropic_exact(acc + [cy], cx, std[a], form, block)
             # Eichler map fixing e_a and sending cy to the partner e_{p-1-a}
-            diff = vsub(std[p - 1 - a], cy)
-            g2 = eichler_matrix(std[a], diff, form)
-            acc = mat_mul(acc, g2)
-            if apply_matrix(cy, g2) != std[p - 1 - a]:
+            *acc, cy = eichler_rows(acc + [cy], a, vsub(std[p - 1 - a], cy))
+            if cy != std[p - 1 - a]:
                 raise InternalConsistencyError("Eichler placement failed")
-        inv = invert_matrix(acc)
-        for t in range(k, p - k):
-            middles.append(apply_matrix(std[t], inv))
+        # the middle block is pulled back: e_t acc^{-1} is row t of acc^{-1}
+        middles = invert_matrix(acc)[k:p - k]
 
     basis = tuple(xs + middles + list(reversed(ys)))
     if not form.is_standard_gram(list(basis)):

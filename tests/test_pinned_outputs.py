@@ -6,6 +6,13 @@ runs on the generic q = s in 5..8 and s = 4, q in {6, 8} pools, and
 ``crosscheck FILE`` on the s = 4 pool and the mixed-mode q in {3, 4} pools.
 A refactor that claims to leave outputs alone must leave every digest alone.
 
+An exact Stable verdict does not depend on the flags, so those digests can
+miss a change in how instances are generated.  The instance files are
+therefore pinned too: the canonical sha256 (sorted keys, compact separators)
+of every pool instance, serialized as the benchmark writes it, must equal the
+``sha256`` recorded for it in ``perfbench/reference.json``, which is only
+read here.
+
 The instances come from ``random_instance`` with the shapes, pool sizes and
 modes listed below.  To record the digests of the current tree:
 
@@ -19,6 +26,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -28,6 +36,7 @@ from isoflag.io import InstanceFile, serialize_instance
 from isoflag.randgen import mixed_mode, random_instance
 
 FIXTURE = Path(__file__).resolve().parent / "pinned_outputs.json"
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 # (q, s, mixed-mode schedule, pool size) per shape
 DECIDE_POOLS = ((5, 5, False, 8), (6, 6, False, 8), (7, 7, False, 8), (8, 8, False, 8),
@@ -46,18 +55,37 @@ def _calls() -> list[tuple[str, int, int, int, str]]:
     return out
 
 
+def _instances() -> list[tuple[int, int, int, str]]:
+    """(q, s, seed, mode) for every instance of every pool above."""
+    return [(q, s, seed, mixed_mode(seed) if mixed else "generic")
+            for q, s, mixed, pool in dict.fromkeys(DECIDE_POOLS + CROSSCHECK_POOLS)
+            for seed in range(pool)]
+
+
+def _instance_key(q: int, s: int, seed: int, mode: str) -> str:
+    return f"q{q}s{s}-{mode}-{seed}"
+
+
 def _key(command: str, q: int, s: int, seed: int, mode: str) -> str:
-    return f"{command} q{q}s{s}-{mode}-{seed}"
+    return f"{command} {_instance_key(q, s, seed, mode)}"
+
+
+@cache
+def _bench_reference() -> dict:
+    return json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))
+
+
+def _instance_text(q: int, s: int, seed: int, mode: str) -> str:
+    """The instance file as the benchmark writes it."""
+    a, fs, w = random_instance(q, s, seed, mode)
+    return serialize_instance(InstanceFile(w, fs, a, seed=seed, metadata={"mode": mode}))
 
 
 def _digest(directory: Path, command: str, q: int, s: int, seed: int, mode: str) -> str:
     """sha256 of '<exit code>\\n<stdout>' for one call on a freshly written
     instance file (crosscheck prints the file's stem, so the name is fixed)."""
-    a, fs, w = random_instance(q, s, seed, mode)
-    path = directory / f"q{q}s{s}-{mode}-{seed}.instance.json"
-    path.write_text(serialize_instance(InstanceFile(w, fs, a, seed=seed,
-                                                    metadata={"mode": mode})),
-                    encoding="utf-8")
+    path = directory / f"{_instance_key(q, s, seed, mode)}.instance.json"
+    path.write_text(_instance_text(q, s, seed, mode), encoding="utf-8")
     argv = [command, str(path)] + (["--seed", str(seed)] if command == "decide" else [])
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
@@ -75,6 +103,18 @@ def test_fixture_covers_every_call():
     pinned = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert sorted(pinned) == sorted(_key(*c) for c in _calls())
     assert len(pinned) == 36 + 54
+
+
+@pytest.mark.parametrize("instance", _instances(), ids=lambda i: _instance_key(*i))
+def test_instance_file_pinned(instance):
+    canon = json.dumps(json.loads(_instance_text(*instance)), sort_keys=True,
+                       separators=(",", ":"))
+    assert hashlib.sha256(canon.encode()).hexdigest() == \
+        _bench_reference()[_instance_key(*instance)]["sha256"]
+
+
+def test_instance_pools_are_the_benchmark_pools():
+    assert sorted(_bench_reference()) == sorted(_instance_key(*i) for i in _instances())
 
 
 if __name__ == "__main__":
