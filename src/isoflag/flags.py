@@ -72,14 +72,19 @@ class IsotropicFlag:
     2. Scaling a row by a nonzero element of Z[i] keeps the row span and the
        position of its last nonzero coordinate.  So sub's rows, each cleared
        of denominators and multiplied by J B'^T J, have the row span of sub's
-       flag coordinates, and an echelon form of those unnormalised integer
-       rows has the same ends as the reduced one: the profile.
+       flag coordinates.  A forward echelon form of those integer rows, with
+       no back-substitution, already has distinct ends (each row's last
+       nonzero flag coordinate).  Lemma: a nonzero combination of such rows
+       ends exactly where its used row of largest end does, since every
+       other used row is zero there.  So it lies in F_i exactly when it uses
+       only rows ending below i: those rows are a basis of sub ^ F_i, their
+       count is profile[i], and the ends are those of the reduced form.
     3. The rows ending below i, mapped back through B' (zi_lift), span
-       sub ^ F_i up to those scalings.  The reduced echelon basis of a span
-       is unique, so one Subspace.from_vectors of them (intersect_piece)
-       returns the same Subspace as elimination over Q(i).  The lifted rows
-       are Gaussian-integer rows again, so the next flag can take them
-       without a canonical form in between (higgs.line_oracle does).
+       sub ^ F_i.  The reduced echelon basis of a span is unique, so one
+       Subspace.from_vectors of them (intersect_piece) returns the same
+       Subspace as elimination over Q(i).  The lifted rows are
+       Gaussian-integer rows again, so the next flag can take them without a
+       canonical form in between (higgs.line_oracle does).
 
     zi_echelon, and with it profile and intersect_piece, raises InputError
     when the basis is not hyperbolic.
@@ -131,12 +136,12 @@ class IsotropicFlag:
 
     def zi_echelon(self, rows: list[ZiRow]) -> Echelon:
         """Gaussian-integer rows in standard coordinates, taken to flag
-        coordinates by J B'^T J, with the coordinates reversed and eliminated
-        so that each row ends at its own flag position.  Returns (rows, ends),
-        where a row's end is the index of its last nonzero flag coordinate:
-        the row lies in F_{end+1} and not in F_end.  The ends are decreasing
-        and depend only on the span of the given rows (class docstring, item
-        2)."""
+        coordinates by J B'^T J, with the coordinates reversed and put in
+        forward echelon form, so that each row ends at its own flag position.
+        Returns (rows, ends), where a row's end is the index of its last
+        nonzero flag coordinate: the row lies in F_{end+1} and not in F_end.
+        The ends are decreasing and depend only on the span of the given rows
+        (class docstring, item 2)."""
         ib = self._integer_basis()
         if not ib.hyperbolic:
             raise InputError("invalid flag: adapted basis Gram matrix is not the split form")
@@ -173,11 +178,11 @@ class IsotropicFlag:
     def profile(self, sub: Subspace) -> tuple[int, ...]:
         """(dim(sub ^ F_i))_{i=0..q}.
 
-        F_i is cut out by the vanishing of the flag coordinates i..q-1.  In
-        the echelon form each end position is the pivot of exactly one row,
-        and every other row is zero there, so a combination of the rows lies
-        in F_i exactly when it uses only rows ending below i.  Those rows are
-        a basis of sub ^ F_i, and dim(sub ^ F_i) is their count.
+        F_i is cut out by the vanishing of the flag coordinates i..q-1.  The
+        echelon rows have distinct ends, so a combination of them lies in
+        F_i exactly when it uses only rows ending below i (class docstring,
+        item 2).  Those rows are a basis of sub ^ F_i, and dim(sub ^ F_i) is
+        their count.
         """
         if sub.ambient != self.q:
             raise InputError("subspace ambient dimension does not match flag")

@@ -57,6 +57,7 @@ from .linalg import (
     orthocomplement,
     vadd,
     vscale,
+    zi_radical,
 )
 from .scalars import ONE, Scalar
 from .weights import Weight, region_membership, require_valid
@@ -252,8 +253,7 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
 
     1. At flag j, IsotropicFlag.zi_echelon eliminates the rows in flag
        coordinates, and zi_lift of the rows ending below e + 1 spans
-       Y_b ^ F_{e+1}^j up to Z[i] scalings of its rows (IsotropicFlag,
-       items 2 and 3).
+       Y_b ^ F_{e+1}^j (IsotropicFlag, items 2 and 3).
     2. The ends depend only on the span of the rows, so the children (one
        per end e, at position e + 1; the other positions give the same
        intersection as the end below them), their scores and their
@@ -340,17 +340,29 @@ def _per_flag_upper(k: int, profile: tuple[int, ...], beta_row: tuple[Fraction, 
 
 def isotropic_radicals(t_sub: Subspace, t_radical: Subspace, fs: FlagSystem) -> list[Subspace]:
     """The distinct nonzero radicals of T (t_radical, already classified) and
-    of each T ^ F_i^j, in the order of their members by (dim, rows).  For
-    2i <= q, T ^ F_i^j lies in the isotropic F_i^j (intersect_piece rejects
-    non-hyperbolic flags), so it is its own radical and is not classified."""
-    form = BilinearForm(fs.q)
-    known = {t_sub: t_radical}  # member -> its radical, None until classified
+    of each T ^ F_i^j, in the order of their members by (dim, rows).
+
+    1. T ^ F_i^j grows only where the flag's profile of T jumps, at i = e + 1
+       for an end e of T's echelon; between jumps it stays the piece below.
+       So intersect_piece runs once per jump, on the cached echelon of T,
+       and the jump that reaches all of T is skipped.
+    2. A piece first reached at 2i <= q lies in the isotropic F_i^j
+       (intersect_piece rejects non-hyperbolic flags), so it is its own
+       radical.
+    3. Every other piece's radical is zi_radical of its rows: {aR : aG = 0}
+       for the integer Gram matrix G = R J R^t.
+    """
+    q = fs.q
+    known = {t_sub: t_radical}  # member -> its radical, None until computed
     for flag in fs.flags:
-        for i in range(1, fs.q):
-            piece = flag.intersect_piece(t_sub, i)
-            known[piece] = piece if 2 * i <= fs.q else known.get(piece)
+        profile = flag.profile(t_sub)
+        for i in range(1, q):
+            if profile[i - 1] < profile[i] < t_sub.dim:
+                piece = flag.intersect_piece(t_sub, i)
+                known[piece] = piece if 2 * i <= q else known.get(piece)
     members = sorted(known, key=lambda m: (m.dim, repr(m.rows)))
-    radicals = (known[m] or isotropy_classify(m, form)[1] for m in members)
+    radicals = (known[m] or zi_radical([_gaussian_row(row)[:2] for row in m.rows], q)
+                for m in members)
     return list(dict.fromkeys(r for r in radicals if r.dim))
 
 
@@ -383,13 +395,16 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
     if nu == 1:
         return PardegBounds(lower, witness, lower, True)
 
-    for radical in isotropic_radicals(t_sub, t_radical, fs):
+    radicals = isotropic_radicals(t_sub, t_radical, fs)
+    # read while each flag's echelon cache still holds T (pardeg_subspace
+    # below replaces it)
+    profiles = [flag.profile(t_sub) for flag in fs.flags]
+    for radical in radicals:
         if radical.dim >= 2:
             value = pardeg_subspace(radical, fs, w)
             if lower is None or value > lower:
                 lower, witness = value, radical
 
-    profiles = [flag.profile(t_sub) for flag in fs.flags]
     upper = None
     for k in range(1, nu + 1):
         bound = sum(

@@ -114,19 +114,26 @@ def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
     return out
 
 
-def _zi_eliminate(work: list[ZiRow]) -> tuple[list[ZiRow], list[int]]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of Gaussian-
-    integer rows (re, im), in place.  Returns (the nonzero rows, their pivot
-    columns); the rows are in echelon order, each is zero in every other
-    row's pivot column, and none is divided by its pivot.
+def _zi_eliminate(work: list[ZiRow], *, reduced: bool = False) -> tuple[list[ZiRow], list[int]]:
+    """Fraction-free elimination (Bareiss 1968) of Gaussian-integer rows
+    (re, im), in place.  Returns (the nonzero rows, their pivot columns); the
+    rows are in echelon order, each is zero left of its pivot (so in the
+    pivot columns of the rows above it), and none is divided by its pivot.
+    This forward pass is all a flag echelon needs: its ends, and its spans
+    below each end, depend only on the pivots being distinct (IsotropicFlag,
+    item 2).  reduced=True, for rref and zi_radical, also clears each pivot
+    column in the rows above (Gauss-Jordan); every pivot then ends equal to
+    the last one.
 
-    Every other row is replaced by (p row - c pivot_row) / p_prev, where p is
-    the new pivot, c the row's entry in the pivot column and p_prev the
-    previous pivot (1 at the start).  By Sylvester's identity each entry is
-    then a minor of the input matrix, so the division is exact.  Each step
-    scales rows by nonzero elements of Z[i] and adds multiples of one row to
-    another, so the row span and the pivot columns are those of elimination
-    over Q(i).
+    Every row being cleared is replaced by (p row - c pivot_row) / p_prev,
+    where p is the new pivot, c the row's entry in the pivot column and
+    p_prev the previous pivot (1 at the start).  By Sylvester's identity
+    each entry is then a minor of the input matrix, so the division is
+    exact; the rows below the pivot get the same update in both passes.  A
+    row above is zero in the new pivot's column at its own pivot, so that
+    pivot becomes p p_prev / p_prev = p.  Each step scales rows by nonzero
+    elements of Z[i] and adds multiples of one row to another, so the row
+    span and the pivot columns are those of elimination over Q(i).
     """
     if not work:
         return [], []
@@ -144,7 +151,7 @@ def _zi_eliminate(work: list[ZiRow]) -> tuple[list[ZiRow], list[int]]:
         work[row], work[pivot_row] = work[pivot_row], work[row]
         p_re, p_im = work[row]
         a, b = p_re[col], p_im[col]
-        for r in range(nrows):
+        for r in range(0 if reduced else row + 1, nrows):
             if r == row:
                 continue
             x_re, x_im = work[r]
@@ -185,7 +192,7 @@ def rref(rows: list[Vector]) -> tuple[list[Vector], list[int]]:
     for r in rows:
         if len(r) != ncols:
             raise InputError("ragged matrix")
-    work, pivots = _zi_eliminate([_gaussian_row(r)[:2] for r in rows])
+    work, pivots = _zi_eliminate([_gaussian_row(r)[:2] for r in rows], reduced=True)
     red = []
     for (x_re, x_im), col in zip(work, pivots):
         a, b = x_re[col], x_im[col]
@@ -436,6 +443,38 @@ def isotropy_classify(y: Subspace, form: BilinearForm) -> tuple[bool, Subspace, 
     radical, _ = meet_join(y, perp)
     restricted_rank = y.dim - radical.dim
     return restricted_rank == 0, radical, restricted_rank
+
+
+def zi_radical(rows: list[ZiRow], ambient: int) -> Subspace:
+    """The radical of the span of linearly independent Gaussian-integer rows
+    R, the same Subspace isotropy_classify returns, from their integer Gram
+    matrix G = R J R^t.
+
+    Lemma.  x = aR lies in the radical exactly when Q(x, r_l) =
+    sum_k a_k G[k][l] = 0 for every row r_l, so the radical is
+    {aR : aG = 0}.  G is symmetric, so one reduced _zi_eliminate of its rows
+    gives that kernel: every pivot ends equal to one d, and for each free
+    column f the vector with d at f and -row[f] at each row's pivot column
+    is a Z[i] kernel vector.  Only the radical's canonical basis is built
+    from Fractions.
+    """
+    r_re = [re for re, _ in rows]
+    r_im = [im for _, im in rows]
+    # J reverses coordinates: G[k][l] is r_k times r_l reversed
+    rev_re = [list(col) for col in zip(*(re[::-1] for re in r_re))]
+    rev_im = [list(col) for col in zip(*(im[::-1] for im in r_im))]
+    gram = [_zi_row_times(re, im, rev_re, rev_im) for re, im in rows]
+    echelon, pivots = _zi_eliminate(gram, reduced=True)
+    d_re, d_im = (echelon[0][0][pivots[0]], echelon[0][1][pivots[0]]) if pivots else (1, 0)
+    kernel = []
+    for f in sorted(set(range(len(rows))) - set(pivots)):
+        a_re = [0] * len(rows)
+        a_im = [0] * len(rows)
+        a_re[f], a_im[f] = d_re, d_im
+        for (x_re, x_im), c in zip(echelon, pivots):
+            a_re[c], a_im[c] = -x_re[f], -x_im[f]
+        kernel.append(_zi_vector(_zi_row_times(a_re, a_im, r_re, r_im)))
+    return Subspace.from_vectors(kernel, ambient) if kernel else Subspace.zero(ambient)
 
 
 def max_isotropic_dimension(y: Subspace, form: BilinearForm) -> int:

@@ -25,6 +25,7 @@ from isoflag.higgs import (
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
+    _zi_vector,
     invert_matrix,
     isotropy_classify,
     mat_mul,
@@ -32,6 +33,7 @@ from isoflag.linalg import (
     meet_join,
     orthocomplement,
     random_special_isometry,
+    zi_radical,
 )
 from isoflag.randgen import (
     mixed_mode,
@@ -687,6 +689,50 @@ class TestMaxPardeg:
                     assert res.upper == res.lower
 
 
+def _planted_cases():
+    """(q, s, k, m): an isotropic plant of dim k in C^q, s flags, the first m
+    of which share one flag whose k-th piece is the plant."""
+    return [(q, s, k, m) for q in range(5, 9) for s in (4, 5) for k in (2, 3)
+            if 2 * k <= q for m in (0, s // 2, s)]
+
+
+class TestPlantedWitness:
+    @pytest.mark.parametrize("q, s, k, m", _planted_cases())
+    def test_bounds_hold_the_plant(self, q, s, k, m):
+        # W isotropic and the rows drawn from W^perp, so W lies in T; flags
+        # sharing W as a piece give it positive pardeg
+        seed = 100 * q + 10 * s + k + m
+        rng = random.Random(seed)
+        form = BilinearForm(q)
+        home = random_flag_system(q, 1, seed).flags[0]
+        plant = home.piece(k)
+        others = random_flag_system(q, s - m, seed + 1).flags if m < s else ()
+        fs = FlagSystem((home,) * m + tuple(others))
+        w = random_weight(q, s, seed)
+        perp = orthocomplement(plant, form)
+        coeffs = [[random_scalar(rng, 3) for _ in perp.rows] for _ in range(s - 2)]
+        rows = mat_mul(coeffs, list(perp.rows))
+        t_sub = orthocomplement(Subspace.from_vectors(rows, q), form)
+        assert t_sub.contains_subspace(plant) and isotropy_classify(plant, form)[0]
+        bounds = max_pardeg_isotropic_in(t_sub, fs, w)
+        value = pardeg_subspace(plant, fs, w)
+        if m == s:
+            assert value > 0
+        assert bounds.lower is not None and bounds.lower <= bounds.upper
+        assert value <= bounds.upper
+        if bounds.exact:
+            assert value <= bounds.lower
+        witness = bounds.witness
+        if isinstance(witness, ExtensionLine):
+            assert witness.is_isotropic(form)
+            assert t_sub.contains(witness.base) and t_sub.contains(witness.twist)
+            assert witness.pardeg(fs, w) == bounds.lower
+        else:
+            assert witness.dim and isotropy_classify(witness, form)[0]
+            assert t_sub.contains_subspace(witness)
+            assert pardeg_subspace(witness, fs, w) == bounds.lower
+
+
 def _closure_members(t_sub, fs, cap=128):
     """The meet/join closure of {T} and the T ^ F_i^j inside T, size-capped:
     the candidate set the bound stage once drew its radicals from.  Kept here
@@ -829,27 +875,41 @@ class TestIsotropicRadicals:
                         _classified_radicals(t_sub, fs), (s, mode)
 
     def test_wide_classifies_t_once(self, monkeypatch):
-        q = 6
-        a, fs, w = random_instance(q, 4, 0)
-        t_sub = orthocomplement(a.span(), BilinearForm(q))
-        oracle = line_oracle(t_sub, fs, w)
-        monkeypatch.setattr(higgs_mod, "line_oracle", lambda *args, **kwargs: oracle)
-        classified = []
+        # isotropy_classify runs on T only; intersect_piece once per profile
+        # jump below dim T; one Gram radical per member that no flag reaches
+        # at 2i <= q, and none for the others
+        real_piece = IsotropicFlag.intersect_piece
+        for q, seed in ((6, 0), (6, 2), (8, 0)):
+            a, fs, w = random_instance(q, 4, seed)
+            t_sub = orthocomplement(a.span(), BilinearForm(q))
+            low = {real_piece(flag, t_sub, i) for flag in fs.flags for i in range(1, q // 2 + 1)}
+            high = {real_piece(flag, t_sub, i) for flag in fs.flags for i in range(q // 2 + 1, q)}
+            rest = {p for p in high - low - {t_sub} if p.dim}
+            oracle = line_oracle(t_sub, fs, w)
+            monkeypatch.setattr(higgs_mod, "line_oracle", lambda *args, **kwargs: oracle)
+            classified, pieces, gram_members = [], [], []
 
-        def counting(y, form):
-            classified.append(y)
-            return isotropy_classify(y, form)
+            def classifying(y, form):
+                classified.append(y)
+                return isotropy_classify(y, form)
 
-        monkeypatch.setattr(higgs_mod, "isotropy_classify", counting)
-        bounds = max_pardeg_isotropic_in(t_sub, fs, w)
-        assert not bounds.exact  # nu >= 2: the harvest ran
-        assert classified.count(t_sub) == 1
-        low = {flag.intersect_piece(t_sub, i) for flag in fs.flags for i in range(1, q // 2 + 1)}
-        high = {flag.intersect_piece(t_sub, i) for flag in fs.flags for i in range(q // 2 + 1, q)}
-        assert not low.intersection(classified)
-        # each remaining member is classified exactly once
-        rest = {p for p in high - low - {t_sub} if p.dim}
-        assert len(classified) == 1 + len(rest) and set(classified[1:]) == rest
+            def piece(flag, sub, i):
+                pieces.append(flag)
+                return real_piece(flag, sub, i)
+
+            def gram_radical(rows, ambient):
+                gram_members.append(Subspace.from_vectors([_zi_vector(r) for r in rows], ambient))
+                return zi_radical(rows, ambient)
+
+            monkeypatch.setattr(higgs_mod, "isotropy_classify", classifying)
+            monkeypatch.setattr(IsotropicFlag, "intersect_piece", piece)
+            monkeypatch.setattr(higgs_mod, "zi_radical", gram_radical)
+            bounds = max_pardeg_isotropic_in(t_sub, fs, w)
+            monkeypatch.undo()
+            assert not bounds.exact  # nu >= 2: the harvest ran
+            assert classified == [t_sub], (q, seed)
+            assert all(pieces.count(flag) <= t_sub.dim - 1 for flag in fs.flags), (q, seed)
+            assert len(gram_members) == len(rest) and set(gram_members) == rest, (q, seed)
 
     def test_narrow_builds_no_harvest(self, monkeypatch):
         a, fs, w = random_instance(5, 5, 0)

@@ -386,6 +386,23 @@ class TestCli:
         assert main(["batch", str(tmp_path)]) == 64
         assert capsys.readouterr().err.startswith("usage error:")
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, stable_file, jobs, capsys, monkeypatch):
+        monkeypatch.delenv("ISOFLAG_JOBS", raising=False)
+        assert main(["batch", str(stable_file.parent), "--jobs", jobs]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: --jobs must be at least 1")
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_env_below_one_is_usage_error(self, stable_file, jobs, capsys, monkeypatch):
+        # the environment overrides a valid --jobs, and is checked the same way
+        monkeypatch.setenv("ISOFLAG_JOBS", jobs)
+        assert main(["batch", str(stable_file.parent), "--jobs", "2"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ISOFLAG_JOBS must be at least 1")
+
     def test_console_script_entry(self, stable_file):
         proc = subprocess.run(
             [sys.executable, "-m", "isoflag.cli", "decide", str(stable_file)],

@@ -7,6 +7,7 @@ from isoflag.errors import InputError
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
+    _gaussian_row,
     _pivot_columns,
     _reduced_kernel,
     complete_to_hyperbolic,
@@ -22,6 +23,7 @@ from isoflag.linalg import (
     standard_basis,
     vscale,
     vzero,
+    zi_radical,
 )
 from isoflag.randgen import random_isotropic_subspace, random_scalar, random_vector
 from isoflag.scalars import I, ONE, Scalar, ZERO, sc
@@ -557,6 +559,61 @@ class TestIsotropy:
             assert rank == y.dim - radical.dim
             iso, _, _ = isotropy_classify(radical, form)
             assert iso
+
+
+def _zi_basis(y, rng):
+    """Linearly independent Gaussian-integer rows spanning y: its reduced
+    rows under a random invertible triangular change of basis, each cleared
+    of denominators."""
+    rows = list(y.rows)
+    mixed = []
+    for k, row in enumerate(rows):
+        c = random_scalar(rng, 3)
+        while c.is_zero():
+            c = random_scalar(rng, 3)
+        v = vscale(c, row)
+        for later in rows[k + 1:]:
+            v = tuple(a + b for a, b in zip(v, vscale(random_scalar(rng, 3), later)))
+        mixed.append(_gaussian_row(v)[:2])
+    return mixed
+
+
+class TestGramRadical:
+    def test_matches_isotropy_classify(self):
+        # zero Gram matrices (isotropic subspaces), full-rank ones (generic
+        # subspaces and the whole space), and rank-deficient ones (an
+        # isotropic I plus vectors of I^perp)
+        rng = random.Random(29)
+        kinds = {"zero": 0, "full": 0, "deficient": 0}
+        for p in range(2, 9):
+            form = BilinearForm(p)
+            subs = [Subspace.zero(p), Subspace.full(p)]
+            for k in range(1, p // 2 + 1):
+                iso = random_isotropic_subspace(p, k, 7 * p + k)
+                perp = orthocomplement(iso, form)
+                subs.append(iso)
+                for extra in range(1, perp.dim - k + 1):
+                    coeffs = [[random_scalar(rng, 3) for _ in perp.rows] for _ in range(extra)]
+                    subs.append(Subspace.from_vectors(
+                        list(iso.rows) + mat_mul(coeffs, list(perp.rows)), p))
+            subs += [Subspace.from_vectors([random_vector(rng, p) for _ in range(k)], p)
+                     for k in range(1, p + 1)]
+            for y in subs:
+                radical = isotropy_classify(y, form)[1]
+                assert zi_radical(_zi_basis(y, rng), p) == radical, (p, y.dim)
+                if y.dim:
+                    kinds["zero" if radical == y else "full" if not radical.dim
+                          else "deficient"] += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_whole_space(self):
+        # T = C^q as a member: the standard rows have Gram matrix J, any
+        # other basis of C^q a congruent one
+        for p in range(1, 9):
+            standard = [([int(i == j) for j in range(p)], [0] * p) for i in range(p)]
+            assert zi_radical(standard, p) == Subspace.zero(p)
+            basis = Subspace.from_vectors(list(hyperbolic_basis(BilinearForm(p), p)), p)
+            assert zi_radical(_zi_basis(basis, random.Random(p)), p) == Subspace.zero(p)
 
 
 class TestHyperbolicBasis:
