@@ -90,7 +90,7 @@ class IsotropicFlag:
     when the basis is not hyperbolic.
     """
 
-    __slots__ = ("q", "basis", "_pieces", "_integer", "_last_echelon")
+    __slots__ = ("q", "basis", "_integer", "_last_echelon")
 
     def __init__(self, basis: tuple[Vector, ...]):
         self.q = len(basis)
@@ -98,7 +98,6 @@ class IsotropicFlag:
             if len(row) != self.q:
                 raise InputError("flag basis must be square")
         self.basis = tuple(basis)
-        self._pieces: list[Subspace] | None = None
         self._integer: IntegerBasis | None = None
         # (sub, _echelon(sub)) for the last subspace asked about: callers
         # take the profile of a subspace and then several of its
@@ -110,12 +109,9 @@ class IsotropicFlag:
         return cls(hyperbolic_basis(BilinearForm(q), 0))
 
     def piece(self, i: int) -> Subspace:
-        """F_i = span(w_1, ..., w_i); F_0 = 0."""
-        if self._pieces is None:
-            self._pieces = [Subspace.zero(self.q)]
-            for i_ in range(1, self.q + 1):
-                self._pieces.append(Subspace.from_vectors(list(self.basis[:i_]), self.q))
-        return self._pieces[i]
+        """F_i = span(w_1, ..., w_i); F_0 = 0.  Not cached: the
+        destabilizer search asks once for each F_k with k <= q/2."""
+        return Subspace.from_vectors(list(self.basis[:i]), self.q)
 
     def _integer_basis(self) -> IntegerBasis:
         """B', J B'^T J and d of the class docstring (item 1), and whether

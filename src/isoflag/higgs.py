@@ -43,7 +43,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, InternalConsistencyError
-from .flags import FlagSystem, pardeg_subspace, require_weight_for, validate_flag
+from .flags import (FlagSystem, pardeg_from_profile, pardeg_subspace, require_weight_for,
+                    validate_flag)
 from .linalg import (
     BilinearForm,
     Subspace,
@@ -329,13 +330,8 @@ def _per_flag_upper(k: int, profile: tuple[int, ...], beta_row: tuple[Fraction, 
     achieve at one flag, subject only to dim(W ^ F_i) <= min(k, dim(T ^ F_i)).
     Abel summation turns the jump sum into sum_i d_i (beta_i - beta_{i+1}) with
     beta_{q+1} = 0 and d_q = k; the differences are nonnegative, so taking
-    d_i maximal is optimal."""
-    q = len(beta_row)
-    total = Fraction(0)
-    for i in range(1, q):
-        total += min(k, profile[i]) * (beta_row[i - 1] - beta_row[i])
-    total += k * beta_row[q - 1]
-    return total
+    d_i maximal is optimal: the jump sum of the capped profile."""
+    return pardeg_from_profile(tuple(min(k, d) for d in profile[:-1]) + (k,), beta_row)
 
 
 def isotropic_radicals(t_sub: Subspace, t_radical: Subspace, fs: FlagSystem) -> list[Subspace]:
@@ -405,14 +401,9 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
             if lower is None or value > lower:
                 lower, witness = value, radical
 
-    upper = None
-    for k in range(1, nu + 1):
-        bound = sum(
-            (_per_flag_upper(k, profiles[j], w.beta[j]) for j in range(fs.s)),
-            Fraction(0),
-        )
-        if upper is None or bound > upper:
-            upper = bound
+    upper = max(sum((_per_flag_upper(k, profiles[j], w.beta[j]) for j in range(fs.s)),
+                    Fraction(0))
+                for k in range(1, nu + 1))
     if lower is not None and upper < lower:
         raise InternalConsistencyError("upper bound fell below a certified witness")
     exact = lower is not None and lower == upper

@@ -83,6 +83,11 @@ def weight_from_json(obj: Any, path: str = "/weight") -> Weight:
     # by exact type here and below
     if type(q) is not int or type(s) is not int:
         raise ParseError(path, "q and s must be integers")
+    # the lengths below are read from q and s
+    if q < 2:
+        raise ParseError(path, "q must be at least 2")
+    if s < 3:
+        raise ParseError(path, "s must be at least 3")
     alpha = obj["alpha"]
     beta = obj["beta"]
     if not isinstance(alpha, list) or len(alpha) != s:

@@ -28,10 +28,6 @@ ZiRow = tuple[list[int], list[int]]
 # vector / matrix helpers
 
 
-def vzero(n: int) -> Vector:
-    return tuple(ZERO for _ in range(n))
-
-
 def vadd(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
 
@@ -599,39 +595,40 @@ def hyperbolic_basis(form: BilinearForm, seed: int) -> tuple[Vector, ...]:
 
 
 def _partner_for(x: Vector, orthogonal_to: list[Vector], form: BilinearForm,
-                 within: Subspace | None = None) -> Vector:
-    """An isotropic y with Q(x, y) = 1 and Q(c, y) = 0 for each constraint c.
+                 lo: int) -> Vector:
+    """An isotropic y supported on coordinates lo..p-1-lo with Q(x, y) = 1
+    and Q(c, y) = 0 for each constraint c.
 
     Every constraint must itself be Q-orthogonal to x so that the final
     isotropization step y -> y - (Q(y,y)/2) x cannot disturb it.
+
+    Q(c, e_g) = c[p-1-g], so the condition Q(c, y) = b on a y supported on
+    the window is the row c reversed and restricted to lo..p-1-lo, and y is
+    the solution padded with lo zeros at each end.  e_lo, ..., e_{p-1-lo}
+    in order is the canonical basis of their span, so this is the system
+    the solve over that span's basis would set up, entry for entry, with
+    the same particular solution.
     """
     p = form.p
-    if within is None:
-        within = Subspace.full(p)
-    gens = list(within.rows)
-    # unknown y = sum coeff_k gens[k]; one row of conditions per constraint
-    rows = [tuple(form.pair(x, g) for g in gens)]
+    rows = [x[::-1][lo:p - lo]]
     rhs = [ONE]
     for c in orthogonal_to:
         if not form.pair(c, x).is_zero():
             raise InternalConsistencyError("partner constraint not orthogonal to x")
-        rows.append(tuple(form.pair(c, g) for g in gens))
+        rows.append(c[::-1][lo:p - lo])
         rhs.append(ZERO)
     sol = solve_linear(rows, rhs)
     if sol is None:
         raise InternalConsistencyError("hyperbolic partner system is unsolvable")
-    y = vzero(p)
-    for coef, g in zip(sol, gens):
-        y = vadd(y, vscale(coef, g))
-    y = vsub(y, vscale(HALF * form.pair(y, y), x))
-    return y
+    y = (ZERO,) * lo + sol + (ZERO,) * lo
+    return vsub(y, vscale(HALF * form.pair(y, y), x))
 
 
 def _map_isotropic_exact(rows: list[Vector], x: Vector, target: Vector,
-                         form: BilinearForm, within: Subspace) -> list[Vector]:
+                         form: BilinearForm, lo: int) -> list[Vector]:
     """The rows under an isometry (a product of <= 2 reflections in vectors
-    inside `within`) sending the isotropic vector x exactly to the isotropic
-    vector target."""
+    supported on coordinates lo..p-1-lo, where x and target lie)
+    sending the isotropic vector x exactly to the isotropic vector target."""
     if x == target:
         return rows
     if not form.pair(x, target).is_zero():
@@ -639,11 +636,11 @@ def _map_isotropic_exact(rows: list[Vector], x: Vector, target: Vector,
         return reflect_rows(rows, vsub(x, target), form)
     # Q(x, target) = 0: route through an auxiliary isotropic z with
     # Q(x, z) != 0 != Q(target, z).
-    px = _partner_for(x, [], form, within)
+    px = _partner_for(x, [], form, lo)
     if not form.pair(target, px).is_zero():
         z = px
     else:
-        pt = _partner_for(target, [], form, within)
+        pt = _partner_for(target, [], form, lo)
         # z = a px + pt - a Q(px,pt) target is isotropic, pairs to 1 with
         # target, and pairs to a + Q(x,pt) with x; pick a making that nonzero.
         a = ONE if not (ONE + form.pair(x, pt)).is_zero() else sc(2)
@@ -667,16 +664,19 @@ def complete_to_hyperbolic(chain: list[Subspace], form: BilinearForm) -> tuple[V
     and the middle block is hyperbolic.  The middle block is produced by a
     constructive Witt extension: the placed pairs are moved onto standard
     coordinate pairs by reflections and Eichler maps, and the standard middle
-    basis is pulled back.
+    basis is pulled back.  An empty chain gives the standard basis.
+
+    Nesting is checked first.  Every member of a nested chain lies in the
+    top one, and a subspace of an isotropic subspace is isotropic, so the
+    top member alone is classified.  An isotropic subspace of J_p has
+    dimension at most p/2, so the partners always fit.
     """
     p = form.p
     for a, b in zip(chain, chain[1:]):
         if not b.contains_subspace(a):
             raise InputError("chain is not nested")
-    for piece in chain:
-        iso, _, _ = isotropy_classify(piece, form)
-        if not iso:
-            raise InputError("chain member is not isotropic")
+    if chain and not isotropy_classify(chain[-1], form)[0]:
+        raise InputError("chain member is not isotropic")
 
     # ordered basis of the top chain member, adapted to the chain
     xs: list[Vector] = []
@@ -687,24 +687,23 @@ def complete_to_hyperbolic(chain: list[Subspace], form: BilinearForm) -> tuple[V
                 xs.append(row)
                 carried = Subspace.from_vectors(list(carried.rows) + [row], p)
     k = len(xs)
-    if 2 * k > p:
-        raise InputError("isotropic chain too large for the ambient form")
 
     ys: list[Vector] = []
     for a in range(k):
         constraints = [x for i, x in enumerate(xs) if i != a] + ys
-        ys.append(_partner_for(xs[a], constraints, form))
+        ys.append(_partner_for(xs[a], constraints, form, 0))
 
     middles: list[Vector] = []
     if 2 * k < p:
         # acc holds the rows of an isometry moving each (x_a, y_a) onto
         # (e_a, e_{p-1-a}); every map acts on acc's rows and on cy together.
+        # Once the pairs before a are placed, cx is orthogonal to them, so it
+        # lies on coordinates a..p-1-a, and so does every reflection vector.
         acc = standard_basis(p)
         std = standard_basis(p)
         for a in range(k):
             cx, cy = mat_mul([xs[a], ys[a]], acc)
-            block = Subspace.from_vectors(std[a:p - a], p)
-            *acc, cy = _map_isotropic_exact(acc + [cy], cx, std[a], form, block)
+            *acc, cy = _map_isotropic_exact(acc + [cy], cx, std[a], form, a)
             # Eichler map fixing e_a and sending cy to the partner e_{p-1-a}
             *acc, cy = eichler_rows(acc + [cy], a, vsub(std[p - 1 - a], cy))
             if cy != std[p - 1 - a]:

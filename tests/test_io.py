@@ -93,6 +93,23 @@ class TestParseErrors:
             instance_from_json(obj)
         assert "beta/2/1" in str(err.value)
 
+    @pytest.mark.parametrize("field,value,message", [("s", 1, "s must be at least 3"),
+                                                     ("s", 2, "s must be at least 3"),
+                                                     ("q", 1, "q must be at least 2")])
+    def test_shape_below_minimum(self, tmp_path, capsys, field, value, message):
+        # rejected at /weight before q or s sizes any array (s = 1 once
+        # failed as "/A: expected -1 rows")
+        obj = instance_to_json(make_instance((vec(1, 0), vec(0, 1))))
+        obj["weight"][field] = value
+        with pytest.raises(ParseError, match=message) as err:
+            instance_from_json(obj)
+        assert err.value.path == "/weight"
+        path = tmp_path / "x.instance.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        for command in ("decide", "validate"):
+            assert main([command, str(path)]) == 65
+            assert f"/weight: {message}" in capsys.readouterr().err
+
 
 class TestStrictNumbers:
     MALFORMED = ["1_000", "\u0663", "\uff11\uff12", " 1 / 2 ", " 1", "1 ", "1\n", "",

@@ -5,7 +5,9 @@
 coordinate swap) straight to the rows it transforms.  The reference below
 builds each move as its p x p matrix and multiplies the matrices in order.
 The two must agree exactly, draw for draw, so that every generated flag and
-every one-parameter subgroup's eigenbasis is the same either way.
+every one-parameter subgroup's eigenbasis is the same either way.  The
+reference solves for hyperbolic partners over the generators of a Subspace
+(generator_partner), where _partner_for reads the system off coordinates.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from isoflag.linalg import (
     random_scalar,
     random_special_isometry,
     reflect_rows,
+    solve_linear,
     standard_basis,
     vadd,
     vscale,
@@ -112,17 +115,45 @@ def matrix_special_isometry(p, seed):
     return m
 
 
+def generator_partner(x, constraints, form, within):
+    """An isotropic y in `within` with Q(x, y) = 1 and Q(c, y) = 0 for each
+    constraint c, solved over the generators of the Subspace `within`: one
+    pairing per constraint and generator, and y accumulated as the
+    combination of the generators.  The reference for _partner_for, which
+    reads the same system off a coordinate window."""
+    gens = list(within.rows)
+    rows = [tuple(form.pair(x, g) for g in gens)]
+    rhs = [ONE]
+    for c in constraints:
+        if not form.pair(c, x).is_zero():
+            raise InternalConsistencyError("partner constraint not orthogonal to x")
+        rows.append(tuple(form.pair(c, g) for g in gens))
+        rhs.append(ZERO)
+    sol = solve_linear(rows, rhs)
+    if sol is None:
+        raise InternalConsistencyError("hyperbolic partner system is unsolvable")
+    y = (ZERO,) * form.p
+    for coef, g in zip(sol, gens):
+        y = vadd(y, vscale(coef, g))
+    return vsub(y, vscale(HALF * form.pair(y, y), x))
+
+
+def window(p, lo):
+    """span(e_lo, ..., e_{p-1-lo})."""
+    return Subspace.from_vectors(standard_basis(p)[lo:p - lo], p)
+
+
 def matrix_map_isotropic(x, target, form, within):
     """The matrix of <= 2 reflections sending the isotropic x to target."""
     if x == target:
         return standard_basis(form.p)
     if not form.pair(x, target).is_zero():
         return reflection_matrix(vsub(x, target), form)
-    px = _partner_for(x, [], form, within)
+    px = generator_partner(x, [], form, within)
     if not form.pair(target, px).is_zero():
         z = px
     else:
-        pt = _partner_for(target, [], form, within)
+        pt = generator_partner(target, [], form, within)
         a = ONE if not (ONE + form.pair(x, pt)).is_zero() else sc(2)
         z = vsub(vadd(vscale(a, px), pt), vscale(a * form.pair(px, pt), target))
     return mat_mul(reflection_matrix(vsub(x, z), form), reflection_matrix(vsub(z, target), form))
@@ -142,14 +173,15 @@ def matrix_completion(chain, form):
     k = len(xs)
     ys = []
     for a in range(k):
-        ys.append(_partner_for(xs[a], [x for i, x in enumerate(xs) if i != a] + ys, form))
+        ys.append(generator_partner(xs[a], [x for i, x in enumerate(xs) if i != a] + ys, form,
+                                    Subspace.full(p)))
     middles = []
     if 2 * k < p:
         acc = standard_basis(p)
         std = standard_basis(p)
         for a in range(k):
             cx, cy = mat_mul([xs[a], ys[a]], acc)
-            g = matrix_map_isotropic(cx, std[a], form, Subspace.from_vectors(std[a:p - a], p))
+            g = matrix_map_isotropic(cx, std[a], form, window(p, a))
             acc = mat_mul(acc, g)
             cy, = mat_mul([cy], g)
             acc = mat_mul(acc, eichler_matrix(std[a], vsub(std[p - 1 - a], cy), form))
@@ -200,6 +232,26 @@ def test_completion_matches_matrix_product(q, chain):
     form = BilinearForm(q)
     assert all(isotropy_classify(piece, form)[0] for piece in chain)
     assert complete_to_hyperbolic(chain, form) == matrix_completion(chain, form)
+
+
+@pytest.mark.parametrize("p", range(2, 10))
+def test_partner_matches_generator_partner(p):
+    # every window lo..p-1-lo, 0 to (width - 1) constraints made orthogonal
+    # to x; for odd p the narrowest window is the middle coordinate alone
+    form = BilinearForm(p)
+    rng = random.Random(p)
+    for lo in range((p + 1) // 2):
+        for count in range(p - 2 * lo):
+            for _ in range(3):
+                x = tuple(random_scalar(rng) for _ in range(p))
+                pivot = next(j for j in range(p) if x[p - 1 - j])
+                constraints = []
+                for _ in range(count):
+                    c = [random_scalar(rng) for _ in range(p)]
+                    c[pivot] -= form.pair(tuple(c), x) / x[p - 1 - pivot]
+                    constraints.append(tuple(c))
+                assert _partner_for(x, constraints, form, lo) == \
+                    generator_partner(x, constraints, form, window(p, lo)), (p, lo, count)
 
 
 def test_row_moves_match_their_matrices():

@@ -22,7 +22,6 @@ from isoflag.linalg import (
     rref,
     standard_basis,
     vscale,
-    vzero,
     zi_radical,
 )
 from isoflag.randgen import random_isotropic_subspace, random_scalar, random_vector
@@ -250,7 +249,7 @@ def _zassenhaus_meet_join(u, v):
     that are the canonical basis of the join; the other rows have zero left
     halves, and their right halves are the canonical basis of the meet."""
     p = u.ambient
-    zeros = vzero(p)
+    zeros = (ZERO,) * p
     red, pivots = rref([r + r for r in u.rows] + [r + zeros for r in v.rows])
     join = tuple(r[:p] for r, c in zip(red, pivots) if c < p)
     meet = tuple(r[p:] for r, c in zip(red, pivots) if c >= p)
@@ -662,6 +661,25 @@ class TestCompletion:
         form = BilinearForm(2)
         with pytest.raises(InputError):
             complete_to_hyperbolic([Subspace.from_vectors([vec(1, 1)], 2)], form)
+
+    def test_rejects_chain_not_nested(self):
+        form = BilinearForm(4)
+        e = standard_basis(4)
+        chain = [Subspace.from_vectors([e[1]], 4), Subspace.from_vectors([e[0]], 4)]
+        with pytest.raises(InputError, match="chain is not nested"):
+            complete_to_hyperbolic(chain, form)
+
+    def test_rejects_non_isotropic_top(self):
+        # <e_0> is isotropic; <e_0, e_3> is a hyperbolic plane
+        form = BilinearForm(4)
+        e = standard_basis(4)
+        chain = [Subspace.from_vectors([e[0]], 4), Subspace.from_vectors([e[0], e[3]], 4)]
+        with pytest.raises(InputError, match="chain member is not isotropic"):
+            complete_to_hyperbolic(chain, form)
+
+    def test_empty_chain_gives_standard_basis(self):
+        for p in range(1, 7):
+            assert complete_to_hyperbolic([], BilinearForm(p)) == tuple(standard_basis(p))
 
 
 class TestIsometries:
