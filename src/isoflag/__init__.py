@@ -30,10 +30,8 @@ from .higgs import (
 )
 from .hmgit import (
     INFINITE,
-    Linearization,
     OnePS,
     bounded_destabilizer_search,
-    build_linearization,
     consistency_check,
     destabilizing_oneps,
     hm_base,

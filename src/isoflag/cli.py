@@ -3,7 +3,8 @@
 Commands: validate, regions, decide, hm, crosscheck, gen, batch.  Output is
 machine-readable JSON (CSV for batch reports on request) with a stable field
 order.  Exit codes: decide maps its verdict to 0/1/2/3; other commands return
-0 on success; every command returns 64 on usage errors, 65 on data errors,
+0 on success; every command returns 64 on usage errors (among them a gen
+shape with --q below 2, --s below 3 or --s below q + 2), 65 on data errors,
 70 on internal errors (a failed self-check or any other uncaught exception,
 which is a bug, not bad input) and 74 when standard output is closed before
 the output is written (as in `isoflag crosscheck FILE | head -3`).
@@ -23,7 +24,7 @@ from pathlib import Path
 from .errors import InputError, InternalConsistencyError, ParseError
 from .flags import validate_flag
 from .higgs import EXIT_CODES, decide_stability, generate_stable_instance
-from .hmgit import INFINITE, build_linearization, certificate_oneps, consistency_check, hm_total
+from .hmgit import INFINITE, certificate_oneps, consistency_check, hm_total
 from .io import (
     InstanceFile,
     Report,
@@ -183,12 +184,11 @@ def _cmd_decide(args) -> int:
 def _cmd_hm(args) -> int:
     inst = _read_instance(args.file)
     lam = _parse_file(args.oneps, parse_oneps_text)
-    lin = build_linearization(inst.weight)
     audit: list = []
-    mu = hm_total(lam, inst.higgs, inst.flags, lin, audit=audit)
+    mu = hm_total(lam, inst.higgs, inst.flags, inst.weight, audit=audit)
     _emit({
         "mu": "+inf" if mu is INFINITE else mu,
-        "N": lin.n,
+        "N": inst.weight.n,
         "summands": audit,
     })
     return 0
@@ -219,6 +219,12 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.q < 2:  # and s - 2 >= q, so that the generated rows can span C^q
+        raise _UsageError(f"--q must be at least 2, got {args.q}")
+    if args.s < 3:
+        raise _UsageError(f"--s must be at least 3, got {args.s}")
+    if args.s < args.q + 2:
+        raise _UsageError(f"--s must be at least --q + 2 = {args.q + 2}, got {args.s}")
     w = random_weight(args.q, args.s, args.seed, region=args.region)
     fs = random_flag_system(args.q, args.s, args.seed)
     higgs = generate_stable_instance(args.q, args.s, fs, w, seed=args.seed)
@@ -237,12 +243,11 @@ def _decide_one_path(path_str: str) -> dict:
     elapsed = time.perf_counter() - start
     mu = ""
     if verdict.tag == "Unstable" and verdict.certificate is not None:
-        lin = build_linearization(inst.weight)
         # A fresh certificate's span is isotropic and its coisotropic
         # subspace is W^perp with W isotropic, so both shapes accept them:
         # an InputError here is a bug, not bad data.
         try:
-            packaged = certificate_oneps(verdict.certificate, inst.flags, lin)
+            packaged = certificate_oneps(verdict.certificate, inst.flags, inst.weight)
         except InputError as exc:
             raise InternalConsistencyError(
                 f"{path_str}: certificate rejected by its destabilizer: {exc}") from exc

@@ -251,9 +251,9 @@ def require_weight_for(fs: FlagSystem, w: Weight) -> None:
         raise InputError("weight and flag system shapes disagree")
 
 
-def pardeg_from_profile(profile: tuple[int, ...], beta_row: tuple[Fraction, ...]) -> Fraction:
+def pardeg_from_profile(profile: tuple[int, ...], beta_row: tuple) -> int:
     """sum_i beta_i (profile[i] - profile[i-1]) for one puncture."""
-    total = Fraction(0)
+    total = 0
     for i in range(1, len(profile)):
         jump = profile[i] - profile[i - 1]
         if jump:
@@ -261,17 +261,20 @@ def pardeg_from_profile(profile: tuple[int, ...], beta_row: tuple[Fraction, ...]
     return total
 
 
-def pardeg_subspace(sub: Subspace, fs: FlagSystem, w: Weight) -> Fraction:
-    """Parabolic degree of a subspace of Q(i)^q relative to s flags and a
-    weight, from the flag profiles.  The one degree computation: N pardeg on
-    the Hilbert-Mumford side (Linearization.n_pardeg) is taken from it."""
+def n_pardeg(sub: Subspace, fs: FlagSystem, w: Weight) -> int:
+    """N pardeg of a subspace of Q(i)^q relative to s flags and a weight,
+    from the flag profiles against N beta.  The one degree computation:
+    searches, bounds and Hilbert-Mumford weights all count in this unit."""
     require_weight_for(fs, w)
     if sub.ambient != fs.q:
         raise InputError("subspace ambient dimension does not match flags")
-    total = Fraction(0)
-    for j, flag in enumerate(fs.flags):
-        total += pardeg_from_profile(flag.profile(sub), w.beta[j])
-    return total
+    return sum(pardeg_from_profile(flag.profile(sub), row)
+               for flag, row in zip(fs.flags, w.n_beta))
+
+
+def pardeg_subspace(sub: Subspace, fs: FlagSystem, w: Weight) -> Fraction:
+    """Parabolic degree of a subspace: n_pardeg over N."""
+    return Fraction(n_pardeg(sub, fs, w), w.n)
 
 
 def so2_score(t: Subspace, n_abs_alpha: int) -> int:

@@ -127,13 +127,14 @@ class ExtensionLine:
         that is, with the hull in F_i^j: dim(hull ^ F_i^j) = dim hull.  Both
         are read off the flag profiles of the hull."""
         hull = Subspace.from_vectors([self.base, self.twist], self.ambient)
-        return sum((row[flag.profile(hull).index(hull.dim) - 1]
-                    for row, flag in zip(w.beta, fs.flags)), Fraction(0))
+        return Fraction(sum(row[flag.profile(hull).index(hull.dim) - 1]
+                            for row, flag in zip(w.n_beta, fs.flags)), w.n)
 
     def is_isotropic(self, form: BilinearForm) -> bool:
-        rational = form.pair(self.base, self.base) + self.delta * form.pair(self.twist, self.twist)
-        cross = form.pair(self.base, self.twist)
-        return rational.is_zero() and cross.is_zero()
+        """Both parts of Q(base + sqrt(delta) twist) vanish, read off one Gram
+        matrix: Q(base, base) + delta Q(twist, twist) and 2 Q(base, twist)."""
+        (bb, bt), (_, tt) = form.gram([self.base, self.twist])
+        return (bb + self.delta * tt).is_zero() and bt.is_zero()
 
 
 LineWitness = Subspace | ExtensionLine
@@ -274,13 +275,14 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     form = BilinearForm(fs.q)
     q, s = fs.q, fs.s
 
-    suffix_best = [Fraction(0)] * (s + 1)
+    n_beta = w.n_beta
+    suffix_best = [0] * (s + 1)
     for j in range(s - 1, -1, -1):
-        suffix_best[j] = suffix_best[j + 1] + w.beta[j][0]
+        suffix_best[j] = suffix_best[j + 1] + n_beta[j][0]
 
-    best: list = [None, []]  # score, the rows of the leaves with that score in visit order
+    best: list = [None, []]  # N pardeg score, the rows of its leaves in visit order
 
-    def visit(j: int, rows: list[ZiRow], partial: Fraction) -> None:
+    def visit(j: int, rows: list[ZiRow], partial: int) -> None:
         if best[0] is not None and partial + suffix_best[j] < best[0]:
             return
         if j == s:
@@ -294,10 +296,11 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
         ends = echelon[1]
         for e in reversed(ends):
             child = flag.zi_lift(echelon, e + 1) if e < ends[0] else rows
-            visit(j + 1, child, partial + w.beta[j][e])
+            visit(j + 1, child, partial + n_beta[j][e])
 
     if t_sub.dim:
-        visit(0, [_gaussian_row(row)[:2] for row in t_sub.rows], Fraction(0))
+        visit(0, [_gaussian_row(row)[:2] for row in t_sub.rows], 0)
+    value = None if best[0] is None else Fraction(best[0], w.n)
     rng = random.Random(seed)
     extension = None
     seen: set[Subspace] = set()
@@ -308,9 +311,9 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
         seen.add(y)
         found = _isotropic_line_in(y, form, rng)
         if isinstance(found, Subspace):
-            return LineOracleResult(value=best[0], witness=found)
+            return LineOracleResult(value=value, witness=found)
         extension = extension or found
-    return LineOracleResult(value=best[0], witness=extension)
+    return LineOracleResult(value=value, witness=extension)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +328,7 @@ class PardegBounds:
     exact: bool
 
 
-def _per_flag_upper(k: int, profile: tuple[int, ...], beta_row: tuple[Fraction, ...]) -> Fraction:
+def _per_flag_upper(k: int, profile: tuple[int, ...], beta_row: tuple[int, ...]) -> int:
     """Greedy relaxation: the best score a k-dimensional subspace W <= T could
     achieve at one flag, subject only to dim(W ^ F_i) <= min(k, dim(T ^ F_i)).
     Abel summation turns the jump sum into sum_i d_i (beta_i - beta_{i+1}) with
@@ -401,9 +404,9 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
             if lower is None or value > lower:
                 lower, witness = value, radical
 
-    upper = max(sum((_per_flag_upper(k, profiles[j], w.beta[j]) for j in range(fs.s)),
-                    Fraction(0))
-                for k in range(1, nu + 1))
+    upper = Fraction(max(sum(_per_flag_upper(k, profile, row)
+                             for profile, row in zip(profiles, w.n_beta))
+                         for k in range(1, nu + 1)), w.n)
     if lower is not None and upper < lower:
         raise InternalConsistencyError("upper bound fell below a certified witness")
     exact = lower is not None and lower == upper

@@ -8,6 +8,10 @@ by a non-increasing, antisymmetric integer weight vector together with a
 hyperbolic eigenbasis; it induces the decreasing isotropic filtration
 V_n = span{v_i : m_i >= n}, which satisfies V_n = (V_{1-n})^perp.
 
+The weight fixes the linearization: every Hilbert-Mumford weight below is an
+integer combination of N|alpha| (Weight.n_abs_alpha) and N pardeg of
+subspaces (flags.n_pardeg), N the lcm of the weight's denominators.
+
 Weights of the linearized line bundles are evaluated in two independent ways
 wherever a second formula is available, and any disagreement raises
 InternalConsistencyError: these identities are the package's cross-check of
@@ -31,12 +35,10 @@ the test suite enforces them.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError, InternalConsistencyError
-from .flags import FlagSystem, pardeg_subspace, so2_score
+from .flags import FlagSystem, n_pardeg, require_weight_for, so2_score
 from .higgs import Certificate, HiggsTuple, decide_stability, isotropic_radicals, verify_certificate
 from .linalg import (
     BilinearForm,
@@ -117,36 +119,6 @@ class OnePS:
 
 
 # ---------------------------------------------------------------------------
-# linearization data
-
-
-@dataclass(frozen=True)
-class Linearization:
-    """The weight scaled to integers by N = lcm of its denominators: N|alpha|
-    and N pardeg of every subspace are integers, and the Hilbert-Mumford
-    weights are integer combinations of them."""
-
-    n: int
-    n_abs_alpha: int
-    weight: Weight
-
-    def n_pardeg(self, sub: Subspace, fs: FlagSystem) -> int:
-        """N * pardeg(sub) relative to the flags, from pardeg_subspace.  N
-        clears every beta denominator, so a fraction here is a bug."""
-        value = self.n * pardeg_subspace(sub, fs, self.weight)
-        if value.denominator != 1:
-            raise InternalConsistencyError("N does not clear the parabolic degree")
-        return value.numerator
-
-
-def build_linearization(w: Weight) -> Linearization:
-    require_valid(w)
-    n = math.lcm(*(a.denominator for a in w.alpha),
-                 *(b.denominator for row in w.beta for b in row))
-    return Linearization(n, int(n * sum(w.alpha)), w)
-
-
-# ---------------------------------------------------------------------------
 # Hilbert-Mumford weights
 
 
@@ -178,8 +150,8 @@ def hm_grassmannian(lam: OnePS, f: Subspace, i: int, m: int) -> int:
         un = piece(n)
         meet, _ = meet_join(un, f)
         total += i * un.dim - p * meet.dim
-    mu1 = Fraction(2 * m, p) * total
-    if mu1.denominator != 1:
+    mu1, rest = divmod(2 * m * total, p)
+    if rest:
         raise InternalConsistencyError("grassmannian weight is not an integer")
 
     acc = -i * weights[-1]
@@ -192,10 +164,10 @@ def hm_grassmannian(lam: OnePS, f: Subspace, i: int, m: int) -> int:
     if mu1 != mu2:
         raise InternalConsistencyError(
             f"grassmannian weight formulas disagree: {mu1} vs {mu2}")
-    return int(mu1)
+    return mu1
 
 
-def hm_flag_total(lam: OnePS, fs: FlagSystem, lin: Linearization,
+def hm_flag_total(lam: OnePS, fs: FlagSystem, w: Weight,
                   audit: list | None = None) -> int:
     """Total weight of the flag-system factor:
 
@@ -213,12 +185,12 @@ def hm_flag_total(lam: OnePS, fs: FlagSystem, lin: Linearization,
     for n in range(lo, hi + 1):
         un = lam.u_piece(n)
         vn = lam.v_piece(n)
-        u_score = so2_score(un, lin.n_abs_alpha)
-        n_pardeg = lin.n_pardeg(vn, fs)
-        term = -2 * u_score - 2 * n_pardeg
-        if audit is not None and (u_score or n_pardeg):
+        u_score = so2_score(un, w.n_abs_alpha)
+        v_score = n_pardeg(vn, fs, w)
+        term = -2 * u_score - 2 * v_score
+        if audit is not None and (u_score or v_score):
             audit.append({"n": n, "u_dim": un.dim, "v_dim": vn.dim,
-                          "xi": u_score, "n_pardeg": n_pardeg, "term": term})
+                          "xi": u_score, "n_pardeg": v_score, "term": term})
         total += term
     return total
 
@@ -239,14 +211,16 @@ def hm_base(lam: OnePS, a: HiggsTuple):
     return INFINITE
 
 
-def hm_total(lam: OnePS, a: HiggsTuple, fs: FlagSystem, lin: Linearization,
+def hm_total(lam: OnePS, a: HiggsTuple, fs: FlagSystem, w: Weight,
              audit: list | None = None):
     """Additivity over the factors: base weight plus flag-system weight, with
-    +inf absorbing."""
+    +inf absorbing.  The weight is checked first, so an invalid one is
+    rejected even where the base weight is already +inf."""
+    require_weight_for(fs, w)
     base = hm_base(lam, a)
     if base is INFINITE:
         return INFINITE
-    return base + hm_flag_total(lam, fs, lin, audit=audit)
+    return base + hm_flag_total(lam, fs, w, audit=audit)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +232,14 @@ def _chain_weight(l: int, n_abs_alpha: int, links: list[tuple[int, int]]) -> int
     the filtration with rank-one weight l whose links (t_j, n_j) pair the
     descending thresholds with N pardeg I_j of an isotropic chain; t_{r+1} = 0."""
     total = l * n_abs_alpha
-    for j, (t, n_pardeg) in enumerate(links):
+    for j, (t, degree) in enumerate(links):
         t_next = links[j + 1][0] if j + 1 < len(links) else 0
-        total += n_pardeg * (t - t_next)
+        total += degree * (t - t_next)
     return -4 * total
 
 
 def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
-                        lin: Linearization) -> tuple[OnePS, int]:
+                        w: Weight) -> tuple[OnePS, int]:
     """The two standard destabilizing shapes built from a subspace V', each
     the one-link chain [(1, W)] of an isotropic W.
 
@@ -279,6 +253,7 @@ def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
         V_n = C^q (n<=-1), V' (n=0), V'^perp (n=1), 0 (n>=2);
         predicted weight -4N pardeg V' (= -4N pardeg W by perp-duality).
     """
+    require_weight_for(fs, w)
     form = BilinearForm(fs.q)
     if kind == "shape1":
         w_iso, l, needs = vprime, 1, "an isotropic"
@@ -294,20 +269,20 @@ def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
     lam = _package_oneps(l, chain, fs.q, form)
     if lam.v_piece(1) != w_iso:
         raise InternalConsistencyError("constructed filtration misses its subspace")
-    return lam, _chain_weight(l, lin.n_abs_alpha,
-                              [(t, lin.n_pardeg(piece, fs)) for t, piece in chain])
+    return lam, _chain_weight(l, w.n_abs_alpha,
+                              [(t, n_pardeg(piece, fs, w)) for t, piece in chain])
 
 
 def certificate_oneps(cert: Certificate, fs: FlagSystem,
-                      lin: Linearization) -> tuple[OnePS, int] | None:
+                      w: Weight) -> tuple[OnePS, int] | None:
     """The destabilizing one-parameter subgroup of a certificate and its
     predicted weight: shape 1 on an isotropic span, shape 2 on a rational
     coisotropic subspace.  None for a witness line over an extension field,
     which spans no rational filtration."""
     if cert.kind == "isotropic_span":
-        return destabilizing_oneps("shape1", cert.span, fs, lin)
+        return destabilizing_oneps("shape1", cert.span, fs, w)
     if cert.coisotropic is not None:
-        return destabilizing_oneps("shape2", cert.coisotropic, fs, lin)
+        return destabilizing_oneps("shape2", cert.coisotropic, fs, w)
     return None
 
 
@@ -344,14 +319,13 @@ def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem, w: Weight,
     require_valid(w)
     if weight_bound < 1:
         raise InputError(f"weight bound must be at least 1, got {weight_bound}")
-    lin = build_linearization(w)
     form = BilinearForm(fs.q)
     span = a.span()
 
     isotropics = _candidate_isotropics(a, fs)
     # I -> (N pardeg I, (rows lie in I^perp, rows lie in I)); the rows lie in
     # I^perp exactly when I lies in span^perp
-    info = {iso: (lin.n_pardeg(iso, fs),
+    info = {iso: (n_pardeg(iso, fs, w),
                   (a.span_perp().contains_subspace(iso), iso.contains_subspace(span)))
             for iso in isotropics}
 
@@ -370,7 +344,7 @@ def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem, w: Weight,
         holds = info[reached[-1]][1] if reached else (True, span.dim == 0)
         if not holds[l >= 1]:
             return None
-        return _chain_weight(l, lin.n_abs_alpha,
+        return _chain_weight(l, w.n_abs_alpha,
                              [(t, info[c][0]) for t, c in zip(thresholds, chain)])
 
     for top in range(1, weight_bound + 1):  # the largest |weight| in the pattern
@@ -383,7 +357,7 @@ def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem, w: Weight,
                     mu = evaluate(l, chain, thresholds)
                     if mu is not None and mu < 0:
                         lam = _package_oneps(l, list(zip(thresholds, chain)), fs.q, form)
-                        if hm_total(lam, a, fs, lin) != mu:
+                        if hm_total(lam, a, fs, w) != mu:
                             raise InternalConsistencyError(
                                 "filtration weight and packaged weight disagree")
                         return lam, mu
@@ -402,7 +376,6 @@ def consistency_check(a: HiggsTuple, fs: FlagSystem, w: Weight,
     search hit is recorded as extra information, never an inconsistency.
     """
     verdict = decide_stability(a, fs, w, seed=seed)
-    lin = build_linearization(w)
     out: dict = {"verdict": verdict.tag, "consistent": True, "mu": None,
                  "witness_field": "rational"}
 
@@ -425,12 +398,12 @@ def consistency_check(a: HiggsTuple, fs: FlagSystem, w: Weight,
         if verdict.tag != "StrictlySemistable":
             return out
 
-    packaged = certificate_oneps(verdict.certificate, fs, lin)
+    packaged = certificate_oneps(verdict.certificate, fs, w)
     if packaged is None:
         out["witness_field"] = "extension"
         return out
     lam, predicted = packaged
-    mu = hm_total(lam, a, fs, lin)
+    mu = hm_total(lam, a, fs, w)
     if verdict.tag == "Unstable":
         out["mu"] = predicted
         if mu is INFINITE or mu != predicted or mu >= 0:

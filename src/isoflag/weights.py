@@ -9,6 +9,7 @@ data by exact rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,8 +21,9 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class Weight:
-    """Immutable (tuples throughout): its violations and stats are computed
-    once, on first use, and kept."""
+    """Immutable (tuples throughout): its violations, stats and scaling by
+    N = lcm of every alpha and beta denominator (n, n_beta, n_abs_alpha,
+    all ints) are computed once, on first use, and kept."""
 
     q: int
     s: int
@@ -47,6 +49,20 @@ class Weight:
             abs_beta1=sum((row[0] for row in self.beta), Fraction(0)),
             per_puncture_abs_beta=per,
         )
+
+    @cached_property
+    def n(self) -> int:
+        return math.lcm(*(a.denominator for a in self.alpha),
+                        *(b.denominator for row in self.beta for b in row))
+
+    @cached_property
+    def n_beta(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(b.numerator * (self.n // b.denominator) for b in row)
+                     for row in self.beta)
+
+    @cached_property
+    def n_abs_alpha(self) -> int:
+        return sum(a.numerator * (self.n // a.denominator) for a in self.alpha)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from isoflag.higgs import HiggsTuple, decide_stability, generate_stable_instance
 from isoflag.hmgit import (
     INFINITE,
     OnePS,
-    build_linearization,
     consistency_check,
     destabilizing_oneps,
     hm_base,
@@ -101,14 +100,13 @@ def test_criterion_3_additivity():
     for trial in range(120):
         q, s = trial % 4 + 2, trial % 3 + 4
         a, fs, w = random_instance(q, s, trial, mode=mixed_mode(trial))
-        lin = build_linearization(w)
         lam = _random_oneps(q, trial + 9, bound=2)
-        total = hm_total(lam, a, fs, lin)
+        total = hm_total(lam, a, fs, w)
         base = hm_base(lam, a)
         if base is INFINITE:
             assert total is INFINITE
         else:
-            assert total == base + hm_flag_total(lam, fs, lin)
+            assert total == base + hm_flag_total(lam, fs, w)
         checked += 1
     assert checked == 120
     _report(3, "total weight = base weight + flag weight on every evaluation",
@@ -123,7 +121,6 @@ def test_criterion_4_destabilizer_identities():
         s = rng.choice([4, 5, 6])
         w = random_weight(q, s, trial + 7)
         fs = random_flag_system(q, s, trial + 11)
-        lin = build_linearization(w)
         k = rng.randint(1, q // 2)
         iso = random_isotropic_subspace(q, k, trial + 13)
         rows = []
@@ -135,15 +132,15 @@ def test_criterion_4_destabilizer_identities():
             rows.append(v)
         a = HiggsTuple(q, s, tuple(rows))
 
-        lam1, predicted1 = destabilizing_oneps("shape1", iso, fs, lin)
-        n_pardeg = lin.n * pardeg_subspace(iso, fs, w)
-        assert predicted1 == -4 * (lin.n_abs_alpha + n_pardeg)
-        assert hm_total(lam1, a, fs, lin) == predicted1
+        lam1, predicted1 = destabilizing_oneps("shape1", iso, fs, w)
+        n_pardeg = w.n * pardeg_subspace(iso, fs, w)
+        assert predicted1 == -4 * (w.n_abs_alpha + n_pardeg)
+        assert hm_total(lam1, a, fs, w) == predicted1
 
         co = orthocomplement(iso, BilinearForm(q))
-        lam2, predicted2 = destabilizing_oneps("shape2", co, fs, lin)
-        assert predicted2 == -4 * lin.n * pardeg_subspace(co, fs, w)
-        assert hm_total(lam2, a, fs, lin) == predicted2
+        lam2, predicted2 = destabilizing_oneps("shape2", co, fs, w)
+        assert predicted2 == -4 * w.n * pardeg_subspace(co, fs, w)
+        assert hm_total(lam2, a, fs, w) == predicted2
     _report(4, "shape1/shape2 weights match -4N(|alpha|+pardeg) and -4N pardeg, 200 per shape",
             time.time() - start)
 

@@ -15,7 +15,6 @@ from isoflag.flags import (
     so2_score,
     validate_flag,
 )
-from isoflag.hmgit import build_linearization
 import isoflag.linalg as linalg_mod
 from isoflag.io import InstanceFile, serialize_instance
 from isoflag.linalg import (
@@ -213,7 +212,7 @@ class TestConventionOracle:
 class TestSo2Score:
     def test_four_legal_inputs(self):
         w = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
-        n_abs_alpha = build_linearization(w).n_abs_alpha  # N = 16, |alpha| = 1/2
+        n_abs_alpha = w.n_abs_alpha  # N = 16, |alpha| = 1/2
         assert n_abs_alpha == 8
         assert so2_score(Subspace.full(2), n_abs_alpha) == 0
         assert so2_score(Subspace.zero(2), n_abs_alpha) == 0

@@ -610,6 +610,16 @@ def _oracle_pairs(q):
                     yield t_sub, fs, other, seed
 
 
+def _prime_alpha_weight(w):
+    """w's beta with every alpha 1/p, p the least prime above 100 that
+    divides no beta denominator.  N = lcm of all denominators then carries
+    a factor p that N beta does not need, so line_oracle's integer scores
+    must come back over N reduced."""
+    dens = [b.denominator for row in w.beta for b in row]
+    p = next(p for p in (101, 103, 107, 109, 113) if all(d % p for d in dens))
+    return Weight.make(w.q, w.s, [F(1, p)] * w.s, w.beta)
+
+
 class TestIntegerRowSearch:
     # 228 instances with T != 0 (generic rows span C^q at q = 5, s >= 7
     # and at q = 6, s = 8), 684 (instance, weight) pairs in all
@@ -618,6 +628,12 @@ class TestIntegerRowSearch:
         # the reference first, then line_oracle with the Subspace steps of
         # the flags made to raise: the search must not need them
         cases = list(_oracle_pairs(q))
+        assert len(cases) == pairs
+        # and every twelfth pair again at a weight whose alpha carries a
+        # prime absent from beta
+        extra = [(t_sub, fs, _prime_alpha_weight(w), seed)
+                 for t_sub, fs, w, seed in cases[::12]]
+        cases += extra
         expected = [_subspace_line_oracle(*case) for case in cases]
 
         def refuse(*args):
@@ -630,7 +646,6 @@ class TestIntegerRowSearch:
             res = line_oracle(*case[:3], seed=case[3])
             assert (res.value, res.witness) == want, case[1:]
             kinds.add(type(res.witness).__name__)
-        assert len(cases) == pairs
         assert max(t_sub.dim for t_sub, *_ in cases) == q - 1
         assert {"Subspace", "ExtensionLine"} <= kinds
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -6,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from isoflag.errors import InputError, InternalConsistencyError
-from isoflag.flags import FlagSystem, IsotropicFlag, random_flag
+from isoflag.flags import FlagSystem, IsotropicFlag, n_pardeg, random_flag
 from isoflag.higgs import Certificate, ExtensionLine, HiggsTuple
 from isoflag.hmgit import (
     INFINITE,
@@ -15,7 +16,6 @@ from isoflag.hmgit import (
     _l_values,
     _package_oneps,
     bounded_destabilizer_search,
-    build_linearization,
     certificate_oneps,
     consistency_check,
     destabilizing_oneps,
@@ -46,6 +46,8 @@ from isoflag.weights import Weight
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
                    [(F(1, 16), F(1, 32), F(-1, 32), F(-1, 16))] * 4)
+# alpha[1] above 1/2
+W_BAD_Q2 = Weight.make(2, 4, [F(3, 4)] + [F(1, 8)] * 3, [(F(1, 16), F(-1, 16))] * 4)
 
 
 def vec(*entries):
@@ -121,36 +123,57 @@ def _zeta_table(w, n):
     return [[int(-n * b) for b in row] for row in w.beta]
 
 
+def _build_linearization(w):
+    """(N, N|alpha|, N beta) as hmgit.build_linearization computed N and
+    N|alpha| before the weight owned them: the reference for Weight.n,
+    n_abs_alpha and n_beta."""
+    n = math.lcm(*(a.denominator for a in w.alpha),
+                 *(b.denominator for row in w.beta for b in row))
+    return n, int(n * sum(w.alpha)), tuple(tuple(int(n * b) for b in row) for row in w.beta)
+
+
 class TestLinearization:
     def test_q2_example(self):
-        lin = build_linearization(W_Q2)
-        assert lin.n == 16
-        assert lin.n_abs_alpha == 8
+        assert W_Q2.n == 16
+        assert W_Q2.n_abs_alpha == 8
 
     def test_q4_example(self):
-        lin = build_linearization(W_Q4)
-        assert lin.n == 32
-        assert lin.n_abs_alpha == 16
+        assert W_Q4.n == 32
+        assert W_Q4.n_abs_alpha == 16
+        assert W_Q4.n_beta == ((2, 1, -1, -2),) * 4
 
     def test_zero_weight(self):
         w = Weight.make(2, 3, [F(0)] * 3, [(F(0), F(0))] * 3)
-        lin = build_linearization(w)
-        assert lin.n == 1
-        assert lin.n_abs_alpha == 0
-        assert lin.n_pardeg(Subspace.from_vectors([vec(1, 0)], 2),
-                            FlagSystem.standard(2, 3)) == 0
+        assert w.n == 1
+        assert w.n_abs_alpha == 0
+        assert n_pardeg(Subspace.from_vectors([vec(1, 0)], 2),
+                        FlagSystem.standard(2, 3), w) == 0
+
+    def test_matches_reference_build(self):
+        # seeded weights of every admissible shape used elsewhere, both
+        # regions, plus an alpha whose denominator carries a prime (7) that
+        # no beta denominator has
+        weights = [random_weight(q, s, seed, region)
+                   for q in range(2, 9) for s in (3, 4, 6) for seed in range(3)
+                   for region in ("W", "Wprime")]
+        weights.append(Weight.make(4, 3, [F(1, 7), F(1, 8), F(1, 8)],
+                                   [(F(1, 16), F(1, 32), F(-1, 32), F(-1, 16))] * 3))
+        for w in weights:
+            ref = _build_linearization(w)
+            assert (w.n, w.n_abs_alpha, w.n_beta) == ref, w
+            assert all(type(x) is int for x in (w.n, w.n_abs_alpha) + sum(w.n_beta, ()))
+        assert weights[-1].n == 7 * 32
 
     def test_xi_zeta_sums_vanish(self):
         # the twisting tables N clears sum to zero, and N|alpha| is the
         # positive half of the rank-one table
         for seed in range(20):
             w = random_weight(seed % 4 + 2, seed % 3 + 3, seed)
-            lin = build_linearization(w)
-            xi = _xi_table(w, lin.n)
+            xi = _xi_table(w, w.n)
             assert sum(x[0] + x[1] for x in xi) == 0
-            assert all(sum(row) == 0 for row in _zeta_table(w, lin.n))
-            assert lin.n_abs_alpha == sum(x[1] for x in xi)
-            assert isinstance(lin.n_abs_alpha, int)
+            assert all(sum(row) == 0 for row in _zeta_table(w, w.n))
+            assert w.n_abs_alpha == sum(x[1] for x in xi)
+            assert isinstance(w.n_abs_alpha, int)
 
     def test_n_pardeg_matches_profile_reference(self):
         # N pardeg through pardeg_subspace against the integer sums over the
@@ -159,16 +182,15 @@ class TestLinearization:
             q, s = seed % 5 + 2, seed % 3 + 3
             w = random_weight(q, s, seed)
             fs = random_flag_system(q, s, seed)
-            lin = build_linearization(w)
             rng = random.Random(seed)
             subs = [random_isotropic_subspace(q, k, seed) for k in range(q // 2 + 1)]
             subs += [Subspace.from_vectors(
                 [tuple(random_scalar(rng) for _ in range(q)) for _ in range(k)], q)
                 for k in range(q + 1)]
             for sub in subs:
-                value = lin.n_pardeg(sub, fs)
+                value = n_pardeg(sub, fs, w)
                 assert isinstance(value, int)
-                assert value == _profile_n_pardeg(lin, sub, fs), (seed, sub.dim)
+                assert value == _profile_n_pardeg(w, sub, fs), (seed, sub.dim)
 
 
 class TestFiltration:
@@ -270,25 +292,22 @@ class TestFlagTotal:
     def test_trivial(self):
         lam = OnePS.trivial(4)
         fs = FlagSystem.standard(4, 4)
-        lin = build_linearization(W_Q4)
-        assert hm_flag_total(lam, fs, lin) == 0
+        assert hm_flag_total(lam, fs, W_Q4) == 0
 
     def test_shape2_value(self):
         fs = FlagSystem.standard(4, 4)
-        lin = build_linearization(W_Q4)
         e1 = Subspace.from_vectors([vec(1, 0, 0, 0)], 4)
         vprime = orthocomplement(e1, BilinearForm(4))
-        lam, predicted = destabilizing_oneps("shape2", vprime, fs, lin)
+        lam, predicted = destabilizing_oneps("shape2", vprime, fs, W_Q4)
         assert predicted == -32
-        assert hm_flag_total(lam, fs, lin) == -32
+        assert hm_flag_total(lam, fs, W_Q4) == -32
 
     def test_shape1_value(self):
         fs = FlagSystem.standard(4, 4)
-        lin = build_linearization(W_Q4)
         e1 = Subspace.from_vectors([vec(1, 0, 0, 0)], 4)
-        lam, predicted = destabilizing_oneps("shape1", e1, fs, lin)
+        lam, predicted = destabilizing_oneps("shape1", e1, fs, W_Q4)
         assert predicted == -96
-        assert hm_flag_total(lam, fs, lin) == -96
+        assert hm_flag_total(lam, fs, W_Q4) == -96
 
 
 class TestTotalWeight:
@@ -297,39 +316,52 @@ class TestTotalWeight:
         for trial in range(40):
             q, s = rng.randint(2, 5), rng.randint(3, 5)
             a, fs, w = random_instance(q, s, trial, mode=mixed_mode(trial))
-            lin = build_linearization(w)
             lam = random_oneps(q, trial + 1, bound=2)
-            total = hm_total(lam, a, fs, lin)
+            total = hm_total(lam, a, fs, w)
             base = hm_base(lam, a)
             if base is INFINITE:
                 assert total is INFINITE
             else:
-                assert total == base + hm_flag_total(lam, fs, lin)
+                assert total == base + hm_flag_total(lam, fs, w)
 
     def test_infinite_absorbs(self):
         lam = OnePS(2, (1, -1), tuple(standard_basis(2)))
         a = HiggsTuple(2, 4, (vec(0, 1), vec(0, 1)))
         fs = FlagSystem.standard(2, 4)
-        lin = build_linearization(W_Q2)
-        assert hm_total(lam, a, fs, lin) is INFINITE
+        assert hm_total(lam, a, fs, W_Q2) is INFINITE
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_invalid_weight_rejected(self, l):
+        # l = 2 makes hm_base +inf before any degree is computed; the weight
+        # is still checked
+        a = HiggsTuple(2, 4, (vec(1, 0), vec(1, 0)))
+        fs = FlagSystem.standard(2, 4)
+        lam = OnePS(l, (1, -1), tuple(standard_basis(2)))
+        assert (hm_base(lam, a) is INFINITE) == (l == 2)
+        with pytest.raises(InputError, match="invalid weight"):
+            hm_total(lam, a, fs, W_BAD_Q2)
 
 
 class TestDestabilizingShapes:
     def test_shape2_full_space_predicts_zero(self):
         fs = FlagSystem.standard(4, 4)
-        lin = build_linearization(W_Q4)
-        lam, predicted = destabilizing_oneps("shape2", Subspace.full(4), fs, lin)
+        lam, predicted = destabilizing_oneps("shape2", Subspace.full(4), fs, W_Q4)
         assert predicted == 0
         assert all(x == 0 for x in lam.m)
 
     def test_wrong_isotropy_class(self):
         fs = FlagSystem.standard(2, 4)
-        lin = build_linearization(W_Q2)
         aniso = Subspace.from_vectors([vec(1, 1)], 2)
         with pytest.raises(InputError):
-            destabilizing_oneps("shape1", aniso, fs, lin)
+            destabilizing_oneps("shape1", aniso, fs, W_Q2)
         with pytest.raises(InputError):
-            destabilizing_oneps("shape2", aniso, fs, lin)
+            destabilizing_oneps("shape2", aniso, fs, W_Q2)
+
+    @pytest.mark.parametrize("kind, vprime", [("shape1", Subspace.zero(2)),
+                                              ("shape2", Subspace.full(2))])
+    def test_invalid_weight_rejected(self, kind, vprime):
+        with pytest.raises(InputError, match="invalid weight"):
+            destabilizing_oneps(kind, vprime, FlagSystem.standard(2, 4), W_BAD_Q2)
 
     def test_identities_random(self):
         for trial in range(40):
@@ -337,7 +369,6 @@ class TestDestabilizingShapes:
             q, s = rng.choice([2, 3, 4, 5, 6]), rng.choice([4, 5])
             w = random_weight(q, s, trial + 2)
             fs = random_flag_system(q, s, trial + 3)
-            lin = build_linearization(w)
             k = rng.randint(1, q // 2)
             iso = random_isotropic_subspace(q, k, trial + 5)
             rows = []
@@ -348,11 +379,11 @@ class TestDestabilizingShapes:
                     v = tuple(x + c * y for x, y in zip(v, b))
                 rows.append(v)
             a = HiggsTuple(q, s, tuple(rows))
-            lam1, p1 = destabilizing_oneps("shape1", iso, fs, lin)
-            assert hm_total(lam1, a, fs, lin) == p1
+            lam1, p1 = destabilizing_oneps("shape1", iso, fs, w)
+            assert hm_total(lam1, a, fs, w) == p1
             co = orthocomplement(iso, BilinearForm(q))
-            lam2, p2 = destabilizing_oneps("shape2", co, fs, lin)
-            assert hm_total(lam2, a, fs, lin) == p2
+            lam2, p2 = destabilizing_oneps("shape2", co, fs, w)
+            assert hm_total(lam2, a, fs, w) == p2
 
 
 def _classified_candidate_isotropics(a, fs):
@@ -427,8 +458,7 @@ class TestBoundedSearch:
         assert found is not None
         lam, mu = found
         assert mu < 0
-        lin = build_linearization(W_Q4)
-        assert hm_total(lam, a, fs, lin) == mu
+        assert hm_total(lam, a, fs, W_Q4) == mu
 
     @pytest.mark.parametrize("bound", [0, -3])
     def test_bound_below_one_rejected(self, bound):
@@ -474,10 +504,10 @@ class TestConsistency:
 # became one-link chains, kept as references
 
 
-def _profile_n_pardeg(lin, sub, fs):
+def _profile_n_pardeg(w, sub, fs):
     """N pardeg(sub) in integers, summed puncture by puncture from the
     profiles against the -N beta table."""
-    zeta = _zeta_table(lin.weight, lin.n)
+    zeta = _zeta_table(w, w.n)
     total = 0
     for j, flag in enumerate(fs.flags):
         profile = flag.profile(sub)
@@ -488,7 +518,7 @@ def _profile_n_pardeg(lin, sub, fs):
     return total
 
 
-def _shape_formula_oneps(kind, vprime, fs, lin, w):
+def _shape_formula_oneps(kind, vprime, fs, w):
     """destabilizing_oneps with its hand-built weight vector and its two
     per-shape weight formulas on V'."""
     form = BilinearForm(fs.q)
@@ -506,10 +536,10 @@ def _shape_formula_oneps(kind, vprime, fs, lin, w):
     basis = complete_to_hyperbolic([w_iso] if w_iso.dim else [], form)
     k = w_iso.dim
     m = (1,) * k + (0,) * (fs.q - 2 * k) + (-1,) * k
-    n_pardeg = _profile_n_pardeg(lin, vprime, fs)
+    degree = _profile_n_pardeg(w, vprime, fs)
     if kind == "shape1":
-        return OnePS(l, m, basis), -4 * (lin.n_abs_alpha + n_pardeg)
-    return OnePS(l, m, basis), -4 * n_pardeg
+        return OnePS(l, m, basis), -4 * (w.n_abs_alpha + degree)
+    return OnePS(l, m, basis), -4 * degree
 
 
 def _recursive_descending_tuples(r, cap):
@@ -534,14 +564,13 @@ def _two_branch_search(a, fs, w, weight_bound=3, scanned=None):
     rows checked one at a time and the closed form written inline.  With a
     list for scanned, every candidate that passes the containment rule is
     appended as (l, ((t_j, N pardeg I_j), ...)) and none counts as a hit."""
-    lin = build_linearization(w)
     form = BilinearForm(fs.q)
     isotropics = _candidate_isotropics(a, fs)
     rows_zero = all(all(x.is_zero() for x in r) for r in a.rows)
     info = {}
     for iso in isotropics:
         perp = orthocomplement(iso, form)
-        info[iso] = (_profile_n_pardeg(lin, iso, fs),
+        info[iso] = (_profile_n_pardeg(w, iso, fs),
                      all(iso.contains(r) for r in a.rows),
                      all(perp.contains(r) for r in a.rows))
     chains = [[]] + [[iso] for iso in isotropics]
@@ -571,7 +600,7 @@ def _two_branch_search(a, fs, w, weight_bound=3, scanned=None):
         if scanned is not None:
             scanned.append((l, tuple((t, info[c][0]) for t, c in zip(thresholds, chain))))
             return 0
-        total = l * lin.n_abs_alpha
+        total = l * w.n_abs_alpha
         for j in range(len(chain)):
             t_next = thresholds[j + 1] if j + 1 < len(chain) else 0
             total += info[chain[j]][0] * (thresholds[j] - t_next)
@@ -606,13 +635,12 @@ class TestChainReferences:
             q, s = rng.choice([2, 3, 4, 5, 6]), rng.choice([3, 4, 5])
             w = random_weight(q, s, trial + 11)
             fs = random_flag_system(q, s, trial + 13)
-            lin = build_linearization(w)
             form = BilinearForm(q)
             iso = random_isotropic_subspace(q, rng.randint(1, q // 2), trial + 17)
             for kind, vprime in (("shape1", iso), ("shape2", orthocomplement(iso, form)),
                                  ("shape1", Subspace.zero(q)), ("shape2", Subspace.full(q))):
-                lam, predicted = destabilizing_oneps(kind, vprime, fs, lin)
-                ref, ref_predicted = _shape_formula_oneps(kind, vprime, fs, lin, w)
+                lam, predicted = destabilizing_oneps(kind, vprime, fs, w)
+                ref, ref_predicted = _shape_formula_oneps(kind, vprime, fs, w)
                 assert (lam.l, lam.m, lam.basis, predicted) == \
                     (ref.l, ref.m, ref.basis, ref_predicted), (trial, kind)
                 done[kind] += 1
@@ -679,16 +707,15 @@ class TestCertificateOneps:
         line = ExtensionLine(2, base=vec(1, 0), twist=vec(0, 1), delta=sc(3))
         cert = Certificate("positive_coisotropic", witness=line, pardeg=F(1, 8))
         fs = FlagSystem.standard(2, 4)
-        assert certificate_oneps(cert, fs, build_linearization(W_Q2)) is None
+        assert certificate_oneps(cert, fs, W_Q2) is None
 
     def test_shapes_by_certificate_kind(self):
         fs = FlagSystem.standard(4, 4)
-        lin = build_linearization(W_Q4)
         e1 = Subspace.from_vectors([vec(1, 0, 0, 0)], 4)
         co = orthocomplement(e1, BilinearForm(4))
         span_cert = Certificate("isotropic_span", span=e1)
         co_cert = Certificate("positive_coisotropic", witness=e1, coisotropic=co)
-        assert certificate_oneps(span_cert, fs, lin) == \
-            destabilizing_oneps("shape1", e1, fs, lin)
-        assert certificate_oneps(co_cert, fs, lin) == \
-            destabilizing_oneps("shape2", co, fs, lin)
+        assert certificate_oneps(span_cert, fs, W_Q4) == \
+            destabilizing_oneps("shape1", e1, fs, W_Q4)
+        assert certificate_oneps(co_cert, fs, W_Q4) == \
+            destabilizing_oneps("shape2", co, fs, W_Q4)

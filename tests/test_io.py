@@ -247,6 +247,19 @@ class TestCli:
         path.write_text(text, encoding="utf-8")
         assert main(["decide", str(path)]) == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--q", "-5", "--s", "5", "--region", "Wprime"], "--q must be at least 2, got -5"),
+        (["--q", "1", "--s", "5"], "--q must be at least 2, got 1"),
+        (["--q", "2", "--s", "2"], "--s must be at least 3, got 2"),
+        (["--q", "3", "--s", "4"], "--s must be at least --q + 2 = 5, got 4"),
+    ])
+    def test_gen_bad_shape_is_usage_error(self, capsys, argv, message):
+        # rejected before anything is generated: no data file is involved
+        assert main(["gen"] + argv) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
     def test_hm_audit(self, tmp_path, unstable_file, capsys):
         lam = OnePS(1, (1, -1), tuple(standard_basis(2)))
         oneps_path = tmp_path / "lam.oneps.json"
@@ -255,6 +268,22 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["mu"] == -48
         assert out["summands"]
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_hm_invalid_weight_is_data_error(self, tmp_path, capsys, l):
+        # alpha above 1/2; l = 2 puts the rows outside V_l, so hm_base is
+        # +inf before any degree is computed, and the weight must still be
+        # rejected
+        w = Weight.make(2, 4, [F(3, 4)] + [F(1, 8)] * 3, [(F(1, 16), F(-1, 16))] * 4)
+        inst = InstanceFile(w, FlagSystem.standard(2, 4),
+                            HiggsTuple(2, 4, (vec(1, 0), vec(1, 0))), seed=0)
+        path = tmp_path / "bad-weight.instance.json"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        oneps_path = tmp_path / "lam.oneps.json"
+        lam = OnePS(l, (1, -1), tuple(standard_basis(2)))
+        oneps_path.write_text(json.dumps(oneps_to_json(lam)), encoding="utf-8")
+        assert main(["hm", str(path), "--oneps", str(oneps_path)]) == 65
+        assert "invalid weight: alpha[1] not in [0, 1/2]" in capsys.readouterr().err
 
     def test_hm_missing_oneps_is_data_error(self, tmp_path, unstable_file, capsys):
         missing = tmp_path / "missing.oneps.json"
