@@ -83,7 +83,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("crosscheck", help="verdict vs Hilbert-Mumford consistency")
     p.add_argument("path")
-    p.add_argument("--bound", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gen", help="generate a stable instance")
@@ -195,17 +194,13 @@ def _cmd_hm(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    if args.bound < 1:
-        # a bound below 1 scans no weight pattern, so every verdict would pass
-        raise _UsageError(f"--bound must be at least 1, got {args.bound}")
     target = Path(args.path)
     files = sorted(target.glob("*.instance.json")) if target.is_dir() else [target]
     results = []
     inconsistencies = 0
     for f in files:
         inst = _read_instance(str(f))
-        res = consistency_check(inst.higgs, inst.flags, inst.weight,
-                                bound=args.bound, seed=args.seed)
+        res = consistency_check(inst.higgs, inst.flags, inst.weight, seed=args.seed)
         res["instance"] = f.stem
         results.append(res)
         if not res["consistent"]:

@@ -126,6 +126,7 @@ class ExtensionLine:
         """A line has one jump per flag: the first i with the line in F_i^j,
         that is, with the hull in F_i^j: dim(hull ^ F_i^j) = dim hull.  Both
         are read off the flag profiles of the hull."""
+        require_weight_for(fs, w)
         hull = Subspace.from_vectors([self.base, self.twist], self.ambient)
         return Fraction(sum(row[flag.profile(hull).index(hull.dim) - 1]
                             for row, flag in zip(w.n_beta, fs.flags)), w.n)
@@ -438,7 +439,7 @@ class Verdict:
 EXIT_CODES = {"Stable": 0, "StrictlySemistable": 1, "Unstable": 2, "Undetermined": 3}
 
 
-def _check_inputs(a: HiggsTuple, fs: FlagSystem, w: Weight) -> None:
+def check_inputs(a: HiggsTuple, fs: FlagSystem, w: Weight) -> None:
     require_valid(w)
     if not region_membership(w).in_w:
         raise InputError("weight outside the admissible region; the stability "
@@ -459,7 +460,7 @@ def decide_stability(a: HiggsTuple, fs: FlagSystem, w: Weight, seed: int = 0) ->
     certified by the exact supremum; Undetermined (possible only for q >= 4)
     carries the bounds that failed to separate.
     """
-    _check_inputs(a, fs, w)
+    check_inputs(a, fs, w)
     form = BilinearForm(a.q)
 
     holds, span = condition1_isotropic_span(a)
@@ -489,21 +490,20 @@ def decide_stability(a: HiggsTuple, fs: FlagSystem, w: Weight, seed: int = 0) ->
 
 def verify_certificate(verdict: Verdict, a: HiggsTuple, fs: FlagSystem, w: Weight) -> bool:
     """Independent recomputation of an Unstable certificate, its stated
-    pardeg included.  An ExtensionLine witness is rejected outright: by the
-    lemma in its docstring its pardeg is <= 0 under every valid weight, so
-    it never destabilizes."""
+    pardeg included.  A certificate without the subspace its kind needs is
+    rejected, and so is an ExtensionLine witness: by the lemma in its
+    docstring its pardeg is <= 0 under every valid weight, so it never
+    destabilizes."""
     cert = verdict.certificate
     if verdict.tag != "Unstable" or cert is None:
         return False
     form = BilinearForm(a.q)
-    if cert.kind == "isotropic_span":
+    if cert.kind == "isotropic_span" and cert.span is not None:
         span = cert.span
         iso, _, _ = isotropy_classify(span, form)
         return iso and span.contains_subspace(a.span())
-    if cert.kind == "positive_coisotropic":
+    if cert.kind == "positive_coisotropic" and isinstance(cert.witness, Subspace):
         witness = cert.witness
-        if isinstance(witness, ExtensionLine):
-            return False
         iso, _, _ = isotropy_classify(witness, form)
         if not (iso and a.span_perp().contains_subspace(witness)):
             return False

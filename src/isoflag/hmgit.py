@@ -17,29 +17,25 @@ wherever a second formula is available, and any disagreement raises
 InternalConsistencyError: these identities are the package's cross-check of
 the whole degree bookkeeping.
 
-A filtration with rank-one weight l and an isotropic chain I_1 < ... < I_r
-with thresholds t_1 > ... > t_r > 0 has the closed-form total weight
-(_chain_weight)
-
-    mu = -4 l N|alpha| - 4 sum_j (N pardeg I_j)(t_j - t_{j+1}),  t_{r+1} = 0,
-
-and one function (_package_oneps) turns such a chain into an explicit
-one-parameter subgroup.  The two standard destabilizing shapes are its
-one-link case: shape 1 is l = 1 with chain [(1, W)] and weight
--4N(|alpha| + pardeg W), shape 2 is l = 0 with chain [(1, V'^perp)] and
-weight -4N pardeg V' (pardeg V'^perp = pardeg V').  The sign convention for
-the rank-one factor (u carries weight +l) is pinned by these identities, and
-the test suite enforces them.
+Two destabilizing shapes, each built from an isotropic W (destabilizing_oneps),
+serve the certificates and the search alike: shape 1 is l = 1 with
+V_1 = W, weighing -4N(|alpha| + pardeg W), and shape 2 is l = 0 with
+V_1 = W = V'^perp, weighing -4N pardeg V' (pardeg V'^perp = pardeg V').
+For an admissible weight no other filtration destabilizes where these two
+do not, so the destabilizer search is one scan of candidate isotropics (the
+lemma in bounded_destabilizer_search).  The sign convention for the rank-one
+factor (u carries weight +l) is pinned by these identities, and the test
+suite enforces them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, InternalConsistencyError
 from .flags import FlagSystem, n_pardeg, require_weight_for, so2_score
-from .higgs import Certificate, HiggsTuple, decide_stability, isotropic_radicals, verify_certificate
+from .higgs import (Certificate, HiggsTuple, check_inputs, decide_stability, isotropic_radicals,
+                    verify_certificate)
 from .linalg import (
     BilinearForm,
     Subspace,
@@ -50,7 +46,7 @@ from .linalg import (
     orthocomplement,
     standard_basis,
 )
-from .weights import Weight, require_valid
+from .weights import Weight
 
 
 class _Infinite:
@@ -227,21 +223,12 @@ def hm_total(lam: OnePS, a: HiggsTuple, fs: FlagSystem, w: Weight,
 # destabilizing constructions
 
 
-def _chain_weight(l: int, n_abs_alpha: int, links: list[tuple[int, int]]) -> int:
-    """Closed-form total weight -4 (l N|alpha| + sum_j n_j (t_j - t_{j+1})) of
-    the filtration with rank-one weight l whose links (t_j, n_j) pair the
-    descending thresholds with N pardeg I_j of an isotropic chain; t_{r+1} = 0."""
-    total = l * n_abs_alpha
-    for j, (t, degree) in enumerate(links):
-        t_next = links[j + 1][0] if j + 1 < len(links) else 0
-        total += degree * (t - t_next)
-    return -4 * total
-
-
 def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
                         w: Weight) -> tuple[OnePS, int]:
-    """The two standard destabilizing shapes built from a subspace V', each
-    the one-link chain [(1, W)] of an isotropic W.
+    """The two standard destabilizing shapes built from a subspace V' through
+    an isotropic W of dimension k: weights m = (1^k, 0^(q-2k), (-1)^k) on a
+    hyperbolic completion of W, rank-one weight l and predicted weight
+    -4(l N|alpha| + N pardeg W).
 
     shape1 (V' isotropic, meant to contain every row): l = 1, W = V';
         U_n = C^2 (n<=-1), U (n=0,1), 0 (n>=2);
@@ -265,12 +252,12 @@ def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
     if not iso:
         raise InputError(f"{kind} needs {needs} subspace")
 
-    chain = [(1, w_iso)] if w_iso.dim else []
-    lam = _package_oneps(l, chain, fs.q, form)
+    k = w_iso.dim
+    m = (1,) * k + (0,) * (fs.q - 2 * k) + (-1,) * k
+    lam = OnePS(l, m, complete_to_hyperbolic([w_iso] if k else [], form))
     if lam.v_piece(1) != w_iso:
         raise InternalConsistencyError("constructed filtration misses its subspace")
-    return lam, _chain_weight(l, w.n_abs_alpha,
-                              [(t, n_pardeg(piece, fs, w)) for t, piece in chain])
+    return lam, -4 * (l * w.n_abs_alpha + n_pardeg(w_iso, fs, w))
 
 
 def certificate_oneps(cert: Certificate, fs: FlagSystem,
@@ -301,71 +288,62 @@ def _candidate_isotropics(a: HiggsTuple, fs: FlagSystem) -> list[Subspace]:
     return sorted(pieces.union(harvest), key=lambda s_: (s_.dim, repr(s_.rows)))
 
 
-def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem, w: Weight,
-                                weight_bound: int = 3) -> tuple[OnePS, int] | None:
-    """First one-parameter subgroup with finite negative total weight among
-    candidate filtrations built from the instance's subspace lattice and
-    integer weight patterns up to the bound, or None.
+def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem,
+                                w: Weight) -> tuple[OnePS, int] | None:
+    """The first destabilizing one-parameter subgroup built on the candidate
+    isotropics (_candidate_isotropics) and its weight, or None.
 
-    A candidate is a rank-one weight l and a chain of at most two candidate
-    isotropics with descending thresholds; its weight is _chain_weight, by
-    perp-duality of the filtration and pardeg(I^perp) = pardeg(I).  Any
-    candidate found this way is re-packaged as an explicit one-parameter
-    subgroup and re-evaluated summand by summand, and the two routes must
-    agree.  Patterns with entries in {-1, 0, 1} are enumerated first, then
-    the bound grows; the scan order is deterministic, so the first hit is
-    reproducible.
+    A filtration with rank-one weight l and a chain of candidates with
+    integer thresholds t_1 > ... > t_r > 0 is finite iff the rows lie in V_l,
+    and then weighs -4 (l N|alpha| + sum_{t >= 1} N pardeg I(t)), with I(t)
+    the largest member of threshold >= t (0 if none).  For an admissible
+    weight, the first negative one is one of the two shapes, found by one
+    scan:
+
+    - rows 0: shape 1 on 0;
+    - otherwise, for the first candidate I inside T = span(A)^perp with
+      N pardeg I > 0 or with the rows in I: shape 2 on I^perp if
+      N pardeg I > 0, else shape 1 on I.
+
+    Lemma.  Admissibility (alpha^j > |beta^j|) gives
+    -N|beta| <= N pardeg <= N|beta| < N|alpha| for every subspace.
+    - l >= 1: V_l contains the rows and is an isotropic member, or 0.  Then
+      shape 1 on that member weighs -4(N|alpha| + N pardeg) < 0, and for rows
+      equal to 0 the empty chain weighs -4N|alpha| < 0.
+    - l = -a <= 0: the rows lie in V_l = I(1 + a)^perp, so the members with
+      threshold >= 1 + a lie in T, and the thresholds t <= a contribute at
+      most a N|beta| < a N|alpha| (nothing when a = 0).  So a negative weight
+      needs some I(t) inside T with N pardeg I(t) > 0.
+    Among patterns ordered by their largest |weight|, then by candidate, then
+    with l = 0 before l = 1, the scan's hit is therefore the first negative
+    one.  It is re-evaluated summand by summand (hm_total), and the two
+    routes must agree.
     """
-    require_valid(w)
-    if weight_bound < 1:
-        raise InputError(f"weight bound must be at least 1, got {weight_bound}")
-    form = BilinearForm(fs.q)
+    check_inputs(a, fs, w)
     span = a.span()
 
-    isotropics = _candidate_isotropics(a, fs)
-    # I -> (N pardeg I, (rows lie in I^perp, rows lie in I)); the rows lie in
-    # I^perp exactly when I lies in span^perp
-    info = {iso: (n_pardeg(iso, fs, w),
-                  (a.span_perp().contains_subspace(iso), iso.contains_subspace(span)))
-            for iso in isotropics}
+    def hit(kind: str, vprime: Subspace) -> tuple[OnePS, int]:
+        lam, mu = destabilizing_oneps(kind, vprime, fs, w)
+        if mu >= 0 or hm_total(lam, a, fs, w) != mu:
+            raise InternalConsistencyError(
+                f"{kind} hit does not re-evaluate to its negative weight {mu}")
+        return lam, mu
 
-    chains: list[list[Subspace]] = [[]]
-    chains.extend([iso] for iso in isotropics)
-    for i1 in isotropics:
-        for i2 in isotropics:
-            if i1.dim < i2.dim and i2.contains_subspace(i1):
-                chains.append([i1, i2])
-
-    def evaluate(l: int, chain: list[Subspace], thresholds: tuple[int, ...]):
-        # hm_base: every row must lie in V_l.  V_l is the largest member I
-        # with threshold >= l when l >= 1 (0 if there is none), and I^perp
-        # for the largest with threshold >= 1 - l when l <= 0 (C^q if none).
-        reached = [c for c, t in zip(chain, thresholds) if t >= max(l, 1 - l)]
-        holds = info[reached[-1]][1] if reached else (True, span.dim == 0)
-        if not holds[l >= 1]:
-            return None
-        return _chain_weight(l, w.n_abs_alpha,
-                             [(t, info[c][0]) for t, c in zip(thresholds, chain)])
-
-    for top in range(1, weight_bound + 1):  # the largest |weight| in the pattern
-        for chain in chains:
-            # the deepest (smallest) chain member carries the largest threshold
-            for thresholds in itertools.combinations(range(top, 0, -1), len(chain)):
-                for l in _l_values(top):
-                    if max((abs(l),) + thresholds) != top:
-                        continue  # already scanned at a smaller top
-                    mu = evaluate(l, chain, thresholds)
-                    if mu is not None and mu < 0:
-                        lam = _package_oneps(l, list(zip(thresholds, chain)), fs.q, form)
-                        if hm_total(lam, a, fs, w) != mu:
-                            raise InternalConsistencyError(
-                                "filtration weight and packaged weight disagree")
-                        return lam, mu
+    if span.dim == 0:
+        return hit("shape1", span)
+    span_perp = a.span_perp()
+    for iso in _candidate_isotropics(a, fs):
+        if not span_perp.contains_subspace(iso):
+            continue
+        if n_pardeg(iso, fs, w) > 0:
+            return hit("shape2", orthocomplement(iso, BilinearForm(fs.q)))
+        if iso.contains_subspace(span):
+            return hit("shape1", iso)
     return None
 
 
 def consistency_check(a: HiggsTuple, fs: FlagSystem, w: Weight,
-                      bound: int = 3, seed: int = 0) -> dict:
+                      seed: int = 0) -> dict:
     """Cross-check one instance's verdict against the Hilbert-Mumford side.
 
     Unstable verdicts must re-verify and (for witnesses over Q(i)) yield a
@@ -385,7 +363,7 @@ def consistency_check(a: HiggsTuple, fs: FlagSystem, w: Weight,
             out["reason"] = "certificate failed re-verification"
             return out
     else:
-        found = bounded_destabilizer_search(a, fs, w, weight_bound=bound)
+        found = bounded_destabilizer_search(a, fs, w)
         if found is not None:
             out["mu"] = found[1]
             if verdict.tag == "Undetermined":
@@ -415,29 +393,3 @@ def consistency_check(a: HiggsTuple, fs: FlagSystem, w: Weight,
             out["consistent"] = False
             out["reason"] = "zero-pardeg witness did not attain weight zero"
     return out
-
-
-def _l_values(top: int) -> list[int]:
-    vals = [0]
-    for v in range(1, top + 1):
-        vals.extend([v, -v])
-    return vals
-
-
-def _package_oneps(l: int, weighted_chain: list[tuple[int, Subspace]], q: int,
-                   form: BilinearForm) -> OnePS:
-    """Build the OnePS with eigenbasis adapted to the chain and the given
-    thresholds as weights.  weighted_chain pairs descending thresholds with
-    ascending subspaces."""
-    ordered = sorted(weighted_chain, key=lambda t: -t[0])
-    pieces = [p for _, p in ordered]
-    thresholds = [t for t, _ in ordered]
-    basis = complete_to_hyperbolic(pieces, form)
-    k = pieces[-1].dim if pieces else 0
-    m = [0] * q
-    dims = [p.dim for p in pieces]
-    for idx in range(k):
-        level = next(li for li, d in enumerate(dims) if idx < d)
-        m[idx] = thresholds[level]
-        m[q - 1 - idx] = -thresholds[level]
-    return OnePS(l, tuple(m), basis)

@@ -153,7 +153,7 @@ def test_criterion_5_stability_equivalence_desk_scale():
         q = [2, 3][trial % 2]
         s = 4 + (trial // 2) % 4
         a, fs, w = random_instance(q, s, trial, mode=mixed_mode(trial))
-        res = consistency_check(a, fs, w, bound=3, seed=trial)
+        res = consistency_check(a, fs, w, seed=trial)
         verdicts[res["verdict"]] += 1
         if not res["consistent"]:
             inconsistent += 1

@@ -293,6 +293,14 @@ class TestExtensionLinePardeg:
         line = ExtensionLine(3, vec(1, 0, 0), vec(1, 0, 0), sc(2))
         assert line.pardeg(fs, w3) == 4 * F(1, 16)
 
+    def test_weight_shape_mismatch_rejected(self):
+        # zip used to cut a weight for 5 punctures to the 4 flags and return
+        # a degree of the wrong weight
+        w5 = Weight.make(3, 5, [F(1, 8)] * 5, [(F(1, 16), F(0), F(-1, 16))] * 5)
+        line = ExtensionLine(3, vec(1, 0, 0), vec(1, 0, 0), sc(2))
+        with pytest.raises(InputError, match="weight and flag system shapes disagree"):
+            line.pardeg(FlagSystem.standard(3, 4), w5)
+
     def test_nondegenerate_hull_never_positive(self):
         # the ExtensionLine lemma: lines _isotropic_line_in builds on planes
         # inside F_k of a shared flag system, with k = (q + 3) // 2 the first
@@ -1006,6 +1014,15 @@ class TestDecide:
                 assert not verify_certificate(forged, a, fs, w), (seed, stated)
                 forged_count += 1
         assert forged_count == 12
+
+    @pytest.mark.parametrize("cert", [Certificate("isotropic_span"),
+                                      Certificate("positive_coisotropic", pardeg=F(1, 4))],
+                             ids=["isotropic_span", "positive_coisotropic"])
+    def test_certificate_without_its_subspace_rejected(self, cert):
+        # each used to raise AttributeError on the missing span or witness
+        fs = FlagSystem.standard(4, 4)
+        a = higgs(4, vec(0, 1, 0, 0), vec(0, 0, 1, 0))
+        assert not verify_certificate(Verdict("Unstable", cert), a, fs, W_Q4)
 
     def test_strictly_semistable(self):
         w3 = Weight.make(3, 4, [F(1, 8)] * 4, [(F(0), F(0), F(0))] * 4)

@@ -13,8 +13,6 @@ from isoflag.hmgit import (
     INFINITE,
     OnePS,
     _candidate_isotropics,
-    _l_values,
-    _package_oneps,
     bounded_destabilizer_search,
     certificate_oneps,
     consistency_check,
@@ -440,39 +438,39 @@ class TestBoundedSearch:
         fs = FlagSystem((bad,) + FlagSystem.standard(2, 3).flags)
         a = HiggsTuple(2, 4, (vec(1, 0), vec(0, 1)))
         with pytest.raises(InputError):
-            bounded_destabilizer_search(a, fs, W_Q2, 3)
+            bounded_destabilizer_search(a, fs, W_Q2)
 
     def test_stable_instance_finds_nothing(self):
         a = HiggsTuple(2, 4, (vec(1, 0), vec(0, 1)))
-        assert bounded_destabilizer_search(a, FlagSystem.standard(2, 4), W_Q2, 3) is None
+        assert bounded_destabilizer_search(a, FlagSystem.standard(2, 4), W_Q2) is None
 
     def test_condition1_failure_found(self):
         a = HiggsTuple(2, 4, (vec(1, 0), vec(1, 0)))
-        found = bounded_destabilizer_search(a, FlagSystem.standard(2, 4), W_Q2, 3)
+        found = bounded_destabilizer_search(a, FlagSystem.standard(2, 4), W_Q2)
         assert found is not None and found[1] < 0
 
     def test_positive_coisotropic_found(self):
         fs = FlagSystem.standard(4, 4)
         a = HiggsTuple(4, 4, (vec(0, 1, 0, 0), vec(0, 0, 1, 0)))
-        found = bounded_destabilizer_search(a, fs, W_Q4, 3)
+        found = bounded_destabilizer_search(a, fs, W_Q4)
         assert found is not None
         lam, mu = found
         assert mu < 0
         assert hm_total(lam, a, fs, W_Q4) == mu
 
-    @pytest.mark.parametrize("bound", [0, -3])
-    def test_bound_below_one_rejected(self, bound):
-        # the condition (1) failure that bound 3 finds; a bound below 1 would
-        # scan no pattern and report nothing
+    def test_weight_outside_region_rejected(self):
+        # a valid weight with alpha^j < |beta^j|: the search's lemma needs
+        # the admissible region, as decide_stability does
+        w = Weight.make(2, 4, [F(1, 32)] * 4, [(F(1, 16), F(-1, 16))] * 4)
         a = HiggsTuple(2, 4, (vec(1, 0), vec(1, 0)))
-        with pytest.raises(InputError, match="at least 1"):
-            bounded_destabilizer_search(a, FlagSystem.standard(2, 4), W_Q2, bound)
+        with pytest.raises(InputError, match="admissible region"):
+            bounded_destabilizer_search(a, FlagSystem.standard(2, 4), w)
 
     def test_deterministic_first_hit(self):
         fs = FlagSystem.standard(4, 4)
         a = HiggsTuple(4, 4, (vec(0, 1, 0, 0), vec(0, 0, 1, 0)))
-        f1 = bounded_destabilizer_search(a, fs, W_Q4, 3)
-        f2 = bounded_destabilizer_search(a, fs, W_Q4, 3)
+        f1 = bounded_destabilizer_search(a, fs, W_Q4)
+        f2 = bounded_destabilizer_search(a, fs, W_Q4)
         assert f1[1] == f2[1] and f1[0] == f2[0]
 
 
@@ -495,13 +493,13 @@ class TestConsistency:
         for trial in range(30):
             q = [2, 3][trial % 2]
             a, fs, w = random_instance(q, 4 + trial % 3, trial, mode=mixed_mode(trial))
-            res = consistency_check(a, fs, w, bound=3)
+            res = consistency_check(a, fs, w)
             assert res["consistent"], res
 
 
 # ---------------------------------------------------------------------------
-# the destabilizing shapes and the search as they were before the shapes
-# became one-link chains, kept as references
+# the destabilizing shapes with a weight formula per shape, and the search
+# as an enumeration of chains and threshold patterns, kept as references
 
 
 def _profile_n_pardeg(w, sub, fs):
@@ -559,11 +557,37 @@ def _recursive_descending_tuples(r, cap):
     return [t for t in out if len(t) == r]
 
 
-def _two_branch_search(a, fs, w, weight_bound=3, scanned=None):
-    """bounded_destabilizer_search with the containment rule in two branches,
-    rows checked one at a time and the closed form written inline.  With a
-    list for scanned, every candidate that passes the containment rule is
-    appended as (l, ((t_j, N pardeg I_j), ...)) and none counts as a hit."""
+def _l_values(top):
+    vals = [0]
+    for v in range(1, top + 1):
+        vals.extend([v, -v])
+    return vals
+
+
+def _package_chain(l, weighted_chain, q, form):
+    """The one-parameter subgroup with eigenbasis adapted to a chain and the
+    given thresholds as weights; weighted_chain pairs descending thresholds
+    with ascending subspaces."""
+    ordered = sorted(weighted_chain, key=lambda t: -t[0])
+    pieces = [p for _, p in ordered]
+    thresholds = [t for t, _ in ordered]
+    basis = complete_to_hyperbolic(pieces, form)
+    k = pieces[-1].dim if pieces else 0
+    m = [0] * q
+    dims = [p.dim for p in pieces]
+    for idx in range(k):
+        level = next(li for li, d in enumerate(dims) if idx < d)
+        m[idx] = thresholds[level]
+        m[q - 1 - idx] = -thresholds[level]
+    return OnePS(l, tuple(m), basis)
+
+
+def _two_branch_search(a, fs, w, weight_bound):
+    """bounded_destabilizer_search as an enumeration of every rank-one weight
+    l and chain of at most two candidate isotropics with descending
+    thresholds, the largest |weight| growing up to the bound, with the
+    containment rule in two branches, rows checked one at a time and the
+    closed form written inline."""
     form = BilinearForm(fs.q)
     isotropics = _candidate_isotropics(a, fs)
     rows_zero = all(all(x.is_zero() for x in r) for r in a.rows)
@@ -597,9 +621,6 @@ def _two_branch_search(a, fs, w, weight_bound=3, scanned=None):
                     piece_idx = j
             if piece_idx is not None and not info[chain[piece_idx]][2]:
                 return None
-        if scanned is not None:
-            scanned.append((l, tuple((t, info[c][0]) for t, c in zip(thresholds, chain))))
-            return 0
         total = l * w.n_abs_alpha
         for j in range(len(chain)):
             t_next = thresholds[j + 1] if j + 1 < len(chain) else 0
@@ -614,7 +635,7 @@ def _two_branch_search(a, fs, w, weight_bound=3, scanned=None):
                         continue
                     mu = evaluate(l, chain, thresholds)
                     if mu is not None and mu < 0:
-                        return _package_oneps(l, list(zip(thresholds, chain)), fs.q, form), mu
+                        return _package_chain(l, list(zip(thresholds, chain)), fs.q, form), mu
     return None
 
 
@@ -652,46 +673,27 @@ class TestChainReferences:
                 assert list(itertools.combinations(range(cap, 0, -1), r)) == \
                     _recursive_descending_tuples(r, cap), (r, cap)
 
-    def test_search_first_hit_matches_reference(self):
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_search_first_hit_matches_reference(self, bound):
         hits = 0
         for q in (2, 3, 4):
             for s in (3, 4, 5):
                 for seed in range(10):
                     a, fs, w = random_instance(q, s, seed, mode=mixed_mode(seed))
-                    found = bounded_destabilizer_search(a, fs, w, 3)
-                    ref = _two_branch_search(a, fs, w, 3)
+                    found = bounded_destabilizer_search(a, fs, w)
+                    ref = _two_branch_search(a, fs, w, bound)
                     if ref is None:
                         assert found is None, (q, s, seed)
                         continue
                     hits += 1
                     (lam, mu), (ref_lam, ref_mu) = found, ref
+                    # the lemma: the enumeration's first hit is the empty
+                    # chain or one link at threshold 1, with l = 0 or 1
+                    assert max(ref_lam.m) <= 1 and ref_lam.l in (0, 1), (q, s, seed)
                     assert (lam.l, lam.m, lam.basis, mu) == \
                         (ref_lam.l, ref_lam.m, ref_lam.basis, ref_mu), (q, s, seed)
         # the comparison covers hits, not only instances with nothing to find
         assert hits >= 10
-
-    def test_search_scan_order_matches_reference(self, monkeypatch):
-        # every candidate that passes the containment rule reaches the closed
-        # form; recording them with no hit compares the whole scan, in order
-        scanned = []
-
-        def recording_chain_weight(l, n_abs_alpha, links):
-            scanned.append((l, tuple(links)))
-            return 0
-
-        monkeypatch.setattr("isoflag.hmgit._chain_weight", recording_chain_weight)
-        two_links = 0
-        for q in (2, 3, 4):
-            for s in (3, 4, 5):
-                for seed in range(10):
-                    a, fs, w = random_instance(q, s, seed, mode=mixed_mode(seed))
-                    scanned.clear()
-                    assert bounded_destabilizer_search(a, fs, w, 4) is None
-                    ref = []
-                    _two_branch_search(a, fs, w, 4, scanned=ref)
-                    assert scanned == ref, (q, s, seed)
-                    two_links += sum(1 for _, links in ref if len(links) == 2)
-        assert two_links > 100
 
     def test_rank_one_pieces(self):
         for l in range(-4, 5):

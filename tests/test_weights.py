@@ -86,7 +86,7 @@ class TestValidatedOnce:
             return real_require(w_)
 
         monkeypatch.setattr(weights, "_check_weight", counting_check)
-        for module in ("flags", "higgs", "hmgit", "weights"):
+        for module in ("flags", "higgs", "weights"):
             monkeypatch.setattr(f"isoflag.{module}.require_valid", counting_require)
         assert main([command, str(path)]) in (0, 1, 2, 3)
         assert len(checked) == len(set(checked)) == 1
