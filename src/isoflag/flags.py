@@ -33,6 +33,7 @@ from .linalg import (
     _gaussian_matrix,
     _gaussian_row,
     _zi_eliminate,
+    _zi_gram,
     _zi_row_times,
     _zi_vector,
     hyperbolic_basis,
@@ -85,12 +86,19 @@ class IsotropicFlag:
        Subspace as elimination over Q(i).  The lifted rows are
        Gaussian-integer rows again, so the next flag can take them without a
        canonical form in between (higgs.line_oracle does).
+    4. Lemma (radical_dim): the rows are x (J B'^T J), coordinates
+       reversed, and B J B^T = J gives (J B'^T J) J (J B'^T J)^T = d^2 J,
+       while reversing coordinates keeps J.  So the echelon rows' Gram
+       matrix is d^2 times that of the vectors they stand for, and
+       dim rad(sub ^ F_i) = (rows ending below i) - (rank of their principal
+       submatrix).  A piece first reached at i with 2i <= q lies in the
+       isotropic F_i, so its radical dimension is its dimension.
 
-    zi_echelon, and with it profile and intersect_piece, raises InputError
-    when the basis is not hyperbolic.
+    zi_echelon, and with it profile, intersect_piece and radical_dim, raises
+    InputError when the basis is not hyperbolic.
     """
 
-    __slots__ = ("q", "basis", "_integer", "_last_echelon")
+    __slots__ = ("q", "basis", "_integer", "_last")
 
     def __init__(self, basis: tuple[Vector, ...]):
         self.q = len(basis)
@@ -99,10 +107,11 @@ class IsotropicFlag:
                 raise InputError("flag basis must be square")
         self.basis = tuple(basis)
         self._integer: IntegerBasis | None = None
-        # (sub, _echelon(sub)) for the last subspace asked about: callers
-        # take the profile of a subspace and then several of its
-        # intersections with the pieces, all from one echelon form.
-        self._last_echelon: tuple[Subspace, Echelon] | None = None
+        # (sub, its echelon, its zi_lift, its echelon rows' Gram matrix) for
+        # the last subspace asked about, the last two filled when first used:
+        # callers take the profile of a subspace and then several of its
+        # pieces, all from one echelon form.
+        self._last: tuple[Subspace, Echelon, list[ZiRow], list[ZiRow]] | None = None
 
     @classmethod
     def standard(cls, q: int) -> "IsotropicFlag":
@@ -148,28 +157,26 @@ class IsotropicFlag:
         echelon_rows, pivots = _zi_eliminate(coords)
         return echelon_rows, [self.q - 1 - c for c in pivots]
 
-    def zi_lift(self, echelon: Echelon, i: int) -> list[ZiRow]:
-        """The echelon rows ending below i, mapped back to standard
+    def zi_lift(self, echelon: Echelon) -> list[ZiRow]:
+        """The echelon rows after the first, mapped back to standard
         coordinates through B' and each divided by the gcd of its integer
-        parts: nonzero primitive Gaussian-integer rows spanning sub ^ F_i
-        (class docstring, item 3).  Dividing out the gcd keeps the entries
-        from growing with every flag they pass through."""
+        parts: primitive Gaussian-integer rows whose last n span sub ^ F_i
+        for n = dim(sub ^ F_i) < dim sub (class docstring, item 3).  The
+        gcd keeps the entries from growing with every flag they pass."""
         ib = self._integer_basis()
         lifted = []
-        for (c_re, c_im), e in zip(*echelon):
-            if e < i:
-                x_re, x_im = _zi_row_times(c_re[::-1], c_im[::-1], ib.basis_re, ib.basis_im)
-                g = gcd(*x_re, *x_im)
-                lifted.append(([x // g for x in x_re], [x // g for x in x_im]))
+        for c_re, c_im in echelon[0][1:]:
+            x_re, x_im = _zi_row_times(c_re[::-1], c_im[::-1], ib.basis_re, ib.basis_im)
+            g = gcd(*x_re, *x_im)
+            lifted.append(([x // g for x in x_re], [x // g for x in x_im]))
         return lifted
 
-    def _echelon(self, sub: Subspace) -> Echelon:
-        """zi_echelon of sub's rows, each cleared of denominators."""
-        if self._last_echelon is not None and self._last_echelon[0] == sub:
-            return self._last_echelon[1]
-        echelon = self.zi_echelon([_gaussian_row(row)[:2] for row in sub.rows])
-        self._last_echelon = (sub, echelon)
-        return echelon
+    def _coordinates(self, sub: Subspace) -> tuple[Subspace, Echelon, list[ZiRow], list[ZiRow]]:
+        """_last for sub: zi_echelon of sub's rows, each cleared of denominators."""
+        if self._last is None or self._last[0] != sub:
+            echelon = self.zi_echelon([_gaussian_row(row)[:2] for row in sub.rows])
+            self._last = (sub, echelon, [], [])
+        return self._last
 
     def profile(self, sub: Subspace) -> tuple[int, ...]:
         """(dim(sub ^ F_i))_{i=0..q}.
@@ -182,17 +189,31 @@ class IsotropicFlag:
         """
         if sub.ambient != self.q:
             raise InputError("subspace ambient dimension does not match flag")
-        _, ends = self._echelon(sub)
+        _, ends = self._coordinates(sub)[1]
         return tuple(sum(1 for e in ends if e < i) for i in range(self.q + 1))
 
     def intersect_piece(self, sub: Subspace, i: int) -> Subspace:
-        """sub ^ F_i: the zi_lift of sub's echelon, canonicalised."""
-        if i <= 0:
-            return Subspace.zero(self.q)
-        if i >= self.q or sub.dim == 0:
+        """sub ^ F_i: the last rows of the zi_lift of sub's echelon,
+        canonicalised, or sub itself."""
+        _, echelon, lifted, _ = self._coordinates(sub)
+        n = sum(1 for e in echelon[1] if e < i)
+        if n == sub.dim:
             return sub
-        return Subspace.from_vectors(
-            [_zi_vector(row) for row in self.zi_lift(self._echelon(sub), i)], self.q)
+        if not lifted:
+            lifted += self.zi_lift(echelon)
+        return Subspace.from_vectors([_zi_vector(row) for row in lifted[sub.dim - 1 - n:]], self.q)
+
+    def radical_dim(self, sub: Subspace, i: int) -> int:
+        """dim rad(sub ^ F_i) from the Gram matrix of sub's echelon rows, with
+        no subspace built (class docstring, item 4)."""
+        _, (rows, ends), _, gram = self._coordinates(sub)
+        n = sum(1 for e in ends if e < i)
+        if n == 0 or 2 * (ends[-n] + 1) <= self.q:
+            return n
+        if not gram:
+            gram += _zi_gram(rows)
+        block = [(re[-n:], im[-n:]) for re, im in gram[-n:]]
+        return n - len(_zi_eliminate(block)[1])
 
     def transform(self, m: list[Vector]) -> "IsotropicFlag":
         """The flag with basis w_i @ m (m must be a J-isometry)."""

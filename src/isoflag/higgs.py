@@ -29,10 +29,11 @@ For q <= 3 every nonzero isotropic subspace is a line, so the oracle decides
 condition (2) completely and the verdict is never Undetermined.  For q >= 4
 exact maximization over higher-dimensional isotropic subspaces across several
 flags is not attempted; the verdict carries certified bounds instead: from
-below, the best explicit isotropic witness (the line oracle's line, or the
-radical of T or of some T ^ F_i^j), which is sound because every witness is a
-true isotropic subspace of T; from above, a per-flag greedy relaxation, which
-no witness enters.
+below, the best explicit isotropic witness (the line oracle's line, or a
+radical of dim >= 2 of T or of some T ^ F_i^j, built only where the Gram
+matrix of T's echelon rows in flag coordinates shows one), which is sound
+because every witness is a true isotropic subspace of T; from above, a
+per-flag greedy relaxation, which no witness enters.
 """
 
 from __future__ import annotations
@@ -255,8 +256,8 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     subspaces exactly:
 
     1. At flag j, IsotropicFlag.zi_echelon eliminates the rows in flag
-       coordinates, and zi_lift of the rows ending below e + 1 spans
-       Y_b ^ F_{e+1}^j (IsotropicFlag, items 2 and 3).
+       coordinates, and with n rows ending at e or below, the last n of
+       their zi_lift span Y_b ^ F_{e+1}^j (IsotropicFlag, items 2 and 3).
     2. The ends depend only on the span of the rows, so the children (one
        per end e, at position e + 1; the other positions give the same
        intersection as the end below them), their scores and their
@@ -295,9 +296,9 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
         flag = fs.flags[j]
         echelon = flag.zi_echelon(rows)
         ends = echelon[1]
-        for e in reversed(ends):
-            child = flag.zi_lift(echelon, e + 1) if e < ends[0] else rows
-            visit(j + 1, child, partial + n_beta[j][e])
+        lifted = flag.zi_lift(echelon)
+        for n, e in enumerate(reversed(ends), 1):
+            visit(j + 1, lifted[-n:] if n < len(ends) else rows, partial + n_beta[j][e])
 
     if t_sub.dim:
         visit(0, [_gaussian_row(row)[:2] for row in t_sub.rows], 0)
@@ -338,32 +339,36 @@ def _per_flag_upper(k: int, profile: tuple[int, ...], beta_row: tuple[int, ...])
     return pardeg_from_profile(tuple(min(k, d) for d in profile[:-1]) + (k,), beta_row)
 
 
-def isotropic_radicals(t_sub: Subspace, t_radical: Subspace, fs: FlagSystem) -> list[Subspace]:
-    """The distinct nonzero radicals of T (t_radical, already classified) and
-    of each T ^ F_i^j, in the order of their members by (dim, rows).
+def isotropic_radicals(t_sub: Subspace, t_radical: Subspace, fs: FlagSystem,
+                       min_dim: int) -> list[Subspace]:
+    """The distinct radicals of dim >= min_dim >= 1 of T (t_radical, already
+    classified) and of each T ^ F_i^j, in the order of their members by
+    (dim, rows).  The bound stage reads those of dim >= 2, the
+    Hilbert-Mumford search every nonzero one.
 
     1. T ^ F_i^j grows only where the flag's profile of T jumps, at i = e + 1
-       for an end e of T's echelon; between jumps it stays the piece below.
-       So intersect_piece runs once per jump, on the cached echelon of T,
-       and the jump that reaches all of T is skipped.
-    2. A piece first reached at 2i <= q lies in the isotropic F_i^j
-       (intersect_piece rejects non-hyperbolic flags), so it is its own
-       radical.
-    3. Every other piece's radical is zi_radical of its rows: {aR : aG = 0}
-       for the integer Gram matrix G = R J R^t.
+       for an end e of T's echelon, so each piece is looked at once, on the
+       cached echelon of T; the jump that reaches all of T is skipped.
+    2. A piece is built (intersect_piece) only when its radical dimension,
+       read off the Gram matrix of T's echelon rows (IsotropicFlag, item 4),
+       reaches min_dim.  Dropping the other members keeps the order of first
+       occurrence of every kept radical, so the result is the full harvest
+       filtered by dimension.
+    3. A piece whose radical dimension is its dimension is its own radical;
+       any other's is zi_radical of its rows.
     """
-    q = fs.q
-    known = {t_sub: t_radical}  # member -> its radical, None until computed
+    known = {t_sub: t_radical} if t_radical.dim >= min_dim else {}  # member -> radical or None
     for flag in fs.flags:
         profile = flag.profile(t_sub)
-        for i in range(1, q):
+        for i in range(1, fs.q):
             if profile[i - 1] < profile[i] < t_sub.dim:
-                piece = flag.intersect_piece(t_sub, i)
-                known[piece] = piece if 2 * i <= q else known.get(piece)
+                dim = flag.radical_dim(t_sub, i)
+                if dim >= min_dim:
+                    piece = flag.intersect_piece(t_sub, i)
+                    known[piece] = piece if dim == piece.dim else None
     members = sorted(known, key=lambda m: (m.dim, repr(m.rows)))
-    radicals = (known[m] or zi_radical([_gaussian_row(row)[:2] for row in m.rows], q)
-                for m in members)
-    return list(dict.fromkeys(r for r in radicals if r.dim))
+    return list(dict.fromkeys(
+        known[m] or zi_radical([_gaussian_row(row)[:2] for row in m.rows], fs.q) for m in members))
 
 
 def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
@@ -373,9 +378,10 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
     T is classified once: its radical gives nu = dim rad + floor(rank / 2)
     and seeds the harvest.  The lower bound is the best of explicit isotropic
     witnesses: the line oracle's line and, when nu >= 2, the isotropic_radicals
-    of dimension >= 2 (the first wins a tie).  Every witness is a true
-    isotropic subspace of T, so the lower bound is sound whichever candidates
-    are tried; more candidates could only raise it.  The upper bound
+    of dimension >= 2 (the first wins a tie; a radical line cannot beat the
+    oracle's exact maximum over lines).  Every witness is a true isotropic
+    subspace of T, so the lower bound is sound whichever candidates are
+    tried; more candidates could only raise it.  The upper bound
     decouples the flags and maximizes each greedily (a sound relaxation that
     uses no witness).  When nu <= 1 the line oracle is already the exact
     supremum and no harvest is built.
@@ -395,15 +401,14 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
     if nu == 1:
         return PardegBounds(lower, witness, lower, True)
 
-    radicals = isotropic_radicals(t_sub, t_radical, fs)
+    radicals = isotropic_radicals(t_sub, t_radical, fs, 2)
     # read while each flag's echelon cache still holds T (pardeg_subspace
     # below replaces it)
     profiles = [flag.profile(t_sub) for flag in fs.flags]
     for radical in radicals:
-        if radical.dim >= 2:
-            value = pardeg_subspace(radical, fs, w)
-            if lower is None or value > lower:
-                lower, witness = value, radical
+        value = pardeg_subspace(radical, fs, w)
+        if lower is None or value > lower:
+            lower, witness = value, radical
 
     upper = Fraction(max(sum(_per_flag_upper(k, profile, row)
                              for profile, row in zip(profiles, w.n_beta))

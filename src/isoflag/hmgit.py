@@ -278,12 +278,12 @@ def certificate_oneps(cert: Certificate, fs: FlagSystem,
 
 
 def _candidate_isotropics(a: HiggsTuple, fs: FlagSystem) -> list[Subspace]:
-    """The isotropic radicals that isotropic_radicals harvests from the row
-    span's orthocomplement T and the T ^ F_i^j, plus the isotropic flag
-    pieces F_k^j (1 <= k <= q/2), sorted.  The row span needs no classifying
-    of its own: rad(span) = span ^ span^perp = rad(span^perp)."""
-    span_perp = a.span_perp()
-    harvest = isotropic_radicals(span_perp, isotropy_classify(span_perp, BilinearForm(a.q))[1], fs)
+    """The nonzero radicals that isotropic_radicals harvests from the row
+    span's orthocomplement T and the T ^ F_i^j (min_dim 1), plus the
+    isotropic flag pieces F_k^j (1 <= k <= q/2), sorted.  The row span needs
+    no classifying of its own: rad(span) = span ^ span^perp = rad(span^perp)."""
+    t_sub = a.span_perp()
+    harvest = isotropic_radicals(t_sub, isotropy_classify(t_sub, BilinearForm(a.q))[1], fs, 1)
     pieces = {flag.piece(k) for flag in fs.flags for k in range(1, fs.q // 2 + 1)}
     return sorted(pieces.union(harvest), key=lambda s_: (s_.dim, repr(s_.rows)))
 

@@ -441,6 +441,14 @@ def isotropy_classify(y: Subspace, form: BilinearForm) -> tuple[bool, Subspace, 
     return restricted_rank == 0, radical, restricted_rank
 
 
+def _zi_gram(rows: list[ZiRow]) -> list[ZiRow]:
+    """The Gram matrix G = R J R^t of Gaussian-integer rows R, as rows
+    (re, im): J reverses coordinates, so G[k][l] is r_k times r_l reversed."""
+    rev_re = [list(col) for col in zip(*(re[::-1] for re, _ in rows))]
+    rev_im = [list(col) for col in zip(*(im[::-1] for _, im in rows))]
+    return [_zi_row_times(re, im, rev_re, rev_im) for re, im in rows]
+
+
 def zi_radical(rows: list[ZiRow], ambient: int) -> Subspace:
     """The radical of the span of linearly independent Gaussian-integer rows
     R, the same Subspace isotropy_classify returns, from their integer Gram
@@ -456,11 +464,7 @@ def zi_radical(rows: list[ZiRow], ambient: int) -> Subspace:
     """
     r_re = [re for re, _ in rows]
     r_im = [im for _, im in rows]
-    # J reverses coordinates: G[k][l] is r_k times r_l reversed
-    rev_re = [list(col) for col in zip(*(re[::-1] for re in r_re))]
-    rev_im = [list(col) for col in zip(*(im[::-1] for im in r_im))]
-    gram = [_zi_row_times(re, im, rev_re, rev_im) for re, im in rows]
-    echelon, pivots = _zi_eliminate(gram, reduced=True)
+    echelon, pivots = _zi_eliminate(_zi_gram(rows), reduced=True)
     d_re, d_im = (echelon[0][0][pivots[0]], echelon[0][1][pivots[0]]) if pivots else (1, 0)
     kernel = []
     for f in sorted(set(range(len(rows))) - set(pivots)):

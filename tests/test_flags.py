@@ -15,12 +15,14 @@ from isoflag.flags import (
     so2_score,
     validate_flag,
 )
+import isoflag.flags as flags_mod
 import isoflag.linalg as linalg_mod
 from isoflag.io import InstanceFile, serialize_instance
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
     invert_matrix,
+    isotropy_classify,
     mat_mul,
     meet_join,
     orthocomplement,
@@ -330,14 +332,15 @@ class TestIntegerEchelon:
                 for sub in _echelon_subspaces(flag, other, rng):
                     profile = flag.profile(sub)
                     assert profile == ref.profile(sub), (q, k)
+                    # the integer rows behind the pieces: one per echelon row
+                    # but the first, each nonzero and primitive (gcd 0 would
+                    # mean a zero row)
+                    lifted = flag.zi_lift(flag._coordinates(sub)[1])
+                    assert len(lifted) == max(sub.dim - 1, 0), (q, k)
+                    assert all(gcd(*re, *im) == 1 for re, im in lifted), (q, k)
                     for i in range(q + 1):
                         assert flag.intersect_piece(sub, i) == ref.intersect_piece(sub, i), \
                             (q, k, i)
-                        # the integer rows behind it: profile[i] of them, each
-                        # nonzero and primitive (gcd 0 would mean a zero row)
-                        lifted = flag.zi_lift(flag._echelon(sub), i)
-                        assert len(lifted) == profile[i], (q, k, i)
-                        assert all(gcd(*re, *im) == 1 for re, im in lifted), (q, k, i)
                     compared += 1
         assert dens >= 16
         assert compared >= 700
@@ -366,6 +369,49 @@ class TestIntegerEchelon:
             assert len(calls) == 1
 
 
+def _radical_subspaces(q, seed):
+    """T = C^q, an isotropic T, a degenerate T (an isotropic line plus two
+    vectors orthogonal to it) and random T of every dimension."""
+    rng = random.Random(seed)
+    form = BilinearForm(q)
+    line = random_isotropic_subspace(q, 1, seed)
+    perp = list(orthocomplement(line, form).rows)
+    extra = mat_mul([random_vector(rng, len(perp)) for _ in range(2)], perp)
+    degenerate = Subspace.from_vectors(list(line.rows) + extra, q)
+    _, radical, rank = isotropy_classify(degenerate, form)
+    assert radical.dim and rank, (q, seed)
+    return ([Subspace.full(q), random_isotropic_subspace(q, q // 2, seed), degenerate]
+            + [Subspace.from_vectors([random_vector(rng, q) for _ in range(k)], q)
+               for k in range(1, q)])
+
+
+class TestGramRadicals:
+    """IsotropicFlag item 4: dim rad(sub ^ F_i) is the number of echelon rows
+    ending below i less the rank of their block of the echelon rows' Gram
+    matrix, and a piece inside F_{q/2} needs no Gram matrix."""
+
+    def test_rows_less_gram_rank(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("Gram matrix built for a piece inside F_{q/2}")
+
+        checked = 0
+        for q in range(3, 11):
+            form = BilinearForm(q)
+            for seed in range(3):
+                flag = random_flag(q, 7 * q + seed)
+                for sub in _radical_subspaces(q, seed):
+                    expected = [isotropy_classify(flag.intersect_piece(sub, i), form)[1].dim
+                                for i in range(q + 1)]
+                    fresh = IsotropicFlag(flag.basis)
+                    monkeypatch.setattr(flags_mod, "_zi_gram", refuse)
+                    assert [fresh.radical_dim(sub, i) for i in range(q // 2 + 1)] == \
+                        expected[:q // 2 + 1], (q, seed)
+                    monkeypatch.undo()
+                    assert [flag.radical_dim(sub, i) for i in range(q + 1)] == expected, (q, seed)
+                    checked += 1
+        assert checked == 3 * sum(q + 2 for q in range(3, 11))
+
+
 def _perturbed(flag):
     basis = [list(row) for row in flag.basis]
     basis[0][-1] = basis[0][-1] + sc(1)
@@ -389,6 +435,8 @@ class TestInvalidFlags:
                 flag.profile(line)
             with pytest.raises(InputError):
                 flag.intersect_piece(line, 1)
+            with pytest.raises(InputError):
+                flag.radical_dim(line, 1)
 
     def test_doubled_gram_is_4j(self):
         flag = _doubled(random_flag(4, 2))

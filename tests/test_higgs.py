@@ -868,9 +868,10 @@ def _classified_bounds(t_sub, fs, w, oracle):
 
 
 class TestIsotropicRadicals:
-    @pytest.mark.parametrize("q", range(4, 9))
+    @pytest.mark.parametrize("q", range(4, 11))
     def test_matches_classify_every_member(self, q, monkeypatch):
-        # seeded instances of every mixed_mode mode, plus T = C^q, T = 0 and
+        # seeded instances of every mixed_mode mode for s = 4..6 and q <= 8,
+        # generic ones for s = 3 and for q = 9, 10, plus T = C^q, T = 0 and
         # an isotropic T; the line oracle is run once and shared
         oracles = []
 
@@ -881,33 +882,50 @@ class TestIsotropicRadicals:
         monkeypatch.setattr(higgs_mod, "line_oracle", recording)
         form = BilinearForm(q)
         modes = ("generic", "low_rank", "isotropic_span", "shared_flag")
-        for s in (4, 5, 6):
-            for mode in modes:
-                a, fs, w = random_instance(q, s, q + s, mode=mode)
-                t_subs = [orthocomplement(a.span(), form)]
-                if mode == "generic":
-                    t_subs += [Subspace.full(q), Subspace.zero(q),
-                               random_isotropic_subspace(q, q // 2, q + s)]
-                for t_sub in t_subs:
-                    oracles.clear()
-                    bounds = max_pardeg_isotropic_in(t_sub, fs, w)
-                    oracle = oracles[0] if oracles else None
-                    assert bounds == _classified_bounds(t_sub, fs, w, oracle), (s, mode)
-                    t_radical = isotropy_classify(t_sub, form)[1]
-                    assert isotropic_radicals(t_sub, t_radical, fs) == \
-                        _classified_radicals(t_sub, fs), (s, mode)
+        shapes = [(3, "generic")]
+        if q <= 8:
+            shapes += [(s, mode) for s in (4, 5, 6) for mode in modes]
+        else:
+            shapes += [(4, "generic"), (5, "generic")]
+        for s, mode in shapes:
+            a, fs, w = random_instance(q, s, q + s, mode=mode)
+            t_subs = [orthocomplement(a.span(), form)]
+            if mode == "generic":
+                t_subs += [Subspace.full(q), Subspace.zero(q),
+                           random_isotropic_subspace(q, q // 2, q + s)]
+            for t_sub in t_subs:
+                oracles.clear()
+                bounds = max_pardeg_isotropic_in(t_sub, fs, w)
+                oracle = oracles[0] if oracles else None
+                assert bounds == _classified_bounds(t_sub, fs, w, oracle), (s, mode)
+                t_radical = isotropy_classify(t_sub, form)[1]
+                reference = _classified_radicals(t_sub, fs)
+                for min_dim in (1, 2):
+                    assert isotropic_radicals(t_sub, t_radical, fs, min_dim) == \
+                        [r for r in reference if r.dim >= min_dim], (s, mode, min_dim)
 
     def test_wide_classifies_t_once(self, monkeypatch):
         # isotropy_classify runs on T only; intersect_piece once per profile
-        # jump below dim T; one Gram radical per member that no flag reaches
-        # at 2i <= q, and none for the others
+        # jump below dim T whose piece has a radical of dim >= 2 (the only
+        # ones the bound stage reads), and no other; one Gram radical per
+        # such piece that is not isotropic, and none for the others.  q6
+        # seeds 0 and 2 have no such piece, so they build nothing.
         real_piece = IsotropicFlag.intersect_piece
         for q, seed in ((6, 0), (6, 2), (8, 0)):
             a, fs, w = random_instance(q, 4, seed)
-            t_sub = orthocomplement(a.span(), BilinearForm(q))
-            low = {real_piece(flag, t_sub, i) for flag in fs.flags for i in range(1, q // 2 + 1)}
-            high = {real_piece(flag, t_sub, i) for flag in fs.flags for i in range(q // 2 + 1, q)}
-            rest = {p for p in high - low - {t_sub} if p.dim}
+            form = BilinearForm(q)
+            t_sub = orthocomplement(a.span(), form)
+
+            def wide(piece):
+                return isotropy_classify(piece, form)[1].dim >= 2
+
+            expected = []
+            for flag in fs.flags:
+                profile = flag.profile(t_sub)
+                expected += [(flag, p) for p in (real_piece(flag, t_sub, i) for i in range(1, q)
+                                                 if profile[i - 1] < profile[i] < t_sub.dim)
+                             if wide(p)]
+            rest = {p for _, p in expected if isotropy_classify(p, form)[1] != p}
             oracle = line_oracle(t_sub, fs, w)
             monkeypatch.setattr(higgs_mod, "line_oracle", lambda *args, **kwargs: oracle)
             classified, pieces, gram_members = [], [], []
@@ -917,8 +935,8 @@ class TestIsotropicRadicals:
                 return isotropy_classify(y, form)
 
             def piece(flag, sub, i):
-                pieces.append(flag)
-                return real_piece(flag, sub, i)
+                pieces.append((flag, real_piece(flag, sub, i)))
+                return pieces[-1][1]
 
             def gram_radical(rows, ambient):
                 gram_members.append(Subspace.from_vectors([_zi_vector(r) for r in rows], ambient))
@@ -931,8 +949,9 @@ class TestIsotropicRadicals:
             monkeypatch.undo()
             assert not bounds.exact  # nu >= 2: the harvest ran
             assert classified == [t_sub], (q, seed)
-            assert all(pieces.count(flag) <= t_sub.dim - 1 for flag in fs.flags), (q, seed)
+            assert pieces == expected, (q, seed)
             assert len(gram_members) == len(rest) and set(gram_members) == rest, (q, seed)
+            assert bool(pieces) == (q == 8), (q, seed)
 
     def test_narrow_builds_no_harvest(self, monkeypatch):
         a, fs, w = random_instance(5, 5, 0)

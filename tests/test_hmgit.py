@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -666,12 +665,6 @@ class TestChainReferences:
                     (ref.l, ref.m, ref.basis, ref_predicted), (trial, kind)
                 done[kind] += 1
         assert done == {"shape1": 120, "shape2": 120}
-
-    def test_combinations_order(self):
-        for r in range(5):
-            for cap in range(1, 6):
-                assert list(itertools.combinations(range(cap, 0, -1), r)) == \
-                    _recursive_descending_tuples(r, cap), (r, cap)
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_search_first_hit_matches_reference(self, bound):
