@@ -118,8 +118,8 @@ class IsotropicFlag:
         return cls(hyperbolic_basis(BilinearForm(q), 0))
 
     def piece(self, i: int) -> Subspace:
-        """F_i = span(w_1, ..., w_i); F_0 = 0.  Not cached: the
-        destabilizer search asks once for each F_k with k <= q/2."""
+        """F_i = span(w_1, ..., w_i); F_0 = 0.  Not cached: only instance
+        generation and the tests ask for a piece."""
         return Subspace.from_vectors(list(self.basis[:i]), self.q)
 
     def _integer_basis(self) -> IntegerBasis:

@@ -302,6 +302,9 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
 
     if t_sub.dim:
         visit(0, [_gaussian_row(row)[:2] for row in t_sub.rows], 0)
+    # visit's closure holds visit itself: break that cycle so fs and the
+    # flags' cached echelons are freed at return, not by the collector
+    del visit
     value = None if best[0] is None else Fraction(best[0], w.n)
     rng = random.Random(seed)
     extension = None

@@ -226,9 +226,12 @@ def hm_total(lam: OnePS, a: HiggsTuple, fs: FlagSystem, w: Weight,
 def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
                         w: Weight) -> tuple[OnePS, int]:
     """The two standard destabilizing shapes built from a subspace V' through
-    an isotropic W of dimension k: weights m = (1^k, 0^(q-2k), (-1)^k) on a
-    hyperbolic completion of W, rank-one weight l and predicted weight
-    -4(l N|alpha| + N pardeg W).
+    an isotropic W of dimension k: weights m = (1^k, 0^(q-2k), (-1)^k) on the
+    hyperbolic completion of W read off its canonical rows
+    (complete_to_hyperbolic), rank-one weight l and predicted weight
+    -4(l N|alpha| + N pardeg W).  W is checked isotropic here, once; the
+    filtration's pieces are W and W^perp, so the weight does not depend on
+    which completion is used.
 
     shape1 (V' isotropic, meant to contain every row): l = 1, W = V';
         U_n = C^2 (n<=-1), U (n=0,1), 0 (n>=2);
@@ -254,7 +257,7 @@ def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
 
     k = w_iso.dim
     m = (1,) * k + (0,) * (fs.q - 2 * k) + (-1,) * k
-    lam = OnePS(l, m, complete_to_hyperbolic([w_iso] if k else [], form))
+    lam = OnePS(l, m, complete_to_hyperbolic(w_iso))
     if lam.v_piece(1) != w_iso:
         raise InternalConsistencyError("constructed filtration misses its subspace")
     return lam, -4 * (l * w.n_abs_alpha + n_pardeg(w_iso, fs, w))
@@ -279,13 +282,14 @@ def certificate_oneps(cert: Certificate, fs: FlagSystem,
 
 def _candidate_isotropics(a: HiggsTuple, fs: FlagSystem) -> list[Subspace]:
     """The nonzero radicals that isotropic_radicals harvests from the row
-    span's orthocomplement T and the T ^ F_i^j (min_dim 1), plus the
-    isotropic flag pieces F_k^j (1 <= k <= q/2), sorted.  The row span needs
-    no classifying of its own: rad(span) = span ^ span^perp = rad(span^perp)."""
+    span's orthocomplement T and the T ^ F_i^j (min_dim 1), sorted.  Each
+    lies in T.  The row span needs no classifying of its own:
+    rad(span) = span ^ span^perp = rad(span^perp).  An isotropic flag piece
+    F_k^j inside T is T ^ F_k^j with 2k <= q, its own radical, so the
+    harvest already holds it."""
     t_sub = a.span_perp()
     harvest = isotropic_radicals(t_sub, isotropy_classify(t_sub, BilinearForm(a.q))[1], fs, 1)
-    pieces = {flag.piece(k) for flag in fs.flags for k in range(1, fs.q // 2 + 1)}
-    return sorted(pieces.union(harvest), key=lambda s_: (s_.dim, repr(s_.rows)))
+    return sorted(harvest, key=lambda s_: (s_.dim, repr(s_.rows)))
 
 
 def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem,
@@ -301,8 +305,8 @@ def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem,
     scan:
 
     - rows 0: shape 1 on 0;
-    - otherwise, for the first candidate I inside T = span(A)^perp with
-      N pardeg I > 0 or with the rows in I: shape 2 on I^perp if
+    - otherwise, for the first candidate I (each lies in T = span(A)^perp)
+      with N pardeg I > 0 or with the rows in I: shape 2 on I^perp if
       N pardeg I > 0, else shape 1 on I.
 
     Lemma.  Admissibility (alpha^j > |beta^j|) gives
@@ -331,10 +335,7 @@ def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem,
 
     if span.dim == 0:
         return hit("shape1", span)
-    span_perp = a.span_perp()
     for iso in _candidate_isotropics(a, fs):
-        if not span_perp.contains_subspace(iso):
-            continue
         if n_pardeg(iso, fs, w) > 0:
             return hit("shape2", orthocomplement(iso, BilinearForm(fs.q)))
         if iso.contains_subspace(span):

@@ -6,7 +6,9 @@ antidiagonal split form J_p with Q(e_i, e_j) = 1 iff i + j = p + 1 (1-indexed),
 so multiplying a row vector by J is coordinate reversal.
 
 Subspaces are stored with a canonical reduced-row-echelon basis, which makes
-equality syntactic and subspaces hashable (useful in lattice searches).
+equality syntactic and subspaces hashable.  Membership, kernels and the
+hyperbolic completion of an isotropic subspace are read off those rows with
+no further elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InputError, InternalConsistencyError
-from .scalars import HALF, ONE, ZERO, Scalar, sc
+from .scalars import HALF, ONE, ZERO, Scalar
 
 Vector = tuple[Scalar, ...]
 # A Gaussian-integer row as (real parts, imaginary parts).
@@ -30,9 +32,6 @@ ZiRow = tuple[list[int], list[int]]
 
 def vadd(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
-
-def vsub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
 
 
 def vscale(c: Scalar, x: Vector) -> Vector:
@@ -233,22 +232,6 @@ def invert_matrix(m: list[Vector]) -> list[Vector]:
     if pivots[:n] != list(range(n)):
         raise InputError("matrix is singular")
     return [tuple(row[n:]) for row in red]
-
-
-def solve_linear(rows: list[Vector], rhs: list[Scalar]) -> Vector | None:
-    """One particular solution x of (rows) x^t = rhs, or None."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [tuple(list(r) + [b]) for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    for r, pc in zip(red, pivots):
-        if pc == ncols:  # 0 = 1 row
-            return None
-    x = [ZERO] * ncols
-    for r, pc in zip(red, pivots):
-        x[pc] = r[ncols]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +468,7 @@ def max_isotropic_dimension(y: Subspace, form: BilinearForm) -> int:
 
 
 # ---------------------------------------------------------------------------
-# isometries act on rows: reflections, Eichler transvections, random elements
-
-
-def reflect_rows(rows: list[Vector], v: Vector, form: BilinearForm) -> list[Vector]:
-    """Each row under the reflection x -> x - (2 Q(x,v)/Q(v,v)) v in a
-    non-isotropic v.  Determinant -1."""
-    qvv = form.pair(v, v)
-    if qvv.is_zero():
-        raise InternalConsistencyError("cannot reflect in an isotropic vector")
-    two_over_qvv = sc(2) / qvv
-    return [vsub(x, vscale(form.pair(x, v) * two_over_qvv, v)) for x in rows]
+# isometries act on rows: Eichler transvections, random elements
 
 
 def eichler_rows(rows: list[Vector], a: int, z: Vector) -> list[Vector]:
@@ -595,127 +568,46 @@ def hyperbolic_basis(form: BilinearForm, seed: int) -> tuple[Vector, ...]:
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic completion (constructive Witt extension)
+# hyperbolic completion (closed form on reduced rows)
 
 
-def _partner_for(x: Vector, orthogonal_to: list[Vector], form: BilinearForm,
-                 lo: int) -> Vector:
-    """An isotropic y supported on coordinates lo..p-1-lo with Q(x, y) = 1
-    and Q(c, y) = 0 for each constraint c.
+def complete_to_hyperbolic(w: Subspace) -> tuple[Vector, ...]:
+    """A full hyperbolic basis (Gram = J_q) whose first k vectors are the
+    canonical rows of the isotropic W (k = dim W) and whose first q - k
+    vectors span W^perp, read off the rows with no elimination.
 
-    Every constraint must itself be Q-orthogonal to x so that the final
-    isotropization step y -> y - (Q(y,y)/2) x cannot disturb it.
+    Lemma.  Let W be isotropic, with reduced rows x_1..x_k and pivot columns
+    c_1 < ... < c_k, so x_a[c_b] = delta_ab.
+    (i) No c_a + c_b equals q - 1, including a = b.  Otherwise the only term
+        of Q(x_a, x_b) = sum_j x_a[j] x_b[q-1-j] that can be nonzero is
+        x_a[c_a] x_b[c_b] = 1 (x_a vanishes below c_a, x_b below c_b), so W
+        would not be isotropic.
+    (ii) Let M be the remaining coordinates, in ascending order; M is closed
+        under m -> q-1-m.  Then
+        (x_1..x_k, (e_m - sum_a x_a[q-1-m] e_{q-1-c_a})_{m in M},
+         e_{q-1-c_k}, ..., e_{q-1-c_1})
+        has Gram matrix exactly J: Q(x_a, e_{q-1-c_b}) = x_a[c_b], the
+        correction makes each middle vector orthogonal to every x_a, and by
+        (i) the partners pair with nothing but the x_a.
+    The partners are standard vectors, and k = 0 gives the standard basis.
 
-    Q(c, e_g) = c[p-1-g], so the condition Q(c, y) = b on a y supported on
-    the window is the row c reversed and restricted to lo..p-1-lo, and y is
-    the solution padded with lo zeros at each end.  e_lo, ..., e_{p-1-lo}
-    in order is the canonical basis of their span, so this is the system
-    the solve over that span's basis would set up, entry for entry, with
-    the same particular solution.
+    A non-isotropic W (a bug in the caller, who checks W) fails the final
+    Gram check: the top-left k x k block of J is zero.
     """
-    p = form.p
-    rows = [x[::-1][lo:p - lo]]
-    rhs = [ONE]
-    for c in orthogonal_to:
-        if not form.pair(c, x).is_zero():
-            raise InternalConsistencyError("partner constraint not orthogonal to x")
-        rows.append(c[::-1][lo:p - lo])
-        rhs.append(ZERO)
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        raise InternalConsistencyError("hyperbolic partner system is unsolvable")
-    y = (ZERO,) * lo + sol + (ZERO,) * lo
-    return vsub(y, vscale(HALF * form.pair(y, y), x))
-
-
-def _map_isotropic_exact(rows: list[Vector], x: Vector, target: Vector,
-                         form: BilinearForm, lo: int) -> list[Vector]:
-    """The rows under an isometry (a product of <= 2 reflections in vectors
-    supported on coordinates lo..p-1-lo, where x and target lie)
-    sending the isotropic vector x exactly to the isotropic vector target."""
-    if x == target:
-        return rows
-    if not form.pair(x, target).is_zero():
-        # Q(x-t, x-t) = -2 Q(x,t) != 0 and the reflection swaps x and t.
-        return reflect_rows(rows, vsub(x, target), form)
-    # Q(x, target) = 0: route through an auxiliary isotropic z with
-    # Q(x, z) != 0 != Q(target, z).
-    px = _partner_for(x, [], form, lo)
-    if not form.pair(target, px).is_zero():
-        z = px
-    else:
-        pt = _partner_for(target, [], form, lo)
-        # z = a px + pt - a Q(px,pt) target is isotropic, pairs to 1 with
-        # target, and pairs to a + Q(x,pt) with x; pick a making that nonzero.
-        a = ONE if not (ONE + form.pair(x, pt)).is_zero() else sc(2)
-        z = vadd(vscale(a, px), pt)
-        z = vsub(z, vscale(a * form.pair(px, pt), target))
-        if not form.pair(z, z).is_zero() or form.pair(x, z).is_zero() \
-                or form.pair(target, z).is_zero():
-            raise InternalConsistencyError("failed to build auxiliary isotropic vector")
-    *rows, image = reflect_rows(rows + [x], vsub(x, z), form)
-    if image != z:
-        raise InternalConsistencyError("first reflection missed its target")
-    return reflect_rows(rows, vsub(z, target), form)
-
-
-def complete_to_hyperbolic(chain: list[Subspace], form: BilinearForm) -> tuple[Vector, ...]:
-    """A full hyperbolic basis (Gram = J_p) adapted to a nested isotropic chain.
-
-    chain is a list of isotropic subspaces I_1 <= I_2 <= ... <= I_r; the
-    returned basis (w_1, ..., w_p) satisfies span(w_1..w_{dim I_j}) = I_j,
-    the last dim(I_r) vectors are the hyperbolic partners in reverse order,
-    and the middle block is hyperbolic.  The middle block is produced by a
-    constructive Witt extension: the placed pairs are moved onto standard
-    coordinate pairs by reflections and Eichler maps, and the standard middle
-    basis is pulled back.  An empty chain gives the standard basis.
-
-    Nesting is checked first.  Every member of a nested chain lies in the
-    top one, and a subspace of an isotropic subspace is isotropic, so the
-    top member alone is classified.  An isotropic subspace of J_p has
-    dimension at most p/2, so the partners always fit.
-    """
-    p = form.p
-    for a, b in zip(chain, chain[1:]):
-        if not b.contains_subspace(a):
-            raise InputError("chain is not nested")
-    if chain and not isotropy_classify(chain[-1], form)[0]:
-        raise InputError("chain member is not isotropic")
-
-    # ordered basis of the top chain member, adapted to the chain
-    xs: list[Vector] = []
-    carried = Subspace.zero(p)
-    for piece in chain:
-        for row in piece.rows:
-            if not carried.contains(row):
-                xs.append(row)
-                carried = Subspace.from_vectors(list(carried.rows) + [row], p)
-    k = len(xs)
-
-    ys: list[Vector] = []
-    for a in range(k):
-        constraints = [x for i, x in enumerate(xs) if i != a] + ys
-        ys.append(_partner_for(xs[a], constraints, form, 0))
-
-    middles: list[Vector] = []
-    if 2 * k < p:
-        # acc holds the rows of an isometry moving each (x_a, y_a) onto
-        # (e_a, e_{p-1-a}); every map acts on acc's rows and on cy together.
-        # Once the pairs before a are placed, cx is orthogonal to them, so it
-        # lies on coordinates a..p-1-a, and so does every reflection vector.
-        acc = standard_basis(p)
-        std = standard_basis(p)
-        for a in range(k):
-            cx, cy = mat_mul([xs[a], ys[a]], acc)
-            *acc, cy = _map_isotropic_exact(acc + [cy], cx, std[a], form, a)
-            # Eichler map fixing e_a and sending cy to the partner e_{p-1-a}
-            *acc, cy = eichler_rows(acc + [cy], a, vsub(std[p - 1 - a], cy))
-            if cy != std[p - 1 - a]:
-                raise InternalConsistencyError("Eichler placement failed")
-        # the middle block is pulled back: e_t acc^{-1} is row t of acc^{-1}
-        middles = invert_matrix(acc)[k:p - k]
-
-    basis = tuple(xs + middles + list(reversed(ys)))
-    if not form.is_standard_gram(list(basis)):
+    q = w.ambient
+    xs = list(w.rows)
+    pivots = _pivot_columns(xs)
+    partners = [q - 1 - c for c in pivots]
+    taken = set(pivots).union(partners)
+    std = standard_basis(q)
+    middles = []
+    for m in range(q):
+        if m not in taken:
+            u = list(std[m])
+            for x, r in zip(xs, partners):
+                u[r] = -x[q - 1 - m]
+            middles.append(tuple(u))
+    basis = tuple(xs + middles + [std[r] for r in reversed(partners)])
+    if not BilinearForm(q).is_standard_gram(list(basis)):
         raise InternalConsistencyError("hyperbolic completion produced a bad Gram matrix")
     return basis

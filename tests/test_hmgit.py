@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from dataclasses import dataclass
@@ -7,7 +8,7 @@ import pytest
 
 from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.flags import FlagSystem, IsotropicFlag, n_pardeg, random_flag
-from isoflag.higgs import Certificate, ExtensionLine, HiggsTuple
+from isoflag.higgs import Certificate, ExtensionLine, HiggsTuple, decide_stability
 from isoflag.hmgit import (
     INFINITE,
     OnePS,
@@ -421,14 +422,17 @@ class TestFlagPieceRadicals:
                     assert radical == flag.piece(min(i, q - i)), (q, seed, i)
 
     def test_candidates_match_classified_reference(self):
-        # the crosscheck workload's shapes, in every mixed_mode mode
+        # the crosscheck workload's shapes, in every mixed_mode mode: the
+        # candidates are the reference's members inside T = span^perp
         modes = ("generic", "low_rank", "isotropic_span", "shared_flag")
         for q, s in ((3, 4), (3, 5), (4, 4), (4, 5), (4, 6)):
             for mode in modes:
                 for seed in range(2):
                     a, fs, _ = random_instance(q, s, seed, mode=mode)
+                    t_sub = a.span_perp()
                     assert _candidate_isotropics(a, fs) == \
-                        _classified_candidate_isotropics(a, fs), (q, s, mode, seed)
+                        [iso for iso in _classified_candidate_isotropics(a, fs)
+                         if t_sub.contains_subspace(iso)], (q, s, mode, seed)
 
 
 class TestBoundedSearch:
@@ -474,6 +478,21 @@ class TestBoundedSearch:
 
 
 class TestConsistency:
+    def test_leaves_no_cyclic_garbage(self):
+        # with the collector off, a decision and a check must free what they
+        # built by reference counting alone (the line oracle's recursive
+        # search and the flags' cached echelons included)
+        a, fs, w = random_instance(6, 4, 0)
+        gc.collect()
+        gc.disable()
+        try:
+            decide_stability(a, fs, w)
+            assert gc.collect() == 0
+            consistency_check(a, fs, w)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_examples(self):
         fs2 = FlagSystem.standard(2, 4)
         assert consistency_check(HiggsTuple(2, 4, (vec(1, 0), vec(0, 1))), fs2, W_Q2)["consistent"]
@@ -530,7 +549,7 @@ def _shape_formula_oneps(kind, vprime, fs, w):
         if not iso:
             raise InputError("shape2 needs a coisotropic subspace")
         l = 0
-    basis = complete_to_hyperbolic([w_iso] if w_iso.dim else [], form)
+    basis = complete_to_hyperbolic(w_iso)
     k = w_iso.dim
     m = (1,) * k + (0,) * (fs.q - 2 * k) + (-1,) * k
     degree = _profile_n_pardeg(w, vprime, fs)
@@ -563,14 +582,16 @@ def _l_values(top):
     return vals
 
 
-def _package_chain(l, weighted_chain, q, form):
-    """The one-parameter subgroup with eigenbasis adapted to a chain and the
-    given thresholds as weights; weighted_chain pairs descending thresholds
-    with ascending subspaces."""
+def _package_chain(l, weighted_chain, q):
+    """The one-parameter subgroup with the given thresholds as weights on the
+    completion of the chain's top member; weighted_chain pairs descending
+    thresholds with ascending subspaces.  The eigenbasis is adapted to the
+    top member only, so the filtration is the chain's when it has at most
+    one link, as the search's first hit does (asserted by the test)."""
     ordered = sorted(weighted_chain, key=lambda t: -t[0])
     pieces = [p for _, p in ordered]
     thresholds = [t for t, _ in ordered]
-    basis = complete_to_hyperbolic(pieces, form)
+    basis = complete_to_hyperbolic(pieces[-1] if pieces else Subspace.zero(q))
     k = pieces[-1].dim if pieces else 0
     m = [0] * q
     dims = [p.dim for p in pieces]
@@ -634,7 +655,7 @@ def _two_branch_search(a, fs, w, weight_bound):
                         continue
                     mu = evaluate(l, chain, thresholds)
                     if mu is not None and mu < 0:
-                        return _package_chain(l, list(zip(thresholds, chain)), fs.q, form), mu
+                        return _package_chain(l, list(zip(thresholds, chain)), fs.q), mu
     return None
 
 

@@ -1,13 +1,13 @@
 """Isometries that act on rows, checked against the matrix products they stand for.
 
-``random_special_isometry`` and ``complete_to_hyperbolic`` apply each move
-(an Eichler transvection, a reflection, a hyperbolic pair scaling or a
-coordinate swap) straight to the rows it transforms.  The reference below
-builds each move as its p x p matrix and multiplies the matrices in order.
-The two must agree exactly, draw for draw, so that every generated flag and
-every one-parameter subgroup's eigenbasis is the same either way.  The
-reference solves for hyperbolic partners over the generators of a Subspace
-(generator_partner), where _partner_for reads the system off coordinates.
+``random_special_isometry`` applies each move (an Eichler transvection, a
+hyperbolic pair scaling or a coordinate swap) straight to the rows it
+transforms.  The reference below builds each move as its p x p matrix and
+multiplies the matrices in order.  The two must agree exactly, draw for
+draw, so that every generated flag is the same either way.
+
+``complete_to_hyperbolic`` reads a hyperbolic basis off an isotropic
+subspace's reduced rows; its Gram matrix, the product B J B^t, must be J.
 """
 
 from __future__ import annotations
@@ -20,21 +20,18 @@ from isoflag.errors import InternalConsistencyError
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
-    _partner_for,
+    _pivot_columns,
     complete_to_hyperbolic,
     eichler_rows,
     hyperbolic_basis,
-    invert_matrix,
     isotropy_classify,
     mat_mul,
+    orthocomplement,
     random_scalar,
     random_special_isometry,
-    reflect_rows,
-    solve_linear,
     standard_basis,
     vadd,
     vscale,
-    vsub,
 )
 from isoflag.scalars import HALF, ONE, ZERO, sc
 
@@ -43,11 +40,8 @@ from isoflag.scalars import HALF, ONE, ZERO, sc
 # the reference: every move as a matrix, composed by mat_mul
 
 
-def reflection_matrix(v, form):
-    """The reflection x -> x - (2 Q(x,v)/Q(v,v)) v."""
-    qvv = form.pair(v, v)
-    return [vsub(e, vscale((sc(2) * form.pair(e, v)) / qvv, v))
-            for e in standard_basis(form.p)]
+def vsub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
 
 
 def eichler_matrix(e, z, form):
@@ -115,87 +109,14 @@ def matrix_special_isometry(p, seed):
     return m
 
 
-def generator_partner(x, constraints, form, within):
-    """An isotropic y in `within` with Q(x, y) = 1 and Q(c, y) = 0 for each
-    constraint c, solved over the generators of the Subspace `within`: one
-    pairing per constraint and generator, and y accumulated as the
-    combination of the generators.  The reference for _partner_for, which
-    reads the same system off a coordinate window."""
-    gens = list(within.rows)
-    rows = [tuple(form.pair(x, g) for g in gens)]
-    rhs = [ONE]
-    for c in constraints:
-        if not form.pair(c, x).is_zero():
-            raise InternalConsistencyError("partner constraint not orthogonal to x")
-        rows.append(tuple(form.pair(c, g) for g in gens))
-        rhs.append(ZERO)
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        raise InternalConsistencyError("hyperbolic partner system is unsolvable")
-    y = (ZERO,) * form.p
-    for coef, g in zip(sol, gens):
-        y = vadd(y, vscale(coef, g))
-    return vsub(y, vscale(HALF * form.pair(y, y), x))
-
-
-def window(p, lo):
-    """span(e_lo, ..., e_{p-1-lo})."""
-    return Subspace.from_vectors(standard_basis(p)[lo:p - lo], p)
-
-
-def matrix_map_isotropic(x, target, form, within):
-    """The matrix of <= 2 reflections sending the isotropic x to target."""
-    if x == target:
-        return standard_basis(form.p)
-    if not form.pair(x, target).is_zero():
-        return reflection_matrix(vsub(x, target), form)
-    px = generator_partner(x, [], form, within)
-    if not form.pair(target, px).is_zero():
-        z = px
-    else:
-        pt = generator_partner(target, [], form, within)
-        a = ONE if not (ONE + form.pair(x, pt)).is_zero() else sc(2)
-        z = vsub(vadd(vscale(a, px), pt), vscale(a * form.pair(px, pt), target))
-    return mat_mul(reflection_matrix(vsub(x, z), form), reflection_matrix(vsub(z, target), form))
-
-
-def matrix_completion(chain, form):
-    """complete_to_hyperbolic with the isometry accumulated as a matrix and
-    the middle block the standard middle vectors times its inverse."""
-    p = form.p
-    xs = []
-    carried = Subspace.zero(p)
-    for piece in chain:
-        for row in piece.rows:
-            if not carried.contains(row):
-                xs.append(row)
-                carried = Subspace.from_vectors(list(carried.rows) + [row], p)
-    k = len(xs)
-    ys = []
-    for a in range(k):
-        ys.append(generator_partner(xs[a], [x for i, x in enumerate(xs) if i != a] + ys, form,
-                                    Subspace.full(p)))
-    middles = []
-    if 2 * k < p:
-        acc = standard_basis(p)
-        std = standard_basis(p)
-        for a in range(k):
-            cx, cy = mat_mul([xs[a], ys[a]], acc)
-            g = matrix_map_isotropic(cx, std[a], form, window(p, a))
-            acc = mat_mul(acc, g)
-            cy, = mat_mul([cy], g)
-            acc = mat_mul(acc, eichler_matrix(std[a], vsub(std[p - 1 - a], cy), form))
-        middles = mat_mul(std[k:p - k], invert_matrix(acc))
-    return tuple(xs + middles + list(reversed(ys)))
-
-
 # ---------------------------------------------------------------------------
 
 
 def _chains():
     """(q, chain) for q in 2..9 and every top dimension 1..q//2 (q//2 leaves
-    an empty middle block for even q), with 1-3 members in general position
-    inside the top member."""
+    an empty middle block for even q), with 1-3 nested isotropic members in
+    general position inside the top member.  The completion reads the top
+    member; the test ids name every member's dimension."""
     rng = random.Random(13)
     out = []
     for q in range(2, 10):
@@ -229,29 +150,19 @@ def test_chains_cover_empty_middle_and_every_length():
                          ids=[f"q{q}-dims{'-'.join(str(c.dim) for c in chain)}-{i}"
                               for i, (q, chain) in enumerate(CHAINS)])
 def test_completion_matches_matrix_product(q, chain):
+    # the completion of the top member W: its Gram matrix B J B^t is J, its
+    # first k rows are W's canonical rows, its first q - k rows span W^perp
+    # and its last k rows are the standard partners e_{q-1-c}, c a pivot
     form = BilinearForm(q)
-    assert all(isotropy_classify(piece, form)[0] for piece in chain)
-    assert complete_to_hyperbolic(chain, form) == matrix_completion(chain, form)
-
-
-@pytest.mark.parametrize("p", range(2, 10))
-def test_partner_matches_generator_partner(p):
-    # every window lo..p-1-lo, 0 to (width - 1) constraints made orthogonal
-    # to x; for odd p the narrowest window is the middle coordinate alone
-    form = BilinearForm(p)
-    rng = random.Random(p)
-    for lo in range((p + 1) // 2):
-        for count in range(p - 2 * lo):
-            for _ in range(3):
-                x = tuple(random_scalar(rng) for _ in range(p))
-                pivot = next(j for j in range(p) if x[p - 1 - j])
-                constraints = []
-                for _ in range(count):
-                    c = [random_scalar(rng) for _ in range(p)]
-                    c[pivot] -= form.pair(tuple(c), x) / x[p - 1 - pivot]
-                    constraints.append(tuple(c))
-                assert _partner_for(x, constraints, form, lo) == \
-                    generator_partner(x, constraints, form, window(p, lo)), (p, lo, count)
+    w = chain[-1]
+    k = w.dim
+    assert isotropy_classify(w, form)[0]
+    basis = list(complete_to_hyperbolic(w))
+    std = standard_basis(q)
+    assert mat_mul(basis, [tuple(b[q - 1 - j] for b in basis) for j in range(q)]) == std[::-1]
+    assert basis[:k] == list(w.rows)
+    assert Subspace.from_vectors(basis[:q - k], q) == orthocomplement(w, form)
+    assert basis[q - k:] == [std[q - 1 - c] for c in reversed(_pivot_columns(w.rows))]
 
 
 def test_row_moves_match_their_matrices():
@@ -265,14 +176,11 @@ def test_row_moves_match_their_matrices():
             e = standard_basis(p)[a]
             assert eichler_rows(rows, a, tuple(z)) == \
                 mat_mul(rows, eichler_matrix(e, tuple(z), form))
-        v = tuple(random_scalar(rng) for _ in range(p))
-        if not form.pair(v, v).is_zero():
-            assert reflect_rows(rows, v, form) == mat_mul(rows, reflection_matrix(v, form))
 
 
 class TestGuardsAreInternal:
-    """Only internal code builds Eichler maps and reflections, so a violated
-    precondition is a bug (exit 70), not bad input (exit 65)."""
+    """Only internal code builds Eichler maps, so a violated precondition is
+    a bug (exit 70), not bad input (exit 65)."""
 
     def test_eichler_needs_isotropic_e(self):
         # p = 3, a = 1: e_1 is the middle vector, Q(e_1, e_1) = 1
@@ -283,8 +191,3 @@ class TestGuardsAreInternal:
         # Q(e_0, z) = z[3] for p = 4
         with pytest.raises(InternalConsistencyError, match="orthogonal"):
             eichler_rows(standard_basis(4), 0, (ZERO, sc(1), ZERO, sc(2)))
-
-    def test_reflection_needs_anisotropic_vector(self):
-        form = BilinearForm(4)
-        with pytest.raises(InternalConsistencyError, match="isotropic"):
-            reflect_rows(standard_basis(4), (sc(1), ZERO, sc(1), ZERO), form)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from isoflag.errors import InputError
+from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
@@ -641,7 +641,13 @@ class TestHyperbolicBasis:
 
 
 class TestCompletion:
+    # the closed form's properties on the top members of nested chains are
+    # checked in test_isometry_rows.test_completion_matches_matrix_product
+
     def test_random_isotropic_chains(self):
+        # the first k1 canonical rows of W are themselves reduced, so they
+        # are the canonical rows of their span, and the completion of W is
+        # adapted to every chain of leading row prefixes
         rng = random.Random(17)
         for trial in range(50):
             q = rng.randint(2, 8)
@@ -650,36 +656,27 @@ class TestCompletion:
             big = random_isotropic_subspace(q, k2, trial + 1000)
             k1 = rng.randint(0, k2)
             small = Subspace.from_vectors(list(big.rows[:k1]), q)
-            chain = [small, big] if small.dim else [big]
-            basis = complete_to_hyperbolic(chain, form)
+            basis = complete_to_hyperbolic(big)
             assert form.is_standard_gram(list(basis))
             assert Subspace.from_vectors(list(basis[:k2]), q) == big
-            if small.dim:
-                assert Subspace.from_vectors(list(basis[:k1]), q) == small
+            assert Subspace.from_vectors(list(basis[:k1]), q) == small
 
     def test_rejects_non_isotropic(self):
-        form = BilinearForm(2)
-        with pytest.raises(InputError):
-            complete_to_hyperbolic([Subspace.from_vectors([vec(1, 1)], 2)], form)
-
-    def test_rejects_chain_not_nested(self):
-        form = BilinearForm(4)
-        e = standard_basis(4)
-        chain = [Subspace.from_vectors([e[1]], 4), Subspace.from_vectors([e[0]], 4)]
-        with pytest.raises(InputError, match="chain is not nested"):
-            complete_to_hyperbolic(chain, form)
+        # Q((1, 1), (1, 1)) = 2; the caller checks isotropy, so this is a bug
+        with pytest.raises(InternalConsistencyError, match="bad Gram matrix"):
+            complete_to_hyperbolic(Subspace.from_vectors([vec(1, 1)], 2))
 
     def test_rejects_non_isotropic_top(self):
-        # <e_0> is isotropic; <e_0, e_3> is a hyperbolic plane
-        form = BilinearForm(4)
+        # <e_0> is isotropic, but <e_0, e_3> is a hyperbolic plane: its
+        # pivots pair (0 + 3 = q - 1)
         e = standard_basis(4)
-        chain = [Subspace.from_vectors([e[0]], 4), Subspace.from_vectors([e[0], e[3]], 4)]
-        with pytest.raises(InputError, match="chain member is not isotropic"):
-            complete_to_hyperbolic(chain, form)
+        with pytest.raises(InternalConsistencyError, match="bad Gram matrix"):
+            complete_to_hyperbolic(Subspace.from_vectors([e[0], e[3]], 4))
 
     def test_empty_chain_gives_standard_basis(self):
+        # k = 0: the zero subspace has no rows to complete
         for p in range(1, 7):
-            assert complete_to_hyperbolic([], BilinearForm(p)) == tuple(standard_basis(p))
+            assert complete_to_hyperbolic(Subspace.zero(p)) == tuple(standard_basis(p))
 
 
 class TestIsometries:
