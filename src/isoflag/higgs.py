@@ -59,7 +59,6 @@ from .linalg import (
     orthocomplement,
     vadd,
     vscale,
-    zi_radical,
 )
 from .scalars import ONE, Scalar
 from .weights import Weight, region_membership, require_valid
@@ -358,7 +357,7 @@ def isotropic_radicals(t_sub: Subspace, t_radical: Subspace, fs: FlagSystem,
        occurrence of every kept radical, so the result is the full harvest
        filtered by dimension.
     3. A piece whose radical dimension is its dimension is its own radical;
-       any other's is zi_radical of its rows.
+       any other is classified (isotropy_classify) for its radical.
     """
     known = {t_sub: t_radical} if t_radical.dim >= min_dim else {}  # member -> radical or None
     for flag in fs.flags:
@@ -369,9 +368,9 @@ def isotropic_radicals(t_sub: Subspace, t_radical: Subspace, fs: FlagSystem,
                 if dim >= min_dim:
                     piece = flag.intersect_piece(t_sub, i)
                     known[piece] = piece if dim == piece.dim else None
+    form = BilinearForm(fs.q)
     members = sorted(known, key=lambda m: (m.dim, repr(m.rows)))
-    return list(dict.fromkeys(
-        known[m] or zi_radical([_gaussian_row(row)[:2] for row in m.rows], fs.q) for m in members))
+    return list(dict.fromkeys(known[m] or isotropy_classify(m, form)[1] for m in members))
 
 
 def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,

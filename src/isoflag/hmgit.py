@@ -172,13 +172,19 @@ def hm_flag_total(lam: OnePS, fs: FlagSystem, w: Weight,
     where so2_score(U_n) is the rank-one score (N|alpha|, -N|alpha| or 0).
     The audit records the two scores of each nonzero summand under "xi" and
     "n_pardeg".
+
+    Lemma.  Only lo < n < hi contribute (lo = min(-|l|, m_q, 0), hi =
+    max(|l|, m_1, 0) + 1): U_lo = C^2 and V_lo = C^q score 0 (pardeg C^q =
+    sum beta = 0 by antisymmetry), and U_hi = V_hi = 0.  The range is empty
+    for the trivial subgroup, so the weight is checked up front.
     """
     if lam.q != fs.q:
         raise InputError("one-parameter subgroup and flags have different q")
+    require_weight_for(fs, w)
     lo = min(-abs(lam.l), lam.m[-1], 0)
     hi = max(abs(lam.l), lam.m[0], 0) + 1
     total = 0
-    for n in range(lo, hi + 1):
+    for n in range(lo + 1, hi):
         un = lam.u_piece(n)
         vn = lam.v_piece(n)
         u_score = so2_score(un, w.n_abs_alpha)

@@ -116,9 +116,9 @@ def _zi_eliminate(work: list[ZiRow], *, reduced: bool = False) -> tuple[list[ZiR
     pivot columns of the rows above it), and none is divided by its pivot.
     This forward pass is all a flag echelon needs: its ends, and its spans
     below each end, depend only on the pivots being distinct (IsotropicFlag,
-    item 2).  reduced=True, for rref and zi_radical, also clears each pivot
-    column in the rows above (Gauss-Jordan); every pivot then ends equal to
-    the last one.
+    item 2).  reduced=True, for rref and isotropy_classify, also clears each
+    pivot column in the rows above (Gauss-Jordan); every pivot then ends
+    equal to the last one.
 
     Every row being cleared is replaced by (p row - c pivot_row) / p_prev,
     where p is the new pivot, c the row's entry in the pivot column and
@@ -409,21 +409,6 @@ def orthocomplement(y: Subspace, form: BilinearForm) -> Subspace:
     return Subspace(form.p, tuple(tuple(reversed(v)) for v in reversed(kernel)))
 
 
-def isotropy_classify(y: Subspace, form: BilinearForm) -> tuple[bool, Subspace, int]:
-    """(is_isotropic, radical, rank of the restricted form).
-
-    radical = Y meet Y^perp; the restricted rank is dim Y - dim radical, and
-    Y is isotropic exactly when that rank is zero.  In meet_join(Y, Y^perp)
-    the annihilator vectors of Y^perp span Y J (the reversed rows of Y), so
-    the matrix whose kernel gives the radical is Y's Gram matrix up to an
-    invertible change of basis: a dim Y x dim Y kernel.
-    """
-    perp = orthocomplement(y, form)
-    radical, _ = meet_join(y, perp)
-    restricted_rank = y.dim - radical.dim
-    return restricted_rank == 0, radical, restricted_rank
-
-
 def _zi_gram(rows: list[ZiRow]) -> list[ZiRow]:
     """The Gram matrix G = R J R^t of Gaussian-integer rows R, as rows
     (re, im): J reverses coordinates, so G[k][l] is r_k times r_l reversed."""
@@ -432,32 +417,39 @@ def _zi_gram(rows: list[ZiRow]) -> list[ZiRow]:
     return [_zi_row_times(re, im, rev_re, rev_im) for re, im in rows]
 
 
-def zi_radical(rows: list[ZiRow], ambient: int) -> Subspace:
-    """The radical of the span of linearly independent Gaussian-integer rows
-    R, the same Subspace isotropy_classify returns, from their integer Gram
-    matrix G = R J R^t.
+def isotropy_classify(y: Subspace, form: BilinearForm) -> tuple[bool, Subspace, int]:
+    """(is_isotropic, radical, rank of the restricted form), from the integer
+    Gram matrix G = R J R^t of Y's rows R, each cleared of denominators.
 
     Lemma.  x = aR lies in the radical exactly when Q(x, r_l) =
     sum_k a_k G[k][l] = 0 for every row r_l, so the radical is
-    {aR : aG = 0}.  G is symmetric, so one reduced _zi_eliminate of its rows
-    gives that kernel: every pivot ends equal to one d, and for each free
-    column f the vector with d at f and -row[f] at each row's pivot column
-    is a Z[i] kernel vector.  Only the radical's canonical basis is built
-    from Fractions.
+    {aR : aG = 0} and the restricted rank is rank G; Y is isotropic exactly
+    when G = 0, and then the radical is Y itself.  When G has full rank the
+    radical is zero.  Otherwise G is symmetric, so one reduced _zi_eliminate
+    of its rows gives that kernel: every pivot ends equal to one d, and for
+    each free column f the vector with d at f and -row[f] at each row's
+    pivot column is a Z[i] kernel vector.  Only the radical's canonical
+    basis is built from Fractions.
     """
-    r_re = [re for re, _ in rows]
-    r_im = [im for _, im in rows]
+    if y.ambient != form.p:
+        raise InputError("ambient dimension does not match form")
+    rows = [_gaussian_row(row)[:2] for row in y.rows]
     echelon, pivots = _zi_eliminate(_zi_gram(rows), reduced=True)
-    d_re, d_im = (echelon[0][0][pivots[0]], echelon[0][1][pivots[0]]) if pivots else (1, 0)
+    rank = len(pivots)
+    if rank == 0:
+        return True, y, 0
+    if rank == y.dim:
+        return False, Subspace.zero(form.p), rank
+    d_re, d_im = echelon[0][0][pivots[0]], echelon[0][1][pivots[0]]
+    r_re, r_im = zip(*rows)
     kernel = []
-    for f in sorted(set(range(len(rows))) - set(pivots)):
-        a_re = [0] * len(rows)
-        a_im = [0] * len(rows)
+    for f in sorted(set(range(y.dim)) - set(pivots)):
+        a_re, a_im = [0] * y.dim, [0] * y.dim
         a_re[f], a_im[f] = d_re, d_im
         for (x_re, x_im), c in zip(echelon, pivots):
             a_re[c], a_im[c] = -x_re[f], -x_im[f]
         kernel.append(_zi_vector(_zi_row_times(a_re, a_im, r_re, r_im)))
-    return Subspace.from_vectors(kernel, ambient) if kernel else Subspace.zero(ambient)
+    return False, Subspace.from_vectors(kernel, form.p), rank
 
 
 def max_isotropic_dimension(y: Subspace, form: BilinearForm) -> int:

@@ -25,7 +25,6 @@ from isoflag.higgs import (
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
-    _zi_vector,
     invert_matrix,
     isotropy_classify,
     mat_mul,
@@ -33,7 +32,6 @@ from isoflag.linalg import (
     meet_join,
     orthocomplement,
     random_special_isometry,
-    zi_radical,
 )
 from isoflag.randgen import (
     mixed_mode,
@@ -905,11 +903,11 @@ class TestIsotropicRadicals:
                         [r for r in reference if r.dim >= min_dim], (s, mode, min_dim)
 
     def test_wide_classifies_t_once(self, monkeypatch):
-        # isotropy_classify runs on T only; intersect_piece once per profile
-        # jump below dim T whose piece has a radical of dim >= 2 (the only
-        # ones the bound stage reads), and no other; one Gram radical per
-        # such piece that is not isotropic, and none for the others.  q6
-        # seeds 0 and 2 have no such piece, so they build nothing.
+        # isotropy_classify runs on T, then once on each built piece that is
+        # not isotropic, and on nothing else; intersect_piece runs once per
+        # profile jump below dim T whose piece has a radical of dim >= 2 (the
+        # only ones the bound stage reads), and no other.  q6 seeds 0 and 2
+        # have no such piece, so they build nothing.
         real_piece = IsotropicFlag.intersect_piece
         for q, seed in ((6, 0), (6, 2), (8, 0)):
             a, fs, w = random_instance(q, 4, seed)
@@ -928,7 +926,7 @@ class TestIsotropicRadicals:
             rest = {p for _, p in expected if isotropy_classify(p, form)[1] != p}
             oracle = line_oracle(t_sub, fs, w)
             monkeypatch.setattr(higgs_mod, "line_oracle", lambda *args, **kwargs: oracle)
-            classified, pieces, gram_members = [], [], []
+            classified, pieces = [], []
 
             def classifying(y, form):
                 classified.append(y)
@@ -938,19 +936,14 @@ class TestIsotropicRadicals:
                 pieces.append((flag, real_piece(flag, sub, i)))
                 return pieces[-1][1]
 
-            def gram_radical(rows, ambient):
-                gram_members.append(Subspace.from_vectors([_zi_vector(r) for r in rows], ambient))
-                return zi_radical(rows, ambient)
-
             monkeypatch.setattr(higgs_mod, "isotropy_classify", classifying)
             monkeypatch.setattr(IsotropicFlag, "intersect_piece", piece)
-            monkeypatch.setattr(higgs_mod, "zi_radical", gram_radical)
             bounds = max_pardeg_isotropic_in(t_sub, fs, w)
             monkeypatch.undo()
             assert not bounds.exact  # nu >= 2: the harvest ran
-            assert classified == [t_sub], (q, seed)
+            assert classified[0] == t_sub, (q, seed)
+            assert len(classified) == 1 + len(rest) and set(classified[1:]) == rest, (q, seed)
             assert pieces == expected, (q, seed)
-            assert len(gram_members) == len(rest) and set(gram_members) == rest, (q, seed)
             assert bool(pieces) == (q == 8), (q, seed)
 
     def test_narrow_builds_no_harvest(self, monkeypatch):
@@ -1042,6 +1035,17 @@ class TestDecide:
         fs = FlagSystem.standard(4, 4)
         a = higgs(4, vec(0, 1, 0, 0), vec(0, 0, 1, 0))
         assert not verify_certificate(Verdict("Unstable", cert), a, fs, W_Q4)
+
+    def test_isotropic_span_of_wrong_ambient_rejected(self):
+        # the span is classified against the rows' form, whose shape check
+        # reports the mismatch as bad input rather than an IndexError
+        fs = FlagSystem.standard(4, 4)
+        a = higgs(4, vec(0, 1, 0, 0), vec(0, 0, 1, 0))
+        for rows in ([vec(1, 0, 0)], [vec(1, 0, 0, 0, 0)]):
+            forged = Verdict("Unstable", Certificate(
+                "isotropic_span", span=Subspace.from_vectors(rows, len(rows[0]))))
+            with pytest.raises(InputError, match="ambient dimension does not match form"):
+                verify_certificate(forged, a, fs, W_Q4)
 
     def test_strictly_semistable(self):
         w3 = Weight.make(3, 4, [F(1, 8)] * 4, [(F(0), F(0), F(0))] * 4)

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from isoflag.errors import InputError, InternalConsistencyError
-from isoflag.flags import FlagSystem, IsotropicFlag, n_pardeg, random_flag
+from isoflag.flags import FlagSystem, IsotropicFlag, n_pardeg, random_flag, so2_score
 from isoflag.higgs import Certificate, ExtensionLine, HiggsTuple, decide_stability
 from isoflag.hmgit import (
     INFINITE,
@@ -291,6 +291,9 @@ class TestFlagTotal:
         lam = OnePS.trivial(4)
         fs = FlagSystem.standard(4, 4)
         assert hm_flag_total(lam, fs, W_Q4) == 0
+        # no summand to compute, and an invalid weight is still rejected
+        with pytest.raises(InputError, match="invalid weight"):
+            hm_flag_total(OnePS.trivial(2), FlagSystem.standard(2, 4), W_BAD_Q2)
 
     def test_shape2_value(self):
         fs = FlagSystem.standard(4, 4)
@@ -306,6 +309,32 @@ class TestFlagTotal:
         lam, predicted = destabilizing_oneps("shape1", e1, fs, W_Q4)
         assert predicted == -96
         assert hm_flag_total(lam, fs, W_Q4) == -96
+
+    def test_matches_full_range(self):
+        # the summands at n = lo (U = C^2, V = C^q) and n = hi (both 0) are
+        # zero, so the sum over lo < n < hi gives the full-range total and
+        # the same audit rows
+        rng = random.Random(23)
+        for trial in range(30):
+            q, s = rng.randint(2, 6), rng.randint(3, 5)
+            _, fs, w = random_instance(q, s, trial, mode=mixed_mode(trial))
+            lam = random_oneps(q, 100 + trial)
+            lo = min(-abs(lam.l), lam.m[-1], 0)
+            hi = max(abs(lam.l), lam.m[0], 0) + 1
+            total, rows = 0, []
+            for n in range(lo, hi + 1):
+                un, vn = lam.u_piece(n), lam.v_piece(n)
+                u_score, v_score = so2_score(un, w.n_abs_alpha), n_pardeg(vn, fs, w)
+                term = -2 * u_score - 2 * v_score
+                if n in (lo, hi):
+                    assert (u_score, v_score) == (0, 0), (trial, n)
+                if u_score or v_score:
+                    rows.append({"n": n, "u_dim": un.dim, "v_dim": vn.dim,
+                                 "xi": u_score, "n_pardeg": v_score, "term": term})
+                total += term
+            audit = []
+            assert hm_flag_total(lam, fs, w, audit=audit) == total, trial
+            assert audit == rows, trial
 
 
 class TestTotalWeight:

@@ -7,7 +7,6 @@ from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
-    _gaussian_row,
     _pivot_columns,
     _reduced_kernel,
     complete_to_hyperbolic,
@@ -22,7 +21,6 @@ from isoflag.linalg import (
     rref,
     standard_basis,
     vscale,
-    zi_radical,
 )
 from isoflag.randgen import random_isotropic_subspace, random_scalar, random_vector
 from isoflag.scalars import I, ONE, Scalar, ZERO, sc
@@ -547,6 +545,12 @@ class TestIsotropy:
         iso, radical, rank = isotropy_classify(Subspace.zero(3), form)
         assert iso and rank == 0
 
+    def test_ambient_mismatch_rejected(self):
+        y = Subspace.from_vectors([vec(1, 0, 0)], 3)
+        for p in (2, 4):
+            with pytest.raises(InputError, match="ambient dimension does not match form"):
+                isotropy_classify(y, BilinearForm(p))
+
     def test_radical_is_isotropic_random(self):
         rng = random.Random(3)
         for _ in range(60):
@@ -560,10 +564,9 @@ class TestIsotropy:
             assert iso
 
 
-def _zi_basis(y, rng):
-    """Linearly independent Gaussian-integer rows spanning y: its reduced
-    rows under a random invertible triangular change of basis, each cleared
-    of denominators."""
+def _mixed_basis(y, rng):
+    """A non-canonical basis of y: its reduced rows under a random
+    invertible triangular change of basis."""
     rows = list(y.rows)
     mixed = []
     for k, row in enumerate(rows):
@@ -573,15 +576,21 @@ def _zi_basis(y, rng):
         v = vscale(c, row)
         for later in rows[k + 1:]:
             v = tuple(a + b for a, b in zip(v, vscale(random_scalar(rng, 3), later)))
-        mixed.append(_gaussian_row(v)[:2])
+        mixed.append(v)
     return mixed
+
+
+def _meet_radical(y, form):
+    """The radical as Y meet Y^perp, as isotropy_classify once computed it.
+    Kept here as the reference the Gram-matrix radical is compared against."""
+    return meet_join(y, orthocomplement(y, form))[0]
 
 
 class TestGramRadical:
     def test_matches_isotropy_classify(self):
         # zero Gram matrices (isotropic subspaces), full-rank ones (generic
         # subspaces and the whole space), and rank-deficient ones (an
-        # isotropic I plus vectors of I^perp)
+        # isotropic I plus vectors of I^perp), each rebuilt from a mixed basis
         rng = random.Random(29)
         kinds = {"zero": 0, "full": 0, "deficient": 0}
         for p in range(2, 9):
@@ -598,8 +607,11 @@ class TestGramRadical:
             subs += [Subspace.from_vectors([random_vector(rng, p) for _ in range(k)], p)
                      for k in range(1, p + 1)]
             for y in subs:
-                radical = isotropy_classify(y, form)[1]
-                assert zi_radical(_zi_basis(y, rng), p) == radical, (p, y.dim)
+                radical = _meet_radical(y, form)
+                rebuilt = Subspace.from_vectors(_mixed_basis(y, rng), p)
+                iso, got, rank = isotropy_classify(rebuilt, form)
+                assert (iso, got, rank) == (radical == y, radical, y.dim - radical.dim), \
+                    (p, y.dim)
                 if y.dim:
                     kinds["zero" if radical == y else "full" if not radical.dim
                           else "deficient"] += 1
@@ -609,10 +621,12 @@ class TestGramRadical:
         # T = C^q as a member: the standard rows have Gram matrix J, any
         # other basis of C^q a congruent one
         for p in range(1, 9):
-            standard = [([int(i == j) for j in range(p)], [0] * p) for i in range(p)]
-            assert zi_radical(standard, p) == Subspace.zero(p)
-            basis = Subspace.from_vectors(list(hyperbolic_basis(BilinearForm(p), p)), p)
-            assert zi_radical(_zi_basis(basis, random.Random(p)), p) == Subspace.zero(p)
+            form = BilinearForm(p)
+            assert isotropy_classify(Subspace.full(p), form) == (False, Subspace.zero(p), p)
+            basis = Subspace.from_vectors(list(hyperbolic_basis(form, p)), p)
+            rebuilt = Subspace.from_vectors(_mixed_basis(basis, random.Random(p)), p)
+            assert isotropy_classify(rebuilt, form) == (False, Subspace.zero(p), p)
+            assert _meet_radical(rebuilt, form) == Subspace.zero(p)
 
 
 class TestHyperbolicBasis:
