@@ -32,6 +32,7 @@ from .linalg import (
     ZiRow,
     _gaussian_matrix,
     _gaussian_row,
+    _scalar,
     _zi_eliminate,
     _zi_gram,
     _zi_row_times,
@@ -57,6 +58,20 @@ class IntegerBasis(NamedTuple):
     hyperbolic: bool
 
 
+def _integer_form(b_re: list[list[int]], b_im: list[list[int]], den: int) -> IntegerBasis:
+    """The IntegerBasis of the basis (b_re + i b_im) / den."""
+    q = len(b_re)
+    inv_re = [[b_re[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
+    inv_im = [[b_im[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
+    scaled = den * den
+    zeros = [0] * q
+    hyperbolic = all(
+        _zi_row_times(x_re, x_im, inv_re, inv_im)
+        == ([scaled if j == i else 0 for j in range(q)], zeros)
+        for i, (x_re, x_im) in enumerate(zip(b_re, b_im)))
+    return IntegerBasis(b_re, b_im, inv_re, inv_im, den, hyperbolic)
+
+
 class IsotropicFlag:
     """A complete isotropic flag, held as its adapted hyperbolic basis.
 
@@ -66,10 +81,14 @@ class IsotropicFlag:
     Gaussian integers Z[i], and no Fraction is built for it:
 
     1. Write the basis as B = B' / d, with B' a Gaussian-integer matrix and d
-       one shared integer denominator.  A hyperbolic basis has B J B^T = J,
-       so B^-1 = J B^T J = (J B'^T J) / d: B'^T with its rows and columns
-       reversed, a re-indexing of B's own integers over the same d.  The
-       basis is hyperbolic exactly when B' (J B'^T J) = d^2 I.
+       one shared integer denominator, the lcm of the entries' reduced
+       denominators.  This is the form a flag is held in: a flag read from
+       an instance file is parsed straight into (B', d) (from_integer), and
+       its Scalar basis is built only when asked for; a flag made from
+       Scalar rows gets (B', d) on first use.  A hyperbolic basis has
+       B J B^T = J, so B^-1 = J B^T J = (J B'^T J) / d: B'^T with its rows
+       and columns reversed, a re-indexing of B's own integers over the
+       same d.  The basis is hyperbolic exactly when B' (J B'^T J) = d^2 I.
     2. Scaling a row by a nonzero element of Z[i] keeps the row span and the
        position of its last nonzero coordinate.  So sub's rows, each cleared
        of denominators and multiplied by J B'^T J, have the row span of sub's
@@ -98,14 +117,14 @@ class IsotropicFlag:
     InputError when the basis is not hyperbolic.
     """
 
-    __slots__ = ("q", "basis", "_integer", "_last")
+    __slots__ = ("q", "_basis", "_integer", "_last")
 
     def __init__(self, basis: tuple[Vector, ...]):
         self.q = len(basis)
         for row in basis:
             if len(row) != self.q:
                 raise InputError("flag basis must be square")
-        self.basis = tuple(basis)
+        self._basis: tuple[Vector, ...] | None = tuple(basis)
         self._integer: IntegerBasis | None = None
         # (sub, its echelon, its zi_lift, its echelon rows' Gram matrix) for
         # the last subspace asked about, the last two filled when first used:
@@ -114,8 +133,31 @@ class IsotropicFlag:
         self._last: tuple[Subspace, Echelon, list[ZiRow], list[ZiRow]] | None = None
 
     @classmethod
+    def from_integer(cls, basis_re: list[list[int]], basis_im: list[list[int]],
+                     den: int) -> "IsotropicFlag":
+        """The flag with the square basis (basis_re + i basis_im) / den, held
+        in that form (B' and d of the class docstring, item 1), so that no
+        Scalar is built unless basis is read."""
+        flag = cls.__new__(cls)
+        flag.q = len(basis_re)
+        flag._basis = None
+        flag._integer = _integer_form(basis_re, basis_im, den)
+        flag._last = None
+        return flag
+
+    @classmethod
     def standard(cls, q: int) -> "IsotropicFlag":
         return cls(hyperbolic_basis(BilinearForm(q), 0))
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The adapted basis as Scalar rows, built on first use for a flag
+        made by from_integer."""
+        if self._basis is None:
+            ib = self._integer
+            self._basis = tuple(tuple(_scalar(x, y, ib.den) for x, y in zip(re, im))
+                                for re, im in zip(ib.basis_re, ib.basis_im))
+        return self._basis
 
     def piece(self, i: int) -> Subspace:
         """F_i = span(w_1, ..., w_i); F_0 = 0.  Not cached: only instance
@@ -126,17 +168,7 @@ class IsotropicFlag:
         """B', J B'^T J and d of the class docstring (item 1), and whether
         B' (J B'^T J) = d^2 I.  Computed once."""
         if self._integer is None:
-            q = self.q
-            b_re, b_im, den = _gaussian_matrix(list(self.basis))
-            inv_re = [[b_re[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
-            inv_im = [[b_im[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
-            scaled = den * den
-            zeros = [0] * q
-            hyperbolic = all(
-                _zi_row_times(x_re, x_im, inv_re, inv_im)
-                == ([scaled if j == i else 0 for j in range(q)], zeros)
-                for i, (x_re, x_im) in enumerate(zip(b_re, b_im)))
-            self._integer = IntegerBasis(b_re, b_im, inv_re, inv_im, den, hyperbolic)
+            self._integer = _integer_form(*_gaussian_matrix(list(self._basis)))
         return self._integer
 
     def zi_echelon(self, rows: list[ZiRow]) -> Echelon:

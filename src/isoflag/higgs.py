@@ -52,6 +52,9 @@ from .linalg import (
     Vector,
     ZiRow,
     _gaussian_row,
+    _isotropy_from_gram,
+    _scalar,
+    _zi_gram,
     _zi_vector,
     is_zero_vector,
     isotropy_classify,
@@ -167,19 +170,29 @@ def _isotropic_line_in(y: Subspace, form: BilinearForm,
     form vanishes; in the nondegenerate rank-two case the two isotropic lines
     may only exist over a quadratic extension, which is returned explicitly.
     The candidate planes are the pairs of basis rows, then, when dim y > 2,
-    four random mixed planes (a plane's own share its discriminant); their
-    pairings are read off two Gram products.
+    four random mixed planes (a plane's own share its discriminant).  The
+    basis rows' pairings are read off the Gaussian-integer Gram matrix G
+    that gives the radical: with row k cleared of its denominator den_k,
+    Q(b_k, b_l) = G[k][l] / (den_k den_l), so G[k][k] = 0 exactly when b_k is
+    isotropic.  The mixed planes' pairings are one Gram product.
     """
-    _, radical, rank = isotropy_classify(y, form)
+    cleared = [_gaussian_row(row) for row in y.rows]
+    zi_rows = [(re, im) for re, im, _ in cleared]
+    g = _zi_gram(zi_rows)
+    radical = _isotropy_from_gram(y, zi_rows, g)[1]
     if radical.dim > 0:
         return _line(radical.rows[0], y.ambient)
     basis = list(y.rows)
-    gram = form.gram(basis)
     for k, row in enumerate(basis):
-        if gram[k][k].is_zero():
+        if not (g[k][0][k] or g[k][1][k]):
             return _line(row, y.ambient)
+    dens = [den for _, _, den in cleared]
+
+    def pairing(k: int, l: int) -> Scalar:
+        return _scalar(g[k][0][l], g[k][1][l], dens[k] * dens[l])
+
     # (b1, b2, Q(b1, b1), Q(b1, b2), Q(b2, b2)) for each pair of basis rows
-    planes = [(basis[k], basis[l], gram[k][k], gram[k][l], gram[l][l])
+    planes = [(basis[k], basis[l], pairing(k, k), pairing(k, l), pairing(l, l))
               for k in range(len(basis)) for l in range(k + 1, len(basis))]
     if len(basis) > 2:
         # a few extra planes (basis[0] + sum_k c_k basis[k], basis[-1]) improve

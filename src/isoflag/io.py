@@ -4,6 +4,13 @@ The only wire format is JSON with decimal rational strings ("p/q" or "p");
 floats never appear.  Parsing is strict and keeps a JSON-pointer-style path
 for error messages.  serialize(parse(x)) is idempotent: it reproduces the
 canonical rendering (reduced fractions, canonical subspace bases).
+
+An instance file is read with one rational reader (_Rationals), which
+parses each distinct string once into a reduced (numerator, denominator)
+pair.  A flag basis goes from those pairs straight to the Gaussian-integer
+matrix B' over one denominator d that IsotropicFlag works in, with no
+Fraction or Scalar per entry; the weight and the rows A are built as
+Fractions and Scalars from the same pairs.
 """
 
 from __future__ import annotations
@@ -11,13 +18,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
 from .errors import ParseError
 from .flags import FlagSystem, IsotropicFlag
 from .higgs import Certificate, ExtensionLine, HiggsTuple, Verdict
 from .linalg import Subspace, Vector
-from .scalars import Scalar, format_fraction, parse_fraction
+from .scalars import Scalar, format_fraction, parse_rational
 from .weights import Weight
 
 
@@ -25,15 +33,70 @@ from .weights import Weight
 # scalars and vectors
 
 
+# (numerator, denominator), reduced, denominator positive
+_Rational = tuple[int, int]
+
+
+def _pair_scalar(re: _Rational, im: _Rational) -> Scalar:
+    return Scalar(Fraction(*re), Fraction(*im))
+
+
+class _Rationals:
+    """The rational strings of one file, read by parse_rational with each
+    distinct string parsed once: the strings of a flag basis repeat (over
+    half of them are "0")."""
+
+    __slots__ = ("_seen",)
+
+    def __init__(self):
+        self._seen: dict[str, _Rational] = {}
+
+    def __call__(self, text: Any, path: str) -> _Rational:
+        pair = self._seen.get(text) if type(text) is str else None
+        if pair is None:
+            pair = self._seen[text] = parse_rational(text, path)
+        return pair
+
+    def entry(self, obj: Any, path: str) -> tuple[_Rational, _Rational]:
+        """The (re, im) rationals of one {"re", "im"} object."""
+        if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
+            raise ParseError(path, "expected an object with 're' and 'im'")
+        return self(obj["re"], path + "/re"), self(obj["im"], path + "/im")
+
+    def rows(self, obj: Any, path: str) -> list[list[tuple[_Rational, _Rational]]]:
+        """The entries of an array of rows, each row an array of
+        {"re", "im"} objects, checked to be a matrix after every entry is
+        read.  An entry whose two strings were both read before costs two
+        lookups; any other goes through entry."""
+        if not isinstance(obj, list):
+            raise ParseError(path, "expected an array of rows")
+        seen = self._seen
+        rows = []
+        for i, row in enumerate(obj):
+            if not isinstance(row, list):
+                raise ParseError(f"{path}/{i}", "expected an array")
+            entries = []
+            for k, x in enumerate(row):
+                if isinstance(x, dict) and len(x) == 2:
+                    re, im = x.get("re"), x.get("im")
+                    if type(re) is str and type(im) is str:
+                        re, im = seen.get(re), seen.get(im)
+                        if re is not None and im is not None:
+                            entries.append((re, im))
+                            continue
+                entries.append(self.entry(x, f"{path}/{i}/{k}"))
+            rows.append(entries)
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ParseError(path, "ragged matrix")
+        return rows
+
+
 def scalar_to_json(x: Scalar) -> dict:
     return {"re": format_fraction(x.re), "im": format_fraction(x.im)}
 
 
 def scalar_from_json(obj: Any, path: str) -> Scalar:
-    if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
-        raise ParseError(path, "expected an object with 're' and 'im'")
-    return Scalar(parse_fraction(obj["re"], path + "/re"),
-                  parse_fraction(obj["im"], path + "/im"))
+    return _pair_scalar(*_Rationals().entry(obj, path))
 
 
 def vector_to_json(v: Vector) -> list:
@@ -50,13 +113,9 @@ def matrix_to_json(rows) -> list:
     return [vector_to_json(r) for r in rows]
 
 
-def matrix_from_json(obj: Any, path: str) -> tuple[Vector, ...]:
-    if not isinstance(obj, list):
-        raise ParseError(path, "expected an array of rows")
-    rows = tuple(vector_from_json(r, f"{path}/{i}") for i, r in enumerate(obj))
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError(path, "ragged matrix")
-    return rows
+def matrix_from_json(obj: Any, path: str, read: _Rationals | None = None) -> tuple[Vector, ...]:
+    return tuple(tuple(_pair_scalar(re, im) for re, im in row)
+                 for row in (read or _Rationals()).rows(obj, path))
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +131,7 @@ def weight_to_json(w: Weight) -> dict:
     }
 
 
-def weight_from_json(obj: Any, path: str = "/weight") -> Weight:
+def weight_from_json(obj: Any, path: str = "/weight", read: _Rationals | None = None) -> Weight:
     if not isinstance(obj, dict):
         raise ParseError(path, "expected an object")
     for key in ("q", "s", "alpha", "beta"):
@@ -94,12 +153,13 @@ def weight_from_json(obj: Any, path: str = "/weight") -> Weight:
         raise ParseError(path + "/alpha", f"expected {s} entries")
     if not isinstance(beta, list) or len(beta) != s:
         raise ParseError(path + "/beta", f"expected {s} rows")
-    alphas = tuple(parse_fraction(a, f"{path}/alpha/{j}") for j, a in enumerate(alpha))
+    read = read or _Rationals()
+    alphas = tuple(Fraction(*read(a, f"{path}/alpha/{j}")) for j, a in enumerate(alpha))
     betas = []
     for j, row in enumerate(beta):
         if not isinstance(row, list) or len(row) != q:
             raise ParseError(f"{path}/beta/{j}", f"expected {q} entries")
-        betas.append(tuple(parse_fraction(b, f"{path}/beta/{j}/{i}")
+        betas.append(tuple(Fraction(*read(b, f"{path}/beta/{j}/{i}"))
                            for i, b in enumerate(row)))
     return Weight(q, s, alphas, tuple(betas))
 
@@ -112,11 +172,17 @@ def flag_to_json(f: IsotropicFlag) -> list:
     return matrix_to_json(f.basis)
 
 
-def flag_from_json(obj: Any, path: str) -> IsotropicFlag:
-    rows = matrix_from_json(obj, path)
+def flag_from_json(obj: Any, path: str, read: _Rationals) -> IsotropicFlag:
+    """The flag read straight into its integer form B' / d: d is the lcm of
+    the entries' reduced denominators and B' = num (d / den) entrywise, what
+    linalg._gaussian_matrix gives for the same basis as Scalars."""
+    rows = read.rows(obj, path)
     if not rows or len(rows) != len(rows[0]):
         raise ParseError(path, "flag basis must be a square matrix")
-    return IsotropicFlag(rows)
+    den = lcm(*{re[1] for row in rows for re, _ in row}, *{im[1] for row in rows for _, im in row})
+    return IsotropicFlag.from_integer(
+        [[n * (den // d) for (n, d), _ in row] for row in rows],
+        [[n * (den // d) for _, (n, d) in row] for row in rows], den)
 
 
 def subspace_to_json(s: Subspace) -> dict:
@@ -160,15 +226,16 @@ def instance_from_json(obj: Any, path: str = "") -> InstanceFile:
     for key in ("weight", "flags", "A"):
         if key not in obj:
             raise ParseError(path or "/", f"missing field {key!r}")
-    weight = weight_from_json(obj["weight"], path + "/weight")
+    read = _Rationals()
+    weight = weight_from_json(obj["weight"], path + "/weight", read)
     if not isinstance(obj["flags"], list) or len(obj["flags"]) != weight.s:
         raise ParseError(path + "/flags", f"expected {weight.s} flags")
     flags = FlagSystem(tuple(
-        flag_from_json(f, f"{path}/flags/{j}") for j, f in enumerate(obj["flags"])
+        flag_from_json(f, f"{path}/flags/{j}", read) for j, f in enumerate(obj["flags"])
     ))
     if flags.q != weight.q:
         raise ParseError(path + "/flags", "flag dimension does not match weight q")
-    rows = matrix_from_json(obj["A"], path + "/A")
+    rows = matrix_from_json(obj["A"], path + "/A", read)
     if len(rows) != weight.s - 2:
         raise ParseError(path + "/A", f"expected {weight.s - 2} rows")
     if rows and len(rows[0]) != weight.q:

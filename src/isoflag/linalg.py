@@ -434,12 +434,19 @@ def isotropy_classify(y: Subspace, form: BilinearForm) -> tuple[bool, Subspace, 
     if y.ambient != form.p:
         raise InputError("ambient dimension does not match form")
     rows = [_gaussian_row(row)[:2] for row in y.rows]
-    echelon, pivots = _zi_eliminate(_zi_gram(rows), reduced=True)
+    return _isotropy_from_gram(y, rows, _zi_gram(rows))
+
+
+def _isotropy_from_gram(y: Subspace, rows: list[ZiRow],
+                        gram: list[ZiRow]) -> tuple[bool, Subspace, int]:
+    """isotropy_classify of y, given y's rows cleared of denominators and
+    their Gram matrix, which is left as it was."""
+    echelon, pivots = _zi_eliminate(list(gram), reduced=True)
     rank = len(pivots)
     if rank == 0:
         return True, y, 0
     if rank == y.dim:
-        return False, Subspace.zero(form.p), rank
+        return False, Subspace.zero(y.ambient), rank
     d_re, d_im = echelon[0][0][pivots[0]], echelon[0][1][pivots[0]]
     r_re, r_im = zip(*rows)
     kernel = []
@@ -449,7 +456,7 @@ def isotropy_classify(y: Subspace, form: BilinearForm) -> tuple[bool, Subspace, 
         for (x_re, x_im), c in zip(echelon, pivots):
             a_re[c], a_im[c] = -x_re[f], -x_im[f]
         kernel.append(_zi_vector(_zi_row_times(a_re, a_im, r_re, r_im)))
-    return False, Subspace.from_vectors(kernel, form.p), rank
+    return False, Subspace.from_vectors(kernel, y.ambient), rank
 
 
 def max_isotropic_dimension(y: Subspace, form: BilinearForm) -> int:

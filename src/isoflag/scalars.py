@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import InputError, ParseError
 
@@ -133,19 +133,31 @@ def sc(re=0, im=0) -> Scalar:
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
 
-def parse_fraction(text: str, path: str = "") -> Fraction:
+def parse_rational(text: str, path: str = "") -> tuple[int, int]:
     """Parse a rational written as 'p/q' or 'p': ASCII decimal digits with an
     optional sign on each side, and nothing else (no spaces, no '_', no
-    other digit scripts)."""
+    other digit scripts).  Returns it reduced, as (numerator, denominator)
+    with a positive denominator."""
     if not isinstance(text, str):
         raise ParseError(path, f"expected a rational string, got {type(text).__name__}")
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ParseError(path, f"malformed rational {text!r}")
     num, den = match.groups()
-    if den is not None and int(den) == 0:
+    if den is None:
+        return int(num), 1
+    n, d = int(num), int(den)
+    if d == 0:
         raise ParseError(path, "zero denominator")
-    return Fraction(int(num), int(den or 1))
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def parse_fraction(text: str, path: str = "") -> Fraction:
+    """parse_rational as a Fraction."""
+    return Fraction(*parse_rational(text, path))
 
 
 def format_fraction(x: Fraction) -> str:

@@ -21,9 +21,10 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class Weight:
-    """Immutable (tuples throughout): its violations, stats and scaling by
-    N = lcm of every alpha and beta denominator (n, n_beta, n_abs_alpha,
-    all ints) are computed once, on first use, and kept."""
+    """Immutable (tuples throughout): its violations, stats, region
+    membership and scaling by N = lcm of every alpha and beta denominator
+    (n, n_beta, n_abs_alpha, all ints) are computed once, on first use, and
+    kept."""
 
     q: int
     s: int
@@ -49,6 +50,16 @@ class Weight:
             abs_beta1=sum((row[0] for row in self.beta), Fraction(0)),
             per_puncture_abs_beta=per,
         )
+
+    @cached_property
+    def _membership(self) -> "RegionMembership":
+        stats = self._stats
+        in_w = all(self.alpha[j] > stats.per_puncture_abs_beta[j] for j in range(self.s)) \
+            and stats.abs_alpha + stats.abs_beta < 1
+        strict = all(
+            all(row[i] > row[i + 1] for i in range(self.q - 1)) for row in self.beta
+        )
+        return RegionMembership(in_w=in_w, in_w_prime=in_w and strict)
 
     @cached_property
     def n(self) -> int:
@@ -131,14 +142,10 @@ class RegionMembership:
 def region_membership(w: Weight) -> RegionMembership:
     """Membership in the admissible region (alpha^j > |beta^j| per puncture and
     |alpha| + |beta| < 1) and in its full-measure refinement where every
-    puncture's beta is strictly decreasing."""
-    stats = weight_stats(w)
-    in_w = all(w.alpha[j] > stats.per_puncture_abs_beta[j] for j in range(w.s)) \
-        and stats.abs_alpha + stats.abs_beta < 1
-    strict = all(
-        all(row[i] > row[i + 1] for i in range(w.q - 1)) for row in w.beta
-    )
-    return RegionMembership(in_w=in_w, in_w_prime=in_w and strict)
+    puncture's beta is strictly decreasing.  The weight is checked on every
+    call; the membership is computed once per weight."""
+    require_valid(w)
+    return w._membership
 
 
 @dataclass(frozen=True)

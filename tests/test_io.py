@@ -9,6 +9,7 @@ import pytest
 
 from isoflag.cli import main
 from isoflag.errors import InputError, InternalConsistencyError, ParseError
+import isoflag.flags as flags_mod
 from isoflag.flags import FlagSystem
 from isoflag.higgs import HiggsTuple, decide_stability
 from isoflag.hmgit import OnePS
@@ -26,14 +27,25 @@ from isoflag.io import (
 )
 from isoflag.linalg import standard_basis
 from isoflag.randgen import mixed_mode, random_instance
-from isoflag.scalars import parse_fraction, sc
+from isoflag.scalars import Scalar, parse_fraction, parse_rational, sc
 from isoflag.weights import Weight
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 
 
+MALFORMED = ["1_000", "\u0663", "\uff11\uff12", " 1 / 2 ", " 1", "1 ", "1\n", "",
+             "+", "1/", "/2", "1//2", "1.5", "1e3", "0x10", "--1", "1/2/3"]
+
+
 def vec(*entries):
     return tuple(sc(x) for x in entries)
+
+
+def quad_instance() -> dict:
+    """A q = 4, s = 4 instance as JSON: flag 1's row 2 and A's row 1 have a
+    fourth entry."""
+    a, fs, w = random_instance(4, 4, 3)
+    return instance_to_json(InstanceFile(w, fs, a, seed=3))
 
 
 def make_instance(rows) -> InstanceFile:
@@ -111,10 +123,108 @@ class TestParseErrors:
             assert f"/weight: {message}" in capsys.readouterr().err
 
 
-class TestStrictNumbers:
-    MALFORMED = ["1_000", "\u0663", "\uff11\uff12", " 1 / 2 ", " 1", "1 ", "1\n", "",
-                 "+", "1/", "/2", "1//2", "1.5", "1e3", "0x10", "--1", "1/2/3"]
+    def _rejected(self, obj, tmp_path, capsys, pointer, message):
+        """obj fails to parse, as a library call and as `decide`, at pointer
+        with message."""
+        with pytest.raises(ParseError) as err:
+            parse_instance_text(json.dumps(obj))
+        assert (err.value.path, err.value.message) == (pointer, message)
+        path = tmp_path / "x.instance.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["decide", str(path)]) == 65
+        assert f"{path}:{pointer}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        *((t, f"malformed rational {t!r}") for t in MALFORMED),
+        ("1/0", "zero denominator"), ("-3/+0", "zero denominator"),
+        (3, "expected a rational string, got int"),
+        (None, "expected a rational string, got NoneType"),
+        (["0"], "expected a rational string, got list")])
+    @pytest.mark.parametrize("where", [("flags", 1, 2, 3, "im"), ("A", 1, 2, "re")])
+    def test_entry_rejected(self, tmp_path, capsys, text, message, where):
+        obj = quad_instance()
+        entry = obj
+        for key in where[:-1]:
+            entry = entry[key]
+        entry[where[-1]] = text
+        pointer = "".join(f"/{key}" for key in where)
+        self._rejected(obj, tmp_path, capsys, pointer, message)
+
+    @pytest.mark.parametrize("spoil,pointer,message", [
+        (lambda f: f[2].__setitem__(3, "0"), "/flags/1/2/3",
+         "expected an object with 're' and 'im'"),
+        (lambda f: f[2][3].__setitem__("x", "0"), "/flags/1/2/3",
+         "expected an object with 're' and 'im'"),
+        (lambda f: f[2][3].pop("re"), "/flags/1/2/3", "expected an object with 're' and 'im'"),
+        (lambda f: f.__setitem__(2, {"re": "0"}), "/flags/1/2", "expected an array"),
+        (lambda f: f[2].pop(), "/flags/1", "ragged matrix"),
+        (lambda f: f.pop(), "/flags/1", "flag basis must be a square matrix"),
+        (lambda f: [row.pop() for row in f], "/flags/1", "flag basis must be a square matrix"),
+        (lambda f: f.clear(), "/flags/1", "flag basis must be a square matrix"),
+        # a bad entry in a later row is reported before the raggedness above it
+        (lambda f: (f[0].pop(), f[3][1].__setitem__("re", "x")), "/flags/1/3/1/re",
+         "malformed rational 'x'"),
+        (lambda f: (f[0].pop(), f[3][1].__setitem__("im", "1/0")), "/flags/1/3/1/im",
+         "zero denominator"),
+    ])
+    def test_flag_shape_rejected(self, tmp_path, capsys, spoil, pointer, message):
+        obj = quad_instance()
+        spoil(obj["flags"][1])
+        self._rejected(obj, tmp_path, capsys, pointer, message)
+
+    def test_flag_not_an_array(self, tmp_path, capsys):
+        obj = quad_instance()
+        obj["flags"][1] = {"re": "0", "im": "0"}
+        self._rejected(obj, tmp_path, capsys, "/flags/1", "expected an array of rows")
+
+
+class TestParsedFlags:
+    """A flag read from a file is held as the integer basis a generated flag
+    computes from its Scalars."""
+
+    MODES = ("generic", "low_rank", "isotropic_span", "shared_flag")
+
+    def test_parsed_matches_generated(self):
+        for q in range(2, 9):
+            for s in range(3, 7):
+                for k, mode in enumerate(self.MODES):
+                    seed = 10 * q + s + k
+                    a, fs, w = random_instance(q, s, seed, mode)
+                    text = serialize_instance(InstanceFile(w, fs, a, seed=seed))
+                    back = parse_instance_text(text)
+                    for parsed, made in zip(back.flags.flags, fs.flags):
+                        assert parsed._integer_basis() == made._integer_basis(), (q, s, mode)
+                        assert parsed.basis == made.basis, (q, s, mode)
+                    assert serialize_instance(back) == text, (q, s, mode)
+
+    def test_decide_builds_no_flag_scalars(self, monkeypatch):
+        a, fs, w = random_instance(8, 8, 1)
+        text = serialize_instance(InstanceFile(w, fs, a))
+
+        def refuse(*args):
+            raise AssertionError("a flag basis went through Scalars")
+
+        built = []
+        scalar_init = Scalar.__init__
+
+        def counting_init(self, re=0, im=0):
+            built.append(1)
+            scalar_init(self, re, im)
+
+        monkeypatch.setattr(flags_mod, "_gaussian_matrix", refuse)
+        monkeypatch.setattr(flags_mod, "_scalar", refuse)
+        monkeypatch.setattr(Scalar, "__init__", counting_init)
+        inst = parse_instance_text(text)
+        # one Scalar per entry of A, none per flag entry
+        assert len(built) == (8 - 2) * 8
+        monkeypatch.setattr(Scalar, "__init__", scalar_init)
+        verdict = decide_stability(inst.higgs, inst.flags, inst.weight)
+        assert all(flag._basis is None for flag in inst.flags.flags)
+        monkeypatch.undo()
+        assert verdict_to_json(verdict) == verdict_to_json(decide_stability(a, fs, w))
+
+
+class TestStrictNumbers:
     @pytest.mark.parametrize("text", MALFORMED)
     def test_rational_rejected(self, text):
         with pytest.raises(ParseError) as err:
@@ -123,9 +233,11 @@ class TestStrictNumbers:
 
     @pytest.mark.parametrize("text,value", [("0", F(0)), ("-3/4", F(-3, 4)),
                                             ("+3/-4", F(-3, 4)), ("007", F(7)),
-                                            ("6/4", F(3, 2))])
+                                            ("6/4", F(3, 2)), ("-6/-4", F(3, 2)),
+                                            ("0/-5", F(0))])
     def test_rational_accepted(self, text, value):
         assert parse_fraction(text) == value
+        assert parse_rational(text) == (value.numerator, value.denominator)
 
     @pytest.mark.parametrize("text", ["1_000", "\u0663", "\uff11\uff12", " 1 / 2 "])
     def test_rational_rejected_by_cli(self, tmp_path, capsys, text):

@@ -60,6 +60,16 @@ class TestValidatedOnce:
             with pytest.raises(InputError):
                 weight_stats(w)
 
+    def test_region_membership_kept_and_checked(self):
+        # crosscheck checks its inputs twice; the region is computed once,
+        # and an invalid weight is refused on every call
+        w = w_q2()
+        assert region_membership(w) is region_membership(w)
+        w = w_q2(alpha=F(3, 4))
+        for _ in range(2):
+            with pytest.raises(InputError):
+                region_membership(w)
+
     @pytest.mark.parametrize("command,q,s,seed", [("decide", 6, 6, 0),
                                                   ("crosscheck", 4, 5, 0)])
     def test_check_runs_once_per_weight_in_a_cli_call(self, monkeypatch, tmp_path,
