@@ -31,12 +31,10 @@ from .linalg import (
     Vector,
     ZiRow,
     _gaussian_matrix,
-    _gaussian_row,
     _scalar,
     _zi_eliminate,
     _zi_gram,
     _zi_row_times,
-    _zi_vector,
     hyperbolic_basis,
     mat_mul,
 )
@@ -59,15 +57,16 @@ class IntegerBasis(NamedTuple):
 
 
 def _integer_form(b_re: list[list[int]], b_im: list[list[int]], den: int) -> IntegerBasis:
-    """The IntegerBasis of the basis (b_re + i b_im) / den."""
+    """The IntegerBasis of the basis (b_re + i b_im) / den.  Column j of
+    B' (J B'^T J) is column q-1-j of the symmetric G = B' J B'^T, so row i
+    is checked against d^2 I in the columns j <= q-1-i only."""
     q = len(b_re)
     inv_re = [[b_re[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
     inv_im = [[b_im[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
     scaled = den * den
-    zeros = [0] * q
     hyperbolic = all(
-        _zi_row_times(x_re, x_im, inv_re, inv_im)
-        == ([scaled if j == i else 0 for j in range(q)], zeros)
+        _zi_row_times(x_re, x_im, inv_re, inv_im, q - i)
+        == ([scaled if j == i else 0 for j in range(q - i)], [0] * (q - i))
         for i, (x_re, x_im) in enumerate(zip(b_re, b_im)))
     return IntegerBasis(b_re, b_im, inv_re, inv_im, den, hyperbolic)
 
@@ -90,8 +89,8 @@ class IsotropicFlag:
        and columns reversed, a re-indexing of B's own integers over the
        same d.  The basis is hyperbolic exactly when B' (J B'^T J) = d^2 I.
     2. Scaling a row by a nonzero element of Z[i] keeps the row span and the
-       position of its last nonzero coordinate.  So sub's rows, each cleared
-       of denominators and multiplied by J B'^T J, have the row span of sub's
+       position of its last nonzero coordinate.  So sub's stored rows D R
+       (linalg.Subspace), multiplied by J B'^T J, have the row span of sub's
        flag coordinates.  A forward echelon form of those integer rows, with
        no back-substitution, already has distinct ends (each row's last
        nonzero flag coordinate).  Lemma: a nonzero combination of such rows
@@ -100,11 +99,10 @@ class IsotropicFlag:
        only rows ending below i: those rows are a basis of sub ^ F_i, their
        count is profile[i], and the ends are those of the reduced form.
     3. The rows ending below i, mapped back through B' (zi_lift), span
-       sub ^ F_i.  The reduced echelon basis of a span is unique, so one
-       Subspace.from_vectors of them (intersect_piece) returns the same
-       Subspace as elimination over Q(i).  The lifted rows are
-       Gaussian-integer rows again, so the next flag can take them without a
-       canonical form in between (higgs.line_oracle does).
+       sub ^ F_i.  The lifted rows are Gaussian-integer rows again: one
+       Subspace.from_zi_rows of them (intersect_piece) is the piece's
+       canonical form, and the next flag can take them without a canonical
+       form in between (higgs.line_oracle does).
     4. Lemma (radical_dim): the rows are x (J B'^T J), coordinates
        reversed, and B J B^T = J gives (J B'^T J) J (J B'^T J)^T = d^2 J,
        while reversing coordinates keeps J.  So the echelon rows' Gram
@@ -204,9 +202,9 @@ class IsotropicFlag:
         return lifted
 
     def _coordinates(self, sub: Subspace) -> tuple[Subspace, Echelon, list[ZiRow], list[ZiRow]]:
-        """_last for sub: zi_echelon of sub's rows, each cleared of denominators."""
+        """_last for sub: zi_echelon of sub's stored rows."""
         if self._last is None or self._last[0] != sub:
-            echelon = self.zi_echelon([_gaussian_row(row)[:2] for row in sub.rows])
+            echelon = self.zi_echelon(sub.zi_rows)
             self._last = (sub, echelon, [], [])
         return self._last
 
@@ -233,7 +231,7 @@ class IsotropicFlag:
             return sub
         if not lifted:
             lifted += self.zi_lift(echelon)
-        return Subspace.from_vectors([_zi_vector(row) for row in lifted[sub.dim - 1 - n:]], self.q)
+        return Subspace.from_zi_rows(lifted[sub.dim - 1 - n:], self.q)
 
     def radical_dim(self, sub: Subspace, i: int) -> int:
         """dim rad(sub ^ F_i) from the Gram matrix of sub's echelon rows, with

@@ -51,19 +51,15 @@ from .linalg import (
     Subspace,
     Vector,
     ZiRow,
-    _gaussian_row,
     _isotropy_from_gram,
     _scalar,
+    _scalar_row,
     _zi_gram,
-    _zi_vector,
-    is_zero_vector,
+    _zi_row_times,
     isotropy_classify,
-    mat_mul,
     orthocomplement,
-    vadd,
-    vscale,
 )
-from .scalars import ONE, Scalar
+from .scalars import Scalar
 from .weights import Weight, region_membership, require_valid
 
 
@@ -158,78 +154,83 @@ def condition1_isotropic_span(a: HiggsTuple) -> tuple[bool, Subspace]:
 # the line oracle
 
 
-def _line(v: Vector, ambient: int) -> Subspace:
-    return Subspace.from_vectors([v], ambient)
+def _line(v: ZiRow, ambient: int) -> Subspace:
+    return Subspace.from_zi_rows([v], ambient)
 
 
-def _isotropic_line_in(y: Subspace, form: BilinearForm,
-                       rng: random.Random) -> LineWitness | None:
+def _pairings(rows: list[ZiRow]) -> list[list[tuple[int, int]]]:
+    """The Gram matrix of Gaussian-integer rows, entry [k][l] as (re, im)."""
+    return [list(zip(*row)) for row in _zi_gram(rows)]
+
+
+def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The product of two Gaussian integers (re, im)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _combine(c1: tuple[int, int], v1: ZiRow, c2: tuple[int, int], v2: ZiRow) -> ZiRow:
+    """c1 v1 + c2 v2 for Gaussian integers c1, c2 and rows v1, v2."""
+    return _zi_row_times((c1[0], c2[0]), (c1[1], c2[1]), (v1[0], v2[0]), (v1[1], v2[1]))
+
+
+def _isotropic_line_in(y: Subspace, rng: random.Random) -> LineWitness | None:
     """Some isotropic line inside y, or None when y has none over C.
 
     Over C a nonzero isotropic vector exists iff dim y >= 2 or the restricted
     form vanishes; in the nondegenerate rank-two case the two isotropic lines
     may only exist over a quadratic extension, which is returned explicitly.
     The candidate planes are the pairs of basis rows, then, when dim y > 2,
-    four random mixed planes (a plane's own share its discriminant).  The
-    basis rows' pairings are read off the Gaussian-integer Gram matrix G
-    that gives the radical: with row k cleared of its denominator den_k,
-    Q(b_k, b_l) = G[k][l] / (den_k den_l), so G[k][k] = 0 exactly when b_k is
-    isotropic.  The mixed planes' pairings are one Gram product.
+    four random mixed planes (a plane's own share its discriminant).
+
+    Everything runs on y's stored rows x_k = D b_k and their Gram matrix
+    G = D^2 (Q(b_k, b_l)), which also gives the radical.  Scaling a plane's
+    rows by D scales its pairings by D^2, its discriminant by D^4, its root
+    by D^2 (Scalar.sqrt picks the same root of a positive multiple) and each
+    line by D^3, so every line is the one the reduced rows b_k give.  Only an
+    ExtensionLine is built as Scalars: base / D^3, twist / D, delta / D^4.
     """
-    cleared = [_gaussian_row(row) for row in y.rows]
-    zi_rows = [(re, im) for re, im, _ in cleared]
-    g = _zi_gram(zi_rows)
-    radical = _isotropy_from_gram(y, zi_rows, g)[1]
+    rows = list(y.zi_rows)
+    gram = _zi_gram(rows)
+    radical = _isotropy_from_gram(y, gram)[1]
     if radical.dim > 0:
-        return _line(radical.rows[0], y.ambient)
-    basis = list(y.rows)
-    for k, row in enumerate(basis):
-        if not (g[k][0][k] or g[k][1][k]):
+        return _line(radical.zi_rows[0], y.ambient)
+    g = [list(zip(*row)) for row in gram]
+    for k, row in enumerate(rows):
+        if g[k][k] == (0, 0):
             return _line(row, y.ambient)
-    dens = [den for _, _, den in cleared]
 
-    def pairing(k: int, l: int) -> Scalar:
-        return _scalar(g[k][0][l], g[k][1][l], dens[k] * dens[l])
-
-    # (b1, b2, Q(b1, b1), Q(b1, b2), Q(b2, b2)) for each pair of basis rows
-    planes = [(basis[k], basis[l], pairing(k, k), pairing(k, l), pairing(l, l))
-              for k in range(len(basis)) for l in range(k + 1, len(basis))]
-    if len(basis) > 2:
-        # a few extra planes (basis[0] + sum_k c_k basis[k], basis[-1]) improve
-        # the odds of a rational hit
-        mixes = [(ONE,) + tuple(Scalar(rng.randint(-2, 2), rng.randint(-2, 2))
-                                for _ in basis[1:]) for _ in range(4)]
-        rows = mat_mul(mixes, basis) + [basis[-1]]
-        gram = form.gram(rows)
-        planes += [(rows[k], rows[-1], gram[k][k], gram[k][-1], gram[-1][-1])
-                   for k in range(len(mixes))]
+    # (x1, x2, G(x1, x1), G(x1, x2), G(x2, x2)) for each pair of basis rows
+    planes = [(rows[k], rows[l], g[k][k], g[k][l], g[l][l])
+              for k in range(len(rows)) for l in range(k + 1, len(rows))]
+    if len(rows) > 2:
+        # a few extra planes (x_0 + sum_k c_k x_k, x_last) improve the odds
+        # of a rational hit
+        x_re, x_im = [re for re, _ in rows], [im for _, im in rows]
+        mixes = [[(1, 0)] + [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in rows[1:]]
+                 for _ in range(4)]
+        mixed = [_zi_row_times([c[0] for c in mix], [c[1] for c in mix], x_re, x_im)
+                 for mix in mixes] + [rows[-1]]
+        g = _pairings(mixed)
+        planes += [(mixed[k], rows[-1], g[k][k], g[k][-1], g[-1][-1]) for k in range(len(mixes))]
     fallback: ExtensionLine | None = None
-    for b1, b2, g11, g12, g22 in planes:
-        if g11.is_zero():
-            if not is_zero_vector(b1):
-                return _line(b1, y.ambient)
-            continue
-        disc = g12 * g12 - g11 * g22
-        if disc.is_zero():
-            # rank-one plane: the repeated root gives a rational isotropic line
-            v = vadd(vscale(-g12, b1), vscale(g11, b2))
-            if not is_zero_vector(v):
-                return _line(v, y.ambient)
-            continue
-        root = disc.sqrt()
+    for x1, x2, g11, g12, g22 in planes:
+        # x1 and x2 are independent, so x1 and every line built below are
+        # nonzero; a rank-one plane (disc = 0) has the repeated root 0
+        if g11 == (0, 0):
+            return _line(x1, y.ambient)
+        disc = tuple(a - b for a, b in zip(_times(g12, g12), _times(g11, g22)))
+        root = Scalar(*disc).sqrt()
         if root is not None:
-            v = vadd(vscale(-g12 + root, b1), vscale(g11, b2))
-            return _line(v, y.ambient)
+            r = (int(root.re) - g12[0], int(root.im) - g12[1])
+            return _line(_combine(r, x1, g11, x2), y.ambient)
         if fallback is None:
-            line = ExtensionLine(
-                ambient=y.ambient,
-                base=vadd(vscale(-g12, b1), vscale(g11, b2)),
-                twist=b1,
-                delta=disc,
-            )
-            if not line.is_isotropic(form):
+            base = _combine((-g12[0], -g12[1]), x1, g11, x2)
+            (bb, bt), (_, tt) = _pairings([base, x1])
+            if _times(disc, tt) != (-bb[0], -bb[1]) or bt != (0, 0):
                 raise InternalConsistencyError("extension line construction failed")
-            fallback = line
+            den = y.den
+            fallback = ExtensionLine(ambient=y.ambient, base=_scalar_row(base, den ** 3),
+                                     twist=_scalar_row(x1, den), delta=_scalar(*disc, den ** 4))
     return fallback
 
 
@@ -286,7 +287,6 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     require_weight_for(fs, w)
     if t_sub.ambient != fs.q:
         raise InputError("subspace ambient dimension does not match flags")
-    form = BilinearForm(fs.q)
     q, s = fs.q, fs.s
 
     n_beta = w.n_beta
@@ -313,7 +313,7 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
             visit(j + 1, lifted[-n:] if n < len(ends) else rows, partial + n_beta[j][e])
 
     if t_sub.dim:
-        visit(0, [_gaussian_row(row)[:2] for row in t_sub.rows], 0)
+        visit(0, list(t_sub.zi_rows), 0)
     # visit's closure holds visit itself: break that cycle so fs and the
     # flags' cached echelons are freed at return, not by the collector
     del visit
@@ -322,11 +322,11 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     extension = None
     seen: set[Subspace] = set()
     for rows in best[1]:
-        y = Subspace.from_vectors([_zi_vector(row) for row in rows], q)
+        y = Subspace.from_zi_rows(rows, q)
         if y in seen:
             continue
         seen.add(y)
-        found = _isotropic_line_in(y, form, rng)
+        found = _isotropic_line_in(y, rng)
         if isinstance(found, Subspace):
             return LineOracleResult(value=value, witness=found)
         extension = extension or found

@@ -12,10 +12,12 @@ The weight fixes the linearization: every Hilbert-Mumford weight below is an
 integer combination of N|alpha| (Weight.n_abs_alpha) and N pardeg of
 subspaces (flags.n_pardeg), N the lcm of the weight's denominators.
 
-Weights of the linearized line bundles are evaluated in two independent ways
-wherever a second formula is available, and any disagreement raises
-InternalConsistencyError: these identities are the package's cross-check of
-the whole degree bookkeeping.
+Every destabilizer's weight is computed twice, by its closed form and summand
+by summand over its filtration (hm_total): a disagreement raises
+InternalConsistencyError in the destabilizer search, and consistency_check
+reports it as an inconsistency.  hm_grassmannian also evaluates the
+Grassmannian weight by two formulas, but no decision calls it; the tests
+check that identity.
 
 Two destabilizing shapes, each built from an isotropic W (destabilizing_oneps),
 serve the certificates and the search alike: shape 1 is l = 1 with

@@ -5,25 +5,29 @@ acts by right multiplication v -> v @ M.  The bilinear form is always the
 antidiagonal split form J_p with Q(e_i, e_j) = 1 iff i + j = p + 1 (1-indexed),
 so multiplying a row vector by J is coordinate reversal.
 
-Subspaces are stored with a canonical reduced-row-echelon basis, which makes
-equality syntactic and subspaces hashable.  Membership, kernels and the
-hyperbolic completion of an isotropic subspace are read off those rows with
-no further elimination.
+Subspaces are held in their canonical form over the Gaussian integers Z[i]
+(Subspace, rref), built by one fraction-free elimination (_zi_eliminate).
+Scalar vectors become Gaussian-integer rows in one place,
+Subspace.from_vectors, and a subspace's Scalar rows are built only when read.
+Membership, kernels, orthocomplements and radicals are read off the stored
+integers, and the hyperbolic completion of an isotropic subspace off its
+rows, with no further elimination.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError, InternalConsistencyError
 from .scalars import HALF, ONE, ZERO, Scalar
 
 Vector = tuple[Scalar, ...]
 # A Gaussian-integer row as (real parts, imaginary parts).
-ZiRow = tuple[list[int], list[int]]
+ZiRow = tuple[Sequence[int], Sequence[int]]
 
 
 # ---------------------------------------------------------------------------
@@ -36,10 +40,6 @@ def vadd(x: Vector, y: Vector) -> Vector:
 
 def vscale(c: Scalar, x: Vector) -> Vector:
     return tuple(c * a for a in x)
-
-
-def is_zero_vector(x: Vector) -> bool:
-    return all(a.is_zero() for a in x)
 
 
 def standard_basis(n: int) -> list[Vector]:
@@ -61,9 +61,9 @@ def _scalar(re: int, im: int, den: int) -> Scalar:
     return Scalar(Fraction(re, den), Fraction(im, den))
 
 
-def _zi_vector(row: ZiRow) -> Vector:
-    """The Gaussian-integer row (re, im) as a Vector."""
-    return tuple(_scalar(x, y, 1) for x, y in zip(*row))
+def _scalar_row(row: ZiRow, den: int) -> Vector:
+    """The Gaussian-integer row (re, im) over den, as a Vector."""
+    return tuple(_scalar(x, y, den) for x, y in zip(*row))
 
 
 def _gaussian_matrix(rows: list[Vector]) -> tuple[list[list[int]], list[list[int]], int]:
@@ -76,10 +76,12 @@ def _gaussian_matrix(rows: list[Vector]) -> tuple[list[list[int]], list[list[int
 
 
 def _zi_row_times(a_re: list[int], a_im: list[int], b_re: list[list[int]],
-                  b_im: list[list[int]]) -> tuple[list[int], list[int]]:
+                  b_im: list[list[int]], ncols: int | None = None) -> tuple[list[int], list[int]]:
     """The Gaussian-integer row a = a_re + i a_im times the Gaussian-integer
-    matrix b = b_re + i b_im (rows of b), as (re, im) integer lists."""
-    ncols = len(b_re[0])
+    matrix b = b_re + i b_im (rows of b), as (re, im) integer lists: its
+    first ncols entries, all by default."""
+    if ncols is None:
+        ncols = len(b_re[0])
     acc_re = [0] * ncols
     acc_im = [0] * ncols
     for c, d, x_re, x_im in zip(a_re, a_im, b_re, b_im):
@@ -116,9 +118,8 @@ def _zi_eliminate(work: list[ZiRow], *, reduced: bool = False) -> tuple[list[ZiR
     pivot columns of the rows above it), and none is divided by its pivot.
     This forward pass is all a flag echelon needs: its ends, and its spans
     below each end, depend only on the pivots being distinct (IsotropicFlag,
-    item 2).  reduced=True, for rref and isotropy_classify, also clears each
-    pivot column in the rows above (Gauss-Jordan); every pivot then ends
-    equal to the last one.
+    item 2).  reduced=True, for rref, also clears each pivot column in the
+    rows above (Gauss-Jordan); every pivot then ends equal to the last one.
 
     Every row being cleared is replaced by (p row - c pivot_row) / p_prev,
     where p is the new pivot, c the row's entry in the pivot column and
@@ -173,65 +174,60 @@ def _zi_eliminate(work: list[ZiRow], *, reduced: bool = False) -> tuple[list[ZiR
     return work[:row], pivots
 
 
-def rref(rows: list[Vector]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+def rref(rows: list[ZiRow]) -> tuple[int, tuple[ZiRow, ...], tuple[int, ...]]:
+    """The reduced row echelon form R of Gaussian-integer rows (re, im), as
+    (D, D R, pivot columns), with D the least positive integer that makes
+    D R Gaussian-integral.  R is unique to the row span, so D and D R are
+    too.
 
-    Each row is scaled to clear its denominators and the Gaussian-integer
-    rows are eliminated by _zi_eliminate; rows are divided by their own
-    pivots only at the end.  The reduced echelon form is unique, so it is the
-    one that elimination over Q(i) gives.
+    One reduced _zi_eliminate leaves every pivot equal to one d, so each
+    row of R is x / d = x conj(d) / |d|^2 for an eliminated row x.  With g
+    the gcd of |d|^2 and every integer part of every x conj(d),
+    D = |d|^2 / g and D R = x conj(d) / g: no prime divides both D and
+    every entry of D R, so no smaller D clears R.  The pivot entries of D R
+    are D.
     """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    for r in rows:
-        if len(r) != ncols:
-            raise InputError("ragged matrix")
-    work, pivots = _zi_eliminate([_gaussian_row(r)[:2] for r in rows], reduced=True)
-    red = []
-    for (x_re, x_im), col in zip(work, pivots):
-        a, b = x_re[col], x_im[col]
-        norm = a * a + b * b
-        # x / (a + bi) = x (a - bi) / norm
-        red.append(tuple(_scalar(x * a + y * b, y * a - x * b, norm)
-                         for x, y in zip(x_re, x_im)))
-    return red, pivots
+    work, pivots = _zi_eliminate(list(rows), reduced=True)
+    if not work:
+        return 1, (), ()
+    a, b = work[0][0][pivots[0]], work[0][1][pivots[0]]
+    scaled = [([x * a + y * b for x, y in zip(re, im)], [y * a - x * b for x, y in zip(re, im)])
+              for re, im in work]
+    g = gcd(a * a + b * b, *(v for re, im in scaled for part in (re, im) for v in part))
+    return ((a * a + b * b) // g,
+            tuple((tuple(x // g for x in re), tuple(y // g for y in im)) for re, im in scaled),
+            tuple(pivots))
+
+
+def _reduced_kernel(y: "Subspace") -> list[ZiRow]:
+    """D times the basis of {x : R x^t = 0} read off y's rows D R with no
+    elimination: one vector per free column f, D at f and -(D R)[k][f] at
+    row k's pivot column."""
+    p = y.ambient
+    free = sorted(set(range(p)) - set(y.pivots))
+    basis = []
+    for f in free:
+        re, im = [0] * p, [0] * p
+        re[f] = y.den
+        for (x_re, x_im), c in zip(y.zi_rows, y.pivots):
+            re[c], im[c] = -x_re[f], -x_im[f]
+        basis.append((re, im))
+    return basis
 
 
 def kernel_basis(rows: list[Vector], ncols: int) -> list[Vector]:
-    """Basis of {x : M x^t = 0}, from the reduced echelon form of M."""
-    return _reduced_kernel(rref(rows)[0], ncols)
-
-
-def _pivot_columns(red: tuple[Vector, ...] | list[Vector]) -> list[int]:
-    """The pivot column of each row of a reduced echelon basis."""
-    return [next(i for i, x in enumerate(row) if x) for row in red]
-
-
-def _reduced_kernel(red: tuple[Vector, ...] | list[Vector], ncols: int) -> list[Vector]:
-    """Basis of {x : M x^t = 0} for M in reduced echelon form, read off the
-    rows with no elimination: one vector per free column f, 1 at f and
-    -row[f] at each row's pivot column."""
-    pivots = _pivot_columns(red)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for r, pc in zip(red, pivots):
-            vec[pc] = -r[fc]
-        basis.append(tuple(vec))
-    return basis
+    """Basis of {x : M x^t = 0}, 1 at one free column of M's rref each."""
+    y = Subspace.from_vectors(rows, ncols)
+    return [_scalar_row(row, y.den) for row in _reduced_kernel(y)]
 
 
 def invert_matrix(m: list[Vector]) -> list[Vector]:
     n = len(m)
-    aug = [list(row) + [ONE if j == i else ZERO for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref([tuple(r) for r in aug])
-    if pivots[:n] != list(range(n)):
+    aug = Subspace.from_vectors([tuple(row) + tuple(ONE if j == i else ZERO for j in range(n))
+                                 for i, row in enumerate(m)], 2 * n)
+    if aug.pivots[:n] != tuple(range(n)):
         raise InputError("matrix is singular")
-    return [tuple(row[n:]) for row in red]
+    return [row[n:] for row in aug.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +263,8 @@ class BilinearForm:
     def is_standard_gram(self, vectors: list[Vector]) -> bool:
         """True iff the Gram matrix of the vectors equals J_p itself."""
         n = len(vectors)
-        g = self.gram(vectors)
-        for i in range(n):
-            for j in range(n):
-                want = ONE if i + j == n - 1 else ZERO
-                if g[i][j] != want:
-                    return False
-        return True
+        return self.gram(vectors) == [tuple(ONE if i + j == n - 1 else ZERO for j in range(n))
+                                      for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,70 +272,93 @@ class BilinearForm:
 
 
 class Subspace:
-    """A subspace of Q(i)^p with a canonical reduced-row-echelon basis.
+    """A subspace of Q(i)^p, held as its canonical form over Z[i]: its unique
+    reduced row echelon basis R, stored as (D, D R, pivot columns) with D
+    the least positive integer that makes D R Gaussian-integral (rref).
 
-    Equal subspaces have identical stored bases, so == is syntactic.  A
-    Subspace is immutable: its hash is computed on first use and kept.
-    Because the basis is reduced, membership needs no elimination (see
-    _spans).
+    Equal subspaces have equal (D, D R), so == and the hash compare
+    integers.  A Subspace is immutable; its hash and its Scalar rows (read
+    by output, complete_to_hyperbolic, so2_score and sort keys) are built on
+    first use and kept.  Membership needs no elimination (see _spans).
     """
 
-    __slots__ = ("ambient", "rows", "_hash")
+    __slots__ = ("ambient", "den", "zi_rows", "pivots", "_rows", "_hash")
 
-    def __init__(self, ambient: int, rows: tuple[Vector, ...]):
+    def __init__(self, ambient: int, den: int, zi_rows: tuple[ZiRow, ...],
+                 pivots: tuple[int, ...]):
         self.ambient = ambient
-        self.rows = rows
+        self.den = den
+        self.zi_rows = zi_rows
+        self.pivots = pivots
+        self._rows: tuple[Vector, ...] | None = None
         self._hash: int | None = None
 
     @classmethod
     def from_vectors(cls, vectors: list[Vector], ambient: int) -> "Subspace":
+        """The span of Scalar vectors, each cleared of its denominators."""
         for v in vectors:
             if len(v) != ambient:
                 raise InputError("vector length does not match ambient dimension")
-        red, _ = rref(list(vectors))
-        return cls(ambient, tuple(red))
+        return cls(ambient, *rref([_gaussian_row(v)[:2] for v in vectors]))
+
+    @classmethod
+    def from_zi_rows(cls, rows: list[ZiRow], ambient: int) -> "Subspace":
+        """The span of Gaussian-integer rows (re, im) of length ambient."""
+        return cls(ambient, *rref(rows))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
+        return cls(ambient, 1, (), ())
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, tuple(standard_basis(ambient)))
+        return cls(ambient, 1, tuple((tuple(int(j == i) for j in range(ambient)), (0,) * ambient)
+                                     for i in range(ambient)), tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.zi_rows)
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """R as Scalar rows, built on first use."""
+        if self._rows is None:
+            self._rows = tuple(_scalar_row(row, self.den) for row in self.zi_rows)
+        return self._rows
 
     def contains(self, v: Vector) -> bool:
         if len(v) != self.ambient:
             raise InputError("vector length does not match ambient dimension")
-        return self._spans([v])
+        return self._spans([_gaussian_row(v)[:2]])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise InputError("ambient dimensions differ")
-        return self._spans(list(other.rows))
+        return self._spans(other.zi_rows)
 
-    def _spans(self, vectors: list[Vector]) -> bool:
-        """Whether every vector lies in the subspace.  Each basis row is 1 at
-        its pivot column and every other row is 0 there, so v lies in the
-        span exactly when v = sum_k v[pivot_k] row_k: one product checks all
-        the vectors."""
-        if not self.rows:
-            return all(is_zero_vector(v) for v in vectors)
-        pivots = _pivot_columns(self.rows)
-        coeffs = [tuple(v[c] for c in pivots) for v in vectors]
-        return mat_mul(coeffs, list(self.rows)) == [tuple(v) for v in vectors]
+    def _spans(self, vectors) -> bool:
+        """Whether every Gaussian-integer row v lies in the subspace.  Row k
+        of R is 1 at its pivot column and every other row is 0 there, so v
+        lies in the span exactly when v = sum_k v[pivot_k] R_k, that is, when
+        D v = sum_k v[pivot_k] (D R)_k: one integer product per vector."""
+        if not self.zi_rows:
+            return not any(any(re) or any(im) for re, im in vectors)
+        x_re = [re for re, _ in self.zi_rows]
+        x_im = [im for _, im in self.zi_rows]
+        d = self.den
+        return all(_zi_row_times([re[c] for c in self.pivots], [im[c] for c in self.pivots],
+                                 x_re, x_im) == ([d * x for x in re], [d * x for x in im])
+                   for re, im in vectors)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.rows == other.rows
+        return (self.ambient == other.ambient and self.den == other.den
+                and self.zi_rows == other.zi_rows)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ambient, self.rows))
+            self._hash = hash((self.ambient, self.den, self.zi_rows))
         return self._hash
 
     def __repr__(self) -> str:
@@ -352,61 +366,49 @@ class Subspace:
 
     def transform(self, m: list[Vector]) -> "Subspace":
         """Image under v -> v @ m."""
-        if not self.rows:
+        if not self.zi_rows:
             return Subspace.zero(len(m[0]))
         return Subspace.from_vectors(mat_mul(list(self.rows), m), len(m[0]))
 
 
 def meet_join(u: Subspace, v: Subspace) -> tuple[Subspace, Subspace]:
-    """Intersection and sum of two subspaces of the same ambient space, with
-    the meet taken from the annihilator of v.
-
-    Lemma.  Let v have reduced rows.  Its kernel vectors N (one per free
-    column f: 1 at f, -row[f] at each row's pivot column) are read off the
-    rows with no elimination, and x lies in v exactly when x.n = 0 for every
-    n in N.  So with U the rows of u,
-
-        u meet v = {a U : a (U N^t) = 0},
-
-    one kernel_basis of the dim u x (p - dim v) matrix U N^t (of its
-    transpose N U^t, whose kernel is that left kernel), then one
-    from_vectors for the meet's canonical basis.
-
-    The join follows from dim(u join v) = dim u + dim v - dim(u meet v): it
-    is v when the meet is u, u when the meet is v, the full space when the
-    count reaches p, and otherwise one elimination of the stacked rows.
-    """
+    """Intersection and sum of two subspaces of the same ambient space.  The
+    join is one rref of the stacked stored rows, and the meet is
+    (u^perp join v^perp)^perp, whose orthocomplements are re-indexes of
+    stored integers (orthocomplement): one more rref."""
     if u.ambient != v.ambient:
         raise InputError("ambient dimensions differ")
-    p = u.ambient
-    if not u.rows or not v.rows:
-        return Subspace.zero(p), (u if u.rows else v)
-    if v.dim == p:
-        return u, v
-    normals = _reduced_kernel(v.rows, p)
-    columns = [tuple(r[j] for r in u.rows) for j in range(p)]
-    coeffs = kernel_basis(mat_mul(normals, columns), u.dim)
-    if len(coeffs) == u.dim:
-        return u, v
-    if len(coeffs) == v.dim:
-        return v, u
-    meet = Subspace.from_vectors(mat_mul(coeffs, list(u.rows)), p) if coeffs else Subspace.zero(p)
-    if u.dim + v.dim - meet.dim == p:
-        return meet, Subspace.full(p)
-    return meet, Subspace.from_vectors(list(u.rows) + list(v.rows), p)
+    form = BilinearForm(u.ambient)
+
+    def join(a: Subspace, b: Subspace) -> Subspace:
+        return Subspace.from_zi_rows(list(a.zi_rows) + list(b.zi_rows), u.ambient)
+
+    perps = orthocomplement(u, form), orthocomplement(v, form)
+    return orthocomplement(join(*perps), form), join(u, v)
 
 
 def orthocomplement(y: Subspace, form: BilinearForm) -> Subspace:
-    """Q-orthocomplement.  Since J is coordinate reversal, x lies in Y^perp
-    exactly when reversed(x) is in the kernel of Y's reduced rows, which is
-    read off those rows with no elimination.  Each kernel vector is 1 at its
-    free column and nonzero elsewhere only at pivot columns to its left, so
-    the kernel basis reversed, vector by vector and in order, is already
-    Y^perp's reduced echelon basis."""
+    """Q-orthocomplement, a re-index of Y's stored integers.  Since J is
+    coordinate reversal, x lies in Y^perp exactly when reversed(x) is in the
+    kernel of Y's rows R.  Each kernel vector is 1 at its free column and
+    nonzero elsewhere only at pivot columns to its left, so the kernel basis
+    reversed, vector by vector and in order, is already Y^perp's reduced
+    echelon basis, with pivots p-1-f for the free columns f, descending.
+
+    Lemma: D(Y^perp) = D(Y).  R's pivot columns hold only 0 and 1, so every
+    denominator of R is that of an entry R[k][f] in a free column f, and
+    those entries (negated) with 0 and 1 are the entries of Y^perp's basis.
+    So _reduced_kernel's vectors, D at f and -(D R)[k][f] at pivot k, are
+    Y^perp's D R.  (For dim Y = 0 or p, both D are 1.)
+    """
     if y.ambient != form.p:
         raise InputError("ambient dimension does not match form")
-    kernel = _reduced_kernel(y.rows, form.p)
-    return Subspace(form.p, tuple(tuple(reversed(v)) for v in reversed(kernel)))
+    p = form.p
+    kernel = _reduced_kernel(y)
+    free = sorted(set(range(p)) - set(y.pivots), reverse=True)
+    return Subspace(p, y.den,
+                    tuple((tuple(reversed(re)), tuple(reversed(im))) for re, im in reversed(kernel)),
+                    tuple(p - 1 - f for f in free))
 
 
 def _zi_gram(rows: list[ZiRow]) -> list[ZiRow]:
@@ -419,44 +421,34 @@ def _zi_gram(rows: list[ZiRow]) -> list[ZiRow]:
 
 def isotropy_classify(y: Subspace, form: BilinearForm) -> tuple[bool, Subspace, int]:
     """(is_isotropic, radical, rank of the restricted form), from the integer
-    Gram matrix G = R J R^t of Y's rows R, each cleared of denominators.
+    Gram matrix G = X J X^t of Y's stored rows X = D R.
 
-    Lemma.  x = aR lies in the radical exactly when Q(x, r_l) =
-    sum_k a_k G[k][l] = 0 for every row r_l, so the radical is
-    {aR : aG = 0} and the restricted rank is rank G; Y is isotropic exactly
+    Lemma.  x = aX lies in the radical exactly when Q(x, x_l) =
+    sum_k a_k G[k][l] = 0 for every row x_l, so the radical is
+    {aX : aG = 0} and the restricted rank is rank G; Y is isotropic exactly
     when G = 0, and then the radical is Y itself.  When G has full rank the
-    radical is zero.  Otherwise G is symmetric, so one reduced _zi_eliminate
-    of its rows gives that kernel: every pivot ends equal to one d, and for
-    each free column f the vector with d at f and -row[f] at each row's
-    pivot column is a Z[i] kernel vector.  Only the radical's canonical
-    basis is built from Fractions.
+    radical is zero.  Otherwise G is symmetric, so its canonical form (rref)
+    gives that kernel with no further elimination (_reduced_kernel), and the
+    radical's rows aX are Gaussian-integer rows again, canonicalised by one
+    more rref.
     """
     if y.ambient != form.p:
         raise InputError("ambient dimension does not match form")
-    rows = [_gaussian_row(row)[:2] for row in y.rows]
-    return _isotropy_from_gram(y, rows, _zi_gram(rows))
+    return _isotropy_from_gram(y, _zi_gram(y.zi_rows))
 
 
-def _isotropy_from_gram(y: Subspace, rows: list[ZiRow],
-                        gram: list[ZiRow]) -> tuple[bool, Subspace, int]:
-    """isotropy_classify of y, given y's rows cleared of denominators and
-    their Gram matrix, which is left as it was."""
-    echelon, pivots = _zi_eliminate(list(gram), reduced=True)
-    rank = len(pivots)
-    if rank == 0:
+def _isotropy_from_gram(y: Subspace, gram: list[ZiRow]) -> tuple[bool, Subspace, int]:
+    """isotropy_classify of y, given the Gram matrix of y's stored rows,
+    which is left as it was."""
+    g = Subspace.from_zi_rows(gram, y.dim)
+    if g.dim == 0:
         return True, y, 0
-    if rank == y.dim:
-        return False, Subspace.zero(y.ambient), rank
-    d_re, d_im = echelon[0][0][pivots[0]], echelon[0][1][pivots[0]]
-    r_re, r_im = zip(*rows)
-    kernel = []
-    for f in sorted(set(range(y.dim)) - set(pivots)):
-        a_re, a_im = [0] * y.dim, [0] * y.dim
-        a_re[f], a_im[f] = d_re, d_im
-        for (x_re, x_im), c in zip(echelon, pivots):
-            a_re[c], a_im[c] = -x_re[f], -x_im[f]
-        kernel.append(_zi_vector(_zi_row_times(a_re, a_im, r_re, r_im)))
-    return False, Subspace.from_vectors(kernel, y.ambient), rank
+    if g.dim == y.dim:
+        return False, Subspace.zero(y.ambient), g.dim
+    r_re = [re for re, _ in y.zi_rows]
+    r_im = [im for _, im in y.zi_rows]
+    kernel = [_zi_row_times(a_re, a_im, r_re, r_im) for a_re, a_im in _reduced_kernel(g)]
+    return False, Subspace.from_zi_rows(kernel, y.ambient), g.dim
 
 
 def max_isotropic_dimension(y: Subspace, form: BilinearForm) -> int:
@@ -595,7 +587,7 @@ def complete_to_hyperbolic(w: Subspace) -> tuple[Vector, ...]:
     """
     q = w.ambient
     xs = list(w.rows)
-    pivots = _pivot_columns(xs)
+    pivots = w.pivots
     partners = [q - 1 - c for c in pivots]
     taken = set(pivots).union(partners)
     std = standard_basis(q)

@@ -27,7 +27,6 @@ from isoflag.linalg import (
     meet_join,
     orthocomplement,
     random_special_isometry,
-    rref,
     standard_basis,
 )
 from isoflag.randgen import (
@@ -79,6 +78,33 @@ class TestValidateFlag:
         with pytest.raises(InputError):
             flag.intersect_piece(line, 1)
         assert validate_flag(flag) != []
+
+    def test_one_wrong_off_diagonal_pair(self):
+        # w_a + t w_b, with b neither a, nor a's partner, nor its own partner,
+        # pairs wrongly with w_{q-1-b} alone: the Gram matrix differs from J
+        # in one off-diagonal pair, above or below the diagonal in row order
+        from isoflag.linalg import _gaussian_matrix
+        form = BilinearForm(8)
+        seen = set()
+        for q in range(3, 9):
+            form = BilinearForm(q)
+            basis = list(random_flag(q, q).basis)
+            for a in range(q):
+                for b in range(q):
+                    if b in (a, q - 1 - a) or 2 * b == q - 1:
+                        continue
+                    spoiled = list(basis)
+                    spoiled[a] = tuple(x + sc(F(1, 3), 1) * y for x, y in zip(basis[a], basis[b]))
+                    gram = form.gram(spoiled)
+                    wrong = {(i, j) for i in range(q) for j in range(q)
+                             if gram[i][j] != (sc(1) if i + j == q - 1 else sc(0))}
+                    assert wrong == {(a, q - 1 - b), (q - 1 - b, a)}, (q, a, b)
+                    seen.add(a < q - 1 - b)
+                    for flag in (IsotropicFlag(tuple(spoiled)),
+                                 IsotropicFlag.from_integer(*_gaussian_matrix(spoiled))):
+                        assert validate_flag(flag) == \
+                            ["adapted basis Gram matrix is not the split form"], (q, a, b)
+        assert seen == {True, False}
 
     def test_inverse_matches_elimination(self):
         for q in range(2, 9):
@@ -282,8 +308,8 @@ class FractionEchelon:
     def echelon(self, sub):
         q = self.flag.q
         coords = mat_mul(list(sub.rows), self.inv)
-        red, pivots = rref([tuple(reversed(row)) for row in coords])
-        return [tuple(reversed(row)) for row in red], [q - 1 - c for c in pivots]
+        red = Subspace.from_vectors([tuple(reversed(row)) for row in coords], q)
+        return [tuple(reversed(row)) for row in red.rows], [q - 1 - c for c in red.pivots]
 
     def profile(self, sub):
         _, ends = self.echelon(sub)

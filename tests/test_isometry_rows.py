@@ -20,7 +20,6 @@ from isoflag.errors import InternalConsistencyError
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
-    _pivot_columns,
     complete_to_hyperbolic,
     eichler_rows,
     hyperbolic_basis,
@@ -162,7 +161,7 @@ def test_completion_matches_matrix_product(q, chain):
     assert mat_mul(basis, [tuple(b[q - 1 - j] for b in basis) for j in range(q)]) == std[::-1]
     assert basis[:k] == list(w.rows)
     assert Subspace.from_vectors(basis[:q - k], q) == orthocomplement(w, form)
-    assert basis[q - k:] == [std[q - 1 - c] for c in reversed(_pivot_columns(w.rows))]
+    assert basis[q - k:] == [std[q - 1 - c] for c in reversed(w.pivots)]
 
 
 def test_row_moves_match_their_matrices():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -7,8 +8,9 @@ from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
-    _pivot_columns,
+    _gaussian_row,
     _reduced_kernel,
+    _scalar_row,
     complete_to_hyperbolic,
     hyperbolic_basis,
     isotropy_classify,
@@ -117,6 +119,13 @@ def _fraction_rref(rows):
     return [tuple(r) for r in work[:row]], pivots
 
 
+def _canonical(m):
+    """rref of m's rows, each cleared of its denominators, as the Scalar
+    rows D R / D and the pivot columns."""
+    den, red, pivots = rref([_gaussian_row(r)[:2] for r in m])
+    return [_scalar_row(row, den) for row in red], list(pivots)
+
+
 def _scalar_mat_mul(a, b):
     """Rows of a times b with one Scalar product per term: the reference for
     mat_mul."""
@@ -181,20 +190,20 @@ class TestKernelReference:
             for ncols in range(1, 10):
                 for kind in KINDS:
                     m = _random_matrix(rng, nrows, ncols, kind)
-                    assert rref(m) == _fraction_rref(m), (nrows, ncols, kind)
+                    assert _canonical(m) == _fraction_rref(m), (nrows, ncols, kind)
 
     def test_non_unit_pivots(self):
         # Every pivot after the first is divided by the previous one, here
         # 1+2i, 2-i and 3: exact divisions by non-units of Z[i].
         m = [vec(sc(1, 2), 1, I, 0), vec(2, sc(2, -1), 0, sc(0, 3)),
              vec(sc(0, 1), 3, sc(1, 1), 1), vec(1, 0, 0, sc(5, 5))]
-        assert rref(m) == _fraction_rref(m)
-        red, pivots = rref(m)
+        assert _canonical(m) == _fraction_rref(m)
+        red, pivots = _canonical(m)
         assert pivots == [0, 1, 2, 3] and red == standard_basis(4)
 
     def test_purely_imaginary(self):
         m = [vec(I, sc(0, 2), 0), vec(sc(0, F(1, 3)), sc(0, -1), sc(0, 5))]
-        assert rref(m) == _fraction_rref(m)
+        assert _canonical(m) == _fraction_rref(m)
 
     def test_mat_mul_matches_scalar_reference(self):
         rng = random.Random(29)
@@ -217,6 +226,78 @@ class TestKernelReference:
     def test_gram_rejects_wrong_length(self):
         with pytest.raises(InputError):
             BilinearForm(3).gram([vec(1, 0)])
+
+
+def _denominators_lcm(rows):
+    return lcm(1, *(x.re.denominator for r in rows for x in r),
+               *(x.im.denominator for r in rows for x in r))
+
+
+def _canonical_form_matrices(seed):
+    """Seeded matrices with zero rows, dependent rows, mixed denominators,
+    purely imaginary entries, full rank and the zero space."""
+    rng = random.Random(seed)
+    out = []
+    for nrows in range(1, 6):
+        for ncols in range(1, 7):
+            out += [_random_matrix(rng, nrows, ncols, kind) for kind in KINDS]
+            out.append([tuple(Scalar(0, random_scalar(rng, 5).re) for _ in range(ncols))
+                        for _ in range(nrows)])
+            out.append([(ZERO,) * ncols] * nrows)
+        out.append(_mixed_basis(Subspace.full(nrows), rng))
+    return out
+
+
+class TestCanonicalForm:
+    """Subspace holds (D, D R, pivots): R the reduced echelon form, D the
+    least positive integer that clears it.  _fraction_rref is the reference."""
+
+    def test_matches_fraction_reference(self):
+        seen = set()
+        for m in _canonical_form_matrices(71):
+            ncols = len(m[0])
+            y = Subspace.from_vectors(m, ncols)
+            red, pivots = _fraction_rref(m)
+            assert (list(y.rows), list(y.pivots)) == (red, pivots), m
+            assert y.den == _denominators_lcm(red), m
+            assert y.zi_rows == tuple((tuple(x.re * y.den for x in r), tuple(x.im * y.den for x in r))
+                                      for r in red)
+            seen.add("zero" if not y.dim else "full" if y.dim == ncols else "proper")
+            seen.add("den > 1" if y.den > 1 else "den 1")
+        assert seen == {"zero", "full", "proper", "den > 1", "den 1"}
+
+    def test_equality_and_hash_partition_as_reference_rows(self):
+        rng = random.Random(73)
+        subs, refs = [], []
+        for m in _canonical_form_matrices(73)[::3]:
+            p = len(m[0])
+            y = Subspace.from_vectors(m, p)
+            for basis in (m, _mixed_basis(y, rng), [vscale(sc(2, 1), r) for r in m]):
+                subs.append(Subspace.from_vectors(basis, p))
+                refs.append((p, tuple(_fraction_rref(basis)[0])))
+        equal_pairs = 0
+        for x, rx in zip(subs, refs):
+            for y, ry in zip(subs, refs):
+                assert (x == y) == (rx == ry)
+                if x == y:
+                    assert hash(x) == hash(y)
+                    equal_pairs += 1
+        assert len(set(subs)) == len(set(refs)) < len(subs) < equal_pairs
+
+    def test_double_orthocomplement_keeps_d(self):
+        proper = 0
+        for m in _canonical_form_matrices(79):
+            p = len(m[0])
+            form = BilinearForm(p)
+            y = Subspace.from_vectors(m, p)
+            perp = orthocomplement(y, form)
+            assert orthocomplement(perp, form) == y
+            # the stored form is canonical, with the least D
+            assert perp == Subspace.from_vectors(list(perp.rows), p)
+            if 0 < y.dim < p:
+                assert perp.den == y.den
+                proper += y.den > 1
+        assert proper > 20
 
 
 def _annihilator_meet_join(u, v):
@@ -248,10 +329,13 @@ def _zassenhaus_meet_join(u, v):
     halves, and their right halves are the canonical basis of the meet."""
     p = u.ambient
     zeros = (ZERO,) * p
-    red, pivots = rref([r + r for r in u.rows] + [r + zeros for r in v.rows])
-    join = tuple(r[:p] for r, c in zip(red, pivots) if c < p)
-    meet = tuple(r[p:] for r, c in zip(red, pivots) if c >= p)
-    return Subspace(p, meet), Subspace(p, join)
+    red = Subspace.from_vectors([r + r for r in u.rows] + [r + zeros for r in v.rows], 2 * p)
+    join = tuple(r[:p] for r, c in zip(red.rows, red.pivots) if c < p)
+    meet = tuple(r[p:] for r, c in zip(red.rows, red.pivots) if c >= p)
+    out = Subspace.from_vectors(list(meet), p), Subspace.from_vectors(list(join), p)
+    # the halves are already canonical bases
+    assert (out[0].rows, out[1].rows) == (meet, join)
+    return out
 
 
 def _sparse_vector(rng, p):
@@ -398,10 +482,11 @@ class TestReducedKernel:
             for ncols in range(1, 9):
                 for kind in KINDS:
                     m = _random_matrix(rng, nrows, ncols, kind)
-                    red, pivots = rref(m)
-                    assert _pivot_columns(red) == pivots
-                    got = _reduced_kernel(red, ncols)
-                    assert got == kernel_basis(red, ncols) == kernel_basis(m, ncols)
+                    y = Subspace.from_vectors(m, ncols)
+                    pivots = list(y.pivots)
+                    assert [next(i for i, x in enumerate(row) if x) for row in y.rows] == pivots
+                    got = [_scalar_row(row, y.den) for row in _reduced_kernel(y)]
+                    assert got == kernel_basis(list(y.rows), ncols) == kernel_basis(m, ncols)
                     # an independent check: the vectors annihilate M, and
                     # there is one per free column, 1 there and 0 at the others
                     assert len(got) == ncols - len(pivots)
@@ -412,7 +497,8 @@ class TestReducedKernel:
                         [[ONE if c == f else ZERO for c in free] for f in free]
 
     def test_no_rows(self):
-        assert _reduced_kernel((), 3) == standard_basis(3)
+        assert [_scalar_row(row, 1) for row in _reduced_kernel(Subspace.zero(3))] == \
+            standard_basis(3)
 
 
 def _back_substitution_contains(sub, v):
