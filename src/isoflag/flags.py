@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, InternalConsistencyError
 from .linalg import (
     BilinearForm,
     Subspace,
@@ -169,6 +170,13 @@ class IsotropicFlag:
             self._integer = _integer_form(*_gaussian_matrix(list(self._basis)))
         return self._integer
 
+    def _hyperbolic_basis(self) -> IntegerBasis:
+        """_integer_basis, or InputError when the basis is not hyperbolic."""
+        ib = self._integer_basis()
+        if not ib.hyperbolic:
+            raise InputError("invalid flag: adapted basis Gram matrix is not the split form")
+        return ib
+
     def zi_echelon(self, rows: list[ZiRow]) -> Echelon:
         """Gaussian-integer rows in standard coordinates, taken to flag
         coordinates by J B'^T J, with the coordinates reversed and put in
@@ -177,15 +185,31 @@ class IsotropicFlag:
         nonzero flag coordinate: the row lies in F_{end+1} and not in F_end.
         The ends are decreasing and depend only on the span of the given rows
         (class docstring, item 2)."""
-        ib = self._integer_basis()
-        if not ib.hyperbolic:
-            raise InputError("invalid flag: adapted basis Gram matrix is not the split form")
+        ib = self._hyperbolic_basis()
         coords = []
         for x_re, x_im in rows:
             c_re, c_im = _zi_row_times(x_re, x_im, ib.inv_re, ib.inv_im)
             coords.append((c_re[::-1], c_im[::-1]))
         echelon_rows, pivots = _zi_eliminate(coords)
         return echelon_rows, [self.q - 1 - c for c in pivots]
+
+    def line_end(self, row: ZiRow) -> int:
+        """The end of one nonzero Gaussian-integer row in standard
+        coordinates: the one end zi_echelon([row]) returns, with no product
+        by the whole of J B'^T J and no elimination.  Flag coordinate k of
+        the row is its product with column k of J B'^T J, which is the
+        basis row w'_{q-1-k} reversed: the pairing Q(row, w'_{q-1-k}).  So
+        the columns are read from the top down, one pairing (q products)
+        each, and the first nonzero one is the end: a generic line needs
+        one.  Raises InputError when the basis is not hyperbolic, as
+        zi_echelon does."""
+        ib = self._hyperbolic_basis()
+        x_re, x_im = row[0][::-1], row[1][::-1]
+        for m, (w_re, w_im) in enumerate(zip(ib.basis_re, ib.basis_im)):
+            if (sum(map(mul, x_re, w_re)) != sum(map(mul, x_im, w_im))
+                    or sum(map(mul, x_re, w_im)) + sum(map(mul, x_im, w_re))):
+                return self.q - 1 - m
+        raise InternalConsistencyError("a zero row has no end")
 
     def zi_lift(self, echelon: Echelon) -> list[ZiRow]:
         """The echelon rows after the first, mapped back to standard

@@ -51,6 +51,7 @@ from .linalg import (
     Subspace,
     Vector,
     ZiRow,
+    _gaussian_row,
     _isotropy_from_gram,
     _scalar,
     _scalar_row,
@@ -63,25 +64,67 @@ from .scalars import Scalar
 from .weights import Weight, region_membership, require_valid
 
 
-@dataclass(frozen=True)
 class HiggsTuple:
     """The s-2 row vectors of an instance (the lower Higgs block; the upper
     block vanishes identically in the admissible weight regime and is not
     stored).  The rows are coefficient vectors against a basis of sections;
-    that basis itself never needs to be materialized."""
+    that basis itself never needs to be materialized.
 
-    q: int
-    s: int
-    rows: tuple[Vector, ...]
+    A decision reads the rows only through their span, which is eliminated
+    from one Gaussian-integer row per row of A: row = (re + i im) / den with
+    den the lcm of the row's denominators.  Every tuple holds that form; one
+    read from an instance file is made in it (from_integer), and its Scalar
+    rows are built only when read.  Immutable; equal when q, s and the rows
+    are."""
 
-    def __post_init__(self):
-        if self.s < 3:
+    def __init__(self, q: int, s: int, rows: tuple[Vector, ...]):
+        self._check_shape(q, s, rows)
+        self.q, self.s = q, s
+        self._rows: tuple[Vector, ...] | None = tuple(rows)
+        self._integer = tuple(_gaussian_row(row) for row in self._rows)
+
+    @classmethod
+    def from_integer(cls, q: int, s: int,
+                     rows: list[tuple[list[int], list[int], int]]) -> "HiggsTuple":
+        """The tuple whose rows are (re + i im) / den for each (re, im, den)
+        given, den the lcm of the row's reduced denominators, held in that
+        form."""
+        cls._check_shape(q, s, [re for re, _, _ in rows])
+        a = cls.__new__(cls)
+        a.q, a.s = q, s
+        a._rows = None
+        a._integer = tuple(rows)
+        return a
+
+    @staticmethod
+    def _check_shape(q: int, s: int, rows) -> None:
+        if s < 3:
             raise InputError("need at least 3 punctures")
-        if len(self.rows) != self.s - 2:
-            raise InputError(f"expected {self.s - 2} rows, got {len(self.rows)}")
-        for r in self.rows:
-            if len(r) != self.q:
+        if len(rows) != s - 2:
+            raise InputError(f"expected {s - 2} rows, got {len(rows)}")
+        for r in rows:
+            if len(r) != q:
                 raise InputError("row length does not match q")
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The rows as Scalars, built on first use for a tuple made by
+        from_integer."""
+        if self._rows is None:
+            self._rows = tuple(tuple(_scalar(x, y, den) for x, y in zip(re, im))
+                               for re, im, den in self._integer)
+        return self._rows
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HiggsTuple):
+            return NotImplemented
+        return (self.q, self.s, self.rows) == (other.q, other.s, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.s, self.rows))
+
+    def __repr__(self) -> str:
+        return f"HiggsTuple(q={self.q}, s={self.s}, rows={self.rows!r})"
 
     def span(self) -> Subspace:
         """The span of the rows.  The rows are immutable, so it is eliminated
@@ -90,7 +133,7 @@ class HiggsTuple:
 
     @cached_property
     def _span(self) -> Subspace:
-        return Subspace.from_vectors(list(self.rows), self.q)
+        return Subspace.from_zi_rows([(re, im) for re, im, _ in self._integer], self.q)
 
     def span_perp(self) -> Subspace:
         """T = span^perp (module docstring), kept the same way as the span."""
@@ -283,6 +326,10 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
        order.  Canonicalising them in that order, skipping repeats and
        stopping at the first rational line draws from the rng exactly as
        handing _isotropic_line_in the distinct canonical leaves does.
+    5. A node holding one row has one child, the row itself at the row's
+       end, which IsotropicFlag.line_end reads with no echelon or lift.  So
+       a line's remaining path is a loop over the flags, pruned at each
+       node as the recursion would be.
     """
     require_weight_for(fs, w)
     if t_sub.ambient != fs.q:
@@ -297,14 +344,20 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     best: list = [None, []]  # N pardeg score, the rows of its leaves in visit order
 
     def visit(j: int, rows: list[ZiRow], partial: int) -> None:
-        if best[0] is not None and partial + suffix_best[j] < best[0]:
-            return
-        if j == s:
-            if len(rows) > 1 or _zi_isotropic(rows[0]):
-                if best[0] is None or partial > best[0]:
-                    best[0], best[1] = partial, []
-                best[1].append(rows)
-            return
+        while True:
+            if best[0] is not None and partial + suffix_best[j] < best[0]:
+                return
+            if j == s:
+                if len(rows) > 1 or _zi_isotropic(rows[0]):
+                    if best[0] is None or partial > best[0]:
+                        best[0], best[1] = partial, []
+                    best[1].append(rows)
+                return
+            if len(rows) > 1:
+                break
+            # a line's one child is itself, at its end (item 5)
+            partial += n_beta[j][fs.flags[j].line_end(rows[0])]
+            j += 1
         flag = fs.flags[j]
         echelon = flag.zi_echelon(rows)
         ends = echelon[1]

@@ -8,9 +8,10 @@ canonical rendering (reduced fractions, canonical subspace bases).
 An instance file is read with one rational reader (_Rationals), which
 parses each distinct string once into a reduced (numerator, denominator)
 pair.  A flag basis goes from those pairs straight to the Gaussian-integer
-matrix B' over one denominator d that IsotropicFlag works in, with no
-Fraction or Scalar per entry; the weight and the rows A are built as
-Fractions and Scalars from the same pairs.
+matrix B' over one denominator d that IsotropicFlag works in, and each
+row of A to one Gaussian-integer row over its own denominator
+(HiggsTuple.from_integer), with no Fraction or Scalar per entry; only the
+weight is built as Fractions from the same pairs.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ def matrix_to_json(rows) -> list:
     return [vector_to_json(r) for r in rows]
 
 
-def matrix_from_json(obj: Any, path: str, read: _Rationals | None = None) -> tuple[Vector, ...]:
+def matrix_from_json(obj: Any, path: str) -> tuple[Vector, ...]:
     return tuple(tuple(_pair_scalar(re, im) for re, im in row)
-                 for row in (read or _Rationals()).rows(obj, path))
+                 for row in _Rationals().rows(obj, path))
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +173,17 @@ def flag_to_json(f: IsotropicFlag) -> list:
     return matrix_to_json(f.basis)
 
 
+def _lcm_den(entries) -> int:
+    """The lcm of the reduced denominators of (re, im) entries."""
+    return lcm(*{d for re, im in entries for d in (re[1], im[1])})
+
+
+def _over(row: list[tuple[_Rational, _Rational]], den: int) -> tuple[list[int], list[int]]:
+    """(re, im) with row = (re + i im) / den, den a multiple of every
+    denominator in the row."""
+    return [n * (den // d) for (n, d), _ in row], [n * (den // d) for _, (n, d) in row]
+
+
 def flag_from_json(obj: Any, path: str, read: _Rationals) -> IsotropicFlag:
     """The flag read straight into its integer form B' / d: d is the lcm of
     the entries' reduced denominators and B' = num (d / den) entrywise, what
@@ -179,10 +191,9 @@ def flag_from_json(obj: Any, path: str, read: _Rationals) -> IsotropicFlag:
     rows = read.rows(obj, path)
     if not rows or len(rows) != len(rows[0]):
         raise ParseError(path, "flag basis must be a square matrix")
-    den = lcm(*{re[1] for row in rows for re, _ in row}, *{im[1] for row in rows for _, im in row})
-    return IsotropicFlag.from_integer(
-        [[n * (den // d) for (n, d), _ in row] for row in rows],
-        [[n * (den // d) for _, (n, d) in row] for row in rows], den)
+    den = _lcm_den(entry for row in rows for entry in row)
+    b_re, b_im = zip(*(_over(row, den) for row in rows))
+    return IsotropicFlag.from_integer(list(b_re), list(b_im), den)
 
 
 def subspace_to_json(s: Subspace) -> dict:
@@ -235,12 +246,17 @@ def instance_from_json(obj: Any, path: str = "") -> InstanceFile:
     ))
     if flags.q != weight.q:
         raise ParseError(path + "/flags", "flag dimension does not match weight q")
-    rows = matrix_from_json(obj["A"], path + "/A", read)
+    rows = read.rows(obj["A"], path + "/A")
     if len(rows) != weight.s - 2:
         raise ParseError(path + "/A", f"expected {weight.s - 2} rows")
     if rows and len(rows[0]) != weight.q:
         raise ParseError(path + "/A", f"rows must have length {weight.q}")
-    higgs = HiggsTuple(weight.q, weight.s, rows)
+    # each row over its own denominator, what linalg._gaussian_row gives
+    integer_rows = []
+    for row in rows:
+        den = _lcm_den(row)
+        integer_rows.append((*_over(row, den), den))
+    higgs = HiggsTuple.from_integer(weight.q, weight.s, integer_rows)
     seed = obj.get("seed")
     if seed is not None and type(seed) is not int:
         raise ParseError(path + "/seed", "seed must be an integer")

@@ -4,7 +4,11 @@ A weight assigns to each of the s punctures a rational alpha in [0, 1/2] and
 a non-increasing, antisymmetric q-vector beta (beta_i + beta_{q+1-i} = 0,
 beta_i < 1/2).  Everything downstream (admissibility regions, the degree
 interval, compactness bookkeeping, monodromy phases) is derived from this
-data by exact rational arithmetic.
+data exactly.  The checks a decision reads, validity and region membership,
+are integer comparisons in units of N, the lcm of every alpha and beta
+denominator: N alpha and N beta are integers, so beta < 1/2 is 2 N beta < N,
+and so on.  Fractions are built only for the stats, the degree interval,
+compactness and monodromy.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ _HALF = Fraction(1, 2)
 class Weight:
     """Immutable (tuples throughout): its violations, stats, region
     membership and scaling by N = lcm of every alpha and beta denominator
-    (n, n_beta, n_abs_alpha, all ints) are computed once, on first use, and
-    kept."""
+    (n, n_alpha, n_beta, n_abs_alpha, all ints) are computed once, on first
+    use, and kept."""
 
     q: int
     s: int
@@ -43,21 +47,22 @@ class Weight:
 
     @cached_property
     def _stats(self) -> "WeightStats":
-        per = tuple(sum((b for b in row if b >= 0), Fraction(0)) for row in self.beta)
+        per = self._n_positive_beta
         return WeightStats(
-            abs_alpha=sum(self.alpha, Fraction(0)),
-            abs_beta=sum(per, Fraction(0)),
-            abs_beta1=sum((row[0] for row in self.beta), Fraction(0)),
-            per_puncture_abs_beta=per,
+            abs_alpha=Fraction(self.n_abs_alpha, self.n),
+            abs_beta=Fraction(sum(per), self.n),
+            abs_beta1=Fraction(sum(row[0] for row in self.n_beta), self.n),
+            per_puncture_abs_beta=tuple(Fraction(x, self.n) for x in per),
         )
 
     @cached_property
     def _membership(self) -> "RegionMembership":
-        stats = self._stats
-        in_w = all(self.alpha[j] > stats.per_puncture_abs_beta[j] for j in range(self.s)) \
-            and stats.abs_alpha + stats.abs_beta < 1
+        """alpha^j > |beta^j| and |alpha| + |beta| < 1, times N."""
+        per = self._n_positive_beta
+        in_w = all(a > b for a, b in zip(self.n_alpha, per)) \
+            and self.n_abs_alpha + sum(per) < self.n
         strict = all(
-            all(row[i] > row[i + 1] for i in range(self.q - 1)) for row in self.beta
+            all(row[i] > row[i + 1] for i in range(self.q - 1)) for row in self.n_beta
         )
         return RegionMembership(in_w=in_w, in_w_prime=in_w and strict)
 
@@ -72,8 +77,17 @@ class Weight:
                      for row in self.beta)
 
     @cached_property
+    def n_alpha(self) -> tuple[int, ...]:
+        return tuple(a.numerator * (self.n // a.denominator) for a in self.alpha)
+
+    @cached_property
     def n_abs_alpha(self) -> int:
-        return sum(a.numerator * (self.n // a.denominator) for a in self.alpha)
+        return sum(self.n_alpha)
+
+    @cached_property
+    def _n_positive_beta(self) -> tuple[int, ...]:
+        """N |beta^j|, the sum of puncture j's positive N beta_i^j."""
+        return tuple(sum(b for b in row if b > 0) for row in self.n_beta)
 
 
 @dataclass(frozen=True)
@@ -95,6 +109,8 @@ def validate_weight(w: Weight) -> list[str]:
 
 
 def _check_weight(w: Weight) -> list[str]:
+    """The violations of validate_weight, each constraint compared times N
+    once the shapes are known to be right."""
     violations = []
     if w.q < 2:
         violations.append("q must be at least 2")
@@ -106,12 +122,13 @@ def _check_weight(w: Weight) -> list[str]:
     if len(w.beta) != w.s or any(len(row) != w.q for row in w.beta):
         violations.append("beta must be an s x q array")
         return violations
+    n = w.n
     for j in range(w.s):
-        if not (0 <= w.alpha[j] <= _HALF):
+        if not (0 <= 2 * w.n_alpha[j] <= n):
             violations.append(f"alpha[{j + 1}] not in [0, 1/2]")
-        row = w.beta[j]
+        row = w.n_beta[j]
         for i in range(w.q):
-            if row[i] >= _HALF:
+            if 2 * row[i] >= n:
                 violations.append(f"beta_i^j<1/2 fails at (i={i + 1}, j={j + 1})")
             if i + 1 < w.q and row[i] < row[i + 1]:
                 violations.append(f"non-increasing fails at (i={i + 1}, j={j + 1})")

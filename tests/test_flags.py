@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from isoflag.cli import main
-from isoflag.errors import InputError
+from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.flags import (
     FlagSystem,
     IsotropicFlag,
@@ -483,3 +483,55 @@ class TestInvalidFlags:
         assert "flag 2: adapted basis Gram matrix is not the split form" in out
         assert main(["decide", str(path)]) == 65
         assert "invalid flag" in capsys.readouterr().err
+
+
+class TestLineEnd:
+    """IsotropicFlag.line_end reads one row's end a flag coordinate at a
+    time; zi_echelon's one end for the row is its reference."""
+
+    def test_matches_echelon(self, monkeypatch):
+        rng = random.Random(41)
+        below_top = 0
+        for q in range(2, 11):
+            flags = [random_flag(q, 3 * q + seed) for seed in range(3)]
+            flags.append(random_flag(q, q + 1).transform(random_special_isometry(q, q + 40)))
+            for flag in flags:
+                ib = flag._integer_basis()
+                rows = [([rng.randint(-9, 9) for _ in range(q)],
+                         [rng.randint(-9, 9) for _ in range(q)]) for _ in range(6)]
+                # rows in each piece F_k, ending at k - 1: combinations of
+                # the first k rows of B' whose k-th coefficient is nonzero
+                for k in range(1, q + 1):
+                    coeffs = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(k - 1)]
+                    coeffs.append(rng.choice([(1, 0), (0, 1), (2, -1), (-3, 0)]))
+                    re, im = linalg_mod._zi_row_times([c[0] for c in coeffs],
+                                                      [c[1] for c in coeffs],
+                                                      ib.basis_re[:k], ib.basis_im[:k])
+                    assert flag.line_end((re, im)) == k - 1, (q, k)
+                    rows.append((re, im))
+                for row in rows:
+                    if not (any(row[0]) or any(row[1])):
+                        continue
+                    end = flag.zi_echelon([row])[1][0]
+                    below_top += end < q - 1
+                    monkeypatch.setattr(flags_mod, "_zi_eliminate", _refuse)
+                    monkeypatch.setattr(flags_mod, "_zi_row_times", _refuse)
+                    assert flag.line_end(row) == end, (q, row)
+                    monkeypatch.undo()
+        assert below_top >= 4 * sum(range(1, 10))
+
+    def test_zero_row(self):
+        for q in (2, 5):
+            with pytest.raises(InternalConsistencyError):
+                random_flag(q, 1).line_end(([0] * q, [0] * q))
+
+    @pytest.mark.parametrize("spoil", [_perturbed, _doubled])
+    def test_invalid_flag(self, spoil):
+        for q in range(2, 7):
+            flag = spoil(random_flag(q, q + 1))
+            with pytest.raises(InputError, match="invalid flag"):
+                flag.line_end(([1] * q, [0] * q))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("line_end took a product or an elimination")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -228,3 +229,175 @@ class TestCaveats:
     def test_alpha_meets_beta(self):
         w = w_q2(alpha=F(1, 16), b=F(1, 16))
         assert any("equals" in n for n in correspondence_caveats(w))
+
+
+# ---------------------------------------------------------------------------
+# the checks in N units against the Fraction checks they replaced
+
+_HALF = F(1, 2)
+
+
+def _fraction_check_weight(w):
+    """The violations as validate_weight computed them in Fractions."""
+    violations = []
+    if w.q < 2:
+        violations.append("q must be at least 2")
+    if w.s < 3:
+        violations.append("s must be at least 3")
+    if len(w.alpha) != w.s:
+        violations.append(f"alpha must have s={w.s} entries, got {len(w.alpha)}")
+        return violations
+    if len(w.beta) != w.s or any(len(row) != w.q for row in w.beta):
+        violations.append("beta must be an s x q array")
+        return violations
+    for j in range(w.s):
+        if not (0 <= w.alpha[j] <= _HALF):
+            violations.append(f"alpha[{j + 1}] not in [0, 1/2]")
+        row = w.beta[j]
+        for i in range(w.q):
+            if row[i] >= _HALF:
+                violations.append(f"beta_i^j<1/2 fails at (i={i + 1}, j={j + 1})")
+            if i + 1 < w.q and row[i] < row[i + 1]:
+                violations.append(f"non-increasing fails at (i={i + 1}, j={j + 1})")
+        for i in range(w.q):
+            if row[i] + row[w.q - 1 - i] != 0:
+                violations.append(f"antisymmetry fails at (i={i + 1}, j={j + 1})")
+                break
+    return violations
+
+
+def _fraction_stats(w):
+    per = tuple(sum((b for b in row if b >= 0), F(0)) for row in w.beta)
+    return (sum(w.alpha, F(0)), sum(per, F(0)), sum((row[0] for row in w.beta), F(0)), per)
+
+
+def _fraction_membership(w):
+    """(in_w, in_w_prime) as region_membership computed them in Fractions."""
+    abs_alpha, abs_beta, _, per = _fraction_stats(w)
+    in_w = all(w.alpha[j] > per[j] for j in range(w.s)) and abs_alpha + abs_beta < 1
+    strict = all(all(row[i] > row[i + 1] for i in range(w.q - 1)) for row in w.beta)
+    return in_w, in_w and strict
+
+
+_PRIMES = [p for p in range(3, 400) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+def _coprime_weight(rng, q, s):
+    """A weight whose entries have pairwise coprime denominators (an
+    antisymmetric pair shares one), so that N is their product: each
+    positive beta_i^j and each alpha^j is c / p with p a fresh prime, alpha^j
+    just above |beta^j| (at or below it one time in twenty), so that region
+    membership falls both ways."""
+    primes = iter(rng.sample(_PRIMES[8:], s * (q // 2 + 1)))
+    scale = rng.choice([1, 2, 3, 4])
+    alpha, beta = [], []
+    for _ in range(s):
+        top = sorted((F(rng.randint(1, scale), next(primes)) for _ in range(q // 2)),
+                     reverse=True)
+        beta.append(tuple(top + [F(0)] * (q % 2) + [-b for b in reversed(top)]))
+        p = next(primes)
+        bump = 0 if rng.random() < 0.05 else rng.randint(1, scale)
+        c = math.floor(sum(top, F(0)) * p) + bump
+        alpha.append(min(F(c, p), _HALF))
+    return Weight(q, s, tuple(alpha), tuple(beta))
+
+
+def _replace(w, alpha=None, beta=None):
+    return Weight(w.q, w.s, tuple(alpha or w.alpha), tuple(beta or w.beta))
+
+
+def _set_beta(w, j, i, value):
+    """w with beta_{i+1}^{j+1} = value and its antisymmetric partner -value."""
+    row = list(w.beta[j])
+    row[i], row[w.q - 1 - i] = value, -value
+    return _replace(w, beta=w.beta[:j] + (tuple(row),) + w.beta[j + 1:])
+
+
+def _boundaries(w, rng):
+    """w moved onto and across the boundary of each constraint in turn."""
+    q, s = w.q, w.s
+    j = rng.randrange(s)
+    row = w.beta[j]
+    top = sum((b for b in row if b > 0), F(0))
+    others = sum(w.alpha, F(0)) - w.alpha[j] + sum(
+        (b for r in w.beta for b in r if b > 0), F(0))
+    out = []
+    for a in (F(0), _HALF, F(-1, 7), F(1, 2) + F(1, 997), top,
+              max(F(1) - others, F(0))):  # the last gives |alpha| + |beta| = 1
+        out.append(_replace(w, alpha=w.alpha[:j] + (a,) + w.alpha[j + 1:]))
+    out.append(_set_beta(w, j, 0, _HALF))
+    out.append(_set_beta(w, j, 0, _HALF + F(1, 3)))
+    if q >= 4:
+        out.append(_set_beta(w, j, 1, row[0]))          # beta_1 = beta_2
+        out.append(_set_beta(w, j, 1, row[0] + F(1, 5)))  # beta_1 < beta_2
+    if q % 2:
+        broken = list(row)
+        broken[q // 2] = F(1, 11)                          # the middle entry
+        out.append(_replace(w, beta=w.beta[:j] + (tuple(broken),) + w.beta[j + 1:]))
+    broken = list(row)
+    broken[-1] = broken[-1] - F(1, 13)                     # antisymmetry only
+    out.append(_replace(w, beta=w.beta[:j] + (tuple(broken),) + w.beta[j + 1:]))
+    out.append(Weight(q, s, w.alpha[:-1], w.beta))
+    out.append(Weight(q, s, w.alpha, w.beta[:-1] + (w.beta[-1][:-1],)))
+    return out
+
+
+class TestIntegerChecks:
+    """validate_weight and region_membership compare integers in units of
+    N; the Fraction comparisons above are their reference."""
+
+    def test_match_fraction_reference(self):
+        rng = random.Random(23)
+        seen = {"valid": 0, "in_w": 0, "not_in_w": 0, "in_w_prime": 0, "violations": set()}
+        on_boundary = dict.fromkeys(["alpha = 0", "alpha = 1/2", "alpha = |beta|",
+                                     "|alpha| + |beta| = 1", "beta_i = beta_i+1"], 0)
+        for trial in range(160):
+            q, s = trial % 9 + 2, trial % 4 + 3
+            base = _coprime_weight(rng, q, s)
+            dens = {x.denominator for x in base.alpha + sum(base.beta, ())}
+            assert base.n == math.prod(dens), trial  # pairwise coprime
+            for w in [base] + _boundaries(base, rng):
+                want = _fraction_check_weight(w)
+                assert validate_weight(w) == want, (trial, w)
+                seen["violations"].update(v.split(" ")[0] for v in want)
+                if want:
+                    continue
+                seen["valid"] += 1
+                in_w, in_w_prime = _fraction_membership(w)
+                got = region_membership(w)
+                assert (got.in_w, got.in_w_prime) == (in_w, in_w_prime), (trial, w)
+                stats = weight_stats(w)
+                assert (stats.abs_alpha, stats.abs_beta, stats.abs_beta1,
+                        stats.per_puncture_abs_beta) == _fraction_stats(w), (trial, w)
+                seen["in_w" if in_w else "not_in_w"] += 1
+                seen["in_w_prime"] += in_w_prime
+                per = stats.per_puncture_abs_beta
+                on_boundary["alpha = 0"] += 0 in w.alpha
+                on_boundary["alpha = 1/2"] += _HALF in w.alpha
+                on_boundary["alpha = |beta|"] += any(map(F.__eq__, w.alpha, per))
+                on_boundary["|alpha| + |beta| = 1"] += stats.abs_alpha + stats.abs_beta == 1
+                on_boundary["beta_i = beta_i+1"] += any(
+                    row[i] == row[i + 1] for row in w.beta for i in range(q - 1))
+        assert seen["valid"] >= 500 and min(seen["in_w"], seen["not_in_w"]) >= 100
+        assert seen["in_w_prime"] >= 50
+        assert min(on_boundary.values()) >= 20, on_boundary
+        assert seen["violations"] == {"alpha[1]", "alpha[2]", "alpha[3]", "alpha[4]",
+                                      "alpha[5]", "alpha[6]", "beta_i^j<1/2",
+                                      "non-increasing", "antisymmetry", "alpha", "beta"}
+
+    def test_exact_boundaries(self):
+        # one weight at each boundary, with the verdict of the constraint
+        half, q4 = F(1, 2), (F(1, 16), F(1, 32), F(-1, 32), F(-1, 16))
+        assert validate_weight(Weight.make(4, 3, [0, half, F(1, 5)], [q4] * 3)) == []
+        assert validate_weight(Weight.make(2, 3, [F(1, 8)] * 3, [(half, -half)] * 3)) == [
+            f"beta_i^j<1/2 fails at (i=1, j={j})" for j in (1, 2, 3)]
+        ties = Weight.make(4, 3, [F(3, 16)] * 3, [(F(1, 16), F(1, 16), F(-1, 16), F(-1, 16))] * 3)
+        assert validate_weight(ties) == []
+        assert region_membership(ties) == type(region_membership(ties))(True, False)
+        # alpha^1 = |beta^1| leaves W
+        w = Weight.make(2, 3, [F(1, 16), F(1, 8), F(1, 8)], [(F(1, 16), F(-1, 16))] * 3)
+        assert not region_membership(w).in_w
+        # |alpha| + |beta| = 1 leaves W, just below stays in
+        for top, inside in ((F(1, 3) - F(1, 30), False), (F(1, 3) - F(1, 29), True)):
+            w = Weight.make(2, 3, [top] * 3, [(F(1, 30), F(-1, 30))] * 3)
+            assert region_membership(w).in_w is inside, top
