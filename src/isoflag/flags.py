@@ -232,6 +232,20 @@ class IsotropicFlag:
             self._last = (sub, echelon, [], [])
         return self._last
 
+    def echelon(self, sub: Subspace) -> Echelon:
+        """zi_echelon of sub's stored rows, kept for the last subspace asked
+        about: profile, intersect_piece, radical_dim and the line oracle's
+        reads of T share one elimination per flag."""
+        return self._coordinates(sub)[1]
+
+    def lifted(self, sub: Subspace) -> list[ZiRow]:
+        """zi_lift of echelon(sub), computed on first use and kept with it.
+        The list is shared: callers slice it and never change it."""
+        _, echelon, lifted, _ = self._coordinates(sub)
+        if not lifted:
+            lifted += self.zi_lift(echelon)
+        return lifted
+
     def profile(self, sub: Subspace) -> tuple[int, ...]:
         """(dim(sub ^ F_i))_{i=0..q}.
 
@@ -243,19 +257,16 @@ class IsotropicFlag:
         """
         if sub.ambient != self.q:
             raise InputError("subspace ambient dimension does not match flag")
-        _, ends = self._coordinates(sub)[1]
+        _, ends = self.echelon(sub)
         return tuple(sum(1 for e in ends if e < i) for i in range(self.q + 1))
 
     def intersect_piece(self, sub: Subspace, i: int) -> Subspace:
         """sub ^ F_i: the last rows of the zi_lift of sub's echelon,
         canonicalised, or sub itself."""
-        _, echelon, lifted, _ = self._coordinates(sub)
-        n = sum(1 for e in echelon[1] if e < i)
+        n = sum(1 for e in self.echelon(sub)[1] if e < i)
         if n == sub.dim:
             return sub
-        if not lifted:
-            lifted += self.zi_lift(echelon)
-        return Subspace.from_zi_rows(lifted[sub.dim - 1 - n:], self.q)
+        return Subspace.from_zi_rows(self.lifted(sub)[sub.dim - 1 - n:], self.q)
 
     def radical_dim(self, sub: Subspace, i: int) -> int:
         """dim rad(sub ^ F_i) from the Gram matrix of sub's echelon rows, with

@@ -320,8 +320,8 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
        dimensions are those of the canonical search.  At the largest end
        the intersection is Y_b itself, and the rows are passed on unchanged.
        Pruning reads only scores, so the same nodes are cut.
-    3. Whether the one row of a line leaf is isotropic does not change when
-       the row is scaled, so the leaf test reads the integer row.
+    3. Whether a row is isotropic does not change when the row is scaled,
+       so the isotropy of a line reads its integer row.
     4. The leaves, and so the best-score leaves, come in the same visit
        order.  Canonicalising them in that order, skipping repeats and
        stopping at the first rational line draws from the rng exactly as
@@ -330,6 +330,25 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
        end, which IsotropicFlag.line_end reads with no echelon or lift.  So
        a line's remaining path is a loop over the flags, pruned at each
        node as the recursion would be.
+    6. The optimistic bound credits each flag j' not yet passed with
+       N beta^{j'} at m_{j'}, T's lowest echelon end at that flag.  Lemma:
+       every nonzero vector of a node Y <= T is a combination of T's
+       echelon rows and ends where its used row of largest end does, so at
+       or above m_{j'}; each child of a node at flag j' sits at such an end,
+       and beta is non-increasing, so no leaf below the node scores more
+       than the bound.  A node is cut only when the bound is strictly below
+       the best score so far, so every leaf it holds scores below the final
+       value: the value, the best-score leaves in visit order and hence the
+       witness are those of the bound with beta_1 at every flag, which
+       only visits more nodes.
+    7. A node holding one row that is not isotropic returns at once: its
+       one leaf is that line, which is never scored.  Nothing else reads
+       it, so the leaves that are scored, and pruning, are unchanged.
+    8. T's echelon against each flag is read once, through the flag's cache
+       (IsotropicFlag.echelon and lifted): the bound needs its lowest ends,
+       and the spine, the path of children that keep all of T, takes its
+       children from it.  The cache then still holds T for the harvest of
+       max_pardeg_isotropic_in, which reads the same echelon.
     """
     require_weight_for(fs, w)
     if t_sub.ambient != fs.q:
@@ -337,21 +356,25 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     q, s = fs.q, fs.s
 
     n_beta = w.n_beta
-    suffix_best = [0] * (s + 1)
-    for j in range(s - 1, -1, -1):
-        suffix_best[j] = suffix_best[j + 1] + n_beta[j][0]
+    t_rows = list(t_sub.zi_rows)
+    suffix_bound = [0] * (s + 1)  # item 6
+    if t_rows:
+        for j in range(s - 1, -1, -1):
+            lowest = fs.flags[j].echelon(t_sub)[1][-1]
+            suffix_bound[j] = suffix_bound[j + 1] + n_beta[j][lowest]
 
     best: list = [None, []]  # N pardeg score, the rows of its leaves in visit order
 
     def visit(j: int, rows: list[ZiRow], partial: int) -> None:
+        if len(rows) == 1 and not _zi_isotropic(rows[0]):
+            return  # item 7
         while True:
-            if best[0] is not None and partial + suffix_best[j] < best[0]:
+            if best[0] is not None and partial + suffix_bound[j] < best[0]:
                 return
             if j == s:
-                if len(rows) > 1 or _zi_isotropic(rows[0]):
-                    if best[0] is None or partial > best[0]:
-                        best[0], best[1] = partial, []
-                    best[1].append(rows)
+                if best[0] is None or partial > best[0]:
+                    best[0], best[1] = partial, []
+                best[1].append(rows)
                 return
             if len(rows) > 1:
                 break
@@ -359,14 +382,16 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
             partial += n_beta[j][fs.flags[j].line_end(rows[0])]
             j += 1
         flag = fs.flags[j]
-        echelon = flag.zi_echelon(rows)
-        ends = echelon[1]
-        lifted = flag.zi_lift(echelon)
+        if rows is t_rows:  # item 8
+            ends, lifted = flag.echelon(t_sub)[1], flag.lifted(t_sub)
+        else:
+            echelon = flag.zi_echelon(rows)
+            ends, lifted = echelon[1], flag.zi_lift(echelon)
         for n, e in enumerate(reversed(ends), 1):
             visit(j + 1, lifted[-n:] if n < len(ends) else rows, partial + n_beta[j][e])
 
-    if t_sub.dim:
-        visit(0, list(t_sub.zi_rows), 0)
+    if t_rows:
+        visit(0, t_rows, 0)
     # visit's closure holds visit itself: break that cycle so fs and the
     # flags' cached echelons are freed at return, not by the collector
     del visit
@@ -470,8 +495,9 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
         return PardegBounds(lower, witness, lower, True)
 
     radicals = isotropic_radicals(t_sub, t_radical, fs, 2)
-    # read while each flag's echelon cache still holds T (pardeg_subspace
-    # below replaces it)
+    # the line oracle left T's echelon in each flag's cache, and the harvest
+    # read it there; read the profiles before pardeg_subspace below replaces
+    # it with a radical's
     profiles = [flag.profile(t_sub) for flag in fs.flags]
     for radical in radicals:
         value = pardeg_subspace(radical, fs, w)

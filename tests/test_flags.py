@@ -361,7 +361,7 @@ class TestIntegerEchelon:
                     # the integer rows behind the pieces: one per echelon row
                     # but the first, each nonzero and primitive (gcd 0 would
                     # mean a zero row)
-                    lifted = flag.zi_lift(flag._coordinates(sub)[1])
+                    lifted = flag.zi_lift(flag.echelon(sub))
                     assert len(lifted) == max(sub.dim - 1, 0), (q, k)
                     assert all(gcd(*re, *im) == 1 for re, im in lifted), (q, k)
                     for i in range(q + 1):

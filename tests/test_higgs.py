@@ -595,7 +595,10 @@ class TestScoredLeaves:
 def _subspace_line_oracle(t_sub, fs, w, seed=0):
     """line_oracle as it was when its search held every node as a canonical
     Subspace, taking the children from profile and intersect_piece.  The
-    reference for the search on Gaussian-integer rows."""
+    reference for the search on Gaussian-integer rows.  Its bound credits
+    every later flag with beta_1, not with beta at T's lowest end there, and
+    walks every line to the last flag: the looser bound visits more nodes
+    but must give the same value, best-score leaves and witness."""
     form = BilinearForm(fs.q)
     q, s = fs.q, fs.s
     suffix_best = [F(0)] * (s + 1)
@@ -709,6 +712,51 @@ class TestIntegerRowSearch:
                                        for row in flags[j].basis))
         with pytest.raises(InputError, match="invalid flag"):
             line_oracle(a.span_perp(), FlagSystem(tuple(flags)), w)
+
+
+class TestPrunedSearch:
+    def test_t_eliminated_once_per_flag(self, monkeypatch):
+        # nu >= 2: the line oracle's bound and spine and the harvest read T's
+        # echelon at each flag through the flag's cache
+        real = IsotropicFlag.zi_echelon
+        for q in (6, 8):
+            a, fs, w = random_instance(q, 4, 0)
+            t_sub = a.span_perp()
+            _, radical, rank = isotropy_classify(t_sub, BilinearForm(q))
+            assert radical.dim + rank // 2 >= 2, q
+            spanning = []
+
+            def counting(flag, rows):
+                if Subspace.from_zi_rows(list(rows), q) == t_sub:
+                    spanning.append(id(flag))
+                return real(flag, rows)
+
+            monkeypatch.setattr(IsotropicFlag, "zi_echelon", counting)
+            verdict = decide_stability(a, fs, w)
+            monkeypatch.undo()
+            assert verdict.tag == "Undetermined", q  # the harvest ran
+            assert sorted(spanning) == sorted(id(flag) for flag in fs.flags), q
+
+    def test_narrow_walks_no_line(self, monkeypatch):
+        # T is a plane, so every line node of the search is a line piece
+        # T ^ F_i^j (the first flag that cuts T down gives it).  None of them
+        # is isotropic here, so no line is walked past its first node.
+        a, fs, w = random_instance(8, 8, 0)
+        t_sub = a.span_perp()
+        form = BilinearForm(8)
+        assert t_sub.dim == 2
+        lines = [flag.intersect_piece(t_sub, i) for flag in fs.flags
+                 for i, d in enumerate(flag.profile(t_sub)) if d == 1]
+        assert len(lines) >= fs.s
+        assert not any(isotropy_classify(line, form)[0] for line in lines)
+        expected = decide_stability(a, fs, w)
+
+        def refuse(*args):
+            raise AssertionError("a non-isotropic line was walked")
+
+        monkeypatch.setattr(IsotropicFlag, "line_end", refuse)
+        assert decide_stability(a, fs, w) == expected
+        assert expected.exact
 
 
 class TestMaxPardeg:
@@ -1140,6 +1188,34 @@ class TestGenerator:
             generate_stable_instance(3, 4, fs, w)
 
 
+def _permuted_punctures(a, fs, w, rng):
+    perm = list(range(fs.s))
+    rng.shuffle(perm)
+    return (a, FlagSystem(tuple(fs.flags[p] for p in perm)),
+            Weight.make(w.q, w.s, [w.alpha[p] for p in perm], [w.beta[p] for p in perm]))
+
+
+def _isometry_moved(a, fs, w, rng):
+    m = random_special_isometry(a.q, rng.randrange(1, 10 ** 6))
+    return HiggsTuple(a.q, a.s, tuple(mat_mul(list(a.rows), m))), fs.transform(m), w
+
+
+def _recombined_rows(a, fs, w, rng):
+    # an upper-triangular matrix with nonzero diagonal, then the rows reversed
+    rows = list(a.rows)
+    out = []
+    for k in range(len(rows)):
+        c = random_scalar(rng, 3)
+        while c.is_zero():
+            c = random_scalar(rng, 3)
+        row = tuple(c * x for x in rows[k])
+        for other in rows[k + 1:]:
+            d = random_scalar(rng, 2)
+            row = tuple(x + d * y for x, y in zip(row, other))
+        out.append(row)
+    return HiggsTuple(a.q, a.s, tuple(reversed(out))), fs, w
+
+
 class TestEquivariance:
     def test_verdict_invariance(self):
         for trial in range(30):
@@ -1154,3 +1230,28 @@ class TestEquivariance:
             rows = tuple(tuple(x / t for x in r) for r in mat_mul(list(a.rows), m))
             after = decide_stability(HiggsTuple(q, a.s, rows), fs.transform(m), w)
             assert after.tag == before.tag
+
+    @pytest.mark.parametrize("q", range(4, 9))
+    def test_search_invariance(self, q):
+        # the pruned search reads T's lowest end at each flag and depends on
+        # visit order; its value, and decide's tag and exact supremum, must
+        # not move when the punctures are permuted, an isometry acts on rows
+        # and flags, or the rows are recombined
+        tags = set()
+        for trial in range(10):
+            s = 4 + trial % 3
+            seed = 10 * q + trial
+            a, fs, w = random_instance(q, s, seed, mode=mixed_mode(seed))
+            rng = random.Random(seed)
+
+            def observed(a, fs, w):
+                t_sub = a.span_perp()
+                value = line_oracle(t_sub, fs, w).value if t_sub.dim else None
+                v = decide_stability(a, fs, w)
+                return value, v.tag, v.exact, (v.lower, v.upper) if v.exact else None
+
+            before = observed(a, fs, w)
+            tags.add(before[1])
+            for move in (_permuted_punctures, _isometry_moved, _recombined_rows):
+                assert observed(*move(a, fs, w, rng)) == before, (q, trial, move.__name__)
+        assert {"Unstable", "Stable"} <= tags, q
