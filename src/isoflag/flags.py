@@ -35,6 +35,7 @@ from .linalg import (
     _scalar,
     _zi_eliminate,
     _zi_gram,
+    _zi_hyperbolic,
     _zi_row_times,
     hyperbolic_basis,
     mat_mul,
@@ -58,17 +59,8 @@ class IntegerBasis(NamedTuple):
 
 
 def _integer_form(b_re: list[list[int]], b_im: list[list[int]], den: int) -> IntegerBasis:
-    """The IntegerBasis of the basis (b_re + i b_im) / den.  Column j of
-    B' (J B'^T J) is column q-1-j of the symmetric G = B' J B'^T, so row i
-    is checked against d^2 I in the columns j <= q-1-i only."""
-    q = len(b_re)
-    inv_re = [[b_re[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
-    inv_im = [[b_im[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
-    scaled = den * den
-    hyperbolic = all(
-        _zi_row_times(x_re, x_im, inv_re, inv_im, q - i)
-        == ([scaled if j == i else 0 for j in range(q - i)], [0] * (q - i))
-        for i, (x_re, x_im) in enumerate(zip(b_re, b_im)))
+    """The IntegerBasis of the basis (b_re + i b_im) / den."""
+    inv_re, inv_im, hyperbolic = _zi_hyperbolic(b_re, b_im, den)
     return IntegerBasis(b_re, b_im, inv_re, inv_im, den, hyperbolic)
 
 
@@ -253,10 +245,14 @@ class IsotropicFlag:
         echelon rows have distinct ends, so a combination of them lies in
         F_i exactly when it uses only rows ending below i (class docstring,
         item 2).  Those rows are a basis of sub ^ F_i, and dim(sub ^ F_i) is
-        their count.
+        their count.  A line's one end is read by line_end, with no echelon,
+        and the line does not replace the subspace kept in _last.
         """
         if sub.ambient != self.q:
             raise InputError("subspace ambient dimension does not match flag")
+        if sub.dim == 1:
+            end = self.line_end(sub.zi_rows[0])
+            return (0,) * (end + 1) + (1,) * (self.q - end)
         _, ends = self.echelon(sub)
         return tuple(sum(1 for e in ends if e < i) for i in range(self.q + 1))
 
@@ -375,9 +371,9 @@ def so2_score(t: Subspace, n_abs_alpha: int) -> int:
         raise InputError("so2_score expects a subspace of C^2")
     if t.dim in (0, 2):
         return 0  # 2 dim(T ^ U) - dim T vanishes for both
-    row = t.rows[0]
-    if row[1].is_zero():
+    re, im = t.zi_rows[0]
+    if not (re[1] or im[1]):
         return n_abs_alpha       # T = U
-    if row[0].is_zero():
+    if not (re[0] or im[0]):
         return -n_abs_alpha      # T = U'
     raise InputError("so2_score: line is not a coordinate isotropic line")

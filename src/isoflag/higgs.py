@@ -58,6 +58,7 @@ from .linalg import (
     _zi_gram,
     _zi_row_times,
     isotropy_classify,
+    order_key,
     orthocomplement,
 )
 from .scalars import Scalar
@@ -148,7 +149,6 @@ class HiggsTuple:
 # witnesses
 
 
-@dataclass(frozen=True)
 class ExtensionLine:
     """The line spanned by base + sqrt(delta) * twist over Q(i)(sqrt(delta)),
     delta a non-square.  Its intersection pattern with rational subspaces is
@@ -157,12 +157,62 @@ class ExtensionLine:
     do, i.e. iff the rational hull span(base, twist) does.  Lemma: a line
     whose hull is a nondegenerate plane (every line _isotropic_line_in
     builds) lies in no isotropic F_i^j, so its jumps are above q/2, where
-    beta_i <= 0 by antisymmetry: pardeg <= 0 under any valid weight."""
+    beta_i <= 0 by antisymmetry: pardeg <= 0 under any valid weight.
 
-    ambient: int
-    base: Vector
-    twist: Vector
-    delta: Scalar
+    _isotropic_line_in builds the line from Gaussian integers
+    (from_integer), and its Scalar base, twist and delta are built when
+    first read, for output.  Immutable; equal when ambient, base, twist and
+    delta are."""
+
+    __slots__ = ("ambient", "_scalars", "_integer")
+
+    def __init__(self, ambient: int, base: Vector, twist: Vector, delta: Scalar):
+        self.ambient = ambient
+        self._scalars: tuple[Vector, Vector, Scalar] | None = (base, twist, delta)
+        self._integer: tuple[ZiRow, ZiRow, tuple[int, int], int] | None = None
+
+    @classmethod
+    def from_integer(cls, ambient: int, base: ZiRow, twist: ZiRow, delta: tuple[int, int],
+                     den: int) -> "ExtensionLine":
+        """The line with base / den^3, twist / den and delta / den^4, for
+        Gaussian-integer rows base and twist and a Gaussian integer delta."""
+        line = cls.__new__(cls)
+        line.ambient = ambient
+        line._scalars = None
+        line._integer = (base, twist, delta, den)
+        return line
+
+    def _parts(self) -> tuple[Vector, Vector, Scalar]:
+        if self._scalars is None:
+            base, twist, delta, den = self._integer
+            self._scalars = (_scalar_row(base, den ** 3), _scalar_row(twist, den),
+                             _scalar(*delta, den ** 4))
+        return self._scalars
+
+    @property
+    def base(self) -> Vector:
+        return self._parts()[0]
+
+    @property
+    def twist(self) -> Vector:
+        return self._parts()[1]
+
+    @property
+    def delta(self) -> Scalar:
+        return self._parts()[2]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExtensionLine):
+            return NotImplemented
+        return (self.ambient, self._parts()) == (other.ambient, other._parts())
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self._parts()))
+
+    def __repr__(self) -> str:
+        base, twist, delta = self._parts()
+        return (f"ExtensionLine(ambient={self.ambient}, base={base!r}, twist={twist!r}, "
+                f"delta={delta!r})")
 
     def pardeg(self, fs: FlagSystem, w: Weight) -> Fraction:
         """A line has one jump per flag: the first i with the line in F_i^j,
@@ -229,8 +279,8 @@ def _isotropic_line_in(y: Subspace, rng: random.Random) -> LineWitness | None:
     G = D^2 (Q(b_k, b_l)), which also gives the radical.  Scaling a plane's
     rows by D scales its pairings by D^2, its discriminant by D^4, its root
     by D^2 (Scalar.sqrt picks the same root of a positive multiple) and each
-    line by D^3, so every line is the one the reduced rows b_k give.  Only an
-    ExtensionLine is built as Scalars: base / D^3, twist / D, delta / D^4.
+    line by D^3, so every line is the one the reduced rows b_k give.  An
+    ExtensionLine is held as base / D^3, twist / D and delta / D^4.
     """
     rows = list(y.zi_rows)
     gram = _zi_gram(rows)
@@ -271,9 +321,7 @@ def _isotropic_line_in(y: Subspace, rng: random.Random) -> LineWitness | None:
             (bb, bt), (_, tt) = _pairings([base, x1])
             if _times(disc, tt) != (-bb[0], -bb[1]) or bt != (0, 0):
                 raise InternalConsistencyError("extension line construction failed")
-            den = y.den
-            fallback = ExtensionLine(ambient=y.ambient, base=_scalar_row(base, den ** 3),
-                                     twist=_scalar_row(x1, den), delta=_scalar(*disc, den ** 4))
+            fallback = ExtensionLine.from_integer(y.ambient, base, x1, disc, y.den)
     return fallback
 
 
@@ -460,7 +508,7 @@ def isotropic_radicals(t_sub: Subspace, t_radical: Subspace, fs: FlagSystem,
                     piece = flag.intersect_piece(t_sub, i)
                     known[piece] = piece if dim == piece.dim else None
     form = BilinearForm(fs.q)
-    members = sorted(known, key=lambda m: (m.dim, repr(m.rows)))
+    members = sorted(known, key=order_key)
     return list(dict.fromkeys(known[m] or isotropy_classify(m, form)[1] for m in members))
 
 

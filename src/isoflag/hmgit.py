@@ -12,6 +12,15 @@ The weight fixes the linearization: every Hilbert-Mumford weight below is an
 integer combination of N|alpha| (Weight.n_abs_alpha) and N pardeg of
 subspaces (flags.n_pardeg), N the lcm of the weight's denominators.
 
+Everything here runs on Gaussian integers, as the decision does.  A OnePS
+holds its eigenbasis as Z[i] rows over one denominator: a destabilizer's is
+the hyperbolic completion of W's stored rows D R over W's D
+(complete_to_hyperbolic), and one read from a file is parsed straight into
+that form.  Its filtration pieces are eliminated from those rows, and the
+degree of a piece that is a line is read off the line's one end at each
+flag (IsotropicFlag.profile); the Scalar eigenbasis is built only for
+output.
+
 Every destabilizer's weight is computed twice, by its closed form and summand
 by summand over its filtration (hm_total): a disagreement raises
 InternalConsistencyError in the destabilizer search, and consistency_check
@@ -32,8 +41,6 @@ suite enforces them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError, InternalConsistencyError
 from .flags import FlagSystem, n_pardeg, require_weight_for, so2_score
 from .higgs import (Certificate, HiggsTuple, check_inputs, decide_stability, isotropic_radicals,
@@ -42,11 +49,14 @@ from .linalg import (
     BilinearForm,
     Subspace,
     Vector,
+    _gaussian_matrix,
+    _scalar_row,
+    _zi_hyperbolic,
     complete_to_hyperbolic,
     isotropy_classify,
     meet_join,
+    order_key,
     orthocomplement,
-    standard_basis,
 )
 from .weights import Weight
 
@@ -72,27 +82,76 @@ INFINITE = _Infinite()
 # one-parameter subgroups and filtrations
 
 
-@dataclass(frozen=True)
 class OnePS:
     """so2_weight l (eigenvalues (l, -l) on (u, u')), a non-increasing
-    antisymmetric integer weight vector m, and a hyperbolic eigenbasis."""
+    antisymmetric integer weight vector m, and a hyperbolic eigenbasis.
 
-    l: int
-    m: tuple[int, ...]
-    basis: tuple[Vector, ...]
+    The eigenbasis is held as Gaussian-integer rows over one denominator,
+    basis = (basis_re + i basis_im) / den with den the lcm of the entries'
+    reduced denominators, the form _gaussian_matrix gives.  A subgroup built
+    by from_integer (a destabilizer, or one read from a file) has its Scalar
+    basis built only when basis is read, for output.  Both constructors run
+    the same checks, the hyperbolic one on the integers (B J B^T = J,
+    linalg._zi_hyperbolic), and raise InputError.  Immutable; equal when l,
+    m and the basis are.
+    """
 
-    def __post_init__(self):
-        q = len(self.m)
-        if len(self.basis) != q:
+    __slots__ = ("l", "m", "basis_re", "basis_im", "den", "_basis")
+
+    def __init__(self, l: int, m: tuple[int, ...], basis: tuple[Vector, ...]):
+        self._set(l, m, *_gaussian_matrix(list(basis)))
+        self._basis: tuple[Vector, ...] | None = tuple(basis)
+
+    @classmethod
+    def from_integer(cls, l: int, m: tuple[int, ...], basis_re: list[list[int]],
+                     basis_im: list[list[int]], den: int) -> "OnePS":
+        """The subgroup with eigenbasis (basis_re + i basis_im) / den, den the
+        lcm of the entries' reduced denominators."""
+        lam = cls.__new__(cls)
+        lam._set(l, m, basis_re, basis_im, den)
+        lam._basis = None
+        return lam
+
+    def _set(self, l, m, basis_re, basis_im, den) -> None:
+        q = len(m)
+        if len(basis_re) != q:
             raise InputError("eigenbasis size does not match weight vector")
         for i in range(q - 1):
-            if self.m[i] < self.m[i + 1]:
+            if m[i] < m[i + 1]:
                 raise InputError("weights must be non-increasing")
         for i in range(q):
-            if self.m[i] + self.m[q - 1 - i] != 0:
+            if m[i] + m[q - 1 - i] != 0:
                 raise InputError("weights must be antisymmetric")
-        if not BilinearForm(q).is_standard_gram(list(self.basis)):
+        if q < 1:
+            raise InputError("form dimension must be positive")
+        if any(len(row) != q for row in basis_re):
+            raise InputError("vector length does not match form dimension")
+        if not _zi_hyperbolic(basis_re, basis_im, den)[2]:
             raise InputError("eigenbasis is not hyperbolic")
+        self.l, self.m = l, m
+        self.basis_re, self.basis_im, self.den = basis_re, basis_im, den
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The eigenbasis as Scalar rows, built on first use for a subgroup
+        made by from_integer."""
+        if self._basis is None:
+            self._basis = tuple(_scalar_row(row, self.den)
+                                for row in zip(self.basis_re, self.basis_im))
+        return self._basis
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OnePS):
+            return NotImplemented
+        return ((self.l, self.m, self.den, self.basis_re, self.basis_im)
+                == (other.l, other.m, other.den, other.basis_re, other.basis_im))
+
+    def __hash__(self) -> int:
+        return hash((self.l, self.m, self.den, tuple(map(tuple, self.basis_re)),
+                     tuple(map(tuple, self.basis_im))))
+
+    def __repr__(self) -> str:
+        return f"OnePS(l={self.l}, m={self.m}, den={self.den})"
 
     @property
     def q(self) -> int:
@@ -100,20 +159,21 @@ class OnePS:
 
     def v_piece(self, n: int) -> Subspace:
         count = sum(1 for mi in self.m if mi >= n)
-        return Subspace.from_vectors(list(self.basis[:count]), self.q)
+        return Subspace.from_zi_rows(list(zip(self.basis_re[:count], self.basis_im[:count])),
+                                     self.q)
 
     def u_piece(self, n: int) -> Subspace:
-        vecs = []
-        e1, e2 = standard_basis(2)
+        rows = []
         if self.l >= n:
-            vecs.append(e1)
+            rows.append(([1, 0], [0, 0]))
         if -self.l >= n:
-            vecs.append(e2)
-        return Subspace.from_vectors(vecs, 2)
+            rows.append(([0, 1], [0, 0]))
+        return Subspace.from_zi_rows(rows, 2)
 
     @classmethod
     def trivial(cls, q: int) -> "OnePS":
-        return cls(0, tuple(0 for _ in range(q)), tuple(standard_basis(q)))
+        return cls.from_integer(0, (0,) * q, [[int(i == j) for j in range(q)] for i in range(q)],
+                                [[0] * q for _ in range(q)], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +325,7 @@ def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
 
     k = w_iso.dim
     m = (1,) * k + (0,) * (fs.q - 2 * k) + (-1,) * k
-    lam = OnePS(l, m, complete_to_hyperbolic(w_iso))
+    lam = OnePS.from_integer(l, m, *complete_to_hyperbolic(w_iso))
     if lam.v_piece(1) != w_iso:
         raise InternalConsistencyError("constructed filtration misses its subspace")
     return lam, -4 * (l * w.n_abs_alpha + n_pardeg(w_iso, fs, w))
@@ -290,14 +350,17 @@ def certificate_oneps(cert: Certificate, fs: FlagSystem,
 
 def _candidate_isotropics(a: HiggsTuple, fs: FlagSystem) -> list[Subspace]:
     """The nonzero radicals that isotropic_radicals harvests from the row
-    span's orthocomplement T and the T ^ F_i^j (min_dim 1), sorted.  Each
-    lies in T.  The row span needs no classifying of its own:
-    rad(span) = span ^ span^perp = rad(span^perp).  An isotropic flag piece
-    F_k^j inside T is T ^ F_k^j with 2k <= q, its own radical, so the
-    harvest already holds it."""
+    span's orthocomplement T and the T ^ F_i^j (min_dim 1), sorted by
+    order_key; none when T is 0.  Each lies in T.  T's isotropy_classify is
+    kept with T, which the bound stage classified already.  The row span
+    needs no classifying of its own: rad(span) = span ^ span^perp =
+    rad(span^perp).  An isotropic flag piece F_k^j inside T is T ^ F_k^j
+    with 2k <= q, its own radical, so the harvest already holds it."""
     t_sub = a.span_perp()
+    if t_sub.dim == 0:
+        return []
     harvest = isotropic_radicals(t_sub, isotropy_classify(t_sub, BilinearForm(a.q))[1], fs, 1)
-    return sorted(harvest, key=lambda s_: (s_.dim, repr(s_.rows)))
+    return sorted(harvest, key=order_key)
 
 
 def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem,

@@ -11,7 +11,9 @@ pair.  A flag basis goes from those pairs straight to the Gaussian-integer
 matrix B' over one denominator d that IsotropicFlag works in, and each
 row of A to one Gaussian-integer row over its own denominator
 (HiggsTuple.from_integer), with no Fraction or Scalar per entry; only the
-weight is built as Fractions from the same pairs.
+weight is built as Fractions from the same pairs.  A one-parameter
+subgroup's eigenbasis is read the same way, into the (B', d) that OnePS
+holds.
 """
 
 from __future__ import annotations
@@ -184,16 +186,23 @@ def _over(row: list[tuple[_Rational, _Rational]], den: int) -> tuple[list[int], 
     return [n * (den // d) for (n, d), _ in row], [n * (den // d) for _, (n, d) in row]
 
 
+def _integer_matrix(rows: list[list[tuple[_Rational, _Rational]]]
+                    ) -> tuple[list[list[int]], list[list[int]], int]:
+    """(B', d) with rows = B' / d: d is the lcm of the entries' reduced
+    denominators and B' = num (d / den) entrywise, what
+    linalg._gaussian_matrix gives for the same rows as Scalars."""
+    den = _lcm_den(entry for row in rows for entry in row)
+    over = [_over(row, den) for row in rows]
+    return [re for re, _ in over], [im for _, im in over], den
+
+
 def flag_from_json(obj: Any, path: str, read: _Rationals) -> IsotropicFlag:
-    """The flag read straight into its integer form B' / d: d is the lcm of
-    the entries' reduced denominators and B' = num (d / den) entrywise, what
-    linalg._gaussian_matrix gives for the same basis as Scalars."""
+    """The flag read straight into its integer form B' / d
+    (_integer_matrix)."""
     rows = read.rows(obj, path)
     if not rows or len(rows) != len(rows[0]):
         raise ParseError(path, "flag basis must be a square matrix")
-    den = _lcm_den(entry for row in rows for entry in row)
-    b_re, b_im = zip(*(_over(row, den) for row in rows))
-    return IsotropicFlag.from_integer(list(b_re), list(b_im), den)
+    return IsotropicFlag.from_integer(*_integer_matrix(rows))
 
 
 def subspace_to_json(s: Subspace) -> dict:
@@ -287,6 +296,8 @@ def oneps_to_json(lam) -> dict:
 
 
 def oneps_from_json(obj: Any, path: str = ""):
+    """The one-parameter subgroup with its eigenbasis read straight into the
+    integer form B' / d (_integer_matrix)."""
     from .hmgit import OnePS
 
     if not isinstance(obj, dict):
@@ -298,8 +309,8 @@ def oneps_from_json(obj: Any, path: str = ""):
         raise ParseError(path + "/l", "l must be an integer")
     if not isinstance(obj["m"], list) or any(type(x) is not int for x in obj["m"]):
         raise ParseError(path + "/m", "m must be an array of integers")
-    basis = matrix_from_json(obj["basis"], path + "/basis")
-    return OnePS(obj["l"], tuple(obj["m"]), basis)
+    rows = _Rationals().rows(obj["basis"], path + "/basis")
+    return OnePS.from_integer(obj["l"], tuple(obj["m"]), *_integer_matrix(rows))
 
 
 def parse_oneps_text(text: str):

@@ -11,7 +11,7 @@ Scalar vectors become Gaussian-integer rows in one place,
 Subspace.from_vectors, and a subspace's Scalar rows are built only when read.
 Membership, kernels, orthocomplements and radicals are read off the stored
 integers, and the hyperbolic completion of an isotropic subspace off its
-rows, with no further elimination.
+rows, as Gaussian integers, with no further elimination.
 """
 
 from __future__ import annotations
@@ -92,6 +92,25 @@ def _zi_row_times(a_re: list[int], a_im: list[int], b_re: list[list[int]],
             acc_re[j] += c * x - d * y
             acc_im[j] += c * y + d * x
     return acc_re, acc_im
+
+
+def _zi_hyperbolic(b_re: list[list[int]], b_im: list[list[int]],
+                  den: int) -> tuple[list[list[int]], list[list[int]], bool]:
+    """(J B'^T J, whether B' (J B'^T J) = den^2 I) for a square
+    Gaussian-integer matrix B' = b_re + i b_im: the second is whether the
+    rows of B = B' / den have Gram matrix J, since B J B^T = J is
+    B (J B^T J) = I.  J B'^T J is B'^T with its rows and columns reversed.
+    Column j of the product is column q-1-j of the symmetric
+    G = B' J B'^T, so row i is checked in the columns j <= q-1-i only."""
+    q = len(b_re)
+    inv_re = [[b_re[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
+    inv_im = [[b_im[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
+    scaled = den * den
+    hyperbolic = all(
+        _zi_row_times(x_re, x_im, inv_re, inv_im, q - i)
+        == ([scaled if j == i else 0 for j in range(q - i)], [0] * (q - i))
+        for i, (x_re, x_im) in enumerate(zip(b_re, b_im)))
+    return inv_re, inv_im, hyperbolic
 
 
 def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
@@ -277,12 +296,12 @@ class Subspace:
     the least positive integer that makes D R Gaussian-integral (rref).
 
     Equal subspaces have equal (D, D R), so == and the hash compare
-    integers.  A Subspace is immutable; its hash and its Scalar rows (read
-    by output, complete_to_hyperbolic, so2_score and sort keys) are built on
-    first use and kept.  Membership needs no elimination (see _spans).
+    integers.  A Subspace is immutable; its hash, its Scalar rows (read by
+    output and the tests) and its isotropy_classify are built on first use
+    and kept.  Membership needs no elimination (see _spans).
     """
 
-    __slots__ = ("ambient", "den", "zi_rows", "pivots", "_rows", "_hash")
+    __slots__ = ("ambient", "den", "zi_rows", "pivots", "_rows", "_hash", "_isotropy")
 
     def __init__(self, ambient: int, den: int, zi_rows: tuple[ZiRow, ...],
                  pivots: tuple[int, ...]):
@@ -292,6 +311,9 @@ class Subspace:
         self.pivots = pivots
         self._rows: tuple[Vector, ...] | None = None
         self._hash: int | None = None
+        # isotropy_classify, with None for a radical that is the subspace
+        # itself, so that an isotropic subspace holds no reference to itself
+        self._isotropy: tuple[bool, Subspace | None, int] | None = None
 
     @classmethod
     def from_vectors(cls, vectors: list[Vector], ambient: int) -> "Subspace":
@@ -371,6 +393,30 @@ class Subspace:
         return Subspace.from_vectors(mat_mul(list(self.rows), m), len(m[0]))
 
 
+def _fraction_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, with no Fraction built."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _tuple_text(items: list[str]) -> str:
+    """The repr of a tuple whose items have the reprs given."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def order_key(sub: Subspace) -> tuple[int, str]:
+    """(dim, repr(sub.rows)), the order isotropic subspaces are listed in
+    for the bound stage and the destabilizer search, written from the
+    stored (D, D R) with no Scalar or Fraction built: entry (x + i y) / D
+    is written as Scalar's repr writes it, each part as its reduced
+    fraction."""
+    d = sub.den
+    return sub.dim, _tuple_text([
+        _tuple_text([f"Scalar({_fraction_text(x, d)}, {_fraction_text(y, d)})" if y
+                     else f"Scalar({_fraction_text(x, d)})" for x, y in zip(re, im)])
+        for re, im in sub.zi_rows])
+
+
 def meet_join(u: Subspace, v: Subspace) -> tuple[Subspace, Subspace]:
     """Intersection and sum of two subspaces of the same ambient space.  The
     join is one rref of the stacked stored rows, and the meet is
@@ -430,11 +476,17 @@ def isotropy_classify(y: Subspace, form: BilinearForm) -> tuple[bool, Subspace, 
     radical is zero.  Otherwise G is symmetric, so its canonical form (rref)
     gives that kernel with no further elimination (_reduced_kernel), and the
     radical's rows aX are Gaussian-integer rows again, canonicalised by one
-    more rref.
+    more rref.  The result is kept with Y (Subspace), so T = span(A)^perp,
+    asked about by the bound stage and the destabilizer search, is
+    classified once.
     """
     if y.ambient != form.p:
         raise InputError("ambient dimension does not match form")
-    return _isotropy_from_gram(y, _zi_gram(y.zi_rows))
+    if y._isotropy is None:
+        iso, radical, rank = _isotropy_from_gram(y, _zi_gram(y.zi_rows))
+        y._isotropy = iso, None if radical is y else radical, rank
+    iso, radical, rank = y._isotropy
+    return iso, y if radical is None else radical, rank
 
 
 def _isotropy_from_gram(y: Subspace, gram: list[ZiRow]) -> tuple[bool, Subspace, int]:
@@ -562,10 +614,12 @@ def hyperbolic_basis(form: BilinearForm, seed: int) -> tuple[Vector, ...]:
 # hyperbolic completion (closed form on reduced rows)
 
 
-def complete_to_hyperbolic(w: Subspace) -> tuple[Vector, ...]:
+def complete_to_hyperbolic(w: Subspace) -> tuple[list[list[int]], list[list[int]], int]:
     """A full hyperbolic basis (Gram = J_q) whose first k vectors are the
     canonical rows of the isotropic W (k = dim W) and whose first q - k
-    vectors span W^perp, read off the rows with no elimination.
+    vectors span W^perp, read off the rows with no elimination.  It is
+    returned as (re, im, D) with basis = (re + i im) / D, D being W's: the
+    rows are W's stored D R, and D times the vectors below.
 
     Lemma.  Let W be isotropic, with reduced rows x_1..x_k and pivot columns
     c_1 < ... < c_k, so x_a[c_b] = delta_ab.
@@ -581,24 +635,29 @@ def complete_to_hyperbolic(w: Subspace) -> tuple[Vector, ...]:
         correction makes each middle vector orthogonal to every x_a, and by
         (i) the partners pair with nothing but the x_a.
     The partners are standard vectors, and k = 0 gives the standard basis.
+    Every entry is an entry of some x_a, 0 or 1, so D is also the least
+    common denominator of the basis: (re, im, D) is what
+    _gaussian_matrix gives for the same basis as Scalars.
 
     A non-isotropic W (a bug in the caller, who checks W) fails the final
-    Gram check: the top-left k x k block of J is zero.
+    Gram check, made on the integers: the top-left k x k block of J is zero.
     """
-    q = w.ambient
-    xs = list(w.rows)
-    pivots = w.pivots
-    partners = [q - 1 - c for c in pivots]
-    taken = set(pivots).union(partners)
-    std = standard_basis(q)
-    middles = []
+    q, d = w.ambient, w.den
+    partners = [q - 1 - c for c in w.pivots]
+    taken = set(w.pivots).union(partners)
+    b_re = [list(re) for re, _ in w.zi_rows]
+    b_im = [list(im) for _, im in w.zi_rows]
     for m in range(q):
         if m not in taken:
-            u = list(std[m])
-            for x, r in zip(xs, partners):
-                u[r] = -x[q - 1 - m]
-            middles.append(tuple(u))
-    basis = tuple(xs + middles + [std[r] for r in reversed(partners)])
-    if not BilinearForm(q).is_standard_gram(list(basis)):
+            re, im = [0] * q, [0] * q
+            re[m] = d
+            for (x_re, x_im), r in zip(w.zi_rows, partners):
+                re[r], im[r] = -x_re[q - 1 - m], -x_im[q - 1 - m]
+            b_re.append(re)
+            b_im.append(im)
+    for r in reversed(partners):
+        b_re.append([d if j == r else 0 for j in range(q)])
+        b_im.append([0] * q)
+    if len(b_re) != q or not _zi_hyperbolic(b_re, b_im, d)[2]:
         raise InternalConsistencyError("hyperbolic completion produced a bad Gram matrix")
-    return basis
+    return b_re, b_im, d

@@ -457,6 +457,7 @@ class TestInvalidFlags:
             flag = spoil(random_flag(q, q + 1))
             assert validate_flag(flag) == ["adapted basis Gram matrix is not the split form"]
             line = Subspace.from_vectors([random_vector(random.Random(q), q)], q)
+            # a line's profile is read by line_end, which checks the basis too
             with pytest.raises(InputError):
                 flag.profile(line)
             with pytest.raises(InputError):
@@ -531,6 +532,41 @@ class TestLineEnd:
             flag = spoil(random_flag(q, q + 1))
             with pytest.raises(InputError, match="invalid flag"):
                 flag.line_end(([1] * q, [0] * q))
+
+
+class TestLineProfile:
+    """A line's profile is read off its one end (line_end), and the
+    subspace kept in the flag's one-slot cache stays there; zi_echelon's
+    profile of the line is the reference."""
+
+    def test_matches_echelon_profile(self, monkeypatch):
+        rng = random.Random(43)
+        ends = set()
+        for q in range(3, 9):
+            for seed in range(3):
+                flag = random_flag(q, 5 * q + seed)
+                ib = flag._integer_basis()
+                lines = [Subspace.from_vectors([random_vector(rng, q)], q) for _ in range(4)]
+                # a line inside F_1 (a multiple of w_1) and one of F_q that
+                # is in no smaller piece (w_q has a nonzero coefficient)
+                for k in (1, q):
+                    coeffs = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(k - 1)]
+                    coeffs.append(rng.choice([(1, 0), (0, 1), (2, -1), (-3, 0)]))
+                    row = linalg_mod._zi_row_times([c[0] for c in coeffs], [c[1] for c in coeffs],
+                                                   ib.basis_re[:k], ib.basis_im[:k])
+                    lines.append(Subspace.from_zi_rows([row], q))
+                t_sub = Subspace.from_vectors([random_vector(rng, q) for _ in range(2)], q)
+                flag.profile(t_sub)
+                kept = flag._last
+                for line in lines:
+                    (end,) = flag.zi_echelon(list(line.zi_rows))[1]
+                    ends.add((q, end))
+                    monkeypatch.setattr(flags_mod, "_zi_eliminate", _refuse)
+                    monkeypatch.setattr(flags_mod, "_zi_row_times", _refuse)
+                    assert flag.profile(line) == tuple(int(end < i) for i in range(q + 1))
+                    monkeypatch.undo()
+                    assert flag._last is kept
+        assert {(q, e) for q in range(3, 9) for e in (0, q - 1)} <= ends
 
 
 def _refuse(*args, **kwargs):

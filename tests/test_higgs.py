@@ -39,6 +39,7 @@ from isoflag.randgen import (
     random_instance,
     random_isotropic_subspace,
     random_scalar,
+    random_vector,
     random_weight,
 )
 from isoflag.scalars import Scalar, sc
@@ -86,33 +87,90 @@ class TestCondition1:
                 assert condition1_isotropic_span(extended)[0]
 
 
-class TestConversionsLeftTheDecisionPath:
-    """No Scalar row becomes a Gaussian-integer row on the decision path: a
-    parsed instance holds each row of A as Gaussian integers already, and
-    every subspace after that is read and built on its stored integers."""
+def _parsed(q, s, seed, mode="generic"):
+    from isoflag.io import InstanceFile, parse_instance_text, serialize_instance
+    a, fs, w = random_instance(q, s, seed, mode)
+    return parse_instance_text(serialize_instance(InstanceFile(w, fs, a)))
 
-    @pytest.mark.parametrize("q,s,seed", [(8, 8, 0), (8, 8, 5), (8, 4, 0)])
-    def test_one_gaussian_row_per_row_of_a(self, monkeypatch, q, s, seed):
+
+class TestConversionsLeftTheDecisionPath:
+    """No Scalar row becomes a Gaussian-integer row (_gaussian_row), and no
+    Gaussian integer becomes a Scalar (_scalar), on the decision path or the
+    Hilbert-Mumford side: a parsed instance holds each row of A as Gaussian
+    integers already, every subspace after that is read and built on its
+    stored integers, and so are sort keys, one-parameter subgroups and
+    extension-line witnesses."""
+
+    @staticmethod
+    def _count(monkeypatch) -> dict:
         import sys
 
         from isoflag import linalg
-        from isoflag.io import InstanceFile, parse_instance_text, serialize_instance
-        a, fs, w = random_instance(q, s, seed)
-        inst = parse_instance_text(serialize_instance(InstanceFile(w, fs, a)))
-        real = linalg._gaussian_row
-        calls = []
+        calls: dict = {"_gaussian_row": [], "_scalar": []}
+        for name in calls:
+            real = getattr(linalg, name)
 
-        def counting(row):
-            calls.append(row)
-            return real(row)
+            def counting(*args, real=real, name=name):
+                calls[name].append(args)
+                return real(*args)
 
-        for name, module in list(sys.modules.items()):
-            if name == "isoflag" or name.startswith("isoflag."):
-                for attr, value in list(vars(module).items()):
-                    if value is real:
-                        monkeypatch.setattr(module, attr, counting)
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name == "isoflag" or mod_name.startswith("isoflag."):
+                    for attr, value in list(vars(module).items()):
+                        if value is real:
+                            monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    @pytest.mark.parametrize("q,s,seed", [(8, 8, 0), (8, 8, 5), (8, 4, 0)])
+    def test_one_gaussian_row_per_row_of_a(self, monkeypatch, q, s, seed):
+        # q8 s4 seed 0 harvests radicals, whose order is read off integers
+        inst = _parsed(q, s, seed)
+        calls = self._count(monkeypatch)
         decide_stability(inst.higgs, inst.flags, inst.weight)
-        assert calls == []
+        assert calls == {"_gaussian_row": [], "_scalar": []}
+
+    def test_crosscheck_pool(self, monkeypatch):
+        from isoflag.hmgit import consistency_check
+        insts = [(q, s, seed, _parsed(q, s, seed, mixed_mode(seed)))
+                 for q, s in ((3, 4), (3, 5), (4, 4), (4, 5), (4, 6)) for seed in range(10)]
+        calls = self._count(monkeypatch)
+        seen = set()
+        for q, s, seed, inst in insts:
+            out = consistency_check(inst.higgs, inst.flags, inst.weight)
+            assert out["consistent"], (q, s, seed)
+            if (q, mixed_mode(seed), out["verdict"]) == (4, "shared_flag", "Unstable"):
+                seen.add("shared_flag Unstable at q = 4")
+            if out["verdict"] == "Stable" and inst.higgs.span_perp().dim == 0:
+                seen.add("Stable with T = 0")
+        assert seen == {"shared_flag Unstable at q = 4", "Stable with T = 0"}
+        assert calls == {"_gaussian_row": [], "_scalar": []}
+
+
+class TestOrderKey:
+    """linalg.order_key writes (dim, repr(rows)) from the stored integers;
+    the harvest's order, and with it tie-breaks and the first
+    Hilbert-Mumford hit, depends on it being that order exactly."""
+
+    def test_matches_repr_order_on_harvests(self):
+        from isoflag.linalg import order_key
+        rng = random.Random(19)
+        checked = 0
+        for q in range(3, 9):
+            for seed in range(4):
+                a, fs, w = random_instance(q, rng.choice([3, 4]), seed, mixed_mode(seed))
+                t_sub = a.span_perp()
+                form = BilinearForm(q)
+                members = {t_sub} | {flag.intersect_piece(t_sub, i)
+                                     for flag in fs.flags for i in range(1, q)}
+                members |= {isotropy_classify(m, form)[1] for m in list(members)}
+                members |= {Subspace.from_vectors([random_vector(rng, q) for _ in range(k)], q)
+                            for k in range(1, q + 1)}
+                for m in members:
+                    assert order_key(m) == (m.dim, repr(m.rows))
+                assert sorted(members, key=order_key) == \
+                    sorted(members, key=lambda m: (m.dim, repr(m.rows)))
+                checked += len(members)
+        assert checked > 400
 
 
 class TestRowSpan:

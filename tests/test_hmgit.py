@@ -25,6 +25,8 @@ from isoflag.hmgit import (
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
+    _gaussian_matrix,
+    _scalar_row,
     complete_to_hyperbolic,
     isotropy_classify,
     orthocomplement,
@@ -50,6 +52,12 @@ W_BAD_Q2 = Weight.make(2, 4, [F(3, 4)] + [F(1, 8)] * 3, [(F(1, 16), F(-1, 16))] 
 
 def vec(*entries):
     return tuple(sc(x) for x in entries)
+
+
+def _completion(w):
+    """complete_to_hyperbolic's basis (re, im, D) as Scalar rows."""
+    re, im, den = complete_to_hyperbolic(w)
+    return tuple(_scalar_row(row, den) for row in zip(re, im))
 
 
 def random_oneps(q: int, seed: int, bound: int = 3) -> OnePS:
@@ -227,6 +235,59 @@ class TestFiltration:
             OnePS(0, (0, 1), tuple(standard_basis(2)))
         with pytest.raises(InputError):
             OnePS(0, (1, 0), tuple(standard_basis(2)))
+
+
+class TestIntegerOnePS:
+    """OnePS.from_integer and the Scalar constructor hold the same subgroup:
+    the integer form is the Scalar basis over its least common denominator,
+    and both run the same checks on it."""
+
+    @staticmethod
+    def _twin(lam: OnePS) -> OnePS:
+        re, im, den = _gaussian_matrix(list(lam.basis))
+        return OnePS.from_integer(lam.l, lam.m, re, im, den)
+
+    def test_same_pieces_and_weights(self):
+        rng = random.Random(31)
+        for trial in range(40):
+            q, s = rng.randint(2, 6), rng.randint(3, 5)
+            a, fs, w = random_instance(q, s, trial, mode=mixed_mode(trial))
+            lam = random_oneps(q, 200 + trial)
+            twin = self._twin(lam)
+            assert twin == lam and hash(twin) == hash(lam)
+            assert twin.basis == lam.basis
+            for n in range(-4, 5):
+                count = sum(1 for mi in lam.m if mi >= n)
+                assert twin.v_piece(n) == Subspace.from_vectors(list(lam.basis[:count]), q)
+                assert twin.v_piece(n) == lam.v_piece(n)
+                assert twin.u_piece(n) == lam.u_piece(n)
+            audits = [], []
+            assert hm_total(twin, a, fs, w, audit=audits[0]) == \
+                hm_total(lam, a, fs, w, audit=audits[1]), trial
+            assert audits[0] == audits[1]
+
+    @pytest.mark.parametrize("m,spoil,message", [
+        ((0, 1, -1, 0), False, "weights must be non-increasing"),
+        ((1, 1, 0, 0), False, "weights must be antisymmetric"),
+        ((1, 0, 0, -1), True, "eigenbasis is not hyperbolic"),
+    ])
+    def test_same_rejections(self, m, spoil, message):
+        basis = [list(row) for row in random_oneps(4, 5).basis]
+        if spoil:
+            basis[0][0] = basis[0][0] + sc(F(7, 3))
+        basis = tuple(tuple(row) for row in basis)
+        re, im, den = _gaussian_matrix(list(basis))
+        with pytest.raises(InputError) as scalar_error:
+            OnePS(1, m, basis)
+        with pytest.raises(InputError) as integer_error:
+            OnePS.from_integer(1, m, re, im, den)
+        assert str(scalar_error.value) == str(integer_error.value) == message
+
+    def test_destabilizer_basis_is_rendered_lazily(self):
+        a, fs, w = random_instance(4, 4, 9, "shared_flag")
+        lam, _ = certificate_oneps(decide_stability(a, fs, w).certificate, fs, w)
+        assert lam._basis is None
+        assert lam == OnePS(lam.l, lam.m, lam.basis)
 
 
 class TestGrassmannianWeight:
@@ -505,6 +566,39 @@ class TestBoundedSearch:
         f2 = bounded_destabilizer_search(a, fs, W_Q4)
         assert f1[1] == f2[1] and f1[0] == f2[0]
 
+    def test_zero_orthocomplement_scans_nothing(self, monkeypatch):
+        # rows spanning C^q leave T = span(A)^perp = 0: no candidate, and no
+        # echelon of zero rows against any flag
+        a, fs, w = random_instance(3, 5, 0)
+        assert a.span_perp().dim == 0
+
+        def refuse(*args):
+            raise AssertionError("echelon taken with T = 0")
+
+        monkeypatch.setattr(IsotropicFlag, "zi_echelon", refuse)
+        assert _candidate_isotropics(a, fs) == []
+        assert bounded_destabilizer_search(a, fs, w) is None
+
+    def test_orthocomplement_classified_once(self, monkeypatch):
+        # the bound stage and the candidate scan share T's isotropy_classify
+        from isoflag import linalg
+        real = linalg._isotropy_from_gram
+        classified = []
+
+        def counting(y, gram):
+            classified.append(y)
+            return real(y, gram)
+
+        monkeypatch.setattr(linalg, "_isotropy_from_gram", counting)
+        checked = 0
+        for seed in range(7):
+            a, fs, w = random_instance(4, 4, seed)
+            if consistency_check(a, fs, w)["verdict"] != "Stable" or a.span_perp().dim == 0:
+                continue
+            assert sum(1 for y in classified if y is a.span_perp()) == 1, seed
+            checked += 1
+        assert checked >= 3
+
 
 class TestConsistency:
     def test_leaves_no_cyclic_garbage(self):
@@ -578,7 +672,7 @@ def _shape_formula_oneps(kind, vprime, fs, w):
         if not iso:
             raise InputError("shape2 needs a coisotropic subspace")
         l = 0
-    basis = complete_to_hyperbolic(w_iso)
+    basis = _completion(w_iso)
     k = w_iso.dim
     m = (1,) * k + (0,) * (fs.q - 2 * k) + (-1,) * k
     degree = _profile_n_pardeg(w, vprime, fs)
@@ -620,7 +714,7 @@ def _package_chain(l, weighted_chain, q):
     ordered = sorted(weighted_chain, key=lambda t: -t[0])
     pieces = [p for _, p in ordered]
     thresholds = [t for t, _ in ordered]
-    basis = complete_to_hyperbolic(pieces[-1] if pieces else Subspace.zero(q))
+    basis = _completion(pieces[-1] if pieces else Subspace.zero(q))
     k = pieces[-1].dim if pieces else 0
     m = [0] * q
     dims = [p.dim for p in pieces]
@@ -711,8 +805,10 @@ class TestChainReferences:
                                  ("shape1", Subspace.zero(q)), ("shape2", Subspace.full(q))):
                 lam, predicted = destabilizing_oneps(kind, vprime, fs, w)
                 ref, ref_predicted = _shape_formula_oneps(kind, vprime, fs, w)
-                assert (lam.l, lam.m, lam.basis, predicted) == \
-                    (ref.l, ref.m, ref.basis, ref_predicted), (trial, kind)
+                # the search builds its subgroup from integers, the
+                # reference from Scalars
+                assert (lam, lam.basis, predicted) == \
+                    (ref, ref.basis, ref_predicted), (trial, kind)
                 done[kind] += 1
         assert done == {"shape1": 120, "shape2": 120}
 

@@ -20,6 +20,7 @@ from isoflag.errors import InternalConsistencyError
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
+    _scalar_row,
     complete_to_hyperbolic,
     eichler_rows,
     hyperbolic_basis,
@@ -33,6 +34,12 @@ from isoflag.linalg import (
     vscale,
 )
 from isoflag.scalars import HALF, ONE, ZERO, sc
+
+
+def _completion(w):
+    """complete_to_hyperbolic's basis (re, im, D) as Scalar rows."""
+    re, im, den = complete_to_hyperbolic(w)
+    return tuple(_scalar_row(row, den) for row in zip(re, im))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +163,7 @@ def test_completion_matches_matrix_product(q, chain):
     w = chain[-1]
     k = w.dim
     assert isotropy_classify(w, form)[0]
-    basis = list(complete_to_hyperbolic(w))
+    basis = list(_completion(w))
     std = standard_basis(q)
     assert mat_mul(basis, [tuple(b[q - 1 - j] for b in basis) for j in range(q)]) == std[::-1]
     assert basis[:k] == list(w.rows)

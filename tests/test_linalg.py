@@ -28,6 +28,12 @@ from isoflag.randgen import random_isotropic_subspace, random_scalar, random_vec
 from isoflag.scalars import I, ONE, Scalar, ZERO, sc
 
 
+def _completion(w):
+    """complete_to_hyperbolic's basis (re, im, D) as Scalar rows."""
+    re, im, den = complete_to_hyperbolic(w)
+    return tuple(_scalar_row(row, den) for row in zip(re, im))
+
+
 def vec(*entries):
     return tuple(x if isinstance(x, Scalar) else sc(x) for x in entries)
 
@@ -756,7 +762,7 @@ class TestCompletion:
             big = random_isotropic_subspace(q, k2, trial + 1000)
             k1 = rng.randint(0, k2)
             small = Subspace.from_vectors(list(big.rows[:k1]), q)
-            basis = complete_to_hyperbolic(big)
+            basis = _completion(big)
             assert form.is_standard_gram(list(basis))
             assert Subspace.from_vectors(list(basis[:k2]), q) == big
             assert Subspace.from_vectors(list(basis[:k1]), q) == small
@@ -776,7 +782,7 @@ class TestCompletion:
     def test_empty_chain_gives_standard_basis(self):
         # k = 0: the zero subspace has no rows to complete
         for p in range(1, 7):
-            assert complete_to_hyperbolic(Subspace.zero(p)) == tuple(standard_basis(p))
+            assert _completion(Subspace.zero(p)) == tuple(standard_basis(p))
 
 
 class TestIsometries:

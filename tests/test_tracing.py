@@ -12,7 +12,8 @@ import isoflag.cli  # noqa: F401  (the tracer patches every isoflag module)
 from isoflag import linalg
 from isoflag.higgs import decide_stability
 from isoflag.hmgit import consistency_check
-from isoflag.io import InstanceFile, parse_instance_text, serialize_instance
+from isoflag.io import (InstanceFile, parse_instance_text, serialize_instance, subspace_from_json,
+                        subspace_to_json)
 from isoflag.randgen import random_instance
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -29,8 +30,8 @@ def test_elimination_layers_fire_and_uninstall_restores():
     tracing = _tracing()
     a, fs, w = random_instance(5, 5, 0)
     inst = parse_instance_text(serialize_instance(InstanceFile(w, fs, a)))
-    # an Unstable instance, whose one-parameter subgroup is built from
-    # Scalar vectors on the Hilbert-Mumford side
+    # an Unstable instance, whose one-parameter subgroup is built on the
+    # Gaussian integers of its certificate on the Hilbert-Mumford side
     a, fs, w = random_instance(4, 4, 9, "shared_flag")
     unstable = parse_instance_text(serialize_instance(InstanceFile(w, fs, a)))
     before = (linalg.rref, linalg.Subspace.__dict__["from_vectors"])
@@ -41,10 +42,13 @@ def test_elimination_layers_fire_and_uninstall_restores():
         decide_stability(inst.higgs, inst.flags, inst.weight)
         decided = tracer.fired()
         consistency_check(unstable.higgs, unstable.flags, unstable.weight)
+        checked = tracer.fired()
+        # a subspace read from JSON is built from Scalar vectors
+        subspace_from_json(subspace_to_json(unstable.higgs.span()), "/span")
     finally:
         tracer.uninstall()
-    # a parsed instance's rows reach rref as Gaussian integers, so the
-    # decision builds no subspace from Scalar vectors
-    assert "linalg.rref" in decided and "linalg.Subspace.from_vectors" not in decided
+    # a parsed instance's rows reach rref as Gaussian integers, so neither
+    # the decision nor the crosscheck builds a subspace from Scalar vectors
+    assert "linalg.rref" in decided and "linalg.Subspace.from_vectors" not in checked
     assert {"linalg.rref", "linalg.Subspace.from_vectors"} <= tracer.fired()
     assert (linalg.rref, linalg.Subspace.__dict__["from_vectors"]) == before
