@@ -36,6 +36,7 @@ from .linalg import (
     _zi_eliminate,
     _zi_gram,
     _zi_hyperbolic,
+    _zi_reversed_transpose,
     _zi_row_times,
     hyperbolic_basis,
     mat_mul,
@@ -52,16 +53,16 @@ class IntegerBasis(NamedTuple):
 
     basis_re: list[list[int]]
     basis_im: list[list[int]]
-    inv_re: list[list[int]]
-    inv_im: list[list[int]]
+    inv_re: list[tuple[int, ...]]
+    inv_im: list[tuple[int, ...]]
     den: int
     hyperbolic: bool
 
 
 def _integer_form(b_re: list[list[int]], b_im: list[list[int]], den: int) -> IntegerBasis:
     """The IntegerBasis of the basis (b_re + i b_im) / den."""
-    inv_re, inv_im, hyperbolic = _zi_hyperbolic(b_re, b_im, den)
-    return IntegerBasis(b_re, b_im, inv_re, inv_im, den, hyperbolic)
+    return IntegerBasis(b_re, b_im, _zi_reversed_transpose(b_re), _zi_reversed_transpose(b_im),
+                        den, _zi_hyperbolic(b_re, b_im, den))
 
 
 class IsotropicFlag:

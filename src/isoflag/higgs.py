@@ -397,6 +397,11 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
        and the spine, the path of children that keep all of T, takes its
        children from it.  The cache then still holds T for the harvest of
        max_pardeg_isotropic_in, which reads the same echelon.
+    9. When T is a line the search has one leaf, T itself, so nothing is
+       pruned and the bound of item 6 is not built: no echelon of T is
+       taken, the walk reads T's ends with line_end (item 5), and a
+       non-isotropic T returns at once (item 7).  With nu <= 1 no harvest
+       reads T's echelon.
     """
     require_weight_for(fs, w)
     if t_sub.ambient != fs.q:
@@ -406,7 +411,7 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     n_beta = w.n_beta
     t_rows = list(t_sub.zi_rows)
     suffix_bound = [0] * (s + 1)  # item 6
-    if t_rows:
+    if len(t_rows) > 1:  # item 9
         for j in range(s - 1, -1, -1):
             lowest = fs.flags[j].echelon(t_sub)[1][-1]
             suffix_bound[j] = suffix_bound[j + 1] + n_beta[j][lowest]

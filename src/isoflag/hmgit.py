@@ -96,7 +96,7 @@ class OnePS:
     m and the basis are.
     """
 
-    __slots__ = ("l", "m", "basis_re", "basis_im", "den", "_basis")
+    __slots__ = ("l", "m", "basis_re", "basis_im", "den", "_basis", "_v_pieces")
 
     def __init__(self, l: int, m: tuple[int, ...], basis: tuple[Vector, ...]):
         self._set(l, m, *_gaussian_matrix(list(basis)))
@@ -126,10 +126,12 @@ class OnePS:
             raise InputError("form dimension must be positive")
         if any(len(row) != q for row in basis_re):
             raise InputError("vector length does not match form dimension")
-        if not _zi_hyperbolic(basis_re, basis_im, den)[2]:
+        if not _zi_hyperbolic(basis_re, basis_im, den):
             raise InputError("eigenbasis is not hyperbolic")
         self.l, self.m = l, m
         self.basis_re, self.basis_im, self.den = basis_re, basis_im, den
+        # v_piece by its number of basis rows
+        self._v_pieces: dict[int, Subspace] = {}
 
     @property
     def basis(self) -> tuple[Vector, ...]:
@@ -158,9 +160,15 @@ class OnePS:
         return len(self.m)
 
     def v_piece(self, n: int) -> Subspace:
+        """The span of the eigenbasis rows with weight m_i >= n, built once
+        per number of such rows: the Hilbert-Mumford weights ask for the
+        same pieces several times."""
         count = sum(1 for mi in self.m if mi >= n)
-        return Subspace.from_zi_rows(list(zip(self.basis_re[:count], self.basis_im[:count])),
-                                     self.q)
+        piece = self._v_pieces.get(count)
+        if piece is None:
+            piece = self._v_pieces[count] = Subspace.from_zi_rows(
+                list(zip(self.basis_re[:count], self.basis_im[:count])), self.q)
+        return piece
 
     def u_piece(self, n: int) -> Subspace:
         rows = []

@@ -5,15 +5,18 @@ floats never appear.  Parsing is strict and keeps a JSON-pointer-style path
 for error messages.  serialize(parse(x)) is idempotent: it reproduces the
 canonical rendering (reduced fractions, canonical subspace bases).
 
-An instance file is read with one rational reader (_Rationals), which
-parses each distinct string once into a reduced (numerator, denominator)
-pair.  A flag basis goes from those pairs straight to the Gaussian-integer
-matrix B' over one denominator d that IsotropicFlag works in, and each
-row of A to one Gaussian-integer row over its own denominator
-(HiggsTuple.from_integer), with no Fraction or Scalar per entry; only the
-weight is built as Fractions from the same pairs.  A one-parameter
-subgroup's eigenbasis is read the same way, into the (B', d) that OnePS
-holds.
+An instance file is read through one table of its rational strings
+(_Rationals), which parses each distinct string once into a reduced
+(numerator, denominator) pair.  Each matrix is read in a few passes, each a
+loop in C over its rows or entries, with no path string built, and then put
+over one denominator: a flag basis becomes the Gaussian-integer matrix B'
+over one d that IsotropicFlag works in, and each row of A one
+Gaussian-integer row over its own denominator (HiggsTuple.from_integer),
+with no Fraction or Scalar per entry.  Only the weight is built as
+Fractions, one per distinct string.  A one-parameter subgroup's eigenbasis
+is read the same way, into the (B', d) that OnePS holds.  Paths are built
+only on failure: a matrix or a weight with any fault is read again entry by
+entry, and that walk raises the ParseError of the first fault.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
+from operator import floordiv, itemgetter, mul
 from typing import Any
 
 from .errors import ParseError
@@ -38,60 +43,99 @@ from .weights import Weight
 
 # (numerator, denominator), reduced, denominator positive
 _Rational = tuple[int, int]
+# a matrix read as (rows, cols, rationals): the rationals are the re part of
+# each entry in row order, then the im part of each
+_Matrix = tuple[int, int, list[_Rational]]
+
+_RE, _IM = itemgetter("re"), itemgetter("im")
 
 
 def _pair_scalar(re: _Rational, im: _Rational) -> Scalar:
     return Scalar(Fraction(*re), Fraction(*im))
 
 
-class _Rationals:
-    """The rational strings of one file, read by parse_rational with each
-    distinct string parsed once: the strings of a flag basis repeat (over
-    half of them are "0")."""
+class _Rationals(dict):
+    """The rational strings of one file, as a table from each string to its
+    reduced (numerator, denominator).  An unseen string is parsed by
+    parse_rational in __missing__, so each distinct string is parsed once
+    and every later read is a plain lookup: the strings of a flag basis
+    repeat (over half of them are "0").
 
-    __slots__ = ("_seen",)
+    rows reads a matrix with no path string built.  On any fault it reads
+    it again with _checked_rows, which raises the ParseError of the first
+    fault, at its path, in the order the faults have always been reported
+    (or the ValueError int() raises past its digit limit, where the walk
+    reaches it)."""
 
-    def __init__(self):
-        self._seen: dict[str, _Rational] = {}
+    __slots__ = ()
 
-    def __call__(self, text: Any, path: str) -> _Rational:
-        pair = self._seen.get(text) if type(text) is str else None
+    def __missing__(self, text: Any) -> _Rational:
+        self[text] = pair = parse_rational(text)
+        return pair
+
+    def rational(self, text: Any, path: str) -> _Rational:
+        """One rational string, or parse_rational's ParseError at path."""
+        pair = self.get(text) if type(text) is str else None
         if pair is None:
-            pair = self._seen[text] = parse_rational(text, path)
+            pair = self[text] = parse_rational(text, path)
         return pair
 
     def entry(self, obj: Any, path: str) -> tuple[_Rational, _Rational]:
         """The (re, im) rationals of one {"re", "im"} object."""
         if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
             raise ParseError(path, "expected an object with 're' and 'im'")
-        return self(obj["re"], path + "/re"), self(obj["im"], path + "/im")
+        return self.rational(obj["re"], path + "/re"), self.rational(obj["im"], path + "/im")
 
-    def rows(self, obj: Any, path: str) -> list[list[tuple[_Rational, _Rational]]]:
-        """The entries of an array of rows, each row an array of
-        {"re", "im"} objects, checked to be a matrix after every entry is
-        read.  An entry whose two strings were both read before costs two
-        lookups; any other goes through entry."""
+    def rows(self, obj: Any, path: str) -> _Matrix:
+        """An array of rows of one length, each row an array of {"re", "im"}
+        objects.  Each pass is a loop in C over the rows or the entries:
+        the rows are lists of one length, the entries dicts of two keys,
+        itemgetter raises on a missing key, and the table raises on a bad
+        or non-string rational.  Any fault, or an empty matrix, sends the
+        matrix to _checked_rows."""
+        try:
+            if type(obj) is list and obj:
+                cols = len(obj[0])
+                if set(map(len, obj)) == {cols} and set(map(type, obj)) == {list}:
+                    entries = list(chain.from_iterable(obj))
+                    if set(map(type, entries)) == {dict} and set(map(len, entries)) == {2}:
+                        texts = [*map(_RE, entries), *map(_IM, entries)]
+                        return len(obj), cols, list(map(self.__getitem__, texts))
+        except (TypeError, KeyError, ValueError, ParseError):
+            pass
+        return self._checked_rows(obj, path)
+
+    def _checked_rows(self, obj: Any, path: str) -> _Matrix:
+        """rows, read entry by entry with the path of each: the first fault
+        raises, and the matrix is checked not to be ragged only after every
+        entry is read."""
         if not isinstance(obj, list):
             raise ParseError(path, "expected an array of rows")
-        seen = self._seen
-        rows = []
+        res, ims = [], []
         for i, row in enumerate(obj):
             if not isinstance(row, list):
                 raise ParseError(f"{path}/{i}", "expected an array")
-            entries = []
             for k, x in enumerate(row):
-                if isinstance(x, dict) and len(x) == 2:
-                    re, im = x.get("re"), x.get("im")
-                    if type(re) is str and type(im) is str:
-                        re, im = seen.get(re), seen.get(im)
-                        if re is not None and im is not None:
-                            entries.append((re, im))
-                            continue
-                entries.append(self.entry(x, f"{path}/{i}/{k}"))
-            rows.append(entries)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+                re, im = self.entry(x, f"{path}/{i}/{k}")
+                res.append(re)
+                ims.append(im)
+        if obj and any(len(row) != len(obj[0]) for row in obj):
             raise ParseError(path, "ragged matrix")
-        return rows
+        return len(obj), len(obj[0]) if obj else 0, res + ims
+
+
+def _integer(rows: int, cols: int, pairs: list[_Rational]
+             ) -> tuple[list[list[int]], list[list[int]], int]:
+    """(B', d) with the matrix = B' / d: d is the lcm of the entries'
+    reduced denominators and B' = num (d / den) entrywise, what
+    linalg._gaussian_matrix gives for the same rows as Scalars."""
+    if not pairs:
+        return [[] for _ in range(rows)], [[] for _ in range(rows)], 1
+    nums, dens = zip(*pairs)
+    den = lcm(*set(dens))
+    ints = list(map(mul, nums, map(floordiv, repeat(den), dens)))
+    return ([ints[i * cols:(i + 1) * cols] for i in range(rows)],
+            [ints[(rows + i) * cols:(rows + i + 1) * cols] for i in range(rows)], den)
 
 
 def scalar_to_json(x: Scalar) -> dict:
@@ -117,8 +161,11 @@ def matrix_to_json(rows) -> list:
 
 
 def matrix_from_json(obj: Any, path: str) -> tuple[Vector, ...]:
-    return tuple(tuple(_pair_scalar(re, im) for re, im in row)
-                 for row in _Rationals().rows(obj, path))
+    rows, cols, pairs = _Rationals().rows(obj, path)
+    return tuple(tuple(_pair_scalar(re, im) for re, im in
+                       zip(pairs[i * cols:(i + 1) * cols],
+                           pairs[(rows + i) * cols:(rows + i + 1) * cols]))
+                 for i in range(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +182,11 @@ def weight_to_json(w: Weight) -> dict:
 
 
 def weight_from_json(obj: Any, path: str = "/weight", read: _Rationals | None = None) -> Weight:
+    """The weight, with each distinct rational string made a Fraction once.
+    The entries are read with no path string first; when any of them is
+    not a parsed rational string, or a row of beta is not an array of q,
+    they are read again one by one with their paths, and the first fault
+    raises."""
     if not isinstance(obj, dict):
         raise ParseError(path, "expected an object")
     for key in ("q", "s", "alpha", "beta"):
@@ -156,13 +208,23 @@ def weight_from_json(obj: Any, path: str = "/weight", read: _Rationals | None = 
         raise ParseError(path + "/alpha", f"expected {s} entries")
     if not isinstance(beta, list) or len(beta) != s:
         raise ParseError(path + "/beta", f"expected {s} rows")
-    read = read or _Rationals()
-    alphas = tuple(Fraction(*read(a, f"{path}/alpha/{j}")) for j, a in enumerate(alpha))
+    if read is None:
+        read = _Rationals()
+    fractions = None
+    try:
+        if set(map(type, beta)) == {list} and set(map(len, beta)) == {q}:
+            fractions = {text: Fraction(*read[text]) for text in set(alpha).union(*beta)}
+    except (TypeError, ValueError, ParseError):
+        pass
+    if fractions is not None:
+        get = fractions.__getitem__
+        return Weight(q, s, tuple(map(get, alpha)), tuple(tuple(map(get, row)) for row in beta))
+    alphas = tuple(Fraction(*read.rational(a, f"{path}/alpha/{j}")) for j, a in enumerate(alpha))
     betas = []
     for j, row in enumerate(beta):
         if not isinstance(row, list) or len(row) != q:
             raise ParseError(f"{path}/beta/{j}", f"expected {q} entries")
-        betas.append(tuple(Fraction(*read(b, f"{path}/beta/{j}/{i}"))
+        betas.append(tuple(Fraction(*read.rational(b, f"{path}/beta/{j}/{i}"))
                            for i, b in enumerate(row)))
     return Weight(q, s, alphas, tuple(betas))
 
@@ -175,34 +237,12 @@ def flag_to_json(f: IsotropicFlag) -> list:
     return matrix_to_json(f.basis)
 
 
-def _lcm_den(entries) -> int:
-    """The lcm of the reduced denominators of (re, im) entries."""
-    return lcm(*{d for re, im in entries for d in (re[1], im[1])})
-
-
-def _over(row: list[tuple[_Rational, _Rational]], den: int) -> tuple[list[int], list[int]]:
-    """(re, im) with row = (re + i im) / den, den a multiple of every
-    denominator in the row."""
-    return [n * (den // d) for (n, d), _ in row], [n * (den // d) for _, (n, d) in row]
-
-
-def _integer_matrix(rows: list[list[tuple[_Rational, _Rational]]]
-                    ) -> tuple[list[list[int]], list[list[int]], int]:
-    """(B', d) with rows = B' / d: d is the lcm of the entries' reduced
-    denominators and B' = num (d / den) entrywise, what
-    linalg._gaussian_matrix gives for the same rows as Scalars."""
-    den = _lcm_den(entry for row in rows for entry in row)
-    over = [_over(row, den) for row in rows]
-    return [re for re, _ in over], [im for _, im in over], den
-
-
 def flag_from_json(obj: Any, path: str, read: _Rationals) -> IsotropicFlag:
-    """The flag read straight into its integer form B' / d
-    (_integer_matrix)."""
-    rows = read.rows(obj, path)
-    if not rows or len(rows) != len(rows[0]):
+    """The flag read straight into its integer form B' / d (_integer)."""
+    rows, cols, pairs = read.rows(obj, path)
+    if not rows or rows != cols:
         raise ParseError(path, "flag basis must be a square matrix")
-    return IsotropicFlag.from_integer(*_integer_matrix(rows))
+    return IsotropicFlag.from_integer(*_integer(rows, cols, pairs))
 
 
 def subspace_to_json(s: Subspace) -> dict:
@@ -255,16 +295,17 @@ def instance_from_json(obj: Any, path: str = "") -> InstanceFile:
     ))
     if flags.q != weight.q:
         raise ParseError(path + "/flags", "flag dimension does not match weight q")
-    rows = read.rows(obj["A"], path + "/A")
-    if len(rows) != weight.s - 2:
+    rows, cols, pairs = read.rows(obj["A"], path + "/A")
+    if rows != weight.s - 2:
         raise ParseError(path + "/A", f"expected {weight.s - 2} rows")
-    if rows and len(rows[0]) != weight.q:
+    if rows and cols != weight.q:
         raise ParseError(path + "/A", f"rows must have length {weight.q}")
     # each row over its own denominator, what linalg._gaussian_row gives
     integer_rows = []
-    for row in rows:
-        den = _lcm_den(row)
-        integer_rows.append((*_over(row, den), den))
+    for i in range(rows):
+        (re,), (im,), den = _integer(1, cols, pairs[i * cols:(i + 1) * cols]
+                                     + pairs[(rows + i) * cols:(rows + i + 1) * cols])
+        integer_rows.append((re, im, den))
     higgs = HiggsTuple.from_integer(weight.q, weight.s, integer_rows)
     seed = obj.get("seed")
     if seed is not None and type(seed) is not int:
@@ -297,7 +338,7 @@ def oneps_to_json(lam) -> dict:
 
 def oneps_from_json(obj: Any, path: str = ""):
     """The one-parameter subgroup with its eigenbasis read straight into the
-    integer form B' / d (_integer_matrix)."""
+    integer form B' / d (_integer)."""
     from .hmgit import OnePS
 
     if not isinstance(obj, dict):
@@ -309,8 +350,8 @@ def oneps_from_json(obj: Any, path: str = ""):
         raise ParseError(path + "/l", "l must be an integer")
     if not isinstance(obj["m"], list) or any(type(x) is not int for x in obj["m"]):
         raise ParseError(path + "/m", "m must be an array of integers")
-    rows = _Rationals().rows(obj["basis"], path + "/basis")
-    return OnePS.from_integer(obj["l"], tuple(obj["m"]), *_integer_matrix(rows))
+    basis = _integer(*_Rationals().rows(obj["basis"], path + "/basis"))
+    return OnePS.from_integer(obj["l"], tuple(obj["m"]), *basis)
 
 
 def parse_oneps_text(text: str):

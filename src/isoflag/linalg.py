@@ -94,23 +94,51 @@ def _zi_row_times(a_re: list[int], a_im: list[int], b_re: list[list[int]],
     return acc_re, acc_im
 
 
-def _zi_hyperbolic(b_re: list[list[int]], b_im: list[list[int]],
-                  den: int) -> tuple[list[list[int]], list[list[int]], bool]:
-    """(J B'^T J, whether B' (J B'^T J) = den^2 I) for a square
-    Gaussian-integer matrix B' = b_re + i b_im: the second is whether the
-    rows of B = B' / den have Gram matrix J, since B J B^T = J is
-    B (J B^T J) = I.  J B'^T J is B'^T with its rows and columns reversed.
-    Column j of the product is column q-1-j of the symmetric
-    G = B' J B'^T, so row i is checked in the columns j <= q-1-i only."""
+def _zi_reversed_transpose(b: list[list[int]]) -> list[tuple[int, ...]]:
+    """J B^T J for a square integer matrix B: B^T with its rows and columns
+    reversed, so that entry (i, j) is B[q-1-j][q-1-i]."""
+    return [col[::-1] for col in zip(*b)][::-1]
+
+
+def _zi_hyperbolic(b_re: list[list[int]], b_im: list[list[int]], den: int) -> bool:
+    """Whether the rows of B = B' / den have Gram matrix J, for a square
+    Gaussian-integer matrix B' = b_re + i b_im: whether B' J B'^T = den^2 J
+    (the same as B (J B^T J) = I, which makes J B'^T J / den the inverse).
+
+    Entry (i, m) of B' J B'^T is the sum over k of b'_ik b'_m(q-1-k).  The
+    matrix is symmetric, so row i is checked at m >= i only, and each sum
+    runs over the nonzero entries only (a generated q = 8 flag basis is
+    over half 0): a nonzero b'_ik meets the nonzero entries of column
+    q-1-k, held from the bottom row up so that the rows m >= i come
+    first."""
     q = len(b_re)
-    inv_re = [[b_re[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
-    inv_im = [[b_im[q - 1 - j][q - 1 - i] for j in range(q)] for i in range(q)]
+    # rows[m]: the nonzero (k, re, im) of row m; partners[k]: the nonzero
+    # (m, re, im) of column q-1-k, m decreasing
+    rows: list[list[tuple[int, int, int]]] = []
+    partners: list[list[tuple[int, int, int]]] = [[] for _ in range(q)]
+    for m in range(q - 1, -1, -1):
+        row = []
+        for k, x, y in zip(range(q), b_re[m], b_im[m]):
+            if x or y:
+                row.append((k, x, y))
+                partners[q - 1 - k].append((m, x, y))
+        rows.append(row)
+    rows.reverse()
     scaled = den * den
-    hyperbolic = all(
-        _zi_row_times(x_re, x_im, inv_re, inv_im, q - i)
-        == ([scaled if j == i else 0 for j in range(q - i)], [0] * (q - i))
-        for i, (x_re, x_im) in enumerate(zip(b_re, b_im)))
-    return inv_re, inv_im, hyperbolic
+    for i, row in enumerate(rows):
+        acc_re = [0] * q
+        acc_im = [0] * q
+        for k, a, b in row:
+            for m, x, y in partners[k]:
+                if m < i:
+                    break
+                acc_re[m] += a * x - b * y
+                acc_im[m] += a * y + b * x
+        if 2 * i < q:
+            acc_re[q - 1 - i] -= scaled
+        if any(acc_re) or any(acc_im):
+            return False
+    return True
 
 
 def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
@@ -658,6 +686,6 @@ def complete_to_hyperbolic(w: Subspace) -> tuple[list[list[int]], list[list[int]
     for r in reversed(partners):
         b_re.append([d if j == r else 0 for j in range(q)])
         b_im.append([0] * q)
-    if len(b_re) != q or not _zi_hyperbolic(b_re, b_im, d)[2]:
+    if len(b_re) != q or not _zi_hyperbolic(b_re, b_im, d):
         raise InternalConsistencyError("hyperbolic completion produced a bad Gram matrix")
     return b_re, b_im, d

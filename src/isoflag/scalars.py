@@ -131,13 +131,37 @@ def sc(re=0, im=0) -> Scalar:
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+# every character _RATIONAL can match
+_RATIONAL_CHARS = "0123456789+-/"
 
 
 def parse_rational(text: str, path: str = "") -> tuple[int, int]:
     """Parse a rational written as 'p/q' or 'p': ASCII decimal digits with an
     optional sign on each side, and nothing else (no spaces, no '_', no
     other digit scripts).  Returns it reduced, as (numerator, denominator)
-    with a positive denominator."""
+    with a positive denominator.
+
+    The grammar is _RATIONAL.  A string of its characters only is first
+    read by int() on each side of one '/': on such strings int() accepts
+    exactly an optionally signed run of digits (whitespace, '_' and other
+    digit scripts, the other things it allows, are not among the
+    characters), so a string it
+    reads is one _RATIONAL matches, with the same value.  Everything else,
+    a negative or zero denominator included, goes through the regular
+    expression, which gives every error."""
+    if type(text) is str and not text.strip(_RATIONAL_CHARS):
+        num, slash, den = text.partition("/")
+        try:
+            n = int(num)
+            if not slash:
+                return n, 1
+            d = int(den)
+        except ValueError:
+            pass
+        else:
+            if d > 0:
+                g = gcd(n, d)
+                return (n, d) if g == 1 else (n // g, d // g)
     if not isinstance(text, str):
         raise ParseError(path, f"expected a rational string, got {type(text).__name__}")
     match = _RATIONAL.fullmatch(text)

@@ -263,6 +263,30 @@ class TestLineOracle:
         res = line_oracle(t_sub, fs, W_Q2)
         assert res.value is None and res.witness is None
 
+    def test_line_takes_no_echelon(self, monkeypatch):
+        """T a line: its one leaf is T itself, so no echelon of T is taken
+        for the bound; an isotropic line is walked with line_end and scored
+        as pardeg_subspace scores it, a non-isotropic one is never walked."""
+        rng = random.Random(25)
+
+        def refuse(*args):
+            raise AssertionError("an echelon of a line T was taken")
+
+        for trial in range(30):
+            q, s = rng.randint(2, 6), rng.randint(3, 5)
+            fs = random_flag_system(q, s, trial)
+            w = random_weight(q, s, trial + 1)
+            line = random_isotropic_subspace(q, 1, trial) if trial % 2 else \
+                Subspace.from_vectors([random_vector(rng, q)], q)
+            isotropic = isotropy_classify(line, BilinearForm(q))[0]
+            monkeypatch.setattr(IsotropicFlag, "zi_echelon", refuse)
+            res = line_oracle(line, fs, w)
+            monkeypatch.undo()
+            if isotropic:
+                assert res.value == pardeg_subspace(line, fs, w) and res.witness == line
+            else:
+                assert res.value is None and res.witness is None
+
     def test_extension_witness(self):
         # T = span(e1 + e3, e2) in q = 3: the restricted form is
         # diag(2, 1), whose isotropic lines need sqrt(-2); both have the same

@@ -260,6 +260,8 @@ class TestIntegerOnePS:
                 count = sum(1 for mi in lam.m if mi >= n)
                 assert twin.v_piece(n) == Subspace.from_vectors(list(lam.basis[:count]), q)
                 assert twin.v_piece(n) == lam.v_piece(n)
+                # kept per number of rows: the same object on every read
+                assert twin.v_piece(n) is twin.v_piece(n)
                 assert twin.u_piece(n) == lam.u_piece(n)
             audits = [], []
             assert hm_total(twin, a, fs, w, audit=audits[0]) == \

@@ -8,9 +8,12 @@ from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
+    _gaussian_matrix,
     _gaussian_row,
     _reduced_kernel,
     _scalar_row,
+    _zi_hyperbolic,
+    _zi_reversed_transpose,
     complete_to_hyperbolic,
     hyperbolic_basis,
     isotropy_classify,
@@ -744,6 +747,48 @@ class TestHyperbolicBasis:
         assert form.pair(w1, w1).is_zero()
         assert form.pair(w2, w2).is_zero()
         assert form.pair(w1, w2) == ONE
+
+
+class TestIntegerHyperbolicCheck:
+    """_zi_hyperbolic sums each Gram entry over nonzero entries only; it
+    must agree with the dense product B' (J B'^T J) = den^2 I."""
+
+    @staticmethod
+    def _dense(b_re, b_im, den):
+        q = len(b_re)
+        inv_re, inv_im = _zi_reversed_transpose(b_re), _zi_reversed_transpose(b_im)
+        for i in range(q):
+            for j in range(q):
+                re = sum(b_re[i][k] * inv_re[k][j] - b_im[i][k] * inv_im[k][j] for k in range(q))
+                im = sum(b_re[i][k] * inv_im[k][j] + b_im[i][k] * inv_re[k][j] for k in range(q))
+                if (re, im) != ((den * den if i == j else 0), 0):
+                    return False
+        return True
+
+    def test_reversed_transpose(self):
+        b = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        assert _zi_reversed_transpose(b) == [(9, 6, 3), (8, 5, 2), (7, 4, 1)]
+
+    def test_matches_dense_product(self):
+        rng = random.Random(26)
+        valid = 0
+        for trial in range(400):
+            q = trial % 8 + 1
+            b_re, b_im, den = _gaussian_matrix(list(hyperbolic_basis(BilinearForm(q), trial)))
+            b_re, b_im = [list(r) for r in b_re], [list(r) for r in b_im]
+            kind = trial % 5
+            i, k = rng.randrange(q), rng.randrange(q)
+            if kind == 1:
+                b_re[i][k] += rng.choice([-1, 1])
+            elif kind == 2:
+                b_im[i][k] += rng.choice([-2, 1])
+            elif kind == 3:
+                b_re[i], b_im[i] = [0] * q, [0] * q
+            elif kind == 4:
+                den *= 2
+            assert _zi_hyperbolic(b_re, b_im, den) == self._dense(b_re, b_im, den), trial
+            valid += _zi_hyperbolic(b_re, b_im, den)
+        assert 80 <= valid < 400
 
 
 class TestCompletion:
