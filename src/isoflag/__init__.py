@@ -36,7 +36,6 @@ from .hmgit import (
     destabilizing_oneps,
     hm_base,
     hm_flag_total,
-    hm_grassmannian,
     hm_total,
 )
 from .linalg import (

@@ -1,7 +1,8 @@
 """Complete isotropic flags and parabolic degrees of subspaces.
 
 A complete isotropic flag of Q(i)^q is stored as an adapted hyperbolic basis
-(w_1, ..., w_q) with Gram matrix J_q; the flag pieces are F_i = span(w_1..w_i).
+(w_1, ..., w_q) with Gram matrix J_q, held as Gaussian integers over one
+denominator; the flag pieces are F_i = span(w_1..w_i).
 The Gram condition makes F_i isotropic for i <= q/2 and forces the
 self-duality F_i^perp = F_{q-i}.
 
@@ -23,23 +24,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import NamedTuple
 
 from .errors import InputError, InternalConsistencyError
 from .linalg import (
-    BilinearForm,
     Subspace,
-    Vector,
     ZiRow,
     _gaussian_matrix,
-    _scalar,
     _zi_eliminate,
     _zi_gram,
     _zi_hyperbolic,
     _zi_reversed_transpose,
     _zi_row_times,
-    hyperbolic_basis,
-    mat_mul,
+    random_special_isometry,
 )
 from .weights import Weight, require_valid
 
@@ -47,41 +43,24 @@ from .weights import Weight, require_valid
 Echelon = tuple[list[ZiRow], list[int]]
 
 
-class IntegerBasis(NamedTuple):
-    """An adapted basis B = B' / den over Z[i], and J B'^T J, so that
-    B^-1 = J B'^T J / den when the basis is hyperbolic."""
-
-    basis_re: list[list[int]]
-    basis_im: list[list[int]]
-    inv_re: list[tuple[int, ...]]
-    inv_im: list[tuple[int, ...]]
-    den: int
-    hyperbolic: bool
-
-
-def _integer_form(b_re: list[list[int]], b_im: list[list[int]], den: int) -> IntegerBasis:
-    """The IntegerBasis of the basis (b_re + i b_im) / den."""
-    return IntegerBasis(b_re, b_im, _zi_reversed_transpose(b_re), _zi_reversed_transpose(b_im),
-                        den, _zi_hyperbolic(b_re, b_im, den))
-
-
 class IsotropicFlag:
-    """A complete isotropic flag, held as its adapted hyperbolic basis.
+    """A complete isotropic flag, held as its adapted hyperbolic basis over
+    the Gaussian integers.
 
     Everything a subspace's position against the flag decides is read off
     one echelon form in flag coordinates: its profile (dim(sub ^ F_i))_i and
     its intersections with the pieces.  That echelon is computed over the
     Gaussian integers Z[i], and no Fraction is built for it:
 
-    1. Write the basis as B = B' / d, with B' a Gaussian-integer matrix and d
-       one shared integer denominator, the lcm of the entries' reduced
-       denominators.  This is the form a flag is held in: a flag read from
-       an instance file is parsed straight into (B', d) (from_integer), and
-       its Scalar basis is built only when asked for; a flag made from
-       Scalar rows gets (B', d) on first use.  A hyperbolic basis has
-       B J B^T = J, so B^-1 = J B^T J = (J B'^T J) / d: B'^T with its rows
-       and columns reversed, a re-indexing of B's own integers over the
-       same d.  The basis is hyperbolic exactly when B' (J B'^T J) = d^2 I.
+    1. The basis is B = B' / d, with B' = basis_re + i basis_im a
+       Gaussian-integer matrix and d = den one shared integer denominator,
+       the lcm of the entries' reduced denominators.  This is the only form
+       a flag is held in: a flag read from an instance file is parsed
+       straight into it, and a generated one is converted once
+       (linalg._gaussian_matrix).  A hyperbolic basis has B J B^T = J, so
+       B^-1 = J B^T J = (J B'^T J) / d: B'^T with its rows and columns
+       reversed, a re-indexing of B's own integers over the same d.  The
+       basis is hyperbolic exactly when B' (J B'^T J) = d^2 I.
     2. Scaling a row by a nonzero element of Z[i] keeps the row span and the
        position of its last nonzero coordinate.  So sub's stored rows D R
        (linalg.Subspace), multiplied by J B'^T J, have the row span of sub's
@@ -105,19 +84,24 @@ class IsotropicFlag:
        submatrix).  A piece first reached at i with 2i <= q lies in the
        isotropic F_i, so its radical dimension is its dimension.
 
-    zi_echelon, and with it profile, intersect_piece and radical_dim, raises
-    InputError when the basis is not hyperbolic.
+    Whether the basis is hyperbolic is computed when the flag is made, J B'^T J
+    on the first echelon.  zi_echelon, and with it profile, intersect_piece
+    and radical_dim, raises InputError when the basis is not hyperbolic.
     """
 
-    __slots__ = ("q", "_basis", "_integer", "_last")
+    __slots__ = ("q", "basis_re", "basis_im", "den", "hyperbolic", "_inverse", "_last")
 
-    def __init__(self, basis: tuple[Vector, ...]):
-        self.q = len(basis)
-        for row in basis:
-            if len(row) != self.q:
-                raise InputError("flag basis must be square")
-        self._basis: tuple[Vector, ...] | None = tuple(basis)
-        self._integer: IntegerBasis | None = None
+    def __init__(self, basis_re: list[list[int]], basis_im: list[list[int]], den: int):
+        """The flag with the basis (basis_re + i basis_im) / den, den the lcm
+        of the entries' reduced denominators."""
+        self.q = q = len(basis_re)
+        if len(basis_im) != q or any(len(row) != q for row in (*basis_re, *basis_im)):
+            raise InputError("flag basis must be square")
+        self.basis_re, self.basis_im, self.den = basis_re, basis_im, den
+        self.hyperbolic = _zi_hyperbolic(basis_re, basis_im, den)
+        # J B'^T J as (re, im), built on the first echelon: many flags are
+        # only validated or written out and never take one
+        self._inverse: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None = None
         # (sub, its echelon, its zi_lift, its echelon rows' Gram matrix) for
         # the last subspace asked about, the last two filled when first used:
         # callers take the profile of a subspace and then several of its
@@ -125,50 +109,19 @@ class IsotropicFlag:
         self._last: tuple[Subspace, Echelon, list[ZiRow], list[ZiRow]] | None = None
 
     @classmethod
-    def from_integer(cls, basis_re: list[list[int]], basis_im: list[list[int]],
-                     den: int) -> "IsotropicFlag":
-        """The flag with the square basis (basis_re + i basis_im) / den, held
-        in that form (B' and d of the class docstring, item 1), so that no
-        Scalar is built unless basis is read."""
-        flag = cls.__new__(cls)
-        flag.q = len(basis_re)
-        flag._basis = None
-        flag._integer = _integer_form(basis_re, basis_im, den)
-        flag._last = None
-        return flag
-
-    @classmethod
     def standard(cls, q: int) -> "IsotropicFlag":
-        return cls(hyperbolic_basis(BilinearForm(q), 0))
-
-    @property
-    def basis(self) -> tuple[Vector, ...]:
-        """The adapted basis as Scalar rows, built on first use for a flag
-        made by from_integer."""
-        if self._basis is None:
-            ib = self._integer
-            self._basis = tuple(tuple(_scalar(x, y, ib.den) for x, y in zip(re, im))
-                                for re, im in zip(ib.basis_re, ib.basis_im))
-        return self._basis
+        """The flag of the standard basis, which has Gram matrix J."""
+        return cls([[int(i == j) for j in range(q)] for i in range(q)],
+                   [[0] * q for _ in range(q)], 1)
 
     def piece(self, i: int) -> Subspace:
         """F_i = span(w_1, ..., w_i); F_0 = 0.  Not cached: only instance
         generation and the tests ask for a piece."""
-        return Subspace.from_vectors(list(self.basis[:i]), self.q)
+        return Subspace.from_zi_rows(list(zip(self.basis_re[:i], self.basis_im[:i])), self.q)
 
-    def _integer_basis(self) -> IntegerBasis:
-        """B', J B'^T J and d of the class docstring (item 1), and whether
-        B' (J B'^T J) = d^2 I.  Computed once."""
-        if self._integer is None:
-            self._integer = _integer_form(*_gaussian_matrix(list(self._basis)))
-        return self._integer
-
-    def _hyperbolic_basis(self) -> IntegerBasis:
-        """_integer_basis, or InputError when the basis is not hyperbolic."""
-        ib = self._integer_basis()
-        if not ib.hyperbolic:
+    def _require_hyperbolic(self) -> None:
+        if not self.hyperbolic:
             raise InputError("invalid flag: adapted basis Gram matrix is not the split form")
-        return ib
 
     def zi_echelon(self, rows: list[ZiRow]) -> Echelon:
         """Gaussian-integer rows in standard coordinates, taken to flag
@@ -178,10 +131,14 @@ class IsotropicFlag:
         nonzero flag coordinate: the row lies in F_{end+1} and not in F_end.
         The ends are decreasing and depend only on the span of the given rows
         (class docstring, item 2)."""
-        ib = self._hyperbolic_basis()
+        self._require_hyperbolic()
+        if self._inverse is None:
+            self._inverse = (_zi_reversed_transpose(self.basis_re),
+                             _zi_reversed_transpose(self.basis_im))
+        inv_re, inv_im = self._inverse
         coords = []
         for x_re, x_im in rows:
-            c_re, c_im = _zi_row_times(x_re, x_im, ib.inv_re, ib.inv_im)
+            c_re, c_im = _zi_row_times(x_re, x_im, inv_re, inv_im)
             coords.append((c_re[::-1], c_im[::-1]))
         echelon_rows, pivots = _zi_eliminate(coords)
         return echelon_rows, [self.q - 1 - c for c in pivots]
@@ -196,9 +153,9 @@ class IsotropicFlag:
         each, and the first nonzero one is the end: a generic line needs
         one.  Raises InputError when the basis is not hyperbolic, as
         zi_echelon does."""
-        ib = self._hyperbolic_basis()
+        self._require_hyperbolic()
         x_re, x_im = row[0][::-1], row[1][::-1]
-        for m, (w_re, w_im) in enumerate(zip(ib.basis_re, ib.basis_im)):
+        for m, (w_re, w_im) in enumerate(zip(self.basis_re, self.basis_im)):
             if (sum(map(mul, x_re, w_re)) != sum(map(mul, x_im, w_im))
                     or sum(map(mul, x_re, w_im)) + sum(map(mul, x_im, w_re))):
                 return self.q - 1 - m
@@ -210,10 +167,9 @@ class IsotropicFlag:
         parts: primitive Gaussian-integer rows whose last n span sub ^ F_i
         for n = dim(sub ^ F_i) < dim sub (class docstring, item 3).  The
         gcd keeps the entries from growing with every flag they pass."""
-        ib = self._integer_basis()
         lifted = []
         for c_re, c_im in echelon[0][1:]:
-            x_re, x_im = _zi_row_times(c_re[::-1], c_im[::-1], ib.basis_re, ib.basis_im)
+            x_re, x_im = _zi_row_times(c_re[::-1], c_im[::-1], self.basis_re, self.basis_im)
             g = gcd(*x_re, *x_im)
             lifted.append(([x // g for x in x_re], [x // g for x in x_im]))
         return lifted
@@ -277,27 +233,29 @@ class IsotropicFlag:
         block = [(re[-n:], im[-n:]) for re, im in gram[-n:]]
         return n - len(_zi_eliminate(block)[1])
 
-    def transform(self, m: list[Vector]) -> "IsotropicFlag":
-        """The flag with basis w_i @ m (m must be a J-isometry)."""
-        return IsotropicFlag(tuple(mat_mul(list(self.basis), m)))
-
 
 def validate_flag(flag: IsotropicFlag) -> list[str]:
     """A flag is valid iff the Gram matrix of its adapted basis is exactly J_q
     (this already forces F_i^perp = F_{q-i}).  The check is the integer
     product B' (J B'^T J) == d^2 I that also gives the flag its coordinates
-    (see IsotropicFlag), so a flag is checked once however often it is
-    validated or used."""
-    if flag._integer_basis().hyperbolic:
+    (see IsotropicFlag), made once, when the flag is made, however often it
+    is validated or used."""
+    if flag.hyperbolic:
         return []
     return ["adapted basis Gram matrix is not the split form"]
 
 
 def random_flag(q: int, seed: int) -> IsotropicFlag:
-    """A valid flag, deterministic per seed; seed 0 is the standard flag."""
+    """A valid flag, deterministic per seed; seed 0 is the standard flag.
+    Its basis is linalg.hyperbolic_basis's, drawn as Scalar rows and
+    converted once; the flag's own integer check of the Gram matrix stands
+    in for hyperbolic_basis's check on the Scalars."""
     if q < 2:
         raise InputError("flags need q >= 2")
-    return IsotropicFlag(hyperbolic_basis(BilinearForm(q), seed))
+    flag = IsotropicFlag(*_gaussian_matrix(random_special_isometry(q, seed)))
+    if not flag.hyperbolic:
+        raise InternalConsistencyError("generated basis is not hyperbolic")
+    return flag
 
 
 @dataclass(frozen=True)
@@ -322,9 +280,6 @@ class FlagSystem:
     @classmethod
     def standard(cls, q: int, s: int) -> "FlagSystem":
         return cls(tuple(IsotropicFlag.standard(q) for _ in range(s)))
-
-    def transform(self, m: list[Vector]) -> "FlagSystem":
-        return FlagSystem(tuple(f.transform(m) for f in self.flags))
 
 
 def require_weight_for(fs: FlagSystem, w: Weight) -> None:

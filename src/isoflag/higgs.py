@@ -71,61 +71,35 @@ class HiggsTuple:
     stored).  The rows are coefficient vectors against a basis of sections;
     that basis itself never needs to be materialized.
 
-    A decision reads the rows only through their span, which is eliminated
-    from one Gaussian-integer row per row of A: row = (re + i im) / den with
-    den the lcm of the row's denominators.  Every tuple holds that form; one
-    read from an instance file is made in it (from_integer), and its Scalar
-    rows are built only when read.  Immutable; equal when q, s and the rows
-    are."""
+    The rows are held as Gaussian integers, one (re, im, den) per row of A
+    with row = (re + i im) / den and den the lcm of the row's reduced
+    denominators: an instance file is parsed straight into that form, and
+    generated rows are converted once (linalg._gaussian_row).  Under that
+    contract the form is canonical, so ==, the hash and the repr read it.
+    A decision reads the rows only through their span, eliminated from the
+    (re, im) of each row.  Immutable."""
 
-    def __init__(self, q: int, s: int, rows: tuple[Vector, ...]):
-        self._check_shape(q, s, rows)
-        self.q, self.s = q, s
-        self._rows: tuple[Vector, ...] | None = tuple(rows)
-        self._integer = tuple(_gaussian_row(row) for row in self._rows)
-
-    @classmethod
-    def from_integer(cls, q: int, s: int,
-                     rows: list[tuple[list[int], list[int], int]]) -> "HiggsTuple":
-        """The tuple whose rows are (re + i im) / den for each (re, im, den)
-        given, den the lcm of the row's reduced denominators, held in that
-        form."""
-        cls._check_shape(q, s, [re for re, _, _ in rows])
-        a = cls.__new__(cls)
-        a.q, a.s = q, s
-        a._rows = None
-        a._integer = tuple(rows)
-        return a
-
-    @staticmethod
-    def _check_shape(q: int, s: int, rows) -> None:
+    def __init__(self, q: int, s: int, rows: list[tuple[list[int], list[int], int]]):
         if s < 3:
             raise InputError("need at least 3 punctures")
         if len(rows) != s - 2:
             raise InputError(f"expected {s - 2} rows, got {len(rows)}")
-        for r in rows:
-            if len(r) != q:
+        for re, im, _ in rows:
+            if len(re) != q or len(im) != q:
                 raise InputError("row length does not match q")
-
-    @property
-    def rows(self) -> tuple[Vector, ...]:
-        """The rows as Scalars, built on first use for a tuple made by
-        from_integer."""
-        if self._rows is None:
-            self._rows = tuple(tuple(_scalar(x, y, den) for x, y in zip(re, im))
-                               for re, im, den in self._integer)
-        return self._rows
+        self.q, self.s = q, s
+        self.integer_rows = tuple((tuple(re), tuple(im), den) for re, im, den in rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HiggsTuple):
             return NotImplemented
-        return (self.q, self.s, self.rows) == (other.q, other.s, other.rows)
+        return (self.q, self.s, self.integer_rows) == (other.q, other.s, other.integer_rows)
 
     def __hash__(self) -> int:
-        return hash((self.q, self.s, self.rows))
+        return hash((self.q, self.s, self.integer_rows))
 
     def __repr__(self) -> str:
-        return f"HiggsTuple(q={self.q}, s={self.s}, rows={self.rows!r})"
+        return f"HiggsTuple(q={self.q}, s={self.s}, integer_rows={self.integer_rows!r})"
 
     def span(self) -> Subspace:
         """The span of the rows.  The rows are immutable, so it is eliminated
@@ -134,7 +108,7 @@ class HiggsTuple:
 
     @cached_property
     def _span(self) -> Subspace:
-        return Subspace.from_zi_rows([(re, im) for re, im, _ in self._integer], self.q)
+        return Subspace.from_zi_rows([(re, im) for re, im, _ in self.integer_rows], self.q)
 
     def span_perp(self) -> Subspace:
         """T = span^perp (module docstring), kept the same way as the span."""
@@ -159,10 +133,9 @@ class ExtensionLine:
     builds) lies in no isotropic F_i^j, so its jumps are above q/2, where
     beta_i <= 0 by antisymmetry: pardeg <= 0 under any valid weight.
 
-    _isotropic_line_in builds the line from Gaussian integers
-    (from_integer), and its Scalar base, twist and delta are built when
-    first read, for output.  Immutable; equal when ambient, base, twist and
-    delta are."""
+    _isotropic_line_in builds the line from Gaussian integers (from_zi),
+    and its Scalar base, twist and delta are built when first read, for
+    output.  Immutable; equal when ambient, base, twist and delta are."""
 
     __slots__ = ("ambient", "_scalars", "_integer")
 
@@ -172,8 +145,8 @@ class ExtensionLine:
         self._integer: tuple[ZiRow, ZiRow, tuple[int, int], int] | None = None
 
     @classmethod
-    def from_integer(cls, ambient: int, base: ZiRow, twist: ZiRow, delta: tuple[int, int],
-                     den: int) -> "ExtensionLine":
+    def from_zi(cls, ambient: int, base: ZiRow, twist: ZiRow, delta: tuple[int, int],
+                den: int) -> "ExtensionLine":
         """The line with base / den^3, twist / den and delta / den^4, for
         Gaussian-integer rows base and twist and a Gaussian integer delta."""
         line = cls.__new__(cls)
@@ -321,7 +294,7 @@ def _isotropic_line_in(y: Subspace, rng: random.Random) -> LineWitness | None:
             (bb, bt), (_, tt) = _pairings([base, x1])
             if _times(disc, tt) != (-bb[0], -bb[1]) or bt != (0, 0):
                 raise InternalConsistencyError("extension line construction failed")
-            fallback = ExtensionLine.from_integer(y.ambient, base, x1, disc, y.den)
+            fallback = ExtensionLine.from_zi(y.ambient, base, x1, disc, y.den)
     return fallback
 
 
@@ -702,7 +675,7 @@ def generate_stable_instance(q: int, s: int, fs: FlagSystem, w: Weight, seed: in
                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
             for _ in range(q)
         ))
-    a = HiggsTuple(q, s, tuple(rows))
+    a = HiggsTuple(q, s, [_gaussian_row(row) for row in rows])
     verdict = decide_stability(a, fs, w)
     if verdict.tag != "Stable":
         raise InternalConsistencyError("spanning instance did not come out stable")

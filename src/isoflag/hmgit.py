@@ -16,17 +16,14 @@ Everything here runs on Gaussian integers, as the decision does.  A OnePS
 holds its eigenbasis as Z[i] rows over one denominator: a destabilizer's is
 the hyperbolic completion of W's stored rows D R over W's D
 (complete_to_hyperbolic), and one read from a file is parsed straight into
-that form.  Its filtration pieces are eliminated from those rows, and the
-degree of a piece that is a line is read off the line's one end at each
-flag (IsotropicFlag.profile); the Scalar eigenbasis is built only for
-output.
+that form; io writes it from the integers.  Its filtration pieces are
+eliminated from those rows, and the degree of a piece that is a line is
+read off the line's one end at each flag (IsotropicFlag.profile).
 
 Every destabilizer's weight is computed twice, by its closed form and summand
 by summand over its filtration (hm_total): a disagreement raises
 InternalConsistencyError in the destabilizer search, and consistency_check
-reports it as an inconsistency.  hm_grassmannian also evaluates the
-Grassmannian weight by two formulas, but no decision calls it; the tests
-check that identity.
+reports it as an inconsistency.
 
 Two destabilizing shapes, each built from an isotropic W (destabilizing_oneps),
 serve the certificates and the search alike: shape 1 is l = 1 with
@@ -48,13 +45,9 @@ from .higgs import (Certificate, HiggsTuple, check_inputs, decide_stability, iso
 from .linalg import (
     BilinearForm,
     Subspace,
-    Vector,
-    _gaussian_matrix,
-    _scalar_row,
     _zi_hyperbolic,
     complete_to_hyperbolic,
     isotropy_classify,
-    meet_join,
     order_key,
     orthocomplement,
 )
@@ -88,31 +81,18 @@ class OnePS:
 
     The eigenbasis is held as Gaussian-integer rows over one denominator,
     basis = (basis_re + i basis_im) / den with den the lcm of the entries'
-    reduced denominators, the form _gaussian_matrix gives.  A subgroup built
-    by from_integer (a destabilizer, or one read from a file) has its Scalar
-    basis built only when basis is read, for output.  Both constructors run
-    the same checks, the hyperbolic one on the integers (B J B^T = J,
-    linalg._zi_hyperbolic), and raise InputError.  Immutable; equal when l,
-    m and the basis are.
+    reduced denominators, the form _gaussian_matrix gives: a destabilizer's
+    is the hyperbolic completion of W's stored rows, and one read from a
+    file is parsed straight into it.  The constructor checks the weights
+    and, on the integers, that the basis is hyperbolic (B J B^T = J,
+    linalg._zi_hyperbolic), and raises InputError.  Immutable; equal when
+    l, m and the basis are.
     """
 
-    __slots__ = ("l", "m", "basis_re", "basis_im", "den", "_basis", "_v_pieces")
+    __slots__ = ("l", "m", "basis_re", "basis_im", "den", "_v_pieces")
 
-    def __init__(self, l: int, m: tuple[int, ...], basis: tuple[Vector, ...]):
-        self._set(l, m, *_gaussian_matrix(list(basis)))
-        self._basis: tuple[Vector, ...] | None = tuple(basis)
-
-    @classmethod
-    def from_integer(cls, l: int, m: tuple[int, ...], basis_re: list[list[int]],
-                     basis_im: list[list[int]], den: int) -> "OnePS":
-        """The subgroup with eigenbasis (basis_re + i basis_im) / den, den the
-        lcm of the entries' reduced denominators."""
-        lam = cls.__new__(cls)
-        lam._set(l, m, basis_re, basis_im, den)
-        lam._basis = None
-        return lam
-
-    def _set(self, l, m, basis_re, basis_im, den) -> None:
+    def __init__(self, l: int, m: tuple[int, ...], basis_re: list[list[int]],
+                 basis_im: list[list[int]], den: int):
         q = len(m)
         if len(basis_re) != q:
             raise InputError("eigenbasis size does not match weight vector")
@@ -132,15 +112,6 @@ class OnePS:
         self.basis_re, self.basis_im, self.den = basis_re, basis_im, den
         # v_piece by its number of basis rows
         self._v_pieces: dict[int, Subspace] = {}
-
-    @property
-    def basis(self) -> tuple[Vector, ...]:
-        """The eigenbasis as Scalar rows, built on first use for a subgroup
-        made by from_integer."""
-        if self._basis is None:
-            self._basis = tuple(_scalar_row(row, self.den)
-                                for row in zip(self.basis_re, self.basis_im))
-        return self._basis
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OnePS):
@@ -180,57 +151,12 @@ class OnePS:
 
     @classmethod
     def trivial(cls, q: int) -> "OnePS":
-        return cls.from_integer(0, (0,) * q, [[int(i == j) for j in range(q)] for i in range(q)],
-                                [[0] * q for _ in range(q)], 1)
+        return cls(0, (0,) * q, [[int(i == j) for j in range(q)] for i in range(q)],
+                   [[0] * q for _ in range(q)], 1)
 
 
 # ---------------------------------------------------------------------------
 # Hilbert-Mumford weights
-
-
-def hm_grassmannian(lam: OnePS, f: Subspace, i: int, m: int) -> int:
-    """Weight of the 2m-twisted Pluecker line bundle at an i-plane F, computed
-    two ways and cross-checked:
-
-        (2m/p) sum_n [ i dim(U_n) - p dim(U_n ^ F) ]
-        2m [ -i m_p + sum_{k<p} dim(F ^ U_{m_k}) (m_{k+1} - m_k) ]
-
-    The factor acted on is chosen by F's ambient dimension (the q-dimensional
-    factor, or the rank-one factor on C^2 with weights (l, -l)).
-    """
-    if f.dim != i:
-        raise InputError("subspace dimension does not match i")
-    p = f.ambient
-    if p == lam.q:
-        weights = lam.m
-        piece = lam.v_piece
-    elif p == 2:
-        weights = (abs(lam.l), -abs(lam.l))
-        piece = lam.u_piece
-    else:
-        raise InputError("subspace ambient matches neither factor")
-
-    lo, hi = weights[-1], weights[0]
-    total = 0
-    for n in range(lo, hi + 1):
-        un = piece(n)
-        meet, _ = meet_join(un, f)
-        total += i * un.dim - p * meet.dim
-    mu1, rest = divmod(2 * m * total, p)
-    if rest:
-        raise InternalConsistencyError("grassmannian weight is not an integer")
-
-    acc = -i * weights[-1]
-    for k in range(p - 1):
-        un = piece(weights[k])
-        meet, _ = meet_join(f, un)
-        acc += meet.dim * (weights[k + 1] - weights[k])
-    mu2 = 2 * m * acc
-
-    if mu1 != mu2:
-        raise InternalConsistencyError(
-            f"grassmannian weight formulas disagree: {mu1} vs {mu2}")
-    return mu1
 
 
 def hm_flag_total(lam: OnePS, fs: FlagSystem, w: Weight,
@@ -333,7 +259,7 @@ def destabilizing_oneps(kind: str, vprime: Subspace, fs: FlagSystem,
 
     k = w_iso.dim
     m = (1,) * k + (0,) * (fs.q - 2 * k) + (-1,) * k
-    lam = OnePS.from_integer(l, m, *complete_to_hyperbolic(w_iso))
+    lam = OnePS(l, m, *complete_to_hyperbolic(w_iso))
     if lam.v_piece(1) != w_iso:
         raise InternalConsistencyError("constructed filtration misses its subspace")
     return lam, -4 * (l * w.n_abs_alpha + n_pardeg(w_iso, fs, w))

@@ -10,13 +10,17 @@ An instance file is read through one table of its rational strings
 (numerator, denominator) pair.  Each matrix is read in a few passes, each a
 loop in C over its rows or entries, with no path string built, and then put
 over one denominator: a flag basis becomes the Gaussian-integer matrix B'
-over one d that IsotropicFlag works in, and each row of A one
-Gaussian-integer row over its own denominator (HiggsTuple.from_integer),
-with no Fraction or Scalar per entry.  Only the weight is built as
-Fractions, one per distinct string.  A one-parameter subgroup's eigenbasis
-is read the same way, into the (B', d) that OnePS holds.  Paths are built
-only on failure: a matrix or a weight with any fault is read again entry by
-entry, and that walk raises the ParseError of the first fault.
+over one d that IsotropicFlag holds, and each row of A one Gaussian-integer
+row over its own denominator, the form HiggsTuple holds, with no Fraction or
+Scalar per entry.  Only the weight is built as Fractions, one per distinct
+string.  A one-parameter subgroup's eigenbasis is read the same way, into
+the (B', d) that OnePS holds.  Paths are built only on failure: a matrix or
+a weight with any fault is read again entry by entry, and that walk raises
+the ParseError of the first fault.
+
+Flags, A, eigenbases and subspaces are written straight from those integers
+by one writer (_zi_vector_to_json), each entry x / d as its reduced
+fraction: the text Scalar rows of the same values would give.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Any
 from .errors import ParseError
 from .flags import FlagSystem, IsotropicFlag
 from .higgs import Certificate, ExtensionLine, HiggsTuple, Verdict
-from .linalg import Subspace, Vector
+from .linalg import Subspace, Vector, _fraction_text
 from .scalars import Scalar, format_fraction, parse_rational
 from .weights import Weight
 
@@ -63,9 +67,9 @@ class _Rationals(dict):
 
     rows reads a matrix with no path string built.  On any fault it reads
     it again with _checked_rows, which raises the ParseError of the first
-    fault, at its path, in the order the faults have always been reported
-    (or the ValueError int() raises past its digit limit, where the walk
-    reaches it)."""
+    fault, at its path, in the order the faults have always been reported.
+    A numeral past int()'s digit limit is one of those faults
+    (parse_rational)."""
 
     __slots__ = ()
 
@@ -101,7 +105,7 @@ class _Rationals(dict):
                     if set(map(type, entries)) == {dict} and set(map(len, entries)) == {2}:
                         texts = [*map(_RE, entries), *map(_IM, entries)]
                         return len(obj), cols, list(map(self.__getitem__, texts))
-        except (TypeError, KeyError, ValueError, ParseError):
+        except (TypeError, KeyError, ParseError):
             pass
         return self._checked_rows(obj, path)
 
@@ -156,8 +160,16 @@ def vector_from_json(obj: Any, path: str) -> Vector:
     return tuple(scalar_from_json(x, f"{path}/{i}") for i, x in enumerate(obj))
 
 
-def matrix_to_json(rows) -> list:
-    return [vector_to_json(r) for r in rows]
+def _zi_vector_to_json(re, im, den: int) -> list:
+    """The row (re + i im) / den of integer parts re and im, as
+    vector_to_json writes the same row as Scalars, with no Fraction or
+    Scalar built."""
+    return [{"re": _fraction_text(x, den), "im": _fraction_text(y, den)} for x, y in zip(re, im)]
+
+
+def _zi_rows_to_json(rows, den: int) -> list:
+    """Gaussian-integer rows (re, im) over one denominator, row by row."""
+    return [_zi_vector_to_json(re, im, den) for re, im in rows]
 
 
 def matrix_from_json(obj: Any, path: str) -> tuple[Vector, ...]:
@@ -214,7 +226,7 @@ def weight_from_json(obj: Any, path: str = "/weight", read: _Rationals | None = 
     try:
         if set(map(type, beta)) == {list} and set(map(len, beta)) == {q}:
             fractions = {text: Fraction(*read[text]) for text in set(alpha).union(*beta)}
-    except (TypeError, ValueError, ParseError):
+    except (TypeError, ParseError):
         pass
     if fractions is not None:
         get = fractions.__getitem__
@@ -234,7 +246,7 @@ def weight_from_json(obj: Any, path: str = "/weight", read: _Rationals | None = 
 
 
 def flag_to_json(f: IsotropicFlag) -> list:
-    return matrix_to_json(f.basis)
+    return _zi_rows_to_json(zip(f.basis_re, f.basis_im), f.den)
 
 
 def flag_from_json(obj: Any, path: str, read: _Rationals) -> IsotropicFlag:
@@ -242,11 +254,11 @@ def flag_from_json(obj: Any, path: str, read: _Rationals) -> IsotropicFlag:
     rows, cols, pairs = read.rows(obj, path)
     if not rows or rows != cols:
         raise ParseError(path, "flag basis must be a square matrix")
-    return IsotropicFlag.from_integer(*_integer(rows, cols, pairs))
+    return IsotropicFlag(*_integer(rows, cols, pairs))
 
 
 def subspace_to_json(s: Subspace) -> dict:
-    return {"ambient": s.ambient, "rows": matrix_to_json(s.rows)}
+    return {"ambient": s.ambient, "rows": _zi_rows_to_json(s.zi_rows, s.den)}
 
 
 def subspace_from_json(obj: Any, path: str) -> Subspace:
@@ -271,7 +283,7 @@ def instance_to_json(inst: InstanceFile) -> dict:
     out = {
         "weight": weight_to_json(inst.weight),
         "flags": [flag_to_json(f) for f in inst.flags.flags],
-        "A": matrix_to_json(inst.higgs.rows),
+        "A": [_zi_vector_to_json(*row) for row in inst.higgs.integer_rows],
     }
     if inst.seed is not None:
         out["seed"] = inst.seed
@@ -306,7 +318,7 @@ def instance_from_json(obj: Any, path: str = "") -> InstanceFile:
         (re,), (im,), den = _integer(1, cols, pairs[i * cols:(i + 1) * cols]
                                      + pairs[(rows + i) * cols:(rows + i + 1) * cols])
         integer_rows.append((re, im, den))
-    higgs = HiggsTuple.from_integer(weight.q, weight.s, integer_rows)
+    higgs = HiggsTuple(weight.q, weight.s, integer_rows)
     seed = obj.get("seed")
     if seed is not None and type(seed) is not int:
         raise ParseError(path + "/seed", "seed must be an integer")
@@ -333,7 +345,8 @@ def serialize_instance(inst: InstanceFile) -> str:
 
 
 def oneps_to_json(lam) -> dict:
-    return {"l": lam.l, "m": list(lam.m), "basis": matrix_to_json(lam.basis)}
+    return {"l": lam.l, "m": list(lam.m),
+            "basis": _zi_rows_to_json(zip(lam.basis_re, lam.basis_im), lam.den)}
 
 
 def oneps_from_json(obj: Any, path: str = ""):
@@ -351,7 +364,7 @@ def oneps_from_json(obj: Any, path: str = ""):
     if not isinstance(obj["m"], list) or any(type(x) is not int for x in obj["m"]):
         raise ParseError(path + "/m", "m must be an array of integers")
     basis = _integer(*_Rationals().rows(obj["basis"], path + "/basis"))
-    return OnePS.from_integer(obj["l"], tuple(obj["m"]), *basis)
+    return OnePS(obj["l"], tuple(obj["m"]), *basis)
 
 
 def parse_oneps_text(text: str):

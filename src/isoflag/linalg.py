@@ -7,8 +7,10 @@ so multiplying a row vector by J is coordinate reversal.
 
 Subspaces are held in their canonical form over the Gaussian integers Z[i]
 (Subspace, rref), built by one fraction-free elimination (_zi_eliminate).
-Scalar vectors become Gaussian-integer rows in one place,
-Subspace.from_vectors, and a subspace's Scalar rows are built only when read.
+Scalar vectors become Gaussian-integer rows through _gaussian_row and
+_gaussian_matrix: in Subspace.from_vectors, and where instance generation
+makes its flags and rows, which hold only that form.  A subspace's Scalar
+rows are built only when read.
 Membership, kernels, orthocomplements and radicals are read off the stored
 integers, and the hyperbolic completion of an isotropic subspace off its
 rows, as Gaussian integers, with no further elimination.
@@ -325,8 +327,8 @@ class Subspace:
 
     Equal subspaces have equal (D, D R), so == and the hash compare
     integers.  A Subspace is immutable; its hash, its Scalar rows (read by
-    output and the tests) and its isotropy_classify are built on first use
-    and kept.  Membership needs no elimination (see _spans).
+    instance generation and the tests) and its isotropy_classify are built
+    on first use and kept.  Membership needs no elimination (see _spans).
     """
 
     __slots__ = ("ambient", "den", "zi_rows", "pivots", "_rows", "_hash", "_isotropy")

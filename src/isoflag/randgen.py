@@ -16,6 +16,7 @@ from .linalg import (
     BilinearForm,
     Subspace,
     Vector,
+    _gaussian_row,
     hyperbolic_basis,
     orthocomplement,
     random_scalar,
@@ -113,7 +114,7 @@ def random_instance(q: int, s: int, seed: int, mode: str = "generic",
             rows.append(vec)
     else:
         raise InputError(f"unknown instance mode {mode!r}")
-    return HiggsTuple(q, s, tuple(rows)), fs, w
+    return HiggsTuple(q, s, [_gaussian_row(row) for row in rows]), fs, w
 
 
 def mixed_mode(seed: int) -> str:

@@ -9,6 +9,7 @@ equality is equality.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -148,7 +149,8 @@ def parse_rational(text: str, path: str = "") -> tuple[int, int]:
     characters), so a string it
     reads is one _RATIONAL matches, with the same value.  Everything else,
     a negative or zero denominator included, goes through the regular
-    expression, which gives every error."""
+    expression, which gives every error.  A numeral past int()'s digit limit
+    (Python >= 3.11) is a ParseError too: it is bad input, not a bug."""
     if type(text) is str and not text.strip(_RATIONAL_CHARS):
         num, slash, den = text.partition("/")
         try:
@@ -168,9 +170,12 @@ def parse_rational(text: str, path: str = "") -> tuple[int, int]:
     if match is None:
         raise ParseError(path, f"malformed rational {text!r}")
     num, den = match.groups()
-    if den is None:
-        return int(num), 1
-    n, d = int(num), int(den)
+    try:
+        n, d = int(num), int(den or 1)
+    except ValueError:
+        # only past int()'s digit limit: the match is digits with a sign
+        raise ParseError(path, f"numeral too long (over {sys.get_int_max_str_digits()} "
+                               "digits)") from None
     if d == 0:
         raise ParseError(path, "zero denominator")
     if d < 0:

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction as F
 
 from isoflag.flags import pardeg_subspace
-from isoflag.higgs import HiggsTuple, decide_stability, generate_stable_instance
+from isoflag.higgs import decide_stability, generate_stable_instance
 from isoflag.hmgit import (
     INFINITE,
     OnePS,
@@ -17,7 +17,6 @@ from isoflag.hmgit import (
     destabilizing_oneps,
     hm_base,
     hm_flag_total,
-    hm_grassmannian,
     hm_total,
 )
 from isoflag.linalg import (
@@ -47,6 +46,8 @@ from isoflag.weights import (
     weight_stats,
 )
 
+from helpers import higgs_from_rows, higgs_rows, hm_grassmannian, oneps_from_rows, transform_flags
+
 
 def _report(number: int, description: str, elapsed: float) -> None:
     print(f"ACCEPTANCE {number:2d} PASS ({elapsed:6.1f}s): {description}")
@@ -58,7 +59,7 @@ def _random_oneps(q: int, seed: int, bound: int = 3) -> OnePS:
     top = sorted((rng.randint(0, bound) for _ in range(h)), reverse=True)
     m = tuple(top) + ((0,) if q % 2 else ()) + tuple(-x for x in reversed(top))
     basis = hyperbolic_basis(BilinearForm(q), rng.randint(0, 10 ** 6))
-    return OnePS(rng.randint(-bound, bound), m, basis)
+    return oneps_from_rows(rng.randint(-bound, bound), m, basis)
 
 
 def test_criterion_1_orthocomplement_identity():
@@ -130,7 +131,7 @@ def test_criterion_4_destabilizer_identities():
                 c = random_scalar(rng, 2)
                 v = tuple(x + c * y for x, y in zip(v, b))
             rows.append(v)
-        a = HiggsTuple(q, s, tuple(rows))
+        a = higgs_from_rows(q, s, rows)
 
         lam1, predicted1 = destabilizing_oneps("shape1", iso, fs, w)
         n_pardeg = w.n * pardeg_subspace(iso, fs, w)
@@ -257,7 +258,7 @@ def test_criterion_10_equivariance():
         t = random_scalar(rng, 3)
         while t.is_zero():
             t = random_scalar(rng, 3)
-        rows = tuple(tuple(x / t for x in r) for r in mat_mul(list(a.rows), m))
-        after = decide_stability(HiggsTuple(q, a.s, rows), fs.transform(m), w)
+        rows = [tuple(x / t for x in r) for r in mat_mul(list(higgs_rows(a)), m)]
+        after = decide_stability(higgs_from_rows(q, a.s, rows), transform_flags(fs, m), w)
         assert after.tag == before.tag, (trial, before.tag, after.tag)
     _report(10, "verdicts invariant under 100 random isometry pairs", time.time() - start)

@@ -39,6 +39,8 @@ from isoflag.randgen import (
 from isoflag.scalars import Scalar, sc
 from isoflag.weights import Weight, weight_stats
 
+from helpers import flag_basis, flag_from_rows, transform_flag, transform_flags
+
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
                    [(F(1, 16), F(1, 32), F(-1, 32), F(-1, 16))] * 4)
 
@@ -49,9 +51,9 @@ def vec(*entries):
 
 def _integer_inverse(flag):
     """J B'^T J / den: the flag's integer inverse as Scalars."""
-    ib = flag._integer_basis()
-    return [tuple(Scalar(F(x, ib.den), F(y, ib.den)) for x, y in zip(re, im))
-            for re, im in zip(ib.inv_re, ib.inv_im)]
+    return [tuple(Scalar(F(x, flag.den), F(y, flag.den)) for x, y in zip(re, im))
+            for re, im in zip(linalg_mod._zi_reversed_transpose(flag.basis_re),
+                              linalg_mod._zi_reversed_transpose(flag.basis_im))]
 
 
 class TestValidateFlag:
@@ -61,17 +63,17 @@ class TestValidateFlag:
 
     def test_swapped_basis_still_a_flag(self):
         # both complete isotropic flags of C^2 are legitimate
-        flag = IsotropicFlag((vec(0, 1), vec(1, 0)))
+        flag = flag_from_rows((vec(0, 1), vec(1, 0)))
         assert validate_flag(flag) == []
 
     def test_bad_gram(self):
-        flag = IsotropicFlag((vec(1, F(1, 2)), vec(0, 1)))
+        flag = flag_from_rows((vec(1, F(1, 2)), vec(0, 1)))
         assert validate_flag(flag) != []
 
     def test_bad_gram_has_no_flag_coordinates(self):
         # invertible, but not hyperbolic: J B^T J is not its inverse, so
         # anything read in flag coordinates must refuse instead of guessing
-        flag = IsotropicFlag((vec(1, F(1, 2)), vec(0, 1)))
+        flag = flag_from_rows((vec(1, F(1, 2)), vec(0, 1)))
         line = Subspace.from_vectors([vec(1, 1)], 2)
         with pytest.raises(InputError):
             flag.profile(line)
@@ -83,12 +85,11 @@ class TestValidateFlag:
         # w_a + t w_b, with b neither a, nor a's partner, nor its own partner,
         # pairs wrongly with w_{q-1-b} alone: the Gram matrix differs from J
         # in one off-diagonal pair, above or below the diagonal in row order
-        from isoflag.linalg import _gaussian_matrix
         form = BilinearForm(8)
         seen = set()
         for q in range(3, 9):
             form = BilinearForm(q)
-            basis = list(random_flag(q, q).basis)
+            basis = list(flag_basis(random_flag(q, q)))
             for a in range(q):
                 for b in range(q):
                     if b in (a, q - 1 - a) or 2 * b == q - 1:
@@ -100,17 +101,15 @@ class TestValidateFlag:
                              if gram[i][j] != (sc(1) if i + j == q - 1 else sc(0))}
                     assert wrong == {(a, q - 1 - b), (q - 1 - b, a)}, (q, a, b)
                     seen.add(a < q - 1 - b)
-                    for flag in (IsotropicFlag(tuple(spoiled)),
-                                 IsotropicFlag.from_integer(*_gaussian_matrix(spoiled))):
-                        assert validate_flag(flag) == \
-                            ["adapted basis Gram matrix is not the split form"], (q, a, b)
+                    assert validate_flag(flag_from_rows(spoiled)) == \
+                        ["adapted basis Gram matrix is not the split form"], (q, a, b)
         assert seen == {True, False}
 
     def test_inverse_matches_elimination(self):
         for q in range(2, 9):
             for seed in range(6):
                 flag = random_flag(q, seed)
-                assert _integer_inverse(flag) == invert_matrix(list(flag.basis)), (q, seed)
+                assert _integer_inverse(flag) == invert_matrix(list(flag_basis(flag))), (q, seed)
 
     def test_perp_duality_of_pieces(self):
         form = BilinearForm(5)
@@ -126,7 +125,7 @@ class TestRandomFlag:
 
     def test_seed_zero_standard(self):
         flag = random_flag(3, 0)
-        assert flag.basis == tuple(standard_basis(3))
+        assert flag_basis(flag) == tuple(standard_basis(3))
 
     def test_distinctness_across_seeds(self):
         first_pieces = {random_flag(4, seed).piece(1) for seed in range(100)}
@@ -181,7 +180,7 @@ class TestPardeg:
             w = random_weight(q, s, trial + 3)
             sub = random_isotropic_subspace(q, rng.randint(1, q // 2), trial + 5)
             m = random_special_isometry(q, trial + 7)
-            assert pardeg_subspace(sub.transform(m), fs.transform(m), w) \
+            assert pardeg_subspace(sub.transform(m), transform_flags(fs, m), w) \
                 == pardeg_subspace(sub, fs, w)
 
 
@@ -201,7 +200,7 @@ class TestConventionOracle:
         total = F(0)
         prev = F(0)
         for k in range(1, q + 1):
-            vk = Subspace.from_vectors(list(flag.basis[k - 1:]), q)
+            vk = Subspace.from_vectors(list(flag_basis(flag)[k - 1:]), q)
             meet, _ = meet_join(vk, sub)
             total += (beta_row[k - 1] - prev) * meet.dim
             prev = beta_row[k - 1]
@@ -209,11 +208,11 @@ class TestConventionOracle:
 
     def test_q2_single_puncture_both_flags(self):
         beta_row = (F(1, 16), F(-1, 16))
-        for flag in (IsotropicFlag.standard(2), IsotropicFlag((vec(0, 1), vec(1, 0)))):
+        for flag in (IsotropicFlag.standard(2), flag_from_rows((vec(0, 1), vec(1, 0)))):
             lattice = [
                 Subspace.zero(2),
-                Subspace.from_vectors([flag.basis[0]], 2),
-                Subspace.from_vectors([flag.basis[1]], 2),
+                flag.piece(1),
+                Subspace.from_vectors([flag_basis(flag)[1]], 2),
                 Subspace.full(2),
             ]
             for sub in lattice:
@@ -277,7 +276,7 @@ class TestProfiles:
             if trial % 2:
                 # combinations of a few flag basis vectors meet the flag in
                 # more than the generic dimension
-                picks = rng.sample(flag.basis, rng.randint(1, q))
+                picks = rng.sample(flag_basis(flag), rng.randint(1, q))
                 vectors = [tuple(sum((random_scalar(rng, 3) * w[t] for w in picks), sc(0))
                                  for t in range(q))
                            for _ in range(rng.randint(1, len(picks)))]
@@ -285,7 +284,7 @@ class TestProfiles:
             profile = flag.profile(sub)
             for i in range(q + 1):
                 meet, _ = meet_join(sub, flag.piece(i))
-                joined = Subspace.from_vectors(list(sub.rows) + list(flag.basis[:i]), q)
+                joined = Subspace.from_vectors(list(sub.rows) + list(flag_basis(flag)[:i]), q)
                 assert profile[i] == meet.dim == sub.dim + i - joined.dim
                 inter = flag.intersect_piece(sub, i)
                 assert inter == meet and inter.dim == profile[i]
@@ -301,8 +300,9 @@ class FractionEchelon:
     def __init__(self, flag):
         q = flag.q
         self.flag = flag
-        inv = [tuple(flag.basis[q - 1 - j][q - 1 - i] for j in range(q)) for i in range(q)]
-        assert mat_mul(list(flag.basis), inv) == standard_basis(q)
+        self.basis = list(flag_basis(flag))
+        inv = [tuple(self.basis[q - 1 - j][q - 1 - i] for j in range(q)) for i in range(q)]
+        assert mat_mul(self.basis, inv) == standard_basis(q)
         self.inv = inv
 
     def echelon(self, sub):
@@ -323,7 +323,7 @@ class FractionEchelon:
             return sub
         rows, ends = self.echelon(sub)
         inside = [row for row, e in zip(rows, ends) if e < i]
-        return Subspace.from_vectors(mat_mul(inside, list(self.flag.basis)), q)
+        return Subspace.from_vectors(mat_mul(inside, self.basis), q)
 
 
 def _echelon_subspaces(flag, other, rng):
@@ -350,10 +350,10 @@ class TestIntegerEchelon:
         compared = dens = 0
         for q in range(2, 10):
             flags = [random_flag(q, 3 * q + seed) for seed in range(3)]
-            flags.append(random_flag(q, q + 1).transform(random_special_isometry(q, q + 40)))
+            flags.append(transform_flag(random_flag(q, q + 1), random_special_isometry(q, q + 40)))
             for k, flag in enumerate(flags):
                 other = random_flag(q, 5 * q + k + 1)
-                dens += flag._integer_basis().den > 1
+                dens += flag.den > 1
                 ref = FractionEchelon(flag)
                 for sub in _echelon_subspaces(flag, other, rng):
                     profile = flag.profile(sub)
@@ -428,7 +428,7 @@ class TestGramRadicals:
                 for sub in _radical_subspaces(q, seed):
                     expected = [isotropy_classify(flag.intersect_piece(sub, i), form)[1].dim
                                 for i in range(q + 1)]
-                    fresh = IsotropicFlag(flag.basis)
+                    fresh = IsotropicFlag(flag.basis_re, flag.basis_im, flag.den)
                     monkeypatch.setattr(flags_mod, "_zi_gram", refuse)
                     assert [fresh.radical_dim(sub, i) for i in range(q // 2 + 1)] == \
                         expected[:q // 2 + 1], (q, seed)
@@ -439,13 +439,14 @@ class TestGramRadicals:
 
 
 def _perturbed(flag):
-    basis = [list(row) for row in flag.basis]
+    basis = [list(row) for row in flag_basis(flag)]
     basis[0][-1] = basis[0][-1] + sc(1)
-    return IsotropicFlag(tuple(tuple(row) for row in basis))
+    return flag_from_rows(basis)
 
 
 def _doubled(flag):
-    return IsotropicFlag(tuple(tuple(sc(2) * x for x in row) for row in flag.basis))
+    return IsotropicFlag([[2 * x for x in row] for row in flag.basis_re],
+                         [[2 * x for x in row] for row in flag.basis_im], flag.den)
 
 
 class TestInvalidFlags:
@@ -467,7 +468,7 @@ class TestInvalidFlags:
 
     def test_doubled_gram_is_4j(self):
         flag = _doubled(random_flag(4, 2))
-        gram = BilinearForm(4).gram(list(flag.basis))
+        gram = BilinearForm(4).gram(list(flag_basis(flag)))
         assert gram == [tuple(sc(4) if i + j == 3 else sc(0) for j in range(4))
                         for i in range(4)]
 
@@ -495,9 +496,8 @@ class TestLineEnd:
         below_top = 0
         for q in range(2, 11):
             flags = [random_flag(q, 3 * q + seed) for seed in range(3)]
-            flags.append(random_flag(q, q + 1).transform(random_special_isometry(q, q + 40)))
+            flags.append(transform_flag(random_flag(q, q + 1), random_special_isometry(q, q + 40)))
             for flag in flags:
-                ib = flag._integer_basis()
                 rows = [([rng.randint(-9, 9) for _ in range(q)],
                          [rng.randint(-9, 9) for _ in range(q)]) for _ in range(6)]
                 # rows in each piece F_k, ending at k - 1: combinations of
@@ -507,7 +507,7 @@ class TestLineEnd:
                     coeffs.append(rng.choice([(1, 0), (0, 1), (2, -1), (-3, 0)]))
                     re, im = linalg_mod._zi_row_times([c[0] for c in coeffs],
                                                       [c[1] for c in coeffs],
-                                                      ib.basis_re[:k], ib.basis_im[:k])
+                                                      flag.basis_re[:k], flag.basis_im[:k])
                     assert flag.line_end((re, im)) == k - 1, (q, k)
                     rows.append((re, im))
                 for row in rows:
@@ -545,7 +545,6 @@ class TestLineProfile:
         for q in range(3, 9):
             for seed in range(3):
                 flag = random_flag(q, 5 * q + seed)
-                ib = flag._integer_basis()
                 lines = [Subspace.from_vectors([random_vector(rng, q)], q) for _ in range(4)]
                 # a line inside F_1 (a multiple of w_1) and one of F_q that
                 # is in no smaller piece (w_q has a nonzero coefficient)
@@ -553,7 +552,7 @@ class TestLineProfile:
                     coeffs = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(k - 1)]
                     coeffs.append(rng.choice([(1, 0), (0, 1), (2, -1), (-3, 0)]))
                     row = linalg_mod._zi_row_times([c[0] for c in coeffs], [c[1] for c in coeffs],
-                                                   ib.basis_re[:k], ib.basis_im[:k])
+                                                   flag.basis_re[:k], flag.basis_im[:k])
                     lines.append(Subspace.from_zi_rows([row], q))
                 t_sub = Subspace.from_vectors([random_vector(rng, q) for _ in range(2)], q)
                 flag.profile(t_sub)

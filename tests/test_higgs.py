@@ -10,7 +10,6 @@ from isoflag.flags import FlagSystem, IsotropicFlag, pardeg_subspace
 from isoflag.higgs import (
     Certificate,
     ExtensionLine,
-    HiggsTuple,
     PardegBounds,
     _per_flag_upper,
     condition1_isotropic_span,
@@ -25,6 +24,7 @@ from isoflag.higgs import (
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
+    _zi_reversed_transpose,
     invert_matrix,
     isotropy_classify,
     mat_mul,
@@ -45,6 +45,8 @@ from isoflag.randgen import (
 from isoflag.scalars import Scalar, sc
 from isoflag.weights import Weight
 
+from helpers import flag_basis, flag_from_rows, higgs_from_rows, higgs_rows, transform_flags
+
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
                    [(F(1, 16), F(1, 32), F(-1, 32), F(-1, 16))] * 4)
@@ -55,7 +57,7 @@ def vec(*entries):
 
 
 def higgs(q, *rows):
-    return HiggsTuple(q, len(rows) + 2, tuple(rows))
+    return higgs_from_rows(q, len(rows) + 2, rows)
 
 
 class TestCondition1:
@@ -81,9 +83,9 @@ class TestCondition1:
         for trial in range(40):
             q = rng.randint(2, 5)
             rows = [random_vector(rng, q) for _ in range(2)]
-            a = HiggsTuple(q, 4, tuple(rows))
+            a = higgs_from_rows(q, 4, rows)
             if condition1_isotropic_span(a)[0]:
-                extended = HiggsTuple(q, 5, tuple(rows + [random_vector(rng, q)]))
+                extended = higgs_from_rows(q, 5, rows + [random_vector(rng, q)])
                 assert condition1_isotropic_span(extended)[0]
 
 
@@ -181,7 +183,7 @@ class TestRowSpan:
         from isoflag import linalg
         real = linalg.rref
         calls = []
-        cleared = [linalg._gaussian_row(row)[:2] for row in a.rows]
+        cleared = [(re, im) for re, im, _ in a.integer_rows]
 
         def counting(rows):
             if list(rows) == cleared:
@@ -197,7 +199,7 @@ class TestRowSpan:
         spans = [a.span() for _ in range(3)]
         assert len(calls) == 1
         assert spans[0] is spans[1] is spans[2]
-        assert spans[0] == Subspace.from_vectors(list(a.rows), 3)
+        assert spans[0] == Subspace.from_vectors(list(higgs_rows(a)), 3)
 
     def test_one_elimination_per_crosscheck(self, monkeypatch):
         # decide, certificate check and destabilizer search all ask for the
@@ -322,10 +324,10 @@ def _vector_jump(flag, vectors):
     """Smallest i with all the (nonzero) vectors in F_i, from the last
     nonzero flag coordinate of each: the jump rule ExtensionLine.pardeg used
     before it read the jumps off the profiles."""
-    ib = flag._integer_basis()
-    inverse = [tuple(Scalar(F(x, ib.den), F(y, ib.den)) for x, y in zip(re, im))
-               for re, im in zip(ib.inv_re, ib.inv_im)]
-    assert inverse == invert_matrix(list(flag.basis))
+    inverse = [tuple(Scalar(F(x, flag.den), F(y, flag.den)) for x, y in zip(re, im))
+               for re, im in zip(_zi_reversed_transpose(flag.basis_re),
+                                 _zi_reversed_transpose(flag.basis_im))]
+    assert inverse == invert_matrix(list(flag_basis(flag)))
     jump = 0
     for row in mat_mul(vectors, inverse):
         for i in range(flag.q - 1, -1, -1):
@@ -384,7 +386,7 @@ class TestExtensionLinePardeg:
                         coeffs = [random_scalar(rng) for _ in range(k)]
                         while coeffs[-1].is_zero():
                             coeffs[-1] = random_scalar(rng)
-                        parts.append(mat_mul([tuple(coeffs)], list(flag.basis[:k]))[0])
+                        parts.append(mat_mul([tuple(coeffs)], list(flag_basis(flag)[:k]))[0])
                     line = ExtensionLine(q, parts[0], parts[1], sc(2))
                     jump = _vector_jump(flag, parts)
                     assert jump == top, (q, trial)
@@ -426,7 +428,7 @@ class TestExtensionLinePardeg:
             form = BilinearForm(q)
             fs = random_flag_system(q, s, trial, shared=True)
             coeffs = [[random_scalar(rng, 2) for _ in range(k)] for _ in range(2)]
-            y = Subspace.from_vectors(mat_mul(coeffs, list(fs.flags[0].basis[:k])), q)
+            y = Subspace.from_vectors(mat_mul(coeffs, list(flag_basis(fs.flags[0])[:k])), q)
             line = _isotropic_line_in(y, rng)
             if not isinstance(line, ExtensionLine):
                 continue
@@ -790,8 +792,8 @@ class TestIntegerRowSearch:
         # every flag meets the first path of the search, which is never pruned
         a, fs, w = random_instance(5, 5, 0)
         flags = list(fs.flags)
-        flags[j] = IsotropicFlag(tuple(tuple(sc(2) * x for x in row)
-                                       for row in flags[j].basis))
+        flags[j] = flag_from_rows(tuple(sc(2) * x for x in row)
+                                  for row in flag_basis(flags[j]))
         with pytest.raises(InputError, match="invalid flag"):
             line_oracle(a.span_perp(), FlagSystem(tuple(flags)), w)
 
@@ -1279,12 +1281,13 @@ def _permuted_punctures(a, fs, w, rng):
 
 def _isometry_moved(a, fs, w, rng):
     m = random_special_isometry(a.q, rng.randrange(1, 10 ** 6))
-    return HiggsTuple(a.q, a.s, tuple(mat_mul(list(a.rows), m))), fs.transform(m), w
+    return (higgs_from_rows(a.q, a.s, mat_mul(list(higgs_rows(a)), m)), transform_flags(fs, m),
+            w)
 
 
 def _recombined_rows(a, fs, w, rng):
     # an upper-triangular matrix with nonzero diagonal, then the rows reversed
-    rows = list(a.rows)
+    rows = list(higgs_rows(a))
     out = []
     for k in range(len(rows)):
         c = random_scalar(rng, 3)
@@ -1295,7 +1298,7 @@ def _recombined_rows(a, fs, w, rng):
             d = random_scalar(rng, 2)
             row = tuple(x + d * y for x, y in zip(row, other))
         out.append(row)
-    return HiggsTuple(a.q, a.s, tuple(reversed(out))), fs, w
+    return higgs_from_rows(a.q, a.s, reversed(out)), fs, w
 
 
 class TestEquivariance:
@@ -1309,8 +1312,8 @@ class TestEquivariance:
             t = random_scalar(rng, 3)
             while t.is_zero():
                 t = random_scalar(rng, 3)
-            rows = tuple(tuple(x / t for x in r) for r in mat_mul(list(a.rows), m))
-            after = decide_stability(HiggsTuple(q, a.s, rows), fs.transform(m), w)
+            rows = [tuple(x / t for x in r) for r in mat_mul(list(higgs_rows(a)), m)]
+            after = decide_stability(higgs_from_rows(q, a.s, rows), transform_flags(fs, m), w)
             assert after.tag == before.tag
 
     @pytest.mark.parametrize("q", range(4, 9))

@@ -8,7 +8,7 @@ import pytest
 
 from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.flags import FlagSystem, IsotropicFlag, n_pardeg, random_flag, so2_score
-from isoflag.higgs import Certificate, ExtensionLine, HiggsTuple, decide_stability
+from isoflag.higgs import Certificate, ExtensionLine, decide_stability
 from isoflag.hmgit import (
     INFINITE,
     OnePS,
@@ -19,9 +19,9 @@ from isoflag.hmgit import (
     destabilizing_oneps,
     hm_base,
     hm_flag_total,
-    hm_grassmannian,
     hm_total,
 )
+from isoflag.io import oneps_from_json, oneps_to_json
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
@@ -42,6 +42,9 @@ from isoflag.randgen import (
 )
 from isoflag.scalars import sc
 from isoflag.weights import Weight
+
+from helpers import (flag_from_rows, higgs_from_rows, higgs_rows, hm_grassmannian, oneps_basis,
+                     oneps_from_rows)
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -67,7 +70,7 @@ def random_oneps(q: int, seed: int, bound: int = 3) -> OnePS:
     m = tuple(top) + ((0,) if q % 2 else ()) + tuple(-x for x in reversed(top))
     from isoflag.linalg import hyperbolic_basis
     basis = hyperbolic_basis(BilinearForm(q), rng.randint(0, 10 ** 6))
-    return OnePS(rng.randint(-bound, bound), m, basis)
+    return oneps_from_rows(rng.randint(-bound, bound), m, basis)
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,7 @@ class TestFiltration:
         assert filt.v_at(0).dim == 3 and filt.v_at(1).dim == 0
 
     def test_q4_jumps(self):
-        lam = OnePS(1, (2, 0, 0, -2), tuple(standard_basis(4)))
+        lam = oneps_from_rows(1, (2, 0, 0, -2), standard_basis(4))
         filt = filtration_of(lam)
         assert filt.v_at(-2).dim == 4
         assert filt.v_at(-1).dim == 3 and filt.v_at(0).dim == 3
@@ -214,7 +217,7 @@ class TestFiltration:
         assert filt.v_at(3).dim == 0
 
     def test_so2_side(self):
-        lam = OnePS(1, (1, -1), tuple(standard_basis(2)))
+        lam = oneps_from_rows(1, (1, -1), standard_basis(2))
         filt = filtration_of(lam)
         assert filt.u_at(-1).dim == 2
         assert filt.u_at(0).dim == 1 and filt.u_at(1).dim == 1
@@ -232,20 +235,20 @@ class TestFiltration:
 
     def test_rejects_bad_weights(self):
         with pytest.raises(InputError):
-            OnePS(0, (0, 1), tuple(standard_basis(2)))
+            oneps_from_rows(0, (0, 1), standard_basis(2))
         with pytest.raises(InputError):
-            OnePS(0, (1, 0), tuple(standard_basis(2)))
+            oneps_from_rows(0, (1, 0), standard_basis(2))
 
 
 class TestIntegerOnePS:
-    """OnePS.from_integer and the Scalar constructor hold the same subgroup:
-    the integer form is the Scalar basis over its least common denominator,
-    and both run the same checks on it."""
+    """A subgroup is held as its eigenbasis over the least common
+    denominator: the one written out and read back, and the one built from
+    the Scalar rows, are the same subgroup, and the constructor runs the
+    same checks whichever rows it is given."""
 
     @staticmethod
     def _twin(lam: OnePS) -> OnePS:
-        re, im, den = _gaussian_matrix(list(lam.basis))
-        return OnePS.from_integer(lam.l, lam.m, re, im, den)
+        return oneps_from_json(oneps_to_json(lam))
 
     def test_same_pieces_and_weights(self):
         rng = random.Random(31)
@@ -255,10 +258,11 @@ class TestIntegerOnePS:
             lam = random_oneps(q, 200 + trial)
             twin = self._twin(lam)
             assert twin == lam and hash(twin) == hash(lam)
-            assert twin.basis == lam.basis
+            basis = oneps_basis(lam)
+            assert oneps_basis(twin) == basis
             for n in range(-4, 5):
                 count = sum(1 for mi in lam.m if mi >= n)
-                assert twin.v_piece(n) == Subspace.from_vectors(list(lam.basis[:count]), q)
+                assert twin.v_piece(n) == Subspace.from_vectors(list(basis[:count]), q)
                 assert twin.v_piece(n) == lam.v_piece(n)
                 # kept per number of rows: the same object on every read
                 assert twin.v_piece(n) is twin.v_piece(n)
@@ -274,22 +278,23 @@ class TestIntegerOnePS:
         ((1, 0, 0, -1), True, "eigenbasis is not hyperbolic"),
     ])
     def test_same_rejections(self, m, spoil, message):
-        basis = [list(row) for row in random_oneps(4, 5).basis]
+        basis = [list(row) for row in oneps_basis(random_oneps(4, 5))]
         if spoil:
             basis[0][0] = basis[0][0] + sc(F(7, 3))
         basis = tuple(tuple(row) for row in basis)
         re, im, den = _gaussian_matrix(list(basis))
         with pytest.raises(InputError) as scalar_error:
-            OnePS(1, m, basis)
+            oneps_from_rows(1, m, basis)
         with pytest.raises(InputError) as integer_error:
-            OnePS.from_integer(1, m, re, im, den)
+            OnePS(1, m, re, im, den)
         assert str(scalar_error.value) == str(integer_error.value) == message
 
-    def test_destabilizer_basis_is_rendered_lazily(self):
+    def test_destabilizer_round_trips_through_scalars(self):
+        # the completion's D is the least common denominator of its rows
         a, fs, w = random_instance(4, 4, 9, "shared_flag")
         lam, _ = certificate_oneps(decide_stability(a, fs, w).certificate, fs, w)
-        assert lam._basis is None
-        assert lam == OnePS(lam.l, lam.m, lam.basis)
+        assert lam.den > 1
+        assert lam == oneps_from_rows(lam.l, lam.m, oneps_basis(lam))
 
 
 class TestGrassmannianWeight:
@@ -299,7 +304,7 @@ class TestGrassmannianWeight:
         assert hm_grassmannian(lam, sub, 1, 2) == 0
 
     def test_rank_two_examples(self):
-        lam = OnePS(0, (1, -1), tuple(standard_basis(2)))
+        lam = oneps_from_rows(0, (1, -1), standard_basis(2))
         v1 = Subspace.from_vectors([vec(1, 0)], 2)
         v2 = Subspace.from_vectors([vec(0, 1)], 2)
         assert hm_grassmannian(lam, v1, 1, 1) == -2
@@ -329,24 +334,24 @@ class TestGrassmannianWeight:
 class TestBaseWeight:
     def test_trivial_always_finite(self):
         lam = OnePS.trivial(2)
-        a = HiggsTuple(2, 4, (vec(1, 2), vec(3, 4)))
+        a = higgs_from_rows(2, 4, (vec(1, 2), vec(3, 4)))
         assert hm_base(lam, a) == 0
 
     def test_contained_row(self):
-        lam = OnePS(1, (1, -1), tuple(standard_basis(2)))
-        a = HiggsTuple(2, 3, (vec(5, 0),))
+        lam = oneps_from_rows(1, (1, -1), standard_basis(2))
+        a = higgs_from_rows(2, 3, (vec(5, 0),))
         assert hm_base(lam, a) == 0
 
     def test_escaping_row(self):
-        lam = OnePS(1, (1, -1), tuple(standard_basis(2)))
-        a = HiggsTuple(2, 3, (vec(0, 1),))
+        lam = oneps_from_rows(1, (1, -1), standard_basis(2))
+        a = higgs_from_rows(2, 3, (vec(0, 1),))
         assert hm_base(lam, a) is INFINITE
 
 
     def test_every_row_counts(self):
-        lam = OnePS(1, (1, -1), tuple(standard_basis(2)))
-        assert hm_base(lam, HiggsTuple(2, 4, (vec(5, 0), vec(2, 0)))) == 0
-        assert hm_base(lam, HiggsTuple(2, 4, (vec(5, 0), vec(0, 1)))) is INFINITE
+        lam = oneps_from_rows(1, (1, -1), standard_basis(2))
+        assert hm_base(lam, higgs_from_rows(2, 4, (vec(5, 0), vec(2, 0)))) == 0
+        assert hm_base(lam, higgs_from_rows(2, 4, (vec(5, 0), vec(0, 1)))) is INFINITE
 
 
 class TestFlagTotal:
@@ -415,8 +420,8 @@ class TestTotalWeight:
                 assert total == base + hm_flag_total(lam, fs, w)
 
     def test_infinite_absorbs(self):
-        lam = OnePS(2, (1, -1), tuple(standard_basis(2)))
-        a = HiggsTuple(2, 4, (vec(0, 1), vec(0, 1)))
+        lam = oneps_from_rows(2, (1, -1), standard_basis(2))
+        a = higgs_from_rows(2, 4, (vec(0, 1), vec(0, 1)))
         fs = FlagSystem.standard(2, 4)
         assert hm_total(lam, a, fs, W_Q2) is INFINITE
 
@@ -424,9 +429,9 @@ class TestTotalWeight:
     def test_invalid_weight_rejected(self, l):
         # l = 2 makes hm_base +inf before any degree is computed; the weight
         # is still checked
-        a = HiggsTuple(2, 4, (vec(1, 0), vec(1, 0)))
+        a = higgs_from_rows(2, 4, (vec(1, 0), vec(1, 0)))
         fs = FlagSystem.standard(2, 4)
-        lam = OnePS(l, (1, -1), tuple(standard_basis(2)))
+        lam = oneps_from_rows(l, (1, -1), standard_basis(2))
         assert (hm_base(lam, a) is INFINITE) == (l == 2)
         with pytest.raises(InputError, match="invalid weight"):
             hm_total(lam, a, fs, W_BAD_Q2)
@@ -468,7 +473,7 @@ class TestDestabilizingShapes:
                     c = random_scalar(rng, 2)
                     v = tuple(x + c * y for x, y in zip(v, b))
                 rows.append(v)
-            a = HiggsTuple(q, s, tuple(rows))
+            a = higgs_from_rows(q, s, rows)
             lam1, p1 = destabilizing_oneps("shape1", iso, fs, w)
             assert hm_total(lam1, a, fs, w) == p1
             co = orthocomplement(iso, BilinearForm(q))
@@ -529,24 +534,24 @@ class TestFlagPieceRadicals:
 
 class TestBoundedSearch:
     def test_invalid_flag_rejected(self):
-        bad = IsotropicFlag((vec(1, F(1, 2)), vec(0, 1)))
+        bad = flag_from_rows((vec(1, F(1, 2)), vec(0, 1)))
         fs = FlagSystem((bad,) + FlagSystem.standard(2, 3).flags)
-        a = HiggsTuple(2, 4, (vec(1, 0), vec(0, 1)))
+        a = higgs_from_rows(2, 4, (vec(1, 0), vec(0, 1)))
         with pytest.raises(InputError):
             bounded_destabilizer_search(a, fs, W_Q2)
 
     def test_stable_instance_finds_nothing(self):
-        a = HiggsTuple(2, 4, (vec(1, 0), vec(0, 1)))
+        a = higgs_from_rows(2, 4, (vec(1, 0), vec(0, 1)))
         assert bounded_destabilizer_search(a, FlagSystem.standard(2, 4), W_Q2) is None
 
     def test_condition1_failure_found(self):
-        a = HiggsTuple(2, 4, (vec(1, 0), vec(1, 0)))
+        a = higgs_from_rows(2, 4, (vec(1, 0), vec(1, 0)))
         found = bounded_destabilizer_search(a, FlagSystem.standard(2, 4), W_Q2)
         assert found is not None and found[1] < 0
 
     def test_positive_coisotropic_found(self):
         fs = FlagSystem.standard(4, 4)
-        a = HiggsTuple(4, 4, (vec(0, 1, 0, 0), vec(0, 0, 1, 0)))
+        a = higgs_from_rows(4, 4, (vec(0, 1, 0, 0), vec(0, 0, 1, 0)))
         found = bounded_destabilizer_search(a, fs, W_Q4)
         assert found is not None
         lam, mu = found
@@ -557,13 +562,13 @@ class TestBoundedSearch:
         # a valid weight with alpha^j < |beta^j|: the search's lemma needs
         # the admissible region, as decide_stability does
         w = Weight.make(2, 4, [F(1, 32)] * 4, [(F(1, 16), F(-1, 16))] * 4)
-        a = HiggsTuple(2, 4, (vec(1, 0), vec(1, 0)))
+        a = higgs_from_rows(2, 4, (vec(1, 0), vec(1, 0)))
         with pytest.raises(InputError, match="admissible region"):
             bounded_destabilizer_search(a, FlagSystem.standard(2, 4), w)
 
     def test_deterministic_first_hit(self):
         fs = FlagSystem.standard(4, 4)
-        a = HiggsTuple(4, 4, (vec(0, 1, 0, 0), vec(0, 0, 1, 0)))
+        a = higgs_from_rows(4, 4, (vec(0, 1, 0, 0), vec(0, 0, 1, 0)))
         f1 = bounded_destabilizer_search(a, fs, W_Q4)
         f2 = bounded_destabilizer_search(a, fs, W_Q4)
         assert f1[1] == f2[1] and f1[0] == f2[0]
@@ -620,14 +625,14 @@ class TestConsistency:
 
     def test_examples(self):
         fs2 = FlagSystem.standard(2, 4)
-        assert consistency_check(HiggsTuple(2, 4, (vec(1, 0), vec(0, 1))), fs2, W_Q2)["consistent"]
-        res = consistency_check(HiggsTuple(2, 4, (vec(1, 0), vec(1, 0))), fs2, W_Q2)
+        assert consistency_check(higgs_from_rows(2, 4, (vec(1, 0), vec(0, 1))), fs2, W_Q2)["consistent"]
+        res = consistency_check(higgs_from_rows(2, 4, (vec(1, 0), vec(1, 0))), fs2, W_Q2)
         assert res["consistent"] and res["mu"] < 0
 
     def test_strictly_semistable_attains_zero(self):
         w3 = Weight.make(3, 4, [F(1, 8)] * 4, [(F(0), F(0), F(0))] * 4)
         fs = FlagSystem.standard(3, 4)
-        a = HiggsTuple(3, 4, (vec(0, 1, 0), vec(0, 1, 0)))
+        a = higgs_from_rows(3, 4, (vec(0, 1, 0), vec(0, 1, 0)))
         res = consistency_check(a, fs, w3)
         assert res["verdict"] == "StrictlySemistable"
         assert res["consistent"] and res["mu"] == 0
@@ -679,8 +684,8 @@ def _shape_formula_oneps(kind, vprime, fs, w):
     m = (1,) * k + (0,) * (fs.q - 2 * k) + (-1,) * k
     degree = _profile_n_pardeg(w, vprime, fs)
     if kind == "shape1":
-        return OnePS(l, m, basis), -4 * (w.n_abs_alpha + degree)
-    return OnePS(l, m, basis), -4 * degree
+        return oneps_from_rows(l, m, basis), -4 * (w.n_abs_alpha + degree)
+    return oneps_from_rows(l, m, basis), -4 * degree
 
 
 def _recursive_descending_tuples(r, cap):
@@ -724,7 +729,7 @@ def _package_chain(l, weighted_chain, q):
         level = next(li for li, d in enumerate(dims) if idx < d)
         m[idx] = thresholds[level]
         m[q - 1 - idx] = -thresholds[level]
-    return OnePS(l, tuple(m), basis)
+    return oneps_from_rows(l, tuple(m), basis)
 
 
 def _two_branch_search(a, fs, w, weight_bound):
@@ -735,13 +740,14 @@ def _two_branch_search(a, fs, w, weight_bound):
     closed form written inline."""
     form = BilinearForm(fs.q)
     isotropics = _candidate_isotropics(a, fs)
-    rows_zero = all(all(x.is_zero() for x in r) for r in a.rows)
+    rows = higgs_rows(a)
+    rows_zero = all(all(x.is_zero() for x in r) for r in rows)
     info = {}
     for iso in isotropics:
         perp = orthocomplement(iso, form)
         info[iso] = (_profile_n_pardeg(w, iso, fs),
-                     all(iso.contains(r) for r in a.rows),
-                     all(perp.contains(r) for r in a.rows))
+                     all(iso.contains(r) for r in rows),
+                     all(perp.contains(r) for r in rows))
     chains = [[]] + [[iso] for iso in isotropics]
     for i1 in isotropics:
         for i2 in isotropics:
@@ -809,8 +815,7 @@ class TestChainReferences:
                 ref, ref_predicted = _shape_formula_oneps(kind, vprime, fs, w)
                 # the search builds its subgroup from integers, the
                 # reference from Scalars
-                assert (lam, lam.basis, predicted) == \
-                    (ref, ref.basis, ref_predicted), (trial, kind)
+                assert (lam, predicted) == (ref, ref_predicted), (trial, kind)
                 done[kind] += 1
         assert done == {"shape1": 120, "shape2": 120}
 
@@ -831,14 +836,13 @@ class TestChainReferences:
                     # the lemma: the enumeration's first hit is the empty
                     # chain or one link at threshold 1, with l = 0 or 1
                     assert max(ref_lam.m) <= 1 and ref_lam.l in (0, 1), (q, s, seed)
-                    assert (lam.l, lam.m, lam.basis, mu) == \
-                        (ref_lam.l, ref_lam.m, ref_lam.basis, ref_mu), (q, s, seed)
+                    assert (lam, mu) == (ref_lam, ref_mu), (q, s, seed)
         # the comparison covers hits, not only instances with nothing to find
         assert hits >= 10
 
     def test_rank_one_pieces(self):
         for l in range(-4, 5):
-            lam = OnePS(l, (1, -1), tuple(standard_basis(2)))
+            lam = oneps_from_rows(l, (1, -1), standard_basis(2))
             for n in range(-6, 7):
                 assert lam.u_piece(n) == _rank_one_piece(lam, n), (l, n)
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,24 +12,28 @@ from isoflag.cli import main
 from isoflag.errors import InputError, InternalConsistencyError, ParseError
 import isoflag.flags as flags_mod
 from isoflag.flags import FlagSystem
-from isoflag.higgs import HiggsTuple, decide_stability
-from isoflag.hmgit import OnePS
+from isoflag.higgs import decide_stability
 from isoflag.io import (
     InstanceFile,
     instance_from_json,
     instance_to_json,
+    flag_to_json,
     oneps_from_json,
     oneps_to_json,
     parse_instance_text,
     serialize_instance,
+    subspace_to_json,
     verdict_to_json,
     weight_from_json,
     weight_to_json,
 )
-from isoflag.linalg import standard_basis
-from isoflag.randgen import mixed_mode, random_instance
+from isoflag.linalg import BilinearForm, Subspace, hyperbolic_basis, standard_basis
+from isoflag.randgen import (mixed_mode, random_flag_system, random_instance, random_scalar,
+                             random_weight)
 from isoflag.scalars import Scalar, parse_fraction, parse_rational, sc
 from isoflag.weights import Weight
+
+from helpers import flag_from_rows, higgs_from_rows, matrix_to_json, oneps_from_rows
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 
@@ -50,7 +55,7 @@ def quad_instance() -> dict:
 
 def make_instance(rows) -> InstanceFile:
     return InstanceFile(W_Q2, FlagSystem.standard(2, 4),
-                        HiggsTuple(2, 4, rows), seed=0)
+                        higgs_from_rows(2, 4, rows), seed=0)
 
 
 class TestRoundTrip:
@@ -68,13 +73,13 @@ class TestRoundTrip:
             back = parse_instance_text(text)
             assert back.weight == inst.weight
             assert back.higgs == inst.higgs
-            assert all(f1.basis == f2.basis
+            assert all((f1.basis_re, f1.basis_im, f1.den) == (f2.basis_re, f2.basis_im, f2.den)
                        for f1, f2 in zip(back.flags.flags, inst.flags.flags))
             # canonical form is a fixed point of parse/serialize
             assert serialize_instance(back) == text
 
     def test_oneps(self):
-        lam = OnePS(2, (1, 0, -1), tuple(standard_basis(3)))
+        lam = oneps_from_rows(2, (1, 0, -1), standard_basis(3))
         assert oneps_from_json(oneps_to_json(lam)) == lam
 
 
@@ -150,6 +155,22 @@ class TestParseErrors:
         pointer = "".join(f"/{key}" for key in where)
         self._rejected(obj, tmp_path, capsys, pointer, message)
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit before Python 3.11")
+    @pytest.mark.parametrize("where", [("A", 0, 0, "re"), ("flags", 1, 2, 3, "im"),
+                                       ("weight", "beta", 0, 0), ("weight", "alpha", 2)])
+    def test_numeral_past_digit_limit(self, tmp_path, capsys, where):
+        """A numeral int() will not read is bad input at its pointer (exit
+        65), not an internal error."""
+        obj = quad_instance()
+        entry = obj
+        for key in where[:-1]:
+            entry = entry[key]
+        entry[where[-1]] = "-" + "7" * 5000
+        pointer = "".join(f"/{key}" for key in where)
+        message = f"numeral too long (over {sys.get_int_max_str_digits()} digits)"
+        self._rejected(obj, tmp_path, capsys, pointer, message)
+
     @pytest.mark.parametrize("spoil,pointer,message", [
         (lambda f: f[2].__setitem__(3, "0"), "/flags/1/2/3",
          "expected an object with 're' and 'im'"),
@@ -193,8 +214,12 @@ class TestParsedFlags:
                     text = serialize_instance(InstanceFile(w, fs, a, seed=seed))
                     back = parse_instance_text(text)
                     for parsed, made in zip(back.flags.flags, fs.flags):
-                        assert parsed._integer_basis() == made._integer_basis(), (q, s, mode)
-                        assert parsed.basis == made.basis, (q, s, mode)
+                        assert ((parsed.basis_re, parsed.basis_im, parsed.den, parsed.hyperbolic)
+                                == (made.basis_re, made.basis_im, made.den, made.hyperbolic)), \
+                            (q, s, mode)
+                        # J B'^T J waits for the first echelon
+                        assert parsed._inverse is made._inverse is None
+                    assert back.higgs == a and hash(back.higgs) == hash(a), (q, s, mode)
                     assert serialize_instance(back) == text, (q, s, mode)
 
     def test_decide_builds_no_flag_scalars(self, monkeypatch):
@@ -212,16 +237,53 @@ class TestParsedFlags:
             scalar_init(self, re, im)
 
         monkeypatch.setattr(flags_mod, "_gaussian_matrix", refuse)
-        monkeypatch.setattr(flags_mod, "_scalar", refuse)
         monkeypatch.setattr(Scalar, "__init__", counting_init)
         inst = parse_instance_text(text)
         # no Scalar per entry of A or of a flag
         assert built == []
         monkeypatch.setattr(Scalar, "__init__", scalar_init)
         verdict = decide_stability(inst.higgs, inst.flags, inst.weight)
-        assert all(flag._basis is None for flag in inst.flags.flags)
         monkeypatch.undo()
         assert verdict_to_json(verdict) == verdict_to_json(decide_stability(a, fs, w))
+
+
+class TestIntegerWriters:
+    """Flags, A, eigenbases and subspaces are written straight from their
+    Gaussian integers; the same values as Scalar rows, written by
+    vector_to_json, are the reference."""
+
+    @staticmethod
+    def _rows(rng, nrows, q):
+        """Scalar rows with zero, negative and non-integer parts, and one
+        zero row."""
+        rows = [tuple(random_scalar(rng, 7) if rng.random() < 0.6 else sc(0) for _ in range(q))
+                for _ in range(nrows)]
+        rows[rng.randrange(nrows)] = tuple(sc(0) for _ in range(q))
+        return rows
+
+    def test_match_scalar_writer(self):
+        rng = random.Random(57)
+        texts = set()
+        for q in range(2, 9):
+            for trial in range(4):
+                s = rng.randint(3, 6)
+                basis = self._rows(rng, q, q)
+                flag_json = flag_to_json(flag_from_rows(basis))
+                assert flag_json == matrix_to_json(basis), (q, trial)
+                a_rows = self._rows(rng, s - 2, q)
+                inst = InstanceFile(random_weight(q, s, trial), random_flag_system(q, s, trial),
+                                    higgs_from_rows(q, s, a_rows))
+                a_json = instance_to_json(inst)["A"]
+                assert a_json == matrix_to_json(a_rows), (q, trial)
+                eigen = hyperbolic_basis(BilinearForm(q), 10 * q + trial)
+                lam = oneps_from_rows(0, (0,) * q, eigen)
+                assert oneps_to_json(lam)["basis"] == matrix_to_json(eigen), (q, trial)
+                sub = Subspace.from_vectors(a_rows, q)
+                assert subspace_to_json(sub) == {"ambient": q, "rows": matrix_to_json(sub.rows)}
+                texts.update(x[part] for row in flag_json + a_json for x in row
+                             for part in ("re", "im"))
+        assert "0" in texts
+        assert any(t.startswith("-") for t in texts) and any("/" in t for t in texts)
 
 
 class TestStrictNumbers:
@@ -269,7 +331,7 @@ class TestStrictNumbers:
 
     @pytest.mark.parametrize("field", ["l", "m"])
     def test_bool_oneps_rejected(self, tmp_path, unstable_file, capsys, field):
-        obj = oneps_to_json(OnePS(1, (1, -1), tuple(standard_basis(2))))
+        obj = oneps_to_json(oneps_from_rows(1, (1, -1), standard_basis(2)))
         if field == "l":
             obj["l"] = True
         else:
@@ -373,7 +435,7 @@ class TestCli:
         assert err == f"usage error: {message}\n"
 
     def test_hm_audit(self, tmp_path, unstable_file, capsys):
-        lam = OnePS(1, (1, -1), tuple(standard_basis(2)))
+        lam = oneps_from_rows(1, (1, -1), standard_basis(2))
         oneps_path = tmp_path / "lam.oneps.json"
         oneps_path.write_text(json.dumps(oneps_to_json(lam)), encoding="utf-8")
         assert main(["hm", str(unstable_file), "--oneps", str(oneps_path)]) == 0
@@ -388,11 +450,11 @@ class TestCli:
         # rejected
         w = Weight.make(2, 4, [F(3, 4)] + [F(1, 8)] * 3, [(F(1, 16), F(-1, 16))] * 4)
         inst = InstanceFile(w, FlagSystem.standard(2, 4),
-                            HiggsTuple(2, 4, (vec(1, 0), vec(1, 0))), seed=0)
+                            higgs_from_rows(2, 4, (vec(1, 0), vec(1, 0))), seed=0)
         path = tmp_path / "bad-weight.instance.json"
         path.write_text(serialize_instance(inst), encoding="utf-8")
         oneps_path = tmp_path / "lam.oneps.json"
-        lam = OnePS(l, (1, -1), tuple(standard_basis(2)))
+        lam = oneps_from_rows(l, (1, -1), standard_basis(2))
         oneps_path.write_text(json.dumps(oneps_to_json(lam)), encoding="utf-8")
         assert main(["hm", str(path), "--oneps", str(oneps_path)]) == 65
         assert "invalid weight: alpha[1] not in [0, 1/2]" in capsys.readouterr().err

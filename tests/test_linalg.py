@@ -459,8 +459,8 @@ class TestMeetJoin:
         assert kinds == {(True, False), (False, True), (False, False)}
 
     def test_hm_grassmannian_unchanged(self, monkeypatch):
-        from isoflag import hmgit
-        from isoflag.hmgit import OnePS, hm_grassmannian
+        import helpers
+        from helpers import hm_grassmannian, oneps_from_rows
 
         rng = random.Random(61)
         cases = []
@@ -469,13 +469,13 @@ class TestMeetJoin:
             top = sorted((rng.randint(0, 3) for _ in range(q // 2)), reverse=True)
             m = tuple(top) + ((0,) if q % 2 else ()) + tuple(-x for x in reversed(top))
             basis = hyperbolic_basis(BilinearForm(q), rng.randint(0, 10 ** 6))
-            lam = OnePS(rng.randint(-3, 3), m, basis)
+            lam = oneps_from_rows(rng.randint(-3, 3), m, basis)
             i = rng.randint(1, q)
             sub = Subspace.from_vectors([random_vector(rng, q) for _ in range(i)], q)
             if sub.dim == i:
                 cases.append((lam, sub, i, rng.randint(1, 3)))
         values = [hm_grassmannian(*case) for case in cases]
-        monkeypatch.setattr(hmgit, "meet_join", _zassenhaus_meet_join)
+        monkeypatch.setattr(helpers, "meet_join", _zassenhaus_meet_join)
         assert values == [hm_grassmannian(*case) for case in cases]
         assert any(values)
 
