@@ -271,18 +271,12 @@ def _cmd_batch(args) -> int:
     if not directory.is_dir():
         raise ParseError(args.dir, "not a directory")
     files = sorted(str(p) for p in directory.glob("*.instance.json"))
-    source = "ISOFLAG_JOBS" if "ISOFLAG_JOBS" in os.environ else "--jobs"
-    jobs = os.environ.get("ISOFLAG_JOBS", args.jobs)
-    try:
-        jobs = int(jobs)
-    except ValueError:
-        raise _UsageError(f"ISOFLAG_JOBS must be an integer, got {jobs!r}") from None
-    if jobs < 1:
+    if args.jobs < 1:
         # a count below 1 names no worker; it is not a request to run serially
-        raise _UsageError(f"{source} must be at least 1, got {jobs}")
-    if jobs > 1 and len(files) > 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs > 1 and len(files) > 1:
         # the fork start method forks every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(files))) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(files))) as pool:
             raw = list(pool.map(_decide_one_path, files))
     else:
         raw = [_decide_one_path(f) for f in files]

@@ -97,6 +97,8 @@ class IsotropicFlag:
         self.q = q = len(basis_re)
         if len(basis_im) != q or any(len(row) != q for row in (*basis_re, *basis_im)):
             raise InputError("flag basis must be square")
+        if den < 1:
+            raise InputError("flag basis denominator must be positive")
         self.basis_re, self.basis_im, self.den = basis_re, basis_im, den
         self.hyperbolic = _zi_hyperbolic(basis_re, basis_im, den)
         # J B'^T J as (re, im), built on the first echelon: many flags are
@@ -248,8 +250,8 @@ def validate_flag(flag: IsotropicFlag) -> list[str]:
 def random_flag(q: int, seed: int) -> IsotropicFlag:
     """A valid flag, deterministic per seed; seed 0 is the standard flag.
     Its basis is linalg.hyperbolic_basis's, drawn as Scalar rows and
-    converted once; the flag's own integer check of the Gram matrix stands
-    in for hyperbolic_basis's check on the Scalars."""
+    converted once; the flag's own check of the Gram matrix, made when it
+    is built, is hyperbolic_basis's check on the same integers."""
     if q < 2:
         raise InputError("flags need q >= 2")
     flag = IsotropicFlag(*_gaussian_matrix(random_special_isometry(q, seed)))

@@ -39,9 +39,11 @@ per-flag greedy relaxation, which no witness enters.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, isqrt
 
 from .errors import InputError, InternalConsistencyError
 from .flags import (FlagSystem, pardeg_from_profile, pardeg_subspace, require_weight_for,
@@ -53,8 +55,6 @@ from .linalg import (
     ZiRow,
     _gaussian_row,
     _isotropy_from_gram,
-    _scalar,
-    _scalar_row,
     _zi_gram,
     _zi_row_times,
     isotropy_classify,
@@ -84,9 +84,11 @@ class HiggsTuple:
             raise InputError("need at least 3 punctures")
         if len(rows) != s - 2:
             raise InputError(f"expected {s - 2} rows, got {len(rows)}")
-        for re, im, _ in rows:
+        for re, im, den in rows:
             if len(re) != q or len(im) != q:
                 raise InputError("row length does not match q")
+            if den < 1:
+                raise InputError("row denominator must be positive")
         self.q, self.s = q, s
         self.integer_rows = tuple((tuple(re), tuple(im), den) for re, im, den in rows)
 
@@ -123,6 +125,14 @@ class HiggsTuple:
 # witnesses
 
 
+def _reduced(re: Sequence[int], im: Sequence[int], den: int
+             ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The row (re + i im) / den over its least denominator, as (re, im, den)
+    with integer tuples."""
+    g = gcd(den, *re, *im)
+    return tuple(x // g for x in re), tuple(y // g for y in im), den // g
+
+
 class ExtensionLine:
     """The line spanned by base + sqrt(delta) * twist over Q(i)(sqrt(delta)),
     delta a non-square.  Its intersection pattern with rational subspaces is
@@ -133,16 +143,19 @@ class ExtensionLine:
     builds) lies in no isotropic F_i^j, so its jumps are above q/2, where
     beta_i <= 0 by antisymmetry: pardeg <= 0 under any valid weight.
 
-    _isotropic_line_in builds the line from Gaussian integers (from_zi),
-    and its Scalar base, twist and delta are built when first read, for
-    output.  Immutable; equal when ambient, base, twist and delta are."""
+    base, twist and delta (a row of one entry) are each held as (re, im,
+    den), the row (re + i im) / den over its least denominator, the form
+    linalg._gaussian_row gives.  That form is canonical, so == and the hash
+    compare integers.  _isotropic_line_in builds the line from Gaussian
+    integers (from_zi); the constructor takes Scalars and converts them
+    once.  Immutable."""
 
-    __slots__ = ("ambient", "_scalars", "_integer")
+    __slots__ = ("ambient", "base", "twist", "delta")
 
     def __init__(self, ambient: int, base: Vector, twist: Vector, delta: Scalar):
         self.ambient = ambient
-        self._scalars: tuple[Vector, Vector, Scalar] | None = (base, twist, delta)
-        self._integer: tuple[ZiRow, ZiRow, tuple[int, int], int] | None = None
+        self.base, self.twist, self.delta = (_reduced(*_gaussian_row(v))
+                                             for v in (base, twist, (delta,)))
 
     @classmethod
     def from_zi(cls, ambient: int, base: ZiRow, twist: ZiRow, delta: tuple[int, int],
@@ -151,56 +164,45 @@ class ExtensionLine:
         Gaussian-integer rows base and twist and a Gaussian integer delta."""
         line = cls.__new__(cls)
         line.ambient = ambient
-        line._scalars = None
-        line._integer = (base, twist, delta, den)
+        line.base, line.twist = _reduced(*base, den ** 3), _reduced(*twist, den)
+        line.delta = _reduced((delta[0],), (delta[1],), den ** 4)
         return line
-
-    def _parts(self) -> tuple[Vector, Vector, Scalar]:
-        if self._scalars is None:
-            base, twist, delta, den = self._integer
-            self._scalars = (_scalar_row(base, den ** 3), _scalar_row(twist, den),
-                             _scalar(*delta, den ** 4))
-        return self._scalars
-
-    @property
-    def base(self) -> Vector:
-        return self._parts()[0]
-
-    @property
-    def twist(self) -> Vector:
-        return self._parts()[1]
-
-    @property
-    def delta(self) -> Scalar:
-        return self._parts()[2]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtensionLine):
             return NotImplemented
-        return (self.ambient, self._parts()) == (other.ambient, other._parts())
+        return ((self.ambient, self.base, self.twist, self.delta)
+                == (other.ambient, other.base, other.twist, other.delta))
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self._parts()))
+        return hash((self.ambient, self.base, self.twist, self.delta))
 
     def __repr__(self) -> str:
-        base, twist, delta = self._parts()
-        return (f"ExtensionLine(ambient={self.ambient}, base={base!r}, twist={twist!r}, "
-                f"delta={delta!r})")
+        return (f"ExtensionLine(ambient={self.ambient}, base={self.base!r}, "
+                f"twist={self.twist!r}, delta={self.delta!r})")
 
     def pardeg(self, fs: FlagSystem, w: Weight) -> Fraction:
         """A line has one jump per flag: the first i with the line in F_i^j,
         that is, with the hull in F_i^j: dim(hull ^ F_i^j) = dim hull.  Both
         are read off the flag profiles of the hull."""
         require_weight_for(fs, w)
-        hull = Subspace.from_vectors([self.base, self.twist], self.ambient)
+        hull = Subspace.from_zi_rows([self.base[:2], self.twist[:2]], self.ambient)
         return Fraction(sum(row[flag.profile(hull).index(hull.dim) - 1]
                             for row, flag in zip(w.n_beta, fs.flags)), w.n)
 
     def is_isotropic(self, form: BilinearForm) -> bool:
-        """Both parts of Q(base + sqrt(delta) twist) vanish, read off one Gram
-        matrix: Q(base, base) + delta Q(twist, twist) and 2 Q(base, twist)."""
-        (bb, bt), (_, tt) = form.gram([self.base, self.twist])
-        return (bb + self.delta * tt).is_zero() and bt.is_zero()
+        """Both parts of Q(base + sqrt(delta) twist) vanish: Q(base, base) +
+        delta Q(twist, twist) and 2 Q(base, twist).  With base = B / d_b,
+        twist = T / d_t and delta = Delta / d_delta, the first times
+        d_b^2 d_t^2 d_delta is Q(B, B) d_delta d_t^2 + Delta Q(T, T) d_b^2,
+        read off the Gram matrix of the integer rows B and T."""
+        if form.p != self.ambient:
+            raise InputError("vector length does not match form dimension")
+        (bb, bt), (_, tt) = _pairings([self.base[:2], self.twist[:2]])
+        (x,), (y,), d_delta = self.delta
+        scale_bb, scale_tt = d_delta * self.twist[2] ** 2, self.base[2] ** 2
+        return bt == (0, 0) and all(u * scale_bb + v * scale_tt == 0
+                                    for u, v in zip(bb, _times((x, y), tt)))
 
 
 LineWitness = Subspace | ExtensionLine
@@ -234,6 +236,26 @@ def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
+def _zi_sqrt(a: int, b: int) -> tuple[int, int] | None:
+    """A square root x + yi of the Gaussian integer a + bi, or None when it
+    has none in Q(i): Z[i] is integrally closed, so a root in Q(i) lies in
+    Z[i].  For b = 0 the root is sqrt(a) >= 0 or i sqrt(-a); otherwise it is
+    the one with x > 0: with n = |a + bi|, x = sqrt((a + n) / 2) and
+    y = b / (2x), exact because y^2 = (n - a) / 2 is an integer."""
+    if b == 0:
+        r = isqrt(abs(a))
+        if r * r != abs(a):
+            return None
+        return (r, 0) if a >= 0 else (0, r)
+    n = isqrt(a * a + b * b)
+    if n * n != a * a + b * b or (a + n) % 2:
+        return None
+    x = isqrt((a + n) // 2)
+    if x * x != (a + n) // 2:
+        return None
+    return x, b // (2 * x)
+
+
 def _combine(c1: tuple[int, int], v1: ZiRow, c2: tuple[int, int], v2: ZiRow) -> ZiRow:
     """c1 v1 + c2 v2 for Gaussian integers c1, c2 and rows v1, v2."""
     return _zi_row_times((c1[0], c2[0]), (c1[1], c2[1]), (v1[0], v2[0]), (v1[1], v2[1]))
@@ -251,9 +273,9 @@ def _isotropic_line_in(y: Subspace, rng: random.Random) -> LineWitness | None:
     Everything runs on y's stored rows x_k = D b_k and their Gram matrix
     G = D^2 (Q(b_k, b_l)), which also gives the radical.  Scaling a plane's
     rows by D scales its pairings by D^2, its discriminant by D^4, its root
-    by D^2 (Scalar.sqrt picks the same root of a positive multiple) and each
+    by D^2 (_zi_sqrt picks the same root of a positive multiple) and each
     line by D^3, so every line is the one the reduced rows b_k give.  An
-    ExtensionLine is held as base / D^3, twist / D and delta / D^4.
+    ExtensionLine is built as base / D^3, twist / D and delta / D^4.
     """
     rows = list(y.zi_rows)
     gram = _zi_gram(rows)
@@ -285,16 +307,15 @@ def _isotropic_line_in(y: Subspace, rng: random.Random) -> LineWitness | None:
         if g11 == (0, 0):
             return _line(x1, y.ambient)
         disc = tuple(a - b for a, b in zip(_times(g12, g12), _times(g11, g22)))
-        root = Scalar(*disc).sqrt()
+        root = _zi_sqrt(*disc)
         if root is not None:
-            r = (int(root.re) - g12[0], int(root.im) - g12[1])
+            r = (root[0] - g12[0], root[1] - g12[1])
             return _line(_combine(r, x1, g11, x2), y.ambient)
         if fallback is None:
             base = _combine((-g12[0], -g12[1]), x1, g11, x2)
-            (bb, bt), (_, tt) = _pairings([base, x1])
-            if _times(disc, tt) != (-bb[0], -bb[1]) or bt != (0, 0):
-                raise InternalConsistencyError("extension line construction failed")
             fallback = ExtensionLine.from_zi(y.ambient, base, x1, disc, y.den)
+            if not fallback.is_isotropic(BilinearForm(y.ambient)):
+                raise InternalConsistencyError("extension line construction failed")
     return fallback
 
 

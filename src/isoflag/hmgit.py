@@ -94,7 +94,7 @@ class OnePS:
     def __init__(self, l: int, m: tuple[int, ...], basis_re: list[list[int]],
                  basis_im: list[list[int]], den: int):
         q = len(m)
-        if len(basis_re) != q:
+        if len(basis_re) != q or len(basis_im) != q:
             raise InputError("eigenbasis size does not match weight vector")
         for i in range(q - 1):
             if m[i] < m[i + 1]:
@@ -104,8 +104,10 @@ class OnePS:
                 raise InputError("weights must be antisymmetric")
         if q < 1:
             raise InputError("form dimension must be positive")
-        if any(len(row) != q for row in basis_re):
+        if any(len(row) != q for row in (*basis_re, *basis_im)):
             raise InputError("vector length does not match form dimension")
+        if den < 1:
+            raise InputError("eigenbasis denominator must be positive")
         if not _zi_hyperbolic(basis_re, basis_im, den):
             raise InputError("eigenbasis is not hyperbolic")
         self.l, self.m = l, m

@@ -18,9 +18,11 @@ the (B', d) that OnePS holds.  Paths are built only on failure: a matrix or
 a weight with any fault is read again entry by entry, and that walk raises
 the ParseError of the first fault.
 
-Flags, A, eigenbases and subspaces are written straight from those integers
-by one writer (_zi_vector_to_json), each entry x / d as its reduced
-fraction: the text Scalar rows of the same values would give.
+Flags, A, eigenbases, subspaces and extension-line witnesses are written
+straight from those integers by one writer (_zi_vector_to_json), each entry
+x / d as its reduced fraction.  So neither reading an instance nor writing
+a verdict builds a Scalar; only the readers that return Scalars
+(scalar_from_json, vector_from_json, matrix_from_json) build them.
 """
 
 from __future__ import annotations
@@ -142,16 +144,8 @@ def _integer(rows: int, cols: int, pairs: list[_Rational]
             [ints[(rows + i) * cols:(rows + i + 1) * cols] for i in range(rows)], den)
 
 
-def scalar_to_json(x: Scalar) -> dict:
-    return {"re": format_fraction(x.re), "im": format_fraction(x.im)}
-
-
 def scalar_from_json(obj: Any, path: str) -> Scalar:
     return _pair_scalar(*_Rationals().entry(obj, path))
-
-
-def vector_to_json(v: Vector) -> list:
-    return [scalar_to_json(x) for x in v]
 
 
 def vector_from_json(obj: Any, path: str) -> Vector:
@@ -161,9 +155,9 @@ def vector_from_json(obj: Any, path: str) -> Vector:
 
 
 def _zi_vector_to_json(re, im, den: int) -> list:
-    """The row (re + i im) / den of integer parts re and im, as
-    vector_to_json writes the same row as Scalars, with no Fraction or
-    Scalar built."""
+    """The row (re + i im) / den of integer parts re and im, each entry as
+    {"re", "im"} reduced fraction strings, with no Fraction or Scalar
+    built."""
     return [{"re": _fraction_text(x, den), "im": _fraction_text(y, den)} for x, y in zip(re, im)]
 
 
@@ -392,9 +386,9 @@ def certificate_to_json(cert: Certificate | None) -> dict | None:
     if cert.witness is not None:
         if isinstance(cert.witness, ExtensionLine):
             out["witness_line"] = {
-                "base": vector_to_json(cert.witness.base),
-                "twist": vector_to_json(cert.witness.twist),
-                "delta": scalar_to_json(cert.witness.delta),
+                "base": _zi_vector_to_json(*cert.witness.base),
+                "twist": _zi_vector_to_json(*cert.witness.twist),
+                "delta": _zi_vector_to_json(*cert.witness.delta)[0],
             }
         else:
             out["witness"] = subspace_to_json(cert.witness)

@@ -1,16 +1,20 @@
 """Exact linear algebra over the Gaussian rationals with the split symmetric form.
 
-Vectors are tuples of Scalar, used as row vectors throughout; a linear map
-acts by right multiplication v -> v @ M.  The bilinear form is always the
-antidiagonal split form J_p with Q(e_i, e_j) = 1 iff i + j = p + 1 (1-indexed),
-so multiplying a row vector by J is coordinate reversal.
+Vectors are row vectors throughout; a linear map acts by right
+multiplication v -> v @ M.  The bilinear form is always the antidiagonal
+split form J_p with Q(e_i, e_j) = 1 iff i + j = p + 1 (1-indexed), so
+multiplying a row vector by J is coordinate reversal.
 
+A vector is a Gaussian-integer row (re, im) (ZiRow) with an integer
+denominator kept beside it, and a matrix is such rows over one denominator.
 Subspaces are held in their canonical form over the Gaussian integers Z[i]
 (Subspace, rref), built by one fraction-free elimination (_zi_eliminate).
-Scalar vectors become Gaussian-integer rows through _gaussian_row and
-_gaussian_matrix: in Subspace.from_vectors, and where instance generation
-makes its flags and rows, which hold only that form.  A subspace's Scalar
-rows are built only when read.
+Scalar vectors (Vector) are what instance generation computes with, and
+what Subspace.from_vectors, contains, kernel_basis and invert_matrix take:
+they become Gaussian-integer rows through _gaussian_row and
+_gaussian_matrix, there and where generation makes its flags and rows,
+which hold only that form.  A subspace's Scalar rows are built only when
+read.
 Membership, kernels, orthocomplements and radicals are read off the stored
 integers, and the hyperbolic completion of an isotropic subspace off its
 rows, as Gaussian integers, with no further elimination.
@@ -141,23 +145,6 @@ def _zi_hyperbolic(b_re: list[list[int]], b_im: list[list[int]], den: int) -> bo
         if any(acc_re) or any(acc_im):
             return False
     return True
-
-
-def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
-    """Rows of a times matrix b (rows of b).
-
-    Each row of a is put over its own denominator and all of b over one
-    shared denominator, so the products accumulate in Gaussian integers and
-    one Fraction is built per output component.
-    """
-    b_re, b_im, b_den = _gaussian_matrix(b)
-    out = []
-    for row in a:
-        a_re, a_im, den = _gaussian_row(row)
-        acc_re, acc_im = _zi_row_times(a_re, a_im, b_re, b_im)
-        den *= b_den
-        out.append(tuple(_scalar(x, y, den) for x, y in zip(acc_re, acc_im)))
-    return out
 
 
 def _zi_eliminate(work: list[ZiRow], *, reduced: bool = False) -> tuple[list[ZiRow], list[int]]:
@@ -301,20 +288,6 @@ class BilinearForm:
             acc = acc + x[i] * y[self.p - 1 - i]
         return acc
 
-    def gram(self, vectors: list[Vector]) -> list[Vector]:
-        """Q(v, w) for every pair: since J reverses coordinates, one product
-        of the vectors with the transpose of their reversals."""
-        if any(len(v) != self.p for v in vectors):
-            raise InputError("vector length does not match form dimension")
-        return mat_mul(vectors, [tuple(w[self.p - 1 - i] for w in vectors)
-                                 for i in range(self.p)])
-
-    def is_standard_gram(self, vectors: list[Vector]) -> bool:
-        """True iff the Gram matrix of the vectors equals J_p itself."""
-        n = len(vectors)
-        return self.gram(vectors) == [tuple(ONE if i + j == n - 1 else ZERO for j in range(n))
-                                      for i in range(n)]
-
 
 # ---------------------------------------------------------------------------
 # subspaces
@@ -415,12 +388,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-    def transform(self, m: list[Vector]) -> "Subspace":
-        """Image under v -> v @ m."""
-        if not self.zi_rows:
-            return Subspace.zero(len(m[0]))
-        return Subspace.from_vectors(mat_mul(list(self.rows), m), len(m[0]))
 
 
 def _fraction_text(n: int, d: int) -> str:
@@ -635,7 +602,7 @@ def hyperbolic_basis(form: BilinearForm, seed: int) -> tuple[Vector, ...]:
     Deterministic for a fixed seed.
     """
     basis = tuple(random_special_isometry(form.p, seed))
-    if not form.is_standard_gram(list(basis)):
+    if not _zi_hyperbolic(*_gaussian_matrix(list(basis))):
         raise InternalConsistencyError("generated basis is not hyperbolic")
     return basis
 

@@ -1,9 +1,14 @@
-"""Exact Gaussian-rational arithmetic.
+"""Exact Gaussian-rational arithmetic, and the text form of rationals.
 
 Every scalar in this package is an element of Q(i): a complex number whose
 real and imaginary parts are rational.  Rank, isotropy and degree decisions
 are exact at this field, so there is no tolerance management anywhere;
 equality is equality.
+
+The decisions run on Gaussian integers over integer denominators (linalg),
+from parsing to the printed certificate.  Scalar, a pair of Fractions, is
+the arithmetic of instance generation and of the readers that return
+Scalars (io.scalar_from_json and vector_from_json); no decision builds one.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import InputError, ParseError
 
@@ -22,17 +27,6 @@ def _coerce(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise InputError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-def fraction_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if none exists."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 class Scalar:
@@ -90,34 +84,6 @@ class Scalar:
         if self.im == 0:
             return f"Scalar({self.re})"
         return f"Scalar({self.re}, {self.im})"
-
-    def sqrt(self) -> "Scalar | None":
-        """An exact square root in Q(i), or None when the element is not a square.
-
-        For a + bi with b != 0, a root x + yi must satisfy x^2 = (a + N)/2 and
-        y = b/(2x) where N = sqrt(a^2 + b^2); each step is an exact rational
-        square-root test.
-        """
-        a, b = self.re, self.im
-        if b == 0:
-            r = fraction_sqrt(a)
-            if r is not None:
-                return Scalar(r)
-            r = fraction_sqrt(-a)
-            if r is not None:
-                return Scalar(0, r)
-            return None
-        n = fraction_sqrt(a * a + b * b)
-        if n is None:
-            return None
-        x = fraction_sqrt((a + n) / 2)
-        if x is None or x == 0:
-            return None
-        y = b / (2 * x)
-        root = Scalar(x, y)
-        if root * root == self:
-            return root
-        return None
 
 
 ZERO = Scalar(0)

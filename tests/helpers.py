@@ -1,29 +1,37 @@
 """Scalar forms of isoflag's integer-held types, and code only the tests run.
 
-IsotropicFlag, HiggsTuple and OnePS each take their Gaussian-integer form
-only.  The tests write many of them as Scalar rows: the builders here put
-such rows over their least common denominator, the form the package holds
-(linalg._gaussian_row and _gaussian_matrix), and the views read the Scalar
-rows back.  The isometry actions on flags and the Grassmannian weight
-identity are used by the tests alone, so they live here too.
+IsotropicFlag, HiggsTuple, OnePS and ExtensionLine each hold their
+Gaussian-integer form only.  The tests write many of them as Scalar rows:
+the builders here put such rows over their least common denominator, the
+form the package holds (linalg._gaussian_row and _gaussian_matrix), and the
+views read the Scalar rows back.  The Scalar references the integer code is
+compared with (matrix products, Gram matrices, the square root in Q(i), the
+JSON writer of Scalar rows), the isometry actions on flags and subspaces and
+the Grassmannian weight identity are used by the tests alone, so they live
+here too.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import isqrt
+
 from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.flags import FlagSystem, IsotropicFlag
-from isoflag.higgs import HiggsTuple
+from isoflag.higgs import ExtensionLine, HiggsTuple
 from isoflag.hmgit import OnePS
-from isoflag.io import vector_to_json
 from isoflag.linalg import (
+    BilinearForm,
     Subspace,
     Vector,
     _gaussian_matrix,
     _gaussian_row,
+    _scalar,
     _scalar_row,
-    mat_mul,
+    _zi_row_times,
     meet_join,
 )
+from isoflag.scalars import ONE, ZERO, Scalar, format_fraction
 
 # ---------------------------------------------------------------------------
 # Scalar rows in, Scalar rows out
@@ -56,6 +64,94 @@ def oneps_basis(lam: OnePS) -> tuple[Vector, ...]:
     return tuple(_scalar_row(row, lam.den) for row in zip(lam.basis_re, lam.basis_im))
 
 
+def line_parts(line: ExtensionLine) -> tuple[Vector, Vector, Scalar]:
+    """An extension line's base, twist and delta as Scalars."""
+    base, twist, delta = (_scalar_row(row[:2], row[2])
+                          for row in (line.base, line.twist, line.delta))
+    return base, twist, delta[0]
+
+
+# ---------------------------------------------------------------------------
+# Scalar references
+
+
+def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
+    """Rows of a times matrix b (rows of b).
+
+    Each row of a is put over its own denominator and all of b over one
+    shared denominator, so the products accumulate in Gaussian integers and
+    one Fraction is built per output component.
+    """
+    b_re, b_im, b_den = _gaussian_matrix(b)
+    out = []
+    for row in a:
+        a_re, a_im, den = _gaussian_row(row)
+        acc_re, acc_im = _zi_row_times(a_re, a_im, b_re, b_im)
+        den *= b_den
+        out.append(tuple(_scalar(x, y, den) for x, y in zip(acc_re, acc_im)))
+    return out
+
+
+def gram(form: BilinearForm, vectors: list[Vector]) -> list[Vector]:
+    """Q(v, w) for every pair: since J reverses coordinates, one product of
+    the vectors with the transpose of their reversals."""
+    if any(len(v) != form.p for v in vectors):
+        raise InputError("vector length does not match form dimension")
+    return mat_mul(vectors, [tuple(w[form.p - 1 - i] for w in vectors) for i in range(form.p)])
+
+
+def is_standard_gram(form: BilinearForm, vectors: list[Vector]) -> bool:
+    """True iff the Gram matrix of the vectors equals J_p itself."""
+    n = len(vectors)
+    return gram(form, vectors) == [tuple(ONE if i + j == n - 1 else ZERO for j in range(n))
+                                   for i in range(n)]
+
+
+def _fraction_sqrt(x: Fraction) -> Fraction | None:
+    """Exact square root of a nonnegative rational, or None if none exists."""
+    if x < 0:
+        return None
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    if rn * rn == x.numerator and rd * rd == x.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def scalar_sqrt(z: Scalar) -> Scalar | None:
+    """An exact square root in Q(i), or None when z is not a square: the
+    reference for the package's root in Z[i].
+
+    For a + bi with b != 0, a root x + yi must satisfy x^2 = (a + N)/2 and
+    y = b/(2x) where N = sqrt(a^2 + b^2); each step is an exact rational
+    square-root test.
+    """
+    a, b = z.re, z.im
+    if b == 0:
+        r = _fraction_sqrt(a)
+        if r is not None:
+            return Scalar(r)
+        r = _fraction_sqrt(-a)
+        if r is not None:
+            return Scalar(0, r)
+        return None
+    n = _fraction_sqrt(a * a + b * b)
+    if n is None:
+        return None
+    x = _fraction_sqrt((a + n) / 2)
+    if x is None or x == 0:
+        return None
+    root = Scalar(x, b / (2 * x))
+    return root if root * root == z else None
+
+
+def scalar_to_json(x: Scalar) -> dict:
+    return {"re": format_fraction(x.re), "im": format_fraction(x.im)}
+
+
+def vector_to_json(v: Vector) -> list:
+    return [scalar_to_json(x) for x in v]
+
+
 def matrix_to_json(rows) -> list:
     """Scalar rows as the instance format writes them: the reference the
     package's integer writers are compared with."""
@@ -63,7 +159,14 @@ def matrix_to_json(rows) -> list:
 
 
 # ---------------------------------------------------------------------------
-# isometries acting on flags
+# isometries acting on flags and subspaces
+
+
+def transform_subspace(sub: Subspace, m: list[Vector]) -> Subspace:
+    """Image under v -> v @ m."""
+    if not sub.zi_rows:
+        return Subspace.zero(len(m[0]))
+    return Subspace.from_vectors(mat_mul(list(sub.rows), m), len(m[0]))
 
 
 def transform_flag(f: IsotropicFlag, m: list[Vector]) -> IsotropicFlag:

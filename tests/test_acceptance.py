@@ -23,7 +23,6 @@ from isoflag.linalg import (
     BilinearForm,
     Subspace,
     hyperbolic_basis,
-    mat_mul,
     orthocomplement,
     random_special_isometry,
 )
@@ -46,7 +45,8 @@ from isoflag.weights import (
     weight_stats,
 )
 
-from helpers import higgs_from_rows, higgs_rows, hm_grassmannian, oneps_from_rows, transform_flags
+from helpers import (higgs_from_rows, higgs_rows, hm_grassmannian, mat_mul, oneps_from_rows,
+                     transform_flags)
 
 
 def _report(number: int, description: str, elapsed: float) -> None:

@@ -23,7 +23,6 @@ from isoflag.linalg import (
     Subspace,
     invert_matrix,
     isotropy_classify,
-    mat_mul,
     meet_join,
     orthocomplement,
     random_special_isometry,
@@ -39,7 +38,8 @@ from isoflag.randgen import (
 from isoflag.scalars import Scalar, sc
 from isoflag.weights import Weight, weight_stats
 
-from helpers import flag_basis, flag_from_rows, transform_flag, transform_flags
+from helpers import (flag_basis, flag_from_rows, gram, mat_mul, transform_flag, transform_flags,
+                     transform_subspace)
 
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
                    [(F(1, 16), F(1, 32), F(-1, 32), F(-1, 16))] * 4)
@@ -96,9 +96,9 @@ class TestValidateFlag:
                         continue
                     spoiled = list(basis)
                     spoiled[a] = tuple(x + sc(F(1, 3), 1) * y for x, y in zip(basis[a], basis[b]))
-                    gram = form.gram(spoiled)
+                    gram_matrix = gram(form, spoiled)
                     wrong = {(i, j) for i in range(q) for j in range(q)
-                             if gram[i][j] != (sc(1) if i + j == q - 1 else sc(0))}
+                             if gram_matrix[i][j] != (sc(1) if i + j == q - 1 else sc(0))}
                     assert wrong == {(a, q - 1 - b), (q - 1 - b, a)}, (q, a, b)
                     seen.add(a < q - 1 - b)
                     assert validate_flag(flag_from_rows(spoiled)) == \
@@ -180,7 +180,7 @@ class TestPardeg:
             w = random_weight(q, s, trial + 3)
             sub = random_isotropic_subspace(q, rng.randint(1, q // 2), trial + 5)
             m = random_special_isometry(q, trial + 7)
-            assert pardeg_subspace(sub.transform(m), transform_flags(fs, m), w) \
+            assert pardeg_subspace(transform_subspace(sub, m), transform_flags(fs, m), w) \
                 == pardeg_subspace(sub, fs, w)
 
 
@@ -466,11 +466,19 @@ class TestInvalidFlags:
             with pytest.raises(InputError):
                 flag.radical_dim(line, 1)
 
+    @pytest.mark.parametrize("basis_re,den", [([[0] * 3] * 3, 0), ([[-1, 0], [0, -1]], -1)],
+                             ids=["zero-basis-over-0", "hyperbolic-over-minus-1"])
+    def test_denominator_below_one_rejected(self, basis_re, den):
+        # -I over -1 is the identity, and hyperbolic, but would be written
+        # "-1/-1"; the zero basis over 0 passed the Gram check
+        with pytest.raises(InputError, match="flag basis denominator must be positive"):
+            IsotropicFlag(basis_re, [[0] * len(basis_re)] * len(basis_re), den)
+
     def test_doubled_gram_is_4j(self):
         flag = _doubled(random_flag(4, 2))
-        gram = BilinearForm(4).gram(list(flag_basis(flag)))
-        assert gram == [tuple(sc(4) if i + j == 3 else sc(0) for j in range(4))
-                        for i in range(4)]
+        gram_matrix = gram(BilinearForm(4), list(flag_basis(flag)))
+        assert gram_matrix == [tuple(sc(4) if i + j == 3 else sc(0) for j in range(4))
+                               for i in range(4)]
 
     @pytest.mark.parametrize("spoil", [_perturbed, _doubled])
     def test_cli(self, spoil, tmp_path, capsys):

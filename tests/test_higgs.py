@@ -27,7 +27,6 @@ from isoflag.linalg import (
     _zi_reversed_transpose,
     invert_matrix,
     isotropy_classify,
-    mat_mul,
     max_isotropic_dimension,
     meet_join,
     orthocomplement,
@@ -45,7 +44,8 @@ from isoflag.randgen import (
 from isoflag.scalars import Scalar, sc
 from isoflag.weights import Weight
 
-from helpers import flag_basis, flag_from_rows, higgs_from_rows, higgs_rows, transform_flags
+from helpers import (flag_basis, flag_from_rows, gram, higgs_from_rows, higgs_rows, line_parts,
+                     mat_mul, scalar_sqrt, transform_flags)
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -146,6 +146,61 @@ class TestConversionsLeftTheDecisionPath:
                 seen.add("Stable with T = 0")
         assert seen == {"shared_flag Unstable at q = 4", "Stable with T = 0"}
         assert calls == {"_gaussian_row": [], "_scalar": []}
+
+
+@pytest.mark.parametrize("den", [0, -4])
+def test_row_denominator_below_one_rejected(den):
+    # a zero denominator used to be accepted and fail only when written, and
+    # -4 to be written as "1/-2"
+    from isoflag.higgs import HiggsTuple
+    with pytest.raises(InputError, match="row denominator must be positive"):
+        HiggsTuple(3, 3, [([1, 0, 0], [0, 0, 0], den)])
+
+
+class TestNoScalarOnTheDecisionPath:
+    """From an instance file to its printed verdict, and through the
+    Hilbert-Mumford cross-check, no Scalar is built.  The instances are the
+    pools of the three benchmark workloads (perfbench/corpus.py): narrow
+    q = s in 5..8, wide s = 4 at q 6 and 8, and mixed-mode q 3-4 for the
+    cross-check.  Each pool takes square roots of non-square discriminants
+    (_zi_sqrt), the probe that once went through Scalar."""
+
+    POOLS = {
+        "narrow": [(q, q, seed, "generic") for q in range(5, 9) for seed in range(8)],
+        "wide": [(6, 4, seed, "generic") for seed in range(3)] + [(8, 4, 0, "generic")],
+        "crosscheck": [(q, s, seed, mixed_mode(seed))
+                       for q, s in ((3, 4), (3, 5), (4, 4), (4, 5), (4, 6)) for seed in range(10)],
+    }
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_pool_builds_no_scalar(self, monkeypatch, pool):
+        from isoflag.hmgit import consistency_check
+        from isoflag.io import InstanceFile, parse_instance_text, serialize_instance, verdict_to_json
+        texts = []
+        for q, s, seed, mode in self.POOLS[pool]:
+            a, fs, w = random_instance(q, s, seed, mode)
+            texts.append(serialize_instance(InstanceFile(w, fs, a)))
+
+        built, probes = [], []
+        scalar_init, zi_sqrt = Scalar.__init__, higgs_mod._zi_sqrt
+
+        def counting_init(self, re=0, im=0):
+            built.append(1)
+            scalar_init(self, re, im)
+
+        def counting_sqrt(a, b):
+            probes.append(1)
+            return zi_sqrt(a, b)
+
+        monkeypatch.setattr(Scalar, "__init__", counting_init)
+        monkeypatch.setattr(higgs_mod, "_zi_sqrt", counting_sqrt)
+        for text in texts:
+            inst = parse_instance_text(text)
+            verdict_to_json(decide_stability(inst.higgs, inst.flags, inst.weight))
+            if pool == "crosscheck":
+                assert consistency_check(inst.higgs, inst.flags, inst.weight)["consistent"]
+        assert len(built) == 0
+        assert probes
 
 
 class TestOrderKey:
@@ -317,7 +372,7 @@ class TestLineOracle:
                     assert t_sub.contains_subspace(res.witness)
                 else:
                     assert res.witness.pardeg(fs, w) == res.value
-                    assert t_sub.contains(res.witness.base) and t_sub.contains(res.witness.twist)
+                    assert all(map(t_sub.contains, line_parts(res.witness)[:2]))
 
 
 def _vector_jump(flag, vectors):
@@ -338,7 +393,7 @@ def _vector_jump(flag, vectors):
 
 
 def _vector_jump_pardeg(line, fs, w):
-    return sum((w.beta[j][_vector_jump(flag, [line.base, line.twist]) - 1]
+    return sum((w.beta[j][_vector_jump(flag, list(line_parts(line)[:2])) - 1]
                 for j, flag in enumerate(fs.flags)), F(0))
 
 
@@ -432,13 +487,111 @@ class TestExtensionLinePardeg:
             line = _isotropic_line_in(y, rng)
             if not isinstance(line, ExtensionLine):
                 continue
-            hull = Subspace.from_vectors([line.base, line.twist], q)
+            hull = Subspace.from_vectors(list(line_parts(line)[:2]), q)
             assert isotropy_classify(hull, form)[2] == 2
             assert all(flag.profile(hull).index(2) == k for flag in fs.flags)
             lines += 1
             for seed in range(5):
                 assert line.pardeg(fs, random_weight(q, s, 5 * trial + seed)) <= 0, trial
         assert lines >= 20
+
+
+class TestZiSqrt:
+    """The root of a Gaussian integer, taken on the integers, is the root
+    the Scalar reference takes in Q(i), and exists exactly when that one
+    does."""
+
+    @staticmethod
+    def _reference(a, b):
+        root = scalar_sqrt(Scalar(a, b))
+        return None if root is None else (root.re, root.im)
+
+    def test_matches_reference_on_grid(self):
+        from isoflag.higgs import _zi_sqrt
+        for a in range(-60, 61):
+            for b in range(-60, 61):
+                assert _zi_sqrt(a, b) == self._reference(a, b), (a, b)
+
+    def test_matches_reference_on_squares(self):
+        from isoflag.higgs import _zi_sqrt
+        rng = random.Random(43)
+        for _ in range(10000):
+            x, y = rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6)
+            a, b = x * x - y * y, 2 * x * y
+            root = _zi_sqrt(a, b)
+            assert root in ((x, y), (-x, -y))
+            for da, db in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+                assert _zi_sqrt(a + da, b + db) == self._reference(a + da, b + db), (a, b)
+
+
+class TestExtensionLineForm:
+    """An extension line holds its parts as Gaussian integers over least
+    denominators, whichever constructor made it, and certificate_to_json
+    writes them as the Scalar writer writes the same parts."""
+
+    @staticmethod
+    def _scalar_certificate_json(cert):
+        """certificate_to_json of an extension-line certificate as written
+        from Scalar parts: the reference for the integer writer."""
+        from helpers import scalar_to_json, vector_to_json
+        base, twist, delta = line_parts(cert.witness)
+        return {"kind": cert.kind,
+                "witness_line": {"base": vector_to_json(base), "twist": vector_to_json(twist),
+                                 "delta": scalar_to_json(delta)},
+                "pardeg": str(cert.pardeg)}
+
+    def test_from_zi_equals_scalar_line(self):
+        from isoflag.linalg import _scalar, _scalar_row
+        rng = random.Random(47)
+
+        def row(q):
+            return ([rng.randint(-9, 9) for _ in range(q)],
+                    [rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(q)])
+
+        for trial in range(300):
+            q, den = rng.randint(2, 6), rng.choice([1, 2, 3, 4, 6, 9, 12])
+            base, twist, delta = row(q), row(q), (rng.randint(-9, 9), rng.randint(-9, 9))
+            line = ExtensionLine.from_zi(q, base, twist, delta, den)
+            parts = (_scalar_row(base, den ** 3), _scalar_row(twist, den), _scalar(*delta, den ** 4))
+            same = ExtensionLine(q, *parts)
+            assert line == same and hash(line) == hash(same), trial
+            assert line_parts(line) == parts
+            assert line != ExtensionLine(q, parts[0], parts[1], parts[2] + sc(1))
+
+    def test_witness_line_matches_scalar_writer(self):
+        import json
+
+        from isoflag.higgs import _isotropic_line_in
+        from isoflag.io import certificate_to_json
+        rng = random.Random(53)
+        lines = 0
+        for trial in range(60):
+            q = rng.randint(3, 6)
+            y = Subspace.from_vectors([random_vector(rng, q) for _ in range(2)], q)
+            line = _isotropic_line_in(y, rng)
+            if not isinstance(line, ExtensionLine):
+                continue
+            lines += 1
+            cert = Certificate("positive_coisotropic", witness=line, pardeg=F(-trial, 7))
+            assert json.dumps(certificate_to_json(cert)) == \
+                json.dumps(self._scalar_certificate_json(cert)), trial
+        assert lines >= 20
+
+    def test_witness_line_pinned(self):
+        # T = span(e1 + e3, e2) in q = 3: Q restricts to diag(2, 1), whose
+        # isotropic lines are 2 e2 +- sqrt(-2) (e1 + e3)
+        from isoflag.io import certificate_to_json
+        w3 = Weight.make(3, 4, [F(1, 8)] * 4, [(F(1, 16), F(0), F(-1, 16))] * 4)
+        t_sub = Subspace.from_vectors([vec(F(1, 2), 0, F(1, 2)), vec(0, F(1, 3), 0)], 3)
+        res = line_oracle(t_sub, FlagSystem.standard(3, 4), w3)
+        cert = Certificate("positive_coisotropic", witness=res.witness, pardeg=res.value)
+        zero, one = {"re": "0", "im": "0"}, {"re": "1", "im": "0"}
+        assert certificate_to_json(cert) == self._scalar_certificate_json(cert) == {
+            "kind": "positive_coisotropic",
+            "witness_line": {"base": [zero, {"re": "2", "im": "0"}, zero],
+                             "twist": [one, zero, one],
+                             "delta": {"re": "-2", "im": "0"}},
+            "pardeg": "-1/4"}
 
 
 def _pairwise_isotropic_line_in(y, form, rng, guard=True):
@@ -482,7 +635,7 @@ def _pairwise_isotropic_line_in(y, form, rng, guard=True):
             if not is_zero_vector(v):
                 return Subspace.from_vectors([v], y.ambient)
             continue
-        root = disc.sqrt()
+        root = scalar_sqrt(disc)
         if root is not None:
             return Subspace.from_vectors([vadd(vscale(-g12 + root, b1), vscale(g11, b2))],
                                          y.ambient)
@@ -696,7 +849,7 @@ def _subspace_line_oracle(t_sub, fs, w, seed=0):
         if best[0] is not None and partial + suffix_best[j] < best[0]:
             return
         if j == s:
-            if y.dim > 1 or form.gram([y.rows[0]])[0][0].is_zero():
+            if y.dim > 1 or gram(form, [y.rows[0]])[0][0].is_zero():
                 if best[0] is None or partial > best[0]:
                     best[0], best[1] = partial, []
                 best[1].append(y)
@@ -913,7 +1066,7 @@ class TestPlantedWitness:
         witness = bounds.witness
         if isinstance(witness, ExtensionLine):
             assert witness.is_isotropic(form)
-            assert t_sub.contains(witness.base) and t_sub.contains(witness.twist)
+            assert all(map(t_sub.contains, line_parts(witness)[:2]))
             assert witness.pardeg(fs, w) == bounds.lower
         else:
             assert witness.dim and isotropy_classify(witness, form)[0]
@@ -1186,7 +1339,7 @@ class TestDecide:
             line = line_oracle(a.span_perp(), fs, w).witness
             assert isinstance(line, ExtensionLine)
             assert line.is_isotropic(form)
-            assert all(a.span_perp().contains(v) for v in (line.base, line.twist))
+            assert all(map(a.span_perp().contains, line_parts(line)[:2]))
             for stated in (line.pardeg(fs, w), F(1, 4), None):
                 forged = Verdict("Unstable", Certificate("positive_coisotropic",
                                                          witness=line, pardeg=stated))

@@ -289,6 +289,26 @@ class TestIntegerOnePS:
             OnePS(1, m, re, im, den)
         assert str(scalar_error.value) == str(integer_error.value) == message
 
+    @pytest.mark.parametrize("sign,den", [(0, 0), (-1, -1)],
+                             ids=["zero-basis-over-0", "hyperbolic-over-minus-1"])
+    def test_denominator_below_one_rejected(self, sign, den):
+        # sign times the identity over den: the zero basis over 0 passed the
+        # Gram check, and -I over -1 is hyperbolic
+        basis_re = [[sign * (i == j) for j in range(4)] for i in range(4)]
+        with pytest.raises(InputError, match="eigenbasis denominator must be positive"):
+            OnePS(1, (1, 0, 0, -1), basis_re, [[0] * 4] * 4, den)
+
+    def test_imaginary_parts_checked(self):
+        # a short list of imaginary rows used to raise IndexError, and a long
+        # row to be cut by zip and accepted
+        lam = random_oneps(4, 5)
+        with pytest.raises(InputError, match="eigenbasis size does not match weight vector"):
+            OnePS(lam.l, lam.m, lam.basis_re, lam.basis_im[:3], lam.den)
+        long_row = [list(row) for row in lam.basis_im]
+        long_row[1].append(0)
+        with pytest.raises(InputError, match="vector length does not match form dimension"):
+            OnePS(lam.l, lam.m, lam.basis_re, long_row, lam.den)
+
     def test_destabilizer_round_trips_through_scalars(self):
         # the completion's D is the least common denominator of its rows
         a, fs, w = random_instance(4, 4, 9, "shared_flag")

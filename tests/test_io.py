@@ -249,8 +249,8 @@ class TestParsedFlags:
 
 class TestIntegerWriters:
     """Flags, A, eigenbases and subspaces are written straight from their
-    Gaussian integers; the same values as Scalar rows, written by
-    vector_to_json, are the reference."""
+    Gaussian integers; the same values as Scalar rows, written by the
+    Scalar writer in tests/helpers.py, are the reference."""
 
     @staticmethod
     def _rows(rng, nrows, q):
@@ -537,7 +537,6 @@ class TestCli:
                 return map(fn, items)
 
         monkeypatch.setattr("isoflag.cli.ProcessPoolExecutor", RecordingPool)
-        monkeypatch.delenv("ISOFLAG_JOBS", raising=False)
         assert main(["batch", str(tmp_path), "--jobs", "500"]) == 0
         assert requested == [2]
         assert json.loads(capsys.readouterr().out)["instances"] == 2
@@ -550,7 +549,6 @@ class TestCli:
             raise InputError("simulated rejection")
 
         monkeypatch.setattr("isoflag.hmgit.destabilizing_oneps", rejecting)
-        monkeypatch.delenv("ISOFLAG_JOBS", raising=False)
         assert main(["batch", str(unstable_file.parent), "--jobs", "1"]) == 70
         assert capsys.readouterr().err.startswith("internal error:")
 
@@ -582,38 +580,12 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["instances"] == 0 and out["counts"] == {}
 
-    def test_jobs_env_override(self, tmp_path, capsys, monkeypatch):
-        for trial in range(3):
-            a, fs, w = random_instance(2, 4, trial)
-            inst = InstanceFile(w, fs, a)
-            (tmp_path / f"e{trial}.instance.json").write_text(
-                serialize_instance(inst), encoding="utf-8")
-        monkeypatch.setenv("ISOFLAG_JOBS", "2")
-        assert main(["batch", str(tmp_path), "--jobs", "1"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["instances"] == 3
-
-    def test_jobs_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ISOFLAG_JOBS", "two")
-        assert main(["batch", str(tmp_path)]) == 64
-        assert capsys.readouterr().err.startswith("usage error:")
-
     @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_usage_error(self, stable_file, jobs, capsys, monkeypatch):
-        monkeypatch.delenv("ISOFLAG_JOBS", raising=False)
+    def test_jobs_below_one_is_usage_error(self, stable_file, jobs, capsys):
         assert main(["batch", str(stable_file.parent), "--jobs", jobs]) == 64
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage error: --jobs must be at least 1")
-
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_env_below_one_is_usage_error(self, stable_file, jobs, capsys, monkeypatch):
-        # the environment overrides a valid --jobs, and is checked the same way
-        monkeypatch.setenv("ISOFLAG_JOBS", jobs)
-        assert main(["batch", str(stable_file.parent), "--jobs", "2"]) == 64
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("usage error: ISOFLAG_JOBS must be at least 1")
 
     def test_console_script_entry(self, stable_file):
         proc = subprocess.run(

@@ -25,7 +25,6 @@ from isoflag.linalg import (
     eichler_rows,
     hyperbolic_basis,
     isotropy_classify,
-    mat_mul,
     orthocomplement,
     random_scalar,
     random_special_isometry,
@@ -34,6 +33,8 @@ from isoflag.linalg import (
     vscale,
 )
 from isoflag.scalars import HALF, ONE, ZERO, sc
+
+from helpers import mat_mul
 
 
 def _completion(w):
