@@ -41,7 +41,6 @@ from .hmgit import (
 from .linalg import (
     BilinearForm,
     Subspace,
-    hyperbolic_basis,
     isotropy_classify,
     meet_join,
     orthocomplement,

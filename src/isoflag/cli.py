@@ -19,7 +19,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import InputError, InternalConsistencyError, ParseError
@@ -275,6 +274,10 @@ def _cmd_batch(args) -> int:
         # a count below 1 names no worker; it is not a request to run serially
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.jobs > 1 and len(files) > 1:
+        # imported here: the pool module is a fifth of the CLI's import time,
+        # and only a parallel batch needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         # the fork start method forks every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(files))) as pool:
             raw = list(pool.map(_decide_one_path, files))

@@ -29,7 +29,6 @@ from .errors import InputError, InternalConsistencyError
 from .linalg import (
     Subspace,
     ZiRow,
-    _gaussian_matrix,
     _zi_eliminate,
     _zi_gram,
     _zi_hyperbolic,
@@ -56,11 +55,11 @@ class IsotropicFlag:
        Gaussian-integer matrix and d = den one shared integer denominator,
        the lcm of the entries' reduced denominators.  This is the only form
        a flag is held in: a flag read from an instance file is parsed
-       straight into it, and a generated one is converted once
-       (linalg._gaussian_matrix).  A hyperbolic basis has B J B^T = J, so
-       B^-1 = J B^T J = (J B'^T J) / d: B'^T with its rows and columns
-       reversed, a re-indexing of B's own integers over the same d.  The
-       basis is hyperbolic exactly when B' (J B'^T J) = d^2 I.
+       straight into it, and a generated one is drawn in it
+       (linalg.random_special_isometry).  A hyperbolic basis has
+       B J B^T = J, so B^-1 = J B^T J = (J B'^T J) / d: B'^T with its rows
+       and columns reversed, a re-indexing of B's own integers over the
+       same d.  The basis is hyperbolic exactly when B' (J B'^T J) = d^2 I.
     2. Scaling a row by a nonzero element of Z[i] keeps the row span and the
        position of its last nonzero coordinate.  So sub's stored rows D R
        (linalg.Subspace), multiplied by J B'^T J, have the row span of sub's
@@ -249,12 +248,12 @@ def validate_flag(flag: IsotropicFlag) -> list[str]:
 
 def random_flag(q: int, seed: int) -> IsotropicFlag:
     """A valid flag, deterministic per seed; seed 0 is the standard flag.
-    Its basis is linalg.hyperbolic_basis's, drawn as Scalar rows and
-    converted once; the flag's own check of the Gram matrix, made when it
-    is built, is hyperbolic_basis's check on the same integers."""
+    Its basis is the rows of linalg.random_special_isometry(q, seed), drawn
+    on Gaussian integers over their least denominator; the flag's own check
+    of the Gram matrix, made when it is built, validates the generator."""
     if q < 2:
         raise InputError("flags need q >= 2")
-    flag = IsotropicFlag(*_gaussian_matrix(random_special_isometry(q, seed)))
+    flag = IsotropicFlag(*random_special_isometry(q, seed))
     if not flag.hyperbolic:
         raise InternalConsistencyError("generated basis is not hyperbolic")
     return flag

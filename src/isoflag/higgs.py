@@ -57,6 +57,7 @@ from .linalg import (
     _isotropy_from_gram,
     _zi_gram,
     _zi_row_times,
+    common_den,
     isotropy_classify,
     order_key,
     orthocomplement,
@@ -72,10 +73,12 @@ class HiggsTuple:
     that basis itself never needs to be materialized.
 
     The rows are held as Gaussian integers, one (re, im, den) per row of A
-    with row = (re + i im) / den and den the lcm of the row's reduced
-    denominators: an instance file is parsed straight into that form, and
-    generated rows are converted once (linalg._gaussian_row).  Under that
-    contract the form is canonical, so ==, the hash and the repr read it.
+    with row = (re + i im) / den and den the row's least denominator, the
+    lcm of its reduced denominators: an instance file is parsed straight
+    into that form, and generated rows are drawn in it.  The constructor
+    takes each row over any positive denominator and reduces it by one gcd
+    (_reduced), so the form is canonical and ==, the hash and the repr read
+    it.
     A decision reads the rows only through their span, eliminated from the
     (re, im) of each row.  Immutable."""
 
@@ -90,7 +93,7 @@ class HiggsTuple:
             if den < 1:
                 raise InputError("row denominator must be positive")
         self.q, self.s = q, s
-        self.integer_rows = tuple((tuple(re), tuple(im), den) for re, im, den in rows)
+        self.integer_rows = tuple(_reduced(re, im, den) for re, im, den in rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HiggsTuple):
@@ -130,6 +133,8 @@ def _reduced(re: Sequence[int], im: Sequence[int], den: int
     """The row (re + i im) / den over its least denominator, as (re, im, den)
     with integer tuples."""
     g = gcd(den, *re, *im)
+    if g == 1:  # a parsed row is least already
+        return tuple(re), tuple(im), den
     return tuple(x // g for x in re), tuple(y // g for y in im), den // g
 
 
@@ -679,24 +684,26 @@ def generate_stable_instance(q: int, s: int, fs: FlagSystem, w: Weight, seed: in
     if s < q + 2:
         raise InputError("need s >= q + 2 to fit a spanning set of rows")
     rng = random.Random(seed)
-    rows: list[Vector] = []
+    # each entry a Gaussian rational (x, y, d) = (x + i y) / d
+    rows: list[list[tuple[int, int, int]]] = []
     perm = list(range(q))
     rng.shuffle(perm)
     # triangular relative to the permuted pivot order, so the rank is q
     for i in range(q):
-        row = [Scalar(0)] * q
-        row[perm[i]] = Scalar(Fraction(rng.randint(1, 5)))
+        row = [(0, 0, 1)] * q
+        row[perm[i]] = (rng.randint(1, 5), 0, 1)
         for jj in range(i):
             if rng.random() < 0.5:
-                row[perm[jj]] = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        rows.append(tuple(row))
+                row[perm[jj]] = (rng.randint(-3, 3), 0, rng.randint(1, 3))
+        rows.append(row)
     for _ in range(s - 2 - q):
-        rows.append(tuple(
-            Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                   Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-            for _ in range(q)
-        ))
-    a = HiggsTuple(q, s, [_gaussian_row(row) for row in rows])
+        row = []
+        for _ in range(q):
+            re_num, re_den = rng.randint(-4, 4), rng.randint(1, 3)
+            im_num, im_den = rng.randint(-4, 4), rng.randint(1, 3)
+            row.append((re_num * im_den, im_num * re_den, re_den * im_den))
+        rows.append(row)
+    a = HiggsTuple(q, s, [common_den(row) for row in rows])
     verdict = decide_stability(a, fs, w)
     if verdict.tag != "Stable":
         raise InternalConsistencyError("spanning instance did not come out stable")

@@ -38,6 +38,8 @@ suite enforces them.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import InputError, InternalConsistencyError
 from .flags import FlagSystem, n_pardeg, require_weight_for, so2_score
 from .higgs import (Certificate, HiggsTuple, check_inputs, decide_stability, isotropic_radicals,
@@ -81,12 +83,13 @@ class OnePS:
 
     The eigenbasis is held as Gaussian-integer rows over one denominator,
     basis = (basis_re + i basis_im) / den with den the lcm of the entries'
-    reduced denominators, the form _gaussian_matrix gives: a destabilizer's
-    is the hyperbolic completion of W's stored rows, and one read from a
-    file is parsed straight into it.  The constructor checks the weights
-    and, on the integers, that the basis is hyperbolic (B J B^T = J,
-    linalg._zi_hyperbolic), and raises InputError.  Immutable; equal when
-    l, m and the basis are.
+    reduced denominators: a destabilizer's is the hyperbolic completion of
+    W's stored rows, and one read from a file is parsed straight into it.
+    The constructor takes the rows over any positive denominator and
+    reduces them by one gcd, so that form is canonical.  It checks the
+    weights and, on the integers, that the basis is hyperbolic
+    (B J B^T = J, linalg._zi_hyperbolic), and raises InputError.
+    Immutable; equal when l, m and the basis are.
     """
 
     __slots__ = ("l", "m", "basis_re", "basis_im", "den", "_v_pieces")
@@ -108,6 +111,11 @@ class OnePS:
             raise InputError("vector length does not match form dimension")
         if den < 1:
             raise InputError("eigenbasis denominator must be positive")
+        g = gcd(den, *(x for row in basis_re for x in row), *(y for row in basis_im for y in row))
+        if g > 1:
+            basis_re = [[x // g for x in row] for row in basis_re]
+            basis_im = [[y // g for y in row] for row in basis_im]
+            den //= g
         if not _zi_hyperbolic(basis_re, basis_im, den):
             raise InputError("eigenbasis is not hyperbolic")
         self.l, self.m = l, m

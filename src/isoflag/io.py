@@ -133,8 +133,8 @@ class _Rationals(dict):
 def _integer(rows: int, cols: int, pairs: list[_Rational]
              ) -> tuple[list[list[int]], list[list[int]], int]:
     """(B', d) with the matrix = B' / d: d is the lcm of the entries'
-    reduced denominators and B' = num (d / den) entrywise, what
-    linalg._gaussian_matrix gives for the same rows as Scalars."""
+    reduced denominators, the least common denominator, and
+    B' = num (d / den) entrywise."""
     if not pairs:
         return [[] for _ in range(rows)], [[] for _ in range(rows)], 1
     nums, dens = zip(*pairs)

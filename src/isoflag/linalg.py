@@ -9,12 +9,12 @@ A vector is a Gaussian-integer row (re, im) (ZiRow) with an integer
 denominator kept beside it, and a matrix is such rows over one denominator.
 Subspaces are held in their canonical form over the Gaussian integers Z[i]
 (Subspace, rref), built by one fraction-free elimination (_zi_eliminate).
-Scalar vectors (Vector) are what instance generation computes with, and
+Instance generation draws straight into that form: random_special_isometry
+makes its random isometry on Gaussian-integer rows over their least common
+denominator, the rows of a generated flag.  Scalar vectors (Vector) are
 what Subspace.from_vectors, contains, kernel_basis and invert_matrix take:
-they become Gaussian-integer rows through _gaussian_row and
-_gaussian_matrix, there and where generation makes its flags and rows,
-which hold only that form.  A subspace's Scalar rows are built only when
-read.
+they become Gaussian-integer rows there, through _gaussian_row.  A
+subspace's Scalar rows are built only when read.
 Membership, kernels, orthocomplements and radicals are read off the stored
 integers, and the hyperbolic completion of an isotropic subspace off its
 rows, as Gaussian integers, with no further elimination.
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError, InternalConsistencyError
-from .scalars import HALF, ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 Vector = tuple[Scalar, ...]
 # A Gaussian-integer row as (real parts, imaginary parts).
@@ -38,18 +38,6 @@ ZiRow = tuple[Sequence[int], Sequence[int]]
 
 # ---------------------------------------------------------------------------
 # vector / matrix helpers
-
-
-def vadd(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vscale(c: Scalar, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-
-def standard_basis(n: int) -> list[Vector]:
-    return [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
 
 
 def _gaussian_row(row: Vector) -> tuple[list[int], list[int], int]:
@@ -70,15 +58,6 @@ def _scalar(re: int, im: int, den: int) -> Scalar:
 def _scalar_row(row: ZiRow, den: int) -> Vector:
     """The Gaussian-integer row (re, im) over den, as a Vector."""
     return tuple(_scalar(x, y, den) for x, y in zip(*row))
-
-
-def _gaussian_matrix(rows: list[Vector]) -> tuple[list[list[int]], list[list[int]], int]:
-    """(re, im, den) with rows = (re + i im) / den over one shared
-    denominator, den the lcm of every entry's denominators."""
-    den = lcm(*(x.re.denominator for row in rows for x in row),
-              *(x.im.denominator for row in rows for x in row))
-    return ([[x.re.numerator * (den // x.re.denominator) for x in row] for row in rows],
-            [[x.im.numerator * (den // x.im.denominator) for x in row] for row in rows], den)
 
 
 def _zi_row_times(a_re: list[int], a_im: list[int], b_re: list[list[int]],
@@ -279,14 +258,6 @@ class BilinearForm:
     def __post_init__(self):
         if self.p < 1:
             raise InputError("form dimension must be positive")
-
-    def pair(self, x: Vector, y: Vector) -> Scalar:
-        if len(x) != self.p or len(y) != self.p:
-            raise InputError("vector length does not match form dimension")
-        acc = ZERO
-        for i in range(self.p):
-            acc = acc + x[i] * y[self.p - 1 - i]
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -508,76 +479,108 @@ def max_isotropic_dimension(y: Subspace, form: BilinearForm) -> int:
 
 
 # ---------------------------------------------------------------------------
-# isometries act on rows: Eichler transvections, random elements
+# random isometries, drawn on Gaussian integers
 
 
-def eichler_rows(rows: list[Vector], a: int, z: Vector) -> list[Vector]:
-    """Each row under the Eichler transvection for the isotropic e = e_a and
-    z orthogonal to e:
-
-        x -> x + Q(x,e) z - Q(x,z) e - (1/2) Q(z,z) Q(x,e) e
-
-    It is an isometry of determinant 1 fixing e and everything orthogonal to
-    both e and z.  Since Q(x, e_a) = x[p-1-a], each row gains x[p-1-a] z'
-    with z' = z - (1/2) Q(z,z) e_a, and loses Q(x,z) at coordinate a.
-    """
-    p = len(z)
-    form = BilinearForm(p)
-    if 2 * a == p - 1:
-        raise InternalConsistencyError("Eichler vector e_a must be isotropic")
-    if not z[p - 1 - a].is_zero():
-        raise InternalConsistencyError("Eichler vector z must be orthogonal to e_a")
-    shifted = list(z)
-    shifted[a] = z[a] - HALF * form.pair(z, z)
-    out = []
-    for x in rows:
-        c = x[p - 1 - a]
-        y = list(vadd(x, vscale(c, shifted))) if c else list(x)
-        y[a] = y[a] - form.pair(x, z)
-        out.append(tuple(y))
-    return out
+def random_gaussian(rng: random.Random, span: int = 4) -> tuple[int, int, int]:
+    """re + im*i with re and im drawn as a/b, |a| <= span, 1 <= b <= span (four
+    randints: re's a and b, then im's), as (x, y, d) with the value
+    (x + i y) / d and d = b_re b_im, not always the least denominator."""
+    a, b = rng.randint(-span, span), rng.randint(1, span)
+    c, d = rng.randint(-span, span), rng.randint(1, span)
+    return a * d, c * b, b * d
 
 
-def random_scalar(rng: random.Random, span: int = 4) -> Scalar:
-    """re + im*i with re and im drawn as a/b, |a| <= span, 1 <= b <= span."""
-    re = Fraction(rng.randint(-span, span), rng.randint(1, span))
-    im = Fraction(rng.randint(-span, span), rng.randint(1, span))
-    return Scalar(re, im)
+def common_den(entries: list[tuple[int, int, int]]) -> tuple[list[int], list[int], int]:
+    """Gaussian rationals (x, y, d) = (x + i y) / d as one row (re, im, D) over
+    D, the lcm of the d."""
+    den = lcm(*(d for _, _, d in entries))
+    return ([x * (den // d) for x, _, d in entries],
+            [y * (den // d) for _, y, d in entries], den)
 
 
-def random_special_isometry(p: int, seed: int) -> list[Vector]:
+def _zi_pair(x_re: Sequence[int], x_im: Sequence[int], y_re: Sequence[int],
+             y_im: Sequence[int]) -> tuple[int, int]:
+    """Q(x, y) = sum_k x_k y_(p-1-k) of two Gaussian-integer rows, as (re, im)."""
+    re = im = 0
+    for a, b, c, d in zip(x_re, x_im, reversed(y_re), reversed(y_im)):
+        if a or b:
+            re += a * c - b * d
+            im += a * d + b * c
+    return re, im
+
+
+def random_special_isometry(p: int, seed: int) -> tuple[list[list[int]], list[list[int]], int]:
     """A pseudo-random isometry of J_p over Q(i), as the rows of its matrix
-    (the images of the standard basis vectors).  seed 0 gives the identity
-    by convention.
+    (the images of the standard basis vectors), held as Gaussian integers
+    over their least common denominator: (re, im, D) with rows
+    (re + i im) / D.  seed 0 gives the identity by convention.
 
     Eight moves drawn from Random(seed) act in turn on the rows of the
-    identity: Eichler transvections; hyperbolic pair scalings (coordinate a
-    times t, its partner p-1-a times t^{-1}); swaps of two hyperbolic pairs
-    (coordinates a <-> b and p-1-a <-> p-1-b); and flips of coordinates
-    a <-> p-1-a and b <-> p-1-b.  A flip with a = b swaps one pair only and
-    has determinant -1, so the result lies in O(J_p) but not always in
-    SO(J_p).
+    identity:
+    - Eichler transvections for e = e_a and z orthogonal to e,
+          x -> x + Q(x,e) z - Q(x,z) e - (1/2) Q(z,z) Q(x,e) e,
+      of determinant 1.  With z = Z / dz over one denominator and
+      Q(x, e_a) = x[p-1-a], a row X / D becomes
+          (2 dz^2 X + X[p-1-a] (2 dz Z - Q(Z,Z) e_a) - 2 dz Q(X,Z) e_a)
+          / (2 dz^2 D);
+    - hyperbolic pair scalings, coordinate a times t and its partner p-1-a
+      times 1/t: with t = T / dt, 1/t = dt conj(T) / |T|^2, so the rows go
+      over dt |T|^2 D;
+    - swaps of two hyperbolic pairs (coordinates a <-> b and p-1-a <-> p-1-b);
+    - flips of coordinates a <-> p-1-a and b <-> p-1-b.  A flip with a = b
+      swaps one pair only and has determinant -1, so the result lies in
+      O(J_p) but not always in SO(J_p).
+    The swaps and flips permute columns.  After each Eichler move or
+    scaling, one gcd of D and every integer part leaves D least.
     """
-    rows = standard_basis(p)
+    re = [[int(i == j) for j in range(p)] for i in range(p)]
+    im = [[0] * p for _ in range(p)]
+    den = 1
     if seed == 0 or p == 1:
-        return rows
+        return re, im, den
     rng = random.Random(seed)
     npairs = p // 2
     for _ in range(8):
         kind = rng.randrange(4)
         if kind == 0:
             a = rng.randrange(npairs)
-            z = [random_scalar(rng, 3) for _ in range(p)]
-            z[p - 1 - a] = ZERO  # keeps z orthogonal to e_a
-            rows = eichler_rows(rows, a, tuple(z))
+            z = [random_gaussian(rng, 3) for _ in range(p)]
+            z[p - 1 - a] = (0, 0, 1)  # keeps z orthogonal to e_a
+            z_re, z_im, dz = common_den(z)
+            zz_re, zz_im = _zi_pair(z_re, z_im, z_re, z_im)
+            s_re = [2 * dz * x for x in z_re]
+            s_im = [2 * dz * y for y in z_im]
+            s_re[a] -= zz_re
+            s_im[a] -= zz_im
+            scale = 2 * dz * dz
+            for x_re, x_im in zip(re, im):
+                c, d = x_re[p - 1 - a], x_im[p - 1 - a]
+                xz_re, xz_im = _zi_pair(x_re, x_im, z_re, z_im)
+                for j in range(p):
+                    u, v = s_re[j], s_im[j]
+                    x_re[j], x_im[j] = (scale * x_re[j] + c * u - d * v,
+                                        scale * x_im[j] + c * v + d * u)
+                x_re[a] -= 2 * dz * xz_re
+                x_im[a] -= 2 * dz * xz_im
+            den *= scale
         elif kind == 1:
-            t = random_scalar(rng, 3)
-            while t.is_zero():
-                t = random_scalar(rng, 3)
+            t = random_gaussian(rng, 3)
+            while not (t[0] or t[1]):
+                t = random_gaussian(rng, 3)
             a = rng.randrange(npairs)
-            factor = {a: t, p - 1 - a: ONE / t}
-            rows = [tuple(factor[j] * x if j in factor else x for j, x in enumerate(row))
-                    for row in rows]
+            u, v, dt = t
+            norm = u * u + v * v
+            scale = dt * norm
+            b = p - 1 - a
+            for x_re, x_im in zip(re, im):
+                xa, ya, xb, yb = x_re[a], x_im[a], x_re[b], x_im[b]
+                for j in range(p):
+                    x_re[j] *= scale
+                    x_im[j] *= scale
+                x_re[a], x_im[a] = norm * (xa * u - ya * v), norm * (xa * v + ya * u)
+                x_re[b], x_im[b] = dt * dt * (xb * u + yb * v), dt * dt * (yb * u - xb * v)
+            den *= scale
         else:
             # coordinate swaps: perm is an involution, so row @ P = row[perm]
             perm = list(range(p))
@@ -590,21 +593,15 @@ def random_special_isometry(p: int, seed: int) -> list[Vector]:
                 b = rng.randrange(npairs)
                 for c in {a, b}:
                     perm[c], perm[p - 1 - c] = p - 1 - c, c
-            rows = [tuple(row[j] for j in perm) for row in rows]
-    return rows
-
-
-def hyperbolic_basis(form: BilinearForm, seed: int) -> tuple[Vector, ...]:
-    """An ordered basis (w_1, ..., w_p) with Gram matrix exactly J_p.
-
-    The rows of random_special_isometry(p, seed), i.e. the images of the
-    standard basis under a random isometry; seed 0 gives the standard basis.
-    Deterministic for a fixed seed.
-    """
-    basis = tuple(random_special_isometry(form.p, seed))
-    if not _zi_hyperbolic(*_gaussian_matrix(list(basis))):
-        raise InternalConsistencyError("generated basis is not hyperbolic")
-    return basis
+            re = [[row[j] for j in perm] for row in re]
+            im = [[row[j] for j in perm] for row in im]
+            continue
+        g = gcd(den, *(x for row in re for x in row), *(y for row in im for y in row))
+        if g > 1:
+            re = [[x // g for x in row] for row in re]
+            im = [[y // g for y in row] for row in im]
+            den //= g
+    return re, im, den
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +630,7 @@ def complete_to_hyperbolic(w: Subspace) -> tuple[list[list[int]], list[list[int]
         (i) the partners pair with nothing but the x_a.
     The partners are standard vectors, and k = 0 gives the standard basis.
     Every entry is an entry of some x_a, 0 or 1, so D is also the least
-    common denominator of the basis: (re, im, D) is what
-    _gaussian_matrix gives for the same basis as Scalars.
+    common denominator of the basis.
 
     A non-isotropic W (a bug in the caller, who checks W) fails the final
     Gram check, made on the integers: the top-left k x k block of J is zero.

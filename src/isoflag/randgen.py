@@ -15,18 +15,29 @@ from .higgs import HiggsTuple
 from .linalg import (
     BilinearForm,
     Subspace,
-    Vector,
-    _gaussian_row,
-    hyperbolic_basis,
+    ZiRow,
+    _zi_hyperbolic,
+    _zi_row_times,
+    common_den,
     orthocomplement,
-    random_scalar,
+    random_gaussian,
+    random_special_isometry,
 )
-from .scalars import Scalar
 from .weights import Weight, region_membership, require_valid
 
 
-def random_vector(rng: random.Random, q: int, span: int = 4) -> Vector:
-    return tuple(random_scalar(rng, span) for _ in range(q))
+def _random_row(rng: random.Random, q: int) -> tuple[list[int], list[int], int]:
+    """q draws of random_gaussian as one row (re, im, den) = (re + i im) / den."""
+    return common_den([random_gaussian(rng) for _ in range(q)])
+
+
+def _combination(rng: random.Random, rows: list[ZiRow], den: int
+                 ) -> tuple[list[int], list[int], int]:
+    """sum_k c_k rows_k / den as (re, im, den'), for Gaussian-integer rows and
+    one coefficient c_k = random_gaussian(rng, 3) drawn per row, in order."""
+    c_re, c_im, c_den = common_den([random_gaussian(rng, 3) for _ in rows])
+    re, im = _zi_row_times(c_re, c_im, [re for re, _ in rows], [im for _, im in rows])
+    return re, im, c_den * den
 
 
 def random_weight(q: int, s: int, seed: int, region: str = "W") -> Weight:
@@ -60,11 +71,14 @@ def random_weight(q: int, s: int, seed: int, region: str = "W") -> Weight:
 
 
 def random_isotropic_subspace(q: int, dim: int, seed: int) -> Subspace:
-    """span of the first dim vectors of a random hyperbolic basis."""
+    """span of the first dim vectors of a random hyperbolic basis, the rows
+    of random_special_isometry(q, seed)."""
     if dim > q // 2:
         raise InputError("isotropic dimension cannot exceed q/2")
-    basis = hyperbolic_basis(BilinearForm(q), seed)
-    return Subspace.from_vectors(list(basis[:dim]), q)
+    re, im, den = random_special_isometry(q, seed)
+    if not _zi_hyperbolic(re, im, den):
+        raise InternalConsistencyError("generated basis is not hyperbolic")
+    return Subspace.from_zi_rows(list(zip(re[:dim], im[:dim])), q)
 
 
 def random_flag_system(q: int, s: int, seed: int, shared: bool = False) -> FlagSystem:
@@ -89,32 +103,19 @@ def random_instance(q: int, s: int, seed: int, mode: str = "generic",
     fs = random_flag_system(q, s, seed * 17 + 3, shared=(mode == "shared_flag"))
     nrows = s - 2
     if mode == "generic":
-        rows = [random_vector(rng, q) for _ in range(nrows)]
+        rows = [_random_row(rng, q) for _ in range(nrows)]
     elif mode == "low_rank":
-        base = random_vector(rng, q)
-        rows = []
-        for _ in range(nrows):
-            c = random_scalar(rng, 3)
-            rows.append(tuple(c * x for x in base))
+        base_re, base_im, base_den = _random_row(rng, q)
+        rows = [_combination(rng, [(base_re, base_im)], base_den) for _ in range(nrows)]
     elif mode == "isotropic_span":
-        gen = random_isotropic_subspace(q, 1, seed * 13 + 5).rows[0]
-        rows = []
-        for _ in range(nrows):
-            c = random_scalar(rng, 3)
-            rows.append(tuple(c * x for x in gen))
+        line = random_isotropic_subspace(q, 1, seed * 13 + 5)
+        rows = [_combination(rng, list(line.zi_rows), line.den) for _ in range(nrows)]
     elif mode == "shared_flag":
-        w_line = fs.flags[0].piece(1)
-        perp = orthocomplement(w_line, BilinearForm(q))
-        rows = []
-        for _ in range(nrows):
-            coeffs = [random_scalar(rng, 3) for _ in range(perp.dim)]
-            vec = tuple(Scalar(0) for _ in range(q))
-            for c, b in zip(coeffs, perp.rows):
-                vec = tuple(v + c * x for v, x in zip(vec, b))
-            rows.append(vec)
+        perp = orthocomplement(fs.flags[0].piece(1), BilinearForm(q))
+        rows = [_combination(rng, list(perp.zi_rows), perp.den) for _ in range(nrows)]
     else:
         raise InputError(f"unknown instance mode {mode!r}")
-    return HiggsTuple(q, s, [_gaussian_row(row) for row in rows]), fs, w
+    return HiggsTuple(q, s, rows), fs, w
 
 
 def mixed_mode(seed: int) -> str:

@@ -3,18 +3,20 @@
 IsotropicFlag, HiggsTuple, OnePS and ExtensionLine each hold their
 Gaussian-integer form only.  The tests write many of them as Scalar rows:
 the builders here put such rows over their least common denominator, the
-form the package holds (linalg._gaussian_row and _gaussian_matrix), and the
+form the package holds (linalg._gaussian_row and gaussian_matrix), and the
 views read the Scalar rows back.  The Scalar references the integer code is
-compared with (matrix products, Gram matrices, the square root in Q(i), the
-JSON writer of Scalar rows), the isometry actions on flags and subspaces and
-the Grassmannian weight identity are used by the tests alone, so they live
-here too.
+compared with (matrix products, Gram matrices, the pairing, the square root
+in Q(i), the JSON writer of Scalar rows, the random draws and the
+row-by-row random isometry with its Eichler moves), the isometry actions on
+flags and subspaces and the Grassmannian weight identity are used by the
+tests alone, so they live here too.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.flags import FlagSystem, IsotropicFlag
@@ -24,22 +26,32 @@ from isoflag.linalg import (
     BilinearForm,
     Subspace,
     Vector,
-    _gaussian_matrix,
     _gaussian_row,
     _scalar,
     _scalar_row,
+    _zi_hyperbolic,
     _zi_row_times,
     meet_join,
+    random_special_isometry,
 )
-from isoflag.scalars import ONE, ZERO, Scalar, format_fraction
+from isoflag.scalars import HALF, ONE, ZERO, Scalar, format_fraction
 
 # ---------------------------------------------------------------------------
 # Scalar rows in, Scalar rows out
 
 
+def gaussian_matrix(rows: list[Vector]) -> tuple[list[list[int]], list[list[int]], int]:
+    """(re, im, den) with rows = (re + i im) / den over one shared
+    denominator, den the lcm of every entry's denominators."""
+    den = lcm(*(x.re.denominator for row in rows for x in row),
+              *(x.im.denominator for row in rows for x in row))
+    return ([[x.re.numerator * (den // x.re.denominator) for x in row] for row in rows],
+            [[x.im.numerator * (den // x.im.denominator) for x in row] for row in rows], den)
+
+
 def flag_from_rows(basis) -> IsotropicFlag:
     """The flag with the adapted basis given as Scalar rows."""
-    return IsotropicFlag(*_gaussian_matrix(list(basis)))
+    return IsotropicFlag(*gaussian_matrix(list(basis)))
 
 
 def flag_basis(f: IsotropicFlag) -> tuple[Vector, ...]:
@@ -57,7 +69,7 @@ def higgs_rows(a: HiggsTuple) -> tuple[Vector, ...]:
 
 def oneps_from_rows(l: int, m: tuple[int, ...], basis) -> OnePS:
     """The one-parameter subgroup with the eigenbasis given as Scalar rows."""
-    return OnePS(l, m, *_gaussian_matrix(list(basis)))
+    return OnePS(l, m, *gaussian_matrix(list(basis)))
 
 
 def oneps_basis(lam: OnePS) -> tuple[Vector, ...]:
@@ -71,8 +83,127 @@ def line_parts(line: ExtensionLine) -> tuple[Vector, Vector, Scalar]:
     return base, twist, delta[0]
 
 
+def isometry_rows(p: int, seed: int) -> list[Vector]:
+    """linalg.random_special_isometry(p, seed) as Scalar rows."""
+    re, im, den = random_special_isometry(p, seed)
+    return [_scalar_row(row, den) for row in zip(re, im)]
+
+
 # ---------------------------------------------------------------------------
 # Scalar references
+
+
+def standard_basis(n: int) -> list[Vector]:
+    return [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
+
+
+def vadd(x: Vector, y: Vector) -> Vector:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def vscale(c: Scalar, x: Vector) -> Vector:
+    return tuple(c * a for a in x)
+
+
+def pair(form: BilinearForm, x: Vector, y: Vector) -> Scalar:
+    """Q(x, y) = sum_i x_i y_(p-1-i), one Scalar product at a time."""
+    if len(x) != form.p or len(y) != form.p:
+        raise InputError("vector length does not match form dimension")
+    acc = ZERO
+    for i in range(form.p):
+        acc = acc + x[i] * y[form.p - 1 - i]
+    return acc
+
+
+def random_scalar(rng: random.Random, span: int = 4) -> Scalar:
+    """re + im*i with re and im drawn as a/b, |a| <= span, 1 <= b <= span:
+    the draws of linalg.random_gaussian, as a Scalar."""
+    re = Fraction(rng.randint(-span, span), rng.randint(1, span))
+    im = Fraction(rng.randint(-span, span), rng.randint(1, span))
+    return Scalar(re, im)
+
+
+def random_vector(rng: random.Random, q: int, span: int = 4) -> Vector:
+    """q draws of random_scalar: the draws of a generic row of
+    randgen.random_instance, as Scalars."""
+    return tuple(random_scalar(rng, span) for _ in range(q))
+
+
+def eichler_rows(rows: list[Vector], a: int, z: Vector) -> list[Vector]:
+    """Each row under the Eichler transvection for the isotropic e = e_a and
+    z orthogonal to e:
+
+        x -> x + Q(x,e) z - Q(x,z) e - (1/2) Q(z,z) Q(x,e) e
+
+    It is an isometry of determinant 1 fixing e and everything orthogonal to
+    both e and z.  Since Q(x, e_a) = x[p-1-a], each row gains x[p-1-a] z'
+    with z' = z - (1/2) Q(z,z) e_a, and loses Q(x,z) at coordinate a.
+    """
+    p = len(z)
+    form = BilinearForm(p)
+    if 2 * a == p - 1:
+        raise InternalConsistencyError("Eichler vector e_a must be isotropic")
+    if not z[p - 1 - a].is_zero():
+        raise InternalConsistencyError("Eichler vector z must be orthogonal to e_a")
+    shifted = list(z)
+    shifted[a] = z[a] - HALF * pair(form, z, z)
+    out = []
+    for x in rows:
+        c = x[p - 1 - a]
+        y = list(vadd(x, vscale(c, shifted))) if c else list(x)
+        y[a] = y[a] - pair(form, x, z)
+        out.append(tuple(y))
+    return out
+
+
+def scalar_special_isometry(p: int, seed: int) -> list[Vector]:
+    """random_special_isometry's moves made on Scalar rows, one row at a
+    time: the same draws from Random(seed), Eichler transvections by
+    eichler_rows, pair scalings by t and 1/t, and the same permutations."""
+    rows = standard_basis(p)
+    if seed == 0 or p == 1:
+        return rows
+    rng = random.Random(seed)
+    npairs = p // 2
+    for _ in range(8):
+        kind = rng.randrange(4)
+        if kind == 0:
+            a = rng.randrange(npairs)
+            z = [random_scalar(rng, 3) for _ in range(p)]
+            z[p - 1 - a] = ZERO  # keeps z orthogonal to e_a
+            rows = eichler_rows(rows, a, tuple(z))
+        elif kind == 1:
+            t = random_scalar(rng, 3)
+            while t.is_zero():
+                t = random_scalar(rng, 3)
+            a = rng.randrange(npairs)
+            factor = {a: t, p - 1 - a: ONE / t}
+            rows = [tuple(factor[j] * x if j in factor else x for j, x in enumerate(row))
+                    for row in rows]
+        else:
+            perm = list(range(p))
+            if kind == 2 and npairs >= 2:
+                a, b = rng.sample(range(npairs), 2)
+                perm[a], perm[b] = b, a
+                perm[p - 1 - a], perm[p - 1 - b] = p - 1 - b, p - 1 - a
+            else:
+                a = rng.randrange(npairs)
+                b = rng.randrange(npairs)
+                for c in {a, b}:
+                    perm[c], perm[p - 1 - c] = p - 1 - c, c
+            rows = [tuple(row[j] for j in perm) for row in rows]
+    return rows
+
+
+def hyperbolic_basis(form: BilinearForm, seed: int) -> tuple[Vector, ...]:
+    """An ordered basis (w_1, ..., w_p) with Gram matrix exactly J_p: the
+    rows of scalar_special_isometry(p, seed), i.e. the images of the
+    standard basis under a random isometry; seed 0 gives the standard
+    basis."""
+    basis = tuple(scalar_special_isometry(form.p, seed))
+    if not _zi_hyperbolic(*gaussian_matrix(list(basis))):
+        raise InternalConsistencyError("generated basis is not hyperbolic")
+    return basis
 
 
 def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
@@ -82,7 +213,7 @@ def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
     shared denominator, so the products accumulate in Gaussian integers and
     one Fraction is built per output component.
     """
-    b_re, b_im, b_den = _gaussian_matrix(b)
+    b_re, b_im, b_den = gaussian_matrix(b)
     out = []
     for row in a:
         a_re, a_im, den = _gaussian_row(row)

@@ -22,17 +22,13 @@ from isoflag.hmgit import (
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
-    hyperbolic_basis,
     orthocomplement,
-    random_special_isometry,
 )
 from isoflag.randgen import (
     mixed_mode,
     random_flag_system,
     random_instance,
     random_isotropic_subspace,
-    random_scalar,
-    random_vector,
     random_weight,
 )
 from isoflag.scalars import sc
@@ -45,8 +41,8 @@ from isoflag.weights import (
     weight_stats,
 )
 
-from helpers import (higgs_from_rows, higgs_rows, hm_grassmannian, mat_mul, oneps_from_rows,
-                     transform_flags)
+from helpers import (higgs_from_rows, higgs_rows, hm_grassmannian, hyperbolic_basis, isometry_rows,
+                     mat_mul, oneps_from_rows, random_scalar, random_vector, transform_flags)
 
 
 def _report(number: int, description: str, elapsed: float) -> None:
@@ -253,7 +249,7 @@ def test_criterion_10_equivariance():
         else:
             a, fs, w = random_instance(q, s, trial, mode=mixed_mode(trial))
         before = decide_stability(a, fs, w)
-        m = random_special_isometry(q, trial + 17)
+        m = isometry_rows(q, trial + 17)
         rng = random.Random(trial + 23)
         t = random_scalar(rng, 3)
         while t.is_zero():

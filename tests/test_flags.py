@@ -25,20 +25,18 @@ from isoflag.linalg import (
     isotropy_classify,
     meet_join,
     orthocomplement,
-    random_special_isometry,
-    standard_basis,
 )
 from isoflag.randgen import (
     random_flag_system,
     random_instance,
     random_isotropic_subspace,
-    random_vector,
     random_weight,
 )
 from isoflag.scalars import Scalar, sc
 from isoflag.weights import Weight, weight_stats
 
-from helpers import (flag_basis, flag_from_rows, gram, mat_mul, transform_flag, transform_flags,
+from helpers import (flag_basis, flag_from_rows, gram, isometry_rows, mat_mul, random_scalar,
+                     random_vector, standard_basis, transform_flag, transform_flags,
                      transform_subspace)
 
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -153,7 +151,6 @@ class TestPardeg:
         assert pardeg_subspace(sub, fs, W_Q4) == F(1, 4)
 
     def test_bounded_by_abs_beta(self):
-        from isoflag.randgen import random_vector
         from isoflag.weights import weight_stats
         rng = random.Random(9)
         for trial in range(50):
@@ -179,7 +176,7 @@ class TestPardeg:
             fs = random_flag_system(q, s, trial)
             w = random_weight(q, s, trial + 3)
             sub = random_isotropic_subspace(q, rng.randint(1, q // 2), trial + 5)
-            m = random_special_isometry(q, trial + 7)
+            m = isometry_rows(q, trial + 7)
             assert pardeg_subspace(transform_subspace(sub, m), transform_flags(fs, m), w) \
                 == pardeg_subspace(sub, fs, w)
 
@@ -267,7 +264,6 @@ class TestProfiles:
         """Profiles and flag intersections against generic meets, and against
         the dimension formula dim(sub ^ F_i) = dim sub + i - dim(sub + F_i),
         which needs no meet at all."""
-        from isoflag.randgen import random_scalar, random_vector
         rng = random.Random(31)
         for trial in range(40):
             q = rng.randint(2, 7)
@@ -350,7 +346,7 @@ class TestIntegerEchelon:
         compared = dens = 0
         for q in range(2, 10):
             flags = [random_flag(q, 3 * q + seed) for seed in range(3)]
-            flags.append(transform_flag(random_flag(q, q + 1), random_special_isometry(q, q + 40)))
+            flags.append(transform_flag(random_flag(q, q + 1), isometry_rows(q, q + 40)))
             for k, flag in enumerate(flags):
                 other = random_flag(q, 5 * q + k + 1)
                 dens += flag.den > 1
@@ -504,7 +500,7 @@ class TestLineEnd:
         below_top = 0
         for q in range(2, 11):
             flags = [random_flag(q, 3 * q + seed) for seed in range(3)]
-            flags.append(transform_flag(random_flag(q, q + 1), random_special_isometry(q, q + 40)))
+            flags.append(transform_flag(random_flag(q, q + 1), isometry_rows(q, q + 40)))
             for flag in flags:
                 rows = [([rng.randint(-9, 9) for _ in range(q)],
                          [rng.randint(-9, 9) for _ in range(q)]) for _ in range(6)]

@@ -30,22 +30,20 @@ from isoflag.linalg import (
     max_isotropic_dimension,
     meet_join,
     orthocomplement,
-    random_special_isometry,
 )
 from isoflag.randgen import (
     mixed_mode,
     random_flag_system,
     random_instance,
     random_isotropic_subspace,
-    random_scalar,
-    random_vector,
     random_weight,
 )
 from isoflag.scalars import Scalar, sc
 from isoflag.weights import Weight
 
-from helpers import (flag_basis, flag_from_rows, gram, higgs_from_rows, higgs_rows, line_parts,
-                     mat_mul, scalar_sqrt, transform_flags)
+from helpers import (flag_basis, flag_from_rows, gram, higgs_from_rows, higgs_rows, isometry_rows,
+                     line_parts, mat_mul, pair, random_scalar, random_vector, scalar_sqrt,
+                     transform_flags, vadd, vscale)
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -79,7 +77,6 @@ class TestCondition1:
 
     def test_monotone_under_row_extension(self):
         rng = random.Random(1)
-        from isoflag.randgen import random_vector
         for trial in range(40):
             q = rng.randint(2, 5)
             rows = [random_vector(rng, q) for _ in range(2)]
@@ -104,11 +101,11 @@ class TestConversionsLeftTheDecisionPath:
     extension-line witnesses."""
 
     @staticmethod
-    def _count(monkeypatch) -> dict:
+    def _count(monkeypatch, names=("_gaussian_row", "_scalar")) -> dict:
         import sys
 
         from isoflag import linalg
-        calls: dict = {"_gaussian_row": [], "_scalar": []}
+        calls: dict = {name: [] for name in names}
         for name in calls:
             real = getattr(linalg, name)
 
@@ -155,6 +152,49 @@ def test_row_denominator_below_one_rejected(den):
     from isoflag.higgs import HiggsTuple
     with pytest.raises(InputError, match="row denominator must be positive"):
         HiggsTuple(3, 3, [([1, 0, 0], [0, 0, 0], den)])
+
+
+def test_row_reduced_to_least_denominator():
+    # the same row over a denominator that is not its least one is the same
+    # row tuple, so == and the hash are value equality
+    from isoflag.higgs import HiggsTuple
+    doubled = HiggsTuple(3, 3, [([2, 0, 0], [0, 0, 0], 2)])
+    least = HiggsTuple(3, 3, [([1, 0, 0], [0, 0, 0], 1)])
+    assert doubled == least and hash(doubled) == hash(least)
+    assert doubled.integer_rows == (((1, 0, 0), (0, 0, 0), 1),)
+
+
+class TestGenerationBuildsNoScalars:
+    """random_instance in every mode, and gen from its weight to its printed
+    instance, draw flags and rows straight into Gaussian integers: no Scalar
+    is built and no Scalar row is converted (_gaussian_row; the matrix
+    converter is a test helper, with no caller in the package)."""
+
+    MODES = ("generic", "low_rank", "isotropic_span", "shared_flag")
+
+    def test_random_instance_and_gen(self, monkeypatch, capsys):
+        from isoflag.cli import main
+        calls = TestConversionsLeftTheDecisionPath._count(monkeypatch, ("_gaussian_row",))
+        built = []
+        scalar_init = Scalar.__init__
+
+        def counting_init(self, re=0, im=0):
+            built.append(1)
+            scalar_init(self, re, im)
+
+        monkeypatch.setattr(Scalar, "__init__", counting_init)
+        for q in range(2, 9):
+            for k, mode in enumerate(self.MODES):
+                for s in (3, q + 1):
+                    random_instance(q, s, 5 * q + k, mode)
+        for q in (2, 3, 5):
+            for region in ("W", "Wprime"):
+                assert main(["gen", "--q", str(q), "--s", str(q + 2), "--seed", str(q),
+                             "--region", region]) == 0
+        monkeypatch.undo()
+        assert capsys.readouterr().out.count('"generator": "spanning-rows"') == 6
+        assert built == []
+        assert calls == {"_gaussian_row": []}
 
 
 class TestNoScalarOnTheDecisionPath:
@@ -358,7 +398,6 @@ class TestLineOracle:
 
     def test_witness_value_is_its_pardeg(self):
         rng = random.Random(8)
-        from isoflag.randgen import random_vector
         for trial in range(40):
             q, s = rng.randint(2, 5), rng.randint(3, 5)
             fs = random_flag_system(q, s, trial)
@@ -599,7 +638,6 @@ def _pairwise_isotropic_line_in(y, form, rng, guard=True):
     Scalar loop and the mixed planes built with vadd/vscale: the reference
     for its witnesses and its rng draws.  guard=False builds the mixed planes
     of a plane too, as _isotropic_line_in once did."""
-    from isoflag.linalg import vadd, vscale
 
     def is_zero_vector(v):
         return all(x.is_zero() for x in v)
@@ -612,7 +650,7 @@ def _pairwise_isotropic_line_in(y, form, rng, guard=True):
     if y.dim == 1:
         return None
     for row in y.rows:
-        if form.pair(row, row).is_zero():
+        if pair(form, row, row).is_zero():
             return Subspace.from_vectors([row], y.ambient)
     fallback = None
     basis = list(y.rows)
@@ -624,7 +662,7 @@ def _pairwise_isotropic_line_in(y, form, rng, guard=True):
             mixed = vadd(mixed, vscale(c, b))
         planes.append((mixed, basis[-1]))
     for b1, b2 in planes:
-        g11, g12, g22 = form.pair(b1, b1), form.pair(b1, b2), form.pair(b2, b2)
+        g11, g12, g22 = pair(form, b1, b1), pair(form, b1, b2), pair(form, b2, b2)
         if g11.is_zero():
             if not is_zero_vector(b1):
                 return Subspace.from_vectors([b1], y.ambient)
@@ -650,7 +688,6 @@ class TestIsotropicLineIn:
         # same witness and same rng state afterwards, on subspaces of every
         # dimension, with rational isotropic rows planted in some of them
         from isoflag.higgs import _isotropic_line_in
-        from isoflag.randgen import random_vector
         rng = random.Random(11)
         kinds = set()
         for trial in range(150):
@@ -672,7 +709,6 @@ class TestIsotropicLineIn:
         # leaves every witness as the unguarded reference gives it and draws
         # nothing from the rng
         from isoflag.higgs import _isotropic_line_in
-        from isoflag.randgen import random_vector
         rng = random.Random(13)
         kinds = set()
         for trial in range(120):
@@ -761,7 +797,6 @@ def _seeded_subspaces(count, seed):
     """(T, flags, weight) of every dimension: random rows with small entries,
     an isotropic row planted in every third T, and in every fourth a shared
     flag system with T holding that flag's first piece."""
-    from isoflag.randgen import random_vector
     rng = random.Random(seed)
     for trial in range(count):
         q, s = rng.randint(2, 6), rng.randint(3, 5)
@@ -1016,7 +1051,6 @@ class TestMaxPardeg:
 
     def test_upper_dominates_lower(self):
         rng = random.Random(12)
-        from isoflag.randgen import random_vector
         for trial in range(30):
             q, s = rng.randint(2, 6), rng.randint(3, 5)
             fs = random_flag_system(q, s, trial)
@@ -1433,7 +1467,7 @@ def _permuted_punctures(a, fs, w, rng):
 
 
 def _isometry_moved(a, fs, w, rng):
-    m = random_special_isometry(a.q, rng.randrange(1, 10 ** 6))
+    m = isometry_rows(a.q, rng.randrange(1, 10 ** 6))
     return (higgs_from_rows(a.q, a.s, mat_mul(list(higgs_rows(a)), m)), transform_flags(fs, m),
             w)
 
@@ -1460,7 +1494,7 @@ class TestEquivariance:
             q = [2, 3][trial % 2]
             a, fs, w = random_instance(q, 4, trial, mode=mixed_mode(trial))
             before = decide_stability(a, fs, w)
-            m = random_special_isometry(q, trial + 1)
+            m = isometry_rows(q, trial + 1)
             rng = random.Random(trial)
             t = random_scalar(rng, 3)
             while t.is_zero():

@@ -25,26 +25,24 @@ from isoflag.io import oneps_from_json, oneps_to_json
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
-    _gaussian_matrix,
     _scalar_row,
     complete_to_hyperbolic,
     isotropy_classify,
     orthocomplement,
-    standard_basis,
 )
 from isoflag.randgen import (
     mixed_mode,
     random_flag_system,
     random_instance,
     random_isotropic_subspace,
-    random_scalar,
     random_weight,
 )
 from isoflag.scalars import sc
 from isoflag.weights import Weight
 
-from helpers import (flag_from_rows, higgs_from_rows, higgs_rows, hm_grassmannian, oneps_basis,
-                     oneps_from_rows)
+from helpers import (flag_from_rows, gaussian_matrix, higgs_from_rows, higgs_rows, hm_grassmannian,
+                     hyperbolic_basis, oneps_basis, oneps_from_rows, random_scalar, random_vector,
+                     standard_basis)
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -68,7 +66,6 @@ def random_oneps(q: int, seed: int, bound: int = 3) -> OnePS:
     h = q // 2
     top = sorted((rng.randint(0, bound) for _ in range(h)), reverse=True)
     m = tuple(top) + ((0,) if q % 2 else ()) + tuple(-x for x in reversed(top))
-    from isoflag.linalg import hyperbolic_basis
     basis = hyperbolic_basis(BilinearForm(q), rng.randint(0, 10 ** 6))
     return oneps_from_rows(rng.randint(-bound, bound), m, basis)
 
@@ -282,7 +279,7 @@ class TestIntegerOnePS:
         if spoil:
             basis[0][0] = basis[0][0] + sc(F(7, 3))
         basis = tuple(tuple(row) for row in basis)
-        re, im, den = _gaussian_matrix(list(basis))
+        re, im, den = gaussian_matrix(list(basis))
         with pytest.raises(InputError) as scalar_error:
             oneps_from_rows(1, m, basis)
         with pytest.raises(InputError) as integer_error:
@@ -308,6 +305,15 @@ class TestIntegerOnePS:
         long_row[1].append(0)
         with pytest.raises(InputError, match="vector length does not match form dimension"):
             OnePS(lam.l, lam.m, lam.basis_re, long_row, lam.den)
+
+    def test_reduced_to_least_denominator(self):
+        # the identity over 1 and the doubled identity over 2 are one
+        # subgroup, so == and the hash are value equality
+        least = OnePS(1, (1, -1), [[1, 0], [0, 1]], [[0, 0], [0, 0]], 1)
+        doubled = OnePS(1, (1, -1), [[2, 0], [0, 2]], [[0, 0], [0, 0]], 2)
+        assert doubled == least and hash(doubled) == hash(least)
+        assert (doubled.basis_re, doubled.basis_im, doubled.den) == \
+            ([[1, 0], [0, 1]], [[0, 0], [0, 0]], 1)
 
     def test_destabilizer_round_trips_through_scalars(self):
         # the completion's D is the least common denominator of its rows
@@ -336,7 +342,6 @@ class TestGrassmannianWeight:
             hm_grassmannian(lam, Subspace.full(2), 1, 1)
 
     def test_two_formulas_random(self):
-        from isoflag.randgen import random_vector
         rng = random.Random(0)
         done = 0
         while done < 120:

@@ -10,7 +10,6 @@ import pytest
 
 from isoflag.cli import main
 from isoflag.errors import InputError, InternalConsistencyError, ParseError
-import isoflag.flags as flags_mod
 from isoflag.flags import FlagSystem
 from isoflag.higgs import decide_stability
 from isoflag.io import (
@@ -27,13 +26,13 @@ from isoflag.io import (
     weight_from_json,
     weight_to_json,
 )
-from isoflag.linalg import BilinearForm, Subspace, hyperbolic_basis, standard_basis
-from isoflag.randgen import (mixed_mode, random_flag_system, random_instance, random_scalar,
-                             random_weight)
+from isoflag.linalg import BilinearForm, Subspace
+from isoflag.randgen import mixed_mode, random_flag_system, random_instance, random_weight
 from isoflag.scalars import Scalar, parse_fraction, parse_rational, sc
 from isoflag.weights import Weight
 
-from helpers import flag_from_rows, higgs_from_rows, matrix_to_json, oneps_from_rows
+from helpers import (flag_from_rows, higgs_from_rows, hyperbolic_basis, matrix_to_json,
+                     oneps_from_rows, random_scalar, standard_basis)
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 
@@ -201,7 +200,7 @@ class TestParseErrors:
 
 class TestParsedFlags:
     """A flag read from a file is held as the integer basis a generated flag
-    computes from its Scalars."""
+    is drawn in."""
 
     MODES = ("generic", "low_rank", "isotropic_span", "shared_flag")
 
@@ -226,9 +225,6 @@ class TestParsedFlags:
         a, fs, w = random_instance(8, 8, 1)
         text = serialize_instance(InstanceFile(w, fs, a))
 
-        def refuse(*args):
-            raise AssertionError("a flag basis went through Scalars")
-
         built = []
         scalar_init = Scalar.__init__
 
@@ -236,7 +232,6 @@ class TestParsedFlags:
             built.append(1)
             scalar_init(self, re, im)
 
-        monkeypatch.setattr(flags_mod, "_gaussian_matrix", refuse)
         monkeypatch.setattr(Scalar, "__init__", counting_init)
         inst = parse_instance_text(text)
         # no Scalar per entry of A or of a flag
@@ -536,7 +531,8 @@ class TestCli:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("isoflag.cli.ProcessPoolExecutor", RecordingPool)
+        # batch imports the pool class from its module when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         assert main(["batch", str(tmp_path), "--jobs", "500"]) == 0
         assert requested == [2]
         assert json.loads(capsys.readouterr().out)["instances"] == 2
@@ -586,6 +582,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage error: --jobs must be at least 1")
+
+    def test_cli_import_leaves_out_the_process_pool(self):
+        # only a batch with --jobs > 1 imports concurrent.futures.process
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, isoflag.cli; "
+             "print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_console_script_entry(self, stable_file):
         proc = subprocess.run(

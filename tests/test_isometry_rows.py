@@ -1,9 +1,10 @@
 """Isometries that act on rows, checked against the matrix products they stand for.
 
 ``random_special_isometry`` applies each move (an Eichler transvection, a
-hyperbolic pair scaling or a coordinate swap) straight to the rows it
-transforms.  The reference below builds each move as its p x p matrix and
-multiplies the matrices in order.  The two must agree exactly, draw for
+hyperbolic pair scaling or a coordinate swap) straight to the Gaussian-integer
+rows it transforms.  The reference below builds each move as its p x p Scalar
+matrix and multiplies the matrices in order; ``helpers.scalar_special_isometry``
+makes the same moves on Scalar rows.  All three must agree exactly, draw for
 draw, so that every generated flag is the same either way.
 
 ``complete_to_hyperbolic`` reads a hyperbolic basis off an isotropic
@@ -22,19 +23,14 @@ from isoflag.linalg import (
     Subspace,
     _scalar_row,
     complete_to_hyperbolic,
-    eichler_rows,
-    hyperbolic_basis,
     isotropy_classify,
     orthocomplement,
-    random_scalar,
     random_special_isometry,
-    standard_basis,
-    vadd,
-    vscale,
 )
 from isoflag.scalars import HALF, ONE, ZERO, sc
 
-from helpers import mat_mul
+from helpers import (eichler_rows, gaussian_matrix, hyperbolic_basis, mat_mul, pair, random_scalar,
+                     scalar_special_isometry, standard_basis, vadd, vscale)
 
 
 def _completion(w):
@@ -53,12 +49,12 @@ def vsub(x, y):
 
 def eichler_matrix(e, z, form):
     """x -> x + Q(x,e) z - Q(x,z) e - (1/2) Q(z,z) Q(x,e) e."""
-    half_qzz = HALF * form.pair(z, z)
+    half_qzz = HALF * pair(form, z, z)
     rows = []
     for x in standard_basis(form.p):
-        qxe = form.pair(x, e)
+        qxe = pair(form, x, e)
         out = vadd(x, vscale(qxe, z))
-        rows.append(vsub(out, vscale(form.pair(x, z) + half_qzz * qxe, e)))
+        rows.append(vsub(out, vscale(pair(form, x, z) + half_qzz * qxe, e)))
     return rows
 
 
@@ -145,7 +141,18 @@ CHAINS = _chains()
 @pytest.mark.parametrize("p", range(1, 10))
 def test_random_special_isometry_matches_matrix_product(p):
     for seed in range(60):
-        assert random_special_isometry(p, seed) == matrix_special_isometry(p, seed), (p, seed)
+        assert random_special_isometry(p, seed) == \
+            gaussian_matrix(matrix_special_isometry(p, seed)), (p, seed)
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_random_special_isometry_matches_scalar_rows(p):
+    # the wider sweep, against the same moves made on Scalar rows: the
+    # Gaussian integers over their least denominator, draw for draw,
+    # determinant -1 flips included
+    for seed in range(400):
+        assert random_special_isometry(p, seed) == \
+            gaussian_matrix(scalar_special_isometry(p, seed)), (p, seed)
 
 
 def test_chains_cover_empty_middle_and_every_length():
@@ -186,8 +193,8 @@ def test_row_moves_match_their_matrices():
 
 
 class TestGuardsAreInternal:
-    """Only internal code builds Eichler maps, so a violated precondition is
-    a bug (exit 70), not bad input (exit 65)."""
+    """The reference Eichler move is built by code, never from input, so a
+    violated precondition is a bug (exit 70), not bad input (exit 65)."""
 
     def test_eichler_needs_isotropic_e(self):
         # p = 3, a = 1: e_1 is the middle vector, Q(e_1, e_1) = 1

@@ -8,28 +8,25 @@ from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
-    _gaussian_matrix,
     _gaussian_row,
     _reduced_kernel,
     _scalar_row,
     _zi_hyperbolic,
     _zi_reversed_transpose,
     complete_to_hyperbolic,
-    hyperbolic_basis,
     isotropy_classify,
     kernel_basis,
     max_isotropic_dimension,
     meet_join,
     orthocomplement,
-    random_special_isometry,
     rref,
-    standard_basis,
-    vscale,
 )
-from isoflag.randgen import random_isotropic_subspace, random_scalar, random_vector
+from isoflag.randgen import random_isotropic_subspace
 from isoflag.scalars import I, ONE, Scalar, ZERO, sc
 
-from helpers import gram, is_standard_gram, mat_mul, scalar_sqrt
+from helpers import (gaussian_matrix, gram, hyperbolic_basis, is_standard_gram, isometry_rows,
+                     mat_mul, pair, random_scalar, random_vector, scalar_sqrt, standard_basis,
+                     vscale)
 
 
 def _completion(w):
@@ -232,7 +229,7 @@ class TestKernelReference:
             form = BilinearForm(p)
             vectors = _random_matrix(rng, rng.randint(1, p + 1), p, KINDS[trial % len(KINDS)])
             g = gram(form, vectors)
-            assert [list(r) for r in g] == [[form.pair(v, w) for w in vectors] for v in vectors]
+            assert [list(r) for r in g] == [[pair(form, v, w) for w in vectors] for v in vectors]
 
     def test_gram_rejects_wrong_length(self):
         with pytest.raises(InputError):
@@ -741,14 +738,14 @@ class TestHyperbolicBasis:
     def test_odd_middle_vector(self):
         form = BilinearForm(3)
         basis = hyperbolic_basis(form, 7)
-        assert form.pair(basis[1], basis[1]) == ONE
+        assert pair(form, basis[1], basis[1]) == ONE
 
     def test_seed_two_gram(self):
         form = BilinearForm(2)
         w1, w2 = hyperbolic_basis(form, 1)
-        assert form.pair(w1, w1).is_zero()
-        assert form.pair(w2, w2).is_zero()
-        assert form.pair(w1, w2) == ONE
+        assert pair(form, w1, w1).is_zero()
+        assert pair(form, w2, w2).is_zero()
+        assert pair(form, w1, w2) == ONE
 
 
 class TestIntegerHyperbolicCheck:
@@ -776,7 +773,7 @@ class TestIntegerHyperbolicCheck:
         valid = 0
         for trial in range(400):
             q = trial % 8 + 1
-            b_re, b_im, den = _gaussian_matrix(list(hyperbolic_basis(BilinearForm(q), trial)))
+            b_re, b_im, den = gaussian_matrix(list(hyperbolic_basis(BilinearForm(q), trial)))
             b_re, b_im = [list(r) for r in b_re], [list(r) for r in b_im]
             kind = trial % 5
             i, k = rng.randrange(q), rng.randrange(q)
@@ -839,7 +836,7 @@ class TestIsometries:
             p = rng.randint(2, 7)
             form = BilinearForm(p)
             # the rows are the images of the standard basis, whose Gram matrix is J
-            assert is_standard_gram(form, random_special_isometry(p, seed + 1))
+            assert is_standard_gram(form, isometry_rows(p, seed + 1))
 
     def test_max_isotropic_dimension(self):
         form = BilinearForm(4)

@@ -17,6 +17,13 @@ The instances come from ``random_instance`` with the shapes, pool sizes and
 modes listed below.  To record the digests of the current tree:
 
     PYTHONPATH=src python tests/test_pinned_outputs.py > tests/pinned_outputs.json
+
+``gen`` builds its instance through another path (``random_weight``,
+``random_flag_system`` and ``generate_stable_instance``), so its exit code
+and stdout are pinned the same way, in ``gen_outputs.json``, for q in 2..8,
+s in {q + 2, q + 3}, seeds 0..2 and both regions.  To record them:
+
+    PYTHONPATH=src python tests/test_pinned_outputs.py gen > tests/gen_outputs.json
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from isoflag.io import InstanceFile, serialize_instance
 from isoflag.randgen import mixed_mode, random_instance
 
 FIXTURE = Path(__file__).resolve().parent / "pinned_outputs.json"
+GEN_FIXTURE = Path(__file__).resolve().parent / "gen_outputs.json"
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 # (q, s, mixed-mode schedule, pool size) per shape
@@ -70,6 +78,21 @@ def _key(command: str, q: int, s: int, seed: int, mode: str) -> str:
     return f"{command} {_instance_key(q, s, seed, mode)}"
 
 
+def _gen_argvs() -> list[list[str]]:
+    """The argv of every pinned gen call."""
+    return [["gen", "--q", str(q), "--s", str(s), "--seed", str(seed), "--region", region]
+            for q in range(2, 9) for s in (q + 2, q + 3) for seed in range(3)
+            for region in ("W", "Wprime")]
+
+
+def _run(argv: list[str]) -> str:
+    """sha256 of '<exit code>\\n<stdout>' for one CLI call."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return hashlib.sha256(f"{rc}\n{out.getvalue()}".encode()).hexdigest()
+
+
 @cache
 def _bench_reference() -> dict:
     return json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))
@@ -86,11 +109,7 @@ def _digest(directory: Path, command: str, q: int, s: int, seed: int, mode: str)
     instance file (crosscheck prints the file's stem, so the name is fixed)."""
     path = directory / f"{_instance_key(q, s, seed, mode)}.instance.json"
     path.write_text(_instance_text(q, s, seed, mode), encoding="utf-8")
-    argv = [command, str(path)] + (["--seed", str(seed)] if command == "decide" else [])
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        rc = main(argv)
-    return hashlib.sha256(f"{rc}\n{out.getvalue()}".encode()).hexdigest()
+    return _run([command, str(path)] + (["--seed", str(seed)] if command == "decide" else []))
 
 
 @pytest.mark.parametrize("call", _calls(), ids=lambda c: _key(*c).replace(" ", "-"))
@@ -117,10 +136,20 @@ def test_instance_pools_are_the_benchmark_pools():
     assert sorted(_bench_reference()) == sorted(_instance_key(*i) for i in _instances())
 
 
+def test_gen_output_pinned():
+    pinned = json.loads(GEN_FIXTURE.read_text(encoding="utf-8"))
+    assert sorted(pinned) == sorted(" ".join(argv) for argv in _gen_argvs())
+    assert len(pinned) == 7 * 2 * 3 * 2
+    assert {" ".join(argv): _run(argv) for argv in _gen_argvs()} == pinned
+
+
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = {_key(*c): _digest(Path(tmp), *c) for c in _calls()}
+    if sys.argv[1:] == ["gen"]:
+        digests = {" ".join(argv): _run(argv) for argv in _gen_argvs()}
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = {_key(*c): _digest(Path(tmp), *c) for c in _calls()}
     json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     print()
