@@ -4,7 +4,10 @@ A complete isotropic flag of Q(i)^q is stored as an adapted hyperbolic basis
 (w_1, ..., w_q) with Gram matrix J_q, held as Gaussian integers over one
 denominator; the flag pieces are F_i = span(w_1..w_i).
 The Gram condition makes F_i isotropic for i <= q/2 and forces the
-self-duality F_i^perp = F_{q-i}.
+self-duality F_i^perp = F_{q-i}.  It also makes a vector's flag
+coordinates its pairings with the basis rows, so a subspace is put in
+echelon form against a flag by pairings alone, its rows kept in standard
+coordinates, and no inverse of the basis is built (IsotropicFlag).
 
 The parabolic degree of a subspace V' relative to a system of s flags and a
 weight is the weighted jump count
@@ -32,13 +35,11 @@ from .linalg import (
     _zi_eliminate,
     _zi_gram,
     _zi_hyperbolic,
-    _zi_reversed_transpose,
-    _zi_row_times,
     random_special_isometry,
 )
 from .weights import Weight, require_valid
 
-# (rows in reversed flag coordinates, the flag position each row ends at)
+# (rows in standard coordinates, the flag position each row ends at)
 Echelon = tuple[list[ZiRow], list[int]]
 
 
@@ -47,8 +48,8 @@ class IsotropicFlag:
     the Gaussian integers.
 
     Everything a subspace's position against the flag decides is read off
-    one echelon form in flag coordinates: its profile (dim(sub ^ F_i))_i and
-    its intersections with the pieces.  That echelon is computed over the
+    one echelon form of the subspace: its profile (dim(sub ^ F_i))_i and its
+    intersections with the pieces.  That echelon is computed over the
     Gaussian integers Z[i], and no Fraction is built for it:
 
     1. The basis is B = B' / d, with B' = basis_re + i basis_im a
@@ -56,39 +57,56 @@ class IsotropicFlag:
        the lcm of the entries' reduced denominators.  This is the only form
        a flag is held in: a flag read from an instance file is parsed
        straight into it, and a generated one is drawn in it
-       (linalg.random_special_isometry).  A hyperbolic basis has
-       B J B^T = J, so B^-1 = J B^T J = (J B'^T J) / d: B'^T with its rows
-       and columns reversed, a re-indexing of B's own integers over the
-       same d.  The basis is hyperbolic exactly when B' (J B'^T J) = d^2 I.
-    2. Scaling a row by a nonzero element of Z[i] keeps the row span and the
-       position of its last nonzero coordinate.  So sub's stored rows D R
-       (linalg.Subspace), multiplied by J B'^T J, have the row span of sub's
-       flag coordinates.  A forward echelon form of those integer rows, with
-       no back-substitution, already has distinct ends (each row's last
-       nonzero flag coordinate).  Lemma: a nonzero combination of such rows
-       ends exactly where its used row of largest end does, since every
-       other used row is zero there.  So it lies in F_i exactly when it uses
-       only rows ending below i: those rows are a basis of sub ^ F_i, their
-       count is profile[i], and the ends are those of the reduced form.
-    3. The rows ending below i, mapped back through B' (zi_lift), span
-       sub ^ F_i.  The lifted rows are Gaussian-integer rows again: one
-       Subspace.from_zi_rows of them (intersect_piece) is the piece's
+       (linalg.random_special_isometry).  A hyperbolic basis has Gram
+       matrix J, Q(w_i, w_m) = 1 exactly when i + m = q - 1 (0-indexed), so
+       x = sum_k c_k w_k has c_k = Q(x, w_{q-1-k}): flag coordinate k of x
+       is one pairing with one basis row, and d c_k = Q(x, w'_{q-1-k}) is
+       a Gaussian integer when x is a Gaussian-integer row.  The basis is
+       hyperbolic exactly when B' J B'^T = d^2 J (linalg._zi_hyperbolic);
+       otherwise the pairings are not the coordinates.
+    2. zi_echelon scans the flag coordinates from the top, k = q-1 down,
+       pairing the rows that have no pivot yet with w'_{q-1-k}.  The first
+       row with a nonzero pairing a becomes the pivot p at end k, and every
+       other row x with pairing c becomes (a x - c p) / a_prev, which is
+       zero at k, with a_prev the previous pivot's pairing (1 at the first
+       pivot); a row that becomes zero was dependent and is dropped.
+       This is the fraction-free step of Bareiss (linalg._zi_eliminate) on
+       the rows' flag coordinates and standard coordinates side by side,
+       the pairings being linear in the row: by Sylvester's identity every
+       entry is a minor of that matrix, so the division is exact and the
+       entries grow as minors do, not with every pivot.  Every row left
+       after the scan of k is zero at k and above, and each pivot ends at
+       its own k.  Lemma: a nonzero combination of rows with distinct
+       ends ends exactly where its used row of largest end does, since
+       every other used row is zero there.  So it lies in F_i exactly when
+       it uses only rows ending below i: those rows are a basis of
+       sub ^ F_i, their count is profile[i], and the ends depend only on
+       the span of the rows.  The scan stops at the lowest end, when no row
+       is left: no coordinate below it is read.
+    3. The rows stay in standard coordinates: scaling a row by a nonzero
+       element of Q(i) and adding a multiple of another keep the span of
+       the rows left, which is sub ^ F_k after each pivot.  So the last
+       n = dim(sub ^ F_i) echelon rows span sub ^ F_i themselves.  Each
+       is handed out divided by the gcd of its integer parts (the scan
+       keeps the undivided pivot, which the exact division needs), which
+       keeps the entries from growing with every flag they pass.  One
+       Subspace.from_zi_rows of the rows (intersect_piece) is the piece's
        canonical form, and the next flag can take them without a canonical
        form in between (higgs.line_oracle does).
-    4. Lemma (radical_dim): the rows are x (J B'^T J), coordinates
-       reversed, and B J B^T = J gives (J B'^T J) J (J B'^T J)^T = d^2 J,
-       while reversing coordinates keeps J.  So the echelon rows' Gram
-       matrix is d^2 times that of the vectors they stand for, and
-       dim rad(sub ^ F_i) = (rows ending below i) - (rank of their principal
-       submatrix).  A piece first reached at i with 2i <= q lies in the
-       isotropic F_i, so its radical dimension is its dimension.
+    4. Lemma (radical_dim): the echelon rows are vectors of sub, so their
+       Gram matrix G = R J R^T is the form on them, and with the rows
+       ending below i a basis of sub ^ F_i,
+       dim rad(sub ^ F_i) = (rows ending below i) - (rank of their
+       principal submatrix of G).  A piece first reached at i with
+       2i <= q lies in the isotropic F_i, so its radical dimension is its
+       dimension.
 
-    Whether the basis is hyperbolic is computed when the flag is made, J B'^T J
-    on the first echelon.  zi_echelon, and with it profile, intersect_piece
-    and radical_dim, raises InputError when the basis is not hyperbolic.
+    Whether the basis is hyperbolic is computed when the flag is made.
+    zi_echelon and line_end, and with them profile, intersect_piece and
+    radical_dim, raise InputError when the basis is not hyperbolic.
     """
 
-    __slots__ = ("q", "basis_re", "basis_im", "den", "hyperbolic", "_inverse", "_last")
+    __slots__ = ("q", "basis_re", "basis_im", "den", "hyperbolic", "_last")
 
     def __init__(self, basis_re: list[list[int]], basis_im: list[list[int]], den: int):
         """The flag with the basis (basis_re + i basis_im) / den, den the lcm
@@ -100,14 +118,11 @@ class IsotropicFlag:
             raise InputError("flag basis denominator must be positive")
         self.basis_re, self.basis_im, self.den = basis_re, basis_im, den
         self.hyperbolic = _zi_hyperbolic(basis_re, basis_im, den)
-        # J B'^T J as (re, im), built on the first echelon: many flags are
-        # only validated or written out and never take one
-        self._inverse: tuple[list[tuple[int, ...]], list[tuple[int, ...]]] | None = None
-        # (sub, its echelon, its zi_lift, its echelon rows' Gram matrix) for
-        # the last subspace asked about, the last two filled when first used:
+        # (sub, its echelon, its echelon rows' Gram matrix) for the last
+        # subspace asked about, the Gram matrix filled when first used:
         # callers take the profile of a subspace and then several of its
         # pieces, all from one echelon form.
-        self._last: tuple[Subspace, Echelon, list[ZiRow], list[ZiRow]] | None = None
+        self._last: tuple[Subspace, Echelon, list[ZiRow]] | None = None
 
     @classmethod
     def standard(cls, q: int) -> "IsotropicFlag":
@@ -124,77 +139,87 @@ class IsotropicFlag:
         if not self.hyperbolic:
             raise InputError("invalid flag: adapted basis Gram matrix is not the split form")
 
+    def _pairing(self, row: ZiRow, k: int) -> tuple[int, int]:
+        """Flag coordinate k of a Gaussian-integer row in standard
+        coordinates, times den, as (re, im): the pairing Q(row, w'_{q-1-k})
+        (class docstring, item 1).  J reverses coordinates, so it is row
+        times w'_{q-1-k} reversed: q products for each of its four sums."""
+        x_re, x_im = row
+        w_re, w_im = self.basis_re[self.q - 1 - k], self.basis_im[self.q - 1 - k]
+        return (sum(map(mul, x_re, reversed(w_re))) - sum(map(mul, x_im, reversed(w_im))),
+                sum(map(mul, x_re, reversed(w_im))) + sum(map(mul, x_im, reversed(w_re))))
+
     def zi_echelon(self, rows: list[ZiRow]) -> Echelon:
-        """Gaussian-integer rows in standard coordinates, taken to flag
-        coordinates by J B'^T J, with the coordinates reversed and put in
-        forward echelon form, so that each row ends at its own flag position.
-        Returns (rows, ends), where a row's end is the index of its last
-        nonzero flag coordinate: the row lies in F_{end+1} and not in F_end.
-        The ends are decreasing and depend only on the span of the given rows
-        (class docstring, item 2)."""
+        """Gaussian-integer rows in standard coordinates, put in echelon form
+        against the flag by one scan of the flag coordinates from the top
+        (class docstring, item 2).  Returns (rows, ends): nonzero primitive
+        rows in standard coordinates, and the index of each row's last
+        nonzero flag coordinate, so that the row lies in F_{end+1} and not
+        in F_end.  The ends are decreasing and depend only on the span of
+        the given rows, and the rows ending below i span sub ^ F_i (item
+        3).  Zero and dependent rows are dropped."""
         self._require_hyperbolic()
-        if self._inverse is None:
-            self._inverse = (_zi_reversed_transpose(self.basis_re),
-                             _zi_reversed_transpose(self.basis_im))
-        inv_re, inv_im = self._inverse
-        coords = []
-        for x_re, x_im in rows:
-            c_re, c_im = _zi_row_times(x_re, x_im, inv_re, inv_im)
-            coords.append((c_re[::-1], c_im[::-1]))
-        echelon_rows, pivots = _zi_eliminate(coords)
-        return echelon_rows, [self.q - 1 - c for c in pivots]
+        left = [row for row in rows if any(row[0]) or any(row[1])]
+        echelon_rows: list[ZiRow] = []
+        ends: list[int] = []
+        prev = (1, 0, 1)  # the last pivot's pairing, as (re, im, norm)
+        k = self.q
+        while left:
+            k -= 1
+            coords = [self._pairing(row, k) for row in left]
+            for m, (a, b) in enumerate(coords):
+                if a or b:
+                    break
+            else:
+                continue
+            p_re, p_im = pivot = left.pop(m)
+            del coords[m]
+            g = gcd(*p_re, *p_im)
+            echelon_rows.append(pivot if g == 1 else ([x // g for x in p_re], [x // g for x in p_im]))
+            ends.append(k)
+            # (a x - c p) / prev, exact (class docstring, item 2), as
+            # (a conj(prev) x - c conj(prev) p) / |prev|^2
+            e, f, n = prev
+            a1, b1 = a * e + b * f, b * e - a * f
+            rest = []
+            for (x_re, x_im), (c, d) in zip(left, coords):
+                c1, d1 = c * e + d * f, d * e - c * f
+                re = [(a1 * x - b1 * y - c1 * u + d1 * v) // n
+                      for x, y, u, v in zip(x_re, x_im, p_re, p_im)]
+                im = [(a1 * y + b1 * x - c1 * v - d1 * u) // n
+                      for x, y, u, v in zip(x_re, x_im, p_re, p_im)]
+                if any(re) or any(im):
+                    rest.append((re, im))
+            left = rest
+            prev = (a, b, a * a + b * b)
+        return echelon_rows, ends
 
     def line_end(self, row: ZiRow) -> int:
         """The end of one nonzero Gaussian-integer row in standard
-        coordinates: the one end zi_echelon([row]) returns, with no product
-        by the whole of J B'^T J and no elimination.  Flag coordinate k of
-        the row is its product with column k of J B'^T J, which is the
-        basis row w'_{q-1-k} reversed: the pairing Q(row, w'_{q-1-k}).  So
-        the columns are read from the top down, one pairing (q products)
-        each, and the first nonzero one is the end: a generic line needs
-        one.  Raises InputError when the basis is not hyperbolic, as
+        coordinates: zi_echelon's scan for one row, which needs no
+        combination.  The flag coordinates are read from the top down, one
+        pairing each, and the first nonzero one is the end: a generic line
+        needs one.  Raises InputError when the basis is not hyperbolic, as
         zi_echelon does."""
         self._require_hyperbolic()
-        x_re, x_im = row[0][::-1], row[1][::-1]
-        for m, (w_re, w_im) in enumerate(zip(self.basis_re, self.basis_im)):
-            if (sum(map(mul, x_re, w_re)) != sum(map(mul, x_im, w_im))
-                    or sum(map(mul, x_re, w_im)) + sum(map(mul, x_im, w_re))):
-                return self.q - 1 - m
+        for k in range(self.q - 1, -1, -1):
+            a, b = self._pairing(row, k)
+            if a or b:
+                return k
         raise InternalConsistencyError("a zero row has no end")
 
-    def zi_lift(self, echelon: Echelon) -> list[ZiRow]:
-        """The echelon rows after the first, mapped back to standard
-        coordinates through B' and each divided by the gcd of its integer
-        parts: primitive Gaussian-integer rows whose last n span sub ^ F_i
-        for n = dim(sub ^ F_i) < dim sub (class docstring, item 3).  The
-        gcd keeps the entries from growing with every flag they pass."""
-        lifted = []
-        for c_re, c_im in echelon[0][1:]:
-            x_re, x_im = _zi_row_times(c_re[::-1], c_im[::-1], self.basis_re, self.basis_im)
-            g = gcd(*x_re, *x_im)
-            lifted.append(([x // g for x in x_re], [x // g for x in x_im]))
-        return lifted
-
-    def _coordinates(self, sub: Subspace) -> tuple[Subspace, Echelon, list[ZiRow], list[ZiRow]]:
+    def _cached(self, sub: Subspace) -> tuple[Subspace, Echelon, list[ZiRow]]:
         """_last for sub: zi_echelon of sub's stored rows."""
         if self._last is None or self._last[0] != sub:
-            echelon = self.zi_echelon(sub.zi_rows)
-            self._last = (sub, echelon, [], [])
+            self._last = (sub, self.zi_echelon(sub.zi_rows), [])
         return self._last
 
     def echelon(self, sub: Subspace) -> Echelon:
         """zi_echelon of sub's stored rows, kept for the last subspace asked
         about: profile, intersect_piece, radical_dim and the line oracle's
-        reads of T share one elimination per flag."""
-        return self._coordinates(sub)[1]
-
-    def lifted(self, sub: Subspace) -> list[ZiRow]:
-        """zi_lift of echelon(sub), computed on first use and kept with it.
-        The list is shared: callers slice it and never change it."""
-        _, echelon, lifted, _ = self._coordinates(sub)
-        if not lifted:
-            lifted += self.zi_lift(echelon)
-        return lifted
+        reads of T share one echelon per flag.  The lists are shared:
+        callers slice them and never change them."""
+        return self._cached(sub)[1]
 
     def profile(self, sub: Subspace) -> tuple[int, ...]:
         """(dim(sub ^ F_i))_{i=0..q}.
@@ -215,17 +240,18 @@ class IsotropicFlag:
         return tuple(sum(1 for e in ends if e < i) for i in range(self.q + 1))
 
     def intersect_piece(self, sub: Subspace, i: int) -> Subspace:
-        """sub ^ F_i: the last rows of the zi_lift of sub's echelon,
-        canonicalised, or sub itself."""
-        n = sum(1 for e in self.echelon(sub)[1] if e < i)
+        """sub ^ F_i: the echelon rows of sub ending below i, canonicalised
+        (class docstring, item 3), or sub itself."""
+        rows, ends = self.echelon(sub)
+        n = sum(1 for e in ends if e < i)
         if n == sub.dim:
             return sub
-        return Subspace.from_zi_rows(self.lifted(sub)[sub.dim - 1 - n:], self.q)
+        return Subspace.from_zi_rows(rows[sub.dim - n:], self.q)
 
     def radical_dim(self, sub: Subspace, i: int) -> int:
         """dim rad(sub ^ F_i) from the Gram matrix of sub's echelon rows, with
         no subspace built (class docstring, item 4)."""
-        _, (rows, ends), _, gram = self._coordinates(sub)
+        _, (rows, ends), gram = self._cached(sub)
         n = sum(1 for e in ends if e < i)
         if n == 0 or 2 * (ends[-n] + 1) <= self.q:
             return n
@@ -238,9 +264,9 @@ class IsotropicFlag:
 def validate_flag(flag: IsotropicFlag) -> list[str]:
     """A flag is valid iff the Gram matrix of its adapted basis is exactly J_q
     (this already forces F_i^perp = F_{q-i}).  The check is the integer
-    product B' (J B'^T J) == d^2 I that also gives the flag its coordinates
-    (see IsotropicFlag), made once, when the flag is made, however often it
-    is validated or used."""
+    product B' J B'^T == d^2 J that also makes the pairings with the basis
+    rows the flag coordinates (see IsotropicFlag), made once, when the flag
+    is made, however often it is validated or used."""
     if flag.hyperbolic:
         return []
     return ["adapted basis Gram matrix is not the split form"]

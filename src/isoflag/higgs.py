@@ -358,9 +358,11 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     one at a time, after the search.  This gives the search over canonical
     subspaces exactly:
 
-    1. At flag j, IsotropicFlag.zi_echelon eliminates the rows in flag
-       coordinates, and with n rows ending at e or below, the last n of
-       their zi_lift span Y_b ^ F_{e+1}^j (IsotropicFlag, items 2 and 3).
+    1. At flag j, IsotropicFlag.zi_echelon scans the flag coordinates of
+       the rows from the top, and with n echelon rows ending at e or below,
+       those last n rows, in standard coordinates, span Y_b ^ F_{e+1}^j
+       (IsotropicFlag, items 2 and 3): they are the child's rows as they
+       stand.
     2. The ends depend only on the span of the rows, so the children (one
        per end e, at position e + 1; the other positions give the same
        intersection as the end below them), their scores and their
@@ -374,7 +376,8 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
        stopping at the first rational line draws from the rng exactly as
        handing _isotropic_line_in the distinct canonical leaves does.
     5. A node holding one row has one child, the row itself at the row's
-       end, which IsotropicFlag.line_end reads with no echelon or lift.  So
+       end, which IsotropicFlag.line_end reads with one pairing per flag
+       coordinate from the top, and no combination.  So
        a line's remaining path is a loop over the flags, pruned at each
        node as the recursion would be.
     6. The optimistic bound credits each flag j' not yet passed with
@@ -392,9 +395,9 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
        one leaf is that line, which is never scored.  Nothing else reads
        it, so the leaves that are scored, and pruning, are unchanged.
     8. T's echelon against each flag is read once, through the flag's cache
-       (IsotropicFlag.echelon and lifted): the bound needs its lowest ends,
-       and the spine, the path of children that keep all of T, takes its
-       children from it.  The cache then still holds T for the harvest of
+       (IsotropicFlag.echelon): the bound needs its lowest ends, and the
+       spine, the path of children that keep all of T, takes its children's
+       rows from it.  The cache then still holds T for the harvest of
        max_pardeg_isotropic_in, which reads the same echelon.
     9. When T is a line the search has one leaf, T itself, so nothing is
        pruned and the bound of item 6 is not built: no echelon of T is
@@ -434,13 +437,10 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
             partial += n_beta[j][fs.flags[j].line_end(rows[0])]
             j += 1
         flag = fs.flags[j]
-        if rows is t_rows:  # item 8
-            ends, lifted = flag.echelon(t_sub)[1], flag.lifted(t_sub)
-        else:
-            echelon = flag.zi_echelon(rows)
-            ends, lifted = echelon[1], flag.zi_lift(echelon)
+        # item 8
+        pieces, ends = flag.echelon(t_sub) if rows is t_rows else flag.zi_echelon(rows)
         for n, e in enumerate(reversed(ends), 1):
-            visit(j + 1, lifted[-n:] if n < len(ends) else rows, partial + n_beta[j][e])
+            visit(j + 1, pieces[-n:] if n < len(ends) else rows, partial + n_beta[j][e])
 
     if t_rows:
         visit(0, t_rows, 0)

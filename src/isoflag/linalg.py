@@ -79,16 +79,11 @@ def _zi_row_times(a_re: list[int], a_im: list[int], b_re: list[list[int]],
     return acc_re, acc_im
 
 
-def _zi_reversed_transpose(b: list[list[int]]) -> list[tuple[int, ...]]:
-    """J B^T J for a square integer matrix B: B^T with its rows and columns
-    reversed, so that entry (i, j) is B[q-1-j][q-1-i]."""
-    return [col[::-1] for col in zip(*b)][::-1]
-
-
 def _zi_hyperbolic(b_re: list[list[int]], b_im: list[list[int]], den: int) -> bool:
     """Whether the rows of B = B' / den have Gram matrix J, for a square
-    Gaussian-integer matrix B' = b_re + i b_im: whether B' J B'^T = den^2 J
-    (the same as B (J B^T J) = I, which makes J B'^T J / den the inverse).
+    Gaussian-integer matrix B' = b_re + i b_im: whether B' J B'^T = den^2 J,
+    which makes the pairing of a vector with row q-1-k of B its coordinate
+    k in the basis (IsotropicFlag, item 1).
 
     Entry (i, m) of B' J B'^T is the sum over k of b'_ik b'_m(q-1-k).  The
     matrix is symmetric, so row i is checked at m >= i only, and each sum

@@ -6,10 +6,10 @@ the builders here put such rows over their least common denominator, the
 form the package holds (linalg._gaussian_row and gaussian_matrix), and the
 views read the Scalar rows back.  The Scalar references the integer code is
 compared with (matrix products, Gram matrices, the pairing, the square root
-in Q(i), the JSON writer of Scalar rows, the random draws and the
-row-by-row random isometry with its Eichler moves), the isometry actions on
-flags and subspaces and the Grassmannian weight identity are used by the
-tests alone, so they live here too.
+in Q(i), the JSON writer of Scalar rows, the random draws, the row-by-row
+random isometry with its Eichler moves and the dense inverse of a flag's
+basis), the isometry actions on flags and subspaces and the Grassmannian
+weight identity are used by the tests alone, so they live here too.
 """
 
 from __future__ import annotations
@@ -221,6 +221,15 @@ def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
         den *= b_den
         out.append(tuple(_scalar(x, y, den) for x, y in zip(acc_re, acc_im)))
     return out
+
+
+def reversed_transpose(b: list[list[int]]) -> list[tuple[int, ...]]:
+    """J B^T J for a square integer matrix B: B^T with its rows and columns
+    reversed, so that entry (i, j) is B[q-1-j][q-1-i].  For a flag's
+    B' = basis_re + i basis_im over den, J B'^T J / den is the inverse of
+    the basis: the dense reference for the flag coordinates the package
+    reads as pairings."""
+    return [col[::-1] for col in zip(*b)][::-1]
 
 
 def gram(form: BilinearForm, vectors: list[Vector]) -> list[Vector]:

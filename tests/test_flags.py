@@ -36,8 +36,8 @@ from isoflag.scalars import Scalar, sc
 from isoflag.weights import Weight, weight_stats
 
 from helpers import (flag_basis, flag_from_rows, gram, isometry_rows, mat_mul, random_scalar,
-                     random_vector, standard_basis, transform_flag, transform_flags,
-                     transform_subspace)
+                     random_vector, reversed_transpose, standard_basis, transform_flag,
+                     transform_flags, transform_subspace)
 
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
                    [(F(1, 16), F(1, 32), F(-1, 32), F(-1, 16))] * 4)
@@ -50,8 +50,8 @@ def vec(*entries):
 def _integer_inverse(flag):
     """J B'^T J / den: the flag's integer inverse as Scalars."""
     return [tuple(Scalar(F(x, flag.den), F(y, flag.den)) for x, y in zip(re, im))
-            for re, im in zip(linalg_mod._zi_reversed_transpose(flag.basis_re),
-                              linalg_mod._zi_reversed_transpose(flag.basis_im))]
+            for re, im in zip(reversed_transpose(flag.basis_re),
+                              reversed_transpose(flag.basis_im))]
 
 
 class TestValidateFlag:
@@ -69,8 +69,9 @@ class TestValidateFlag:
         assert validate_flag(flag) != []
 
     def test_bad_gram_has_no_flag_coordinates(self):
-        # invertible, but not hyperbolic: J B^T J is not its inverse, so
-        # anything read in flag coordinates must refuse instead of guessing
+        # invertible, but not hyperbolic: the pairings with its rows are not
+        # its flag coordinates, so anything read in flag coordinates must
+        # refuse instead of guessing
         flag = flag_from_rows((vec(1, F(1, 2)), vec(0, 1)))
         line = Subspace.from_vectors([vec(1, 1)], 2)
         with pytest.raises(InputError):
@@ -338,6 +339,38 @@ def _echelon_subspaces(flag, other, rng):
     return subs
 
 
+def _zi_combination(coeffs, rows):
+    """sum_k c_k rows[k] for Gaussian-integer coefficients (re, im)."""
+    return linalg_mod._zi_row_times([c[0] for c in coeffs], [c[1] for c in coeffs],
+                                    [re for re, _ in rows], [im for _, im in rows])
+
+
+def _check_echelon(flag, sub, echelon, pieces):
+    """The echelon contract (IsotropicFlag, items 2 and 3): one nonzero
+    primitive row per dimension of sub, the ends decreasing and each row's
+    own line_end, and the last n rows spanning pieces[i] = sub ^ F_i for
+    n = the number of ends below i."""
+    rows, ends = echelon
+    q = flag.q
+    assert len(rows) == len(ends) == sub.dim
+    assert ends == sorted(set(ends), reverse=True)
+    # gcd 0 would mean a zero row
+    assert all(gcd(*re, *im) == 1 for re, im in rows)
+    assert [flag.line_end(row) for row in rows] == ends
+    spans = {}
+    for i in range(q + 1):
+        n = sum(1 for e in ends if e < i)
+        if n not in spans:
+            spans[n] = Subspace.from_zi_rows(rows[len(rows) - n:], q)
+        assert spans[n] == pieces[i], i
+
+
+def _fraction_pieces(flag, sub):
+    """sub ^ F_i for i = 0..q, intersected by the Fraction reference."""
+    ref = FractionEchelon(flag)
+    return [ref.intersect_piece(sub, i) for i in range(flag.q + 1)]
+
+
 class TestIntegerEchelon:
     def test_matches_fraction_echelon(self):
         # seeded flags, and flags moved by an isometry, whose integer bases
@@ -354,18 +387,49 @@ class TestIntegerEchelon:
                 for sub in _echelon_subspaces(flag, other, rng):
                     profile = flag.profile(sub)
                     assert profile == ref.profile(sub), (q, k)
-                    # the integer rows behind the pieces: one per echelon row
-                    # but the first, each nonzero and primitive (gcd 0 would
-                    # mean a zero row)
-                    lifted = flag.zi_lift(flag.echelon(sub))
-                    assert len(lifted) == max(sub.dim - 1, 0), (q, k)
-                    assert all(gcd(*re, *im) == 1 for re, im in lifted), (q, k)
-                    for i in range(q + 1):
-                        assert flag.intersect_piece(sub, i) == ref.intersect_piece(sub, i), \
-                            (q, k, i)
+                    pieces = [ref.intersect_piece(sub, i) for i in range(q + 1)]
+                    _check_echelon(flag, sub, flag.echelon(sub), pieces)
+                    assert [flag.intersect_piece(sub, i) for i in range(q + 1)] == pieces, (q, k)
                     compared += 1
         assert dens >= 16
         assert compared >= 700
+
+    def test_skipped_coordinates(self):
+        # a subspace inside F_m of the same flag is zero at the flag
+        # coordinates m..q-1, so the scan reads them and finds no pivot
+        rng = random.Random(78)
+        for q in range(3, 10):
+            flag = transform_flag(random_flag(q, q + 2), isometry_rows(q, q + 50))
+            basis = list(zip(flag.basis_re, flag.basis_im))
+            for m in range(1, q):
+                for k in range(1, m + 1):
+                    rows = [_zi_combination([(rng.randint(-3, 3), rng.randint(-3, 3))
+                                             for _ in range(m)], basis[:m]) for _ in range(k)]
+                    sub = Subspace.from_zi_rows(rows, q)
+                    echelon = flag.zi_echelon(rows)
+                    _check_echelon(flag, sub, echelon, _fraction_pieces(flag, sub))
+                    assert echelon[1][0] < m, (q, m)
+
+    def test_dependent_rows_dropped(self):
+        # zero rows, repeated rows, multiples and combinations of the other
+        # rows leave the echelon of the span: the rows they become are zero
+        # and are dropped
+        rng = random.Random(79)
+        for q in range(2, 10):
+            flag = random_flag(q, 4 * q + 1)
+            for k in range(1, q + 1):
+                sub = Subspace.from_vectors([random_vector(rng, q) for _ in range(k)], q)
+                rows = list(sub.zi_rows)
+                extra = [([0] * q, [0] * q), rows[-1],
+                         ([-2 * x for x in rows[0][1]], [2 * x for x in rows[0][0]]),
+                         _zi_combination([(rng.randint(-3, 3), rng.randint(-3, 3))
+                                          for _ in rows], rows)]
+                mixed = rows + extra
+                rng.shuffle(mixed)
+                echelon = flag.zi_echelon(mixed)
+                _check_echelon(flag, sub, echelon, _fraction_pieces(flag, sub))
+                assert echelon[1] == flag.zi_echelon(rows)[1], (q, k)
+            assert flag.zi_echelon([([0] * q, [0] * q)] * 2) == ([], [])
 
     def test_rref_calls(self, monkeypatch):
         # a profile eliminates with no rref; an intersection canonicalises
@@ -493,7 +557,8 @@ class TestInvalidFlags:
 
 class TestLineEnd:
     """IsotropicFlag.line_end reads one row's end a flag coordinate at a
-    time; zi_echelon's one end for the row is its reference."""
+    time, one pairing each; zi_echelon's one end for the row is its
+    reference."""
 
     def test_matches_echelon(self, monkeypatch):
         rng = random.Random(41)
@@ -519,10 +584,14 @@ class TestLineEnd:
                         continue
                     end = flag.zi_echelon([row])[1][0]
                     below_top += end < q - 1
+                    read = []
                     monkeypatch.setattr(flags_mod, "_zi_eliminate", _refuse)
-                    monkeypatch.setattr(flags_mod, "_zi_row_times", _refuse)
+                    monkeypatch.setattr(IsotropicFlag, "zi_echelon", _refuse)
+                    monkeypatch.setattr(IsotropicFlag, "_pairing", _recording(read))
                     assert flag.line_end(row) == end, (q, row)
                     monkeypatch.undo()
+                    # one pairing per flag coordinate, from the top to the end
+                    assert read == list(range(q - 1, end - 1, -1)), (q, row)
         assert below_top >= 4 * sum(range(1, 10))
 
     def test_zero_row(self):
@@ -565,7 +634,7 @@ class TestLineProfile:
                     (end,) = flag.zi_echelon(list(line.zi_rows))[1]
                     ends.add((q, end))
                     monkeypatch.setattr(flags_mod, "_zi_eliminate", _refuse)
-                    monkeypatch.setattr(flags_mod, "_zi_row_times", _refuse)
+                    monkeypatch.setattr(IsotropicFlag, "zi_echelon", _refuse)
                     assert flag.profile(line) == tuple(int(end < i) for i in range(q + 1))
                     monkeypatch.undo()
                     assert flag._last is kept
@@ -573,4 +642,15 @@ class TestLineProfile:
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("line_end took a product or an elimination")
+    raise AssertionError("line_end took an echelon or an elimination")
+
+
+def _recording(read):
+    """IsotropicFlag._pairing, appending each flag coordinate it reads."""
+    real = IsotropicFlag._pairing
+
+    def pairing(flag, row, k):
+        read.append(k)
+        return real(flag, row, k)
+
+    return pairing

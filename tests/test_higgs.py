@@ -24,7 +24,6 @@ from isoflag.higgs import (
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
-    _zi_reversed_transpose,
     invert_matrix,
     isotropy_classify,
     max_isotropic_dimension,
@@ -42,8 +41,8 @@ from isoflag.scalars import Scalar, sc
 from isoflag.weights import Weight
 
 from helpers import (flag_basis, flag_from_rows, gram, higgs_from_rows, higgs_rows, isometry_rows,
-                     line_parts, mat_mul, pair, random_scalar, random_vector, scalar_sqrt,
-                     transform_flags, vadd, vscale)
+                     line_parts, mat_mul, pair, random_scalar, random_vector, reversed_transpose,
+                     scalar_sqrt, transform_flags, vadd, vscale)
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -419,8 +418,8 @@ def _vector_jump(flag, vectors):
     nonzero flag coordinate of each: the jump rule ExtensionLine.pardeg used
     before it read the jumps off the profiles."""
     inverse = [tuple(Scalar(F(x, flag.den), F(y, flag.den)) for x, y in zip(re, im))
-               for re, im in zip(_zi_reversed_transpose(flag.basis_re),
-                                 _zi_reversed_transpose(flag.basis_im))]
+               for re, im in zip(reversed_transpose(flag.basis_re),
+                                 reversed_transpose(flag.basis_im))]
     assert inverse == invert_matrix(list(flag_basis(flag)))
     jump = 0
     for row in mat_mul(vectors, inverse):
@@ -1008,6 +1007,71 @@ class TestPrunedSearch:
             monkeypatch.undo()
             assert verdict.tag == "Undetermined", q  # the harvest ran
             assert sorted(spanning) == sorted(id(flag) for flag in fs.flags), q
+
+    def test_t_echelon_reads_down_to_its_lowest_end(self, monkeypatch):
+        # the benchmark's narrow pool (generic, q = s in 5..8, seeds 0..7):
+        # T's echelon at a flag pairs the rows with no pivot yet with one
+        # basis row per flag coordinate, from the top down to T's lowest end
+        # and no further, so T, a generic plane, costs three pairings
+        # (IsotropicFlag, item 2); a product by the whole inverse of the
+        # basis reads every coordinate of every row
+        real_echelon, real_pairing = IsotropicFlag.zi_echelon, IsotropicFlag._pairing
+        for q in range(5, 9):
+            for seed in range(8):
+                a, fs, w = random_instance(q, q, seed)
+                t_sub = a.span_perp()
+                assert t_sub.dim == 2, (q, seed)
+                t_echelons, reads = [], [None]
+                calls = [0]
+
+                def echelon(flag, rows):
+                    if Subspace.from_zi_rows(list(rows), q) != t_sub:
+                        return real_echelon(flag, rows)
+                    reads[0] = []
+                    result = real_echelon(flag, rows)
+                    t_echelons.append((reads[0], result[1]))
+                    reads[0] = None
+                    return result
+
+                def pairing(flag, row, k):
+                    calls[0] += 1
+                    if reads[0] is not None:
+                        reads[0].append(k)
+                    return real_pairing(flag, row, k)
+
+                monkeypatch.setattr(IsotropicFlag, "zi_echelon", echelon)
+                monkeypatch.setattr(IsotropicFlag, "_pairing", pairing)
+                decide_stability(a, fs, w)
+                monkeypatch.undo()
+                assert len(t_echelons) == fs.s, (q, seed)
+                for read, ends in t_echelons:
+                    assert min(read) == ends[-1], (q, seed)
+                    assert read == [q - 1, q - 1, q - 2] and ends == [q - 1, q - 2], (q, seed)
+                # nothing else of the decision pairs: each line node is a
+                # non-isotropic piece of T, dropped with no line_end
+                assert calls[0] == 3 * fs.s, (q, seed)
+
+    def test_node_rows_stay_small(self, monkeypatch):
+        # the rows a node hands its children are minors over their gcd, so
+        # they do not grow with every flag they pass: on the wide pool (s = 4,
+        # q in {6, 8}) no row an echelon takes or gives reaches 2^200
+        # (175 bits at most; with a x - c p over its gcd and no exact
+        # division, the rows taken alone reach 518)
+        real = IsotropicFlag.zi_echelon
+        seen = [0, 0]
+
+        def echelon(flag, rows):
+            result = real(flag, rows)
+            for re, im in (*rows, *result[0]):
+                seen[0] = max(seen[0], *(abs(x).bit_length() for x in (*re, *im)))
+            seen[1] += len(rows) > 2
+            return result
+
+        monkeypatch.setattr(IsotropicFlag, "zi_echelon", echelon)
+        for q, seed in ((6, 0), (6, 1), (6, 2), (8, 0)):
+            decide_stability(*random_instance(q, 4, seed))
+        assert seen[1] >= 20
+        assert seen[0] < 200
 
     def test_narrow_walks_no_line(self, monkeypatch):
         # T is a plane, so every line node of the search is a line piece

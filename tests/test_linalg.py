@@ -12,7 +12,6 @@ from isoflag.linalg import (
     _reduced_kernel,
     _scalar_row,
     _zi_hyperbolic,
-    _zi_reversed_transpose,
     complete_to_hyperbolic,
     isotropy_classify,
     kernel_basis,
@@ -25,8 +24,8 @@ from isoflag.randgen import random_isotropic_subspace
 from isoflag.scalars import I, ONE, Scalar, ZERO, sc
 
 from helpers import (gaussian_matrix, gram, hyperbolic_basis, is_standard_gram, isometry_rows,
-                     mat_mul, pair, random_scalar, random_vector, scalar_sqrt, standard_basis,
-                     vscale)
+                     mat_mul, pair, random_scalar, random_vector, reversed_transpose, scalar_sqrt,
+                     standard_basis, vscale)
 
 
 def _completion(w):
@@ -755,7 +754,7 @@ class TestIntegerHyperbolicCheck:
     @staticmethod
     def _dense(b_re, b_im, den):
         q = len(b_re)
-        inv_re, inv_im = _zi_reversed_transpose(b_re), _zi_reversed_transpose(b_im)
+        inv_re, inv_im = reversed_transpose(b_re), reversed_transpose(b_im)
         for i in range(q):
             for j in range(q):
                 re = sum(b_re[i][k] * inv_re[k][j] - b_im[i][k] * inv_im[k][j] for k in range(q))
@@ -766,7 +765,7 @@ class TestIntegerHyperbolicCheck:
 
     def test_reversed_transpose(self):
         b = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        assert _zi_reversed_transpose(b) == [(9, 6, 3), (8, 5, 2), (7, 4, 1)]
+        assert reversed_transpose(b) == [(9, 6, 3), (8, 5, 2), (7, 4, 1)]
 
     def test_matches_dense_product(self):
         rng = random.Random(26)
