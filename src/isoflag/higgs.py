@@ -377,9 +377,9 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
        handing _isotropic_line_in the distinct canonical leaves does.
     5. A node holding one row has one child, the row itself at the row's
        end, which IsotropicFlag.line_end reads with one pairing per flag
-       coordinate from the top, and no combination.  So
-       a line's remaining path is a loop over the flags, pruned at each
-       node as the recursion would be.
+       coordinate from the top, and no combination.  So a line's remaining
+       path is a loop over the flags that checks the bound before each step,
+       as popping each node of the path would.
     6. The optimistic bound credits each flag j' not yet passed with
        N beta^{j'} at m_{j'}, T's lowest echelon end at that flag.  Lemma:
        every nonzero vector of a node Y <= T is a combination of T's
@@ -391,8 +391,8 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
        value: the value, the best-score leaves in visit order and hence the
        witness are those of the bound with beta_1 at every flag, which
        only visits more nodes.
-    7. A node holding one row that is not isotropic returns at once: its
-       one leaf is that line, which is never scored.  Nothing else reads
+    7. A node holding one row that is not isotropic is dropped when popped:
+       its one leaf is that line, which is never scored.  Nothing else reads
        it, so the leaves that are scored, and pruning, are unchanged.
     8. T's echelon against each flag is read once, through the flag's cache
        (IsotropicFlag.echelon): the bound needs its lowest ends, and the
@@ -402,7 +402,7 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     9. When T is a line the search has one leaf, T itself, so nothing is
        pruned and the bound of item 6 is not built: no echelon of T is
        taken, the walk reads T's ends with line_end (item 5), and a
-       non-isotropic T returns at once (item 7).  With nu <= 1 no harvest
+       non-isotropic T is dropped (item 7).  With nu <= 1 no harvest
        reads T's echelon.
     """
     require_weight_for(fs, w)
@@ -418,40 +418,36 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
             lowest = fs.flags[j].echelon(t_sub)[1][-1]
             suffix_bound[j] = suffix_bound[j + 1] + n_beta[j][lowest]
 
-    best: list = [None, []]  # N pardeg score, the rows of its leaves in visit order
-
-    def visit(j: int, rows: list[ZiRow], partial: int) -> None:
+    best = None  # N pardeg score
+    leaves: list[list[ZiRow]] = []  # the rows of its leaves in visit order
+    stack = [(0, t_rows, 0)] if t_rows else []
+    while stack:
+        j, rows, partial = stack.pop()
         if len(rows) == 1 and not _zi_isotropic(rows[0]):
-            return  # item 7
-        while True:
-            if best[0] is not None and partial + suffix_bound[j] < best[0]:
-                return
-            if j == s:
-                if best[0] is None or partial > best[0]:
-                    best[0], best[1] = partial, []
-                best[1].append(rows)
-                return
-            if len(rows) > 1:
-                break
-            # a line's one child is itself, at its end (item 5)
+            continue  # item 7
+        # a line's one child is itself, at its end (item 5)
+        while len(rows) == 1 and j < s and (best is None or partial + suffix_bound[j] >= best):
             partial += n_beta[j][fs.flags[j].line_end(rows[0])]
             j += 1
+        if best is not None and partial + suffix_bound[j] < best:
+            continue
+        if j == s:
+            if best is None or partial > best:
+                best, leaves = partial, []
+            leaves.append(rows)
+            continue
         flag = fs.flags[j]
         # item 8
         pieces, ends = flag.echelon(t_sub) if rows is t_rows else flag.zi_echelon(rows)
-        for n, e in enumerate(reversed(ends), 1):
-            visit(j + 1, pieces[-n:] if n < len(ends) else rows, partial + n_beta[j][e])
+        for n in range(len(ends), 0, -1):  # in reverse, so the lowest end pops first
+            stack.append((j + 1, pieces[-n:] if n < len(ends) else rows,
+                          partial + n_beta[j][ends[-n]]))
 
-    if t_rows:
-        visit(0, t_rows, 0)
-    # visit's closure holds visit itself: break that cycle so fs and the
-    # flags' cached echelons are freed at return, not by the collector
-    del visit
-    value = None if best[0] is None else Fraction(best[0], w.n)
+    value = None if best is None else Fraction(best, w.n)
     rng = random.Random(seed)
     extension = None
     seen: set[Subspace] = set()
-    for rows in best[1]:
+    for rows in leaves:
         y = Subspace.from_zi_rows(rows, q)
         if y in seen:
             continue

@@ -258,9 +258,11 @@ def subspace_to_json(s: Subspace) -> dict:
 def subspace_from_json(obj: Any, path: str) -> Subspace:
     if not isinstance(obj, dict) or "ambient" not in obj or "rows" not in obj:
         raise ParseError(path, "expected an object with 'ambient' and 'rows'")
-    if type(obj["ambient"]) is not int:
-        raise ParseError(path + "/ambient", "ambient must be an integer")
+    if type(obj["ambient"]) is not int or obj["ambient"] < 1:
+        raise ParseError(path + "/ambient", "ambient must be a positive integer")
     rows = matrix_from_json(obj["rows"], path + "/rows")
+    if any(len(row) != obj["ambient"] for row in rows):
+        raise ParseError(path + "/rows", f"rows must have length {obj['ambient']}")
     return Subspace.from_vectors(list(rows), obj["ambient"])
 
 

@@ -43,6 +43,8 @@ def _combination(rng: random.Random, rows: list[ZiRow], den: int
 def random_weight(q: int, s: int, seed: int, region: str = "W") -> Weight:
     """A weight in the admissible region; region="Wprime" additionally makes
     every puncture's beta strictly decreasing."""
+    if region not in ("W", "Wprime"):
+        raise InputError(f"unknown region {region!r}")
     rng = random.Random(seed)
     h = q // 2
     raws: list[list[int]] = []

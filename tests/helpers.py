@@ -8,8 +8,9 @@ views read the Scalar rows back.  The Scalar references the integer code is
 compared with (matrix products, Gram matrices, the pairing, the square root
 in Q(i), the JSON writer of Scalar rows, the random draws, the row-by-row
 random isometry with its Eichler moves and the dense inverse of a flag's
-basis), the isometry actions on flags and subspaces and the Grassmannian
-weight identity are used by the tests alone, so they live here too.
+basis), the isometry actions on flags and subspaces, the Grassmannian
+weight identity and the line oracle's search as a recursive walk are used by
+the tests alone, so they live here too.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from isoflag.errors import InputError, InternalConsistencyError
-from isoflag.flags import FlagSystem, IsotropicFlag
-from isoflag.higgs import ExtensionLine, HiggsTuple
+from isoflag.flags import FlagSystem, IsotropicFlag, require_weight_for
+from isoflag.higgs import (ExtensionLine, HiggsTuple, LineOracleResult, _isotropic_line_in,
+                           _zi_isotropic)
 from isoflag.hmgit import OnePS
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
     Vector,
+    ZiRow,
     _gaussian_row,
     _scalar,
     _scalar_row,
@@ -35,6 +38,7 @@ from isoflag.linalg import (
     random_special_isometry,
 )
 from isoflag.scalars import HALF, ONE, ZERO, Scalar, format_fraction
+from isoflag.weights import Weight
 
 # ---------------------------------------------------------------------------
 # Scalar rows in, Scalar rows out
@@ -365,3 +369,70 @@ def hm_grassmannian(lam: OnePS, f: Subspace, i: int, m: int) -> int:
         raise InternalConsistencyError(
             f"grassmannian weight formulas disagree: {mu1} vs {mu2}")
     return mu1
+
+
+# ---------------------------------------------------------------------------
+# the line oracle's search as a recursive walk, kept as the reference
+
+
+def recursive_line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight,
+                          seed: int = 0) -> LineOracleResult:
+    """higgs.line_oracle with its search as the recursive visit it was
+    written as before the walk moved onto an explicit stack: the same nodes
+    in the same order, the same value and the same witness."""
+    require_weight_for(fs, w)
+    if t_sub.ambient != fs.q:
+        raise InputError("subspace ambient dimension does not match flags")
+    q, s = fs.q, fs.s
+
+    n_beta = w.n_beta
+    t_rows = list(t_sub.zi_rows)
+    suffix_bound = [0] * (s + 1)  # item 6
+    if len(t_rows) > 1:  # item 9
+        for j in range(s - 1, -1, -1):
+            lowest = fs.flags[j].echelon(t_sub)[1][-1]
+            suffix_bound[j] = suffix_bound[j + 1] + n_beta[j][lowest]
+
+    best: list = [None, []]  # N pardeg score, the rows of its leaves in visit order
+
+    def visit(j: int, rows: list[ZiRow], partial: int) -> None:
+        if len(rows) == 1 and not _zi_isotropic(rows[0]):
+            return  # item 7
+        while True:
+            if best[0] is not None and partial + suffix_bound[j] < best[0]:
+                return
+            if j == s:
+                if best[0] is None or partial > best[0]:
+                    best[0], best[1] = partial, []
+                best[1].append(rows)
+                return
+            if len(rows) > 1:
+                break
+            # a line's one child is itself, at its end (item 5)
+            partial += n_beta[j][fs.flags[j].line_end(rows[0])]
+            j += 1
+        flag = fs.flags[j]
+        # item 8
+        pieces, ends = flag.echelon(t_sub) if rows is t_rows else flag.zi_echelon(rows)
+        for n, e in enumerate(reversed(ends), 1):
+            visit(j + 1, pieces[-n:] if n < len(ends) else rows, partial + n_beta[j][e])
+
+    if t_rows:
+        visit(0, t_rows, 0)
+    # visit's closure holds visit itself: break that cycle so fs and the
+    # flags' cached echelons are freed at return, not by the collector
+    del visit
+    value = None if best[0] is None else Fraction(best[0], w.n)
+    rng = random.Random(seed)
+    extension = None
+    seen: set[Subspace] = set()
+    for rows in best[1]:
+        y = Subspace.from_zi_rows(rows, q)
+        if y in seen:
+            continue
+        seen.add(y)
+        found = _isotropic_line_in(y, rng)
+        if isinstance(found, Subspace):
+            return LineOracleResult(value=value, witness=found)
+        extension = extension or found
+    return LineOracleResult(value=value, witness=extension)

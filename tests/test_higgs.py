@@ -41,8 +41,9 @@ from isoflag.scalars import Scalar, sc
 from isoflag.weights import Weight
 
 from helpers import (flag_basis, flag_from_rows, gram, higgs_from_rows, higgs_rows, isometry_rows,
-                     line_parts, mat_mul, pair, random_scalar, random_vector, reversed_transpose,
-                     scalar_sqrt, transform_flags, vadd, vscale)
+                     line_parts, mat_mul, pair, random_scalar, random_vector,
+                     recursive_line_oracle, reversed_transpose, scalar_sqrt, transform_flags, vadd,
+                     vscale)
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -983,6 +984,53 @@ class TestIntegerRowSearch:
                                   for row in flag_basis(flags[j]))
         with pytest.raises(InputError, match="invalid flag"):
             line_oracle(a.span_perp(), FlagSystem(tuple(flags)), w)
+
+
+class TestExplicitStackWalk:
+    """line_oracle walks the tuple tree on an explicit stack.  Against the
+    recursive walk it replaced (helpers.recursive_line_oracle), it must make
+    the same zi_echelon and line_end calls in the same order, which pins the
+    visit order and the pruned nodes, and return the same value and
+    witness."""
+
+    @staticmethod
+    def _cases(source):
+        if source in TestNoScalarOnTheDecisionPath.POOLS:
+            for q, s, seed, mode in TestNoScalarOnTheDecisionPath.POOLS[source]:
+                a, fs, w = random_instance(q, s, seed, mode)
+                yield a.span_perp(), fs, w, seed
+        else:
+            yield from _oracle_pairs(source)
+
+    @pytest.mark.parametrize("source", ["crosscheck", "narrow", "wide", 5, 6, 7, 8])
+    def test_same_calls_as_recursive_walk(self, monkeypatch, source):
+        real_echelon, real_line_end = IsotropicFlag.zi_echelon, IsotropicFlag.line_end
+        calls = []
+
+        def echelon(flag, rows):
+            calls.append(("zi_echelon", id(flag), tuple(rows)))
+            return real_echelon(flag, rows)
+
+        def line_end(flag, row):
+            calls.append(("line_end", id(flag), row))
+            return real_line_end(flag, row)
+
+        monkeypatch.setattr(IsotropicFlag, "zi_echelon", echelon)
+        monkeypatch.setattr(IsotropicFlag, "line_end", line_end)
+        walked = 0
+        for t_sub, fs, w, seed in self._cases(source):
+            runs = []
+            for oracle in (recursive_line_oracle, line_oracle):
+                for flag in fs.flags:
+                    flag._last = None  # each walk takes T's echelons afresh
+                calls.clear()
+                res = oracle(t_sub, fs, w, seed=seed)
+                runs.append((list(calls), res.value, res.witness))
+            (want_calls, *want), (got_calls, *got) = runs
+            assert got_calls == want_calls, (source, seed)
+            assert got == want, (source, seed)
+            walked += len(got_calls) > 1
+        assert walked
 
 
 class TestPrunedSearch:

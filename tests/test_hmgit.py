@@ -8,7 +8,7 @@ import pytest
 
 from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.flags import FlagSystem, IsotropicFlag, n_pardeg, random_flag, so2_score
-from isoflag.higgs import Certificate, ExtensionLine, decide_stability
+from isoflag.higgs import Certificate, ExtensionLine, decide_stability, line_oracle
 from isoflag.hmgit import (
     INFINITE,
     OnePS,
@@ -635,15 +635,32 @@ class TestBoundedSearch:
 class TestConsistency:
     def test_leaves_no_cyclic_garbage(self):
         # with the collector off, a decision and a check must free what they
-        # built by reference counting alone (the line oracle's recursive
-        # search and the flags' cached echelons included)
+        # built by reference counting alone (the line oracle's search stack
+        # and the flags' cached echelons included), also when the search
+        # raises mid-walk: T an isotropic line, walked flag by flag until
+        # flag 1, whose integer basis is doubled (Gram 4J), rejects it
         a, fs, w = random_instance(6, 4, 0)
+        line = random_isotropic_subspace(5, 1, 3)
+        _, fs5, w5 = random_instance(5, 5, 0)
+        flags = list(fs5.flags)
+        bad = flags[1]
+        flags[1] = IsotropicFlag([[2 * x for x in row] for row in bad.basis_re],
+                                 [[2 * x for x in row] for row in bad.basis_im], bad.den)
+        fs5 = FlagSystem(tuple(flags))
         gc.collect()
         gc.disable()
         try:
             decide_stability(a, fs, w)
             assert gc.collect() == 0
             consistency_check(a, fs, w)
+            assert gc.collect() == 0
+            for _ in range(10):
+                try:
+                    line_oracle(line, fs5, w5)
+                except InputError:
+                    pass
+                else:
+                    raise AssertionError("the doubled flag was not rejected")
             assert gc.collect() == 0
         finally:
             gc.enable()

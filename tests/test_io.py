@@ -21,6 +21,7 @@ from isoflag.io import (
     oneps_to_json,
     parse_instance_text,
     serialize_instance,
+    subspace_from_json,
     subspace_to_json,
     verdict_to_json,
     weight_from_json,
@@ -191,6 +192,22 @@ class TestParseErrors:
         obj = quad_instance()
         spoil(obj["flags"][1])
         self._rejected(obj, tmp_path, capsys, pointer, message)
+
+    @pytest.mark.parametrize("obj,pointer,message", [
+        # ambient -2 once built Subspace(ambient=-2)
+        ({"ambient": -2, "rows": []}, "/span/ambient", "ambient must be a positive integer"),
+        ({"ambient": 0, "rows": []}, "/span/ambient", "ambient must be a positive integer"),
+        ({"ambient": True, "rows": []}, "/span/ambient", "ambient must be a positive integer"),
+        # a short or long row once raised a bare InputError from from_vectors
+        ({"ambient": 3, "rows": [[{"re": "1", "im": "0"}] * 2]}, "/span/rows",
+         "rows must have length 3"),
+        ({"ambient": 1, "rows": [[{"re": "1", "im": "0"}] * 2] * 2}, "/span/rows",
+         "rows must have length 1"),
+    ])
+    def test_subspace_rejected(self, obj, pointer, message):
+        with pytest.raises(ParseError) as err:
+            subspace_from_json(obj, "/span")
+        assert (err.value.path, err.value.message) == (pointer, message)
 
     def test_flag_not_an_array(self, tmp_path, capsys):
         obj = quad_instance()

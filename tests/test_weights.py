@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from isoflag.errors import InputError
-from isoflag.randgen import random_weight
+from isoflag.randgen import random_instance, random_weight
 from isoflag.weights import (
     Weight,
     compactness_criterion,
@@ -143,6 +143,13 @@ class TestRegions:
         w = Weight.make(2, 4, [F(1, 8)] * 4, [(F(0), F(0))] * 4)
         m = region_membership(w)
         assert m.in_w and not m.in_w_prime
+
+    def test_unknown_region_rejected(self):
+        # a misspelt region used to draw a weight in W
+        with pytest.raises(InputError, match="unknown region 'WPrime'"):
+            random_weight(4, 4, 1, region="WPrime")
+        with pytest.raises(InputError, match="unknown region 'bogus'"):
+            random_instance(4, 4, 1, region="bogus")
 
 
 class TestJInterval:
