@@ -6,8 +6,10 @@ order.  Exit codes: decide maps its verdict to 0/1/2/3; other commands return
 0 on success; every command returns 64 on usage errors (among them a gen
 shape with --q below 2, --s below 3 or --s below q + 2), 65 on data errors,
 70 on internal errors (a failed self-check or any other uncaught exception,
-which is a bug, not bad input) and 74 when standard output is closed before
-the output is written (as in `isoflag crosscheck FILE | head -3`).
+which is a bug, not bad input) and 74 on output errors: standard output
+closed before the output is written (as in `isoflag crosscheck FILE |
+head -3`), or a batch --csv path that cannot be written (a missing
+directory, or a directory itself).
 """
 
 from __future__ import annotations
@@ -287,7 +289,11 @@ def _cmd_batch(args) -> int:
     report = build_report(rows)
     _emit(report.to_json())
     if args.csv:
-        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
+        try:
+            Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
+        except OSError as exc:  # an I/O fault, not a bug
+            print(f"io error: cannot write {args.csv}: {exc.strerror or exc}", file=sys.stderr)
+            return IO_EXIT
     return 0
 
 

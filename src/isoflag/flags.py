@@ -1,8 +1,9 @@
 """Complete isotropic flags and parabolic degrees of subspaces.
 
 A complete isotropic flag of Q(i)^q is stored as an adapted hyperbolic basis
-(w_1, ..., w_q) with Gram matrix J_q, held as Gaussian integers over one
-denominator; the flag pieces are F_i = span(w_1..w_i).
+(w_1, ..., w_q) with Gram matrix J_q, held as Gaussian-integer rows over one
+denominator, the matrix form of linalg; the flag pieces are
+F_i = span(w_1..w_i).
 The Gram condition makes F_i isotropic for i <= q/2 and forces the
 self-duality F_i^perp = F_{q-i}.  It also makes a vector's flag
 coordinates its pairings with the basis rows, so a subspace is put in
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from .errors import InputError, InternalConsistencyError
 from .linalg import (
@@ -35,6 +35,7 @@ from .linalg import (
     _zi_eliminate,
     _zi_gram,
     _zi_hyperbolic,
+    _zi_pair,
     random_special_isometry,
 )
 from .weights import Weight, require_valid
@@ -52,8 +53,8 @@ class IsotropicFlag:
     intersections with the pieces.  That echelon is computed over the
     Gaussian integers Z[i], and no Fraction is built for it:
 
-    1. The basis is B = B' / d, with B' = basis_re + i basis_im a
-       Gaussian-integer matrix and d = den one shared integer denominator,
+    1. The basis is B = B' / d, with B' the Gaussian-integer rows zi_rows
+       (w'_0, ..., w'_{q-1}) and d = den one shared integer denominator,
        the lcm of the entries' reduced denominators.  This is the only form
        a flag is held in: a flag read from an instance file is parsed
        straight into it, and a generated one is drawn in it
@@ -61,7 +62,8 @@ class IsotropicFlag:
        matrix J, Q(w_i, w_m) = 1 exactly when i + m = q - 1 (0-indexed), so
        x = sum_k c_k w_k has c_k = Q(x, w_{q-1-k}): flag coordinate k of x
        is one pairing with one basis row, and d c_k = Q(x, w'_{q-1-k}) is
-       a Gaussian integer when x is a Gaussian-integer row.  The basis is
+       a Gaussian integer when x is a Gaussian-integer row
+       (linalg._zi_pair).  The basis is
        hyperbolic exactly when B' J B'^T = d^2 J (linalg._zi_hyperbolic);
        otherwise the pairings are not the coordinates.
     2. zi_echelon scans the flag coordinates from the top, k = q-1 down,
@@ -106,18 +108,18 @@ class IsotropicFlag:
     radical_dim, raise InputError when the basis is not hyperbolic.
     """
 
-    __slots__ = ("q", "basis_re", "basis_im", "den", "hyperbolic", "_last")
+    __slots__ = ("q", "zi_rows", "den", "hyperbolic", "_last")
 
-    def __init__(self, basis_re: list[list[int]], basis_im: list[list[int]], den: int):
-        """The flag with the basis (basis_re + i basis_im) / den, den the lcm
-        of the entries' reduced denominators."""
-        self.q = q = len(basis_re)
-        if len(basis_im) != q or any(len(row) != q for row in (*basis_re, *basis_im)):
+    def __init__(self, zi_rows: list[ZiRow], den: int):
+        """The flag with the basis zi_rows / den, den the lcm of the entries'
+        reduced denominators."""
+        self.q = q = len(zi_rows)
+        if any(len(re) != q or len(im) != q for re, im in zi_rows):
             raise InputError("flag basis must be square")
         if den < 1:
             raise InputError("flag basis denominator must be positive")
-        self.basis_re, self.basis_im, self.den = basis_re, basis_im, den
-        self.hyperbolic = _zi_hyperbolic(basis_re, basis_im, den)
+        self.zi_rows, self.den = zi_rows, den
+        self.hyperbolic = _zi_hyperbolic(zi_rows, den)
         # (sub, its echelon, its echelon rows' Gram matrix) for the last
         # subspace asked about, the Gram matrix filled when first used:
         # callers take the profile of a subspace and then several of its
@@ -127,27 +129,16 @@ class IsotropicFlag:
     @classmethod
     def standard(cls, q: int) -> "IsotropicFlag":
         """The flag of the standard basis, which has Gram matrix J."""
-        return cls([[int(i == j) for j in range(q)] for i in range(q)],
-                   [[0] * q for _ in range(q)], 1)
+        return cls([([int(i == j) for j in range(q)], [0] * q) for i in range(q)], 1)
 
     def piece(self, i: int) -> Subspace:
         """F_i = span(w_1, ..., w_i); F_0 = 0.  Not cached: only instance
         generation and the tests ask for a piece."""
-        return Subspace.from_zi_rows(list(zip(self.basis_re[:i], self.basis_im[:i])), self.q)
+        return Subspace.from_zi_rows(self.zi_rows[:i], self.q)
 
     def _require_hyperbolic(self) -> None:
         if not self.hyperbolic:
             raise InputError("invalid flag: adapted basis Gram matrix is not the split form")
-
-    def _pairing(self, row: ZiRow, k: int) -> tuple[int, int]:
-        """Flag coordinate k of a Gaussian-integer row in standard
-        coordinates, times den, as (re, im): the pairing Q(row, w'_{q-1-k})
-        (class docstring, item 1).  J reverses coordinates, so it is row
-        times w'_{q-1-k} reversed: q products for each of its four sums."""
-        x_re, x_im = row
-        w_re, w_im = self.basis_re[self.q - 1 - k], self.basis_im[self.q - 1 - k]
-        return (sum(map(mul, x_re, reversed(w_re))) - sum(map(mul, x_im, reversed(w_im))),
-                sum(map(mul, x_re, reversed(w_im))) + sum(map(mul, x_im, reversed(w_re))))
 
     def zi_echelon(self, rows: list[ZiRow]) -> Echelon:
         """Gaussian-integer rows in standard coordinates, put in echelon form
@@ -166,7 +157,9 @@ class IsotropicFlag:
         k = self.q
         while left:
             k -= 1
-            coords = [self._pairing(row, k) for row in left]
+            # flag coordinate k of each row, times den (class docstring, item 1)
+            w = self.zi_rows[self.q - 1 - k]
+            coords = [_zi_pair(row, w) for row in left]
             for m, (a, b) in enumerate(coords):
                 if a or b:
                     break
@@ -202,10 +195,10 @@ class IsotropicFlag:
         needs one.  Raises InputError when the basis is not hyperbolic, as
         zi_echelon does."""
         self._require_hyperbolic()
-        for k in range(self.q - 1, -1, -1):
-            a, b = self._pairing(row, k)
+        for i, w in enumerate(self.zi_rows):  # coordinate k = q-1-i
+            a, b = _zi_pair(row, w)
             if a or b:
-                return k
+                return self.q - 1 - i
         raise InternalConsistencyError("a zero row has no end")
 
     def _cached(self, sub: Subspace) -> tuple[Subspace, Echelon, list[ZiRow]]:

@@ -56,6 +56,7 @@ from .linalg import (
     _gaussian_row,
     _isotropy_from_gram,
     _zi_gram,
+    _zi_pair,
     _zi_row_times,
     common_den,
     isotropy_classify,
@@ -200,10 +201,11 @@ class ExtensionLine:
         delta Q(twist, twist) and 2 Q(base, twist).  With base = B / d_b,
         twist = T / d_t and delta = Delta / d_delta, the first times
         d_b^2 d_t^2 d_delta is Q(B, B) d_delta d_t^2 + Delta Q(T, T) d_b^2,
-        read off the Gram matrix of the integer rows B and T."""
+        read off the pairings of the integer rows B and T."""
         if form.p != self.ambient:
             raise InputError("vector length does not match form dimension")
-        (bb, bt), (_, tt) = _pairings([self.base[:2], self.twist[:2]])
+        base, twist = self.base[:2], self.twist[:2]
+        bb, bt, tt = _zi_pair(base, base), _zi_pair(base, twist), _zi_pair(twist, twist)
         (x,), (y,), d_delta = self.delta
         scale_bb, scale_tt = d_delta * self.twist[2] ** 2, self.base[2] ** 2
         return bt == (0, 0) and all(u * scale_bb + v * scale_tt == 0
@@ -229,11 +231,6 @@ def condition1_isotropic_span(a: HiggsTuple) -> tuple[bool, Subspace]:
 
 def _line(v: ZiRow, ambient: int) -> Subspace:
     return Subspace.from_zi_rows([v], ambient)
-
-
-def _pairings(rows: list[ZiRow]) -> list[list[tuple[int, int]]]:
-    """The Gram matrix of Gaussian-integer rows, entry [k][l] as (re, im)."""
-    return [list(zip(*row)) for row in _zi_gram(rows)]
 
 
 def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -263,7 +260,7 @@ def _zi_sqrt(a: int, b: int) -> tuple[int, int] | None:
 
 def _combine(c1: tuple[int, int], v1: ZiRow, c2: tuple[int, int], v2: ZiRow) -> ZiRow:
     """c1 v1 + c2 v2 for Gaussian integers c1, c2 and rows v1, v2."""
-    return _zi_row_times((c1[0], c2[0]), (c1[1], c2[1]), (v1[0], v2[0]), (v1[1], v2[1]))
+    return _zi_row_times(tuple(zip(c1, c2)), (v1, v2))
 
 
 def _isotropic_line_in(y: Subspace, rng: random.Random) -> LineWitness | None:
@@ -297,14 +294,13 @@ def _isotropic_line_in(y: Subspace, rng: random.Random) -> LineWitness | None:
               for k in range(len(rows)) for l in range(k + 1, len(rows))]
     if len(rows) > 2:
         # a few extra planes (x_0 + sum_k c_k x_k, x_last) improve the odds
-        # of a rational hit
-        x_re, x_im = [re for re, _ in rows], [im for _, im in rows]
-        mixes = [[(1, 0)] + [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in rows[1:]]
+        # of a rational hit; each mix is its coefficients as one row (re, im)
+        mixes = [tuple(zip((1, 0), *((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in rows[1:])))
                  for _ in range(4)]
-        mixed = [_zi_row_times([c[0] for c in mix], [c[1] for c in mix], x_re, x_im)
-                 for mix in mixes] + [rows[-1]]
-        g = _pairings(mixed)
-        planes += [(mixed[k], rows[-1], g[k][k], g[k][-1], g[-1][-1]) for k in range(len(mixes))]
+        last = rows[-1]
+        g_last = _zi_pair(last, last)
+        for mixed in (_zi_row_times(mix, rows) for mix in mixes):
+            planes.append((mixed, last, _zi_pair(mixed, mixed), _zi_pair(mixed, last), g_last))
     fallback: ExtensionLine | None = None
     for x1, x2, g11, g12, g22 in planes:
         # x1 and x2 are independent, so x1 and every line built below are
@@ -331,13 +327,8 @@ class LineOracleResult:
 
 
 def _zi_isotropic(row: ZiRow) -> bool:
-    """Q(v, v) = 0 for the Gaussian-integer row v = re + i im.  J reverses
-    coordinates, so Q(v, v) = sum_k v_k v_{p-1-k}, whose imaginary part is
-    2 sum_k re_k im_{p-1-k}."""
-    re, im = row
-    return (sum(x * y for x, y in zip(re, reversed(re)))
-            == sum(x * y for x, y in zip(im, reversed(im)))
-            and sum(x * y for x, y in zip(re, reversed(im))) == 0)
+    """Q(v, v) = 0 for the Gaussian-integer row v."""
+    return _zi_pair(row, row) == (0, 0)
 
 
 def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> LineOracleResult:
@@ -614,11 +605,7 @@ def decide_stability(a: HiggsTuple, fs: FlagSystem, w: Weight, seed: int = 0) ->
     if not holds:
         return Verdict("Unstable", Certificate("isotropic_span", span=span))
 
-    t_sub = a.span_perp()
-    if t_sub.dim == 0:
-        return Verdict("Stable")
-
-    bounds = max_pardeg_isotropic_in(t_sub, fs, w, seed=seed)
+    bounds = max_pardeg_isotropic_in(a.span_perp(), fs, w, seed=seed)
     if bounds.lower is None:
         return Verdict("Stable", exact=True)
 

@@ -13,12 +13,13 @@ integer combination of N|alpha| (Weight.n_abs_alpha) and N pardeg of
 subspaces (flags.n_pardeg), N the lcm of the weight's denominators.
 
 Everything here runs on Gaussian integers, as the decision does.  A OnePS
-holds its eigenbasis as Z[i] rows over one denominator: a destabilizer's is
-the hyperbolic completion of W's stored rows D R over W's D
-(complete_to_hyperbolic), and one read from a file is parsed straight into
-that form; io writes it from the integers.  Its filtration pieces are
-eliminated from those rows, and the degree of a piece that is a line is
-read off the line's one end at each flag (IsotropicFlag.profile).
+holds its eigenbasis as Z[i] rows over one denominator, the matrix form of
+linalg and of a flag's basis: a destabilizer's is the hyperbolic completion
+of W's stored rows D R over W's D (complete_to_hyperbolic), and one read
+from a file is parsed straight into that form; io writes it from the
+integers.  Its filtration pieces are eliminated from those rows, and the
+degree of a piece that is a line is read off the line's one end at each
+flag (IsotropicFlag.profile).
 
 Every destabilizer's weight is computed twice, by its closed form and summand
 by summand over its filtration (hm_total): a disagreement raises
@@ -38,8 +39,6 @@ suite enforces them.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import InputError, InternalConsistencyError
 from .flags import FlagSystem, n_pardeg, require_weight_for, so2_score
 from .higgs import (Certificate, HiggsTuple, check_inputs, decide_stability, isotropic_radicals,
@@ -47,6 +46,8 @@ from .higgs import (Certificate, HiggsTuple, check_inputs, decide_stability, iso
 from .linalg import (
     BilinearForm,
     Subspace,
+    ZiRow,
+    _least,
     _zi_hyperbolic,
     complete_to_hyperbolic,
     isotropy_classify,
@@ -82,22 +83,22 @@ class OnePS:
     antisymmetric integer weight vector m, and a hyperbolic eigenbasis.
 
     The eigenbasis is held as Gaussian-integer rows over one denominator,
-    basis = (basis_re + i basis_im) / den with den the lcm of the entries'
-    reduced denominators: a destabilizer's is the hyperbolic completion of
-    W's stored rows, and one read from a file is parsed straight into it.
-    The constructor takes the rows over any positive denominator and
-    reduces them by one gcd, so that form is canonical.  It checks the
+    basis = zi_rows / den with den the lcm of the entries' reduced
+    denominators: a destabilizer's is the hyperbolic completion of W's
+    stored rows, and one read from a file is parsed straight into it.  The
+    constructor takes the rows over any positive denominator and puts them
+    over the least one (linalg._least), as tuples, so that form is
+    canonical and == and the hash compare it directly.  It checks the
     weights and, on the integers, that the basis is hyperbolic
     (B J B^T = J, linalg._zi_hyperbolic), and raises InputError.
     Immutable; equal when l, m and the basis are.
     """
 
-    __slots__ = ("l", "m", "basis_re", "basis_im", "den", "_v_pieces")
+    __slots__ = ("l", "m", "zi_rows", "den", "_v_pieces")
 
-    def __init__(self, l: int, m: tuple[int, ...], basis_re: list[list[int]],
-                 basis_im: list[list[int]], den: int):
+    def __init__(self, l: int, m: tuple[int, ...], zi_rows: list[ZiRow], den: int):
         q = len(m)
-        if len(basis_re) != q or len(basis_im) != q:
+        if len(zi_rows) != q:
             raise InputError("eigenbasis size does not match weight vector")
         for i in range(q - 1):
             if m[i] < m[i + 1]:
@@ -107,31 +108,27 @@ class OnePS:
                 raise InputError("weights must be antisymmetric")
         if q < 1:
             raise InputError("form dimension must be positive")
-        if any(len(row) != q for row in (*basis_re, *basis_im)):
+        if any(len(re) != q or len(im) != q for re, im in zi_rows):
             raise InputError("vector length does not match form dimension")
         if den < 1:
             raise InputError("eigenbasis denominator must be positive")
-        g = gcd(den, *(x for row in basis_re for x in row), *(y for row in basis_im for y in row))
-        if g > 1:
-            basis_re = [[x // g for x in row] for row in basis_re]
-            basis_im = [[y // g for y in row] for row in basis_im]
-            den //= g
-        if not _zi_hyperbolic(basis_re, basis_im, den):
+        zi_rows, den = _least(zi_rows, den)
+        if not _zi_hyperbolic(zi_rows, den):
             raise InputError("eigenbasis is not hyperbolic")
         self.l, self.m = l, m
-        self.basis_re, self.basis_im, self.den = basis_re, basis_im, den
+        self.zi_rows = tuple((tuple(re), tuple(im)) for re, im in zi_rows)
+        self.den = den
         # v_piece by its number of basis rows
         self._v_pieces: dict[int, Subspace] = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OnePS):
             return NotImplemented
-        return ((self.l, self.m, self.den, self.basis_re, self.basis_im)
-                == (other.l, other.m, other.den, other.basis_re, other.basis_im))
+        return ((self.l, self.m, self.den, self.zi_rows)
+                == (other.l, other.m, other.den, other.zi_rows))
 
     def __hash__(self) -> int:
-        return hash((self.l, self.m, self.den, tuple(map(tuple, self.basis_re)),
-                     tuple(map(tuple, self.basis_im))))
+        return hash((self.l, self.m, self.den, self.zi_rows))
 
     def __repr__(self) -> str:
         return f"OnePS(l={self.l}, m={self.m}, den={self.den})"
@@ -147,8 +144,7 @@ class OnePS:
         count = sum(1 for mi in self.m if mi >= n)
         piece = self._v_pieces.get(count)
         if piece is None:
-            piece = self._v_pieces[count] = Subspace.from_zi_rows(
-                list(zip(self.basis_re[:count], self.basis_im[:count])), self.q)
+            piece = self._v_pieces[count] = Subspace.from_zi_rows(self.zi_rows[:count], self.q)
         return piece
 
     def u_piece(self, n: int) -> Subspace:
@@ -161,8 +157,7 @@ class OnePS:
 
     @classmethod
     def trivial(cls, q: int) -> "OnePS":
-        return cls(0, (0,) * q, [[int(i == j) for j in range(q)] for i in range(q)],
-                   [[0] * q for _ in range(q)], 1)
+        return cls(0, (0,) * q, Subspace.full(q).zi_rows, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,15 @@ An instance file is read through one table of its rational strings
 (_Rationals), which parses each distinct string once into a reduced
 (numerator, denominator) pair.  Each matrix is read in a few passes, each a
 loop in C over its rows or entries, with no path string built, and then put
-over one denominator: a flag basis becomes the Gaussian-integer matrix B'
-over one d that IsotropicFlag holds, and each row of A one Gaussian-integer
-row over its own denominator, the form HiggsTuple holds, with no Fraction or
-Scalar per entry.  Only the weight is built as Fractions, one per distinct
-string.  A one-parameter subgroup's eigenbasis is read the same way, into
-the (B', d) that OnePS holds.  Paths are built only on failure: a matrix or
-a weight with any fault is read again entry by entry, and that walk raises
-the ParseError of the first fault.
+over one denominator (_integer): a flag basis becomes the Gaussian-integer
+rows over one d that IsotropicFlag holds, linalg's matrix form, and each
+row of A one Gaussian-integer row over its own denominator, the form
+HiggsTuple holds, with no Fraction or Scalar per entry.  Only the weight is
+built as Fractions, one per distinct string.  A one-parameter subgroup's
+eigenbasis is read the same way, into the (rows, d) that OnePS holds.
+Paths are built only on failure: a matrix or a weight with any fault is
+read again entry by entry, and that walk raises the ParseError of the first
+fault.
 
 Flags, A, eigenbases, subspaces and extension-line witnesses are written
 straight from those integers by one writer (_zi_vector_to_json), each entry
@@ -38,7 +39,7 @@ from typing import Any
 from .errors import ParseError
 from .flags import FlagSystem, IsotropicFlag
 from .higgs import Certificate, ExtensionLine, HiggsTuple, Verdict
-from .linalg import Subspace, Vector, _fraction_text
+from .linalg import Subspace, Vector, ZiRow, _fraction_text
 from .scalars import Scalar, format_fraction, parse_rational
 from .weights import Weight
 
@@ -130,18 +131,17 @@ class _Rationals(dict):
         return len(obj), len(obj[0]) if obj else 0, res + ims
 
 
-def _integer(rows: int, cols: int, pairs: list[_Rational]
-             ) -> tuple[list[list[int]], list[list[int]], int]:
-    """(B', d) with the matrix = B' / d: d is the lcm of the entries'
-    reduced denominators, the least common denominator, and
-    B' = num (d / den) entrywise."""
+def _integer(rows: int, cols: int, pairs: list[_Rational]) -> tuple[list[ZiRow], int]:
+    """(B', d) with the matrix = B' / d, B' as Gaussian-integer rows: d is
+    the lcm of the entries' reduced denominators, the least common
+    denominator, and B' = num (d / den) entrywise."""
     if not pairs:
-        return [[] for _ in range(rows)], [[] for _ in range(rows)], 1
+        return [([], []) for _ in range(rows)], 1
     nums, dens = zip(*pairs)
     den = lcm(*set(dens))
     ints = list(map(mul, nums, map(floordiv, repeat(den), dens)))
-    return ([ints[i * cols:(i + 1) * cols] for i in range(rows)],
-            [ints[(rows + i) * cols:(rows + i + 1) * cols] for i in range(rows)], den)
+    return [(ints[i * cols:(i + 1) * cols], ints[(rows + i) * cols:(rows + i + 1) * cols])
+            for i in range(rows)], den
 
 
 def scalar_from_json(obj: Any, path: str) -> Scalar:
@@ -240,11 +240,11 @@ def weight_from_json(obj: Any, path: str = "/weight", read: _Rationals | None = 
 
 
 def flag_to_json(f: IsotropicFlag) -> list:
-    return _zi_rows_to_json(zip(f.basis_re, f.basis_im), f.den)
+    return _zi_rows_to_json(f.zi_rows, f.den)
 
 
 def flag_from_json(obj: Any, path: str, read: _Rationals) -> IsotropicFlag:
-    """The flag read straight into its integer form B' / d (_integer)."""
+    """The flag read straight into its integer rows over d (_integer)."""
     rows, cols, pairs = read.rows(obj, path)
     if not rows or rows != cols:
         raise ParseError(path, "flag basis must be a square matrix")
@@ -311,9 +311,9 @@ def instance_from_json(obj: Any, path: str = "") -> InstanceFile:
     # each row over its own denominator, what linalg._gaussian_row gives
     integer_rows = []
     for i in range(rows):
-        (re,), (im,), den = _integer(1, cols, pairs[i * cols:(i + 1) * cols]
-                                     + pairs[(rows + i) * cols:(rows + i + 1) * cols])
-        integer_rows.append((re, im, den))
+        (row,), den = _integer(1, cols, pairs[i * cols:(i + 1) * cols]
+                               + pairs[(rows + i) * cols:(rows + i + 1) * cols])
+        integer_rows.append((*row, den))
     higgs = HiggsTuple(weight.q, weight.s, integer_rows)
     seed = obj.get("seed")
     if seed is not None and type(seed) is not int:
@@ -342,12 +342,12 @@ def serialize_instance(inst: InstanceFile) -> str:
 
 def oneps_to_json(lam) -> dict:
     return {"l": lam.l, "m": list(lam.m),
-            "basis": _zi_rows_to_json(zip(lam.basis_re, lam.basis_im), lam.den)}
+            "basis": _zi_rows_to_json(lam.zi_rows, lam.den)}
 
 
 def oneps_from_json(obj: Any, path: str = ""):
-    """The one-parameter subgroup with its eigenbasis read straight into the
-    integer form B' / d (_integer)."""
+    """The one-parameter subgroup with its eigenbasis read straight into
+    integer rows over d (_integer)."""
     from .hmgit import OnePS
 
     if not isinstance(obj, dict):

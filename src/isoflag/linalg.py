@@ -6,15 +6,19 @@ split form J_p with Q(e_i, e_j) = 1 iff i + j = p + 1 (1-indexed), so
 multiplying a row vector by J is coordinate reversal.
 
 A vector is a Gaussian-integer row (re, im) (ZiRow) with an integer
-denominator kept beside it, and a matrix is such rows over one denominator.
+denominator kept beside it, and a matrix is a list of such rows over one
+denominator: subspaces, echelons, flag bases, eigenbases and isometries
+alike.  The pairing Q(x, y) of two rows is computed in one place
+(_zi_pair), except in the sparse hyperbolicity check (_zi_hyperbolic).
 Subspaces are held in their canonical form over the Gaussian integers Z[i]
 (Subspace, rref), built by one fraction-free elimination (_zi_eliminate).
-Instance generation draws straight into that form: random_special_isometry
-makes its random isometry on Gaussian-integer rows over their least common
-denominator, the rows of a generated flag.  Scalar vectors (Vector) are
-what Subspace.from_vectors, contains, kernel_basis and invert_matrix take:
-they become Gaussian-integer rows there, through _gaussian_row.  A
-subspace's Scalar rows are built only when read.
+Instance generation draws straight into the matrix form:
+random_special_isometry makes its random isometry on Gaussian-integer rows
+over their least common denominator (_least), the rows of a generated
+flag.  Scalar vectors (Vector) are what Subspace.from_vectors, contains,
+kernel_basis and invert_matrix take: they become Gaussian-integer rows
+there, through _gaussian_row.  A subspace's Scalar rows are built only when
+read.
 Membership, kernels, orthocomplements and radicals are read off the stored
 integers, and the hyperbolic completion of an isotropic subspace off its
 rows, as Gaussian integers, with no further elimination.
@@ -27,6 +31,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError, InternalConsistencyError
 from .scalars import ONE, ZERO, Scalar
@@ -60,16 +65,13 @@ def _scalar_row(row: ZiRow, den: int) -> Vector:
     return tuple(_scalar(x, y, den) for x, y in zip(*row))
 
 
-def _zi_row_times(a_re: list[int], a_im: list[int], b_re: list[list[int]],
-                  b_im: list[list[int]], ncols: int | None = None) -> tuple[list[int], list[int]]:
-    """The Gaussian-integer row a = a_re + i a_im times the Gaussian-integer
-    matrix b = b_re + i b_im (rows of b), as (re, im) integer lists: its
-    first ncols entries, all by default."""
-    if ncols is None:
-        ncols = len(b_re[0])
+def _zi_row_times(a: ZiRow, b: Sequence[ZiRow]) -> tuple[list[int], list[int]]:
+    """The Gaussian-integer row a times the Gaussian-integer matrix with rows
+    b, as (re, im) integer lists."""
+    ncols = len(b[0][0])
     acc_re = [0] * ncols
     acc_im = [0] * ncols
-    for c, d, x_re, x_im in zip(a_re, a_im, b_re, b_im):
+    for c, d, (x_re, x_im) in zip(*a, b):
         if not (c or d):
             continue
         for j in range(ncols):
@@ -79,33 +81,55 @@ def _zi_row_times(a_re: list[int], a_im: list[int], b_re: list[list[int]],
     return acc_re, acc_im
 
 
-def _zi_hyperbolic(b_re: list[list[int]], b_im: list[list[int]], den: int) -> bool:
+def _zi_pair(x: ZiRow, y: ZiRow) -> tuple[int, int]:
+    """Q(x, y) = sum_k x_k y_(p-1-k) of two Gaussian-integer rows, as (re, im).
+    J reverses coordinates, so it is x times y reversed: p products for each
+    of its four sums.  The one pairing: the flag coordinates, isotropy,
+    Gram matrices and the random isometry's moves all read it."""
+    x_re, x_im = x
+    y_re, y_im = y
+    return (sum(map(mul, x_re, reversed(y_re))) - sum(map(mul, x_im, reversed(y_im))),
+            sum(map(mul, x_re, reversed(y_im))) + sum(map(mul, x_im, reversed(y_re))))
+
+
+def _least(rows: list[ZiRow], den: int) -> tuple[list[ZiRow], int]:
+    """The Gaussian-integer rows over den, put over their least denominator
+    by one gcd of den and every integer part; the rows themselves when that
+    gcd is 1."""
+    g = gcd(den, *(x for row in rows for part in row for x in part))
+    if g == 1:
+        return rows, den
+    return [([x // g for x in re], [y // g for y in im]) for re, im in rows], den // g
+
+
+def _zi_hyperbolic(rows: Sequence[ZiRow], den: int) -> bool:
     """Whether the rows of B = B' / den have Gram matrix J, for a square
-    Gaussian-integer matrix B' = b_re + i b_im: whether B' J B'^T = den^2 J,
-    which makes the pairing of a vector with row q-1-k of B its coordinate
-    k in the basis (IsotropicFlag, item 1).
+    Gaussian-integer matrix B' with the rows given: whether
+    B' J B'^T = den^2 J, which makes the pairing of a vector with row q-1-k
+    of B its coordinate k in the basis (IsotropicFlag, item 1).
 
     Entry (i, m) of B' J B'^T is the sum over k of b'_ik b'_m(q-1-k).  The
     matrix is symmetric, so row i is checked at m >= i only, and each sum
     runs over the nonzero entries only (a generated q = 8 flag basis is
     over half 0): a nonzero b'_ik meets the nonzero entries of column
     q-1-k, held from the bottom row up so that the rows m >= i come
-    first."""
-    q = len(b_re)
-    # rows[m]: the nonzero (k, re, im) of row m; partners[k]: the nonzero
-    # (m, re, im) of column q-1-k, m decreasing
-    rows: list[list[tuple[int, int, int]]] = []
+    first.  Every parsed flag and eigenbasis is checked here, so this
+    sparse scan, not one _zi_pair per entry, keeps parsing fast."""
+    q = len(rows)
+    # nonzero[m]: the nonzero (k, re, im) of row m; partners[k]: the
+    # nonzero (m, re, im) of column q-1-k, m decreasing
+    nonzero: list[list[tuple[int, int, int]]] = []
     partners: list[list[tuple[int, int, int]]] = [[] for _ in range(q)]
     for m in range(q - 1, -1, -1):
         row = []
-        for k, x, y in zip(range(q), b_re[m], b_im[m]):
+        for k, x, y in zip(range(q), *rows[m]):
             if x or y:
                 row.append((k, x, y))
                 partners[q - 1 - k].append((m, x, y))
-        rows.append(row)
-    rows.reverse()
+        nonzero.append(row)
+    nonzero.reverse()
     scaled = den * den
-    for i, row in enumerate(rows):
+    for i, row in enumerate(nonzero):
         acc_re = [0] * q
         acc_im = [0] * q
         for k, a, b in row:
@@ -334,11 +358,9 @@ class Subspace:
         D v = sum_k v[pivot_k] (D R)_k: one integer product per vector."""
         if not self.zi_rows:
             return not any(any(re) or any(im) for re, im in vectors)
-        x_re = [re for re, _ in self.zi_rows]
-        x_im = [im for _, im in self.zi_rows]
         d = self.den
-        return all(_zi_row_times([re[c] for c in self.pivots], [im[c] for c in self.pivots],
-                                 x_re, x_im) == ([d * x for x in re], [d * x for x in im])
+        return all(_zi_row_times(([re[c] for c in self.pivots], [im[c] for c in self.pivots]),
+                                 self.zi_rows) == ([d * x for x in re], [d * x for x in im])
                    for re, im in vectors)
 
     def __eq__(self, other) -> bool:
@@ -422,10 +444,14 @@ def orthocomplement(y: Subspace, form: BilinearForm) -> Subspace:
 
 def _zi_gram(rows: list[ZiRow]) -> list[ZiRow]:
     """The Gram matrix G = R J R^t of Gaussian-integer rows R, as rows
-    (re, im): J reverses coordinates, so G[k][l] is r_k times r_l reversed."""
-    rev_re = [list(col) for col in zip(*(re[::-1] for re, _ in rows))]
-    rev_im = [list(col) for col in zip(*(im[::-1] for _, im in rows))]
-    return [_zi_row_times(re, im, rev_re, rev_im) for re, im in rows]
+    (re, im): G[k][l] = Q(r_k, r_l), paired once for k >= l (G is
+    symmetric)."""
+    n = len(rows)
+    g: list[list] = [[None] * n for _ in range(n)]
+    for k, x in enumerate(rows):
+        for l in range(k + 1):
+            g[k][l] = g[l][k] = _zi_pair(x, rows[l])
+    return [tuple(zip(*row)) for row in g]
 
 
 def isotropy_classify(y: Subspace, form: BilinearForm) -> tuple[bool, Subspace, int]:
@@ -460,9 +486,7 @@ def _isotropy_from_gram(y: Subspace, gram: list[ZiRow]) -> tuple[bool, Subspace,
         return True, y, 0
     if g.dim == y.dim:
         return False, Subspace.zero(y.ambient), g.dim
-    r_re = [re for re, _ in y.zi_rows]
-    r_im = [im for _, im in y.zi_rows]
-    kernel = [_zi_row_times(a_re, a_im, r_re, r_im) for a_re, a_im in _reduced_kernel(g)]
+    kernel = [_zi_row_times(a, y.zi_rows) for a in _reduced_kernel(g)]
     return False, Subspace.from_zi_rows(kernel, y.ambient), g.dim
 
 
@@ -494,22 +518,11 @@ def common_den(entries: list[tuple[int, int, int]]) -> tuple[list[int], list[int
             [y * (den // d) for _, y, d in entries], den)
 
 
-def _zi_pair(x_re: Sequence[int], x_im: Sequence[int], y_re: Sequence[int],
-             y_im: Sequence[int]) -> tuple[int, int]:
-    """Q(x, y) = sum_k x_k y_(p-1-k) of two Gaussian-integer rows, as (re, im)."""
-    re = im = 0
-    for a, b, c, d in zip(x_re, x_im, reversed(y_re), reversed(y_im)):
-        if a or b:
-            re += a * c - b * d
-            im += a * d + b * c
-    return re, im
-
-
-def random_special_isometry(p: int, seed: int) -> tuple[list[list[int]], list[list[int]], int]:
+def random_special_isometry(p: int, seed: int) -> tuple[list[ZiRow], int]:
     """A pseudo-random isometry of J_p over Q(i), as the rows of its matrix
-    (the images of the standard basis vectors), held as Gaussian integers
-    over their least common denominator: (re, im, D) with rows
-    (re + i im) / D.  seed 0 gives the identity by convention.
+    (the images of the standard basis vectors), held as Gaussian-integer
+    rows over their least common denominator: (rows, D) with the matrix
+    rows / D.  seed 0 gives the identity by convention.
 
     Eight moves drawn from Random(seed) act in turn on the rows of the
     identity:
@@ -527,13 +540,12 @@ def random_special_isometry(p: int, seed: int) -> tuple[list[list[int]], list[li
       swaps one pair only and has determinant -1, so the result lies in
       O(J_p) but not always in SO(J_p).
     The swaps and flips permute columns.  After each Eichler move or
-    scaling, one gcd of D and every integer part leaves D least.
+    scaling, _least leaves D least.
     """
-    re = [[int(i == j) for j in range(p)] for i in range(p)]
-    im = [[0] * p for _ in range(p)]
+    rows = [([int(i == j) for j in range(p)], [0] * p) for i in range(p)]
     den = 1
     if seed == 0 or p == 1:
-        return re, im, den
+        return rows, den
     rng = random.Random(seed)
     npairs = p // 2
     for _ in range(8):
@@ -543,15 +555,17 @@ def random_special_isometry(p: int, seed: int) -> tuple[list[list[int]], list[li
             z = [random_gaussian(rng, 3) for _ in range(p)]
             z[p - 1 - a] = (0, 0, 1)  # keeps z orthogonal to e_a
             z_re, z_im, dz = common_den(z)
-            zz_re, zz_im = _zi_pair(z_re, z_im, z_re, z_im)
+            z = z_re, z_im
+            zz_re, zz_im = _zi_pair(z, z)
             s_re = [2 * dz * x for x in z_re]
             s_im = [2 * dz * y for y in z_im]
             s_re[a] -= zz_re
             s_im[a] -= zz_im
             scale = 2 * dz * dz
-            for x_re, x_im in zip(re, im):
+            for x in rows:
+                x_re, x_im = x
                 c, d = x_re[p - 1 - a], x_im[p - 1 - a]
-                xz_re, xz_im = _zi_pair(x_re, x_im, z_re, z_im)
+                xz_re, xz_im = _zi_pair(x, z)
                 for j in range(p):
                     u, v = s_re[j], s_im[j]
                     x_re[j], x_im[j] = (scale * x_re[j] + c * u - d * v,
@@ -568,7 +582,7 @@ def random_special_isometry(p: int, seed: int) -> tuple[list[list[int]], list[li
             norm = u * u + v * v
             scale = dt * norm
             b = p - 1 - a
-            for x_re, x_im in zip(re, im):
+            for x_re, x_im in rows:
                 xa, ya, xb, yb = x_re[a], x_im[a], x_re[b], x_im[b]
                 for j in range(p):
                     x_re[j] *= scale
@@ -588,27 +602,22 @@ def random_special_isometry(p: int, seed: int) -> tuple[list[list[int]], list[li
                 b = rng.randrange(npairs)
                 for c in {a, b}:
                     perm[c], perm[p - 1 - c] = p - 1 - c, c
-            re = [[row[j] for j in perm] for row in re]
-            im = [[row[j] for j in perm] for row in im]
+            rows = [([x[j] for j in perm], [y[j] for j in perm]) for x, y in rows]
             continue
-        g = gcd(den, *(x for row in re for x in row), *(y for row in im for y in row))
-        if g > 1:
-            re = [[x // g for x in row] for row in re]
-            im = [[y // g for y in row] for row in im]
-            den //= g
-    return re, im, den
+        rows, den = _least(rows, den)
+    return rows, den
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic completion (closed form on reduced rows)
 
 
-def complete_to_hyperbolic(w: Subspace) -> tuple[list[list[int]], list[list[int]], int]:
+def complete_to_hyperbolic(w: Subspace) -> tuple[list[ZiRow], int]:
     """A full hyperbolic basis (Gram = J_q) whose first k vectors are the
     canonical rows of the isotropic W (k = dim W) and whose first q - k
     vectors span W^perp, read off the rows with no elimination.  It is
-    returned as (re, im, D) with basis = (re + i im) / D, D being W's: the
-    rows are W's stored D R, and D times the vectors below.
+    returned as (rows, D) with the basis rows / D, D being W's: the first
+    k rows are W's stored D R, and the others D times the vectors below.
 
     Lemma.  Let W be isotropic, with reduced rows x_1..x_k and pivot columns
     c_1 < ... < c_k, so x_a[c_b] = delta_ab.
@@ -633,19 +642,15 @@ def complete_to_hyperbolic(w: Subspace) -> tuple[list[list[int]], list[list[int]
     q, d = w.ambient, w.den
     partners = [q - 1 - c for c in w.pivots]
     taken = set(w.pivots).union(partners)
-    b_re = [list(re) for re, _ in w.zi_rows]
-    b_im = [list(im) for _, im in w.zi_rows]
+    rows = list(w.zi_rows)
     for m in range(q):
         if m not in taken:
             re, im = [0] * q, [0] * q
             re[m] = d
             for (x_re, x_im), r in zip(w.zi_rows, partners):
                 re[r], im[r] = -x_re[q - 1 - m], -x_im[q - 1 - m]
-            b_re.append(re)
-            b_im.append(im)
-    for r in reversed(partners):
-        b_re.append([d if j == r else 0 for j in range(q)])
-        b_im.append([0] * q)
-    if len(b_re) != q or not _zi_hyperbolic(b_re, b_im, d):
+            rows.append((re, im))
+    rows += [([d if j == r else 0 for j in range(q)], [0] * q) for r in reversed(partners)]
+    if len(rows) != q or not _zi_hyperbolic(rows, d):
         raise InternalConsistencyError("hyperbolic completion produced a bad Gram matrix")
-    return b_re, b_im, d
+    return rows, d

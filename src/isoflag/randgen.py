@@ -36,7 +36,7 @@ def _combination(rng: random.Random, rows: list[ZiRow], den: int
     """sum_k c_k rows_k / den as (re, im, den'), for Gaussian-integer rows and
     one coefficient c_k = random_gaussian(rng, 3) drawn per row, in order."""
     c_re, c_im, c_den = common_den([random_gaussian(rng, 3) for _ in rows])
-    re, im = _zi_row_times(c_re, c_im, [re for re, _ in rows], [im for _, im in rows])
+    re, im = _zi_row_times((c_re, c_im), rows)
     return re, im, c_den * den
 
 
@@ -77,10 +77,10 @@ def random_isotropic_subspace(q: int, dim: int, seed: int) -> Subspace:
     of random_special_isometry(q, seed)."""
     if dim > q // 2:
         raise InputError("isotropic dimension cannot exceed q/2")
-    re, im, den = random_special_isometry(q, seed)
-    if not _zi_hyperbolic(re, im, den):
+    rows, den = random_special_isometry(q, seed)
+    if not _zi_hyperbolic(rows, den):
         raise InternalConsistencyError("generated basis is not hyperbolic")
-    return Subspace.from_zi_rows(list(zip(re[:dim], im[:dim])), q)
+    return Subspace.from_zi_rows(rows[:dim], q)
 
 
 def random_flag_system(q: int, s: int, seed: int, shared: bool = False) -> FlagSystem:

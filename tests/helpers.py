@@ -4,7 +4,8 @@ IsotropicFlag, HiggsTuple, OnePS and ExtensionLine each hold their
 Gaussian-integer form only.  The tests write many of them as Scalar rows:
 the builders here put such rows over their least common denominator, the
 form the package holds (linalg._gaussian_row and gaussian_matrix), and the
-views read the Scalar rows back.  The Scalar references the integer code is
+views read the Scalar rows back (flag_basis, flag_inverse, oneps_basis,
+completion_rows, isometry_rows).  The Scalar references the integer code is
 compared with (matrix products, Gram matrices, the pairing, the square root
 in Q(i), the JSON writer of Scalar rows, the random draws, the row-by-row
 random isometry with its Eichler moves and the dense inverse of a flag's
@@ -34,6 +35,7 @@ from isoflag.linalg import (
     _scalar_row,
     _zi_hyperbolic,
     _zi_row_times,
+    complete_to_hyperbolic,
     meet_join,
     random_special_isometry,
 )
@@ -44,13 +46,14 @@ from isoflag.weights import Weight
 # Scalar rows in, Scalar rows out
 
 
-def gaussian_matrix(rows: list[Vector]) -> tuple[list[list[int]], list[list[int]], int]:
-    """(re, im, den) with rows = (re + i im) / den over one shared
-    denominator, den the lcm of every entry's denominators."""
+def gaussian_matrix(rows: list[Vector]) -> tuple[list[ZiRow], int]:
+    """(zi_rows, den) with rows = zi_rows / den, Gaussian-integer rows
+    (re, im) over one shared denominator, den the lcm of every entry's
+    denominators."""
     den = lcm(*(x.re.denominator for row in rows for x in row),
               *(x.im.denominator for row in rows for x in row))
-    return ([[x.re.numerator * (den // x.re.denominator) for x in row] for row in rows],
-            [[x.im.numerator * (den // x.im.denominator) for x in row] for row in rows], den)
+    return [([x.re.numerator * (den // x.re.denominator) for x in row],
+             [x.im.numerator * (den // x.im.denominator) for x in row]) for row in rows], den
 
 
 def flag_from_rows(basis) -> IsotropicFlag:
@@ -59,7 +62,16 @@ def flag_from_rows(basis) -> IsotropicFlag:
 
 
 def flag_basis(f: IsotropicFlag) -> tuple[Vector, ...]:
-    return tuple(_scalar_row(row, f.den) for row in zip(f.basis_re, f.basis_im))
+    return tuple(_scalar_row(row, f.den) for row in f.zi_rows)
+
+
+def flag_inverse(f: IsotropicFlag) -> list[Vector]:
+    """J B'^T J / den for a flag's basis B' / den: the inverse of the basis
+    when it is hyperbolic, as Scalar rows, the dense reference for the flag
+    coordinates the package reads as pairings."""
+    re = reversed_transpose([re for re, _ in f.zi_rows])
+    im = reversed_transpose([im for _, im in f.zi_rows])
+    return [_scalar_row(row, f.den) for row in zip(re, im)]
 
 
 def higgs_from_rows(q: int, s: int, rows) -> HiggsTuple:
@@ -77,7 +89,13 @@ def oneps_from_rows(l: int, m: tuple[int, ...], basis) -> OnePS:
 
 
 def oneps_basis(lam: OnePS) -> tuple[Vector, ...]:
-    return tuple(_scalar_row(row, lam.den) for row in zip(lam.basis_re, lam.basis_im))
+    return tuple(_scalar_row(row, lam.den) for row in lam.zi_rows)
+
+
+def completion_rows(w: Subspace) -> tuple[Vector, ...]:
+    """linalg.complete_to_hyperbolic(w) as Scalar rows."""
+    rows, den = complete_to_hyperbolic(w)
+    return tuple(_scalar_row(row, den) for row in rows)
 
 
 def line_parts(line: ExtensionLine) -> tuple[Vector, Vector, Scalar]:
@@ -89,8 +107,8 @@ def line_parts(line: ExtensionLine) -> tuple[Vector, Vector, Scalar]:
 
 def isometry_rows(p: int, seed: int) -> list[Vector]:
     """linalg.random_special_isometry(p, seed) as Scalar rows."""
-    re, im, den = random_special_isometry(p, seed)
-    return [_scalar_row(row, den) for row in zip(re, im)]
+    rows, den = random_special_isometry(p, seed)
+    return [_scalar_row(row, den) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +235,11 @@ def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
     shared denominator, so the products accumulate in Gaussian integers and
     one Fraction is built per output component.
     """
-    b_re, b_im, b_den = gaussian_matrix(b)
+    b_rows, b_den = gaussian_matrix(b)
     out = []
     for row in a:
         a_re, a_im, den = _gaussian_row(row)
-        acc_re, acc_im = _zi_row_times(a_re, a_im, b_re, b_im)
+        acc_re, acc_im = _zi_row_times((a_re, a_im), b_rows)
         den *= b_den
         out.append(tuple(_scalar(x, y, den) for x, y in zip(acc_re, acc_im)))
     return out
@@ -229,10 +247,8 @@ def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
 
 def reversed_transpose(b: list[list[int]]) -> list[tuple[int, ...]]:
     """J B^T J for a square integer matrix B: B^T with its rows and columns
-    reversed, so that entry (i, j) is B[q-1-j][q-1-i].  For a flag's
-    B' = basis_re + i basis_im over den, J B'^T J / den is the inverse of
-    the basis: the dense reference for the flag coordinates the package
-    reads as pairings."""
+    reversed, so that entry (i, j) is B[q-1-j][q-1-i] (flag_inverse reads
+    it off a flag's real and imaginary parts)."""
     return [col[::-1] for col in zip(*b)][::-1]
 
 

@@ -32,12 +32,12 @@ from isoflag.randgen import (
     random_isotropic_subspace,
     random_weight,
 )
-from isoflag.scalars import Scalar, sc
+from isoflag.scalars import sc
 from isoflag.weights import Weight, weight_stats
 
-from helpers import (flag_basis, flag_from_rows, gram, isometry_rows, mat_mul, random_scalar,
-                     random_vector, reversed_transpose, standard_basis, transform_flag,
-                     transform_flags, transform_subspace)
+from helpers import (flag_basis, flag_from_rows, flag_inverse, gram, isometry_rows, mat_mul,
+                     random_scalar, random_vector, standard_basis, transform_flag, transform_flags,
+                     transform_subspace)
 
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
                    [(F(1, 16), F(1, 32), F(-1, 32), F(-1, 16))] * 4)
@@ -45,13 +45,6 @@ W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
 
 def vec(*entries):
     return tuple(sc(x) for x in entries)
-
-
-def _integer_inverse(flag):
-    """J B'^T J / den: the flag's integer inverse as Scalars."""
-    return [tuple(Scalar(F(x, flag.den), F(y, flag.den)) for x, y in zip(re, im))
-            for re, im in zip(reversed_transpose(flag.basis_re),
-                              reversed_transpose(flag.basis_im))]
 
 
 class TestValidateFlag:
@@ -108,7 +101,7 @@ class TestValidateFlag:
         for q in range(2, 9):
             for seed in range(6):
                 flag = random_flag(q, seed)
-                assert _integer_inverse(flag) == invert_matrix(list(flag_basis(flag))), (q, seed)
+                assert flag_inverse(flag) == invert_matrix(list(flag_basis(flag))), (q, seed)
 
     def test_perp_duality_of_pieces(self):
         form = BilinearForm(5)
@@ -341,8 +334,7 @@ def _echelon_subspaces(flag, other, rng):
 
 def _zi_combination(coeffs, rows):
     """sum_k c_k rows[k] for Gaussian-integer coefficients (re, im)."""
-    return linalg_mod._zi_row_times([c[0] for c in coeffs], [c[1] for c in coeffs],
-                                    [re for re, _ in rows], [im for _, im in rows])
+    return linalg_mod._zi_row_times(tuple(zip(*coeffs)), rows)
 
 
 def _check_echelon(flag, sub, echelon, pieces):
@@ -400,7 +392,7 @@ class TestIntegerEchelon:
         rng = random.Random(78)
         for q in range(3, 10):
             flag = transform_flag(random_flag(q, q + 2), isometry_rows(q, q + 50))
-            basis = list(zip(flag.basis_re, flag.basis_im))
+            basis = flag.zi_rows
             for m in range(1, q):
                 for k in range(1, m + 1):
                     rows = [_zi_combination([(rng.randint(-3, 3), rng.randint(-3, 3))
@@ -488,7 +480,7 @@ class TestGramRadicals:
                 for sub in _radical_subspaces(q, seed):
                     expected = [isotropy_classify(flag.intersect_piece(sub, i), form)[1].dim
                                 for i in range(q + 1)]
-                    fresh = IsotropicFlag(flag.basis_re, flag.basis_im, flag.den)
+                    fresh = IsotropicFlag(flag.zi_rows, flag.den)
                     monkeypatch.setattr(flags_mod, "_zi_gram", refuse)
                     assert [fresh.radical_dim(sub, i) for i in range(q // 2 + 1)] == \
                         expected[:q // 2 + 1], (q, seed)
@@ -505,8 +497,8 @@ def _perturbed(flag):
 
 
 def _doubled(flag):
-    return IsotropicFlag([[2 * x for x in row] for row in flag.basis_re],
-                         [[2 * x for x in row] for row in flag.basis_im], flag.den)
+    return IsotropicFlag([([2 * x for x in re], [2 * y for y in im]) for re, im in flag.zi_rows],
+                         flag.den)
 
 
 class TestInvalidFlags:
@@ -526,13 +518,13 @@ class TestInvalidFlags:
             with pytest.raises(InputError):
                 flag.radical_dim(line, 1)
 
-    @pytest.mark.parametrize("basis_re,den", [([[0] * 3] * 3, 0), ([[-1, 0], [0, -1]], -1)],
+    @pytest.mark.parametrize("real,den", [([[0] * 3] * 3, 0), ([[-1, 0], [0, -1]], -1)],
                              ids=["zero-basis-over-0", "hyperbolic-over-minus-1"])
-    def test_denominator_below_one_rejected(self, basis_re, den):
+    def test_denominator_below_one_rejected(self, real, den):
         # -I over -1 is the identity, and hyperbolic, but would be written
         # "-1/-1"; the zero basis over 0 passed the Gram check
         with pytest.raises(InputError, match="flag basis denominator must be positive"):
-            IsotropicFlag(basis_re, [[0] * len(basis_re)] * len(basis_re), den)
+            IsotropicFlag([(re, [0] * len(re)) for re in real], den)
 
     def test_doubled_gram_is_4j(self):
         flag = _doubled(random_flag(4, 2))
@@ -574,9 +566,7 @@ class TestLineEnd:
                 for k in range(1, q + 1):
                     coeffs = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(k - 1)]
                     coeffs.append(rng.choice([(1, 0), (0, 1), (2, -1), (-3, 0)]))
-                    re, im = linalg_mod._zi_row_times([c[0] for c in coeffs],
-                                                      [c[1] for c in coeffs],
-                                                      flag.basis_re[:k], flag.basis_im[:k])
+                    re, im = linalg_mod._zi_row_times(tuple(zip(*coeffs)), flag.zi_rows[:k])
                     assert flag.line_end((re, im)) == k - 1, (q, k)
                     rows.append((re, im))
                 for row in rows:
@@ -587,7 +577,7 @@ class TestLineEnd:
                     read = []
                     monkeypatch.setattr(flags_mod, "_zi_eliminate", _refuse)
                     monkeypatch.setattr(IsotropicFlag, "zi_echelon", _refuse)
-                    monkeypatch.setattr(IsotropicFlag, "_pairing", _recording(read))
+                    monkeypatch.setattr(flags_mod, "_zi_pair", _recording(flag, read))
                     assert flag.line_end(row) == end, (q, row)
                     monkeypatch.undo()
                     # one pairing per flag coordinate, from the top to the end
@@ -624,8 +614,7 @@ class TestLineProfile:
                 for k in (1, q):
                     coeffs = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(k - 1)]
                     coeffs.append(rng.choice([(1, 0), (0, 1), (2, -1), (-3, 0)]))
-                    row = linalg_mod._zi_row_times([c[0] for c in coeffs], [c[1] for c in coeffs],
-                                                   flag.basis_re[:k], flag.basis_im[:k])
+                    row = linalg_mod._zi_row_times(tuple(zip(*coeffs)), flag.zi_rows[:k])
                     lines.append(Subspace.from_zi_rows([row], q))
                 t_sub = Subspace.from_vectors([random_vector(rng, q) for _ in range(2)], q)
                 flag.profile(t_sub)
@@ -645,12 +634,13 @@ def _refuse(*args, **kwargs):
     raise AssertionError("line_end took an echelon or an elimination")
 
 
-def _recording(read):
-    """IsotropicFlag._pairing, appending each flag coordinate it reads."""
-    real = IsotropicFlag._pairing
+def _recording(flag, read):
+    """flags._zi_pair, appending each flag coordinate of flag it reads: the
+    pairing with basis row w'_i is coordinate q-1-i."""
+    real = flags_mod._zi_pair
 
-    def pairing(flag, row, k):
-        read.append(k)
-        return real(flag, row, k)
+    def pairing(row, w):
+        read.append(flag.q - 1 - flag.zi_rows.index(w))
+        return real(row, w)
 
     return pairing

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import isoflag.flags as flags_mod
 import isoflag.higgs as higgs_mod
 from isoflag.errors import InputError
 from isoflag.flags import FlagSystem, IsotropicFlag, pardeg_subspace
@@ -40,10 +41,10 @@ from isoflag.randgen import (
 from isoflag.scalars import Scalar, sc
 from isoflag.weights import Weight
 
-from helpers import (flag_basis, flag_from_rows, gram, higgs_from_rows, higgs_rows, isometry_rows,
-                     line_parts, mat_mul, pair, random_scalar, random_vector,
-                     recursive_line_oracle, reversed_transpose, scalar_sqrt, transform_flags, vadd,
-                     vscale)
+from helpers import (flag_basis, flag_from_rows, flag_inverse, gram, higgs_from_rows, higgs_rows,
+                     isometry_rows, line_parts, mat_mul, pair, random_scalar, random_vector,
+                     recursive_line_oracle, scalar_sqrt, transform_flags, vadd, vscale)
+from test_pinned_outputs import CROSSCHECK_POOLS, DECIDE_POOLS
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -197,19 +198,26 @@ class TestGenerationBuildsNoScalars:
         assert calls == {"_gaussian_row": []}
 
 
+def _pool(shapes, keep) -> list[tuple[int, int, int, str]]:
+    """(q, s, seed, mode) for every instance of the pinned pool shapes
+    (q, s, mixed, size) that keep(q, s, mixed) accepts."""
+    return [(q, s, seed, mixed_mode(seed) if mixed else "generic")
+            for q, s, mixed, size in shapes if keep(q, s, mixed) for seed in range(size)]
+
+
 class TestNoScalarOnTheDecisionPath:
     """From an instance file to its printed verdict, and through the
     Hilbert-Mumford cross-check, no Scalar is built.  The instances are the
-    pools of the three benchmark workloads (perfbench/corpus.py): narrow
-    q = s in 5..8, wide s = 4 at q 6 and 8, and mixed-mode q 3-4 for the
-    cross-check.  Each pool takes square roots of non-square discriminants
-    (_zi_sqrt), the probe that once went through Scalar."""
+    pools of the three benchmark workloads, read from test_pinned_outputs,
+    whose copy is checked against the benchmark: narrow q = s in 5..8,
+    wide s = 4 at q 6 and 8, and mixed-mode q 3-4 for the cross-check.
+    Each pool takes square roots of non-square discriminants (_zi_sqrt),
+    the probe that once went through Scalar."""
 
     POOLS = {
-        "narrow": [(q, q, seed, "generic") for q in range(5, 9) for seed in range(8)],
-        "wide": [(6, 4, seed, "generic") for seed in range(3)] + [(8, 4, 0, "generic")],
-        "crosscheck": [(q, s, seed, mixed_mode(seed))
-                       for q, s in ((3, 4), (3, 5), (4, 4), (4, 5), (4, 6)) for seed in range(10)],
+        "narrow": _pool(DECIDE_POOLS, lambda q, s, mixed: q == s),
+        "wide": _pool(DECIDE_POOLS, lambda q, s, mixed: s == 4),
+        "crosscheck": _pool(CROSSCHECK_POOLS, lambda q, s, mixed: mixed),
     }
 
     @pytest.mark.parametrize("pool", sorted(POOLS))
@@ -418,9 +426,7 @@ def _vector_jump(flag, vectors):
     """Smallest i with all the (nonzero) vectors in F_i, from the last
     nonzero flag coordinate of each: the jump rule ExtensionLine.pardeg used
     before it read the jumps off the profiles."""
-    inverse = [tuple(Scalar(F(x, flag.den), F(y, flag.den)) for x, y in zip(re, im))
-               for re, im in zip(reversed_transpose(flag.basis_re),
-                                 reversed_transpose(flag.basis_im))]
+    inverse = flag_inverse(flag)
     assert inverse == invert_matrix(list(flag_basis(flag)))
     jump = 0
     for row in mat_mul(vectors, inverse):
@@ -1063,7 +1069,7 @@ class TestPrunedSearch:
         # and no further, so T, a generic plane, costs three pairings
         # (IsotropicFlag, item 2); a product by the whole inverse of the
         # basis reads every coordinate of every row
-        real_echelon, real_pairing = IsotropicFlag.zi_echelon, IsotropicFlag._pairing
+        real_echelon, real_pair = IsotropicFlag.zi_echelon, flags_mod._zi_pair
         for q in range(5, 9):
             for seed in range(8):
                 a, fs, w = random_instance(q, q, seed)
@@ -1075,20 +1081,22 @@ class TestPrunedSearch:
                 def echelon(flag, rows):
                     if Subspace.from_zi_rows(list(rows), q) != t_sub:
                         return real_echelon(flag, rows)
-                    reads[0] = []
+                    reads[0] = (flag, [])
                     result = real_echelon(flag, rows)
-                    t_echelons.append((reads[0], result[1]))
+                    t_echelons.append((reads[0][1], result[1]))
                     reads[0] = None
                     return result
 
-                def pairing(flag, row, k):
+                def pairing(row, w):
+                    # the pairing with basis row w'_i reads flag coordinate q-1-i
                     calls[0] += 1
                     if reads[0] is not None:
-                        reads[0].append(k)
-                    return real_pairing(flag, row, k)
+                        flag, read = reads[0]
+                        read.append(q - 1 - flag.zi_rows.index(w))
+                    return real_pair(row, w)
 
                 monkeypatch.setattr(IsotropicFlag, "zi_echelon", echelon)
-                monkeypatch.setattr(IsotropicFlag, "_pairing", pairing)
+                monkeypatch.setattr(flags_mod, "_zi_pair", pairing)
                 decide_stability(a, fs, w)
                 monkeypatch.undo()
                 assert len(t_echelons) == fs.s, (q, seed)

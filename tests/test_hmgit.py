@@ -25,8 +25,6 @@ from isoflag.io import oneps_from_json, oneps_to_json
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
-    _scalar_row,
-    complete_to_hyperbolic,
     isotropy_classify,
     orthocomplement,
 )
@@ -40,9 +38,9 @@ from isoflag.randgen import (
 from isoflag.scalars import sc
 from isoflag.weights import Weight
 
-from helpers import (flag_from_rows, gaussian_matrix, higgs_from_rows, higgs_rows, hm_grassmannian,
-                     hyperbolic_basis, oneps_basis, oneps_from_rows, random_scalar, random_vector,
-                     standard_basis)
+from helpers import (completion_rows, flag_from_rows, gaussian_matrix, higgs_from_rows, higgs_rows,
+                     hm_grassmannian, hyperbolic_basis, oneps_basis, oneps_from_rows, random_scalar,
+                     random_vector, standard_basis)
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -53,12 +51,6 @@ W_BAD_Q2 = Weight.make(2, 4, [F(3, 4)] + [F(1, 8)] * 3, [(F(1, 16), F(-1, 16))] 
 
 def vec(*entries):
     return tuple(sc(x) for x in entries)
-
-
-def _completion(w):
-    """complete_to_hyperbolic's basis (re, im, D) as Scalar rows."""
-    re, im, den = complete_to_hyperbolic(w)
-    return tuple(_scalar_row(row, den) for row in zip(re, im))
 
 
 def random_oneps(q: int, seed: int, bound: int = 3) -> OnePS:
@@ -279,11 +271,11 @@ class TestIntegerOnePS:
         if spoil:
             basis[0][0] = basis[0][0] + sc(F(7, 3))
         basis = tuple(tuple(row) for row in basis)
-        re, im, den = gaussian_matrix(list(basis))
+        rows, den = gaussian_matrix(list(basis))
         with pytest.raises(InputError) as scalar_error:
             oneps_from_rows(1, m, basis)
         with pytest.raises(InputError) as integer_error:
-            OnePS(1, m, re, im, den)
+            OnePS(1, m, rows, den)
         assert str(scalar_error.value) == str(integer_error.value) == message
 
     @pytest.mark.parametrize("sign,den", [(0, 0), (-1, -1)],
@@ -291,29 +283,31 @@ class TestIntegerOnePS:
     def test_denominator_below_one_rejected(self, sign, den):
         # sign times the identity over den: the zero basis over 0 passed the
         # Gram check, and -I over -1 is hyperbolic
-        basis_re = [[sign * (i == j) for j in range(4)] for i in range(4)]
+        rows = [([sign * (i == j) for j in range(4)], [0] * 4) for i in range(4)]
         with pytest.raises(InputError, match="eigenbasis denominator must be positive"):
-            OnePS(1, (1, 0, 0, -1), basis_re, [[0] * 4] * 4, den)
+            OnePS(1, (1, 0, 0, -1), rows, den)
 
     def test_imaginary_parts_checked(self):
-        # a short list of imaginary rows used to raise IndexError, and a long
-        # row to be cut by zip and accepted
+        # a missing row, and a short or a long imaginary part of one row
+        # (a short one used to raise IndexError, a long one to be cut by zip
+        # and accepted)
         lam = random_oneps(4, 5)
         with pytest.raises(InputError, match="eigenbasis size does not match weight vector"):
-            OnePS(lam.l, lam.m, lam.basis_re, lam.basis_im[:3], lam.den)
-        long_row = [list(row) for row in lam.basis_im]
-        long_row[1].append(0)
-        with pytest.raises(InputError, match="vector length does not match form dimension"):
-            OnePS(lam.l, lam.m, lam.basis_re, long_row, lam.den)
+            OnePS(lam.l, lam.m, lam.zi_rows[:3], lam.den)
+        re, im = lam.zi_rows[1]
+        for spoilt in (im[:3], im + (0,)):
+            rows = list(lam.zi_rows)
+            rows[1] = (re, spoilt)
+            with pytest.raises(InputError, match="vector length does not match form dimension"):
+                OnePS(lam.l, lam.m, rows, lam.den)
 
     def test_reduced_to_least_denominator(self):
         # the identity over 1 and the doubled identity over 2 are one
         # subgroup, so == and the hash are value equality
-        least = OnePS(1, (1, -1), [[1, 0], [0, 1]], [[0, 0], [0, 0]], 1)
-        doubled = OnePS(1, (1, -1), [[2, 0], [0, 2]], [[0, 0], [0, 0]], 2)
+        least = OnePS(1, (1, -1), [([1, 0], [0, 0]), ([0, 1], [0, 0])], 1)
+        doubled = OnePS(1, (1, -1), [([2, 0], [0, 0]), ([0, 2], [0, 0])], 2)
         assert doubled == least and hash(doubled) == hash(least)
-        assert (doubled.basis_re, doubled.basis_im, doubled.den) == \
-            ([[1, 0], [0, 1]], [[0, 0], [0, 0]], 1)
+        assert (doubled.zi_rows, doubled.den) == ((((1, 0), (0, 0)), ((0, 1), (0, 0))), 1)
 
     def test_destabilizer_round_trips_through_scalars(self):
         # the completion's D is the least common denominator of its rows
@@ -643,9 +637,8 @@ class TestConsistency:
         line = random_isotropic_subspace(5, 1, 3)
         _, fs5, w5 = random_instance(5, 5, 0)
         flags = list(fs5.flags)
-        bad = flags[1]
-        flags[1] = IsotropicFlag([[2 * x for x in row] for row in bad.basis_re],
-                                 [[2 * x for x in row] for row in bad.basis_im], bad.den)
+        flags[1] = IsotropicFlag([([2 * x for x in re], [2 * y for y in im])
+                                  for re, im in flags[1].zi_rows], flags[1].den)
         fs5 = FlagSystem(tuple(flags))
         gc.collect()
         gc.disable()
@@ -721,7 +714,7 @@ def _shape_formula_oneps(kind, vprime, fs, w):
         if not iso:
             raise InputError("shape2 needs a coisotropic subspace")
         l = 0
-    basis = _completion(w_iso)
+    basis = completion_rows(w_iso)
     k = w_iso.dim
     m = (1,) * k + (0,) * (fs.q - 2 * k) + (-1,) * k
     degree = _profile_n_pardeg(w, vprime, fs)
@@ -763,7 +756,7 @@ def _package_chain(l, weighted_chain, q):
     ordered = sorted(weighted_chain, key=lambda t: -t[0])
     pieces = [p for _, p in ordered]
     thresholds = [t for t, _ in ordered]
-    basis = _completion(pieces[-1] if pieces else Subspace.zero(q))
+    basis = completion_rows(pieces[-1] if pieces else Subspace.zero(q))
     k = pieces[-1].dim if pieces else 0
     m = [0] * q
     dims = [p.dim for p in pieces]

@@ -73,7 +73,7 @@ class TestRoundTrip:
             back = parse_instance_text(text)
             assert back.weight == inst.weight
             assert back.higgs == inst.higgs
-            assert all((f1.basis_re, f1.basis_im, f1.den) == (f2.basis_re, f2.basis_im, f2.den)
+            assert all((f1.zi_rows, f1.den) == (f2.zi_rows, f2.den)
                        for f1, f2 in zip(back.flags.flags, inst.flags.flags))
             # canonical form is a fixed point of parse/serialize
             assert serialize_instance(back) == text
@@ -230,8 +230,8 @@ class TestParsedFlags:
                     text = serialize_instance(InstanceFile(w, fs, a, seed=seed))
                     back = parse_instance_text(text)
                     for parsed, made in zip(back.flags.flags, fs.flags):
-                        assert ((parsed.basis_re, parsed.basis_im, parsed.den, parsed.hyperbolic)
-                                == (made.basis_re, made.basis_im, made.den, made.hyperbolic)), \
+                        assert ((parsed.zi_rows, parsed.den, parsed.hyperbolic)
+                                == (made.zi_rows, made.den, made.hyperbolic)), \
                             (q, s, mode)
                         # parsing builds no echelon
                         assert parsed._last is made._last is None
@@ -592,6 +592,18 @@ class TestCli:
         assert main(["batch", str(tmp_path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["instances"] == 0 and out["counts"] == {}
+
+    @pytest.mark.parametrize("target", ["a-directory", "missing-dir/out.csv"])
+    def test_unwritable_csv_is_io_error(self, stable_file, target, capsys):
+        # a --csv path that cannot be written is an I/O fault, not a bug:
+        # exit 74 with one line on stderr and no traceback
+        csv_path = stable_file.parent / target
+        if target == "a-directory":
+            csv_path.mkdir()
+        assert main(["batch", str(stable_file.parent), "--csv", str(csv_path)]) == 74
+        err = capsys.readouterr().err
+        assert err.startswith(f"io error: cannot write {csv_path}: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, stable_file, jobs, capsys):

@@ -21,22 +21,14 @@ from isoflag.errors import InternalConsistencyError
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
-    _scalar_row,
-    complete_to_hyperbolic,
     isotropy_classify,
     orthocomplement,
     random_special_isometry,
 )
 from isoflag.scalars import HALF, ONE, ZERO, sc
 
-from helpers import (eichler_rows, gaussian_matrix, hyperbolic_basis, mat_mul, pair, random_scalar,
-                     scalar_special_isometry, standard_basis, vadd, vscale)
-
-
-def _completion(w):
-    """complete_to_hyperbolic's basis (re, im, D) as Scalar rows."""
-    re, im, den = complete_to_hyperbolic(w)
-    return tuple(_scalar_row(row, den) for row in zip(re, im))
+from helpers import (completion_rows, eichler_rows, gaussian_matrix, hyperbolic_basis, mat_mul, pair,
+                     random_scalar, scalar_special_isometry, standard_basis, vadd, vscale)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +163,7 @@ def test_completion_matches_matrix_product(q, chain):
     w = chain[-1]
     k = w.dim
     assert isotropy_classify(w, form)[0]
-    basis = list(_completion(w))
+    basis = list(completion_rows(w))
     std = standard_basis(q)
     assert mat_mul(basis, [tuple(b[q - 1 - j] for b in basis) for j in range(q)]) == std[::-1]
     assert basis[:k] == list(w.rows)

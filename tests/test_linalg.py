@@ -23,15 +23,9 @@ from isoflag.linalg import (
 from isoflag.randgen import random_isotropic_subspace
 from isoflag.scalars import I, ONE, Scalar, ZERO, sc
 
-from helpers import (gaussian_matrix, gram, hyperbolic_basis, is_standard_gram, isometry_rows,
-                     mat_mul, pair, random_scalar, random_vector, reversed_transpose, scalar_sqrt,
-                     standard_basis, vscale)
-
-
-def _completion(w):
-    """complete_to_hyperbolic's basis (re, im, D) as Scalar rows."""
-    re, im, den = complete_to_hyperbolic(w)
-    return tuple(_scalar_row(row, den) for row in zip(re, im))
+from helpers import (completion_rows, gaussian_matrix, gram, hyperbolic_basis, is_standard_gram,
+                     isometry_rows, mat_mul, pair, random_scalar, random_vector, reversed_transpose,
+                     scalar_sqrt, standard_basis, vscale)
 
 
 def vec(*entries):
@@ -752,8 +746,9 @@ class TestIntegerHyperbolicCheck:
     must agree with the dense product B' (J B'^T J) = den^2 I."""
 
     @staticmethod
-    def _dense(b_re, b_im, den):
-        q = len(b_re)
+    def _dense(rows, den):
+        q = len(rows)
+        b_re, b_im = [re for re, _ in rows], [im for _, im in rows]
         inv_re, inv_im = reversed_transpose(b_re), reversed_transpose(b_im)
         for i in range(q):
             for j in range(q):
@@ -772,20 +767,19 @@ class TestIntegerHyperbolicCheck:
         valid = 0
         for trial in range(400):
             q = trial % 8 + 1
-            b_re, b_im, den = gaussian_matrix(list(hyperbolic_basis(BilinearForm(q), trial)))
-            b_re, b_im = [list(r) for r in b_re], [list(r) for r in b_im]
+            rows, den = gaussian_matrix(list(hyperbolic_basis(BilinearForm(q), trial)))
             kind = trial % 5
             i, k = rng.randrange(q), rng.randrange(q)
             if kind == 1:
-                b_re[i][k] += rng.choice([-1, 1])
+                rows[i][0][k] += rng.choice([-1, 1])
             elif kind == 2:
-                b_im[i][k] += rng.choice([-2, 1])
+                rows[i][1][k] += rng.choice([-2, 1])
             elif kind == 3:
-                b_re[i], b_im[i] = [0] * q, [0] * q
+                rows[i] = ([0] * q, [0] * q)
             elif kind == 4:
                 den *= 2
-            assert _zi_hyperbolic(b_re, b_im, den) == self._dense(b_re, b_im, den), trial
-            valid += _zi_hyperbolic(b_re, b_im, den)
+            assert _zi_hyperbolic(rows, den) == self._dense(rows, den), trial
+            valid += _zi_hyperbolic(rows, den)
         assert 80 <= valid < 400
 
 
@@ -805,7 +799,7 @@ class TestCompletion:
             big = random_isotropic_subspace(q, k2, trial + 1000)
             k1 = rng.randint(0, k2)
             small = Subspace.from_vectors(list(big.rows[:k1]), q)
-            basis = _completion(big)
+            basis = completion_rows(big)
             assert is_standard_gram(form, list(basis))
             assert Subspace.from_vectors(list(basis[:k2]), q) == big
             assert Subspace.from_vectors(list(basis[:k1]), q) == small
@@ -825,7 +819,7 @@ class TestCompletion:
     def test_empty_chain_gives_standard_basis(self):
         # k = 0: the zero subspace has no rows to complete
         for p in range(1, 7):
-            assert _completion(Subspace.zero(p)) == tuple(standard_basis(p))
+            assert completion_rows(Subspace.zero(p)) == tuple(standard_basis(p))
 
 
 class TestIsometries:

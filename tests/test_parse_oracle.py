@@ -76,8 +76,8 @@ def _rows(obj, path):
 
 def _over(rows):
     den = lcm(*(d for row in rows for re, im in row for d in (re[1], im[1])))
-    return ([[n * (den // d) for (n, d), _ in row] for row in rows],
-            [[n * (den // d) for _, (n, d) in row] for row in rows], den)
+    return [([n * (den // d) for (n, d), _ in row], [n * (den // d) for _, (n, d) in row])
+            for row in rows], den
 
 
 def _weight(obj, path):
@@ -137,8 +137,8 @@ def reference_instance(obj) -> dict:
         raise ParseError("/A", f"rows must have length {q}")
     higgs = []
     for row in rows:
-        (re,), (im,), den = _over([row])
-        higgs.append((re, im, den))
+        (zi_row,), den = _over([row])
+        higgs.append((*zi_row, den))
     seed = obj.get("seed")
     if seed is not None and type(seed) is not int:
         raise ParseError("/seed", "seed must be an integer")
@@ -152,7 +152,7 @@ def reference_instance(obj) -> dict:
 def _read(obj) -> dict:
     inst = instance_from_json(obj)
     w = inst.weight
-    flags = [(flag.basis_re, flag.basis_im, flag.den) for flag in inst.flags.flags]
+    flags = [(flag.zi_rows, flag.den) for flag in inst.flags.flags]
     return {"weight": (w.q, w.s, w.alpha, w.beta), "flags": flags,
             "A": [(list(re), list(im), den) for re, im, den in inst.higgs.integer_rows],
             "seed": inst.seed, "metadata": inst.metadata}
