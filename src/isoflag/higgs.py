@@ -39,11 +39,10 @@ per-flag greedy relaxation, which no witness enters.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import InputError, InternalConsistencyError
 from .flags import (FlagSystem, pardeg_from_profile, pardeg_subspace, require_weight_for,
@@ -55,6 +54,7 @@ from .linalg import (
     ZiRow,
     _gaussian_row,
     _isotropy_from_gram,
+    _least,
     _zi_gram,
     _zi_pair,
     _zi_row_times,
@@ -73,39 +73,41 @@ class HiggsTuple:
     stored).  The rows are coefficient vectors against a basis of sections;
     that basis itself never needs to be materialized.
 
-    The rows are held as Gaussian integers, one (re, im, den) per row of A
-    with row = (re + i im) / den and den the row's least denominator, the
-    lcm of its reduced denominators: an instance file is parsed straight
-    into that form, and generated rows are drawn in it.  The constructor
-    takes each row over any positive denominator and reduces it by one gcd
-    (_reduced), so the form is canonical and ==, the hash and the repr read
-    it.
-    A decision reads the rows only through their span, eliminated from the
-    (re, im) of each row.  Immutable."""
+    A is held as one Gaussian-integer matrix, the layout of every matrix in
+    linalg: rows (re, im) over one denominator, A = zi_rows / den, with den
+    the lcm of the entries' reduced denominators.  An instance file is
+    parsed straight into that form, and generated rows are drawn in it.
+    The constructor takes the rows over any positive denominator and puts
+    them over the least one (linalg._least), as tuples, so the form is
+    canonical and ==, the hash and the repr read it.
+    A decision reads the rows only through their span, eliminated from
+    zi_rows.  Immutable."""
 
-    def __init__(self, q: int, s: int, rows: list[tuple[list[int], list[int], int]]):
+    def __init__(self, q: int, s: int, zi_rows: list[ZiRow], den: int):
         if s < 3:
             raise InputError("need at least 3 punctures")
-        if len(rows) != s - 2:
-            raise InputError(f"expected {s - 2} rows, got {len(rows)}")
-        for re, im, den in rows:
-            if len(re) != q or len(im) != q:
-                raise InputError("row length does not match q")
-            if den < 1:
-                raise InputError("row denominator must be positive")
+        if len(zi_rows) != s - 2:
+            raise InputError(f"expected {s - 2} rows, got {len(zi_rows)}")
+        if any(len(re) != q or len(im) != q for re, im in zi_rows):
+            raise InputError("row length does not match q")
+        if den < 1:
+            raise InputError("row denominator must be positive")
+        zi_rows, den = _least(zi_rows, den)
         self.q, self.s = q, s
-        self.integer_rows = tuple(_reduced(re, im, den) for re, im, den in rows)
+        self.zi_rows = tuple((tuple(re), tuple(im)) for re, im in zi_rows)
+        self.den = den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HiggsTuple):
             return NotImplemented
-        return (self.q, self.s, self.integer_rows) == (other.q, other.s, other.integer_rows)
+        return ((self.q, self.s, self.den, self.zi_rows)
+                == (other.q, other.s, other.den, other.zi_rows))
 
     def __hash__(self) -> int:
-        return hash((self.q, self.s, self.integer_rows))
+        return hash((self.q, self.s, self.den, self.zi_rows))
 
     def __repr__(self) -> str:
-        return f"HiggsTuple(q={self.q}, s={self.s}, integer_rows={self.integer_rows!r})"
+        return f"HiggsTuple(q={self.q}, s={self.s}, zi_rows={self.zi_rows!r}, den={self.den})"
 
     def span(self) -> Subspace:
         """The span of the rows.  The rows are immutable, so it is eliminated
@@ -114,7 +116,7 @@ class HiggsTuple:
 
     @cached_property
     def _span(self) -> Subspace:
-        return Subspace.from_zi_rows([(re, im) for re, im, _ in self.integer_rows], self.q)
+        return Subspace.from_zi_rows(self.zi_rows, self.q)
 
     def span_perp(self) -> Subspace:
         """T = span^perp (module docstring), kept the same way as the span."""
@@ -129,14 +131,11 @@ class HiggsTuple:
 # witnesses
 
 
-def _reduced(re: Sequence[int], im: Sequence[int], den: int
-             ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The row (re + i im) / den over its least denominator, as (re, im, den)
-    with integer tuples."""
-    g = gcd(den, *re, *im)
-    if g == 1:  # a parsed row is least already
-        return tuple(re), tuple(im), den
-    return tuple(x // g for x in re), tuple(y // g for y in im), den // g
+def _lone(row: ZiRow, den: int) -> tuple[ZiRow, int]:
+    """The row / den over its least denominator (linalg._least), as
+    ((re, im), den) with integer tuples."""
+    ((re, im),), den = _least([row], den)
+    return (tuple(re), tuple(im)), den
 
 
 class ExtensionLine:
@@ -149,18 +148,18 @@ class ExtensionLine:
     builds) lies in no isotropic F_i^j, so its jumps are above q/2, where
     beta_i <= 0 by antisymmetry: pardeg <= 0 under any valid weight.
 
-    base, twist and delta (a row of one entry) are each held as (re, im,
-    den), the row (re + i im) / den over its least denominator, the form
-    linalg._gaussian_row gives.  That form is canonical, so == and the hash
-    compare integers.  _isotropic_line_in builds the line from Gaussian
-    integers (from_zi); the constructor takes Scalars and converts them
-    once.  Immutable."""
+    base, twist and delta (a row of one entry) are each held as (row, den),
+    linalg's matrix form for one row: the Gaussian-integer row (re, im)
+    over its least denominator (linalg._least).  That form is canonical,
+    so == and the hash compare integers.  _isotropic_line_in builds the
+    line from Gaussian integers (from_zi); the constructor takes Scalars
+    and converts them once.  Immutable."""
 
     __slots__ = ("ambient", "base", "twist", "delta")
 
     def __init__(self, ambient: int, base: Vector, twist: Vector, delta: Scalar):
         self.ambient = ambient
-        self.base, self.twist, self.delta = (_reduced(*_gaussian_row(v))
+        self.base, self.twist, self.delta = (_lone(*_gaussian_row(v))
                                              for v in (base, twist, (delta,)))
 
     @classmethod
@@ -170,8 +169,8 @@ class ExtensionLine:
         Gaussian-integer rows base and twist and a Gaussian integer delta."""
         line = cls.__new__(cls)
         line.ambient = ambient
-        line.base, line.twist = _reduced(*base, den ** 3), _reduced(*twist, den)
-        line.delta = _reduced((delta[0],), (delta[1],), den ** 4)
+        line.base, line.twist = _lone(base, den ** 3), _lone(twist, den)
+        line.delta = _lone(((delta[0],), (delta[1],)), den ** 4)
         return line
 
     def __eq__(self, other) -> bool:
@@ -192,7 +191,7 @@ class ExtensionLine:
         that is, with the hull in F_i^j: dim(hull ^ F_i^j) = dim hull.  Both
         are read off the flag profiles of the hull."""
         require_weight_for(fs, w)
-        hull = Subspace.from_zi_rows([self.base[:2], self.twist[:2]], self.ambient)
+        hull = Subspace.from_zi_rows([self.base[0], self.twist[0]], self.ambient)
         return Fraction(sum(row[flag.profile(hull).index(hull.dim) - 1]
                             for row, flag in zip(w.n_beta, fs.flags)), w.n)
 
@@ -204,10 +203,10 @@ class ExtensionLine:
         read off the pairings of the integer rows B and T."""
         if form.p != self.ambient:
             raise InputError("vector length does not match form dimension")
-        base, twist = self.base[:2], self.twist[:2]
+        (base, d_b), (twist, d_t) = self.base, self.twist
         bb, bt, tt = _zi_pair(base, base), _zi_pair(base, twist), _zi_pair(twist, twist)
-        (x,), (y,), d_delta = self.delta
-        scale_bb, scale_tt = d_delta * self.twist[2] ** 2, self.base[2] ** 2
+        ((x,), (y,)), d_delta = self.delta
+        scale_bb, scale_tt = d_delta * d_t ** 2, d_b ** 2
         return bt == (0, 0) and all(u * scale_bb + v * scale_tt == 0
                                     for u, v in zip(bb, _times((x, y), tt)))
 
@@ -686,7 +685,7 @@ def generate_stable_instance(q: int, s: int, fs: FlagSystem, w: Weight, seed: in
             im_num, im_den = rng.randint(-4, 4), rng.randint(1, 3)
             row.append((re_num * im_den, im_num * re_den, re_den * im_den))
         rows.append(row)
-    a = HiggsTuple(q, s, [common_den(row) for row in rows])
+    a = HiggsTuple(q, s, *common_den(rows))
     verdict = decide_stability(a, fs, w)
     if verdict.tag != "Stable":
         raise InternalConsistencyError("spanning instance did not come out stable")

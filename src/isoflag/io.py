@@ -9,12 +9,11 @@ An instance file is read through one table of its rational strings
 (_Rationals), which parses each distinct string once into a reduced
 (numerator, denominator) pair.  Each matrix is read in a few passes, each a
 loop in C over its rows or entries, with no path string built, and then put
-over one denominator (_integer): a flag basis becomes the Gaussian-integer
-rows over one d that IsotropicFlag holds, linalg's matrix form, and each
-row of A one Gaussian-integer row over its own denominator, the form
-HiggsTuple holds, with no Fraction or Scalar per entry.  Only the weight is
-built as Fractions, one per distinct string.  A one-parameter subgroup's
-eigenbasis is read the same way, into the (rows, d) that OnePS holds.
+over one denominator (_integer): a flag basis, A, a one-parameter
+subgroup's eigenbasis and a subspace's rows each become Gaussian-integer
+rows over one d, linalg's matrix form, which IsotropicFlag, HiggsTuple and
+OnePS hold and Subspace.from_zi_rows eliminates, with no Fraction or Scalar
+per entry.  Only the weight is built as Fractions, one per distinct string.
 Paths are built only on failure: a matrix or a weight with any fault is
 read again entry by entry, and that walk raises the ParseError of the first
 fault.
@@ -23,7 +22,7 @@ Flags, A, eigenbases, subspaces and extension-line witnesses are written
 straight from those integers by one writer (_zi_vector_to_json), each entry
 x / d as its reduced fraction.  So neither reading an instance nor writing
 a verdict builds a Scalar; only the readers that return Scalars
-(scalar_from_json, vector_from_json, matrix_from_json) build them.
+(scalar_from_json and vector_from_json) build them.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ _Rational = tuple[int, int]
 _Matrix = tuple[int, int, list[_Rational]]
 
 _RE, _IM = itemgetter("re"), itemgetter("im")
-
-
-def _pair_scalar(re: _Rational, im: _Rational) -> Scalar:
-    return Scalar(Fraction(*re), Fraction(*im))
 
 
 class _Rationals(dict):
@@ -145,7 +140,8 @@ def _integer(rows: int, cols: int, pairs: list[_Rational]) -> tuple[list[ZiRow],
 
 
 def scalar_from_json(obj: Any, path: str) -> Scalar:
-    return _pair_scalar(*_Rationals().entry(obj, path))
+    re, im = _Rationals().entry(obj, path)
+    return Scalar(Fraction(*re), Fraction(*im))
 
 
 def vector_from_json(obj: Any, path: str) -> Vector:
@@ -154,24 +150,16 @@ def vector_from_json(obj: Any, path: str) -> Vector:
     return tuple(scalar_from_json(x, f"{path}/{i}") for i, x in enumerate(obj))
 
 
-def _zi_vector_to_json(re, im, den: int) -> list:
-    """The row (re + i im) / den of integer parts re and im, each entry as
-    {"re", "im"} reduced fraction strings, with no Fraction or Scalar
+def _zi_vector_to_json(row: ZiRow, den: int) -> list:
+    """The Gaussian-integer row (re, im) over den, each entry (re + i im) / den
+    as {"re", "im"} reduced fraction strings, with no Fraction or Scalar
     built."""
-    return [{"re": _fraction_text(x, den), "im": _fraction_text(y, den)} for x, y in zip(re, im)]
+    return [{"re": _fraction_text(x, den), "im": _fraction_text(y, den)} for x, y in zip(*row)]
 
 
 def _zi_rows_to_json(rows, den: int) -> list:
     """Gaussian-integer rows (re, im) over one denominator, row by row."""
-    return [_zi_vector_to_json(re, im, den) for re, im in rows]
-
-
-def matrix_from_json(obj: Any, path: str) -> tuple[Vector, ...]:
-    rows, cols, pairs = _Rationals().rows(obj, path)
-    return tuple(tuple(_pair_scalar(re, im) for re, im in
-                       zip(pairs[i * cols:(i + 1) * cols],
-                           pairs[(rows + i) * cols:(rows + i + 1) * cols]))
-                 for i in range(rows))
+    return [_zi_vector_to_json(row, den) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +248,10 @@ def subspace_from_json(obj: Any, path: str) -> Subspace:
         raise ParseError(path, "expected an object with 'ambient' and 'rows'")
     if type(obj["ambient"]) is not int or obj["ambient"] < 1:
         raise ParseError(path + "/ambient", "ambient must be a positive integer")
-    rows = matrix_from_json(obj["rows"], path + "/rows")
-    if any(len(row) != obj["ambient"] for row in rows):
+    rows, cols, pairs = _Rationals().rows(obj["rows"], path + "/rows")
+    if rows and cols != obj["ambient"]:
         raise ParseError(path + "/rows", f"rows must have length {obj['ambient']}")
-    return Subspace.from_vectors(list(rows), obj["ambient"])
+    return Subspace.from_zi_rows(_integer(rows, cols, pairs)[0], obj["ambient"])
 
 
 @dataclass(frozen=True)
@@ -279,7 +267,7 @@ def instance_to_json(inst: InstanceFile) -> dict:
     out = {
         "weight": weight_to_json(inst.weight),
         "flags": [flag_to_json(f) for f in inst.flags.flags],
-        "A": [_zi_vector_to_json(*row) for row in inst.higgs.integer_rows],
+        "A": _zi_rows_to_json(inst.higgs.zi_rows, inst.higgs.den),
     }
     if inst.seed is not None:
         out["seed"] = inst.seed
@@ -298,30 +286,24 @@ def instance_from_json(obj: Any, path: str = "") -> InstanceFile:
     weight = weight_from_json(obj["weight"], path + "/weight", read)
     if not isinstance(obj["flags"], list) or len(obj["flags"]) != weight.s:
         raise ParseError(path + "/flags", f"expected {weight.s} flags")
-    flags = FlagSystem(tuple(
-        flag_from_json(f, f"{path}/flags/{j}", read) for j, f in enumerate(obj["flags"])
-    ))
-    if flags.q != weight.q:
-        raise ParseError(path + "/flags", "flag dimension does not match weight q")
+    flags = []
+    for j, f in enumerate(obj["flags"]):
+        flags.append(flag_from_json(f, f"{path}/flags/{j}", read))
+        if flags[-1].q != weight.q:
+            raise ParseError(f"{path}/flags/{j}", "flag dimension does not match weight q")
     rows, cols, pairs = read.rows(obj["A"], path + "/A")
     if rows != weight.s - 2:
         raise ParseError(path + "/A", f"expected {weight.s - 2} rows")
     if rows and cols != weight.q:
         raise ParseError(path + "/A", f"rows must have length {weight.q}")
-    # each row over its own denominator, what linalg._gaussian_row gives
-    integer_rows = []
-    for i in range(rows):
-        (row,), den = _integer(1, cols, pairs[i * cols:(i + 1) * cols]
-                               + pairs[(rows + i) * cols:(rows + i + 1) * cols])
-        integer_rows.append((*row, den))
-    higgs = HiggsTuple(weight.q, weight.s, integer_rows)
+    higgs = HiggsTuple(weight.q, weight.s, *_integer(rows, cols, pairs))
     seed = obj.get("seed")
     if seed is not None and type(seed) is not int:
         raise ParseError(path + "/seed", "seed must be an integer")
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(path + "/metadata", "metadata must be an object")
-    return InstanceFile(weight, flags, higgs, seed, metadata)
+    return InstanceFile(weight, FlagSystem(tuple(flags)), higgs, seed, metadata)
 
 
 def parse_instance_text(text: str) -> InstanceFile:

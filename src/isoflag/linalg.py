@@ -6,19 +6,21 @@ split form J_p with Q(e_i, e_j) = 1 iff i + j = p + 1 (1-indexed), so
 multiplying a row vector by J is coordinate reversal.
 
 A vector is a Gaussian-integer row (re, im) (ZiRow) with an integer
-denominator kept beside it, and a matrix is a list of such rows over one
-denominator: subspaces, echelons, flag bases, eigenbases and isometries
-alike.  The pairing Q(x, y) of two rows is computed in one place
-(_zi_pair), except in the sparse hyperbolicity check (_zi_hyperbolic).
-Subspaces are held in their canonical form over the Gaussian integers Z[i]
-(Subspace, rref), built by one fraction-free elimination (_zi_eliminate).
-Instance generation draws straight into the matrix form:
-random_special_isometry makes its random isometry on Gaussian-integer rows
-over their least common denominator (_least), the rows of a generated
-flag.  Scalar vectors (Vector) are what Subspace.from_vectors, contains,
-kernel_basis and invert_matrix take: they become Gaussian-integer rows
-there, through _gaussian_row.  A subspace's Scalar rows are built only when
-read.
+denominator kept beside it, as (row, den), and a matrix is a list of such
+rows over one denominator, as (rows, den): subspaces, echelons, flag bases,
+eigenbases, isometries and the row tuple A alike.  _least puts a matrix
+over its least denominator.  The pairing Q(x, y) of two rows is computed
+in one place (_zi_pair), except in the sparse hyperbolicity check
+(_zi_hyperbolic).  Subspaces are held in their canonical form over the
+Gaussian integers Z[i] (Subspace, rref), built by one fraction-free
+elimination (_zi_eliminate).  Instance generation draws straight into the
+matrix form: common_den puts a matrix of drawn Gaussian rationals over one
+denominator as (rows, den), and random_special_isometry makes its random
+isometry on Gaussian-integer rows over their least common denominator, the
+rows of a generated flag.  Scalar vectors (Vector) are what
+Subspace.from_vectors, contains, kernel_basis and invert_matrix take: each
+becomes a Gaussian-integer (row, den) there, through _gaussian_row.  A
+subspace's Scalar rows are built only when read.
 Membership, kernels, orthocomplements and radicals are read off the stored
 integers, and the hyperbolic completion of an isotropic subspace off its
 rows, as Gaussian integers, with no further elimination.
@@ -45,12 +47,12 @@ ZiRow = tuple[Sequence[int], Sequence[int]]
 # vector / matrix helpers
 
 
-def _gaussian_row(row: Vector) -> tuple[list[int], list[int], int]:
-    """(re, im, den) with row = (re + i im) / den, re and im integer lists and
-    den the lcm of the row's denominators."""
+def _gaussian_row(row: Vector) -> tuple[ZiRow, int]:
+    """((re, im), den) with row = (re + i im) / den, re and im integer lists
+    and den the lcm of the row's denominators."""
     den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
     return ([x.re.numerator * (den // x.re.denominator) for x in row],
-            [x.im.numerator * (den // x.im.denominator) for x in row], den)
+            [x.im.numerator * (den // x.im.denominator) for x in row]), den
 
 
 def _scalar(re: int, im: int, den: int) -> Scalar:
@@ -314,7 +316,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise InputError("vector length does not match ambient dimension")
-        return cls(ambient, *rref([_gaussian_row(v)[:2] for v in vectors]))
+        return cls(ambient, *rref([_gaussian_row(v)[0] for v in vectors]))
 
     @classmethod
     def from_zi_rows(cls, rows: list[ZiRow], ambient: int) -> "Subspace":
@@ -344,7 +346,7 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         if len(v) != self.ambient:
             raise InputError("vector length does not match ambient dimension")
-        return self._spans([_gaussian_row(v)[:2]])
+        return self._spans([_gaussian_row(v)[0]])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
@@ -510,12 +512,12 @@ def random_gaussian(rng: random.Random, span: int = 4) -> tuple[int, int, int]:
     return a * d, c * b, b * d
 
 
-def common_den(entries: list[tuple[int, int, int]]) -> tuple[list[int], list[int], int]:
-    """Gaussian rationals (x, y, d) = (x + i y) / d as one row (re, im, D) over
-    D, the lcm of the d."""
-    den = lcm(*(d for _, _, d in entries))
-    return ([x * (den // d) for x, _, d in entries],
-            [y * (den // d) for _, y, d in entries], den)
+def common_den(matrix: list[list[tuple[int, int, int]]]) -> tuple[list[ZiRow], int]:
+    """A matrix of Gaussian rationals (x, y, d) = (x + i y) / d as
+    Gaussian-integer rows (re, im) over D, the lcm of every d: (rows, D)."""
+    den = lcm(*(d for row in matrix for _, _, d in row))
+    return [([x * (den // d) for x, _, d in row], [y * (den // d) for _, y, d in row])
+            for row in matrix], den
 
 
 def random_special_isometry(p: int, seed: int) -> tuple[list[ZiRow], int]:
@@ -554,8 +556,8 @@ def random_special_isometry(p: int, seed: int) -> tuple[list[ZiRow], int]:
             a = rng.randrange(npairs)
             z = [random_gaussian(rng, 3) for _ in range(p)]
             z[p - 1 - a] = (0, 0, 1)  # keeps z orthogonal to e_a
-            z_re, z_im, dz = common_den(z)
-            z = z_re, z_im
+            (z,), dz = common_den([z])
+            z_re, z_im = z
             zz_re, zz_im = _zi_pair(z, z)
             s_re = [2 * dz * x for x in z_re]
             s_im = [2 * dz * y for y in z_im]

@@ -26,18 +26,13 @@ from .linalg import (
 from .weights import Weight, region_membership, require_valid
 
 
-def _random_row(rng: random.Random, q: int) -> tuple[list[int], list[int], int]:
-    """q draws of random_gaussian as one row (re, im, den) = (re + i im) / den."""
-    return common_den([random_gaussian(rng) for _ in range(q)])
-
-
-def _combination(rng: random.Random, rows: list[ZiRow], den: int
-                 ) -> tuple[list[int], list[int], int]:
-    """sum_k c_k rows_k / den as (re, im, den'), for Gaussian-integer rows and
-    one coefficient c_k = random_gaussian(rng, 3) drawn per row, in order."""
-    c_re, c_im, c_den = common_den([random_gaussian(rng, 3) for _ in rows])
-    re, im = _zi_row_times((c_re, c_im), rows)
-    return re, im, c_den * den
+def _combinations(rng: random.Random, nrows: int, rows: list[ZiRow], den: int
+                  ) -> tuple[list[ZiRow], int]:
+    """nrows combinations sum_k c_k rows_k / den of Gaussian-integer rows over
+    den, as (rows', den'): one coefficient c_k = random_gaussian(rng, 3)
+    drawn per row, in order, for each combination in turn."""
+    coeffs, c_den = common_den([[random_gaussian(rng, 3) for _ in rows] for _ in range(nrows)])
+    return [_zi_row_times(c, rows) for c in coeffs], c_den * den
 
 
 def random_weight(q: int, s: int, seed: int, region: str = "W") -> Weight:
@@ -105,19 +100,18 @@ def random_instance(q: int, s: int, seed: int, mode: str = "generic",
     fs = random_flag_system(q, s, seed * 17 + 3, shared=(mode == "shared_flag"))
     nrows = s - 2
     if mode == "generic":
-        rows = [_random_row(rng, q) for _ in range(nrows)]
+        a = common_den([[random_gaussian(rng) for _ in range(q)] for _ in range(nrows)])
     elif mode == "low_rank":
-        base_re, base_im, base_den = _random_row(rng, q)
-        rows = [_combination(rng, [(base_re, base_im)], base_den) for _ in range(nrows)]
+        a = _combinations(rng, nrows, *common_den([[random_gaussian(rng) for _ in range(q)]]))
     elif mode == "isotropic_span":
         line = random_isotropic_subspace(q, 1, seed * 13 + 5)
-        rows = [_combination(rng, list(line.zi_rows), line.den) for _ in range(nrows)]
+        a = _combinations(rng, nrows, line.zi_rows, line.den)
     elif mode == "shared_flag":
         perp = orthocomplement(fs.flags[0].piece(1), BilinearForm(q))
-        rows = [_combination(rng, list(perp.zi_rows), perp.den) for _ in range(nrows)]
+        a = _combinations(rng, nrows, perp.zi_rows, perp.den)
     else:
         raise InputError(f"unknown instance mode {mode!r}")
-    return HiggsTuple(q, s, rows), fs, w
+    return HiggsTuple(q, s, *a), fs, w
 
 
 def mixed_mode(seed: int) -> str:

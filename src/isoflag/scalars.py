@@ -7,11 +7,13 @@ equality is equality.
 
 The decisions run on Gaussian integers over integer denominators (linalg),
 from parsing to the printed certificate, and instance generation draws its
-flags and rows straight into that form.  Scalar, a pair of Fractions, is
-built only by the readers that return Scalars (io.scalar_from_json and
-vector_from_json) and by the Scalar views and constructors kept for them
-(Subspace.rows, Subspace.from_vectors, the ExtensionLine constructor); no
-decision and no generated instance builds one.
+flags and rows straight into that form.  Every matrix io reads (a flag
+basis, A, an eigenbasis, a subspace's rows) is read into it as well.
+Scalar, a pair of Fractions, is built only by the readers that return
+Scalars (io.scalar_from_json and vector_from_json) and by the Scalar views
+and constructors kept for them (Subspace.rows, Subspace.from_vectors, the
+ExtensionLine constructor); no decision and no generated instance builds
+one.
 """
 
 from __future__ import annotations

@@ -76,11 +76,11 @@ def flag_inverse(f: IsotropicFlag) -> list[Vector]:
 
 def higgs_from_rows(q: int, s: int, rows) -> HiggsTuple:
     """The row tuple of the Scalar rows given."""
-    return HiggsTuple(q, s, [_gaussian_row(row) for row in rows])
+    return HiggsTuple(q, s, *gaussian_matrix(list(rows)))
 
 
 def higgs_rows(a: HiggsTuple) -> tuple[Vector, ...]:
-    return tuple(_scalar_row((re, im), den) for re, im, den in a.integer_rows)
+    return tuple(_scalar_row(row, a.den) for row in a.zi_rows)
 
 
 def oneps_from_rows(l: int, m: tuple[int, ...], basis) -> OnePS:
@@ -100,8 +100,7 @@ def completion_rows(w: Subspace) -> tuple[Vector, ...]:
 
 def line_parts(line: ExtensionLine) -> tuple[Vector, Vector, Scalar]:
     """An extension line's base, twist and delta as Scalars."""
-    base, twist, delta = (_scalar_row(row[:2], row[2])
-                          for row in (line.base, line.twist, line.delta))
+    base, twist, delta = (_scalar_row(*part) for part in (line.base, line.twist, line.delta))
     return base, twist, delta[0]
 
 
@@ -238,8 +237,8 @@ def mat_mul(a: list[Vector], b: list[Vector]) -> list[Vector]:
     b_rows, b_den = gaussian_matrix(b)
     out = []
     for row in a:
-        a_re, a_im, den = _gaussian_row(row)
-        acc_re, acc_im = _zi_row_times((a_re, a_im), b_rows)
+        a_row, den = _gaussian_row(row)
+        acc_re, acc_im = _zi_row_times(a_row, b_rows)
         den *= b_den
         out.append(tuple(_scalar(x, y, den) for x, y in zip(acc_re, acc_im)))
     return out

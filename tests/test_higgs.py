@@ -152,17 +152,17 @@ def test_row_denominator_below_one_rejected(den):
     # -4 to be written as "1/-2"
     from isoflag.higgs import HiggsTuple
     with pytest.raises(InputError, match="row denominator must be positive"):
-        HiggsTuple(3, 3, [([1, 0, 0], [0, 0, 0], den)])
+        HiggsTuple(3, 3, [([1, 0, 0], [0, 0, 0])], den)
 
 
 def test_row_reduced_to_least_denominator():
-    # the same row over a denominator that is not its least one is the same
-    # row tuple, so == and the hash are value equality
+    # the same rows over a denominator that is not their least one are the
+    # same row tuple, so == and the hash are value equality
     from isoflag.higgs import HiggsTuple
-    doubled = HiggsTuple(3, 3, [([2, 0, 0], [0, 0, 0], 2)])
-    least = HiggsTuple(3, 3, [([1, 0, 0], [0, 0, 0], 1)])
+    doubled = HiggsTuple(3, 3, [([2, 0, 0], [0, 0, 0])], 2)
+    least = HiggsTuple(3, 3, [([1, 0, 0], [0, 0, 0])], 1)
     assert doubled == least and hash(doubled) == hash(least)
-    assert doubled.integer_rows == (((1, 0, 0), (0, 0, 0), 1),)
+    assert (doubled.zi_rows, doubled.den) == ((((1, 0, 0), (0, 0, 0)),), 1)
 
 
 class TestGenerationBuildsNoScalars:
@@ -281,12 +281,12 @@ class TestOrderKey:
 class TestRowSpan:
     @staticmethod
     def _count_row_eliminations(monkeypatch, a):
-        """Record every rref of exactly the instance's rows, each cleared of
-        its denominators."""
+        """Record every rref of exactly the instance's rows, its
+        Gaussian-integer matrix."""
         from isoflag import linalg
         real = linalg.rref
         calls = []
-        cleared = [(re, im) for re, im, _ in a.integer_rows]
+        cleared = list(a.zi_rows)
 
         def counting(rows):
             if list(rows) == cleared:

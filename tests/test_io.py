@@ -11,7 +11,7 @@ import pytest
 from isoflag.cli import main
 from isoflag.errors import InputError, InternalConsistencyError, ParseError
 from isoflag.flags import FlagSystem
-from isoflag.higgs import decide_stability
+from isoflag.higgs import decide_stability, isotropic_radicals
 from isoflag.io import (
     InstanceFile,
     instance_from_json,
@@ -27,13 +27,14 @@ from isoflag.io import (
     weight_from_json,
     weight_to_json,
 )
-from isoflag.linalg import BilinearForm, Subspace
+from isoflag.linalg import BilinearForm, Subspace, isotropy_classify
 from isoflag.randgen import mixed_mode, random_flag_system, random_instance, random_weight
 from isoflag.scalars import Scalar, parse_fraction, parse_rational, sc
 from isoflag.weights import Weight
 
 from helpers import (flag_from_rows, higgs_from_rows, hyperbolic_basis, matrix_to_json,
                      oneps_from_rows, random_scalar, standard_basis)
+from test_pinned_outputs import CROSSCHECK_POOLS
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 
@@ -81,6 +82,64 @@ class TestRoundTrip:
     def test_oneps(self):
         lam = oneps_from_rows(2, (1, 0, -1), standard_basis(3))
         assert oneps_from_json(oneps_to_json(lam)) == lam
+
+    def test_a_over_mixed_denominators(self):
+        """A is held over one denominator, 42 here, and written from it: each
+        entry still prints as its own reduced fraction, so a file whose rows
+        of A have denominators 2, 3 and 7 is a fixed point of
+        serialize(parse)."""
+        a, fs, w = random_instance(4, 5, 2)
+        obj = instance_to_json(InstanceFile(w, fs, a))
+
+        def row(*entries):
+            return [{"re": re, "im": im} for re, im in entries]
+
+        obj["A"] = [row(("1/2", "0"), ("0", "-3/2"), ("5", "0"), ("-1/2", "1/2")),
+                    row(("2/3", "0"), ("-1", "1/3"), ("0", "0"), ("0", "4/3")),
+                    row(("0", "6/7"), ("-1/7", "0"), ("3", "-2"), ("9/7", "1/7"))]
+        text = json.dumps(obj, indent=2)
+        back = parse_instance_text(text)
+        assert back.higgs.den == 42
+        assert serialize_instance(back) == text
+
+    def test_subspaces_of_the_crosscheck_pool(self):
+        """T, the harvest's radicals and the certificate subspaces of every
+        crosscheck pool instance read back from their JSON as themselves."""
+        kinds = set()
+        for q, s, mixed, size in CROSSCHECK_POOLS:
+            form = BilinearForm(q)
+            for seed in range(size):
+                a, fs, w = random_instance(q, s, seed, mixed_mode(seed) if mixed else "generic")
+                t_sub = a.span_perp()
+                subs = [t_sub, *isotropic_radicals(t_sub, isotropy_classify(t_sub, form)[1],
+                                                   fs, 1)]
+                cert = decide_stability(a, fs, w).certificate
+                if cert is not None:
+                    kinds.add(cert.kind)
+                    subs += [sub for sub in (cert.span, cert.witness, cert.coisotropic)
+                             if isinstance(sub, Subspace)]
+                for sub in subs:
+                    assert subspace_from_json(subspace_to_json(sub), "/s") == sub, (q, s, seed)
+        assert kinds == {"isotropic_span", "positive_coisotropic"}
+
+    def test_subspace_reader_matches_from_vectors(self):
+        """The reader eliminates Gaussian-integer rows and Subspace.from_vectors
+        Scalar rows; both give the same subspace on rows that are not a
+        canonical basis: zero, repeated and dependent rows, mixed
+        denominators and purely imaginary entries."""
+        rng = random.Random(61)
+        for q in range(1, 7):
+            for _ in range(6):
+                rows = [tuple(random_scalar(rng, 7) for _ in range(q))
+                        for _ in range(rng.randint(1, q))]
+                rows.append(tuple(Scalar(0, x.im) for x in rows[0]))
+                rows.append(tuple(Scalar(0, F(rng.randint(-5, 5), 7)) for _ in range(q)))
+                c = random_scalar(rng, 3)
+                rows.append(tuple(c * x + y for x, y in zip(rows[0], rows[-1])))
+                rows += [rows[1], tuple(sc(0) for _ in range(q))]
+                rng.shuffle(rows)
+                sub = subspace_from_json({"ambient": q, "rows": matrix_to_json(rows)}, "/s")
+                assert sub == Subspace.from_vectors(rows, q), (q, rows)
 
 
 class TestParseErrors:
@@ -203,11 +262,43 @@ class TestParseErrors:
          "rows must have length 3"),
         ({"ambient": 1, "rows": [[{"re": "1", "im": "0"}] * 2] * 2}, "/span/rows",
          "rows must have length 1"),
+        # a fault in the rows raises at its own pointer, as in a flag
+        ({"rows": []}, "/span", "expected an object with 'ambient' and 'rows'"),
+        ([], "/span", "expected an object with 'ambient' and 'rows'"),
+        ({"ambient": False, "rows": []}, "/span/ambient", "ambient must be a positive integer"),
+        ({"ambient": 3, "rows": [[]]}, "/span/rows", "rows must have length 3"),
+        ({"ambient": 2, "rows": {}}, "/span/rows", "expected an array of rows"),
+        ({"ambient": 2, "rows": [[{"re": "1", "im": "0"}] * 2, [{"re": "1", "im": "0"}]]},
+         "/span/rows", "ragged matrix"),
+        ({"ambient": 2, "rows": [[{"re": "1", "im": "0"}, "0"]]}, "/span/rows/0/1",
+         "expected an object with 're' and 'im'"),
+        ({"ambient": 2, "rows": [[{"re": "1", "im": "0"}] * 2, [{"re": "1", "im": "x"}] * 2]},
+         "/span/rows/1/0/im", "malformed rational 'x'"),
+        ({"ambient": 1, "rows": [[{"re": "1/0", "im": "0"}]]}, "/span/rows/0/0/re",
+         "zero denominator"),
     ])
     def test_subspace_rejected(self, obj, pointer, message):
         with pytest.raises(ParseError) as err:
             subspace_from_json(obj, "/span")
         assert (err.value.path, err.value.message) == (pointer, message)
+
+    @pytest.mark.parametrize("sizes,pointer", [({1: 3}, "/flags/1"), ({2: 5}, "/flags/2"),
+                                               ({j: 3 for j in range(4)}, "/flags/0")])
+    def test_flag_size_rejected(self, tmp_path, capsys, sizes, pointer):
+        """A flag whose size is not the weight's q is bad input at its own
+        pointer, the first such flag's when there are several, and batch
+        names the file."""
+        obj = quad_instance()
+        for j, size in sizes.items():
+            obj["flags"][j] = [[{"re": str(int(i == k)), "im": "0"} for k in range(size)]
+                               for i in range(size)]
+        message = "flag dimension does not match weight q"
+        self._rejected(obj, tmp_path, capsys, pointer, message)
+        directory = tmp_path / "batch"
+        directory.mkdir()
+        (directory / "bad-size.instance.json").write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["batch", str(directory)]) == 65
+        assert f"bad-size.instance.json:{pointer}: {message}" in capsys.readouterr().err
 
     def test_flag_not_an_array(self, tmp_path, capsys):
         obj = quad_instance()

@@ -123,7 +123,7 @@ def _fraction_rref(rows):
 def _canonical(m):
     """rref of m's rows, each cleared of its denominators, as the Scalar
     rows D R / D and the pivot columns."""
-    den, red, pivots = rref([_gaussian_row(r)[:2] for r in m])
+    den, red, pivots = rref([_gaussian_row(r)[0] for r in m])
     return [_scalar_row(row, den) for row in red], list(pivots)
 
 

@@ -125,27 +125,21 @@ def reference_instance(obj) -> dict:
         rows = _rows(f, f"/flags/{j}")
         if not rows or len(rows) != len(rows[0]):
             raise ParseError(f"/flags/{j}", "flag basis must be a square matrix")
+        if len(rows) != q:
+            raise ParseError(f"/flags/{j}", "flag dimension does not match weight q")
         flags.append(_over(rows))
-    if any(len(f[0]) != len(flags[0][0]) for f in flags):
-        raise InputError("flags have mismatched dimensions")
-    if len(flags[0][0]) != q:
-        raise ParseError("/flags", "flag dimension does not match weight q")
     rows = _rows(obj["A"], "/A")
     if len(rows) != s - 2:
         raise ParseError("/A", f"expected {s - 2} rows")
     if rows and len(rows[0]) != q:
         raise ParseError("/A", f"rows must have length {q}")
-    higgs = []
-    for row in rows:
-        (zi_row,), den = _over([row])
-        higgs.append((*zi_row, den))
     seed = obj.get("seed")
     if seed is not None and type(seed) is not int:
         raise ParseError("/seed", "seed must be an integer")
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("/metadata", "metadata must be an object")
-    return {"weight": (q, s, alphas, betas), "flags": flags, "A": higgs,
+    return {"weight": (q, s, alphas, betas), "flags": flags, "A": _over(rows),
             "seed": seed, "metadata": metadata}
 
 
@@ -154,7 +148,7 @@ def _read(obj) -> dict:
     w = inst.weight
     flags = [(flag.zi_rows, flag.den) for flag in inst.flags.flags]
     return {"weight": (w.q, w.s, w.alpha, w.beta), "flags": flags,
-            "A": [(list(re), list(im), den) for re, im, den in inst.higgs.integer_rows],
+            "A": ([(list(re), list(im)) for re, im in inst.higgs.zi_rows], inst.higgs.den),
             "seed": inst.seed, "metadata": inst.metadata}
 
 

@@ -18,6 +18,10 @@ modes listed below.  To record the digests of the current tree:
 
     PYTHONPATH=src python tests/test_pinned_outputs.py > tests/pinned_outputs.json
 
+The pools above cover the degenerate modes only at q 3 and 4, so one
+sha256 (``RANDOM_INSTANCE_GRID_SHA256``) also pins ``serialize_instance`` of
+``random_instance`` in every mode for q in 2..8 and s in {3, q + 1}.
+
 ``gen`` builds its instance through another path (``random_weight``,
 ``random_flag_system`` and ``generate_stable_instance``), so its exit code
 and stdout are pinned the same way, in ``gen_outputs.json``, for q in 2..8,
@@ -45,6 +49,11 @@ from isoflag.randgen import mixed_mode, random_instance
 FIXTURE = Path(__file__).resolve().parent / "pinned_outputs.json"
 GEN_FIXTURE = Path(__file__).resolve().parent / "gen_outputs.json"
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+# sha256 over serialize_instance(random_instance(q, s, 5 q + k, MODES[k]))
+# for q in 2..8, each mode k in turn and s in {3, q + 1}, in that order
+RANDOM_INSTANCE_GRID_SHA256 = "e946a5f9aae83656e79e4a31c417caee26d169f9b7fa5d91b807d7a08fb8a4eb"
+MODES = ("generic", "low_rank", "isotropic_span", "shared_flag")
 
 # (q, s, mixed-mode schedule, pool size) per shape
 DECIDE_POOLS = ((5, 5, False, 8), (6, 6, False, 8), (7, 7, False, 8), (8, 8, False, 8),
@@ -134,6 +143,16 @@ def test_instance_file_pinned(instance):
 
 def test_instance_pools_are_the_benchmark_pools():
     assert sorted(_bench_reference()) == sorted(_instance_key(*i) for i in _instances())
+
+
+def test_random_instance_grid_pinned():
+    digest = hashlib.sha256()
+    for q in range(2, 9):
+        for k, mode in enumerate(MODES):
+            for s in (3, q + 1):
+                a, fs, w = random_instance(q, s, 5 * q + k, mode)
+                digest.update(serialize_instance(InstanceFile(w, fs, a)).encode())
+    assert digest.hexdigest() == RANDOM_INSTANCE_GRID_SHA256
 
 
 def test_gen_output_pinned():

@@ -12,8 +12,7 @@ import isoflag.cli  # noqa: F401  (the tracer patches every isoflag module)
 from isoflag import linalg
 from isoflag.higgs import decide_stability
 from isoflag.hmgit import consistency_check
-from isoflag.io import (InstanceFile, parse_instance_text, serialize_instance, subspace_from_json,
-                        subspace_to_json)
+from isoflag.io import InstanceFile, parse_instance_text, serialize_instance
 from isoflag.randgen import random_instance
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -43,8 +42,8 @@ def test_elimination_layers_fire_and_uninstall_restores():
         decided = tracer.fired()
         consistency_check(unstable.higgs, unstable.flags, unstable.weight)
         checked = tracer.fired()
-        # a subspace read from JSON is built from Scalar vectors
-        subspace_from_json(subspace_to_json(unstable.higgs.span()), "/span")
+        # a kernel of Scalar rows is built from Scalar vectors
+        linalg.kernel_basis(list(unstable.higgs.span().rows), unstable.weight.q)
     finally:
         tracer.uninstall()
     # a parsed instance's rows reach rref as Gaussian integers, so neither
