@@ -4,8 +4,9 @@ Commands: validate, regions, decide, hm, crosscheck, gen, batch.  Output is
 machine-readable JSON (CSV for batch reports on request) with a stable field
 order.  Exit codes: decide maps its verdict to 0/1/2/3; other commands return
 0 on success; every command returns 64 on usage errors (among them a gen
-shape with --q below 2, --s below 3 or --s below q + 2), 65 on data errors,
-70 on internal errors (a failed self-check or any other uncaught exception,
+shape with --q below 2, --s below 3 or --s below q + 2), 65 on data errors
+(a batch too, serial or parallel, with the malformed file named), 70 on
+internal errors (a failed self-check or any other uncaught exception,
 which is a bug, not bad input) and 74 on output errors: standard output
 closed before the output is written (as in `isoflag crosscheck FILE |
 head -3`), or a batch --csv path that cannot be written (a missing

@@ -17,6 +17,11 @@ class ParseError(IsoflagError):
         self.message = message
         super().__init__(f"{path}: {message}")
 
+    def __reduce__(self):
+        # args holds the one formatted string, which is not what __init__
+        # takes: a worker process sends the error back by pickling it
+        return type(self), (self.path, self.message)
+
 
 class InternalConsistencyError(IsoflagError):
     """Two independently computed values that must agree did not.

@@ -33,6 +33,7 @@ from .linalg import (
     Subspace,
     ZiRow,
     _zi_eliminate,
+    _zi_entry,
     _zi_gram,
     _zi_hyperbolic,
     _zi_pair,
@@ -66,25 +67,18 @@ class IsotropicFlag:
        (linalg._zi_pair).  The basis is
        hyperbolic exactly when B' J B'^T = d^2 J (linalg._zi_hyperbolic);
        otherwise the pairings are not the coordinates.
-    2. zi_echelon scans the flag coordinates from the top, k = q-1 down,
-       pairing the rows that have no pivot yet with w'_{q-1-k}.  The first
-       row with a nonzero pairing a becomes the pivot p at end k, and every
-       other row x with pairing c becomes (a x - c p) / a_prev, which is
-       zero at k, with a_prev the previous pivot's pairing (1 at the first
-       pivot); a row that becomes zero was dependent and is dropped.
-       This is the fraction-free step of Bareiss (linalg._zi_eliminate) on
-       the rows' flag coordinates and standard coordinates side by side,
-       the pairings being linear in the row: by Sylvester's identity every
-       entry is a minor of that matrix, so the division is exact and the
-       entries grow as minors do, not with every pivot.  Every row left
-       after the scan of k is zero at k and above, and each pivot ends at
-       its own k.  Lemma: a nonzero combination of rows with distinct
-       ends ends exactly where its used row of largest end does, since
-       every other used row is zero there.  So it lies in F_i exactly when
-       it uses only rows ending below i: those rows are a basis of
-       sub ^ F_i, their count is profile[i], and the ends depend only on
-       the span of the rows.  The scan stops at the lowest end, when no row
-       is left: no coordinate below it is read.
+    2. zi_echelon is the one fraction-free elimination
+       (linalg._zi_eliminate) of the rows, reading the flag coordinates
+       from the top, k = q-1 down: coordinate k of a row is its pairing
+       with w'_{q-1-k}, which is linear in the row.  Each pivot ends at its
+       own k, and every row left after the scan of k is zero at k and
+       above.  Lemma: a nonzero combination of rows with distinct ends
+       ends exactly where its used row of largest end does, since every
+       other used row is zero there.  So it lies in F_i exactly when it
+       uses only rows ending below i: those rows are a basis of sub ^ F_i,
+       their count is profile[i], and the ends depend only on the span of
+       the rows.  The scan stops at the lowest end, when no row is left:
+       no coordinate below it is read.
     3. The rows stay in standard coordinates: scaling a row by a nonzero
        element of Q(i) and adding a multiple of another keep the span of
        the rows left, which is sub ^ F_k after each pivot.  So the last
@@ -99,9 +93,10 @@ class IsotropicFlag:
        Gram matrix G = R J R^T is the form on them, and with the rows
        ending below i a basis of sub ^ F_i,
        dim rad(sub ^ F_i) = (rows ending below i) - (rank of their
-       principal submatrix of G).  A piece first reached at i with
-       2i <= q lies in the isotropic F_i, so its radical dimension is its
-       dimension.
+       principal submatrix of G), the rank being the pivot count of
+       linalg._zi_eliminate over the submatrix's columns.  A piece first
+       reached at i with 2i <= q lies in the isotropic F_i, so its radical
+       dimension is its dimension.
 
     Whether the basis is hyperbolic is computed when the flag is made.
     zi_echelon and line_end, and with them profile, intersect_piece and
@@ -150,41 +145,15 @@ class IsotropicFlag:
         the given rows, and the rows ending below i span sub ^ F_i (item
         3).  Zero and dependent rows are dropped."""
         self._require_hyperbolic()
-        left = [row for row in rows if any(row[0]) or any(row[1])]
+        w, q = self.zi_rows, self.q
+        # flag coordinate k of a row, times den (class docstring, item 1)
+        pivots, ends = _zi_eliminate(rows, lambda row, k: _zi_pair(row, w[q - 1 - k]),
+                                     range(q - 1, -1, -1))
         echelon_rows: list[ZiRow] = []
-        ends: list[int] = []
-        prev = (1, 0, 1)  # the last pivot's pairing, as (re, im, norm)
-        k = self.q
-        while left:
-            k -= 1
-            # flag coordinate k of each row, times den (class docstring, item 1)
-            w = self.zi_rows[self.q - 1 - k]
-            coords = [_zi_pair(row, w) for row in left]
-            for m, (a, b) in enumerate(coords):
-                if a or b:
-                    break
-            else:
-                continue
-            p_re, p_im = pivot = left.pop(m)
-            del coords[m]
+        for pivot in pivots:
+            p_re, p_im = pivot
             g = gcd(*p_re, *p_im)
             echelon_rows.append(pivot if g == 1 else ([x // g for x in p_re], [x // g for x in p_im]))
-            ends.append(k)
-            # (a x - c p) / prev, exact (class docstring, item 2), as
-            # (a conj(prev) x - c conj(prev) p) / |prev|^2
-            e, f, n = prev
-            a1, b1 = a * e + b * f, b * e - a * f
-            rest = []
-            for (x_re, x_im), (c, d) in zip(left, coords):
-                c1, d1 = c * e + d * f, d * e - c * f
-                re = [(a1 * x - b1 * y - c1 * u + d1 * v) // n
-                      for x, y, u, v in zip(x_re, x_im, p_re, p_im)]
-                im = [(a1 * y + b1 * x - c1 * v - d1 * u) // n
-                      for x, y, u, v in zip(x_re, x_im, p_re, p_im)]
-                if any(re) or any(im):
-                    rest.append((re, im))
-            left = rest
-            prev = (a, b, a * a + b * b)
         return echelon_rows, ends
 
     def line_end(self, row: ZiRow) -> int:
@@ -251,7 +220,7 @@ class IsotropicFlag:
         if not gram:
             gram += _zi_gram(rows)
         block = [(re[-n:], im[-n:]) for re, im in gram[-n:]]
-        return n - len(_zi_eliminate(block)[1])
+        return n - len(_zi_eliminate(block, _zi_entry, range(n))[1])
 
 
 def validate_flag(flag: IsotropicFlag) -> list[str]:

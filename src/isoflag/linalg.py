@@ -12,8 +12,8 @@ eigenbases, isometries and the row tuple A alike.  _least puts a matrix
 over its least denominator.  The pairing Q(x, y) of two rows is computed
 in one place (_zi_pair), except in the sparse hyperbolicity check
 (_zi_hyperbolic).  Subspaces are held in their canonical form over the
-Gaussian integers Z[i] (Subspace, rref), built by one fraction-free
-elimination (_zi_eliminate).  Instance generation draws straight into the
+Gaussian integers Z[i] (Subspace, rref), built by the one fraction-free
+elimination (_zi_eliminate), which flags run with their own readers.  Instance generation draws straight into the
 matrix form: common_den puts a matrix of drawn Gaussian rationals over one
 denominator as (rows, den), and random_special_isometry makes its random
 isometry on Gaussian-integer rows over their least common denominator, the
@@ -29,7 +29,7 @@ rows, as Gaussian integers, with no further elimination.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -147,67 +147,85 @@ def _zi_hyperbolic(rows: Sequence[ZiRow], den: int) -> bool:
     return True
 
 
-def _zi_eliminate(work: list[ZiRow], *, reduced: bool = False) -> tuple[list[ZiRow], list[int]]:
-    """Fraction-free elimination (Bareiss 1968) of Gaussian-integer rows
-    (re, im), in place.  Returns (the nonzero rows, their pivot columns); the
-    rows are in echelon order, each is zero left of its pivot (so in the
-    pivot columns of the rows above it), and none is divided by its pivot.
-    This forward pass is all a flag echelon needs: its ends, and its spans
-    below each end, depend only on the pivots being distinct (IsotropicFlag,
-    item 2).  reduced=True, for rref, also clears each pivot column in the
-    rows above (Gauss-Jordan); every pivot then ends equal to the last one.
+def _zi_entry(row: ZiRow, col: int) -> tuple[int, int]:
+    """A row's entry at col, as (re, im): _zi_eliminate's reader of columns."""
+    return row[0][col], row[1][col]
 
-    Every row being cleared is replaced by (p row - c pivot_row) / p_prev,
-    where p is the new pivot, c the row's entry in the pivot column and
-    p_prev the previous pivot (1 at the start).  By Sylvester's identity
-    each entry is then a minor of the input matrix, so the division is
-    exact; the rows below the pivot get the same update in both passes.  A
-    row above is zero in the new pivot's column at its own pivot, so that
-    pivot becomes p p_prev / p_prev = p.  Each step scales rows by nonzero
-    elements of Z[i] and adds multiples of one row to another, so the row
-    span and the pivot columns are those of elimination over Q(i).
+
+def _zi_step(x: ZiRow, c: tuple[int, int], p: ZiRow, a: tuple[int, int],
+             prev: tuple[int, int]) -> tuple[list[int], list[int]]:
+    """(a x - c p) / prev for Gaussian-integer rows x, p and Gaussian
+    integers c, a, prev as (re, im), computed as
+    (a conj(prev) x - c conj(prev) p) / |prev|^2, every division checked."""
+    e, f = prev
+    n = e * e + f * f
+    a1, b1 = a[0] * e + a[1] * f, a[1] * e - a[0] * f
+    c1, d1 = c[0] * e + c[1] * f, c[1] * e - c[0] * f
+    re: list[int] = []
+    im: list[int] = []
+    for x_re, x_im, u, v in zip(*x, *p):
+        q_re, r_re = divmod(a1 * x_re - b1 * x_im - c1 * u + d1 * v, n)
+        q_im, r_im = divmod(a1 * x_im + b1 * x_re - c1 * v - d1 * u, n)
+        if r_re or r_im:
+            raise InternalConsistencyError("inexact fraction-free division")
+        re.append(q_re)
+        im.append(q_im)
+    return re, im
+
+
+def _zi_eliminate(rows: Sequence[ZiRow], read: Callable[[ZiRow, int], tuple[int, int]],
+                  positions: Iterable[int], *,
+                  reduced: bool = False) -> tuple[list[ZiRow], list[int]]:
+    """The one fraction-free elimination (Bareiss 1968) of Gaussian-integer
+    rows (re, im).  read(row, pos) is a row's Gaussian-integer coordinate
+    at pos, linear in the row: rref reads columns, IsotropicFlag.zi_echelon
+    pairings with a flag's basis, radical_dim a Gram block's columns.
+    Returns (the pivot rows, their positions) in the order found, no row
+    divided by its pivot.
+
+    At each position in turn, the first remaining row with a nonzero
+    coordinate a is taken out as the pivot p, and every other remaining row
+    x, with coordinate c, becomes (a x - c p) / a_prev, a_prev the previous
+    pivot's coordinate (1 at first); the rows keep their order.  By
+    Sylvester's identity each entry is then a minor of the rows'
+    coordinates and entries side by side, so the division is exact;
+    _zi_step checks it, so a fault raises InternalConsistencyError rather
+    than floor a row.  Rows that are or become zero are dropped, and the
+    scan stops when none is left.  Each step scales rows by nonzero
+    elements of Z[i] and adds multiples of one row to another, so the
+    pivot rows span the rows and their positions are those of elimination
+    over Q(i).  reduced=True, for rref, gives the earlier pivot rows the
+    same update (Gauss-Jordan): the new pivot row is zero at their
+    positions, so each earlier pivot becomes a a_prev / a_prev = a, and
+    every pivot ends equal to the last one.
     """
-    if not work:
-        return [], []
-    ncols = len(work[0][0])
-    nrows = len(work)
-    pivots: list[int] = []
-    prev_re, prev_im, prev_norm = 1, 0, 1
-    row = 0
-    for col in range(ncols):
-        for pivot_row in range(row, nrows):
-            if work[pivot_row][0][col] or work[pivot_row][1][col]:
+    left = [row for row in rows if any(row[0]) or any(row[1])]
+    done: list[ZiRow] = []
+    found: list[int] = []
+    prev = (1, 0)
+    for pos in positions:
+        if not left:
+            break
+        coords = [read(row, pos) for row in left]
+        for m, a in enumerate(coords):
+            if a[0] or a[1]:
                 break
         else:
             continue
-        work[row], work[pivot_row] = work[pivot_row], work[row]
-        p_re, p_im = work[row]
-        a, b = p_re[col], p_im[col]
-        for r in range(0 if reduced else row + 1, nrows):
-            if r == row:
-                continue
-            x_re, x_im = work[r]
-            c, d = x_re[col], x_im[col]
-            new_re = []
-            new_im = []
-            for x, y, u, v in zip(x_re, x_im, p_re, p_im):
-                # t = (a + bi)(x + yi) - (c + di)(u + vi); t / p_prev is
-                # t conj(p_prev) / |p_prev|^2
-                t_re = a * x - b * y - c * u + d * v
-                t_im = a * y + b * x - c * v - d * u
-                q_re, rem_re = divmod(t_re * prev_re + t_im * prev_im, prev_norm)
-                q_im, rem_im = divmod(t_im * prev_re - t_re * prev_im, prev_norm)
-                if rem_re or rem_im:
-                    raise InternalConsistencyError("inexact fraction-free division")
-                new_re.append(q_re)
-                new_im.append(q_im)
-            work[r] = (new_re, new_im)
-        pivots.append(col)
-        prev_re, prev_im, prev_norm = a, b, a * a + b * b
-        row += 1
-        if row == nrows:
-            break
-    return work[:row], pivots
+        pivot = left.pop(m)
+        del coords[m]
+        if reduced:
+            done = [_zi_step(x, read(x, pos), pivot, a, prev) for x in done]
+        rest = []
+        for x, c in zip(left, coords):
+            re, im = x = _zi_step(x, c, pivot, a, prev)
+            if any(re) or any(im):
+                rest.append(x)
+        left = rest
+        done.append(pivot)
+        found.append(pos)
+        prev = a
+    return done, found
 
 
 def rref(rows: list[ZiRow]) -> tuple[int, tuple[ZiRow, ...], tuple[int, ...]]:
@@ -216,23 +234,22 @@ def rref(rows: list[ZiRow]) -> tuple[int, tuple[ZiRow, ...], tuple[int, ...]]:
     D R Gaussian-integral.  R is unique to the row span, so D and D R are
     too.
 
-    One reduced _zi_eliminate leaves every pivot equal to one d, so each
-    row of R is x / d = x conj(d) / |d|^2 for an eliminated row x.  With g
-    the gcd of |d|^2 and every integer part of every x conj(d),
+    One reduced _zi_eliminate by columns leaves every pivot equal to one d,
+    so each row of R is x / d = x conj(d) / |d|^2 for an eliminated row x.
+    _least puts the rows x conj(d) over |d|^2 by their gcd g with |d|^2,
     D = |d|^2 / g and D R = x conj(d) / g: no prime divides both D and
     every entry of D R, so no smaller D clears R.  The pivot entries of D R
     are D.
     """
-    work, pivots = _zi_eliminate(list(rows), reduced=True)
+    work, pivots = _zi_eliminate(rows, _zi_entry, range(len(rows[0][0]) if rows else 0),
+                                 reduced=True)
     if not work:
         return 1, (), ()
-    a, b = work[0][0][pivots[0]], work[0][1][pivots[0]]
-    scaled = [([x * a + y * b for x, y in zip(re, im)], [y * a - x * b for x, y in zip(re, im)])
-              for re, im in work]
-    g = gcd(a * a + b * b, *(v for re, im in scaled for part in (re, im) for v in part))
-    return ((a * a + b * b) // g,
-            tuple((tuple(x // g for x in re), tuple(y // g for y in im)) for re, im in scaled),
-            tuple(pivots))
+    a, b = _zi_entry(work[0], pivots[0])
+    scaled, den = _least([([x * a + y * b for x, y in zip(re, im)],
+                           [y * a - x * b for x, y in zip(re, im)]) for re, im in work],
+                         a * a + b * b)
+    return den, tuple((tuple(re), tuple(im)) for re, im in scaled), tuple(pivots)
 
 
 def _reduced_kernel(y: "Subspace") -> list[ZiRow]:
@@ -292,8 +309,8 @@ class Subspace:
 
     Equal subspaces have equal (D, D R), so == and the hash compare
     integers.  A Subspace is immutable; its hash, its Scalar rows (read by
-    instance generation and the tests) and its isotropy_classify are built
-    on first use and kept.  Membership needs no elimination (see _spans).
+    invert_matrix and the tests) and its isotropy_classify are built on
+    first use and kept.  Membership needs no elimination (see _spans).
     """
 
     __slots__ = ("ambient", "den", "zi_rows", "pivots", "_rows", "_hash", "_isotropy")

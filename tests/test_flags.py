@@ -386,6 +386,25 @@ class TestIntegerEchelon:
         assert dens >= 16
         assert compared >= 700
 
+    def test_inexact_division_raises(self, monkeypatch):
+        # a pairing that is not linear in the row (shifted by 1) makes the
+        # scan's division by the previous pivot's pairing inexact, which
+        # must be an error, not a floored echelon
+        real = flags_mod._zi_pair
+
+        def shifted(x, y):
+            re, im = real(x, y)
+            return re + 1, im
+
+        for q in range(3, 6):
+            flag = random_flag(q, q + 1)
+            rows = [([int(i == j) + (i + j) % 3 for j in range(q)], [0] * q) for i in range(q)]
+            flag.zi_echelon(rows)
+            monkeypatch.setattr(flags_mod, "_zi_pair", shifted)
+            with pytest.raises(InternalConsistencyError, match="inexact fraction-free division"):
+                flag.zi_echelon(rows)
+            monkeypatch.undo()
+
     def test_skipped_coordinates(self):
         # a subspace inside F_m of the same flag is zero at the flag
         # coordinates m..q-1, so the scan reads them and finds no pivot

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -143,6 +144,18 @@ class TestRoundTrip:
 
 
 class TestParseErrors:
+    @pytest.mark.parametrize("error", [
+        ParseError("/flags/1", "flag dimension does not match weight q"),
+        InputError("matrix is singular"),
+        InternalConsistencyError("inexact fraction-free division"),
+    ])
+    def test_error_survives_pickling(self, error):
+        # a batch worker process sends its error back pickled
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error) and str(back) == str(error)
+        if isinstance(error, ParseError):
+            assert (back.path, back.message) == (error.path, error.message)
+
     def test_zero_denominator(self):
         obj = instance_to_json(make_instance((vec(1, 0), vec(0, 1))))
         obj["weight"]["alpha"][0] = "1/0"
@@ -507,9 +520,11 @@ class TestCli:
     def test_batch_data_error_names_the_file(self, tmp_path, stable_file, capsys):
         bad = tmp_path / "broken.instance.json"
         bad.write_text("{", encoding="utf-8")
-        assert main(["batch", str(tmp_path)]) == 65
-        err = capsys.readouterr().err
-        assert err.startswith(f"data error: {bad}:/: not valid JSON")
+        for jobs in ("1", "2"):
+            # the pool re-raises the worker's error, which must unpickle
+            assert main(["batch", str(tmp_path), "--jobs", jobs]) == 65, jobs
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {bad}:/: not valid JSON"), jobs
 
     def test_oneps_data_error_names_the_file(self, tmp_path, unstable_file, capsys):
         bad = tmp_path / "bad.oneps.json"

@@ -11,6 +11,8 @@ from isoflag.linalg import (
     _gaussian_row,
     _reduced_kernel,
     _scalar_row,
+    _zi_eliminate,
+    _zi_entry,
     _zi_hyperbolic,
     complete_to_hyperbolic,
     isotropy_classify,
@@ -205,6 +207,15 @@ class TestKernelReference:
     def test_purely_imaginary(self):
         m = [vec(I, sc(0, 2), 0), vec(sc(0, F(1, 3)), sc(0, -1), sc(0, 5))]
         assert _canonical(m) == _fraction_rref(m)
+
+    def test_inexact_division_raises(self):
+        # the division by the previous pivot is exact only for a reader
+        # linear in the row: one shifted by 1 leaves a remainder at the
+        # third row, which must be an error, not a floored row
+        rows = [([2, 1, 0], [0, 0, 0]), ([1, 3, 1], [0, 0, 0]), ([0, 1, 3], [0, 0, 0])]
+        assert _zi_eliminate(rows, _zi_entry, range(3))[1] == [0, 1, 2]
+        with pytest.raises(InternalConsistencyError, match="inexact fraction-free division"):
+            _zi_eliminate(rows, lambda row, col: (row[0][col] + 1, row[1][col]), range(3))
 
     def test_mat_mul_matches_scalar_reference(self):
         rng = random.Random(29)
