@@ -13,7 +13,6 @@ from .flags import (
     IsotropicFlag,
     pardeg_subspace,
     random_flag,
-    so2_score,
     validate_flag,
 )
 from .higgs import (
@@ -42,10 +41,8 @@ from .linalg import (
     BilinearForm,
     Subspace,
     isotropy_classify,
-    meet_join,
     orthocomplement,
 )
-from .scalars import Scalar
 from .weights import (
     Weight,
     WeightStats,

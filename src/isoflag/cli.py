@@ -5,7 +5,8 @@ machine-readable JSON (CSV for batch reports on request) with a stable field
 order.  Exit codes: decide maps its verdict to 0/1/2/3; other commands return
 0 on success; every command returns 64 on usage errors (among them a gen
 shape with --q below 2, --s below 3 or --s below q + 2), 65 on data errors
-(a batch too, serial or parallel, with the malformed file named), 70 on
+(a batch too, serial or parallel, after reporting the good files, with one
+line per bad file naming it), 70 on
 internal errors (a failed self-check or any other uncaught exception,
 which is a bug, not bad input) and 74 on output errors: standard output
 closed before the output is written (as in `isoflag crosscheck FILE |
@@ -237,12 +238,19 @@ def _cmd_gen(args) -> int:
 
 
 def _decide_one_path(path_str: str) -> dict:
-    """Worker for batch mode; module-level so it pickles."""
-    inst = _read_instance(path_str)
-    start = time.perf_counter()
-    verdict = decide_stability(inst.higgs, inst.flags, inst.weight,
-                               seed=inst.seed or 0)
-    elapsed = time.perf_counter() - start
+    """Worker for batch mode; module-level so it pickles.  A file that is
+    bad input gives {"error": message naming the file}, so that it does not
+    lose the other files' rows."""
+    try:
+        inst = _read_instance(path_str)
+        start = time.perf_counter()
+        verdict = decide_stability(inst.higgs, inst.flags, inst.weight,
+                                   seed=inst.seed or 0)
+        elapsed = time.perf_counter() - start
+    except ParseError as exc:
+        return {"error": str(exc)}
+    except InputError as exc:
+        return {"error": f"{path_str}: {exc}"}
     mu = ""
     if verdict.tag == "Unstable" and verdict.certificate is not None:
         # A fresh certificate's span is isotropic and its coisotropic
@@ -286,8 +294,10 @@ def _cmd_batch(args) -> int:
             raw = list(pool.map(_decide_one_path, files))
     else:
         raw = [_decide_one_path(f) for f in files]
-    rows = [ReportRow(**r) for r in raw]
-    report = build_report(rows)
+    errors = [r["error"] for r in raw if "error" in r]
+    for message in errors:
+        print(f"data error: {message}", file=sys.stderr)
+    report = build_report([ReportRow(**r) for r in raw if "error" not in r], len(errors))
     _emit(report.to_json())
     if args.csv:
         try:
@@ -295,7 +305,7 @@ def _cmd_batch(args) -> int:
         except OSError as exc:  # an I/O fault, not a bug
             print(f"io error: cannot write {args.csv}: {exc.strerror or exc}", file=sys.stderr)
             return IO_EXIT
-    return 0
+    return DATA_EXIT if errors else 0
 
 
 _COMMANDS = {

@@ -20,6 +20,8 @@ contributes beta_i^j.  With this convention pardeg vanishes on 0 and on the
 full space, |pardeg| <= |beta|, and pardeg(V') = pardeg(V'^perp) for every
 subspace (the orthocomplement pairs jump positions i and q+1-i, whose weights
 cancel).
+Each flag's jumps sit one past the echelon ends of V' against it
+(IsotropicFlag.ends), so the flag contributes beta^j summed at the ends.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class IsotropicFlag:
     the Gaussian integers.
 
     Everything a subspace's position against the flag decides is read off
-    one echelon form of the subspace: its profile (dim(sub ^ F_i))_i and its
-    intersections with the pieces.  That echelon is computed over the
+    one echelon form of the subspace: its ends, and with them its degree and
+    its intersections with the pieces.  That echelon is computed over the
     Gaussian integers Z[i], and no Fraction is built for it:
 
     1. The basis is B = B' / d, with B' the Gaussian-integer rows zi_rows
@@ -76,9 +78,10 @@ class IsotropicFlag:
        ends exactly where its used row of largest end does, since every
        other used row is zero there.  So it lies in F_i exactly when it
        uses only rows ending below i: those rows are a basis of sub ^ F_i,
-       their count is profile[i], and the ends depend only on the span of
-       the rows.  The scan stops at the lowest end, when no row is left:
-       no coordinate below it is read.
+       so dim(sub ^ F_i), the number of ends below i, grows by one exactly
+       at i = e + 1 for each end e, and the ends depend only on the span of
+       the rows.  The scan stops at the lowest end, when no row is left: no
+       coordinate below it is read.
     3. The rows stay in standard coordinates: scaling a row by a nonzero
        element of Q(i) and adding a multiple of another keep the span of
        the rows left, which is sub ^ F_k after each pivot.  So the last
@@ -99,7 +102,7 @@ class IsotropicFlag:
        dimension is its dimension.
 
     Whether the basis is hyperbolic is computed when the flag is made.
-    zi_echelon and line_end, and with them profile, intersect_piece and
+    zi_echelon and line_end, and with them ends, intersect_piece and
     radical_dim, raise InputError when the basis is not hyperbolic.
     """
 
@@ -117,7 +120,7 @@ class IsotropicFlag:
         self.hyperbolic = _zi_hyperbolic(zi_rows, den)
         # (sub, its echelon, its echelon rows' Gram matrix) for the last
         # subspace asked about, the Gram matrix filled when first used:
-        # callers take the profile of a subspace and then several of its
+        # callers take the ends of a subspace and then several of its
         # pieces, all from one echelon form.
         self._last: tuple[Subspace, Echelon, list[ZiRow]] | None = None
 
@@ -178,27 +181,26 @@ class IsotropicFlag:
 
     def echelon(self, sub: Subspace) -> Echelon:
         """zi_echelon of sub's stored rows, kept for the last subspace asked
-        about: profile, intersect_piece, radical_dim and the line oracle's
+        about: ends, intersect_piece, radical_dim and the line oracle's
         reads of T share one echelon per flag.  The lists are shared:
         callers slice them and never change them."""
         return self._cached(sub)[1]
 
-    def profile(self, sub: Subspace) -> tuple[int, ...]:
-        """(dim(sub ^ F_i))_{i=0..q}.
-
-        F_i is cut out by the vanishing of the flag coordinates i..q-1.  The
-        echelon rows have distinct ends, so a combination of them lies in
-        F_i exactly when it uses only rows ending below i (class docstring,
-        item 2).  Those rows are a basis of sub ^ F_i, and dim(sub ^ F_i) is
-        their count.  A line's one end is read by line_end, with no echelon,
-        and the line does not replace the subspace kept in _last.
-        """
+    def ends(self, sub: Subspace) -> list[int]:
+        """The ends of sub's echelon against the flag, decreasing (class
+        docstring, item 2): dim(sub ^ F_i) is the number of ends below i.
+        A line's one end is read by line_end, with no echelon, and the line
+        does not replace the subspace kept in _last.  The list is shared,
+        as echelon's is."""
         if sub.ambient != self.q:
             raise InputError("subspace ambient dimension does not match flag")
         if sub.dim == 1:
-            end = self.line_end(sub.zi_rows[0])
-            return (0,) * (end + 1) + (1,) * (self.q - end)
-        _, ends = self.echelon(sub)
+            return [self.line_end(sub.zi_rows[0])]
+        return self.echelon(sub)[1]
+
+    def profile(self, sub: Subspace) -> tuple[int, ...]:
+        """(dim(sub ^ F_i))_{i=0..q}, the number of ends below each i."""
+        ends = self.ends(sub)
         return tuple(sum(1 for e in ends if e < i) for i in range(self.q + 1))
 
     def intersect_piece(self, sub: Subspace, i: int) -> Subspace:
@@ -278,47 +280,17 @@ def require_weight_for(fs: FlagSystem, w: Weight) -> None:
         raise InputError("weight and flag system shapes disagree")
 
 
-def pardeg_from_profile(profile: tuple[int, ...], beta_row: tuple) -> int:
-    """sum_i beta_i (profile[i] - profile[i-1]) for one puncture."""
-    total = 0
-    for i in range(1, len(profile)):
-        jump = profile[i] - profile[i - 1]
-        if jump:
-            total += beta_row[i - 1] * jump
-    return total
-
-
 def n_pardeg(sub: Subspace, fs: FlagSystem, w: Weight) -> int:
-    """N pardeg of a subspace of Q(i)^q relative to s flags and a weight,
-    from the flag profiles against N beta.  The one degree computation:
-    searches, bounds and Hilbert-Mumford weights all count in this unit."""
+    """N pardeg of a subspace of Q(i)^q relative to s flags and a weight:
+    N beta^j summed at its ends against each flag j (module docstring).  The
+    one degree computation: searches, bounds and Hilbert-Mumford weights all
+    count in this unit."""
     require_weight_for(fs, w)
     if sub.ambient != fs.q:
         raise InputError("subspace ambient dimension does not match flags")
-    return sum(pardeg_from_profile(flag.profile(sub), row)
-               for flag, row in zip(fs.flags, w.n_beta))
+    return sum(row[e] for flag, row in zip(fs.flags, w.n_beta) for e in flag.ends(sub))
 
 
 def pardeg_subspace(sub: Subspace, fs: FlagSystem, w: Weight) -> Fraction:
     """Parabolic degree of a subspace: n_pardeg over N."""
     return Fraction(n_pardeg(sub, fs, w), w.n)
-
-
-def so2_score(t: Subspace, n_abs_alpha: int) -> int:
-    """The rank-one factor's contribution N |alpha| (2 dim(T ^ U) - dim T) for
-    T among the four subspaces 0, U, U', C^2 cut out by the distinguished
-    point of the two-dimensional factor (U = <e_1>), given N |alpha|.
-
-    Only these four arise as filtration pieces of a one-parameter subgroup of
-    the rank-one factor, so anything else is an input error.
-    """
-    if t.ambient != 2:
-        raise InputError("so2_score expects a subspace of C^2")
-    if t.dim in (0, 2):
-        return 0  # 2 dim(T ^ U) - dim T vanishes for both
-    re, im = t.zi_rows[0]
-    if not (re[1] or im[1]):
-        return n_abs_alpha       # T = U
-    if not (re[0] or im[0]):
-        return -n_abs_alpha      # T = U'
-    raise InputError("so2_score: line is not a coordinate isotropic line")

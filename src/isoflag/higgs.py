@@ -32,8 +32,9 @@ flags is not attempted; the verdict carries certified bounds instead: from
 below, the best explicit isotropic witness (the line oracle's line, or a
 radical of dim >= 2 of T or of some T ^ F_i^j, built only where the Gram
 matrix of T's echelon rows in flag coordinates shows one), which is sound
-because every witness is a true isotropic subspace of T; from above, a
-per-flag greedy relaxation, which no witness enters.
+because every witness is a true isotropic subspace of T; from above, the
+best over k <= nu(T) of beta summed at T's k lowest echelon ends against each
+flag, which no witness enters.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from functools import cached_property
 from math import isqrt
 
 from .errors import InputError, InternalConsistencyError
-from .flags import (FlagSystem, pardeg_from_profile, pardeg_subspace, require_weight_for,
-                    validate_flag)
+from .flags import FlagSystem, pardeg_subspace, require_weight_for, validate_flag
 from .linalg import (
     BilinearForm,
     Subspace,
@@ -188,12 +188,12 @@ class ExtensionLine:
 
     def pardeg(self, fs: FlagSystem, w: Weight) -> Fraction:
         """A line has one jump per flag: the first i with the line in F_i^j,
-        that is, with the hull in F_i^j: dim(hull ^ F_i^j) = dim hull.  Both
-        are read off the flag profiles of the hull."""
+        that is, with the hull in F_i^j, which is i = e + 1 for the hull's
+        top end e (IsotropicFlag.ends)."""
         require_weight_for(fs, w)
         hull = Subspace.from_zi_rows([self.base[0], self.twist[0]], self.ambient)
-        return Fraction(sum(row[flag.profile(hull).index(hull.dim) - 1]
-                            for row, flag in zip(w.n_beta, fs.flags)), w.n)
+        return Fraction(sum(row[flag.ends(hull)[0]] for row, flag in zip(w.n_beta, fs.flags)),
+                        w.n)
 
     def is_isotropic(self, form: BilinearForm) -> bool:
         """Both parts of Q(base + sqrt(delta) twist) vanish: Q(base, base) +
@@ -330,6 +330,15 @@ def _zi_isotropic(row: ZiRow) -> bool:
     return _zi_pair(row, row) == (0, 0)
 
 
+def _lowest_end_terms(t_ends: list[list[int]], n_beta: tuple, k: int) -> list[int]:
+    """For each flag j, N beta^j summed at T's k lowest ends against it
+    (t_ends[j], decreasing, k <= dim T): no k-dimensional W <= T scores more
+    there, since dim(W ^ F_i) <= dim(T ^ F_i) puts W's m-th lowest end at or
+    above T's and beta is non-increasing.  k = 1 is line_oracle's item 6; the
+    best total over k <= nu is max_pardeg_isotropic_in's upper bound."""
+    return [sum(row[e] for e in ends[-k:]) for ends, row in zip(t_ends, n_beta)]
+
+
 def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> LineOracleResult:
     """Exact maximum of pardeg over isotropic lines of C^q contained in T.
 
@@ -371,16 +380,16 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
        path is a loop over the flags that checks the bound before each step,
        as popping each node of the path would.
     6. The optimistic bound credits each flag j' not yet passed with
-       N beta^{j'} at m_{j'}, T's lowest echelon end at that flag.  Lemma:
-       every nonzero vector of a node Y <= T is a combination of T's
-       echelon rows and ends where its used row of largest end does, so at
-       or above m_{j'}; each child of a node at flag j' sits at such an end,
-       and beta is non-increasing, so no leaf below the node scores more
-       than the bound.  A node is cut only when the bound is strictly below
-       the best score so far, so every leaf it holds scores below the final
-       value: the value, the best-score leaves in visit order and hence the
-       witness are those of the bound with beta_1 at every flag, which
-       only visits more nodes.
+       N beta^{j'} at m_{j'}, T's lowest echelon end at that flag
+       (_lowest_end_terms with k = 1).  Lemma: every nonzero vector of a
+       node Y <= T is a combination of T's echelon rows and ends where its
+       used row of largest end does, so at or above m_{j'}; each child of a
+       node at flag j' sits at such an end, and beta is non-increasing, so
+       no leaf below the node scores more than the bound.  A node is cut
+       only when the bound is strictly below the best score so far, so
+       every leaf it holds scores below the final value: the value, the
+       best-score leaves in visit order and hence the witness are those of
+       the bound with beta_1 at every flag, which only visits more nodes.
     7. A node holding one row that is not isotropic is dropped when popped:
        its one leaf is that line, which is never scored.  Nothing else reads
        it, so the leaves that are scored, and pruning, are unchanged.
@@ -404,9 +413,9 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     t_rows = list(t_sub.zi_rows)
     suffix_bound = [0] * (s + 1)  # item 6
     if len(t_rows) > 1:  # item 9
+        terms = _lowest_end_terms([flag.ends(t_sub) for flag in fs.flags], n_beta, 1)
         for j in range(s - 1, -1, -1):
-            lowest = fs.flags[j].echelon(t_sub)[1][-1]
-            suffix_bound[j] = suffix_bound[j + 1] + n_beta[j][lowest]
+            suffix_bound[j] = suffix_bound[j + 1] + terms[j]
 
     best = None  # N pardeg score
     leaves: list[list[ZiRow]] = []  # the rows of its leaves in visit order
@@ -461,15 +470,6 @@ class PardegBounds:
     exact: bool
 
 
-def _per_flag_upper(k: int, profile: tuple[int, ...], beta_row: tuple[int, ...]) -> int:
-    """Greedy relaxation: the best score a k-dimensional subspace W <= T could
-    achieve at one flag, subject only to dim(W ^ F_i) <= min(k, dim(T ^ F_i)).
-    Abel summation turns the jump sum into sum_i d_i (beta_i - beta_{i+1}) with
-    beta_{q+1} = 0 and d_q = k; the differences are nonnegative, so taking
-    d_i maximal is optimal: the jump sum of the capped profile."""
-    return pardeg_from_profile(tuple(min(k, d) for d in profile[:-1]) + (k,), beta_row)
-
-
 def isotropic_radicals(t_sub: Subspace, t_radical: Subspace, fs: FlagSystem,
                        min_dim: int) -> list[Subspace]:
     """The distinct radicals of dim >= min_dim >= 1 of T (t_radical, already
@@ -477,9 +477,9 @@ def isotropic_radicals(t_sub: Subspace, t_radical: Subspace, fs: FlagSystem,
     (dim, rows).  The bound stage reads those of dim >= 2, the
     Hilbert-Mumford search every nonzero one.
 
-    1. T ^ F_i^j grows only where the flag's profile of T jumps, at i = e + 1
-       for an end e of T's echelon, so each piece is looked at once, on the
-       cached echelon of T; the jump that reaches all of T is skipped.
+    1. T ^ F_i^j changes only at i = e + 1 for an end e of T's echelon
+       (IsotropicFlag.ends), so each piece is looked at once, on the cached
+       echelon of T, at every end but the top one, whose piece is T.
     2. A piece is built (intersect_piece) only when its radical dimension,
        read off the Gram matrix of T's echelon rows (IsotropicFlag, item 4),
        reaches min_dim.  Dropping the other members keeps the order of first
@@ -490,13 +490,11 @@ def isotropic_radicals(t_sub: Subspace, t_radical: Subspace, fs: FlagSystem,
     """
     known = {t_sub: t_radical} if t_radical.dim >= min_dim else {}  # member -> radical or None
     for flag in fs.flags:
-        profile = flag.profile(t_sub)
-        for i in range(1, fs.q):
-            if profile[i - 1] < profile[i] < t_sub.dim:
-                dim = flag.radical_dim(t_sub, i)
-                if dim >= min_dim:
-                    piece = flag.intersect_piece(t_sub, i)
-                    known[piece] = piece if dim == piece.dim else None
+        for e in reversed(flag.ends(t_sub)[1:]):
+            dim = flag.radical_dim(t_sub, e + 1)
+            if dim >= min_dim:
+                piece = flag.intersect_piece(t_sub, e + 1)
+                known[piece] = piece if dim == piece.dim else None
     form = BilinearForm(fs.q)
     members = sorted(known, key=order_key)
     return list(dict.fromkeys(known[m] or isotropy_classify(m, form)[1] for m in members))
@@ -512,10 +510,11 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
     of dimension >= 2 (the first wins a tie; a radical line cannot beat the
     oracle's exact maximum over lines).  Every witness is a true isotropic
     subspace of T, so the lower bound is sound whichever candidates are
-    tried; more candidates could only raise it.  The upper bound
-    decouples the flags and maximizes each greedily (a sound relaxation that
-    uses no witness).  When nu <= 1 the line oracle is already the exact
-    supremum and no harvest is built.
+    tried; more candidates could only raise it.  The upper bound is the best,
+    over k <= nu, of N beta summed at T's k lowest ends against every flag
+    (_lowest_end_terms): it decouples the flags and uses no witness.  When
+    nu <= 1 the line oracle is already the exact supremum and no harvest is
+    built.
     """
     require_weight_for(fs, w)
     form = BilinearForm(fs.q)
@@ -534,16 +533,15 @@ def max_pardeg_isotropic_in(t_sub: Subspace, fs: FlagSystem, w: Weight,
 
     radicals = isotropic_radicals(t_sub, t_radical, fs, 2)
     # the line oracle left T's echelon in each flag's cache, and the harvest
-    # read it there; read the profiles before pardeg_subspace below replaces
-    # it with a radical's
-    profiles = [flag.profile(t_sub) for flag in fs.flags]
+    # read it there; read T's ends before pardeg_subspace below replaces it
+    # with a radical's
+    t_ends = [flag.ends(t_sub) for flag in fs.flags]
     for radical in radicals:
         value = pardeg_subspace(radical, fs, w)
         if lower is None or value > lower:
             lower, witness = value, radical
 
-    upper = Fraction(max(sum(_per_flag_upper(k, profile, row)
-                             for profile, row in zip(profiles, w.n_beta))
+    upper = Fraction(max(sum(_lowest_end_terms(t_ends, w.n_beta, k))
                          for k in range(1, nu + 1)), w.n)
     if lower is not None and upper < lower:
         raise InternalConsistencyError("upper bound fell below a certified witness")

@@ -10,7 +10,8 @@ V_n = span{v_i : m_i >= n}, which satisfies V_n = (V_{1-n})^perp.
 
 The weight fixes the linearization: every Hilbert-Mumford weight below is an
 integer combination of N|alpha| (Weight.n_abs_alpha) and N pardeg of
-subspaces (flags.n_pardeg), N the lcm of the weight's denominators.
+subspaces (flags.n_pardeg), N the lcm of the weight's denominators; the
+rank-one summand is read off l alone, with no subspace of C^2 (hm_flag_total).
 
 Everything here runs on Gaussian integers, as the decision does.  A OnePS
 holds its eigenbasis as Z[i] rows over one denominator, the matrix form of
@@ -18,8 +19,8 @@ linalg and of a flag's basis: a destabilizer's is the hyperbolic completion
 of W's stored rows D R over W's D (complete_to_hyperbolic), and one read
 from a file is parsed straight into that form; io writes it from the
 integers.  Its filtration pieces are eliminated from those rows, and the
-degree of a piece that is a line is read off the line's one end at each
-flag (IsotropicFlag.profile).
+degree of a piece is N beta summed at its echelon ends against each flag, a
+line's one end read with no echelon (IsotropicFlag.ends).
 
 Every destabilizer's weight is computed twice, by its closed form and summand
 by summand over its filtration (hm_total): a disagreement raises
@@ -40,7 +41,7 @@ suite enforces them.
 from __future__ import annotations
 
 from .errors import InputError, InternalConsistencyError
-from .flags import FlagSystem, n_pardeg, require_weight_for, so2_score
+from .flags import FlagSystem, n_pardeg, require_weight_for
 from .higgs import (Certificate, HiggsTuple, check_inputs, decide_stability, isotropic_radicals,
                     verify_certificate)
 from .linalg import (
@@ -147,14 +148,6 @@ class OnePS:
             piece = self._v_pieces[count] = Subspace.from_zi_rows(self.zi_rows[:count], self.q)
         return piece
 
-    def u_piece(self, n: int) -> Subspace:
-        rows = []
-        if self.l >= n:
-            rows.append(([1, 0], [0, 0]))
-        if -self.l >= n:
-            rows.append(([0, 1], [0, 0]))
-        return Subspace.from_zi_rows(rows, 2)
-
     @classmethod
     def trivial(cls, q: int) -> "OnePS":
         return cls(0, (0,) * q, Subspace.full(q).zi_rows, 1)
@@ -168,11 +161,13 @@ def hm_flag_total(lam: OnePS, fs: FlagSystem, w: Weight,
                   audit: list | None = None) -> int:
     """Total weight of the flag-system factor:
 
-        sum_n ( -2 so2_score(U_n) - 2 N pardeg(V_n) )
+        sum_n ( -2 xi_n - 2 N pardeg(V_n) )
 
-    where so2_score(U_n) is the rank-one score (N|alpha|, -N|alpha| or 0).
-    The audit records the two scores of each nonzero summand under "xi" and
-    "n_pardeg".
+    where xi_n = N|alpha| (2 dim(U_n ^ U) - dim U_n) is the rank-one score.
+    U_n holds u when l >= n and u' when -l >= n, so both are read off l:
+    u_dim = [l >= n] + [-l >= n] and xi_n = N|alpha| ([l >= n] - [-l >= n]).
+    The audit records u_dim and the two scores of each nonzero summand under
+    "xi" and "n_pardeg".
 
     Lemma.  Only lo < n < hi contribute (lo = min(-|l|, m_q, 0), hi =
     max(|l|, m_1, 0) + 1): U_lo = C^2 and V_lo = C^q score 0 (pardeg C^q =
@@ -186,13 +181,13 @@ def hm_flag_total(lam: OnePS, fs: FlagSystem, w: Weight,
     hi = max(abs(lam.l), lam.m[0], 0) + 1
     total = 0
     for n in range(lo + 1, hi):
-        un = lam.u_piece(n)
+        has_u, has_u_prime = lam.l >= n, -lam.l >= n
         vn = lam.v_piece(n)
-        u_score = so2_score(un, w.n_abs_alpha)
+        u_score = w.n_abs_alpha * (has_u - has_u_prime)
         v_score = n_pardeg(vn, fs, w)
         term = -2 * u_score - 2 * v_score
         if audit is not None and (u_score or v_score):
-            audit.append({"n": n, "u_dim": un.dim, "v_dim": vn.dim,
+            audit.append({"n": n, "u_dim": has_u + has_u_prime, "v_dim": vn.dim,
                           "xi": u_score, "n_pardeg": v_score, "term": term})
         total += term
     return total

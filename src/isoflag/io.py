@@ -417,11 +417,13 @@ class Report:
     determinacy: dict
     inconsistencies: int
     total_wall_time: float
+    errors: int  # files that were bad input and have no row
 
     def to_json(self) -> dict:
         counts_sum = sum(self.counts.values())
         return {
             "instances": len(self.rows),
+            "errors": self.errors,
             "counts": self.counts,
             "counts_sum": counts_sum,
             "determinacy": self.determinacy,
@@ -441,7 +443,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def build_report(rows: list[ReportRow], inconsistencies: int = 0) -> Report:
+def build_report(rows: list[ReportRow], errors: int, inconsistencies: int = 0) -> Report:
     counts: dict = {}
     for r in rows:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1
@@ -457,4 +459,5 @@ def build_report(rows: list[ReportRow], inconsistencies: int = 0) -> Report:
         determinacy=determinacy,
         inconsistencies=inconsistencies,
         total_wall_time=sum(r.wall_time for r in rows),
+        errors=errors,
     )

@@ -93,13 +93,6 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)
-HALF = Scalar(Fraction(1, 2))
-
-
-def sc(re=0, im=0) -> Scalar:
-    """Shorthand constructor, accepting ints or Fractions."""
-    return Scalar(re, im)
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")

@@ -11,19 +11,23 @@ in Q(i), the JSON writer of Scalar rows, the random draws, the row-by-row
 random isometry with its Eichler moves and the dense inverse of a flag's
 basis), the isometry actions on flags and subspaces, the Grassmannian
 weight identity and the line oracle's search as a recursive walk are used by
-the tests alone, so they live here too.
+the tests alone, so they live here too.  So do the degree and bound
+references the package's readings of echelon ends replaced: the jump sum of
+a profile, the greedy per-flag bound on it, and the rank-one factor's pieces
+of C^2 with their score.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import isqrt, lcm
 
 from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.flags import FlagSystem, IsotropicFlag, require_weight_for
 from isoflag.higgs import (ExtensionLine, HiggsTuple, LineOracleResult, _isotropic_line_in,
-                           _zi_isotropic)
+                           _lowest_end_terms, _zi_isotropic)
 from isoflag.hmgit import OnePS
 from isoflag.linalg import (
     BilinearForm,
@@ -39,8 +43,17 @@ from isoflag.linalg import (
     meet_join,
     random_special_isometry,
 )
-from isoflag.scalars import HALF, ONE, ZERO, Scalar, format_fraction
+from isoflag.scalars import ONE, ZERO, Scalar, format_fraction
 from isoflag.weights import Weight
+
+I = Scalar(0, 1)
+HALF = Scalar(Fraction(1, 2))
+
+
+def sc(re=0, im=0) -> Scalar:
+    """Shorthand constructor, accepting ints or Fractions."""
+    return Scalar(re, im)
+
 
 # ---------------------------------------------------------------------------
 # Scalar rows in, Scalar rows out
@@ -338,6 +351,61 @@ def transform_flags(fs: FlagSystem, m: list[Vector]) -> FlagSystem:
 
 
 # ---------------------------------------------------------------------------
+# degrees from profiles, and the rank-one factor on C^2
+
+
+def pardeg_from_profile(profile: tuple[int, ...], beta_row: tuple) -> int:
+    """sum_i beta_i (profile[i] - profile[i-1]) for one puncture: the
+    reference for flags.n_pardeg's sum over echelon ends."""
+    total = 0
+    for i in range(1, len(profile)):
+        jump = profile[i] - profile[i - 1]
+        if jump:
+            total += beta_row[i - 1] * jump
+    return total
+
+
+def per_flag_upper(k: int, profile: tuple[int, ...], beta_row: tuple) -> int:
+    """Greedy relaxation: the best score a k-dimensional subspace W <= T could
+    achieve at one flag, subject only to dim(W ^ F_i) <= min(k, dim(T ^ F_i)).
+    Abel summation turns the jump sum into sum_i d_i (beta_i - beta_{i+1}) with
+    beta_{q+1} = 0 and d_q = k; the differences are nonnegative, so taking
+    d_i maximal is optimal: the jump sum of the capped profile.  The
+    reference for higgs._lowest_end_terms."""
+    return pardeg_from_profile(tuple(min(k, d) for d in profile[:-1]) + (k,), beta_row)
+
+
+def u_piece(lam: OnePS, n: int) -> Subspace:
+    """U_n of the rank-one factor: u = e_1 when l >= n, u' = e_2 when -l >= n."""
+    rows = []
+    if lam.l >= n:
+        rows.append(([1, 0], [0, 0]))
+    if -lam.l >= n:
+        rows.append(([0, 1], [0, 0]))
+    return Subspace.from_zi_rows(rows, 2)
+
+
+def so2_score(t: Subspace, n_abs_alpha: int) -> int:
+    """The rank-one factor's contribution N |alpha| (2 dim(T ^ U) - dim T) for
+    T among the four subspaces 0, U, U', C^2 cut out by the distinguished
+    point of the two-dimensional factor (U = <e_1>), given N |alpha|.
+
+    Only these four arise as filtration pieces of a one-parameter subgroup of
+    the rank-one factor, so anything else is an input error.
+    """
+    if t.ambient != 2:
+        raise InputError("so2_score expects a subspace of C^2")
+    if t.dim in (0, 2):
+        return 0  # 2 dim(T ^ U) - dim T vanishes for both
+    re, im = t.zi_rows[0]
+    if not (re[1] or im[1]):
+        return n_abs_alpha       # T = U
+    if not (re[0] or im[0]):
+        return -n_abs_alpha      # T = U'
+    raise InputError("so2_score: line is not a coordinate isotropic line")
+
+
+# ---------------------------------------------------------------------------
 # the Grassmannian weight, by two formulas
 
 
@@ -359,7 +427,7 @@ def hm_grassmannian(lam: OnePS, f: Subspace, i: int, m: int) -> int:
         piece = lam.v_piece
     elif p == 2:
         weights = (abs(lam.l), -abs(lam.l))
-        piece = lam.u_piece
+        piece = partial(u_piece, lam)
     else:
         raise InputError("subspace ambient matches neither factor")
 
@@ -404,9 +472,9 @@ def recursive_line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight,
     t_rows = list(t_sub.zi_rows)
     suffix_bound = [0] * (s + 1)  # item 6
     if len(t_rows) > 1:  # item 9
+        terms = _lowest_end_terms([flag.ends(t_sub) for flag in fs.flags], n_beta, 1)
         for j in range(s - 1, -1, -1):
-            lowest = fs.flags[j].echelon(t_sub)[1][-1]
-            suffix_bound[j] = suffix_bound[j + 1] + n_beta[j][lowest]
+            suffix_bound[j] = suffix_bound[j + 1] + terms[j]
 
     best: list = [None, []]  # N pardeg score, the rows of its leaves in visit order
 

@@ -31,7 +31,6 @@ from isoflag.randgen import (
     random_isotropic_subspace,
     random_weight,
 )
-from isoflag.scalars import sc
 from isoflag.weights import (
     compactness_criterion,
     j_interval,
@@ -42,7 +41,7 @@ from isoflag.weights import (
 )
 
 from helpers import (higgs_from_rows, higgs_rows, hm_grassmannian, hyperbolic_basis, isometry_rows,
-                     mat_mul, oneps_from_rows, random_scalar, random_vector, transform_flags)
+                     mat_mul, oneps_from_rows, random_scalar, random_vector, sc, transform_flags)
 
 
 def _report(number: int, description: str, elapsed: float) -> None:

@@ -9,13 +9,12 @@ from isoflag.errors import InputError, InternalConsistencyError
 from isoflag.flags import (
     FlagSystem,
     IsotropicFlag,
-    pardeg_from_profile,
     pardeg_subspace,
     random_flag,
-    so2_score,
     validate_flag,
 )
 import isoflag.flags as flags_mod
+from isoflag.hmgit import OnePS, hm_flag_total
 import isoflag.linalg as linalg_mod
 from isoflag.io import InstanceFile, serialize_instance
 from isoflag.linalg import (
@@ -32,12 +31,11 @@ from isoflag.randgen import (
     random_isotropic_subspace,
     random_weight,
 )
-from isoflag.scalars import sc
 from isoflag.weights import Weight, weight_stats
 
 from helpers import (flag_basis, flag_from_rows, flag_inverse, gram, isometry_rows, mat_mul,
-                     random_scalar, random_vector, standard_basis, transform_flag, transform_flags,
-                     transform_subspace)
+                     pardeg_from_profile, random_scalar, random_vector, sc, so2_score,
+                     standard_basis, transform_flag, transform_flags, transform_subspace)
 
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
                    [(F(1, 16), F(1, 32), F(-1, 32), F(-1, 16))] * 4)
@@ -228,6 +226,9 @@ class TestConventionOracle:
 
 
 class TestSo2Score:
+    """The rank-one score of the pieces of C^2 (helpers.so2_score, the
+    reference), which hm_flag_total reads off l."""
+
     def test_four_legal_inputs(self):
         w = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
         n_abs_alpha = w.n_abs_alpha  # N = 16, |alpha| = 1/2
@@ -238,6 +239,13 @@ class TestSo2Score:
         uprime = Subspace.from_vectors([vec(0, 1)], 2)
         assert so2_score(u, n_abs_alpha) == 8
         assert so2_score(uprime, n_abs_alpha) == -8
+        # U_0 = U_1 = U for l = 1 and U' for l = -1, and V_0 = C^2, V_1 = 0
+        # score nothing: the audit holds the two rank-one scores alone
+        for l, xi in ((1, 8), (-1, -8)):
+            audit = []
+            lam = OnePS(l, (0, 0), Subspace.full(2).zi_rows, 1)
+            assert hm_flag_total(lam, FlagSystem.standard(2, 4), w, audit=audit) == -4 * xi
+            assert [(row["n"], row["u_dim"], row["xi"]) for row in audit] == [(0, 1, xi), (1, 1, xi)]
 
     def test_spec_values_n32(self):
         w = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)

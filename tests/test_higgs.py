@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,12 +8,11 @@ import pytest
 import isoflag.flags as flags_mod
 import isoflag.higgs as higgs_mod
 from isoflag.errors import InputError
-from isoflag.flags import FlagSystem, IsotropicFlag, pardeg_subspace
+from isoflag.flags import FlagSystem, IsotropicFlag, n_pardeg, pardeg_subspace
 from isoflag.higgs import (
     Certificate,
     ExtensionLine,
     PardegBounds,
-    _per_flag_upper,
     condition1_isotropic_span,
     decide_stability,
     generate_stable_instance,
@@ -38,12 +38,13 @@ from isoflag.randgen import (
     random_isotropic_subspace,
     random_weight,
 )
-from isoflag.scalars import Scalar, sc
+from isoflag.scalars import Scalar
 from isoflag.weights import Weight
 
 from helpers import (flag_basis, flag_from_rows, flag_inverse, gram, higgs_from_rows, higgs_rows,
-                     isometry_rows, line_parts, mat_mul, pair, random_scalar, random_vector,
-                     recursive_line_oracle, scalar_sqrt, transform_flags, vadd, vscale)
+                     isometry_rows, line_parts, mat_mul, pair, pardeg_from_profile, per_flag_upper,
+                     random_scalar, random_vector, recursive_line_oracle, sc, scalar_sqrt,
+                     transform_flags, vadd, vscale)
 from test_pinned_outputs import CROSSCHECK_POOLS, DECIDE_POOLS
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
@@ -1334,7 +1335,7 @@ def _classified_bounds(t_sub, fs, w, oracle):
             if lower is None or value > lower:
                 lower, witness = value, radical
     profiles = [flag.profile(t_sub) for flag in fs.flags]
-    upper = max(sum((_per_flag_upper(k, profiles[j], w.beta[j]) for j in range(fs.s)), F(0))
+    upper = max(sum((per_flag_upper(k, profiles[j], w.beta[j]) for j in range(fs.s)), F(0))
                 for k in range(1, nu + 1))
     return PardegBounds(lower, witness, upper, lower is not None and lower == upper)
 
@@ -1430,6 +1431,38 @@ class TestIsotropicRadicals:
         monkeypatch.setattr(higgs_mod, "isotropic_radicals", refuse)
         bounds = max_pardeg_isotropic_in(t_sub, fs, w)
         assert bounds.exact and bounds.lower == bounds.upper
+
+
+class TestEndsAgainstProfiles:
+    """N pardeg is N beta summed at a subspace's echelon ends, and the upper
+    bound's per-flag term is N beta summed at its k lowest ends.  Against the
+    profile references they replaced (helpers.pardeg_from_profile and
+    per_flag_upper) on T, the span, every T ^ F_i^j and every harvested
+    radical, with every k up to the subspace's dimension."""
+
+    def test_matches_profile_references(self):
+        degrees = bounds = 0
+        for q, s, seed in itertools.product(range(3, 9), range(3, 7), range(8)):
+            a, fs, w = random_instance(q, s, seed, mixed_mode(seed))
+            t_sub = a.span_perp()
+            subs = [a.span()]
+            if t_sub.dim:
+                t_radical = isotropy_classify(t_sub, BilinearForm(q))[1]
+                subs += _seed_members(t_sub, fs)
+                subs += isotropic_radicals(t_sub, t_radical, fs, 1)
+            for sub in subs:
+                profiles = [flag.profile(sub) for flag in fs.flags]
+                assert n_pardeg(sub, fs, w) == sum(
+                    pardeg_from_profile(profile, row)
+                    for profile, row in zip(profiles, w.n_beta)), (q, s, seed)
+                degrees += s
+                ends = [flag.ends(sub) for flag in fs.flags]
+                for k in range(1, sub.dim + 1):
+                    assert higgs_mod._lowest_end_terms(ends, w.n_beta, k) == [
+                        per_flag_upper(k, profile, row)
+                        for profile, row in zip(profiles, w.n_beta)], (q, s, seed, k)
+                    bounds += s
+        assert degrees > 10000 and bounds > 24000
 
 
 class TestDecide:

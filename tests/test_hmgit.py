@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from isoflag.errors import InputError, InternalConsistencyError
-from isoflag.flags import FlagSystem, IsotropicFlag, n_pardeg, random_flag, so2_score
+from isoflag.flags import FlagSystem, IsotropicFlag, n_pardeg, random_flag
 from isoflag.higgs import Certificate, ExtensionLine, decide_stability, line_oracle
 from isoflag.hmgit import (
     INFINITE,
@@ -35,12 +35,12 @@ from isoflag.randgen import (
     random_isotropic_subspace,
     random_weight,
 )
-from isoflag.scalars import sc
 from isoflag.weights import Weight
 
 from helpers import (completion_rows, flag_from_rows, gaussian_matrix, higgs_from_rows, higgs_rows,
                      hm_grassmannian, hyperbolic_basis, oneps_basis, oneps_from_rows, random_scalar,
-                     random_vector, standard_basis)
+                     pardeg_from_profile, random_vector, sc, so2_score, standard_basis, u_piece)
+from test_pinned_outputs import CROSSCHECK_POOLS
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -99,7 +99,7 @@ def filtration_of(lam: OnePS) -> Filtration:
     """Materialize U_n and V_n at every integer in the active range."""
     lo = min(-abs(lam.l), lam.m[-1], 0)
     hi = max(abs(lam.l), lam.m[0], 0) + 1
-    u_pieces = tuple((n, lam.u_piece(n)) for n in range(lo, hi + 1))
+    u_pieces = tuple((n, u_piece(lam, n)) for n in range(lo, hi + 1))
     v_pieces = tuple((n, lam.v_piece(n)) for n in range(lo, hi + 1))
     filt = Filtration(u_pieces, v_pieces, lo, hi)
     form = BilinearForm(lam.q)
@@ -255,7 +255,6 @@ class TestIntegerOnePS:
                 assert twin.v_piece(n) == lam.v_piece(n)
                 # kept per number of rows: the same object on every read
                 assert twin.v_piece(n) is twin.v_piece(n)
-                assert twin.u_piece(n) == lam.u_piece(n)
             audits = [], []
             assert hm_total(twin, a, fs, w, audit=audits[0]) == \
                 hm_total(lam, a, fs, w, audit=audits[1]), trial
@@ -335,6 +334,25 @@ class TestGrassmannianWeight:
         with pytest.raises(InputError):
             hm_grassmannian(lam, Subspace.full(2), 1, 1)
 
+    @pytest.mark.parametrize("l", range(-2, 3))
+    def test_rank_one_factor(self, l):
+        # a subspace of C^2 with q != 2 is weighed on the rank-one factor,
+        # by both formulas, at every subspace of C^2 and twist m
+        lam = OnePS(l, (0, 0, 0), Subspace.full(3).zi_rows, 1)
+        lines = [vec(1, 0), vec(0, 1), vec(1, 1), (sc(1), sc(0, 1)), vec(2, -3)]
+        subs = [(Subspace.zero(2), 0), (Subspace.full(2), 2)]
+        subs += [(Subspace.from_vectors([v], 2), 1) for v in lines]
+        for sub, i in subs:
+            for m in (1, 2):
+                hm_grassmannian(lam, sub, i, m)  # raises when the formulas disagree
+        # at U = <u> the weight is hm_flag_total with every weight on C^q 0,
+        # its rank-one summand: sum_n -2 xi_n = 2 N|alpha| sum_n (dim U_n -
+        # 2 dim(U_n ^ U))
+        _, fs, w = random_instance(3, 4, l + 2)
+        u = Subspace.from_vectors([vec(1, 0)], 2)
+        assert hm_flag_total(lam, fs, w) == 2 * w.n_abs_alpha * hm_grassmannian(lam, u, 1, 1)
+        assert hm_grassmannian(lam, u, 1, 1) == -2 * l
+
     def test_two_formulas_random(self):
         rng = random.Random(0)
         done = 0
@@ -373,6 +391,27 @@ class TestBaseWeight:
         assert hm_base(lam, higgs_from_rows(2, 4, (vec(5, 0), vec(0, 1)))) is INFINITE
 
 
+def _reference_audit(lam, fs, w):
+    """hm_flag_total's total and audit rows summed over lo <= n <= hi, from
+    the references: U_n as a subspace of C^2 with its score (helpers.u_piece,
+    so2_score), and N pardeg V_n as the jump sum of its profiles
+    (helpers.pardeg_from_profile)."""
+    lo = min(-abs(lam.l), lam.m[-1], 0)
+    hi = max(abs(lam.l), lam.m[0], 0) + 1
+    total, rows = 0, []
+    for n in range(lo, hi + 1):
+        un, vn = u_piece(lam, n), lam.v_piece(n)
+        xi = so2_score(un, w.n_abs_alpha)
+        v_score = sum(pardeg_from_profile(flag.profile(vn), row)
+                      for flag, row in zip(fs.flags, w.n_beta))
+        term = -2 * xi - 2 * v_score
+        if xi or v_score:
+            rows.append({"n": n, "u_dim": un.dim, "v_dim": vn.dim,
+                         "xi": xi, "n_pardeg": v_score, "term": term})
+        total += term
+    return total, rows
+
+
 class TestFlagTotal:
     def test_trivial(self):
         lam = OnePS.trivial(4)
@@ -406,22 +445,25 @@ class TestFlagTotal:
             q, s = rng.randint(2, 6), rng.randint(3, 5)
             _, fs, w = random_instance(q, s, trial, mode=mixed_mode(trial))
             lam = random_oneps(q, 100 + trial)
-            lo = min(-abs(lam.l), lam.m[-1], 0)
-            hi = max(abs(lam.l), lam.m[0], 0) + 1
-            total, rows = 0, []
-            for n in range(lo, hi + 1):
-                un, vn = lam.u_piece(n), lam.v_piece(n)
-                u_score, v_score = so2_score(un, w.n_abs_alpha), n_pardeg(vn, fs, w)
-                term = -2 * u_score - 2 * v_score
-                if n in (lo, hi):
-                    assert (u_score, v_score) == (0, 0), (trial, n)
-                if u_score or v_score:
-                    rows.append({"n": n, "u_dim": un.dim, "v_dim": vn.dim,
-                                 "xi": u_score, "n_pardeg": v_score, "term": term})
-                total += term
             audit = []
-            assert hm_flag_total(lam, fs, w, audit=audit) == total, trial
-            assert audit == rows, trial
+            total = hm_flag_total(lam, fs, w, audit=audit)
+            assert (total, audit) == _reference_audit(lam, fs, w), trial
+
+    def test_audit_matches_references_on_crosscheck_pool(self):
+        # the rank-one summand is read off l and N pardeg off echelon ends,
+        # for l in -3..3 on a subgroup drawn per instance
+        checked = 0
+        for q, s, mixed, pool in CROSSCHECK_POOLS:
+            for seed in range(pool):
+                _, fs, w = random_instance(q, s, seed, mixed_mode(seed) if mixed else "generic")
+                base = random_oneps(q, 300 + seed)
+                for l in range(-3, 4):
+                    lam = OnePS(l, base.m, base.zi_rows, base.den)
+                    audit = []
+                    total = hm_flag_total(lam, fs, w, audit=audit)
+                    assert (total, audit) == _reference_audit(lam, fs, w), (q, s, seed, l)
+                    checked += len(audit)
+        assert checked > 1000
 
 
 class TestTotalWeight:
@@ -827,7 +869,7 @@ def _two_branch_search(a, fs, w, weight_bound):
 
 def _rank_one_piece(lam, n):
     """hm_grassmannian's own rank-one filtration piece, before it used
-    OnePS.u_piece."""
+    helpers.u_piece."""
     weights = (abs(lam.l), -abs(lam.l))
     e1, e2 = standard_basis(2)
     ordered = (e1, e2) if lam.l >= 0 else (e2, e1)
@@ -879,7 +921,7 @@ class TestChainReferences:
         for l in range(-4, 5):
             lam = oneps_from_rows(l, (1, -1), standard_basis(2))
             for n in range(-6, 7):
-                assert lam.u_piece(n) == _rank_one_piece(lam, n), (l, n)
+                assert u_piece(lam, n) == _rank_one_piece(lam, n), (l, n)
 
 
 class TestCertificateOneps:

@@ -30,11 +30,11 @@ from isoflag.io import (
 )
 from isoflag.linalg import BilinearForm, Subspace, isotropy_classify
 from isoflag.randgen import mixed_mode, random_flag_system, random_instance, random_weight
-from isoflag.scalars import Scalar, parse_fraction, parse_rational, sc
+from isoflag.scalars import Scalar, parse_fraction, parse_rational
 from isoflag.weights import Weight
 
 from helpers import (flag_from_rows, higgs_from_rows, hyperbolic_basis, matrix_to_json,
-                     oneps_from_rows, random_scalar, standard_basis)
+                     oneps_from_rows, random_scalar, sc, standard_basis)
 from test_pinned_outputs import CROSSCHECK_POOLS
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
@@ -525,6 +525,27 @@ class TestCli:
             assert main(["batch", str(tmp_path), "--jobs", jobs]) == 65, jobs
             err = capsys.readouterr().err
             assert err.startswith(f"data error: {bad}:/: not valid JSON"), jobs
+
+    def test_batch_reports_the_good_files(self, tmp_path, stable_file, capsys):
+        # a malformed file (a ParseError) and a weight outside the region (an
+        # InputError, raised by the decision) each give one stderr line and
+        # no row, and the good file's row is still reported
+        (tmp_path / "broken.instance.json").write_text("{", encoding="utf-8")
+        obj = json.loads(stable_file.read_text(encoding="utf-8"))
+        obj["weight"]["beta"][0][0] = "1/2"
+        beta_half = tmp_path / "beta-half.instance.json"
+        beta_half.write_text(json.dumps(obj), encoding="utf-8")
+        for jobs in ("1", "2"):
+            assert main(["batch", str(tmp_path), "--jobs", jobs]) == 65, jobs
+            captured = capsys.readouterr()
+            out = json.loads(captured.out)
+            assert (out["instances"], out["errors"], out["counts"]) == (1, 2, {"Stable": 1})
+            assert [r["instance_id"] for r in out["rows"]] == ["stable.instance"]
+            lines = captured.err.splitlines()
+            assert len(lines) == 2, jobs
+            assert lines[0].startswith(f"data error: {beta_half}: "), jobs
+            assert lines[1].startswith(f"data error: {tmp_path / 'broken.instance.json'}:/: "
+                                       "not valid JSON"), jobs
 
     def test_oneps_data_error_names_the_file(self, tmp_path, unstable_file, capsys):
         bad = tmp_path / "bad.oneps.json"

@@ -25,10 +25,10 @@ from isoflag.linalg import (
     orthocomplement,
     random_special_isometry,
 )
-from isoflag.scalars import HALF, ONE, ZERO, sc
+from isoflag.scalars import ONE, ZERO
 
-from helpers import (completion_rows, eichler_rows, gaussian_matrix, hyperbolic_basis, mat_mul, pair,
-                     random_scalar, scalar_special_isometry, standard_basis, vadd, vscale)
+from helpers import (HALF, completion_rows, eichler_rows, gaussian_matrix, hyperbolic_basis, mat_mul,
+                     pair, random_scalar, sc, scalar_special_isometry, standard_basis, vadd, vscale)
 
 
 # ---------------------------------------------------------------------------

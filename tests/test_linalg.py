@@ -23,11 +23,11 @@ from isoflag.linalg import (
     rref,
 )
 from isoflag.randgen import random_isotropic_subspace
-from isoflag.scalars import I, ONE, Scalar, ZERO, sc
+from isoflag.scalars import ONE, Scalar, ZERO
 
-from helpers import (completion_rows, gaussian_matrix, gram, hyperbolic_basis, is_standard_gram,
+from helpers import (I, completion_rows, gaussian_matrix, gram, hyperbolic_basis, is_standard_gram,
                      isometry_rows, mat_mul, pair, random_scalar, random_vector, reversed_transpose,
-                     scalar_sqrt, standard_basis, vscale)
+                     sc, scalar_sqrt, standard_basis, vscale)
 
 
 def vec(*entries):
