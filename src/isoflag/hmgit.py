@@ -327,6 +327,19 @@ def bounded_destabilizer_search(a: HiggsTuple, fs: FlagSystem,
     with l = 0 before l = 1, the scan's hit is therefore the first negative
     one.  It is re-evaluated summand by summand (hm_total), and the two
     routes must agree.
+
+    Lemma (no hit off Unstable).  On a verdict that is not Unstable the
+    search returns None.  Every candidate is a nonzero isotropic radical
+    inside T.  A radical line scores at most the line oracle's exact
+    maximum, and a radical of dim >= 2 is one of the bound stage's
+    witnesses, so every candidate has pardeg <= the verdict's lower bound
+    <= 0, and shape 2 never fires.  A shape 1 hit needs the rows inside an
+    isotropic candidate; then the row span is isotropic, and
+    decide_stability has already returned Unstable by its first condition.
+    So consistency_check reports a hit off Unstable as an inconsistency.
+    The same argument shows that the check of a Stable verdict re-reads the
+    bound stage's own harvest: it checks that code against itself, not the
+    supremum.
     """
     check_inputs(a, fs, w)
     span = a.span()
@@ -354,10 +367,10 @@ def consistency_check(a: HiggsTuple, fs: FlagSystem, w: Weight,
 
     Unstable verdicts must re-verify and (for witnesses over Q(i)) yield a
     destabilizing one-parameter subgroup whose total weight is negative and
-    matches the closed form.  Stable verdicts must survive the bounded
-    destabilizer search.  StrictlySemistable verdicts must attain weight zero
-    and admit nothing negative.  Undetermined verdicts are not claims; a
-    search hit is recorded as extra information, never an inconsistency.
+    matches the closed form.  Every other verdict must survive the bounded
+    destabilizer search, which by its lemma finds nothing off Unstable, so a
+    hit is an inconsistency, on an Undetermined verdict too.
+    StrictlySemistable verdicts must also attain weight zero.
     """
     verdict = decide_stability(a, fs, w, seed=seed)
     out: dict = {"verdict": verdict.tag, "consistent": True, "mu": None,
@@ -372,12 +385,8 @@ def consistency_check(a: HiggsTuple, fs: FlagSystem, w: Weight,
         found = bounded_destabilizer_search(a, fs, w)
         if found is not None:
             out["mu"] = found[1]
-            if verdict.tag == "Undetermined":
-                out["resolved"] = "unstable_by_search"
-            else:
-                claim = "Stable" if verdict.tag == "Stable" else "semistable"
-                out["consistent"] = False
-                out["reason"] = f"search found a negative weight for a {claim} verdict"
+            out["consistent"] = False
+            out["reason"] = f"search found a negative weight for a {verdict.tag} verdict"
             return out
         if verdict.tag != "StrictlySemistable":
             return out

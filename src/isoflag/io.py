@@ -18,11 +18,16 @@ Paths are built only on failure: a matrix or a weight with any fault is
 read again entry by entry, and that walk raises the ParseError of the first
 fault.
 
-Flags, A, eigenbases, subspaces and extension-line witnesses are written
-straight from those integers by one writer (_zi_vector_to_json), each entry
-x / d as its reduced fraction.  So neither reading an instance nor writing
-a verdict builds a Scalar; only the readers that return Scalars
-(scalar_from_json and vector_from_json) build them.
+Every matrix is written straight from those integers, each entry x / d as
+its reduced fraction (linalg._fraction_text).  An instance file is written
+as text by serialize_instance, byte for byte what json.dumps(..., indent=2)
+gives, with no dict built per entry and json run only over the seed and
+the metadata.  Verdicts (subspaces and extension-line witnesses) and
+one-parameter subgroups' eigenbases are built as JSON objects by
+_zi_rows_to_json and _zi_vector_to_json, for the CLI to dump.  So neither
+reading an instance nor writing one or a verdict builds a Scalar; only the
+readers that return Scalars (scalar_from_json and vector_from_json) build
+them.
 """
 
 from __future__ import annotations
@@ -166,15 +171,6 @@ def _zi_rows_to_json(rows, den: int) -> list:
 # weights
 
 
-def weight_to_json(w: Weight) -> dict:
-    return {
-        "q": w.q,
-        "s": w.s,
-        "alpha": [format_fraction(a) for a in w.alpha],
-        "beta": [[format_fraction(b) for b in row] for row in w.beta],
-    }
-
-
 def weight_from_json(obj: Any, path: str = "/weight", read: _Rationals | None = None) -> Weight:
     """The weight, with each distinct rational string made a Fraction once.
     The entries are read with no path string first; when any of them is
@@ -227,10 +223,6 @@ def weight_from_json(obj: Any, path: str = "/weight", read: _Rationals | None = 
 # flags, subspaces, instances
 
 
-def flag_to_json(f: IsotropicFlag) -> list:
-    return _zi_rows_to_json(f.zi_rows, f.den)
-
-
 def flag_from_json(obj: Any, path: str, read: _Rationals) -> IsotropicFlag:
     """The flag read straight into its integer rows over d (_integer)."""
     rows, cols, pairs = read.rows(obj, path)
@@ -261,19 +253,6 @@ class InstanceFile:
     higgs: HiggsTuple
     seed: int | None = None
     metadata: dict = field(default_factory=dict)
-
-
-def instance_to_json(inst: InstanceFile) -> dict:
-    out = {
-        "weight": weight_to_json(inst.weight),
-        "flags": [flag_to_json(f) for f in inst.flags.flags],
-        "A": _zi_rows_to_json(inst.higgs.zi_rows, inst.higgs.den),
-    }
-    if inst.seed is not None:
-        out["seed"] = inst.seed
-    if inst.metadata:
-        out["metadata"] = inst.metadata
-    return out
 
 
 def instance_from_json(obj: Any, path: str = "") -> InstanceFile:
@@ -314,8 +293,54 @@ def parse_instance_text(text: str) -> InstanceFile:
     return instance_from_json(obj)
 
 
+def _array_text(items: list[str], indent: str) -> str:
+    """json.dumps(..., indent=2)'s text of a nonempty array whose items are
+    rendered already, the array opening on a line indented by indent.  Every
+    array of an instance is nonempty: s >= 3 and q >= 2 (HiggsTuple,
+    IsotropicFlag)."""
+    inner = "\n" + indent + "  "
+    return f"[{inner}{(',' + inner).join(items)}\n{indent}]"
+
+
+def _zi_rows_text(rows, den: int, indent: str) -> str:
+    """_zi_rows_to_json(rows, den) as json.dumps(..., indent=2) renders it
+    at indent, written straight from the integers: one _fraction_text per
+    part and no dict per entry."""
+    row_indent = indent + "  "
+    entry_indent = row_indent + "  "
+    key = "\n" + entry_indent + "  "
+    entry = f'{{{key}"re": "%s",{key}"im": "%s"\n{entry_indent}}}'
+    return _array_text([_array_text([entry % (_fraction_text(x, den), _fraction_text(y, den))
+                                     for x, y in zip(*row)], row_indent) for row in rows],
+                       indent)
+
+
 def serialize_instance(inst: InstanceFile) -> str:
-    return json.dumps(instance_to_json(inst), indent=2)
+    """The instance file: the text json.dumps(obj, indent=2) gives for the
+    object {"weight", "flags", "A"[, "seed"][, "metadata"]}, written straight
+    from the stored numbers.  The weight's entries are format_fraction
+    strings, and the flag bases and A are their Gaussian-integer rows over
+    one denominator, entry by entry (_zi_rows_text).  Only the seed and the
+    metadata, which may hold any JSON value, go through json.dumps; the
+    metadata is rendered at the top level and indented by two spaces, which
+    is the text json gives for it nested one level deep (every newline in
+    that text is json's own: it escapes those inside strings)."""
+    w = inst.weight
+    alpha = _array_text([f'"{format_fraction(a)}"' for a in w.alpha], "    ")
+    beta = _array_text([_array_text([f'"{format_fraction(b)}"' for b in row], "      ")
+                        for row in w.beta], "    ")
+    fields = [
+        f'"weight": {{\n    "q": {w.q},\n    "s": {w.s},\n'
+        f'    "alpha": {alpha},\n    "beta": {beta}\n  }}',
+        '"flags": ' + _array_text([_zi_rows_text(f.zi_rows, f.den, "    ")
+                                   for f in inst.flags.flags], "  "),
+        '"A": ' + _zi_rows_text(inst.higgs.zi_rows, inst.higgs.den, "  "),
+    ]
+    if inst.seed is not None:
+        fields.append('"seed": ' + json.dumps(inst.seed))
+    if inst.metadata:
+        fields.append('"metadata": ' + json.dumps(inst.metadata, indent=2).replace("\n", "\n  "))
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +440,6 @@ class Report:
     rows: list[ReportRow]
     counts: dict
     determinacy: dict
-    inconsistencies: int
     total_wall_time: float
     errors: int  # files that were bad input and have no row
 
@@ -427,7 +451,6 @@ class Report:
             "counts": self.counts,
             "counts_sum": counts_sum,
             "determinacy": self.determinacy,
-            "inconsistencies": self.inconsistencies,
             "total_wall_time": self.total_wall_time,
             "rows": [vars(r) for r in self.rows],
         }
@@ -443,7 +466,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def build_report(rows: list[ReportRow], errors: int, inconsistencies: int = 0) -> Report:
+def build_report(rows: list[ReportRow], errors: int) -> Report:
     counts: dict = {}
     for r in rows:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1
@@ -457,7 +480,6 @@ def build_report(rows: list[ReportRow], errors: int, inconsistencies: int = 0) -
         rows=sorted(rows, key=lambda r: r.instance_id),
         counts=counts,
         determinacy=determinacy,
-        inconsistencies=inconsistencies,
         total_wall_time=sum(r.wall_time for r in rows),
         errors=errors,
     )

@@ -14,7 +14,9 @@ weight identity and the line oracle's search as a recursive walk are used by
 the tests alone, so they live here too.  So do the degree and bound
 references the package's readings of echelon ends replaced: the jump sum of
 a profile, the greedy per-flag bound on it, and the rank-one factor's pieces
-of C^2 with their score.
+of C^2 with their score.  And so does the instance file built as a JSON
+object (instance_to_json), whose json.dumps(..., indent=2) the package's
+text writer, io.serialize_instance, must equal byte for byte.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from isoflag.flags import FlagSystem, IsotropicFlag, require_weight_for
 from isoflag.higgs import (ExtensionLine, HiggsTuple, LineOracleResult, _isotropic_line_in,
                            _lowest_end_terms, _zi_isotropic)
 from isoflag.hmgit import OnePS
+from isoflag.io import InstanceFile, _zi_rows_to_json
 from isoflag.linalg import (
     BilinearForm,
     Subspace,
@@ -328,6 +331,35 @@ def matrix_to_json(rows) -> list:
     """Scalar rows as the instance format writes them: the reference the
     package's integer writers are compared with."""
     return [vector_to_json(row) for row in rows]
+
+
+def weight_to_json(w: Weight) -> dict:
+    return {
+        "q": w.q,
+        "s": w.s,
+        "alpha": [format_fraction(a) for a in w.alpha],
+        "beta": [[format_fraction(b) for b in row] for row in w.beta],
+    }
+
+
+def flag_to_json(f: IsotropicFlag) -> list:
+    return _zi_rows_to_json(f.zi_rows, f.den)
+
+
+def instance_to_json(inst: InstanceFile) -> dict:
+    """The instance file as a JSON object: json.dumps(instance_to_json(inst),
+    indent=2) is the reference io.serialize_instance's text is compared
+    with, byte for byte."""
+    out = {
+        "weight": weight_to_json(inst.weight),
+        "flags": [flag_to_json(f) for f in inst.flags.flags],
+        "A": _zi_rows_to_json(inst.higgs.zi_rows, inst.higgs.den),
+    }
+    if inst.seed is not None:
+        out["seed"] = inst.seed
+    if inst.metadata:
+        out["metadata"] = inst.metadata
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -40,7 +41,7 @@ from isoflag.weights import Weight
 from helpers import (completion_rows, flag_from_rows, gaussian_matrix, higgs_from_rows, higgs_rows,
                      hm_grassmannian, hyperbolic_basis, oneps_basis, oneps_from_rows, random_scalar,
                      pardeg_from_profile, random_vector, sc, so2_score, standard_basis, u_piece)
-from test_pinned_outputs import CROSSCHECK_POOLS
+from test_pinned_outputs import CROSSCHECK_POOLS, _instances
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -666,6 +667,45 @@ class TestBoundedSearch:
             assert sum(1 for y in classified if y is a.span_perp()) == 1, seed
             checked += 1
         assert checked >= 3
+
+
+# ROADMAP's census grid: random_instance(q, s, seed, mixed_mode(seed)) for
+# seeds 0..11 at these shapes
+CENSUS_SHAPES = ((4, 4), (4, 5), (4, 6), (5, 4), (5, 5), (6, 4), (6, 5), (6, 6), (7, 4), (8, 4))
+
+
+class TestNoHitOffUnstable:
+    """bounded_destabilizer_search's lemma: on a verdict that is not
+    Unstable the search finds nothing, so consistency_check reports a hit
+    there as an inconsistency."""
+
+    def test_benchmark_pools_and_census(self):
+        census = [(q, s, seed, mixed_mode(seed)) for q, s in CENSUS_SHAPES for seed in range(12)]
+        # generic q4 s3 and q5 s3 hold StrictlySemistable verdicts, which the
+        # pools and the census lack
+        generic_s3 = [(q, 3, seed, "generic") for q in (4, 5) for seed in range(12)]
+        cases = _instances() + census + generic_s3
+        tags = Counter()
+        for q, s, seed, mode in cases:
+            a, fs, w = random_instance(q, s, seed, mode)
+            tag = decide_stability(a, fs, w).tag
+            tags[tag] += 1
+            if tag != "Unstable":
+                assert bounded_destabilizer_search(a, fs, w) is None, (q, s, seed, mode)
+        assert tags["Stable"] and tags["StrictlySemistable"] and tags["Undetermined"], tags
+
+    @pytest.mark.parametrize("args", [(6, 4, 0), (5, 5, 0)])
+    def test_hit_is_an_inconsistency(self, args, monkeypatch):
+        # an Undetermined (q6 s4) and a Stable (q5 s5) verdict with a forged hit
+        a, fs, w = random_instance(*args)
+        tag = decide_stability(a, fs, w).tag
+        assert tag in ("Undetermined", "Stable")
+        monkeypatch.setattr("isoflag.hmgit.bounded_destabilizer_search",
+                            lambda *_: (None, -4))
+        res = consistency_check(a, fs, w)
+        assert res["verdict"] == tag and not res["consistent"] and res["mu"] == -4
+        assert res["reason"] == f"search found a negative weight for a {tag} verdict"
+        assert "resolved" not in res
 
 
 class TestConsistency:

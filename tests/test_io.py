@@ -16,8 +16,6 @@ from isoflag.higgs import decide_stability, isotropic_radicals
 from isoflag.io import (
     InstanceFile,
     instance_from_json,
-    instance_to_json,
-    flag_to_json,
     oneps_from_json,
     oneps_to_json,
     parse_instance_text,
@@ -26,15 +24,15 @@ from isoflag.io import (
     subspace_to_json,
     verdict_to_json,
     weight_from_json,
-    weight_to_json,
 )
 from isoflag.linalg import BilinearForm, Subspace, isotropy_classify
 from isoflag.randgen import mixed_mode, random_flag_system, random_instance, random_weight
 from isoflag.scalars import Scalar, parse_fraction, parse_rational
 from isoflag.weights import Weight
 
-from helpers import (flag_from_rows, higgs_from_rows, hyperbolic_basis, matrix_to_json,
-                     oneps_from_rows, random_scalar, sc, standard_basis)
+from helpers import (flag_from_rows, flag_to_json, higgs_from_rows, hyperbolic_basis,
+                     instance_to_json, matrix_to_json, oneps_from_rows, random_scalar, sc,
+                     standard_basis, weight_to_json)
 from test_pinned_outputs import CROSSCHECK_POOLS
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
@@ -363,6 +361,35 @@ class TestParsedFlags:
         assert verdict_to_json(verdict) == verdict_to_json(decide_stability(a, fs, w))
 
 
+class TestInstanceWriter:
+    """serialize_instance writes its text straight from the stored numbers;
+    json.dumps(instance_to_json(inst), indent=2), the instance built as a
+    JSON object in tests/helpers.py, is the reference it equals byte for
+    byte."""
+
+    MODES = ("generic", "low_rank", "isotropic_span", "shared_flag")
+    # the metadata goes through json: nested values, a float, a null, empty
+    # containers, an escaped newline and non-ASCII text stay as json writes them
+    NESTED = {"mode": "generic", "runs": [1, 2.5, None, {}, [], {"kl\u00e4rt": "\u00e9\n"}],
+              "ok": True, "note": "tab\there"}
+
+    def test_matches_json_on_the_grid(self):
+        count = 0
+        for q in range(2, 9):
+            for k, mode in enumerate(self.MODES):
+                for s in (3, q + 1):
+                    a, fs, w = random_instance(q, s, 5 * q + k, mode)
+                    for seed in (None, 0, -3):
+                        for metadata in ({}, {"mode": mode}, self.NESTED):
+                            inst = InstanceFile(w, fs, a, seed=seed, metadata=metadata)
+                            text = serialize_instance(inst)
+                            assert text == json.dumps(instance_to_json(inst), indent=2), \
+                                (q, s, mode, seed, metadata)
+                            assert serialize_instance(parse_instance_text(text)) == text
+                            count += 1
+        assert count == 504
+
+
 class TestIntegerWriters:
     """Flags, A, eigenbases and subspaces are written straight from their
     Gaussian integers; the same values as Scalar rows, written by the
@@ -389,7 +416,7 @@ class TestIntegerWriters:
                 a_rows = self._rows(rng, s - 2, q)
                 inst = InstanceFile(random_weight(q, s, trial), random_flag_system(q, s, trial),
                                     higgs_from_rows(q, s, a_rows))
-                a_json = instance_to_json(inst)["A"]
+                a_json = json.loads(serialize_instance(inst))["A"]
                 assert a_json == matrix_to_json(a_rows), (q, trial)
                 eigen = hyperbolic_basis(BilinearForm(q), 10 * q + trial)
                 lam = oneps_from_rows(0, (0,) * q, eigen)
@@ -706,6 +733,9 @@ class TestCli:
         assert main(["batch", str(tmp_path)]) == 0
         serial = json.loads(capsys.readouterr().out)
         assert serial["instances"] == 6
+        # batch runs no Hilbert-Mumford check: only crosscheck counts
+        # inconsistencies
+        assert "inconsistencies" not in serial
         assert sum(serial["counts"].values()) == 6
         csv_path = tmp_path / "out.csv"
         assert main(["batch", str(tmp_path), "--jobs", "2", "--csv", str(csv_path)]) == 0

@@ -23,9 +23,11 @@ import pytest
 
 import isoflag.io as io_mod
 from isoflag.errors import InputError, ParseError
-from isoflag.io import InstanceFile, instance_from_json, instance_to_json, parse_instance_text
+from isoflag.io import InstanceFile, instance_from_json, parse_instance_text
 from isoflag.randgen import mixed_mode, random_instance
 from isoflag.scalars import parse_rational
+
+from helpers import instance_to_json
 
 # ---------------------------------------------------------------------------
 # the reference reader
