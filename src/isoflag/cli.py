@@ -8,7 +8,9 @@ shape with --q below 2, --s below 3 or --s below q + 2), 65 on data errors
 (a batch too, serial or parallel, after reporting the good files, with one
 line per bad file naming it), 70 on
 internal errors (a failed self-check or any other uncaught exception,
-which is a bug, not bad input) and 74 on output errors: standard output
+which is a bug, not bad input; crosscheck too, after its report, when it
+finds an inconsistency, a disagreement between two of isoflag's own
+routes) and 74 on output errors: standard output
 closed before the output is written (as in `isoflag crosscheck FILE |
 head -3`), or a batch --csv path that cannot be written (a missing
 directory, or a directory itself).
@@ -218,7 +220,8 @@ def _cmd_crosscheck(args) -> int:
         "inconsistencies": inconsistencies,
         "results": results,
     })
-    return 0 if inconsistencies == 0 else DATA_EXIT
+    # two of isoflag's own routes disagree: a bug, not bad input
+    return 0 if inconsistencies == 0 else INTERNAL_EXIT
 
 
 def _cmd_gen(args) -> int:

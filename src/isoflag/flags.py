@@ -34,6 +34,8 @@ from .errors import InputError, InternalConsistencyError
 from .linalg import (
     Subspace,
     ZiRow,
+    _fp_full_rank,
+    _fp_gram,
     _zi_eliminate,
     _zi_entry,
     _zi_gram,
@@ -96,10 +98,15 @@ class IsotropicFlag:
        Gram matrix G = R J R^T is the form on them, and with the rows
        ending below i a basis of sub ^ F_i,
        dim rad(sub ^ F_i) = (rows ending below i) - (rank of their
-       principal submatrix of G), the rank being the pivot count of
-       linalg._zi_eliminate over the submatrix's columns.  A piece first
-       reached at i with 2i <= q lies in the isotropic F_i, so its radical
-       dimension is its dimension.
+       principal submatrix of G).  The submatrix is asked over F_p first
+       (linalg module docstring): its image under the ring map
+       phi: Z[i] -> F_p is the same block of phi(G), the Gram matrix of
+       the rows mapped into F_p, and full rank there proves full rank over
+       Q(i), radical 0.  Only a block singular mod p takes the exact rank,
+       the pivot count of linalg._zi_eliminate over the submatrix's
+       columns, and only then is the exact G built.  A piece first reached
+       at i with 2i <= q lies in the isotropic F_i, so its radical
+       dimension is its dimension, with no Gram matrix.
 
     Whether the basis is hyperbolic is computed when the flag is made.
     zi_echelon and line_end, and with them ends, intersect_piece and
@@ -118,11 +125,11 @@ class IsotropicFlag:
             raise InputError("flag basis denominator must be positive")
         self.zi_rows, self.den = zi_rows, den
         self.hyperbolic = _zi_hyperbolic(zi_rows, den)
-        # (sub, its echelon, its echelon rows' Gram matrix) for the last
-        # subspace asked about, the Gram matrix filled when first used:
-        # callers take the ends of a subspace and then several of its
-        # pieces, all from one echelon form.
-        self._last: tuple[Subspace, Echelon, list[ZiRow]] | None = None
+        # (sub, its echelon, [its echelon rows' Gram matrix mod p, their
+        # exact one]) for the last subspace asked about, each Gram matrix
+        # filled when first used: callers take the ends of a subspace and
+        # then several of its pieces, all from one echelon form.
+        self._last: tuple[Subspace, Echelon, list] | None = None
 
     @classmethod
     def standard(cls, q: int) -> "IsotropicFlag":
@@ -173,10 +180,10 @@ class IsotropicFlag:
                 return self.q - 1 - i
         raise InternalConsistencyError("a zero row has no end")
 
-    def _cached(self, sub: Subspace) -> tuple[Subspace, Echelon, list[ZiRow]]:
+    def _cached(self, sub: Subspace) -> tuple[Subspace, Echelon, list]:
         """_last for sub: zi_echelon of sub's stored rows."""
         if self._last is None or self._last[0] != sub:
-            self._last = (sub, self.zi_echelon(sub.zi_rows), [])
+            self._last = (sub, self.zi_echelon(sub.zi_rows), [None, None])
         return self._last
 
     def echelon(self, sub: Subspace) -> Echelon:
@@ -213,15 +220,20 @@ class IsotropicFlag:
         return Subspace.from_zi_rows(rows[sub.dim - n:], self.q)
 
     def radical_dim(self, sub: Subspace, i: int) -> int:
-        """dim rad(sub ^ F_i) from the Gram matrix of sub's echelon rows, with
-        no subspace built (class docstring, item 4)."""
-        _, (rows, ends), gram = self._cached(sub)
+        """dim rad(sub ^ F_i) from the Gram matrix of sub's echelon rows, mod
+        p and, for a block singular there, exact, with no subspace built
+        (class docstring, item 4)."""
+        _, (rows, ends), grams = self._cached(sub)
         n = sum(1 for e in ends if e < i)
         if n == 0 or 2 * (ends[-n] + 1) <= self.q:
             return n
-        if not gram:
-            gram += _zi_gram(rows)
-        block = [(re[-n:], im[-n:]) for re, im in gram[-n:]]
+        if grams[0] is None:
+            grams[0] = _fp_gram(rows)
+        if _fp_full_rank([row[-n:] for row in grams[0][-n:]]):
+            return 0
+        if grams[1] is None:
+            grams[1] = _zi_gram(rows)
+        block = [(re[-n:], im[-n:]) for re, im in grams[1][-n:]]
         return n - len(_zi_eliminate(block, _zi_entry, range(n))[1])
 
 

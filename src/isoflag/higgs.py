@@ -53,7 +53,6 @@ from .linalg import (
     Vector,
     ZiRow,
     _gaussian_row,
-    _isotropy_from_gram,
     _least,
     _zi_gram,
     _zi_pair,
@@ -271,19 +270,20 @@ def _isotropic_line_in(y: Subspace, rng: random.Random) -> LineWitness | None:
     The candidate planes are the pairs of basis rows, then, when dim y > 2,
     four random mixed planes (a plane's own share its discriminant).
 
-    Everything runs on y's stored rows x_k = D b_k and their Gram matrix
-    G = D^2 (Q(b_k, b_l)), which also gives the radical.  Scaling a plane's
+    The radical is y's isotropy_classify, kept with y: T, classified by the
+    bound stage, is not classified again.  Everything else runs on y's
+    stored rows x_k = D b_k and their Gram matrix G = D^2 (Q(b_k, b_l)),
+    built only when the radical is zero.  Scaling a plane's
     rows by D scales its pairings by D^2, its discriminant by D^4, its root
     by D^2 (_zi_sqrt picks the same root of a positive multiple) and each
     line by D^3, so every line is the one the reduced rows b_k give.  An
     ExtensionLine is built as base / D^3, twist / D and delta / D^4.
     """
-    rows = list(y.zi_rows)
-    gram = _zi_gram(rows)
-    radical = _isotropy_from_gram(y, gram)[1]
+    radical = isotropy_classify(y, BilinearForm(y.ambient))[1]
     if radical.dim > 0:
         return _line(radical.zi_rows[0], y.ambient)
-    g = [list(zip(*row)) for row in gram]
+    rows = list(y.zi_rows)
+    g = [list(zip(*row)) for row in _zi_gram(rows)]
     for k, row in enumerate(rows):
         if g[k][k] == (0, 0):
             return _line(row, y.ambient)
@@ -373,7 +373,10 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     4. The leaves, and so the best-score leaves, come in the same visit
        order.  Canonicalising them in that order, skipping repeats and
        stopping at the first rational line draws from the rng exactly as
-       handing _isotropic_line_in the distinct canonical leaves does.
+       handing _isotropic_line_in the distinct canonical leaves does.  A
+       leaf that keeps all of T holds T's own rows (item 2), already
+       canonical: it is t_sub itself, with no elimination, and its radical
+       is T's kept isotropy_classify.
     5. A node holding one row has one child, the row itself at the row's
        end, which IsotropicFlag.line_end reads with one pairing per flag
        coordinate from the top, and no combination.  So a line's remaining
@@ -447,7 +450,7 @@ def line_oracle(t_sub: Subspace, fs: FlagSystem, w: Weight, seed: int = 0) -> Li
     extension = None
     seen: set[Subspace] = set()
     for rows in leaves:
-        y = Subspace.from_zi_rows(rows, q)
+        y = t_sub if rows is t_rows else Subspace.from_zi_rows(rows, q)
         if y in seen:
             continue
         seen.add(y)

@@ -24,6 +24,15 @@ subspace's Scalar rows are built only when read.
 Membership, kernels, orthocomplements and radicals are read off the stored
 integers, and the hyperbolic completion of an isotropic subspace off its
 rows, as Gaussian integers, with no further elimination.
+
+Whether a Gram block is invertible is asked over F_p first, p = _P, a prime
+with p = 1 (mod 4), before any exact elimination (_fp_gram, _fp_full_rank).
+Lemma: with r = _R, r^2 = -1 (mod p), phi(a + bi) = a + b r mod p is a
+ring map Z[i] -> F_p, so phi(det G) = det phi(G), and phi(G) is the Gram
+matrix of the rows mapped by phi.  When phi(G) has full rank, det G != 0
+and G has full rank over Q(i).  Every other outcome, a block singular mod p
+among them (det G may be a nonzero multiple of p), is decided by the exact
+elimination, so the prefilter changes no answer.
 """
 
 from __future__ import annotations
@@ -144,6 +153,43 @@ def _zi_hyperbolic(rows: Sequence[ZiRow], den: int) -> bool:
             acc_re[q - 1 - i] -= scaled
         if any(acc_re) or any(acc_im):
             return False
+    return True
+
+
+# a prime p = 1 (mod 4) and a square root r of -1 mod p: a + bi -> a + b r
+# mod p maps Z[i] into F_p (module docstring)
+_P = 998244353
+_R = 911660635
+
+
+def _fp_gram(rows: Sequence[ZiRow]) -> list[list[int]]:
+    """phi(R J R^t) for Gaussian-integer rows R, as rows of integers in
+    [0, p): the Gram matrix of the rows mapped into F_p, each row reduced
+    once, so that no exact Gram entry is built."""
+    xs = [[(a + b * _R) % _P for a, b in zip(re, im)] for re, im in rows]
+    ys = [x[::-1] for x in xs]
+    return [[sum(map(mul, x, y)) % _P for y in ys] for x in xs]
+
+
+def _fp_full_rank(m: list[list[int]]) -> bool:
+    """Whether the square matrix m over F_p, entries in [0, p), is
+    invertible: Gauss elimination mod p, which fails at the first column
+    with no pivot.  m is left as it was."""
+    m = list(m)
+    n = len(m)
+    for col in range(n):
+        for k in range(col, n):
+            if m[k][col]:
+                break
+        else:
+            return False
+        pivot = m[k]
+        m[k] = m[col]
+        inv = pow(pivot[col], -1, _P)
+        for k in range(col + 1, n):
+            c = m[k][col] * inv % _P
+            if c:
+                m[k] = [(x - c * y) % _P for x, y in zip(m[k], pivot)]
     return True
 
 
@@ -481,26 +527,30 @@ def isotropy_classify(y: Subspace, form: BilinearForm) -> tuple[bool, Subspace, 
     sum_k a_k G[k][l] = 0 for every row x_l, so the radical is
     {aX : aG = 0} and the restricted rank is rank G; Y is isotropic exactly
     when G = 0, and then the radical is Y itself.  When G has full rank the
-    radical is zero.  Otherwise G is symmetric, so its canonical form (rref)
-    gives that kernel with no further elimination (_reduced_kernel), and the
-    radical's rows aX are Gaussian-integer rows again, canonicalised by one
-    more rref.  The result is kept with Y (Subspace), so T = span(A)^perp,
-    asked about by the bound stage and the destabilizer search, is
-    classified once.
+    radical is zero, and G is asked first over F_p (module docstring):
+    full rank mod p proves it with no exact G built.  Otherwise G is
+    symmetric, so its canonical form (rref) gives that kernel with no
+    further elimination (_reduced_kernel), and the radical's rows aX are
+    Gaussian-integer rows again, canonicalised by one more rref.  The
+    result is kept with Y (Subspace), so T = span(A)^perp, asked about by
+    the bound stage, the line oracle's witness and the destabilizer search,
+    is classified once.
     """
     if y.ambient != form.p:
         raise InputError("ambient dimension does not match form")
     if y._isotropy is None:
-        iso, radical, rank = _isotropy_from_gram(y, _zi_gram(y.zi_rows))
+        iso, radical, rank = _isotropy_from_gram(y)
         y._isotropy = iso, None if radical is y else radical, rank
     iso, radical, rank = y._isotropy
     return iso, y if radical is None else radical, rank
 
 
-def _isotropy_from_gram(y: Subspace, gram: list[ZiRow]) -> tuple[bool, Subspace, int]:
-    """isotropy_classify of y, given the Gram matrix of y's stored rows,
-    which is left as it was."""
-    g = Subspace.from_zi_rows(gram, y.dim)
+def _isotropy_from_gram(y: Subspace) -> tuple[bool, Subspace, int]:
+    """isotropy_classify of y, not kept: the Gram matrix mod p, then the
+    exact one only when that is singular."""
+    if y.dim and _fp_full_rank(_fp_gram(y.zi_rows)):
+        return False, Subspace.zero(y.ambient), y.dim
+    g = Subspace.from_zi_rows(_zi_gram(y.zi_rows), y.dim)
     if g.dim == 0:
         return True, y, 0
     if g.dim == y.dim:

@@ -38,6 +38,7 @@ from isoflag.linalg import (
     Vector,
     ZiRow,
     _gaussian_row,
+    _least,
     _scalar,
     _scalar_row,
     _zi_hyperbolic,
@@ -380,6 +381,73 @@ def transform_flag(f: IsotropicFlag, m: list[Vector]) -> IsotropicFlag:
 
 def transform_flags(fs: FlagSystem, m: list[Vector]) -> FlagSystem:
     return FlagSystem(tuple(transform_flag(f, m) for f in fs.flags))
+
+
+# ---------------------------------------------------------------------------
+# other presentations of the same instance
+
+
+def rebased_flag(flag: IsotropicFlag, rng: random.Random, moves: int = 6) -> IsotropicFlag:
+    """The same flag with another adapted basis: the basis B times random
+    elements g of the flag's Borel subgroup, g B with g lower triangular and
+    g J g^T = J, so that every piece F_i and the Gram matrix J are kept.
+
+    Each move is one of
+    - a root element I + c (e_ab - e_b'a') with b < a, b' = q-1-b,
+      a' = q-1-a and c in Z[i]: row a gains c row b and row b' loses c row
+      a'.  Its Gram matrix is J when a + b != q-1 and neither a nor b is the
+      middle index of an odd q (where a c^2 term would be left over);
+    - a torus scaling of one hyperbolic pair: row a times t and row a' times
+      1/t, for a nonzero t in Z[i].
+    The basis is put over its least denominator, as a parsed flag's is."""
+    q = flag.q
+    rows, den = [(list(re), list(im)) for re, im in flag.zi_rows], flag.den
+    indices = [k for k in range(q) if 2 * k != q - 1]
+    for _ in range(moves):
+        if rng.randrange(3):
+            a, b = sorted(rng.sample(indices, 2), reverse=True)
+            if a + b == q - 1:
+                continue
+            c = rng.randint(-2, 2), rng.randint(-2, 2)
+            new_a = _zi_row_times(((1, c[0]), (0, c[1])), (rows[a], rows[b]))
+            new_b = _zi_row_times(((1, -c[0]), (0, -c[1])), (rows[q - 1 - b], rows[q - 1 - a]))
+            rows[a], rows[q - 1 - b] = new_a, new_b
+        else:
+            a = rng.choice(indices)
+            t = (0, 0)
+            while t == (0, 0):
+                t = rng.randint(-2, 2), rng.randint(-2, 2)
+            # row a times t |t|^2, row a' times conj(t) and every other row
+            # times |t|^2, over |t|^2 den
+            norm = t[0] ** 2 + t[1] ** 2
+            scale = [(norm, 0)] * q
+            scale[a], scale[q - 1 - a] = (norm * t[0], norm * t[1]), (t[0], -t[1])
+            rows = [_zi_row_times(((x,), (y,)), [row]) for (x, y), row in zip(scale, rows)]
+            den *= norm
+        rows, den = _least(rows, den)
+    out = IsotropicFlag(rows, den)
+    if not out.hyperbolic:
+        raise InternalConsistencyError("a Borel move left the split form")
+    return out
+
+
+def recombined_rows(a: HiggsTuple, fs: FlagSystem, w: Weight,
+                    rng: random.Random) -> tuple[HiggsTuple, FlagSystem, Weight]:
+    """The instance with its rows A recombined by an invertible matrix: an
+    upper-triangular one with nonzero diagonal, then the rows reversed.  The
+    span of A, and so the instance, is kept."""
+    rows = list(higgs_rows(a))
+    out = []
+    for k in range(len(rows)):
+        c = random_scalar(rng, 3)
+        while c.is_zero():
+            c = random_scalar(rng, 3)
+        row = tuple(c * x for x in rows[k])
+        for other in rows[k + 1:]:
+            d = random_scalar(rng, 2)
+            row = tuple(x + d * y for x, y in zip(row, other))
+        out.append(row)
+    return higgs_from_rows(a.q, a.s, reversed(out)), fs, w
 
 
 # ---------------------------------------------------------------------------

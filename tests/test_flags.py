@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -25,7 +26,9 @@ from isoflag.linalg import (
     meet_join,
     orthocomplement,
 )
+from isoflag.higgs import decide_stability
 from isoflag.randgen import (
+    mixed_mode,
     random_flag_system,
     random_instance,
     random_isotropic_subspace,
@@ -509,12 +512,183 @@ class TestGramRadicals:
                                 for i in range(q + 1)]
                     fresh = IsotropicFlag(flag.zi_rows, flag.den)
                     monkeypatch.setattr(flags_mod, "_zi_gram", refuse)
+                    monkeypatch.setattr(flags_mod, "_fp_gram", refuse)
                     assert [fresh.radical_dim(sub, i) for i in range(q // 2 + 1)] == \
                         expected[:q // 2 + 1], (q, seed)
                     monkeypatch.undo()
                     assert [flag.radical_dim(sub, i) for i in range(q + 1)] == expected, (q, seed)
                     checked += 1
         assert checked == 3 * sum(q + 2 for q in range(3, 11))
+
+
+def _fp(matrix):
+    """The image of Gaussian-integer rows (re, im) under a + bi -> a + b r
+    mod p."""
+    return [[(a + b * linalg_mod._R) % linalg_mod._P for a, b in zip(re, im)]
+            for re, im in matrix]
+
+
+def _fresh(sub):
+    """A copy of sub with nothing kept: no isotropy_classify."""
+    return Subspace(sub.ambient, sub.den, sub.zi_rows, sub.pivots)
+
+
+def _gram_answers(cases):
+    """isotropy_classify of T = span(A)^perp and of each piece T ^ F_i^j,
+    and every radical_dim(T, i), for each (q, s, seed, mode), on fresh flags
+    and subspaces."""
+    out = []
+    for q, s, seed, mode in cases:
+        form = BilinearForm(q)
+        a, fs, _ = random_instance(q, s, seed, mode)
+        t_sub = _fresh(a.span_perp())
+        out.append(isotropy_classify(t_sub, form))
+        for flag in fs.flags:
+            flag = IsotropicFlag(flag.zi_rows, flag.den)
+            out.append([flag.radical_dim(t_sub, i) for i in range(q + 1)])
+            out += [isotropy_classify(_fresh(flag.intersect_piece(t_sub, i)), form)
+                    for i in range(q + 1)]
+    return out
+
+
+class TestGramRanksModP:
+    """The full-rank prefilter over F_p (linalg module docstring): full rank
+    of phi(G) proves full rank of G, and every other outcome is decided by
+    the exact elimination."""
+
+    def test_constants(self):
+        p, r = linalg_mod._P, linalg_mod._R
+        assert p % 4 == 1 and (r * r + 1) % p == 0
+        assert p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+    def test_never_full_rank_on_singular_blocks(self):
+        # an n x n block of rank k < n as the product of n x k and k x n
+        # Gaussian-integer matrices, and the Gram matrix of n rows spanning
+        # k < n dimensions
+        rng = random.Random(37)
+
+        def zi(span):
+            return rng.randint(-span, span), rng.randint(-span, span)
+
+        for trial in range(300):
+            n = rng.randint(1, 6)
+            k = rng.randrange(n)
+            left = [[zi(9) for _ in range(k)] for _ in range(n)]
+            right = [[zi(9) for _ in range(n)] for _ in range(k)]
+            cols = [[row[c] for row in right] for c in range(n)]
+            block = [([sum(x[0] * y[0] - x[1] * y[1] for x, y in zip(row, col)) for col in cols],
+                      [sum(x[0] * y[1] + x[1] * y[0] for x, y in zip(row, col)) for col in cols])
+                     for row in left]
+            assert not linalg_mod._fp_full_rank(_fp(block)), trial
+            q = rng.randint(max(k, 1), 7)
+            basis = [[zi(5 ** (trial % 4)) for _ in range(q)] for _ in range(k)]
+            cols = [[row[c] for row in basis] for c in range(q)]
+            rows = [([sum(c[0] * x[0] - c[1] * x[1] for c, x in zip(coeffs, col)) for col in cols],
+                     [sum(c[0] * x[1] + c[1] * x[0] for c, x in zip(coeffs, col)) for col in cols])
+                    for coeffs in ([zi(3) for _ in range(k)] for _ in range(n))]
+            assert linalg_mod._fp_gram(rows) == _fp(linalg_mod._zi_gram(rows)), trial
+            assert not linalg_mod._fp_full_rank(linalg_mod._fp_gram(rows)), trial
+
+    def test_full_rank_mod_p_is_full_rank(self):
+        rng = random.Random(41)
+        full = 0
+        for trial in range(200):
+            n = rng.randint(1, 5)
+            rows = [([rng.randint(-3, 3) for _ in range(n)], [rng.randint(-3, 3) for _ in range(n)])
+                    for _ in range(n)]
+            if linalg_mod._fp_full_rank(_fp(rows)):
+                full += 1
+                pivots = linalg_mod._zi_eliminate(rows, linalg_mod._zi_entry, range(n))[1]
+                assert len(pivots) == n, trial
+        assert full > 100
+
+    def test_determinant_a_multiple_of_p(self):
+        p = linalg_mod._P
+        # the row (0, p, 0) pairs with itself to p^2, 0 mod p
+        assert linalg_mod._zi_gram([((0, p, 0), (0, 0, 0))]) == [((p * p,), (0,))]
+        assert linalg_mod._fp_gram([((0, p, 0), (0, 0, 0))]) == [[0]]
+        # a canonical line whose stored row pairs with itself to p: singular
+        # mod p, so it takes the exact path, which finds rank 1 and radical 0
+        line = Subspace.from_zi_rows([((1, 1, (p - 1) // 2), (0, 0, 0))], 3)
+        assert line.zi_rows == (((1, 1, (p - 1) // 2), (0, 0, 0)),)
+        assert linalg_mod._fp_gram(line.zi_rows) == [[0]]
+        iso, radical, rank = isotropy_classify(line, BilinearForm(3))
+        assert (iso, radical, rank) == (False, Subspace.zero(3), 1)
+        flag = IsotropicFlag.standard(3)
+        assert [flag.radical_dim(line, i) for i in range(4)] == [0, 0, 0, 0]
+        # a plane with Gram matrix diag(2, 2p), determinant 4p: the same, at
+        # dimension 2
+        plane = Subspace.from_zi_rows([((1, 0, 0, 1), (0, 0, 0, 0)),
+                                       ((0, 1, p, 0), (0, 0, 0, 0))], 4)
+        assert linalg_mod._zi_gram(plane.zi_rows) == [((2, 0), (0, 0)), ((0, 2 * p), (0, 0))]
+        assert not linalg_mod._fp_full_rank(linalg_mod._fp_gram(plane.zi_rows))
+        assert isotropy_classify(plane, BilinearForm(4)) == (False, Subspace.zero(4), 2)
+
+    def test_prefilter_off_gives_the_same_answers(self, monkeypatch):
+        from test_pinned_outputs import CENSUS_SHAPES, _instances
+
+        cases = _instances() + [(q, s, seed, mixed_mode(seed))
+                                for q, s in CENSUS_SHAPES for seed in range(12)]
+        subspaces = [(q, seed, sub) for q in range(3, 11) for seed in range(3)
+                     for sub in _radical_subspaces(q, seed)]
+
+        def subspace_answers():
+            out = []
+            for q, seed, sub in subspaces:
+                flag = random_flag(q, 7 * q + seed)
+                out.append(isotropy_classify(_fresh(sub), BilinearForm(q)))
+                out.append([flag.radical_dim(sub, i) for i in range(q + 1)])
+            return out
+
+        real = linalg_mod._fp_full_rank
+        answers = []
+
+        def recording(m):
+            answers.append(real(m))
+            return answers[-1]
+
+        for module in (linalg_mod, flags_mod):
+            monkeypatch.setattr(module, "_fp_full_rank", recording)
+        expected = _gram_answers(cases), subspace_answers()
+        assert answers.count(True) > 1000 and answers.count(False) > 100
+        for module in (linalg_mod, flags_mod):
+            monkeypatch.setattr(module, "_fp_full_rank", lambda m: False)
+        assert (_gram_answers(cases), subspace_answers()) == expected
+
+    def test_wide_decide_work(self, monkeypatch):
+        # decide on the wide pool's q8 s4 seed 0 took 236 Bareiss steps
+        # with every Gram rank exact; an exact Gram-block elimination runs
+        # only for a block singular mod p
+        steps = []
+        real_step = linalg_mod._zi_step
+
+        def counting(*args):
+            steps.append(None)
+            return real_step(*args)
+
+        real_eliminate = flags_mod._zi_eliminate
+        exact_blocks = []
+
+        def eliminate(rows, read, positions, **kwargs):
+            if read is linalg_mod._zi_entry:  # radical_dim's Gram block
+                assert not linalg_mod._fp_full_rank(_fp(rows))
+                exact_blocks.append(rows)
+            return real_eliminate(rows, read, positions, **kwargs)
+
+        real_gram = linalg_mod._zi_gram
+
+        def gram_(rows):  # isotropy_classify's exact Gram matrix
+            assert not linalg_mod._fp_full_rank(linalg_mod._fp_gram(rows))
+            exact_blocks.append(rows)
+            return real_gram(rows)
+
+        monkeypatch.setattr(linalg_mod, "_zi_step", counting)
+        monkeypatch.setattr(flags_mod, "_zi_eliminate", eliminate)
+        monkeypatch.setattr(linalg_mod, "_zi_gram", gram_)
+        a, fs, w = random_instance(8, 4, 0)
+        assert decide_stability(a, fs, w).tag == "Undetermined"
+        assert len(steps) <= 150
+        assert exact_blocks
 
 
 def _perturbed(flag):

@@ -43,8 +43,8 @@ from isoflag.weights import Weight
 
 from helpers import (flag_basis, flag_from_rows, flag_inverse, gram, higgs_from_rows, higgs_rows,
                      isometry_rows, line_parts, mat_mul, pair, pardeg_from_profile, per_flag_upper,
-                     random_scalar, random_vector, recursive_line_oracle, sc, scalar_sqrt,
-                     transform_flags, vadd, vscale)
+                     random_scalar, random_vector, recombined_rows, recursive_line_oracle, sc,
+                     scalar_sqrt, transform_flags, vadd, vscale)
 from test_pinned_outputs import CROSSCHECK_POOLS, DECIDE_POOLS
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
@@ -1625,22 +1625,6 @@ def _isometry_moved(a, fs, w, rng):
             w)
 
 
-def _recombined_rows(a, fs, w, rng):
-    # an upper-triangular matrix with nonzero diagonal, then the rows reversed
-    rows = list(higgs_rows(a))
-    out = []
-    for k in range(len(rows)):
-        c = random_scalar(rng, 3)
-        while c.is_zero():
-            c = random_scalar(rng, 3)
-        row = tuple(c * x for x in rows[k])
-        for other in rows[k + 1:]:
-            d = random_scalar(rng, 2)
-            row = tuple(x + d * y for x, y in zip(row, other))
-        out.append(row)
-    return higgs_from_rows(a.q, a.s, reversed(out)), fs, w
-
-
 class TestEquivariance:
     def test_verdict_invariance(self):
         for trial in range(30):
@@ -1677,6 +1661,6 @@ class TestEquivariance:
 
             before = observed(a, fs, w)
             tags.add(before[1])
-            for move in (_permuted_punctures, _isometry_moved, _recombined_rows):
+            for move in (_permuted_punctures, _isometry_moved, recombined_rows):
                 assert observed(*move(a, fs, w, rng)) == before, (q, trial, move.__name__)
         assert {"Unstable", "Stable"} <= tags, q

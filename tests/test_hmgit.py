@@ -41,7 +41,7 @@ from isoflag.weights import Weight
 from helpers import (completion_rows, flag_from_rows, gaussian_matrix, higgs_from_rows, higgs_rows,
                      hm_grassmannian, hyperbolic_basis, oneps_basis, oneps_from_rows, random_scalar,
                      pardeg_from_profile, random_vector, sc, so2_score, standard_basis, u_piece)
-from test_pinned_outputs import CROSSCHECK_POOLS, _instances
+from test_pinned_outputs import CENSUS_SHAPES, CROSSCHECK_POOLS, _instances
 
 W_Q2 = Weight.make(2, 4, [F(1, 8)] * 4, [(F(1, 16), F(-1, 16))] * 4)
 W_Q4 = Weight.make(4, 4, [F(1, 8)] * 4,
@@ -649,16 +649,20 @@ class TestBoundedSearch:
         assert bounded_destabilizer_search(a, fs, w) is None
 
     def test_orthocomplement_classified_once(self, monkeypatch):
-        # the bound stage and the candidate scan share T's isotropy_classify
-        from isoflag import linalg
-        real = linalg._isotropy_from_gram
+        # the bound stage, the line oracle's witness and the candidate scan
+        # share T's isotropy_classify: it is classified, its result kept with
+        # it, once, whether the Gram matrix has full rank mod p or not
+        from isoflag import higgs, hmgit, linalg
+        real = linalg.isotropy_classify
         classified = []
 
-        def counting(y, gram):
-            classified.append(y)
-            return real(y, gram)
+        def counting(y, form):
+            if y._isotropy is None:
+                classified.append(y)
+            return real(y, form)
 
-        monkeypatch.setattr(linalg, "_isotropy_from_gram", counting)
+        for module in (higgs, hmgit, linalg):
+            monkeypatch.setattr(module, "isotropy_classify", counting)
         checked = 0
         for seed in range(7):
             a, fs, w = random_instance(4, 4, seed)
@@ -667,11 +671,6 @@ class TestBoundedSearch:
             assert sum(1 for y in classified if y is a.span_perp()) == 1, seed
             checked += 1
         assert checked >= 3
-
-
-# ROADMAP's census grid: random_instance(q, s, seed, mixed_mode(seed)) for
-# seeds 0..11 at these shapes
-CENSUS_SHAPES = ((4, 4), (4, 5), (4, 6), (5, 4), (5, 5), (6, 4), (6, 5), (6, 6), (7, 4), (8, 4))
 
 
 class TestNoHitOffUnstable:

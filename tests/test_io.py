@@ -13,6 +13,7 @@ from isoflag.cli import main
 from isoflag.errors import InputError, InternalConsistencyError, ParseError
 from isoflag.flags import FlagSystem
 from isoflag.higgs import decide_stability, isotropic_radicals
+from isoflag.hmgit import consistency_check
 from isoflag.io import (
     InstanceFile,
     instance_from_json,
@@ -719,6 +720,26 @@ class TestCli:
         assert main(["crosscheck", str(tmp_path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["instances"] == 2 and out["inconsistencies"] == 0
+
+    def test_crosscheck_inconsistency_is_internal(self, tmp_path, stable_file, unstable_file,
+                                                  capsys, monkeypatch):
+        # an inconsistency is a disagreement between two of isoflag's own
+        # routes: the report is printed as usual, and the exit is a bug's
+        real = consistency_check
+
+        def inconsistent(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res["consistent"] = False
+            return res
+
+        monkeypatch.setattr("isoflag.cli.consistency_check", inconsistent)
+        for target, count in ((stable_file, 1), (tmp_path, 2)):
+            assert main(["crosscheck", str(target)]) == 70, target
+            captured = capsys.readouterr()
+            out = json.loads(captured.out)
+            assert (out["instances"], out["inconsistencies"]) == (count, count), target
+            assert [r["consistent"] for r in out["results"]] == [False] * count
+            assert captured.err == ""
 
     def test_batch_counts_and_determinism(self, tmp_path, capsys):
         for trial in range(6):

@@ -28,6 +28,16 @@ and stdout are pinned the same way, in ``gen_outputs.json``, for q in 2..8,
 s in {q + 2, q + 3}, seeds 0..2 and both regions.  To record them:
 
     PYTHONPATH=src python tests/test_pinned_outputs.py gen > tests/gen_outputs.json
+
+No pool has q >= 9 or generic rows at s = 3, so ``GENERIC_GRID_SHA256``
+pins ``decide_stability``'s verdict JSON on generic ``random_instance`` at
+q6-q10 s4, q7 s3, q8 s3 and q8 s5, seeds 0..11.
+
+A verdict is a property of the instance, not of how it is written down.
+So decide and crosscheck must print the same bytes when each flag is given
+by another adapted basis of the same flag (helpers.rebased_flag) or the
+rows A by another basis of their span (helpers.recombined_rows), on every
+pool instance and, for decide, on ROADMAP's census grid.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
@@ -43,8 +54,12 @@ from pathlib import Path
 import pytest
 
 from isoflag.cli import main
-from isoflag.io import InstanceFile, serialize_instance
+from isoflag.flags import FlagSystem
+from isoflag.higgs import decide_stability
+from isoflag.io import InstanceFile, serialize_instance, verdict_to_json
 from isoflag.randgen import mixed_mode, random_instance
+
+from helpers import rebased_flag, recombined_rows
 
 FIXTURE = Path(__file__).resolve().parent / "pinned_outputs.json"
 GEN_FIXTURE = Path(__file__).resolve().parent / "gen_outputs.json"
@@ -54,6 +69,25 @@ BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference
 # for q in 2..8, each mode k in turn and s in {3, q + 1}, in that order
 RANDOM_INSTANCE_GRID_SHA256 = "e946a5f9aae83656e79e4a31c417caee26d169f9b7fa5d91b807d7a08fb8a4eb"
 MODES = ("generic", "low_rank", "isotropic_span", "shared_flag")
+
+# ROADMAP's census grid: random_instance(q, s, seed, mixed_mode(seed)) for
+# seeds 0..11 at these shapes
+CENSUS_SHAPES = ((4, 4), (4, 5), (4, 6), (5, 4), (5, 5), (6, 4), (6, 5), (6, 6), (7, 4), (8, 4))
+
+# per shape (q, s), sha256 over json.dumps(verdict_to_json(decide_stability(
+# *random_instance(q, s, seed))), indent=2) + "\n" for seeds 0..11 in turn:
+# generic rows where T = span(A)^perp holds an isotropic plane, at q up to
+# 10, beyond the benchmark pools
+GENERIC_GRID_SHA256 = {
+    (6, 4): "e7c46dea2eb02a86c26dd47a16a1ed2d198e9165a0e69d10e4600c5eac6a4f96",
+    (7, 4): "8892e0e8dab3f3c08779bfcc07e44a9a437f8b3f9e1574d0e29cca78bfc7160c",
+    (8, 4): "1e51b3e61c90057bb262be9c51b423a02435399cf795fcc37fed4937ece0ddca",
+    (9, 4): "a5dd8b23a0bc53fc15d7baf7a295c3a5af7c3de630ed15462921cb786f02ec4f",
+    (10, 4): "ecf9e935f25086335d3fadf5812eaf6d098df94c0a1fa3f41291d79f01f9bb90",
+    (7, 3): "3696a5187c57a06d07670151a5eeec958de2a88e4dc6957534f896dc9edca294",
+    (8, 3): "05c95ef4750db2018fad0e7169a7d32fb5f711812aa5ec6d420d520fd264772f",
+    (8, 5): "7d0a3f575a4eb23b80f7b809bc05fd19ee5eb960bba35868d541d4e874b68ecc",
+}
 
 # (q, s, mixed-mode schedule, pool size) per shape
 DECIDE_POOLS = ((5, 5, False, 8), (6, 6, False, 8), (7, 7, False, 8), (8, 8, False, 8),
@@ -107,17 +141,22 @@ def _bench_reference() -> dict:
     return json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))
 
 
-def _instance_text(q: int, s: int, seed: int, mode: str) -> str:
-    """The instance file as the benchmark writes it."""
+def _instance_text(q: int, s: int, seed: int, mode: str, move=None) -> str:
+    """The instance file as the benchmark writes it, or, with a move, the
+    instance move(a, fs, w, Random(seed)) gives in its place."""
     a, fs, w = random_instance(q, s, seed, mode)
+    if move is not None:
+        a, fs, w = move(a, fs, w, random.Random(seed))
     return serialize_instance(InstanceFile(w, fs, a, seed=seed, metadata={"mode": mode}))
 
 
-def _digest(directory: Path, command: str, q: int, s: int, seed: int, mode: str) -> str:
+def _digest(directory: Path, command: str, q: int, s: int, seed: int, mode: str,
+            text: str | None = None) -> str:
     """sha256 of '<exit code>\\n<stdout>' for one call on a freshly written
-    instance file (crosscheck prints the file's stem, so the name is fixed)."""
+    instance file, the benchmark's unless its text is given (crosscheck
+    prints the file's stem, so the name is fixed)."""
     path = directory / f"{_instance_key(q, s, seed, mode)}.instance.json"
-    path.write_text(_instance_text(q, s, seed, mode), encoding="utf-8")
+    path.write_text(text or _instance_text(q, s, seed, mode), encoding="utf-8")
     return _run([command, str(path)] + (["--seed", str(seed)] if command == "decide" else []))
 
 
@@ -125,6 +164,40 @@ def _digest(directory: Path, command: str, q: int, s: int, seed: int, mode: str)
 def test_output_pinned(call, tmp_path):
     pinned = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert _digest(tmp_path, *call) == pinned[_key(*call)]
+
+
+def _rebased_flags(a, fs, w, rng):
+    return a, FlagSystem(tuple(rebased_flag(flag, rng) for flag in fs.flags)), w
+
+
+@pytest.mark.parametrize("move", [_rebased_flags, recombined_rows],
+                         ids=["rebased-flags", "recombined-rows"])
+def test_output_invariant_under_presentation(move, tmp_path):
+    # the same instance presented otherwise: each flag by another adapted
+    # basis of the same flag, or the rows A by another basis of their span.
+    # decide and crosscheck on every pool instance, and decide on the
+    # census grid, whose Unstable verdicts print witnesses found in leaves
+    # other than T, must print the same bytes with the same exit code
+    census = [(q, s, seed, mixed_mode(seed)) for q, s in CENSUS_SHAPES for seed in range(12)]
+    cases = ([(i, ("decide", "crosscheck")) for i in _instances()]
+             + [(i, ("decide",)) for i in census])
+    moved = 0
+    for instance, commands in cases:
+        text, moved_text = _instance_text(*instance), _instance_text(*instance, move)
+        moved += moved_text != text
+        for command in commands:
+            assert _digest(tmp_path, command, *instance, moved_text) == \
+                _digest(tmp_path, command, *instance, text), _key(command, *instance)
+    assert moved >= len(cases) - 4
+
+
+@pytest.mark.parametrize("shape", sorted(GENERIC_GRID_SHA256), ids=lambda qs: "q%ds%d" % qs)
+def test_generic_grid_verdicts_pinned(shape):
+    digest = hashlib.sha256()
+    for seed in range(12):
+        verdict = decide_stability(*random_instance(*shape, seed))
+        digest.update((json.dumps(verdict_to_json(verdict), indent=2) + "\n").encode())
+    assert digest.hexdigest() == GENERIC_GRID_SHA256[shape]
 
 
 def test_fixture_covers_every_call():
